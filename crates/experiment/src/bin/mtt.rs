@@ -329,8 +329,8 @@ fn main() -> ExitCode {
         match cmd {
             "list" => Ok(list()),
             "lint" => Ok(lint(&args[1..])),
-            "run" => Ok(run_one(&args[1..])),
-            "trace" => Ok(trace(&args[1..])),
+            "run" => run_one(&args[1..]),
+            "trace" => trace(&args[1..]),
             "explain" => explain_cmd(&args[1..], &global),
             "e1" => e1(&args[1..], &global),
             "e1-detail" => e1_detail(
@@ -557,16 +557,16 @@ fn lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_one(args: &[String]) -> ExitCode {
+fn run_one(args: &[String]) -> Result<ExitCode, String> {
     let Some(name) = args.first() else {
         eprintln!("usage: mtt run <program> [seed]");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     let Some(p) = mtt_suite::by_name(name) else {
         eprintln!("unknown program `{name}` — try `mtt list`");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0u64);
+    let seed = arg_u64(args, 1, 0)?;
     let o = Execution::new(&p.program)
         .scheduler(Box::new(RandomScheduler::new(seed)))
         .max_steps(100_000)
@@ -578,29 +578,29 @@ fn run_one(args: &[String]) -> ExitCode {
     } else {
         println!("no documented bug manifested in this run");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace(args: &[String]) -> ExitCode {
-    let (Some(name), Some(n), Some(dir)) = (args.first(), args.get(1), args.get(2)) else {
+fn trace(args: &[String]) -> Result<ExitCode, String> {
+    let (Some(name), Some(_), Some(dir)) = (args.first(), args.get(1), args.get(2)) else {
         eprintln!("usage: mtt trace <program> <count> <dir>");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     let Some(p) = mtt_suite::by_name(name) else {
         eprintln!("unknown program `{name}`");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let count: u64 = n.parse().unwrap_or(1);
+    let count = arg_u64(args, 1, 1)?;
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {dir}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let traces = tracegen::generate_many(&p, &tracegen::TraceGenOptions::default(), count);
     for (i, t) in traces.iter().enumerate() {
         let path = format!("{dir}/{name}-{i}.jsonl");
         if let Err(e) = mtt_trace::json::save(t, &path) {
             eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "{path}: {} records, manifested: {:?}",
@@ -608,7 +608,7 @@ fn trace(args: &[String]) -> ExitCode {
             t.meta.manifested_bugs
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Write `records` as NDJSON to `path` (used by every campaign-backed

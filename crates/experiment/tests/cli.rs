@@ -146,12 +146,24 @@ fn no_arguments_fails_with_usage() {
 
 #[test]
 fn malformed_numeric_argument_fails_cleanly() {
-    let (_, stderr, ok) = mtt(&["e1", "bogus"]);
-    assert!(
-        !ok,
-        "`mtt e1 bogus` must exit non-zero, not fall back to a default"
-    );
-    assert!(stderr.contains("not a number"), "stderr: {stderr}");
+    for args in [
+        &["e1", "bogus"][..],
+        &["run", "lost_update", "bogus"],
+        &[
+            "trace",
+            "lost_update",
+            "many",
+            "/nonexistent-dir-mtt/traces",
+        ],
+    ] {
+        let cmd = args.join(" ");
+        let (_, stderr, code) = mtt_code(args);
+        assert_eq!(
+            code, 2,
+            "`mtt {cmd}` must exit 2, not fall back to a default; stderr: {stderr}"
+        );
+        assert!(stderr.contains("not a number"), "`mtt {cmd}`: {stderr}");
+    }
 }
 
 #[test]

@@ -186,6 +186,12 @@ mod tests {
                 v
             })
         };
+        // Count only once the writer has stored: on a loaded machine the
+        // reader could otherwise finish all its loads before the writer
+        // thread is first scheduled.
+        while cell.get().value() == 0 {
+            std::thread::yield_now();
+        }
         let mut torn = 0u64;
         for _ in 0..200_000 {
             match cell.get() {

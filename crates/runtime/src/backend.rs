@@ -1,23 +1,34 @@
 //! [`RuntimeBackend`]: the seam between the *model* engine and the
 //! *native-threads* engine.
 //!
-//! The model backend (the default, and the only engine this crate had
-//! before the seam) serializes all program activity through a token-passing
-//! controller: executions are deterministic functions of the scheduler's
-//! decisions, which is what replay, systematic exploration and byte-stable
-//! experiment reports are built on.
+//! The model backend (the default) serializes all program activity through
+//! a token-passing controller: executions are deterministic functions of the
+//! scheduler's decisions, which is what replay, systematic exploration and
+//! byte-stable experiment reports are built on.
 //!
 //! The native backend runs the *same* program closures on real
-//! `std::thread`s with real mutexes and atomics. Nothing serializes program
-//! steps, so outcomes are genuinely nondeterministic — which is the point:
-//! it answers "does the model's find-probability survive contact with a
-//! real scheduler and a real memory system?" (experiment E13). Races there
-//! are physical, so the native engine uses `mtt_race::RaceCell` torn-value
-//! detection as its race oracle instead of an event-stream detector.
+//! `std::thread`s over real atomics. Nothing serializes program steps, so
+//! outcomes are genuinely nondeterministic — which is the point: it answers
+//! "does the model's find-probability survive contact with a real scheduler
+//! and a real memory system?" (experiment E13). Races there are physical, so
+//! the native engine uses `mtt_race::RaceCell` torn-value detection as its
+//! race oracle instead of an event-stream detector.
 //!
-//! Everything *around* the engines — programs, noise makers, event sinks,
-//! outcomes — is shared: both backends emit the same [`crate::Event`]
-//! stream and produce the same [`crate::Outcome`] shape.
+//! Both engines run **one op-semantics layer** ([`crate::ThreadCtx`]): each
+//! op is written once, as a transition on the same model tables (lock
+//! owners, condition queues, permits, barrier arrivals, thread statuses)
+//! followed by the emitted [`crate::Event`], so every tool sees the same
+//! event vocabulary from either engine. Waking is a status transition —
+//! whatever unblocks a waiter sets it `Ready` — and one deadlock rule (no
+//! runnable thread, no pending timed wake, not all threads finished) serves
+//! the model's scheduler and the native watchdog alike. Only five things
+//! stay engine-specific: where values live (the model store with its
+//! weak-visibility cache, or atomics and `RaceCell`s accessed outside the
+//! bookkeeping lock), how a thread parks (for the token, or until its own
+//! status changes), how it sleeps (virtual or wall-clock ticks), the step
+//! tail (a scheduling point, or noise applied with real thread primitives),
+//! and run setup and teardown (token handoff, or the watchdog). Both
+//! produce the same [`crate::Outcome`] shape.
 
 /// Which execution engine an [`crate::Execution`] uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

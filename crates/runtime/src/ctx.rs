@@ -1,17 +1,22 @@
-//! [`ThreadCtx`]: the API model programs are written against.
+//! [`ThreadCtx`]: the API model programs are written against — and the one
+//! op-semantics layer both runtime backends share.
 //!
 //! Every method that touches shared state is a *scheduling point*: it emits
-//! an event, lets the noise maker interfere, and lets the scheduler move the
-//! execution token. Methods are annotated `#[track_caller]`, so the source
-//! location of the call in the benchmark program becomes the event's
-//! [`Loc`] — the automatic equivalent of a bytecode instrumentor recording
-//! "the location in the program from which it was called".
+//! an event, lets the noise maker interfere, and (under the model engine)
+//! lets the scheduler move the execution token. Methods are annotated
+//! `#[track_caller]`, so the source location of the call in the benchmark
+//! program becomes the event's [`Loc`] — the automatic equivalent of a
+//! bytecode instrumentor recording "the location in the program from which
+//! it was called".
 //!
-//! The context is the **backend seam** (see [`crate::backend`]): the same
-//! program closure runs unchanged under the deterministic model engine or
-//! on real OS threads. Each operation dispatches on [`CtxInner`] — the
-//! model arm drives the token-passing controller in [`crate::exec`], the
-//! native arm performs real loads/stores/waits via [`crate::native`].
+//! Each op is written once, for both backends (see [`crate::backend`]): a
+//! transition on the shared model tables (lock owners, condition queues,
+//! permits, barrier arrivals, thread statuses), followed by the emitted
+//! [`Op`] and the step tail. A blocking op sets its own status to
+//! `Blocked(reason)` and parks; whoever can unblock it sets it `Ready`. The
+//! few engine-specific pieces — where values live, how a thread parks, and
+//! what the step tail does — sit behind the run handle (`exec::Run`), so no
+//! op here matches on the backend.
 //!
 //! Misusing the model (unlocking a lock you don't hold, waiting on a
 //! condition without its lock, recursive locking, joining yourself) aborts
@@ -19,9 +24,8 @@
 //! backends; such misuse is itself a bug class benchmark programs may
 //! exhibit.
 
-use crate::exec::{thread_main, Controller, ModelMisuse};
-use crate::native::NativeRt;
-use crate::state::{BlockReason, Status};
+use crate::exec::{launch, Guard, ModelMisuse, Run};
+use crate::state::{BlockReason, ModelState, Status};
 use mtt_instrument::{BarrierId, CondId, Loc, LockId, Op, SemId, ThreadId, VarId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -42,47 +46,51 @@ fn misuse(msg: String) -> ! {
     panic_any(ModelMisuse(msg))
 }
 
-/// Which engine this context drives.
-pub(crate) enum CtxInner {
-    /// Token-passing model controller.
-    Model(Arc<Controller>),
-    /// Native-threads runtime.
-    Native(Arc<NativeRt>),
-}
-
 /// Handle through which a model thread performs all shared-memory and
 /// synchronization operations.
 pub struct ThreadCtx {
-    inner: CtxInner,
+    run: Arc<Run>,
     me: ThreadId,
     rng: ChaCha8Rng,
 }
 
-/// The per-thread RNG seed: identical under both backends, so program
-/// logic driven by [`ThreadCtx::random`] is backend-independent.
-fn thread_rng(program_seed: u64, me: ThreadId) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(program_seed ^ (u64::from(me.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 impl ThreadCtx {
-    pub(crate) fn new(ctrl: Arc<Controller>, me: ThreadId) -> Self {
-        let seed = {
-            let g = ctrl.mx.lock();
-            g.opts.program_seed
-        };
-        ThreadCtx {
-            inner: CtxInner::Model(ctrl),
-            me,
-            rng: thread_rng(seed, me),
-        }
+    /// The per-thread RNG is seeded from the execution's `program_seed` and
+    /// the thread id alone, so program logic driven by [`Self::random`] is
+    /// backend-independent.
+    pub(crate) fn new(run: Arc<Run>, me: ThreadId) -> Self {
+        let seed = run.book.lock().opts.program_seed;
+        let rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (u64::from(me.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        ThreadCtx { run, me, rng }
     }
 
-    pub(crate) fn new_native(rt: Arc<NativeRt>, me: ThreadId) -> Self {
-        let seed = rt.program_seed();
-        ThreadCtx {
-            inner: CtxInner::Native(rt),
-            me,
-            rng: thread_rng(seed, me),
+    /// Emit `op` and run the step tail.
+    fn emit_step(&self, mut g: Guard<'_>, loc: Loc, op: Op) {
+        let nd = g.emit(self.me, loc, op);
+        self.run.step(g, self.me, nd);
+    }
+
+    /// Block this thread for `reason` until it may run again.
+    fn block(&self, g: &mut Guard<'_>, reason: BlockReason) {
+        g.model.threads[self.me.index()].status = Status::Blocked(reason);
+        self.run.block(g, self.me);
+    }
+
+    /// Block for `reason` until `free` holds, announcing the first wait with
+    /// `request` (a `*Request` op) if one is given.
+    fn block_until(
+        &self,
+        g: &mut Guard<'_>,
+        reason: BlockReason,
+        mut request: Option<(Loc, Op)>,
+        free: impl Fn(&ModelState) -> bool,
+    ) {
+        while !free(&g.model) {
+            if let Some((loc, op)) = request.take() {
+                let _ = g.emit(self.me, loc, op);
+            }
+            self.block(g, reason);
         }
     }
 
@@ -107,17 +115,9 @@ impl ThreadCtx {
     /// [`Self::read`] with an explicit site (used by code generators such
     /// as the MiniProg interpreter).
     pub fn read_at(&mut self, var: VarId, loc: Loc) -> i64 {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let value = g.model.read_var(self.me, var);
-                let nd = g.emit(self.me, loc, Op::VarRead { var, value });
-                ctrl.point(&mut g, self.me, nd);
-                value
-            }
-            CtxInner::Native(rt) => rt.read_at(self.me, var, loc),
-        }
+        let (g, value) = self.run.load(self.me, var, loc);
+        self.emit_step(g, loc, Op::VarRead { var, value });
+        value
     }
 
     /// Write a shared variable.
@@ -128,40 +128,20 @@ impl ThreadCtx {
 
     /// [`Self::write`] with an explicit site.
     pub fn write_at(&mut self, var: VarId, value: i64, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.write_var(self.me, var, value);
-                let nd = g.emit(self.me, loc, Op::VarWrite { var, value });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.write_at(self.me, var, value, loc),
-        }
+        let g = self.run.store(self.me, var, value);
+        self.emit_step(g, loc, Op::VarWrite { var, value });
     }
 
     /// Atomic read-modify-write: applies `f` to the *shared-store* value
     /// with no scheduling point in between (the model analogue of an
-    /// `AtomicInteger` operation). Emits a read event and a write event at
-    /// a single scheduling point; returns the old value.
+    /// `AtomicInteger` operation). Emits one read-modify-write event at a
+    /// single scheduling point; returns the old value.
     #[track_caller]
     pub fn rmw<F: FnOnce(i64) -> i64>(&mut self, var: VarId, f: F) -> i64 {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let old = g.model.vars[var.index()];
-                let new = f(old);
-                g.model.vars[var.index()] = new;
-                // Atomics behave as volatile accesses: refresh this thread's view.
-                g.model.threads[self.me.index()].cache.insert(var, new);
-                let nd = g.emit(self.me, loc, Op::VarRmw { var, old, new });
-                ctrl.point(&mut g, self.me, nd);
-                old
-            }
-            CtxInner::Native(rt) => rt.rmw_at(self.me, var, f, loc),
-        }
+        let (g, old, new) = self.run.rmw(self.me, var, loc, f);
+        self.emit_step(g, loc, Op::VarRmw { var, old, new });
+        old
     }
 
     // ------------------------------------------------------------------
@@ -176,39 +156,19 @@ impl ThreadCtx {
 
     /// [`Self::lock`] with an explicit site.
     pub fn lock_at(&mut self, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let mut requested = false;
-                loop {
-                    match g.model.lock_owner[lock.index()] {
-                        None => {
-                            g.model.acquire_lock(self.me, lock);
-                            let nd = g.emit(self.me, loc, Op::LockAcquire { lock });
-                            ctrl.point(&mut g, self.me, nd);
-                            return;
-                        }
-                        Some(owner) if owner == self.me => {
-                            misuse(format!(
-                                "thread {} locked {:?} recursively (model mutexes are non-reentrant)",
-                                self.me, lock
-                            ));
-                        }
-                        Some(_) => {
-                            if !requested {
-                                let _ = g.emit(self.me, loc, Op::LockRequest { lock });
-                                requested = true;
-                            }
-                            g.model.threads[self.me.index()].status =
-                                Status::Blocked(BlockReason::Lock(lock));
-                            ctrl.block_and_park(&mut g, self.me);
-                        }
-                    }
-                }
-            }
-            CtxInner::Native(rt) => rt.lock_at(self.me, lock, loc),
+        let mut g = self.run.book();
+        if g.model.lock_owner[lock.index()] == Some(self.me) {
+            misuse(format!(
+                "thread {} locked {:?} recursively (model mutexes are non-reentrant)",
+                self.me, lock
+            ));
         }
+        let request = Some((loc, Op::LockRequest { lock }));
+        self.block_until(&mut g, BlockReason::Lock(lock), request, |m| {
+            m.lock_owner[lock.index()].is_none()
+        });
+        g.model.acquire_lock(self.me, lock);
+        self.emit_step(g, loc, Op::LockAcquire { lock });
     }
 
     /// Try to acquire a mutex without blocking. Returns whether it was
@@ -216,29 +176,24 @@ impl ThreadCtx {
     #[track_caller]
     pub fn try_lock(&mut self, lock: LockId) -> bool {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                match g.model.lock_owner[lock.index()] {
-                    None => {
-                        g.model.acquire_lock(self.me, lock);
-                        let nd = g.emit(self.me, loc, Op::LockAcquire { lock });
-                        ctrl.point(&mut g, self.me, nd);
-                        true
-                    }
-                    Some(owner) if owner == self.me => {
-                        misuse(format!("thread {} try_lock on lock it holds", self.me))
-                    }
-                    Some(_) => {
-                        let nd = g.emit(self.me, loc, Op::LockTryFail { lock });
-                        ctrl.point(&mut g, self.me, nd);
-                        false
-                    }
-                }
+        let mut g = self.run.book();
+        let acquired = match g.model.lock_owner[lock.index()] {
+            None => {
+                g.model.acquire_lock(self.me, lock);
+                true
             }
-            CtxInner::Native(rt) => rt.try_lock_at(self.me, lock, loc),
-        }
+            Some(owner) if owner == self.me => {
+                misuse(format!("thread {} try_lock on lock it holds", self.me))
+            }
+            Some(_) => false,
+        };
+        let op = if acquired {
+            Op::LockAcquire { lock }
+        } else {
+            Op::LockTryFail { lock }
+        };
+        self.emit_step(g, loc, op);
+        acquired
     }
 
     /// Release a mutex this thread owns.
@@ -249,21 +204,14 @@ impl ThreadCtx {
 
     /// [`Self::unlock`] with an explicit site.
     pub fn unlock_at(&mut self, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if !g.model.release_lock(self.me, lock) {
-                    misuse(format!(
-                        "thread {} released {:?} which it does not hold",
-                        self.me, lock
-                    ));
-                }
-                let nd = g.emit(self.me, loc, Op::LockRelease { lock });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.unlock_at(self.me, lock, loc),
+        let mut g = self.run.book();
+        if !g.model.release_lock(self.me, lock) {
+            misuse(format!(
+                "thread {} released {:?} which it does not hold",
+                self.me, lock
+            ));
         }
+        self.emit_step(g, loc, Op::LockRelease { lock });
     }
 
     /// Run `f` with `lock` held (the model analogue of a `synchronized`
@@ -289,17 +237,7 @@ impl ThreadCtx {
 
     /// [`Self::wait`] with an explicit site.
     pub fn wait_at(&mut self, cond: CondId, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                self.wait_inner(&ctrl, &mut g, cond, lock, None, loc);
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.wait_at(self.me, cond, lock, None, loc);
-            }
-        }
+        self.wait_inner(cond, lock, None, loc);
     }
 
     /// Like [`Self::wait`] but gives up after `ticks` units of virtual time
@@ -307,57 +245,33 @@ impl ThreadCtx {
     /// Returns `true` when notified, `false` on timeout.
     #[track_caller]
     pub fn timed_wait(&mut self, cond: CondId, lock: LockId, ticks: u32) -> bool {
-        let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let deadline = g.model.time + u64::from(ticks.max(1));
-                self.wait_inner(&ctrl, &mut g, cond, lock, Some(deadline), loc)
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.wait_at(self.me, cond, lock, Some(ticks), loc)
-            }
-        }
+        self.wait_inner(cond, lock, Some(ticks), caller_loc())
     }
 
-    fn wait_inner(
-        &mut self,
-        ctrl: &Arc<Controller>,
-        g: &mut parking_lot::MutexGuard<'_, crate::exec::Central>,
-        cond: CondId,
-        lock: LockId,
-        deadline: Option<u64>,
-        loc: Loc,
-    ) -> bool {
-        if g.model.lock_owner[lock.index()] != Some(self.me) {
+    fn wait_inner(&mut self, cond: CondId, lock: LockId, ticks: Option<u32>, loc: Loc) -> bool {
+        let me = self.me;
+        let mut g = self.run.book();
+        if g.model.lock_owner[lock.index()] != Some(me) {
             misuse(format!(
-                "thread {} waits on {:?} without holding {:?}",
-                self.me, cond, lock
+                "thread {me} waits on {cond:?} without holding {lock:?}"
             ));
         }
-        let _ = g.emit(self.me, loc, Op::CondWait { cond, lock });
-        assert!(g.model.release_lock(self.me, lock));
-        g.model.cond_queues[cond.index()].push(self.me);
-        g.model.threads[self.me.index()].timed_out = false;
-        g.model.threads[self.me.index()].status = Status::Blocked(match deadline {
-            Some(d) => BlockReason::CondTimed(cond, lock, d),
+        let reason = match ticks {
+            Some(t) => BlockReason::CondTimed(cond, lock, g.wake_time(t)),
             None => BlockReason::Cond(cond, lock),
-        });
-        ctrl.block_and_park(g, self.me);
-        let timed_out = g.model.threads[self.me.index()].timed_out;
+        };
+        let _ = g.emit(me, loc, Op::CondWait { cond, lock });
+        assert!(g.model.release_lock(me, lock));
+        g.model.cond_queues[cond.index()].push(me);
+        g.model.threads[me.index()].timed_out = false;
+        self.block(&mut g, reason);
+        let timed_out = g.model.threads[me.index()].timed_out;
         // Re-acquire the lock (competing with everyone else).
-        loop {
-            if g.model.lock_owner[lock.index()].is_none() {
-                g.model.acquire_lock(self.me, lock);
-                break;
-            }
-            g.model.threads[self.me.index()].status = Status::Blocked(BlockReason::Lock(lock));
-            ctrl.block_and_park(g, self.me);
-        }
-        let nd = g.emit(self.me, loc, Op::CondWake { cond, lock });
-        ctrl.point(g, self.me, nd);
+        self.block_until(&mut g, BlockReason::Lock(lock), None, |m| {
+            m.lock_owner[lock.index()].is_none()
+        });
+        g.model.acquire_lock(me, lock);
+        self.emit_step(g, loc, Op::CondWake { cond, lock });
         !timed_out
     }
 
@@ -370,20 +284,7 @@ impl ThreadCtx {
 
     /// [`Self::notify`] with an explicit site.
     pub fn notify_at(&mut self, cond: CondId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if !g.model.cond_queues[cond.index()].is_empty() {
-                    let t = g.model.cond_queues[cond.index()].remove(0);
-                    g.model.threads[t.index()].status = Status::Ready;
-                    g.model.threads[t.index()].timed_out = false;
-                }
-                let nd = g.emit(self.me, loc, Op::CondNotify { cond, all: false });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.notify_at(self.me, cond, false, loc),
-        }
+        self.notify_inner(cond, false, loc)
     }
 
     /// Wake every thread waiting on `cond`.
@@ -394,20 +295,13 @@ impl ThreadCtx {
 
     /// [`Self::notify_all`] with an explicit site.
     pub fn notify_all_at(&mut self, cond: CondId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let woken: Vec<ThreadId> = g.model.cond_queues[cond.index()].drain(..).collect();
-                for t in woken {
-                    g.model.threads[t.index()].status = Status::Ready;
-                    g.model.threads[t.index()].timed_out = false;
-                }
-                let nd = g.emit(self.me, loc, Op::CondNotify { cond, all: true });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.notify_at(self.me, cond, true, loc),
-        }
+        self.notify_inner(cond, true, loc)
+    }
+
+    fn notify_inner(&mut self, cond: CondId, all: bool, loc: Loc) {
+        let mut g = self.run.book();
+        g.model.notify(cond, all);
+        self.emit_step(g, loc, Op::CondNotify { cond, all });
     }
 
     // ------------------------------------------------------------------
@@ -418,85 +312,37 @@ impl ThreadCtx {
     #[track_caller]
     pub fn sem_acquire(&mut self, sem: SemId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let mut requested = false;
-                loop {
-                    if g.model.sem_permits[sem.index()] > 0 {
-                        g.model.sem_permits[sem.index()] -= 1;
-                        g.model.threads[self.me.index()].flush_cache();
-                        let nd = g.emit(self.me, loc, Op::SemAcquire { sem });
-                        ctrl.point(&mut g, self.me, nd);
-                        return;
-                    }
-                    if !requested {
-                        let _ = g.emit(self.me, loc, Op::SemRequest { sem });
-                        requested = true;
-                    }
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Sem(sem));
-                    ctrl.block_and_park(&mut g, self.me);
-                }
-            }
-            CtxInner::Native(rt) => rt.sem_acquire_at(self.me, sem, loc),
-        }
+        let mut g = self.run.book();
+        let request = Some((loc, Op::SemRequest { sem }));
+        self.block_until(&mut g, BlockReason::Sem(sem), request, |m| {
+            m.sem_permits[sem.index()] > 0
+        });
+        g.model.sem_permits[sem.index()] -= 1;
+        g.model.threads[self.me.index()].flush_cache();
+        self.emit_step(g, loc, Op::SemAcquire { sem });
     }
 
     /// Release one permit and wake blocked acquirers.
     #[track_caller]
     pub fn sem_release(&mut self, sem: SemId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.sem_permits[sem.index()] += 1;
-                for t in g.model.threads.iter_mut() {
-                    if t.status == Status::Blocked(BlockReason::Sem(sem)) {
-                        t.status = Status::Ready;
-                    }
-                }
-                g.model.threads[self.me.index()].flush_cache();
-                let nd = g.emit(self.me, loc, Op::SemRelease { sem });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.sem_release_at(self.me, sem, loc),
-        }
+        let mut g = self.run.book();
+        g.model.sem_release(sem);
+        g.model.threads[self.me.index()].flush_cache();
+        self.emit_step(g, loc, Op::SemRelease { sem });
     }
 
     /// Arrive at a cyclic barrier and block until all parties have arrived.
     #[track_caller]
     pub fn barrier_wait(&mut self, barrier: BarrierId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.barrier_arrived[barrier.index()].push(self.me);
-                let _ = g.emit(self.me, loc, Op::BarrierArrive { barrier });
-                let full = g.model.barrier_arrived[barrier.index()].len() as u32
-                    == g.model.barrier_parties[barrier.index()];
-                if full {
-                    let arrived: Vec<ThreadId> =
-                        g.model.barrier_arrived[barrier.index()].drain(..).collect();
-                    for t in arrived {
-                        if t != self.me {
-                            g.model.threads[t.index()].status = Status::Ready;
-                        }
-                    }
-                } else {
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Barrier(barrier));
-                    ctrl.block_and_park(&mut g, self.me);
-                }
-                g.model.threads[self.me.index()].flush_cache();
-                let nd = g.emit(self.me, loc, Op::BarrierPass { barrier });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.barrier_wait_at(self.me, barrier, loc),
+        let mut g = self.run.book();
+        let _ = g.emit(self.me, loc, Op::BarrierArrive { barrier });
+        if !g.model.barrier_arrive(self.me, barrier) {
+            self.block(&mut g, BlockReason::Barrier(barrier));
         }
+        g.model.threads[self.me.index()].flush_cache();
+        self.emit_step(g, loc, Op::BarrierPass { barrier });
     }
 
     // ------------------------------------------------------------------
@@ -510,36 +356,16 @@ impl ThreadCtx {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if g.model.threads.len() as u32 >= g.opts.max_threads {
-                    misuse(format!(
-                        "thread limit ({}) exceeded — runaway spawn loop?",
-                        g.opts.max_threads
-                    ));
-                }
-                let child = ThreadId(g.model.threads.len() as u32);
-                g.model
-                    .threads
-                    .push(crate::state::ThreadState::new(name.into()));
-                g.stats.threads += 1;
-                let ctrl2 = Arc::clone(&ctrl);
-                let handle = std::thread::Builder::new()
-                    .name(format!("mtt-{}", child.0))
-                    .spawn(move || thread_main(ctrl2, child, Box::new(body)))
-                    .expect("failed to spawn model thread");
-                g.os_handles.push(handle);
-                let nd = g.emit(self.me, loc, Op::Spawn { child });
-                ctrl.point(&mut g, self.me, nd);
-                child
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.spawn_at(self.me, name.into(), Box::new(body), loc)
-            }
+        let mut g = self.run.book();
+        if g.model.threads.len() as u32 >= g.opts.max_threads {
+            misuse(format!(
+                "thread limit ({}) exceeded — runaway spawn loop?",
+                g.opts.max_threads
+            ));
         }
+        let child = launch(&self.run, &mut g, name.into(), Box::new(body));
+        self.emit_step(g, loc, Op::Spawn { child });
+        child
     }
 
     /// Block until `target` finishes.
@@ -549,39 +375,24 @@ impl ThreadCtx {
         if target == self.me {
             misuse(format!("thread {} joining itself", self.me));
         }
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if target.index() >= g.model.threads.len() {
-                    misuse(format!("join on unknown thread {target}"));
-                }
-                let mut requested = false;
-                loop {
-                    if g.model.threads[target.index()].status == Status::Finished {
-                        g.model.threads[self.me.index()].flush_cache();
-                        let nd = g.emit(self.me, loc, Op::Join { target });
-                        ctrl.point(&mut g, self.me, nd);
-                        return;
-                    }
-                    if !requested {
-                        let _ = g.emit(self.me, loc, Op::JoinRequest { target });
-                        requested = true;
-                    }
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Join(target));
-                    ctrl.block_and_park(&mut g, self.me);
-                }
-            }
-            CtxInner::Native(rt) => rt.join_at(self.me, target, loc),
+        let mut g = self.run.book();
+        if target.index() >= g.model.threads.len() {
+            misuse(format!("join on unknown thread {target}"));
         }
+        let request = Some((loc, Op::JoinRequest { target }));
+        self.block_until(&mut g, BlockReason::Join(target), request, |m| {
+            m.threads[target.index()].status == Status::Finished
+        });
+        g.model.threads[self.me.index()].flush_cache();
+        self.emit_step(g, loc, Op::Join { target });
     }
 
     // ------------------------------------------------------------------
     // Delays, markers, assertions
     // ------------------------------------------------------------------
 
-    /// Voluntary scheduling point.
+    /// Voluntary scheduling point (natively, the thread also gives up the
+    /// CPU).
     #[track_caller]
     pub fn yield_now(&mut self) {
         self.yield_at(caller_loc())
@@ -589,15 +400,8 @@ impl ThreadCtx {
 
     /// [`Self::yield_now`] with an explicit site.
     pub fn yield_at(&mut self, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let nd = g.emit(self.me, loc, Op::Yield);
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.yield_at(self.me, loc),
-        }
+        let g = self.run.book();
+        self.emit_step(g, loc, Op::Yield);
     }
 
     /// Sleep for `ticks` units of virtual time (model) or `ticks × 100µs`
@@ -609,17 +413,11 @@ impl ThreadCtx {
 
     /// [`Self::sleep`] with an explicit site.
     pub fn sleep_at(&mut self, ticks: u32, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let wake = g.model.time + u64::from(ticks.max(1));
-                let _ = g.emit(self.me, loc, Op::Sleep { ticks });
-                g.model.threads[self.me.index()].status = Status::Sleeping(wake);
-                ctrl.block_and_park(&mut g, self.me);
-            }
-            CtxInner::Native(rt) => rt.sleep_at(self.me, ticks, loc),
-        }
+        let mut g = self.run.book();
+        let wake = g.wake_time(ticks);
+        let _ = g.emit(self.me, loc, Op::Sleep { ticks });
+        g.model.threads[self.me.index()].status = Status::Sleeping(wake);
+        self.run.block(&mut g, self.me);
     }
 
     /// Pure instrumentation marker: emits a [`Op::Point`] event carrying
@@ -627,16 +425,9 @@ impl ThreadCtx {
     #[track_caller]
     pub fn point(&mut self, label: &str) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let li = g.intern_label(label);
-                let nd = g.emit(self.me, loc, Op::Point { label: li });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.point_at(self.me, label, loc),
-        }
+        let mut g = self.run.book();
+        let label = g.intern_label(label);
+        self.emit_step(g, loc, Op::Point { label });
     }
 
     /// Executable assertion. A failure is recorded in the outcome (and, if
@@ -652,27 +443,21 @@ impl ThreadCtx {
         if cond {
             return;
         }
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let li = g.intern_label(label);
-                if g.stats.first_failure_step.is_none() {
-                    g.stats.first_failure_step = Some(g.stats.sched_points);
-                }
-                g.assert_failures.push(AssertFailureRecord {
-                    thread: self.me,
-                    label: label.to_string(),
-                    loc,
-                });
-                let nd = g.emit(self.me, loc, Op::AssertFail { label: li });
-                if g.opts.stop_on_assert {
-                    g.do_abort(crate::OutcomeKind::AssertStop);
-                }
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.check_at(self.me, label, loc),
+        let mut g = self.run.book();
+        let li = g.intern_label(label);
+        if g.stats.first_failure_step.is_none() {
+            g.stats.first_failure_step = Some(g.stats.sched_points);
         }
+        g.assert_failures.push(crate::outcome::AssertFailure {
+            thread: self.me,
+            label: label.to_string(),
+            loc,
+        });
+        let nd = g.emit(self.me, loc, Op::AssertFail { label: li });
+        if g.opts.stop_on_assert {
+            self.run.abort(&mut g, crate::OutcomeKind::AssertStop);
+        }
+        self.run.step(g, self.me, nd);
     }
 
     /// Deterministic pseudo-randomness for program logic: uniform in
@@ -684,5 +469,3 @@ impl ThreadCtx {
         self.rng.gen_range(0..bound)
     }
 }
-
-type AssertFailureRecord = crate::outcome::AssertFailure;

@@ -1,14 +1,34 @@
-//! The execution engine: token-passing controller, event emission,
-//! scheduling, abort protocol and the [`Execution`] builder.
+//! The execution engine: the one op-semantics layer's bookkeeping, the
+//! backend dispatch, the model's token-passing scheduler, the abort protocol
+//! and the [`Execution`] builder.
 //!
-//! ## How control flows
+//! ## One op layer, two backends
 //!
-//! Each model thread is an OS thread parked on the controller's condition
+//! Every [`ThreadCtx`] operation is written once (in `ctx.rs`) as a
+//! transition on the shared `ModelState` tables followed by an emitted
+//! [`Op`], under the bookkeeping mutex of one `Run`. Thread statuses are
+//! the single source of truth: whatever unblocks a waiter sets it `Ready`
+//! (see `state.rs`). Only five things depend on the `Engine`:
+//!
+//! * **values** — the model store with its weak-visibility cache, versus
+//!   atomics and `RaceCell`s accessed *outside* the bookkeeping lock;
+//! * **parking** a thread (`Run::park`) — until it holds the execution
+//!   token, versus until its own status stops being `Blocked`/`Sleeping`;
+//! * **sleeping** — virtual ticks fast-forwarded by the scheduler, versus a
+//!   real timed park (`ctx.sleep(1)` = 100µs);
+//! * the **step tail** (`Run::step`) — a model scheduling point, versus
+//!   noise applied with real thread primitives;
+//! * run **setup and teardown** — handing the main thread the token and
+//!   waiting for completion, versus the native watchdog.
+//!
+//! ## How control flows in the model engine
+//!
+//! Each model thread is an OS thread parked on the run's condition
 //! variable. Exactly one model thread holds the *execution token*
 //! (`ModelState::current`); it runs program code until its next `ThreadCtx`
-//! operation, which (under the controller mutex) mutates the model, emits
-//! events, consults the noise maker, asks the scheduler to pick the next
-//! token holder, wakes everyone, and parks until the token comes back.
+//! operation, which (under the mutex) mutates the model, emits events,
+//! consults the noise maker, asks the scheduler to pick the next token
+//! holder, wakes everyone, and parks until the token comes back.
 //!
 //! Because the mutex serializes all of this and only the token holder
 //! executes program code, an execution is a deterministic function of
@@ -17,28 +37,31 @@
 //!
 //! ## Abort protocol
 //!
-//! Deadlock, step-limit exhaustion, `stop_on_assert` and program panics
-//! all *abort* the execution: the cause is stored, every parked thread is
-//! woken and unwinds with a private `AbortToken` panic payload (whose
-//! printing is suppressed by a process-wide hook), and the harness thread
-//! collects the [`Outcome`].
+//! Deadlock, step-limit (or wall-budget) exhaustion, `stop_on_assert` and
+//! program panics all *abort* the execution: the cause is stored, every
+//! parked thread is woken and unwinds with a private `AbortToken` panic
+//! payload (whose printing is suppressed by a process-wide hook), and the
+//! harness thread collects the [`Outcome`].
 
 use crate::ctx::ThreadCtx;
+use crate::native::{NativeMem, DEFAULT_NATIVE_BUDGET};
 use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
 use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
 use crate::program::Program;
 use crate::scheduler::{FifoScheduler, SchedView, Scheduler, ThreadStatusView};
 use crate::state::{ModelState, Status, ThreadState};
-use mtt_instrument::{Event, EventSink, InstrumentationPlan, Loc, Op, ResolvedFilter, ThreadId};
+use mtt_instrument::{
+    Event, EventSink, InstrumentationPlan, Loc, Op, ResolvedFilter, ThreadId, VarId,
+};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Panic payload used to unwind model threads when an execution aborts.
-/// Shared with the native engine, whose teardown uses the same protocol.
+/// Panic payload used to unwind program threads when an execution aborts.
 pub(crate) struct AbortToken;
 
 /// Panic payload for model-API misuse by program code (e.g. releasing a
@@ -109,31 +132,49 @@ impl Default for ExecutionOptions {
     }
 }
 
-/// Everything behind the controller mutex.
-pub(crate) struct Central {
+/// A program thread's body.
+pub(crate) type Body = Box<dyn FnOnce(&mut ThreadCtx) + Send>;
+
+/// Everything behind the bookkeeping mutex, for either engine.
+pub(crate) struct Book {
     pub model: ModelState,
-    pub scheduler: Box<dyn Scheduler>,
-    pub noise: Box<dyn NoiseMaker>,
-    pub sinks: Vec<Box<dyn EventSink>>,
-    pub sink_filter: ResolvedFilter,
-    pub noise_filter: ResolvedFilter,
+    /// Picks the next token holder (model engine). The native engine keeps
+    /// a [`FifoScheduler`] placeholder here that is never asked to pick:
+    /// the OS schedules.
+    scheduler: Box<dyn Scheduler>,
+    noise: Box<dyn NoiseMaker>,
+    sinks: Vec<Box<dyn EventSink>>,
+    sink_filter: ResolvedFilter,
+    noise_filter: ResolvedFilter,
     pub opts: ExecutionOptions,
     pub stats: ExecStats,
     pub abort: Option<OutcomeKind>,
     pub completed: bool,
+    /// Length of one tick in `model.time` units: 1 (virtual time) or 100
+    /// (native microseconds).
+    tick: u64,
+    /// Native engine: with no scheduler to count scheduling points, every
+    /// event counts against `max_steps`, before it is dispatched.
+    steps_per_event: bool,
+    /// OS threads spawned and not yet returned from [`thread_main`]; the
+    /// native teardown waits for this to drain.
+    pub live: u32,
     pub os_handles: Vec<JoinHandle<()>>,
-    pub last_event: Option<Event>,
-    pub seq: u64,
-    pub labels: Vec<String>,
-    pub label_idx: HashMap<String, u32>,
+    last_event: Option<Event>,
+    seq: u64,
+    labels: Vec<String>,
+    label_idx: HashMap<String, u32>,
     pub assert_failures: Vec<AssertFailure>,
+    /// First torn read per variable id (native engine), ordered so the
+    /// synthetic failures appended to the outcome are deterministic.
+    pub torn: BTreeMap<u32, (ThreadId, Loc)>,
     scratch_runnable: Vec<ThreadId>,
     scratch_statuses: Vec<ThreadStatusView>,
     /// RNG driving spurious wakeups (None when the feature is off).
     spurious_rng: Option<rand_chacha::ChaCha8Rng>,
 }
 
-impl Central {
+impl Book {
     /// Intern a label string, returning its dense index.
     pub fn intern_label(&mut self, label: &str) -> u32 {
         if let Some(&i) = self.label_idx.get(label) {
@@ -145,11 +186,30 @@ impl Central {
         i
     }
 
+    /// Unwind this thread if the execution is aborting.
+    pub fn check_abort(&self) {
+        if self.abort.is_some() {
+            panic::panic_any(AbortToken);
+        }
+    }
+
+    /// The `model.time` at which a sleep or timed wait of `ticks` starting
+    /// now falls due.
+    pub fn wake_time(&self, ticks: u32) -> u64 {
+        self.model.time + u64::from(ticks.max(1)) * self.tick
+    }
+
     /// Emit one event: dispatch to the scheduler's observation hook, the
     /// sinks (subject to the sink plan) and the noise maker (subject to the
-    /// noise plan). Returns the noise decision for the caller to apply.
+    /// noise plan). Returns the noise decision for the step tail to apply.
     pub fn emit(&mut self, me: ThreadId, loc: Loc, op: Op) -> NoiseDecision {
+        self.check_abort();
         self.stats.events += 1;
+        if self.steps_per_event && !self.count_step() {
+            // Unwind before dispatching the event over budget; this thread's
+            // exit wakes the watchdog, which wakes everyone else.
+            panic::panic_any(AbortToken);
+        }
         let ev = Event {
             seq: self.seq,
             time: self.model.time,
@@ -190,6 +250,17 @@ impl Central {
             }
             self.abort = Some(kind);
         }
+    }
+
+    /// Count one scheduling point; past `max_steps` the run aborts as hung
+    /// and this returns `false`.
+    fn count_step(&mut self) -> bool {
+        self.stats.sched_points += 1;
+        if self.stats.sched_points > self.opts.max_steps {
+            self.do_abort(OutcomeKind::StepLimit);
+            return false;
+        }
+        true
     }
 
     /// With the configured probability, wake one condition waiter without
@@ -236,17 +307,15 @@ impl Central {
         }
     }
 
-    /// Core scheduling step: find the runnable set (advancing virtual time
-    /// if everyone is asleep), detect termination and deadlock, and hand the
-    /// token to the scheduler's pick.
+    /// Core model scheduling step: find the runnable set (advancing virtual
+    /// time if everyone is asleep), detect termination and deadlock, and
+    /// hand the token to the scheduler's pick.
     ///
     /// `prev` is the thread whose operation triggered this point; its status
     /// must already reflect the operation's effect (Ready / Blocked /
     /// Sleeping / Finished).
-    pub fn schedule_next(&mut self, prev: Option<ThreadId>, forced_yield: bool) {
-        self.stats.sched_points += 1;
-        if self.stats.sched_points > self.opts.max_steps {
-            self.do_abort(OutcomeKind::StepLimit);
+    fn schedule_next(&mut self, prev: Option<ThreadId>, forced_yield: bool) {
+        if !self.count_step() {
             return;
         }
         self.model.current = None;
@@ -261,17 +330,20 @@ impl Central {
             if !self.scratch_runnable.is_empty() {
                 break;
             }
-            if self.model.all_finished() {
-                self.completed = true;
+            if self.model.deadlocked() {
+                let info = self.model.deadlock_info();
+                self.do_abort(OutcomeKind::Deadlock(info));
                 return;
             }
-            if let Some(wake) = self.model.next_wake_time() {
-                self.model.advance_time_to(wake);
-                continue;
+            match self.model.next_wake_time() {
+                Some(wake) => {
+                    self.model.advance_time_to(wake);
+                }
+                None => {
+                    self.completed = true;
+                    return;
+                }
             }
-            let info = self.model.deadlock_info();
-            self.do_abort(OutcomeKind::Deadlock(info));
-            return;
         }
         self.scratch_statuses.clear();
         for t in &self.model.threads {
@@ -304,132 +376,269 @@ impl Central {
     }
 }
 
-/// The controller: the mutex-protected central state plus the condition
-/// variable every model thread parks on.
-pub(crate) struct Controller {
-    pub mx: Mutex<Central>,
-    pub cv: Condvar,
+/// Which engine runs the program: the backend-specific half of a [`Run`].
+pub(crate) enum Engine {
+    /// Token passing: one thread runs between scheduling points.
+    Model,
+    /// Real OS threads over real memory.
+    Native(NativeMem),
 }
 
-impl Controller {
-    /// Park `me` until it holds the execution token (or unwind on abort).
-    /// Must be called with the guard held; returns with the guard held.
-    pub fn park(&self, g: &mut MutexGuard<'_, Central>, me: ThreadId) {
-        loop {
-            if g.abort.is_some() {
-                panic::panic_any(AbortToken);
+/// The shared handle of one execution, held by every thread's context.
+pub(crate) struct Run {
+    pub book: Mutex<Book>,
+    /// Model: every thread parks here for the token. Native: blocked and
+    /// sleeping threads park here.
+    pub cv: Condvar,
+    /// Wakes the native watchdog: blocking, finishing and aborting signal it.
+    pub dog: Condvar,
+    pub engine: Engine,
+}
+
+/// A locked [`Book`].
+pub(crate) type Guard<'a> = MutexGuard<'a, Book>;
+
+impl Run {
+    /// Lock the bookkeeping. The native clock is wall time, stamped into
+    /// `model.time` here so events and deadlines computed under this lock
+    /// see it.
+    pub fn book(&self) -> Guard<'_> {
+        let mut g = self.book.lock();
+        if let Engine::Native(n) = &self.engine {
+            g.model.time = n.now();
+        }
+        g
+    }
+
+    /// Load `var` as `me` sees it; returns the locked bookkeeping with it.
+    pub fn load(&self, me: ThreadId, var: VarId, loc: Loc) -> (Guard<'_>, i64) {
+        match &self.engine {
+            Engine::Model => {
+                let mut g = self.book();
+                let value = g.model.read_var(me, var);
+                (g, value)
             }
-            let st = g.model.threads[me.index()].status;
-            if st == Status::Finished {
-                return;
+            Engine::Native(n) => {
+                let (value, torn) = n.load(var);
+                let mut g = self.book();
+                if torn {
+                    g.torn.entry(var.0).or_insert((me, loc));
+                }
+                (g, value)
             }
-            if g.model.current == Some(me) && st == Status::Running {
-                return;
-            }
-            self.cv.wait(g);
         }
     }
 
-    /// Apply a noise decision to `me`, mark it schedulable again if it is
-    /// still running, run one scheduling step, wake everyone, and park until
-    /// the token returns. The tail of every non-blocking operation.
-    pub fn point(&self, g: &mut MutexGuard<'_, Central>, me: ThreadId, nd: NoiseDecision) {
-        let mut forced_yield = false;
+    /// Store `value` into `var`; returns the locked bookkeeping.
+    pub fn store(&self, me: ThreadId, var: VarId, value: i64) -> Guard<'_> {
+        match &self.engine {
+            Engine::Model => {
+                let mut g = self.book();
+                g.model.write_var(me, var, value);
+                g
+            }
+            Engine::Native(n) => {
+                n.store(var, value);
+                self.book()
+            }
+        }
+    }
+
+    /// Atomically apply `f` to `var`; returns the locked bookkeeping with
+    /// the old and new values.
+    pub fn rmw(
+        &self,
+        me: ThreadId,
+        var: VarId,
+        loc: Loc,
+        f: impl FnOnce(i64) -> i64,
+    ) -> (Guard<'_>, i64, i64) {
+        match &self.engine {
+            Engine::Model => {
+                let mut g = self.book();
+                let (old, new) = g.model.rmw_var(me, var, f);
+                (g, old, new)
+            }
+            Engine::Native(n) => {
+                let (old, new, torn) = n.rmw(var, f);
+                let mut g = self.book();
+                if torn {
+                    g.torn.entry(var.0).or_insert((me, loc));
+                }
+                (g, old, new)
+            }
+        }
+    }
+
+    /// Park `me` until it may run: the model waits for the execution token,
+    /// the native engine until `me`'s status is neither `Blocked` nor
+    /// `Sleeping`. Unwinds on abort; returns with `me` `Running`.
+    pub fn park(&self, g: &mut Guard<'_>, me: ThreadId) {
+        match &self.engine {
+            Engine::Model => loop {
+                g.check_abort();
+                let st = g.model.threads[me.index()].status;
+                if st == Status::Finished || (g.model.current == Some(me) && st == Status::Running)
+                {
+                    return;
+                }
+                self.cv.wait(g);
+            },
+            Engine::Native(n) => n.park(self, g, me),
+        }
+    }
+
+    /// Let others run once `me` has blocked, slept or finished: the model
+    /// schedules the next token holder; the native engine wakes the threads
+    /// this op readied, and the watchdog, which re-checks for deadlock.
+    pub fn hand_off(&self, g: &mut Guard<'_>, me: ThreadId) {
+        match &self.engine {
+            Engine::Model => {
+                if !g.completed {
+                    g.schedule_next(Some(me), false);
+                }
+                self.cv.notify_all();
+            }
+            Engine::Native(_) => {
+                self.wake_readied(g);
+                self.dog.notify_one();
+            }
+        }
+    }
+
+    /// `me` has set its own status to `Blocked` or `Sleeping`: hand off,
+    /// then park until it may run again.
+    pub fn block(&self, g: &mut Guard<'_>, me: ThreadId) {
+        self.hand_off(g, me);
+        self.park(g, me);
+    }
+
+    /// The tail of every non-blocking op. Accounts the noise decision, then
+    /// either runs a model scheduling point and waits for the token, or
+    /// applies the decision natively: a `Yield` (like the `Yield` op itself)
+    /// gives up the CPU, a `Sleep` parks until it is due.
+    pub fn step(&self, mut g: Guard<'_>, me: ThreadId, nd: NoiseDecision) {
         match nd {
             NoiseDecision::None => {}
             NoiseDecision::Yield => {
-                forced_yield = true;
                 g.stats.noise_injections += 1;
                 g.stats.forced_yields += 1;
             }
             NoiseDecision::Sleep(ticks) => {
-                let wake = g.model.time + u64::from(ticks.max(1));
+                let wake = g.wake_time(ticks);
                 g.model.threads[me.index()].status = Status::Sleeping(wake);
                 g.stats.noise_injections += 1;
             }
         }
-        if g.model.threads[me.index()].status == Status::Running {
-            g.model.threads[me.index()].status = Status::Ready;
+        match &self.engine {
+            Engine::Model => {
+                let t = &mut g.model.threads[me.index()];
+                if t.status == Status::Running {
+                    t.status = Status::Ready;
+                }
+                g.schedule_next(Some(me), nd == NoiseDecision::Yield);
+                self.cv.notify_all();
+                self.park(&mut g, me);
+            }
+            Engine::Native(_) => {
+                self.wake_readied(&mut g);
+                self.park(&mut g, me);
+                let yield_now = nd == NoiseDecision::Yield
+                    || matches!(&g.last_event, Some(ev) if ev.op == Op::Yield);
+                drop(g);
+                if yield_now {
+                    std::thread::yield_now();
+                }
+            }
         }
-        g.schedule_next(Some(me), forced_yield);
-        self.cv.notify_all();
-        self.park(g, me);
     }
 
-    /// Block variant: `me`'s status has been set to a blocked state by the
-    /// caller; schedule someone else and park until woken *and* scheduled.
-    pub fn block_and_park(&self, g: &mut MutexGuard<'_, Central>, me: ThreadId) {
-        g.schedule_next(Some(me), false);
+    /// Abort the execution with `kind` (first cause wins) and wake every
+    /// parked thread and the harness.
+    pub fn abort(&self, g: &mut Book, kind: OutcomeKind) {
+        g.do_abort(kind);
+        self.wake_all();
+    }
+
+    /// Wake every parked thread and the watchdog.
+    pub fn wake_all(&self) {
         self.cv.notify_all();
-        self.park(g, me);
+        self.dog.notify_all();
+    }
+
+    /// Native engine: wake parked threads if a transition readied one.
+    fn wake_readied(&self, g: &mut Book) {
+        if std::mem::take(&mut g.model.woke) {
+            self.cv.notify_all();
+        }
     }
 }
 
-/// Body run by each model thread's OS thread.
-pub(crate) fn thread_main(
-    ctrl: Arc<Controller>,
-    me: ThreadId,
-    body: Box<dyn FnOnce(&mut ThreadCtx) + Send>,
-) {
-    // Wait to be scheduled for the first time, then announce ThreadStart.
-    let start_ok = {
-        let mut g = ctrl.mx.lock();
-        let parked = panic::catch_unwind(AssertUnwindSafe(|| {
-            ctrl.park(&mut g, me);
-            g.model.threads[me.index()].flush_cache(); // start = sync point
-            let nd = g.emit(me, Loc::SYNTHETIC, Op::ThreadStart);
-            ctrl.point(&mut g, me, nd);
-        }));
-        parked.is_ok()
-    };
-    if !start_ok {
-        return; // aborted before the thread ever ran
+/// Register a new thread named `name` and start its OS thread.
+pub(crate) fn launch(run: &Arc<Run>, g: &mut Book, name: String, body: Body) -> ThreadId {
+    let me = ThreadId(g.model.threads.len() as u32);
+    g.model.threads.push(ThreadState::new(name));
+    g.stats.threads += 1;
+    g.live += 1;
+    let run = Arc::clone(run);
+    let handle = std::thread::Builder::new()
+        .name(format!("mtt-{}", me.0))
+        .spawn(move || thread_main(run, me, body))
+        .expect("failed to spawn model thread");
+    g.os_handles.push(handle);
+    me
+}
+
+/// The message of a program thread's panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(m) = payload.downcast_ref::<ModelMisuse>() {
+        m.0.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
-    let mut ctx = ThreadCtx::new(Arc::clone(&ctrl), me);
-    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-    match result {
-        Ok(()) => {
-            // Normal completion: announce exit, wake joiners, hand off.
-            let exited = panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut g = ctrl.mx.lock();
-                let _ = g.emit(me, Loc::SYNTHETIC, Op::ThreadExit);
-                g.model.threads[me.index()].status = Status::Finished;
-                g.model.finish_order.push(me);
-                for t in g.model.threads.iter_mut() {
-                    if t.status == Status::Blocked(crate::state::BlockReason::Join(me)) {
-                        t.status = Status::Ready;
-                    }
-                }
-                if g.model.all_finished() {
-                    g.completed = true;
-                } else {
-                    g.schedule_next(Some(me), false);
-                }
-                ctrl.cv.notify_all();
-            }));
-            let _ = exited; // a concurrent abort during exit is fine
-        }
-        Err(payload) => {
-            if payload.is::<AbortToken>() {
-                return; // cooperative teardown
+}
+
+/// Body run by each program thread's OS thread, under either engine.
+fn thread_main(run: Arc<Run>, me: ThreadId, body: Body) {
+    // Wait until allowed to run, then announce ThreadStart.
+    let started = panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut g = run.book();
+        run.park(&mut g, me);
+        g.model.threads[me.index()].flush_cache(); // start = sync point
+        let nd = g.emit(me, Loc::SYNTHETIC, Op::ThreadStart);
+        run.step(g, me, nd);
+    }));
+    if started.is_ok() {
+        let mut ctx = ThreadCtx::new(Arc::clone(&run), me);
+        match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+            Ok(()) => {
+                // Normal completion: announce exit, wake joiners, hand off.
+                // A concurrent abort during exit is fine.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut g = run.book();
+                    let _ = g.emit(me, Loc::SYNTHETIC, Op::ThreadExit);
+                    g.model.finish(me);
+                    g.completed = g.model.all_finished();
+                    run.hand_off(&mut g, me);
+                }));
             }
-            let message = if let Some(m) = payload.downcast_ref::<ModelMisuse>() {
-                m.0.clone()
-            } else if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            let mut g = ctrl.mx.lock();
-            g.do_abort(OutcomeKind::ThreadPanic {
-                thread: me,
-                message,
-            });
-            ctrl.cv.notify_all();
+            Err(payload) if !payload.is::<AbortToken>() => {
+                let message = panic_message(&*payload);
+                let kind = OutcomeKind::ThreadPanic {
+                    thread: me,
+                    message,
+                };
+                run.abort(&mut run.book.lock(), kind);
+            }
+            Err(_) => {} // cooperative teardown
         }
     }
+    run.book.lock().live -= 1;
+    run.dog.notify_all();
 }
 
 /// Builder-style handle for running one execution of a [`Program`].
@@ -551,19 +760,16 @@ impl<'p> Execution<'p> {
         let noise_filter = self
             .noise_plan
             .map_or_else(ResolvedFilter::pass_all, |p| p.resolve(&var_table));
-        if self.opts.backend.is_native() {
-            return crate::native::run_native(
-                self.program,
-                self.noise,
-                self.sinks,
-                sink_filter,
-                noise_filter,
-                self.opts,
-            );
-        }
-        let central = Central {
+        let native = self.opts.backend.is_native();
+        let (engine, scheduler): (Engine, Box<dyn Scheduler>) = if native {
+            let mem = NativeMem::new(self.program, started);
+            (Engine::Native(mem), Box::new(FifoScheduler))
+        } else {
+            (Engine::Model, self.scheduler)
+        };
+        let book = Book {
             model: ModelState::for_program(self.program),
-            scheduler: self.scheduler,
+            scheduler,
             noise: self.noise,
             sinks: self.sinks,
             sink_filter,
@@ -572,12 +778,16 @@ impl<'p> Execution<'p> {
             stats: ExecStats::default(),
             abort: None,
             completed: false,
+            tick: if native { 100 } else { 1 },
+            steps_per_event: native,
+            live: 0,
             os_handles: Vec::new(),
             last_event: None,
             seq: 0,
             labels: Vec::new(),
             label_idx: HashMap::new(),
             assert_failures: Vec::new(),
+            torn: BTreeMap::new(),
             scratch_runnable: Vec::new(),
             scratch_statuses: Vec::new(),
             spurious_rng: self.opts.spurious_wakeups.map(|_| {
@@ -587,47 +797,56 @@ impl<'p> Execution<'p> {
                 )
             }),
         };
-        let ctrl = Arc::new(Controller {
-            mx: Mutex::new(central),
+        let run = Arc::new(Run {
+            book: Mutex::new(book),
             cv: Condvar::new(),
+            dog: Condvar::new(),
+            engine,
         });
 
-        // Register and launch the main model thread, then hand it the token.
-        {
-            let mut g = ctrl.mx.lock();
-            g.model.threads.push(ThreadState::new("main".to_string()));
-            g.stats.threads = 1;
-            let entry = self.program.entry();
-            let ctrl2 = Arc::clone(&ctrl);
-            let handle = std::thread::Builder::new()
-                .name("mtt-main".to_string())
-                .spawn(move || thread_main(ctrl2, ThreadId::MAIN, Box::new(move |ctx| entry(ctx))))
-                .expect("failed to spawn model thread");
-            g.os_handles.push(handle);
-            g.schedule_next(None, false);
-            ctrl.cv.notify_all();
-        }
-
-        // Wait for completion or abort.
+        // Launch the main thread, then wait for the run to end.
         let handles = {
-            let mut g = ctrl.mx.lock();
-            while !(g.completed || g.abort.is_some()) {
-                ctrl.cv.wait(&mut g);
+            let mut g = run.book.lock();
+            let entry = self.program.entry();
+            launch(
+                &run,
+                &mut g,
+                "main".to_string(),
+                Box::new(move |ctx| entry(ctx)),
+            );
+            match &run.engine {
+                Engine::Model => {
+                    g.schedule_next(None, false);
+                    run.cv.notify_all();
+                    while !(g.completed || g.abort.is_some()) {
+                        run.cv.wait(&mut g);
+                    }
+                    // In case of abort, make sure every parked thread re-checks.
+                    run.cv.notify_all();
+                    std::mem::take(&mut g.os_handles)
+                }
+                Engine::Native(mem) => {
+                    drop(g);
+                    let budget = self.opts.wall_budget.unwrap_or(DEFAULT_NATIVE_BUDGET);
+                    mem.supervise(&run, budget)
+                }
             }
-            // In case of abort, make sure every parked thread re-checks.
-            ctrl.cv.notify_all();
-            std::mem::take(&mut g.os_handles)
         };
         for h in handles {
             let _ = h.join();
         }
 
         // Assemble the outcome.
-        let mut g = ctrl.mx.lock();
+        let mut g = run.book();
         for s in &mut g.sinks {
             s.finish();
         }
         let kind = g.abort.take().unwrap_or(OutcomeKind::Completed);
+        let mut assert_failures = std::mem::take(&mut g.assert_failures);
+        for (var, &(thread, loc)) in &g.torn {
+            let label = format!("race:torn-read:{}", var_table.name(VarId(*var)));
+            assert_failures.push(AssertFailure { thread, label, loc });
+        }
         g.stats.virtual_time = g.model.time;
         g.stats.wall = started.elapsed();
         Outcome {
@@ -637,7 +856,7 @@ impl<'p> Execution<'p> {
             var_table,
             finish_order: g.model.finish_order.clone(),
             thread_names: g.model.threads.iter().map(|t| t.name.clone()).collect(),
-            assert_failures: g.assert_failures.clone(),
+            assert_failures,
             stats: g.stats.clone(),
         }
     }

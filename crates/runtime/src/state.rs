@@ -1,14 +1,20 @@
 //! Crate-private model state: variables, locks, condition variables,
-//! semaphores, barriers and thread records.
+//! semaphores, barriers and thread records — and the transitions on them
+//! that both engines share.
 //!
-//! All mutation happens under the controller's mutex in `exec.rs`; nothing
+//! All mutation happens under the bookkeeping mutex in `exec.rs`; nothing
 //! here synchronizes on its own. The model is deliberately simple — it is a
-//! *specification-level* shared memory, not an efficient one — because every
-//! operation is already serialized by the token-passing controller.
+//! *specification-level* shared memory, not an efficient one.
+//!
+//! Thread statuses are the single source of truth for both engines: every
+//! transition that can unblock a waiter (lock release, notify, semaphore
+//! release, barrier completion, thread exit) sets that waiter `Ready` here,
+//! and [`ModelState::deadlocked`] is the one deadlock rule the model's
+//! scheduler and the native watchdog both apply.
 
 use crate::outcome::{DeadlockInfo, WaitEdge};
 use crate::program::{Program, VarSpec};
-use mtt_instrument::{BarrierId, CondId, LockId, ThreadId, VarId};
+use mtt_instrument::{BarrierId, CondId, LockId, SemId, ThreadId, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -22,15 +28,12 @@ pub(crate) enum BlockReason {
     /// Timed wait: like `Cond` plus a virtual-time deadline.
     CondTimed(CondId, LockId, u64),
     /// Waiting for a semaphore permit.
-    Sem(SemIdAlias),
+    Sem(SemId),
     /// Waiting at a barrier.
     Barrier(BarrierId),
     /// Waiting for a thread to finish.
     Join(ThreadId),
 }
-
-// `SemId` spelled via alias to keep the enum arms visually aligned.
-pub(crate) type SemIdAlias = mtt_instrument::SemId;
 
 /// Scheduling status of one model thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,8 +111,12 @@ pub(crate) struct ModelState {
     pub finish_order: Vec<ThreadId>,
     /// Holder of the execution token.
     pub current: Option<ThreadId>,
-    /// Virtual time.
+    /// Virtual time (model engine) or microseconds since the run started
+    /// (native engine).
     pub time: u64,
+    /// Set whenever a transition readies a blocked thread; the native
+    /// engine takes it to know when parked threads must be woken.
+    pub woke: bool,
 }
 
 impl ModelState {
@@ -131,6 +138,7 @@ impl ModelState {
             finish_order: Vec::new(),
             current: None,
             time: 0,
+            woke: false,
         }
     }
 
@@ -181,12 +189,72 @@ impl ModelState {
             t.refresh_snapshot();
             t.flush_cache(); // release is also a sync action
         }
-        for ts in self.threads.iter_mut() {
-            if ts.status == Status::Blocked(BlockReason::Lock(lock)) {
-                ts.status = Status::Ready;
+        self.ready_all(BlockReason::Lock(lock));
+        true
+    }
+
+    /// Atomic read-modify-write on the shared store; returns `(old, new)`.
+    /// Atomics behave as volatile accesses, so `me`'s view is refreshed.
+    pub fn rmw_var(&mut self, me: ThreadId, var: VarId, f: impl FnOnce(i64) -> i64) -> (i64, i64) {
+        let old = self.vars[var.index()];
+        let new = f(old);
+        self.vars[var.index()] = new;
+        self.threads[me.index()].cache.insert(var, new);
+        (old, new)
+    }
+
+    /// Ready every thread blocked for `reason`.
+    fn ready_all(&mut self, reason: BlockReason) {
+        for t in &mut self.threads {
+            if t.status == Status::Blocked(reason) {
+                t.status = Status::Ready;
+                self.woke = true;
+            }
+        }
+    }
+
+    /// Wake the longest waiter on `cond` (every waiter when `all`); a woken
+    /// timed waiter counts as notified.
+    pub fn notify(&mut self, cond: CondId, all: bool) {
+        let queue = &mut self.cond_queues[cond.index()];
+        let n = if all { queue.len() } else { queue.len().min(1) };
+        for t in queue.drain(..n) {
+            let ts = &mut self.threads[t.index()];
+            ts.status = Status::Ready;
+            ts.timed_out = false;
+            self.woke = true;
+        }
+    }
+
+    /// Return one permit to `sem` and ready every thread waiting for one
+    /// (they re-compete for it).
+    pub fn sem_release(&mut self, sem: SemId) {
+        self.sem_permits[sem.index()] += 1;
+        self.ready_all(BlockReason::Sem(sem));
+    }
+
+    /// `me` arrives at `barrier`. The last arriver readies the others and
+    /// gets `true`; everyone else must block.
+    pub fn barrier_arrive(&mut self, me: ThreadId, barrier: BarrierId) -> bool {
+        let b = barrier.index();
+        self.barrier_arrived[b].push(me);
+        if self.barrier_arrived[b].len() as u32 != self.barrier_parties[b] {
+            return false;
+        }
+        for t in self.barrier_arrived[b].drain(..) {
+            if t != me {
+                self.threads[t.index()].status = Status::Ready;
+                self.woke = true;
             }
         }
         true
+    }
+
+    /// `me` terminated: record it and ready its joiners.
+    pub fn finish(&mut self, me: ThreadId) {
+        self.threads[me.index()].status = Status::Finished;
+        self.finish_order.push(me);
+        self.ready_all(BlockReason::Join(me));
     }
 
     /// Threads currently able to run (Ready or Running), ascending.
@@ -215,29 +283,42 @@ impl ModelState {
     /// timed waits. Returns how many threads woke.
     pub fn advance_time_to(&mut self, now: u64) -> usize {
         self.time = self.time.max(now);
-        let mut woke = 0;
-        for (i, t) in self.threads.iter_mut().enumerate() {
-            match t.status {
-                Status::Sleeping(at) if at <= now => {
-                    t.status = Status::Ready;
-                    woke += 1;
-                }
-                Status::Blocked(BlockReason::CondTimed(c, _, at)) if at <= now => {
-                    t.status = Status::Ready;
-                    t.timed_out = true;
-                    woke += 1;
-                    let tid = ThreadId(i as u32);
-                    self.cond_queues[c.index()].retain(|q| *q != tid);
-                }
-                _ => {}
+        (0..self.threads.len())
+            .filter(|&i| self.wake_if_due(ThreadId(i as u32), now))
+            .count()
+    }
+
+    /// Ready `t` if its sleep or timed wait is due at `now`; a timed-out
+    /// waiter leaves its condition queue. Returns whether it woke.
+    pub fn wake_if_due(&mut self, t: ThreadId, now: u64) -> bool {
+        let ts = &mut self.threads[t.index()];
+        match ts.status {
+            Status::Sleeping(at) if at <= now => {}
+            Status::Blocked(BlockReason::CondTimed(c, _, at)) if at <= now => {
+                ts.timed_out = true;
+                self.cond_queues[c.index()].retain(|q| *q != t);
             }
+            _ => return false,
         }
-        woke
+        ts.status = Status::Ready;
+        true
     }
 
     /// True when every thread has finished.
     pub fn all_finished(&self) -> bool {
         self.threads.iter().all(|t| t.status == Status::Finished)
+    }
+
+    /// The deadlock rule both engines apply: no thread can run, none will
+    /// wake on its own (no sleeper, no timed wait), and not all threads have
+    /// finished. Only a running thread can ready a blocked one, so once this
+    /// holds it holds forever.
+    pub fn deadlocked(&self) -> bool {
+        self.threads
+            .iter()
+            .all(|t| matches!(t.status, Status::Blocked(_) | Status::Finished))
+            && self.next_wake_time().is_none()
+            && !self.all_finished()
     }
 
     /// Build the deadlock diagnostic for the current all-blocked state.
@@ -428,5 +509,122 @@ mod tests {
         assert!(!info.is_cyclic());
         assert_eq!(info.waiting.len(), 2);
         assert!(matches!(info.waiting[0].1, WaitEdge::Cond { .. }));
+    }
+
+    /// Block `waiters` on a new condition 0, each marked as if an earlier
+    /// timed wait had expired.
+    fn cond_waiters(m: &mut ModelState, waiters: &[u32]) {
+        m.cond_names.push("c".into());
+        m.cond_queues
+            .push(waiters.iter().map(|&t| ThreadId(t)).collect());
+        for &t in waiters {
+            let ts = m.thread(ThreadId(t));
+            ts.status = Status::Blocked(BlockReason::Cond(CondId(0), LockId(0)));
+            ts.timed_out = true;
+        }
+    }
+
+    #[test]
+    fn notify_wakes_only_the_fifo_head_and_clears_timed_out() {
+        let mut m = model_with(&[], &["l"]);
+        m.threads.push(ThreadState::new("t2".into()));
+        cond_waiters(&mut m, &[2, 1]);
+        m.notify(CondId(0), false);
+        assert_eq!(m.thread(ThreadId(2)).status, Status::Ready);
+        assert!(!m.thread(ThreadId(2)).timed_out);
+        assert!(matches!(m.thread(ThreadId(1)).status, Status::Blocked(_)));
+        assert_eq!(m.cond_queues[0], vec![ThreadId(1)]);
+        assert!(m.woke);
+    }
+
+    #[test]
+    fn notify_all_drains_the_queue() {
+        let mut m = model_with(&[], &["l"]);
+        cond_waiters(&mut m, &[0, 1]);
+        m.notify(CondId(0), true);
+        assert!(m.cond_queues[0].is_empty());
+        for t in 0..2 {
+            assert_eq!(m.thread(ThreadId(t)).status, Status::Ready);
+            assert!(!m.thread(ThreadId(t)).timed_out);
+        }
+        // Notifying an empty queue is a lost notification: nothing wakes.
+        m.woke = false;
+        m.notify(CondId(0), false);
+        assert!(!m.woke);
+    }
+
+    #[test]
+    fn sem_release_readies_every_sem_waiter() {
+        let mut m = model_with(&[], &["l"]);
+        m.threads.push(ThreadState::new("t2".into()));
+        m.sem_names.push("s".into());
+        m.sem_permits.push(0);
+        let (s, l) = (SemId(0), LockId(0));
+        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Sem(s));
+        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Sem(s));
+        m.thread(ThreadId(2)).status = Status::Blocked(BlockReason::Lock(l));
+        m.sem_release(s);
+        assert_eq!(m.sem_permits[0], 1);
+        assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
+        assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
+        assert_eq!(
+            m.thread(ThreadId(2)).status,
+            Status::Blocked(BlockReason::Lock(l))
+        );
+    }
+
+    #[test]
+    fn last_barrier_arriver_readies_the_others() {
+        let mut m = model_with(&[], &[]);
+        m.threads.push(ThreadState::new("t2".into()));
+        m.barrier_names.push("b".into());
+        m.barrier_parties.push(3);
+        m.barrier_arrived.push(Vec::new());
+        let b = BarrierId(0);
+        for t in 0..2 {
+            assert!(!m.barrier_arrive(ThreadId(t), b));
+            m.thread(ThreadId(t)).status = Status::Blocked(BlockReason::Barrier(b));
+        }
+        m.thread(ThreadId(2)).status = Status::Running;
+        assert!(m.barrier_arrive(ThreadId(2), b));
+        assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
+        assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
+        assert_eq!(m.thread(ThreadId(2)).status, Status::Running);
+        // The barrier is cyclic: the next round starts empty.
+        assert!(m.barrier_arrived[0].is_empty());
+    }
+
+    #[test]
+    fn thread_exit_readies_its_joiners() {
+        let mut m = model_with(&[], &[]);
+        m.threads.push(ThreadState::new("t2".into()));
+        let join = |t| Status::Blocked(BlockReason::Join(ThreadId(t)));
+        m.thread(ThreadId(0)).status = join(1);
+        m.thread(ThreadId(2)).status = join(0);
+        m.finish(ThreadId(1));
+        assert_eq!(m.thread(ThreadId(1)).status, Status::Finished);
+        assert_eq!(m.finish_order, vec![ThreadId(1)]);
+        assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
+        assert_eq!(m.thread(ThreadId(2)).status, join(0));
+    }
+
+    #[test]
+    fn deadlock_rule_waits_for_sleepers_and_timed_waits() {
+        let mut m = model_with(&[], &["l"]);
+        let (c, l) = (CondId(0), LockId(0));
+        cond_waiters(&mut m, &[0]);
+        for (other, deadlocked) in [
+            (Status::Ready, false),
+            (Status::Running, false),
+            (Status::Sleeping(5), false),
+            (Status::Blocked(BlockReason::CondTimed(c, l, 5)), false),
+            (Status::Blocked(BlockReason::Lock(l)), true),
+            (Status::Finished, true),
+        ] {
+            m.thread(ThreadId(1)).status = other;
+            assert_eq!(m.deadlocked(), deadlocked, "t0 waits, t1 {other:?}");
+        }
+        m.thread(ThreadId(0)).status = Status::Finished;
+        assert!(!m.deadlocked(), "all finished is completion, not deadlock");
     }
 }

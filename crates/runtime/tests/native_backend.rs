@@ -6,7 +6,10 @@
 //! belongs to the model backend alone.
 
 use mtt_instrument::{shared, CountingSink, VecSink};
-use mtt_runtime::{Execution, NoiseDecision, Program, ProgramBuilder, RuntimeBackend};
+use mtt_runtime::{
+    Execution, NoiseDecision, OutcomeKind, Program, ProgramBuilder, RuntimeBackend, ThreadId,
+    WaitEdge,
+};
 use std::time::{Duration, Instant};
 
 fn native(program: &Program) -> Execution<'_> {
@@ -332,4 +335,47 @@ fn native_program_randomness_matches_model() {
         .run();
     assert!(model.ok() && nat.ok());
     assert_eq!(model.var("draw"), nat.var("draw"));
+}
+
+/// Deadlock detection is event-driven: blocking wakes the watchdog, which
+/// applies the model's deadlock rule at once rather than on a poll tick, and
+/// reports the model's diagnostic.
+#[test]
+fn native_deadlock_is_detected_when_the_last_thread_blocks() {
+    let mut b = ProgramBuilder::new("native_sem_wedge");
+    let s = b.sem("s", 0);
+    b.entry(move |ctx| {
+        let t = ctx.spawn("acquirer", move |ctx| ctx.sem_acquire(s));
+        ctx.join(t);
+    });
+    let p = b.build();
+    let OutcomeKind::Deadlock(model) = Execution::new(&p).run().kind else {
+        panic!("the model run must deadlock");
+    };
+    let t1 = ThreadId(1);
+    assert_eq!(
+        model.waiting,
+        vec![
+            (ThreadId::MAIN, WaitEdge::Join { target: t1 }),
+            (t1, WaitEdge::Sem { sem: "s".into() }),
+        ]
+    );
+    assert!(model.cycle.is_empty());
+    let mut walls: Vec<Duration> = (0..21)
+        .map(|_| {
+            let o = native(&p).run();
+            let OutcomeKind::Deadlock(info) = &o.kind else {
+                panic!("native run must deadlock: {:?}", o.kind);
+            };
+            assert_eq!(info.waiting, model.waiting);
+            assert_eq!(info.cycle, model.cycle);
+            o.stats.wall
+        })
+        .collect();
+    walls.sort();
+    assert!(
+        walls[10] < Duration::from_millis(5),
+        "median native run took {:?}",
+        walls[10]
+    );
 }
