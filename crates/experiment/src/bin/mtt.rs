@@ -3,100 +3,24 @@
 //! "All the machinery will be in place so that with the push of a button,
 //! it can be evaluated and compared to alternative approaches" (§4).
 //!
-//! ```text
-//! mtt list                      list benchmark programs and their bugs
-//! mtt lint <sample|file> [--json] [--deny IDS] [--allow IDS]
-//!                               static diagnostics for a MiniProg program;
-//!                               --deny exits 3 when a denied lint fires,
-//!                               --allow suppresses listed codes (`all` ok)
-//! mtt run <program> [seed]      run one program once and print the outcome
-//! mtt trace <program> <n> <dir> generate n annotated traces into dir
-//! mtt explain <program> [--seed-fail N] [--seed-pass N] [--timeline]
-//!             [--diff] [--annotate FILE] [--scan N] [--csv] [--tool SPEC]
-//!                               causal post-mortem: happens-before timeline
-//!                               of a failing run + schedule diff against a
-//!                               passing run (divergence window)
-//! mtt e1 [runs]                 noise-heuristic comparison
-//! mtt e1-detail <program> [runs] per-bug find probability for one program
-//! mtt cloning [runs]            §2.3 cloning/load-test driver
-//! mtt e2 [traces]               race detectors on annotated traces
-//! mtt e3 [attempts]             replay success vs drift
-//! mtt e4 <program> [runs]       coverage growth + run-count advice
-//! mtt e5 [runs]                 multiout outcome distributions
-//! mtt e6 [budget]               exploration vs random testing
-//! mtt e7 [runs]                 static advice: reduction + preservation
-//! mtt e8 [seed]                 online/offline trade-off
-//! mtt e10 [--seed S] [--families N] [--runs R] [--csv|--json]
-//!                               precision/recall + robust detection over
-//!                               generated variant families with planted
-//!                               ground truth (full TP/FP/FN/TN matrix)
-//! mtt gen <list|describe <family>|dump <family|member>> [--seed S] [--families N]
-//!                               inspect the generated population: list
-//!                               family ids, describe a family's members
-//!                               and mutations, dump MiniProg source
-//! mtt e11 [runs] [--csv|--json] static vs dynamic scoreboard: per-class
-//!                               precision/recall of L001–L007 + R/D/A001
-//!                               against the dynamic detector roster
-//! mtt e12 [runs] [--csv|--json] schedule-space saturation scoreboard:
-//!                               distinct Mazurkiewicz-trace classes,
-//!                               rarefaction curve AUC, and Good–Turing
-//!                               unseen-mass estimate per tool
-//! mtt profile <e1..e8|all> [runs] [--csv] [--timing] [--annotate DIR]
-//!             [--chrome-trace FILE]
-//!                               contention / hot-site / overhead profile;
-//!                               --chrome-trace writes a chrome://tracing
-//!                               timeline of phases, workers and cells
-//! mtt status <dir|file>         one-shot progress/ETA/utilization view of
-//!                               campaign journals (second-process safe)
-//! mtt watch <dir|file> [--interval-ms N] [--max-polls N]
-//!                               poll journals until every campaign completes
-//! mtt tools [list|specs|describe <spec>|validate <spec...|--file F>] [--json]
-//!                               the component registry: list components,
-//!                               print the standard roster, describe or
-//!                               validate tool specs
-//! mtt metrics-check <file>      validate an NDJSON run log against the schema
-//! mtt trace-check <file>        validate an annotated trace against the schema
-//! mtt journal-check <dir|file>  strictly validate campaign journals
-//!                               against schema v2 (v1 accepted; exit 2 on corruption)
-//! mtt all                       every experiment with small defaults
-//! mtt help                      this listing
-//! ```
-//!
-//! Global flags (any experiment subcommand):
-//!
-//! ```text
-//! --jobs N | -j N    shard the run matrix across N workers
-//!                    (default: available parallelism; reports are
-//!                    byte-identical for every N — seeds, not threads,
-//!                    define an execution)
-//! --budget-ms N      per-run wall-clock budget; over-budget runs are
-//!                    counted in the report's `timeouts` column
-//! --quiet | -q       suppress the stderr runs/sec + ETA progress line and
-//!                    the end-of-campaign summary
-//! --metrics FILE     write an NDJSON run log (one JSON object per run, in
-//!                    canonical order — byte-deterministic at any --jobs)
-//!                    for campaign-backed commands (e1, e1-detail, profile)
-//! --tools SPECS      replace the tool roster with a comma-separated list
-//!                    of tool specs (see `mtt tools`) — honored by e1,
-//!                    e1-detail, profile, e5, and cloning
-//! --tools-file FILE  like --tools, reading one spec per line (blank lines
-//!                    and `#` comments ignored)
-//! --journal DIR      append a durable NDJSON flight-recorder journal to
-//!                    DIR/<label>.ndjson while the command runs (observable
-//!                    live from another process via `mtt status`)
-//! --resume           with --journal: look completed cells up in the
-//!                    existing journal by content address and skip them —
-//!                    the resumed output is byte-identical to an
-//!                    uninterrupted run (e1, e1-detail)
-//! ```
+//! `mtt help` lists every command and global flag. It is generated from
+//! [`cli_spec`], which also records which commands use each global flag;
+//! a command rejects a global flag it does not use. Every command parses
+//! its own arguments with one cursor, [`Args`], whose [`Args::finish`]
+//! rejects whatever the command left over, so no argument is silently
+//! ignored: a usage error exits 2.
 
 use mtt_experiment::{
-    campaign::Campaign, cli_spec, cloning::run_cloning_on, coverage_eval, detector_eval,
-    differential_eval, explain, explore_eval, gen_eval, jobpool::JobPool, multiout_eval, profile,
-    replay_eval, saturation_eval, scoreboard, static_eval, tracegen,
+    campaign::{Campaign, CampaignRun},
+    cli_spec,
+    cloning::run_cloning_on,
+    coverage_eval, detector_eval, differential_eval, explain, explore_eval, gen_eval,
+    jobpool::JobPool,
+    multiout_eval, profile, replay_eval, saturation_eval, scoreboard, static_eval, tracegen,
 };
 use mtt_obs::{JournalSink, ResumeCache, StatusSummary};
 use mtt_runtime::{Execution, RandomScheduler, RuntimeBackend};
+use mtt_suite::SuiteProgram;
 use mtt_telemetry::{check_run_log_line, RunLogRecord, RunLogWriter};
 use mtt_tools::{ToolConfig, ToolSpec};
 use std::env;
@@ -105,7 +29,92 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Global options shared by every experiment subcommand.
+/// The arguments of one command that it has not taken yet. A command takes
+/// its flags and `NAME VALUE` options first, wherever they appear, then its
+/// positionals in order; [`finish`](Args::finish) rejects what is left.
+struct Args {
+    /// The command name, for error messages.
+    cmd: String,
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// `words` as a command line: the first word is the command.
+    fn new(words: impl IntoIterator<Item = String>) -> Args {
+        let mut rest: Vec<String> = words.into_iter().collect();
+        let cmd = if rest.is_empty() {
+            String::new()
+        } else {
+            rest.remove(0)
+        };
+        Args { cmd, rest }
+    }
+
+    /// Take every occurrence of the flag spelled `names`; true if present.
+    fn flag(&mut self, names: &[&str]) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| !names.contains(&a.as_str()));
+        self.rest.len() < before
+    }
+
+    /// Take every `NAME VALUE` pair of the option spelled `names` and return
+    /// the last value. A missing value is an error, and so is a flag-shaped
+    /// one: it keeps a typo like `--metrics --journal DIR` from writing a
+    /// file literally named `--journal`.
+    fn value(&mut self, names: &[&str], what: &str) -> Result<Option<String>, String> {
+        let mut last = None;
+        while let Some(i) = self.rest.iter().position(|a| names.contains(&a.as_str())) {
+            let name = self.rest.remove(i);
+            match self.rest.get(i) {
+                Some(v) if !v.starts_with('-') => last = Some(self.rest.remove(i)),
+                Some(v) => {
+                    return Err(format!(
+                        "{name} needs {what}, but the next argument is `{v}`, a flag"
+                    ))
+                }
+                None => return Err(format!("{name} needs {what}")),
+            }
+        }
+        Ok(last)
+    }
+
+    /// [`value`](Args::value), parsed as a number.
+    fn number(&mut self, names: &[&str]) -> Result<Option<u64>, String> {
+        self.value(names, "a number")?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{}: `{v}` is not a number", names[0]))
+            })
+            .transpose()
+    }
+
+    /// Take the next positional: the first argument not shaped like a flag.
+    fn positional(&mut self) -> Option<String> {
+        let i = self.rest.iter().position(|a| !a.starts_with('-'))?;
+        Some(self.rest.remove(i))
+    }
+
+    /// The next positional as a number, or `default` when there is none.
+    /// A malformed value is an error, never a silent fallback.
+    fn count(&mut self, default: u64) -> Result<u64, String> {
+        match self.positional() {
+            None => Ok(default),
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("argument `{s}` is not a number")),
+        }
+    }
+
+    /// Reject whatever the command did not take.
+    fn finish(self) -> Result<(), String> {
+        match self.rest.first() {
+            None => Ok(()),
+            Some(a) => Err(format!("{}: unexpected argument `{a}`", self.cmd)),
+        }
+    }
+}
+
+/// Global options shared by the experiment subcommands.
 struct Global {
     jobs: usize,
     budget: Option<Duration>,
@@ -115,6 +124,49 @@ struct Global {
     journal: Option<String>,
     resume: bool,
     backend: Option<RuntimeBackend>,
+}
+
+/// Take the global flags out of `a`, wherever they appear.
+fn parse_global(a: &mut Args) -> Result<Global, String> {
+    let mut tools = None;
+    if let Some(v) = a.value(&["--tools"], "a comma-separated spec list")? {
+        let specs = ToolSpec::parse_list(&v)
+            .map_err(|e| format!("--tools: invalid spec\n{}", e.render()))?;
+        if specs.is_empty() {
+            return Err("--tools: empty spec list".into());
+        }
+        tools = Some(specs);
+    }
+    if let Some(path) = a.value(&["--tools-file"], "a file path")? {
+        if tools.is_some() {
+            return Err("--tools and --tools-file both set the roster; give one".into());
+        }
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("--tools-file: read {path}: {e}"))?;
+        let specs = ToolSpec::parse_file(&text)
+            .map_err(|e| format!("--tools-file {path}: invalid spec\n{}", e.render()))?;
+        if specs.is_empty() {
+            return Err(format!("--tools-file: no specs in {path}"));
+        }
+        tools = Some(specs);
+    }
+    let backend =
+        match a.value(&["--backend"], "a value (model or native)")? {
+            None => None,
+            Some(v) => Some(RuntimeBackend::parse(&v).ok_or_else(|| {
+                format!("--backend: unknown backend `{v}` (known: model, native)")
+            })?),
+        };
+    Ok(Global {
+        jobs: a.number(&["--jobs", "-j"])?.unwrap_or(0) as usize, // 0 = all cores
+        budget: a.number(&["--budget-ms"])?.map(Duration::from_millis),
+        quiet: a.flag(&["--quiet", "-q"]),
+        metrics: a.value(&["--metrics"], "a file path")?,
+        tools,
+        journal: a.value(&["--journal"], "a directory")?,
+        resume: a.flag(&["--resume"]),
+        backend,
+    })
 }
 
 impl Global {
@@ -131,42 +183,23 @@ impl Global {
     /// The `--tools`/`--tools-file` roster resolved to runnable configs,
     /// or `None` when neither flag was given.
     fn resolved_tools(&self) -> Result<Option<Vec<ToolConfig>>, String> {
-        match &self.tools {
-            None => Ok(None),
-            Some(specs) => specs
-                .iter()
-                .map(|s| s.resolve())
-                .collect::<Result<Vec<_>, _>>()
-                .map(|mut tools| {
-                    self.apply_backend(&mut tools);
-                    Some(tools)
-                }),
-        }
-    }
-
-    /// Force every tool onto the `--backend` engine, if the flag was
-    /// given. Both the runnable config and its provenance spec are
-    /// rewritten, so canonical spec strings, journal content addresses,
-    /// and run-log records all name the engine that actually ran.
-    fn apply_backend(&self, tools: &mut [ToolConfig]) {
-        if let Some(b) = self.backend {
-            for cfg in tools {
-                cfg.backend = b;
-                cfg.spec.backend = b;
-            }
-        }
+        self.tools
+            .as_ref()
+            .map(|specs| specs.iter().map(ToolSpec::resolve).collect())
+            .transpose()
     }
 
     /// Open `--journal DIR/<label>.ndjson` if journaling was requested.
-    /// With `--resume` the existing journal is tail-repaired, parsed
+    /// With `resume` the existing journal is tail-repaired, parsed
     /// (corruption is exit 2) and turned into a [`ResumeCache`]; the sink
-    /// then appends. Without `--resume` the file is truncated.
+    /// then appends. Without it the file is truncated.
     fn open_journal(
         &self,
         label: &str,
+        resume: bool,
     ) -> Result<(Option<Arc<JournalSink>>, Option<ResumeCache>), String> {
         let Some(dir) = &self.journal else {
-            if self.resume {
+            if resume {
                 return Err(
                     "--resume needs --journal DIR (there is no journal to resume from)".to_string(),
                 );
@@ -177,7 +210,7 @@ impl Global {
             .map_err(|e| format!("--journal: cannot create directory {dir}: {e}"))?;
         let path = Path::new(dir).join(format!("{label}.ndjson"));
         let mut cache = None;
-        if self.resume && path.exists() {
+        if resume && path.exists() {
             // A crash can only ever truncate the final line; cut that
             // fragment off so appended records start on a line boundary.
             mtt_obs::truncate_partial_tail(&path)
@@ -185,216 +218,86 @@ impl Global {
             let parsed = mtt_obs::load_journal(&path)?;
             cache = Some(ResumeCache::from_records(&parsed.records));
         }
-        let sink = JournalSink::to_file(&path, self.resume)
+        let sink = JournalSink::to_file(&path, resume)
             .map_err(|e| format!("--journal: cannot open {}: {e}", path.display()))?;
         Ok((Some(Arc::new(sink)), cache))
     }
 
-    /// A journaled pool for non-campaign commands: generic `job` records
-    /// only, so `--resume` (a content-address cache over campaign cells)
-    /// is rejected with a pointed message.
-    fn journaled_pool(&self, label: &str) -> Result<(JobPool, JournalGuard), String> {
-        if self.resume {
-            return Err(format!(
-                "--resume is not supported by `{label}` — only campaign-shaped \
-                 commands (e1, e1-detail) can skip completed cells"
-            ));
-        }
-        let (sink, _) = self.open_journal(label)?;
+    /// Run `job` on the pool for `label`, journaling generic `job` records
+    /// when `--journal` is given (only campaigns can `--resume`).
+    fn journaled<T>(&self, label: &str, job: impl FnOnce(&JobPool) -> T) -> Result<T, String> {
+        let (sink, _) = self.open_journal(label, false)?;
         let mut pool = self.pool(label);
         if let Some(s) = &sink {
             pool = pool.with_journal(Arc::clone(s), label);
         }
-        Ok((pool, JournalGuard(sink)))
+        let out = job(&pool);
+        journal_written(&sink)?;
+        Ok(out)
+    }
+
+    /// Run a campaign (`e1`, `e1-detail`) under the global roster, backend,
+    /// budget and telemetry flags. A campaign journals its own cells, so
+    /// it alone can `--resume`; `--metrics` gets its run log.
+    fn campaign(
+        &self,
+        label: &str,
+        programs: Vec<SuiteProgram>,
+        runs: u64,
+    ) -> Result<CampaignRun, String> {
+        let mut campaign = Campaign::standard(programs, runs);
+        if let Some(tools) = self.resolved_tools()? {
+            campaign.tools = tools;
+        }
+        // Both the runnable config and its provenance spec name the engine,
+        // so spec strings, content addresses and run-log records all agree.
+        if let Some(b) = self.backend {
+            for cfg in &mut campaign.tools {
+                cfg.backend = b;
+                cfg.spec.backend = b;
+            }
+        }
+        campaign.run_budget = self.budget;
+        campaign.jobs = self.jobs;
+        campaign.label = label.into();
+        campaign.telemetry = self.metrics.is_some();
+        let (sink, cache) = self.open_journal(label, self.resume)?;
+        campaign.journal = sink.clone();
+        campaign.resume = cache;
+        let run = campaign.run_full(&self.pool(label));
+        journal_written(&sink)?;
+        if let Some(path) = &self.metrics {
+            write_run_log(path, &run.run_log)?;
+        }
+        Ok(run)
     }
 }
 
 /// Post-run check that every journal record actually reached disk; a
 /// latched write error (disk full, deleted directory) becomes exit 2
 /// instead of a silently incomplete journal.
-struct JournalGuard(Option<Arc<JournalSink>>);
-
-impl JournalGuard {
-    fn finish(self) -> Result<(), String> {
-        match self.0.as_ref().and_then(|s| s.error()) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
+fn journal_written(sink: &Option<Arc<JournalSink>>) -> Result<(), String> {
+    sink.as_ref().and_then(|s| s.error()).map_or(Ok(()), Err)
 }
 
-/// The argument of a path-taking flag. Rejecting flag-shaped values here
-/// is what keeps a typo like `mtt e1 --metrics --journal DIR` from
-/// silently writing a run log to a file literally named `--journal`.
-fn path_value(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-    what: &str,
-) -> Result<String, String> {
-    match it.next() {
-        Some(v) if !v.starts_with('-') => Ok(v.clone()),
-        Some(v) => Err(format!(
-            "{flag} needs {what}, but the next argument is `{v}` — a flag, not a path"
-        )),
-        None => Err(format!("{flag} needs {what}")),
-    }
-}
-
-/// Split `--jobs/-j/--budget-ms/--quiet/-q` out of the raw argument list;
-/// everything else stays positional (subcommand flags like `--json` pass
-/// through). Returns an error message for malformed global flags.
-fn parse_global(raw: &[String]) -> Result<(Global, Vec<String>), String> {
-    let mut g = Global {
-        jobs: 0, // 0 = available parallelism
-        budget: None,
-        quiet: false,
-        metrics: None,
-        tools: None,
-        journal: None,
-        resume: false,
-        backend: None,
-    };
-    let mut rest = Vec::new();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                g.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: `{v}` is not a number"))?;
-            }
-            "--budget-ms" => {
-                let v = it.next().ok_or("--budget-ms needs a value")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--budget-ms: `{v}` is not a number"))?;
-                g.budget = Some(Duration::from_millis(ms));
-            }
-            "--quiet" | "-q" => g.quiet = true,
-            "--metrics" => {
-                g.metrics = Some(path_value(&mut it, "--metrics", "a file path")?);
-            }
-            "--tools" => {
-                let v = it
-                    .next()
-                    .ok_or("--tools needs a comma-separated spec list")?;
-                let specs = ToolSpec::parse_list(v)
-                    .map_err(|e| format!("--tools: invalid spec\n{}", e.render()))?;
-                if specs.is_empty() {
-                    return Err("--tools: empty spec list".into());
-                }
-                g.tools = Some(specs);
-            }
-            "--journal" => {
-                g.journal = Some(path_value(&mut it, "--journal", "a directory")?);
-            }
-            "--resume" => g.resume = true,
-            "--backend" => {
-                let v = it
-                    .next()
-                    .ok_or("--backend needs a value (model or native)")?;
-                g.backend = Some(RuntimeBackend::parse(v).ok_or_else(|| {
-                    format!("--backend: unknown backend `{v}` (known: model, native)")
-                })?);
-            }
-            "--tools-file" => {
-                let path = it.next().ok_or("--tools-file needs a file path")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("--tools-file: read {path}: {e}"))?;
-                let specs = ToolSpec::parse_file(&text)
-                    .map_err(|e| format!("--tools-file {path}: invalid spec\n{}", e.render()))?;
-                if specs.is_empty() {
-                    return Err(format!("--tools-file: no specs in {path}"));
-                }
-                g.tools = Some(specs);
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    Ok((g, rest))
-}
+/// What `mtt all` runs: every experiment with small defaults.
+const ALL: &[&str] = &[
+    "e1 40",
+    "e2 8",
+    "e3 15",
+    "e4 web_sessions 15",
+    "e5 80",
+    "e6 2000",
+    "e7 30",
+    "e8 7",
+    "e10 --families 8 --runs 2",
+    "e11 12",
+    "e12 12",
+    "e13 6",
+];
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = env::args().skip(1).collect();
-    let (global, args) = match parse_global(&raw) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("mtt: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cmd = args.first().map(String::as_str).unwrap_or("");
-    let run = || -> Result<ExitCode, String> {
-        match cmd {
-            "list" => Ok(list()),
-            "lint" => Ok(lint(&args[1..])),
-            "run" => run_one(&args[1..]),
-            "trace" => trace(&args[1..]),
-            "explain" => explain_cmd(&args[1..], &global),
-            "e1" => e1(&args[1..], &global),
-            "e1-detail" => e1_detail(
-                args.get(1).map(String::as_str),
-                arg_u64(&args, 2, 60)?,
-                &global,
-            ),
-            "cloning" => cloning(arg_u64(&args, 1, 60)?, &global),
-            "e2" => e2(arg_u64(&args, 1, 10)?, &global),
-            "e3" => e3(arg_u64(&args, 1, 20)?, &global),
-            "e4" => e4(
-                args.get(1).map(String::as_str),
-                arg_u64(&args, 2, 20)?,
-                &global,
-            ),
-            "e5" => e5(arg_u64(&args, 1, 120)?, &global),
-            "e6" => e6(arg_u64(&args, 1, 3000)?, &global),
-            "e7" => e7(arg_u64(&args, 1, 40)?, &global),
-            "e8" => Ok(e8(arg_u64(&args, 1, 7)?)),
-            "e10" => e10(&args[1..], &global),
-            "gen" => gen_cmd(&args[1..]),
-            "e11" => e11(&args[1..], &global),
-            "e12" => e12(&args[1..], &global),
-            "e13" => e13(&args[1..], &global),
-            "profile" => profile_cmd(&args[1..], &global),
-            "status" => status_cmd(&args[1..]),
-            "watch" => watch_cmd(&args[1..]),
-            "tools" => tools_cmd(&args[1..]),
-            "metrics-check" => Ok(metrics_check(&args[1..])),
-            "trace-check" => Ok(trace_check(&args[1..])),
-            "journal-check" => journal_check(&args[1..]),
-            "all" => {
-                e1(&["40".into()], &global)?;
-                e2(8, &global)?;
-                e3(15, &global)?;
-                e4(None, 15, &global)?;
-                e5(80, &global)?;
-                e6(2000, &global)?;
-                e7(30, &global)?;
-                e8(7);
-                e10(
-                    &["--families".into(), "8".into(), "--runs".into(), "2".into()],
-                    &global,
-                )?;
-                e11(&["12".into()], &global)?;
-                e12(&["12".into()], &global)?;
-                e13(&["6".into()], &global)?;
-                Ok(ExitCode::SUCCESS)
-            }
-            "help" | "--help" | "-h" => {
-                println!("{}", cli_spec::usage());
-                Ok(ExitCode::SUCCESS)
-            }
-            "" => {
-                eprintln!("{}", cli_spec::usage());
-                Ok(ExitCode::from(2))
-            }
-            unknown => {
-                eprintln!("mtt: unknown subcommand `{unknown}`\n{}", cli_spec::usage());
-                Ok(ExitCode::from(2))
-            }
-        }
-    };
-    match run() {
+    match dispatch(env::args().skip(1).collect()) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("mtt: {msg}");
@@ -403,16 +306,254 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse the positional argument at `idx` as a number; the default applies
-/// only when the argument is absent — a malformed value is an error, not a
-/// silent fallback.
-fn arg_u64(args: &[String], idx: usize, default: u64) -> Result<u64, String> {
-    match args.get(idx) {
-        None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("argument `{s}` is not a number")),
+fn dispatch(raw: Vec<String>) -> Result<ExitCode, String> {
+    let mut a = Args {
+        cmd: String::new(),
+        rest: raw.clone(),
+    };
+    let g = parse_global(&mut a)?;
+    let a = Args::new(a.rest);
+    if let Some(flag) = cli_spec::unsupported_flag(&a.cmd, &raw) {
+        return Err(format!("{flag} is not supported by `{}`", a.cmd));
     }
+    match a.cmd.as_str() {
+        "list" => a.finish().map(|()| list()),
+        "lint" => lint(a),
+        "run" => run_one(a),
+        "trace" => trace(a),
+        "explain" => explain_cmd(a, &g),
+        "gen" => gen_cmd(a),
+        "profile" => profile_cmd(a, &g),
+        "status" => status_cmd(a),
+        "watch" => watch_cmd(a),
+        "tools" => tools_cmd(a),
+        "metrics-check" => metrics_check(a),
+        "trace-check" => trace_check(a),
+        "journal-check" => journal_check(a),
+        "all" => {
+            a.finish()?;
+            for line in ALL {
+                experiment(Args::new(line.split(' ').map(String::from)), &g)?;
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        "help" | "--help" | "-h" => {
+            a.finish()?;
+            println!("{}", cli_spec::usage());
+            Ok(ExitCode::SUCCESS)
+        }
+        "" => {
+            eprintln!("{}", cli_spec::usage());
+            Ok(ExitCode::from(2))
+        }
+        _ => experiment(a, &g).map(|()| ExitCode::SUCCESS),
+    }
+}
+
+/// Look a benchmark program up by name.
+fn program(name: &str) -> Result<SuiteProgram, String> {
+    mtt_suite::by_name(name).ok_or_else(|| format!("unknown program `{name}` — try `mtt list`"))
+}
+
+/// Run one experiment (`e1`–`e13`, `e1-detail`, `cloning`) and print its
+/// report. All arguments are parsed before anything runs or touches the
+/// disk. `--csv`/`--json`/`--model-csv` pick the rendering where the
+/// experiment offers it (JSON wins, then model CSV, then CSV). Any other
+/// command name is an unknown subcommand.
+fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
+    let cmd = a.cmd.clone();
+    let offered: &[&str] = match cmd.as_str() {
+        "e1" => &["--csv"],
+        "e10" | "e11" | "e12" => &["--csv", "--json"],
+        "e13" => &["--csv", "--json", "--model-csv"],
+        _ => &[],
+    };
+    let mut format = |f: &str| offered.contains(&f) && a.flag(&[f]);
+    let (csv, json, model_csv) = (format("--csv"), format("--json"), format("--model-csv"));
+    let job: Box<dyn FnOnce(&JobPool) -> String + '_> = match cmd.as_str() {
+        "e1" => {
+            let runs = a.count(60)?;
+            a.finish()?;
+            let run = g.campaign(&cmd, mtt_suite::quick_set(), runs)?;
+            if csv {
+                print!("{}", run.report.table().to_csv());
+            } else {
+                println!("{}", run.report.table().render());
+                println!("ranking (mean find-rate across programs):");
+                for (tool, rate) in run.report.ranking() {
+                    println!("  {tool:<14} {rate:.3}");
+                }
+            }
+            return Ok(());
+        }
+        "e1-detail" => {
+            let name = a.positional().unwrap_or_else(|| "web_sessions".into());
+            let runs = a.count(60)?;
+            a.finish()?;
+            let run = g.campaign(&cmd, vec![program(&name)?], runs)?;
+            println!("{}", run.report.per_bug_table(&name).render());
+            return Ok(());
+        }
+        "e8" => {
+            // E8 measures online vs offline *wall-clock* overhead: concurrent
+            // runs would contend with each other and poison the measurement,
+            // so it runs serially and ignores --jobs on purpose.
+            let seed = a.count(7)?;
+            a.finish()?;
+            let rows = detector_eval::run_tradeoff_eval(&mtt_suite::quick_set(), seed);
+            println!("{}", detector_eval::tradeoff_table(&rows).render());
+            return Ok(());
+        }
+        "cloning" => {
+            let runs = a.count(60)?;
+            Box::new(move |pool| cloning(runs, g.tools.as_deref(), pool))
+        }
+        "e2" => {
+            let traces = a.count(10)?;
+            Box::new(move |pool| {
+                let programs = mtt_suite::quick_set();
+                let report = detector_eval::run_detector_eval_on(&programs, traces, pool);
+                format!("{}\n", report.table().render())
+            })
+        }
+        "e3" => {
+            let attempts = a.count(20)?;
+            Box::new(move |pool| {
+                let rows = replay_eval::run_replay_eval_on(attempts, &[0, 1, 4, 16], pool);
+                format!("{}\n", replay_eval::replay_table(&rows).render())
+            })
+        }
+        "e4" => {
+            let name = a.positional().unwrap_or_else(|| "web_sessions".into());
+            let runs = a.count(20)?;
+            let p = program(&name)?;
+            Box::new(move |pool| {
+                let curves = coverage_eval::run_coverage_eval_on(&p, runs, 0, pool);
+                format!(
+                    "{}\n",
+                    coverage_eval::coverage_table(&name, &curves).render()
+                )
+            })
+        }
+        "e5" => {
+            let runs = a.count(120)?;
+            let tools = g.resolved_tools()?;
+            Box::new(move |pool| {
+                let results = match tools {
+                    Some(tools) => multiout_eval::run_multiout_eval_with(runs, 0, tools, pool),
+                    None => multiout_eval::run_multiout_eval_on(runs, 0, pool),
+                };
+                format!("{}\n", multiout_eval::multiout_table(&results).render())
+            })
+        }
+        "e6" => {
+            let budget = a.count(3000)?;
+            Box::new(move |pool| {
+                let programs = vec![
+                    mtt_suite::small::lost_update(2, 1),
+                    mtt_suite::small::ab_ba(),
+                    mtt_suite::small::check_then_act(),
+                ];
+                let rows = explore_eval::run_explore_eval_on(&programs, budget, pool);
+                format!("{}\n", explore_eval::explore_table(&rows).render())
+            })
+        }
+        "e7" => {
+            let runs = a.count(40)?;
+            Box::new(move |pool| {
+                let rows = static_eval::run_static_eval_on(runs, pool);
+                format!(
+                    "{}\n{}\n",
+                    static_eval::static_table(&rows).render(),
+                    static_eval::class_table(&rows).render()
+                )
+            })
+        }
+        "e10" => {
+            let mut opts = gen_eval::GenEvalOptions::default();
+            opts.seed = a.number(&["--seed"])?.unwrap_or(opts.seed);
+            opts.families = a.number(&["--families"])?.unwrap_or(opts.families);
+            opts.runs = a.number(&["--runs"])?.unwrap_or(opts.runs);
+            Box::new(move |pool| {
+                let rows = gen_eval::run_gen_eval_on(&opts, pool);
+                if json {
+                    format!("{}\n", gen_eval::gen_eval_json(&opts, &rows).dump())
+                } else if csv {
+                    gen_eval::render_csv(&rows)
+                } else {
+                    gen_eval::render_report(&rows)
+                }
+            })
+        }
+        "e11" => {
+            let runs = a.count(20)?;
+            Box::new(move |pool| {
+                let rows = scoreboard::run_scoreboard_on(runs, pool);
+                if json {
+                    format!("{}\n", scoreboard::scoreboard_json(&rows).dump())
+                } else if csv {
+                    scoreboard::render_csv(&rows)
+                } else {
+                    scoreboard::render_report(&rows)
+                }
+            })
+        }
+        "e12" => {
+            let runs = a.count(40)?;
+            Box::new(move |pool| {
+                let cells = saturation_eval::run_saturation_on(runs, pool);
+                if json {
+                    format!("{}\n", saturation_eval::saturation_json(&cells).dump())
+                } else if csv {
+                    saturation_eval::render_csv(&cells)
+                } else {
+                    saturation_eval::render_report(&cells)
+                }
+            })
+        }
+        "e13" => {
+            let runs = a.count(12)?;
+            Box::new(move |pool| {
+                let cells = differential_eval::run_differential_on(runs, pool);
+                if json {
+                    format!("{}\n", differential_eval::differential_json(&cells).dump())
+                } else if model_csv {
+                    differential_eval::model_csv(&cells)
+                } else if csv {
+                    differential_eval::render_csv(&cells)
+                } else {
+                    differential_eval::render_report(&cells)
+                }
+            })
+        }
+        unknown => {
+            return Err(format!(
+                "unknown subcommand `{unknown}`\n{}",
+                cli_spec::usage()
+            ))
+        }
+    };
+    a.finish()?;
+    print!("{}", g.journaled(&cmd, job)?);
+    Ok(())
+}
+
+/// The §2.3 cloning table: each clone count run plain and under each tool
+/// stack of the roster (by default, sleep noise on top of `sticky:0.9`).
+fn cloning(runs: u64, roster: Option<&[ToolSpec]>, pool: &JobPool) -> String {
+    let sleep = [ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid")];
+    let mut out = String::from("§2.3 cloning driver: P(cloned test fails)\n\n");
+    for clones in [1u32, 2, 4, 8] {
+        let plain = run_cloning_on(clones, runs, None, pool);
+        out += &format!("  {clones} clone(s):  plain {}", plain.fail.render());
+        for spec in roster.unwrap_or(&sleep) {
+            let r = run_cloning_on(clones, runs, Some(spec), pool);
+            let name = roster.map_or("sleep noise".into(), |_| spec.display_name());
+            out += &format!("   + {name} {}", r.fail.render());
+        }
+        out.push('\n');
+    }
+    out
 }
 
 fn list() -> ExitCode {
@@ -453,43 +594,20 @@ fn code_matches(codes: &Option<Vec<String>>, code: &str) -> bool {
     }
 }
 
-fn lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut target = None;
-    let mut deny: Option<Option<Vec<String>>> = None;
-    let mut allow: Option<Option<Vec<String>>> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--deny needs a code list (or `all`)");
-                    return ExitCode::from(2);
-                };
-                deny = Some(parse_code_list(v));
-            }
-            "--allow" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--allow needs a code list (or `all`)");
-                    return ExitCode::from(2);
-                };
-                allow = Some(parse_code_list(v));
-            }
-            other if target.is_none() => target = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
+fn lint(mut a: Args) -> Result<ExitCode, String> {
+    let json = a.flag(&["--json"]);
+    let what = "a code list (or `all`)";
+    let deny = a.value(&["--deny"], what)?.map(|v| parse_code_list(&v));
+    let allow = a.value(&["--allow"], what)?.map(|v| parse_code_list(&v));
+    let target = a.positional();
+    a.finish()?;
     let Some(target) = target else {
         eprintln!("usage: mtt lint <sample-name|file.mp> [--json] [--deny IDS] [--allow IDS]");
         eprintln!("samples:");
         for s in mtt_static::samples::catalog() {
             eprintln!("  {}", s.name);
         }
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
 
     // A known sample name wins; anything else is read as a source file.
@@ -498,8 +616,9 @@ fn lint(args: &[String]) -> ExitCode {
         None => match std::fs::read_to_string(&target) {
             Ok(text) => (target.clone(), text),
             Err(e) => {
-                eprintln!("`{target}` is neither a sample name nor a readable file: {e}");
-                return ExitCode::from(2);
+                return Err(format!(
+                    "`{target}` is neither a sample name nor a readable file: {e}"
+                ))
             }
         },
     };
@@ -507,7 +626,7 @@ fn lint(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{label}: parse error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let result = mtt_static::analyze(&ast);
@@ -549,24 +668,19 @@ fn lint(args: &[String]) -> ExitCode {
     }
     if denied > 0 {
         eprintln!("{label}: {denied} denied finding(s)");
-        ExitCode::from(3)
+        Ok(ExitCode::from(3))
     } else if diagnostics.is_empty() {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
-fn run_one(args: &[String]) -> Result<ExitCode, String> {
-    let Some(name) = args.first() else {
-        eprintln!("usage: mtt run <program> [seed]");
-        return Ok(ExitCode::from(2));
-    };
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}` — try `mtt list`");
-        return Ok(ExitCode::from(2));
-    };
-    let seed = arg_u64(args, 1, 0)?;
+fn run_one(mut a: Args) -> Result<ExitCode, String> {
+    let name = a.positional().ok_or("usage: mtt run <program> [seed]")?;
+    let seed = a.count(0)?;
+    a.finish()?;
+    let p = program(&name)?;
     let o = Execution::new(&p.program)
         .scheduler(Box::new(RandomScheduler::new(seed)))
         .max_steps(100_000)
@@ -581,17 +695,15 @@ fn run_one(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn trace(args: &[String]) -> Result<ExitCode, String> {
-    let (Some(name), Some(_), Some(dir)) = (args.first(), args.get(1), args.get(2)) else {
-        eprintln!("usage: mtt trace <program> <count> <dir>");
-        return Ok(ExitCode::from(2));
+fn trace(mut a: Args) -> Result<ExitCode, String> {
+    let name = a.positional();
+    let count = a.count(1)?;
+    let (Some(name), Some(dir)) = (name, a.positional()) else {
+        return Err("usage: mtt trace <program> <count> <dir>".into());
     };
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return Ok(ExitCode::from(2));
-    };
-    let count = arg_u64(args, 1, 1)?;
-    if let Err(e) = std::fs::create_dir_all(dir) {
+    a.finish()?;
+    let p = program(&name)?;
+    if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {dir}: {e}");
         return Ok(ExitCode::FAILURE);
     }
@@ -624,133 +736,29 @@ fn write_run_log(path: &str, records: &[RunLogRecord]) -> Result<(), String> {
     Ok(())
 }
 
-fn e1(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 60)?;
-    let mut campaign = Campaign::standard(mtt_suite::quick_set(), runs);
-    if let Some(tools) = g.resolved_tools()? {
-        campaign.tools = tools;
-    }
-    g.apply_backend(&mut campaign.tools);
-    campaign.run_budget = g.budget;
-    campaign.jobs = g.jobs;
-    campaign.label = "e1".into();
-    campaign.telemetry = g.metrics.is_some();
-    let (sink, cache) = g.open_journal("e1")?;
-    campaign.journal = sink.clone();
-    campaign.resume = cache;
-    let run = campaign.run_full(&g.pool("e1"));
-    JournalGuard(sink).finish()?;
-    if let Some(path) = &g.metrics {
-        write_run_log(path, &run.run_log)?;
-    }
-    if csv {
-        print!("{}", run.report.table().to_csv());
-    } else {
-        println!("{}", run.report.table().render());
-        println!("ranking (mean find-rate across programs):");
-        for (tool, rate) in run.report.ranking() {
-            println!("  {tool:<14} {rate:.3}");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e1_detail(program: Option<&str>, runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let name = program.unwrap_or("web_sessions");
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return Ok(ExitCode::from(2));
+fn explain_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
+    let mut opts = explain::ExplainOptions {
+        seed_fail: a.number(&["--seed-fail"])?,
+        seed_pass: a.number(&["--seed-pass"])?,
+        ..Default::default()
     };
-    let mut campaign = Campaign::standard(vec![p], runs);
-    if let Some(tools) = g.resolved_tools()? {
-        campaign.tools = tools;
+    opts.scan = a.number(&["--scan"])?.unwrap_or(opts.scan);
+    if let Some(v) = a.value(&["--tool"], "a spec")? {
+        let spec =
+            ToolSpec::parse(&v).map_err(|e| format!("--tool: invalid spec\n{}", e.render()))?;
+        opts.tool = Some(spec);
     }
-    g.apply_backend(&mut campaign.tools);
-    campaign.run_budget = g.budget;
-    campaign.jobs = g.jobs;
-    campaign.label = "e1-detail".into();
-    campaign.telemetry = g.metrics.is_some();
-    let (sink, cache) = g.open_journal("e1-detail")?;
-    campaign.journal = sink.clone();
-    campaign.resume = cache;
-    let run = campaign.run_full(&g.pool("e1-detail"));
-    JournalGuard(sink).finish()?;
-    if let Some(path) = &g.metrics {
-        write_run_log(path, &run.run_log)?;
-    }
-    println!("{}", run.report.per_bug_table(name).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut opts = explain::ExplainOptions::default();
-    let mut timeline = false;
-    let mut diff = false;
-    let mut csv = false;
-    let mut annotate: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed-fail" => {
-                let v = it.next().ok_or("--seed-fail needs a value")?;
-                opts.seed_fail = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed-fail: `{v}` is not a number"))?,
-                );
-            }
-            "--seed-pass" => {
-                let v = it.next().ok_or("--seed-pass needs a value")?;
-                opts.seed_pass = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed-pass: `{v}` is not a number"))?,
-                );
-            }
-            "--scan" => {
-                let v = it.next().ok_or("--scan needs a value")?;
-                opts.scan = v
-                    .parse()
-                    .map_err(|_| format!("--scan: `{v}` is not a number"))?;
-            }
-            "--annotate" => {
-                let v = it.next().ok_or("--annotate needs a file path")?;
-                annotate = Some(v.clone());
-            }
-            "--tool" => {
-                let v = it.next().ok_or("--tool needs a spec")?;
-                opts.tool = Some(
-                    ToolSpec::parse(v)
-                        .map_err(|e| format!("--tool: invalid spec\n{}", e.render()))?,
-                );
-            }
-            "--timeline" => timeline = true,
-            "--diff" => diff = true,
-            "--csv" => csv = true,
-            other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
-            other => return Err(format!("explain: unexpected argument `{other}`")),
-        }
-    }
-    let Some(name) = name else {
-        return Err(
-            "usage: mtt explain <program> [--seed-fail N] [--seed-pass N] \
-             [--timeline] [--diff] [--annotate FILE] [--scan N] [--csv] [--tool SPEC]"
-                .into(),
-        );
-    };
-    let Some(p) = mtt_suite::by_name(&name) else {
-        return Err(format!("unknown program `{name}` — try `mtt list`"));
-    };
-    let (pool, journal) = g.journaled_pool("explain")?;
-    let e = explain::explain_on(&p, &opts, &pool)?;
-    journal.finish()?;
+    let annotate = a.value(&["--annotate"], "a file path")?;
+    let timeline = a.flag(&["--timeline"]);
+    let diff = a.flag(&["--diff"]);
+    let csv = a.flag(&["--csv"]);
+    let name = a.positional().ok_or(
+        "usage: mtt explain <program> [--seed-fail N] [--seed-pass N] \
+         [--timeline] [--diff] [--annotate FILE] [--scan N] [--csv] [--tool SPEC]",
+    )?;
+    a.finish()?;
+    let p = program(&name)?;
+    let e = g.journaled("explain", |pool| explain::explain_on(&p, &opts, pool))??;
     print!("{}", e.render_summary());
     if timeline || (!diff && !csv) {
         println!();
@@ -778,70 +786,44 @@ fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn trace_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: mtt trace-check <file.ndjson>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
+fn trace_check(mut a: Args) -> Result<ExitCode, String> {
+    let path = a
+        .positional()
+        .ok_or("usage: mtt trace-check <file.ndjson>")?;
+    a.finish()?;
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("mtt: read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match mtt_causal::check_annotated(&text) {
         Ok(n) => {
             println!("{path}: annotated trace conforms to the schema ({n} record(s))");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("{path}: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut timing = false;
-    let mut annotate_dir = None;
-    let mut chrome_path: Option<String> = None;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--timing" => timing = true,
-            "--annotate" => {
-                let v = it.next().ok_or("--annotate needs a directory")?;
-                annotate_dir = Some(v.clone());
-            }
-            "--chrome-trace" => {
-                let v = it.next().ok_or("--chrome-trace needs a file path")?;
-                chrome_path = Some(v.clone());
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let Some(key) = positional.first() else {
-        return Err(format!(
+fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
+    let csv = a.flag(&["--csv"]);
+    let timing = a.flag(&["--timing"]);
+    let annotate_dir = a.value(&["--annotate"], "a directory")?;
+    let chrome_path = a.value(&["--chrome-trace"], "a file path")?;
+    let key = a.positional().ok_or_else(|| {
+        format!(
             "usage: mtt profile <{}|all> [runs] [--csv] [--timing] [--annotate DIR] \
              [--chrome-trace FILE]",
             profile::PROFILE_KEYS.join("|")
-        ));
-    };
-    if g.resume {
-        // A profile needs full site maps, which the journal's 12-scalar
-        // metric summary cannot round-trip — so cached cells can't stand in
-        // for executed ones here.
-        return Err(
-            "--resume is not supported by `profile` (hot-site maps cannot be \
-             reconstructed from the journal); use e1/e1-detail, or drop --resume"
-                .into(),
-        );
-    }
-    let runs = arg_u64(&positional, 1, 20)?;
+        )
+    })?;
+    let runs = a.count(20)?;
+    a.finish()?;
     let keys: Vec<&str> = if key == "all" {
         profile::PROFILE_KEYS.to_vec()
     } else {
@@ -852,7 +834,9 @@ fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
     }
     let mut all_records = Vec::new();
     for key in keys {
-        let (sink, _) = g.open_journal(&format!("profile-{key}"))?;
+        // A profile needs full hot-site maps, which the journal's scalar
+        // metric summary cannot round-trip, so it never resumes.
+        let (sink, _) = g.open_journal(&format!("profile-{key}"), false)?;
         let opts = profile::ProfileOptions {
             runs,
             jobs: g.jobs,
@@ -864,7 +848,7 @@ fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
             journal: sink.clone(),
         };
         let report = profile::run_profile(key, &opts)?;
-        JournalGuard(sink).finish()?;
+        journal_written(&sink)?;
         if csv {
             print!("{}", report.to_csv());
         } else {
@@ -931,44 +915,24 @@ fn load_summaries(target: &str) -> Result<Vec<(PathBuf, StatusSummary)>, String>
         .collect()
 }
 
-fn status_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let Some(target) = args.first() else {
-        return Err("usage: mtt status <dir|file.ndjson>".into());
-    };
-    for (path, summary) in load_summaries(target)? {
+fn status_cmd(mut a: Args) -> Result<ExitCode, String> {
+    let target = a
+        .positional()
+        .ok_or("usage: mtt status <dir|file.ndjson>")?;
+    a.finish()?;
+    for (path, summary) in load_summaries(&target)? {
         print!("{}: {}", path.display(), summary.render());
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn watch_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let mut interval_ms: u64 = 1000;
-    let mut max_polls: u64 = u64::MAX;
-    let mut target: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--interval-ms" => {
-                let v = it.next().ok_or("--interval-ms needs a value")?;
-                interval_ms = v
-                    .parse()
-                    .map_err(|_| format!("--interval-ms: `{v}` is not a number"))?;
-            }
-            "--max-polls" => {
-                let v = it.next().ok_or("--max-polls needs a value")?;
-                max_polls = v
-                    .parse()
-                    .map_err(|_| format!("--max-polls: `{v}` is not a number"))?;
-            }
-            other if target.is_none() && !other.starts_with('-') => {
-                target = Some(other.to_string());
-            }
-            other => return Err(format!("watch: unexpected argument `{other}`")),
-        }
-    }
-    let Some(target) = target else {
-        return Err("usage: mtt watch <dir|file.ndjson> [--interval-ms N] [--max-polls N]".into());
-    };
+fn watch_cmd(mut a: Args) -> Result<ExitCode, String> {
+    let interval_ms = a.number(&["--interval-ms"])?.unwrap_or(1000);
+    let max_polls = a.number(&["--max-polls"])?.unwrap_or(u64::MAX);
+    let target = a
+        .positional()
+        .ok_or("usage: mtt watch <dir|file.ndjson> [--interval-ms N] [--max-polls N]")?;
+    a.finish()?;
     for poll in 0..max_polls {
         if poll > 0 {
             std::thread::sleep(Duration::from_millis(interval_ms));
@@ -987,11 +951,12 @@ fn watch_cmd(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::FAILURE)
 }
 
-fn journal_check(args: &[String]) -> Result<ExitCode, String> {
-    let Some(target) = args.first() else {
-        return Err("usage: mtt journal-check <dir|file.ndjson>".into());
-    };
-    for path in journal_files(target)? {
+fn journal_check(mut a: Args) -> Result<ExitCode, String> {
+    let target = a
+        .positional()
+        .ok_or("usage: mtt journal-check <dir|file.ndjson>")?;
+    a.finish()?;
+    for path in journal_files(&target)? {
         let parsed = mtt_obs::load_journal(&path)?;
         if parsed.tail_discarded {
             return Err(format!(
@@ -1014,56 +979,49 @@ fn journal_check(args: &[String]) -> Result<ExitCode, String> {
 /// the standard roster's canonical specs, describe one spec, or validate
 /// specs (from arguments or a file). Validation failures exit 2 with a
 /// column-pointing error, mirroring how the global `--tools` flag fails.
-fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut file: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--file" => {
-                let v = it.next().ok_or("tools: --file needs a path")?;
-                file = Some(v.clone());
-            }
-            other => rest.push(other.to_string()),
-        }
+fn tools_cmd(mut a: Args) -> Result<ExitCode, String> {
+    let file = a.value(&["--file"], "a file path")?;
+    let verb = a.positional().unwrap_or_else(|| "list".into());
+    if file.is_some() && verb != "validate" {
+        return Err(format!("tools {verb}: unexpected argument `--file`"));
     }
-    let verb = rest.first().map(String::as_str).unwrap_or("list");
-    match verb {
+    match verb.as_str() {
         "list" => {
+            let json = a.flag(&["--json"]);
+            a.finish()?;
             if json {
                 println!("{}", mtt_tools::catalog_json().dump());
-            } else {
-                println!(
-                    "component registry ({} components):\n",
-                    mtt_tools::catalog().len()
-                );
-                let mut kind = "";
-                for c in mtt_tools::catalog() {
-                    if c.kind.label() != kind {
-                        kind = c.kind.label();
-                        println!("{kind}:");
-                    }
-                    let params = c
-                        .params
-                        .iter()
-                        .map(|p| format!("{}={}", p.name, p.default))
-                        .collect::<Vec<_>>()
-                        .join(":");
-                    let head = if params.is_empty() {
-                        c.id.to_string()
-                    } else {
-                        format!("{}  [{params}]", c.id)
-                    };
-                    println!("  {head:<38} {}", c.summary);
-                }
-                println!("\nspec grammar: scheduler[:p...][+noise=id[:p...]][+place=id][+race=id][+deadlock=id][+cov=id][+spurious=p][+name=label]");
-                println!("standard roster: `mtt tools specs`");
+                return Ok(ExitCode::SUCCESS);
             }
+            println!(
+                "component registry ({} components):\n",
+                mtt_tools::catalog().len()
+            );
+            let mut kind = "";
+            for c in mtt_tools::catalog() {
+                if c.kind.label() != kind {
+                    kind = c.kind.label();
+                    println!("{kind}:");
+                }
+                let params = c
+                    .params
+                    .iter()
+                    .map(|p| format!("{}={}", p.name, p.default))
+                    .collect::<Vec<_>>()
+                    .join(":");
+                let head = if params.is_empty() {
+                    c.id.to_string()
+                } else {
+                    format!("{}  [{params}]", c.id)
+                };
+                println!("  {head:<38} {}", c.summary);
+            }
+            println!("\nspec grammar: scheduler[:p...][+noise=id[:p...]][+place=id][+race=id][+deadlock=id][+cov=id][+spurious=p][+name=label]");
+            println!("standard roster: `mtt tools specs`");
             Ok(ExitCode::SUCCESS)
         }
         "specs" => {
+            a.finish()?;
             for s in mtt_tools::STANDARD_ROSTER_SPECS {
                 let spec = ToolSpec::parse(s).expect("standard roster specs are valid");
                 println!("{}", spec.canonical());
@@ -1071,10 +1029,9 @@ fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "describe" => {
-            let Some(text) = rest.get(1) else {
-                return Err("usage: mtt tools describe <spec>".into());
-            };
-            let spec = match ToolSpec::parse(text) {
+            let text = a.positional().ok_or("usage: mtt tools describe <spec>")?;
+            a.finish()?;
+            let spec = match ToolSpec::parse(&text) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("{}", e.render());
@@ -1127,6 +1084,7 @@ fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         "validate" => {
             if let Some(path) = &file {
+                a.finish()?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("tools validate: read {path}: {e}"))?;
                 return match ToolSpec::parse_file(&text) {
@@ -1143,10 +1101,12 @@ fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
                     }
                 };
             }
-            if rest.len() < 2 {
+            let specs: Vec<String> = std::iter::from_fn(|| a.positional()).collect();
+            a.finish()?;
+            if specs.is_empty() {
                 return Err("usage: mtt tools validate <spec...> | --file FILE".into());
             }
-            for text in &rest[1..] {
+            for text in &specs {
                 match ToolSpec::parse(text) {
                     Ok(spec) => println!("{}", spec.canonical()),
                     Err(e) => {
@@ -1163,16 +1123,16 @@ fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn metrics_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: mtt metrics-check <file.ndjson>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
+fn metrics_check(mut a: Args) -> Result<ExitCode, String> {
+    let path = a
+        .positional()
+        .ok_or("usage: mtt metrics-check <file.ndjson>")?;
+    a.finish()?;
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("mtt: read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut checked = 0u64;
@@ -1182,177 +1142,28 @@ fn metrics_check(args: &[String]) -> ExitCode {
         }
         if let Err(msg) = check_run_log_line(line) {
             eprintln!("{path}:{}: {msg}", i + 1);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         checked += 1;
     }
     if checked == 0 {
         eprintln!("{path}: no run-log lines found");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("{path}: {checked} run-log line(s) conform to the schema");
-    ExitCode::SUCCESS
-}
-
-fn cloning(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("cloning")?;
-    println!("§2.3 cloning driver: P(cloned test fails)\n");
-    match &g.tools {
-        None => {
-            // The historical comparison: bare cloning vs sleep noise on top.
-            let noisy_spec =
-                ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid");
-            for clones in [1u32, 2, 4, 8] {
-                let plain = run_cloning_on(clones, runs, None, &pool);
-                let noisy = run_cloning_on(clones, runs, Some(&noisy_spec), &pool);
-                println!(
-                    "  {clones} clone(s):  plain {}   + sleep noise {}",
-                    plain.fail.render(),
-                    noisy.fail.render()
-                );
-            }
-        }
-        Some(specs) => {
-            for clones in [1u32, 2, 4, 8] {
-                let plain = run_cloning_on(clones, runs, None, &pool);
-                let mut line = format!("  {clones} clone(s):  plain {}", plain.fail.render());
-                for spec in specs {
-                    let r = run_cloning_on(clones, runs, Some(spec), &pool);
-                    line.push_str(&format!("   + {} {}", spec.display_name(), r.fail.render()));
-                }
-                println!("{line}");
-            }
-        }
-    }
-    journal.finish()?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e2(traces: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e2")?;
-    let programs = mtt_suite::quick_set();
-    let report = detector_eval::run_detector_eval_on(&programs, traces, &pool);
-    journal.finish()?;
-    println!("{}", report.table().render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e3(attempts: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e3")?;
-    let rows = replay_eval::run_replay_eval_on(attempts, &[0, 1, 4, 16], &pool);
-    journal.finish()?;
-    println!("{}", replay_eval::replay_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e4(program: Option<&str>, runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let name = program.unwrap_or("web_sessions");
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return Ok(ExitCode::from(2));
-    };
-    let (pool, journal) = g.journaled_pool("e4")?;
-    let curves = coverage_eval::run_coverage_eval_on(&p, runs, 0, &pool);
-    journal.finish()?;
-    println!("{}", coverage_eval::coverage_table(name, &curves).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e5(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e5")?;
-    let results = match g.resolved_tools()? {
-        Some(tools) => multiout_eval::run_multiout_eval_with(runs, 0, tools, &pool),
-        None => multiout_eval::run_multiout_eval_on(runs, 0, &pool),
-    };
-    journal.finish()?;
-    println!("{}", multiout_eval::multiout_table(&results).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e6(budget: u64, g: &Global) -> Result<ExitCode, String> {
-    let programs = vec![
-        mtt_suite::small::lost_update(2, 1),
-        mtt_suite::small::ab_ba(),
-        mtt_suite::small::check_then_act(),
-    ];
-    let (pool, journal) = g.journaled_pool("e6")?;
-    let rows = explore_eval::run_explore_eval_on(&programs, budget, &pool);
-    journal.finish()?;
-    println!("{}", explore_eval::explore_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e7(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e7")?;
-    let rows = static_eval::run_static_eval_on(runs, &pool);
-    journal.finish()?;
-    println!("{}", static_eval::static_table(&rows).render());
-    println!("{}", static_eval::class_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e10(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut opts = gen_eval::GenEvalOptions::default();
-    let mut csv = false;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            "--seed" | "--families" | "--runs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{a}: {e}"))?;
-                match a.as_str() {
-                    "--seed" => opts.seed = v,
-                    "--families" => opts.families = v,
-                    _ => opts.runs = v,
-                }
-            }
-            other => return Err(format!("e10: unknown argument `{other}`")),
-        }
-    }
-    let (pool, journal) = g.journaled_pool("e10")?;
-    let rows = gen_eval::run_gen_eval_on(&opts, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", gen_eval::gen_eval_json(&opts, &rows).dump());
-    } else if csv {
-        print!("{}", gen_eval::render_csv(&rows));
-    } else {
-        print!("{}", gen_eval::render_report(&rows));
-    }
     Ok(ExitCode::SUCCESS)
 }
 
 /// `mtt gen list|describe|dump`: inspect the generated population
 /// without scoring it. Generation is fast and serial, so no job pool.
-fn gen_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn gen_cmd(mut a: Args) -> Result<ExitCode, String> {
     let mut opts = mtt_gen::GenOptions::default();
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" | "--families" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{a}: {e}"))?;
-                if a == "--seed" {
-                    opts.seed = v;
-                } else {
-                    opts.families = v;
-                }
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let verb = positional.first().map(String::as_str).unwrap_or("list");
-    match verb {
+    opts.seed = a.number(&["--seed"])?.unwrap_or(opts.seed);
+    opts.families = a.number(&["--families"])?.unwrap_or(opts.families);
+    let verb = a.positional().unwrap_or_else(|| "list".into());
+    let id = if verb == "list" { None } else { a.positional() };
+    a.finish()?;
+    match verb.as_str() {
         "list" => {
             let mut t = mtt_experiment::Table::new(
                 format!("generated families (seed {}, {})", opts.seed, opts.families),
@@ -1372,26 +1183,22 @@ fn gen_cmd(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "describe" => {
-            let id = positional
-                .get(1)
-                .ok_or("gen describe needs a family id (see `mtt gen list`)")?;
-            let fam = mtt_gen::family_by_id(&opts, id)
+            let id = id.ok_or("gen describe needs a family id (see `mtt gen list`)")?;
+            let fam = mtt_gen::family_by_id(&opts, &id)
                 .ok_or_else(|| format!("no family `{id}` in the first {} draws", opts.families))?;
             print!("{}", fam.describe());
             Ok(ExitCode::SUCCESS)
         }
         "dump" => {
-            let id = positional
-                .get(1)
-                .ok_or("gen dump needs a family or member name")?;
+            let id = id.ok_or("gen dump needs a family or member name")?;
             for f in mtt_gen::generate_families(&opts) {
-                if f.id == *id {
+                if f.id == id {
                     for m in &f.members {
                         print!("{}", m.src);
                     }
                     return Ok(ExitCode::SUCCESS);
                 }
-                if let Some(m) = f.members.iter().find(|m| m.name == *id) {
+                if let Some(m) = f.members.iter().find(|m| m.name == id) {
                     print!("{}", m.src);
                     return Ok(ExitCode::SUCCESS);
                 }
@@ -1403,99 +1210,4 @@ fn gen_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         other => Err(format!("gen: unknown verb `{other}`")),
     }
-}
-
-fn e11(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 20)?;
-    let (pool, journal) = g.journaled_pool("e11")?;
-    let rows = scoreboard::run_scoreboard_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", scoreboard::scoreboard_json(&rows).dump());
-    } else if csv {
-        print!("{}", scoreboard::render_csv(&rows));
-    } else {
-        print!("{}", scoreboard::render_report(&rows));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e12(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 40)?;
-    let (pool, journal) = g.journaled_pool("e12")?;
-    let cells = saturation_eval::run_saturation_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", saturation_eval::saturation_json(&cells).dump());
-    } else if csv {
-        print!("{}", saturation_eval::render_csv(&cells));
-    } else {
-        print!("{}", saturation_eval::render_report(&cells));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e13(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut model_only = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            "--model-csv" => model_only = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    if g.backend.is_some() {
-        return Err(
-            "--backend is not supported by `e13` — the differential always runs both backends"
-                .to_string(),
-        );
-    }
-    let runs = arg_u64(&positional, 0, 12)?;
-    let (pool, journal) = g.journaled_pool("e13")?;
-    let cells = differential_eval::run_differential_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", differential_eval::differential_json(&cells).dump());
-    } else if model_only {
-        print!("{}", differential_eval::model_csv(&cells));
-    } else if csv {
-        print!("{}", differential_eval::render_csv(&cells));
-    } else {
-        print!("{}", differential_eval::render_report(&cells));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e8(seed: u64) -> ExitCode {
-    // E8 measures online vs offline *wall-clock* overhead: concurrent runs
-    // would contend with each other and poison the measurement, so it
-    // ignores --jobs on purpose.
-    let programs = mtt_suite::quick_set();
-    let rows = detector_eval::run_tradeoff_eval(&programs, seed);
-    println!("{}", detector_eval::tradeoff_table(&rows).render());
-    ExitCode::SUCCESS
 }

@@ -4,6 +4,8 @@
 //! tests assert that both the generated help and the README's command
 //! table cover every entry — so a new subcommand or flag that is added
 //! here (and only here) cannot silently drift out of the documentation.
+//! The binary also enforces which commands use each global flag
+//! ([`FlagSpec::used_by`]): the others reject it.
 
 /// One `mtt` subcommand.
 pub struct CommandSpec {
@@ -21,6 +23,9 @@ pub struct FlagSpec {
     pub flags: &'static str,
     /// One-line description.
     pub summary: &'static str,
+    /// The commands that use the flag; the others reject it (exit 2).
+    /// `None`: every command accepts it, because it never changes output.
+    pub used_by: Option<&'static [&'static str]>,
 }
 
 /// Every `mtt` subcommand, in help order.
@@ -142,7 +147,7 @@ pub const SUBCOMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "tools",
-        args: "[list|specs|describe <spec>|validate <spec...|--file F>] [--json]",
+        args: "[list [--json]|specs|describe <spec>|validate <spec...|--file F>]",
         summary: "the component registry: list, describe, and validate tool specs",
     },
     CommandSpec {
@@ -172,46 +177,96 @@ pub const SUBCOMMANDS: &[CommandSpec] = &[
     },
 ];
 
+/// Campaign-shaped commands: they journal content-addressed cells, so they
+/// alone can resume, and they take the campaign knobs.
+const CAMPAIGNS: &[&str] = &["e1", "e1-detail"];
+
+/// The commands whose tool roster `--tools`/`--tools-file` replaces.
+const ROSTERS: &[&str] = &["e1", "e1-detail", "profile", "e5", "cloning"];
+
+/// The commands that run on a job pool and journal it: every experiment
+/// but the serial E8, plus `explain` and `profile`.
+const JOURNALED: &[&str] = &[
+    "explain",
+    "e1",
+    "e1-detail",
+    "cloning",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e10",
+    "e11",
+    "e12",
+    "e13",
+    "profile",
+];
+
 /// Every global flag, in help order.
 pub const GLOBAL_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         flags: "--jobs N | -j N",
         summary: "worker threads (default: all cores; output is byte-identical for every N)",
+        used_by: None,
     },
     FlagSpec {
         flags: "--budget-ms N",
         summary: "per-run wall-clock budget (over-budget runs land in the timeouts column)",
+        used_by: Some(CAMPAIGNS),
     },
     FlagSpec {
         flags: "--quiet | -q",
         summary: "no progress line, no campaign summary",
+        used_by: None,
     },
     FlagSpec {
         flags: "--metrics FILE",
-        summary: "write an NDJSON run log (campaign-backed commands: e1, e1-detail, profile)",
+        summary: "write an NDJSON run log, one record per run",
+        used_by: Some(&["e1", "e1-detail", "profile"]),
     },
     FlagSpec {
         flags: "--tools SPEC[,SPEC...]",
-        summary: "replace the tool roster with parsed specs (e1, e1-detail, profile, e5, cloning)",
+        summary: "replace the tool roster with parsed specs",
+        used_by: Some(ROSTERS),
     },
     FlagSpec {
         flags: "--tools-file FILE",
         summary: "like --tools, one spec per line (# comments allowed)",
+        used_by: Some(ROSTERS),
     },
     FlagSpec {
         flags: "--journal DIR",
         summary: "append a durable NDJSON flight-recorder journal to DIR/<label>.ndjson",
+        used_by: Some(JOURNALED),
     },
     FlagSpec {
         flags: "--resume",
         summary: "with --journal: skip cells a previous journal completed (byte-identical output)",
+        used_by: Some(CAMPAIGNS),
     },
     FlagSpec {
         flags: "--backend model|native",
-        summary:
-            "execution engine: deterministic model (default) or real std::thread (e1, e1-detail)",
+        summary: "execution engine: deterministic model (default) or real std::thread",
+        used_by: Some(CAMPAIGNS),
     },
 ];
+
+/// The first global flag among `args` (by any of its spellings) that the
+/// subcommand `cmd` does not use. `None` for an unknown command, which
+/// fails on its own, and for `mtt all`, which applies each flag to the
+/// experiments that use it.
+pub fn unsupported_flag(cmd: &str, args: &[String]) -> Option<&'static str> {
+    if cmd == "all" || !SUBCOMMANDS.iter().any(|c| c.name == cmd) {
+        return None;
+    }
+    GLOBAL_FLAGS
+        .iter()
+        .filter(|f| f.used_by.is_some_and(|cmds| !cmds.contains(&cmd)))
+        .flat_map(|f| f.flags.split_whitespace().filter(|w| w.starts_with('-')))
+        .find(|name| args.iter().any(|a| a == name))
+}
 
 /// The `mtt help` text, generated from the tables above.
 pub fn usage() -> String {
@@ -246,17 +301,34 @@ pub fn usage() -> String {
             out.push_str(&format!("  mtt {head:width$}  {}\n", c.summary));
         }
     }
-    out.push_str("\nglobal flags:\n");
+    out.push_str(
+        "\nglobal flags (a command rejects a flag it does not use; \
+         `mtt all` applies each to the experiments that use it):\n",
+    );
     let fwidth = GLOBAL_FLAGS
         .iter()
         .map(|f| f.flags.len())
         .max()
         .unwrap_or(0);
     for f in GLOBAL_FLAGS {
-        out.push_str(&format!("  {:fwidth$}  {}\n", f.flags, f.summary));
+        out.push_str(&format!(
+            "  {:fwidth$}  {}\n  {:fwidth$}  {}\n",
+            f.flags,
+            f.summary,
+            "",
+            used_by_line(f)
+        ));
     }
     out.push_str("\nsee the crate docs (`cargo doc -p mtt-experiment`) for per-command details");
     out
+}
+
+/// The help line naming the commands that use flag `f`.
+fn used_by_line(f: &FlagSpec) -> String {
+    match f.used_by {
+        None => "used by every command".to_string(),
+        Some(cmds) => format!("used by {}", cmds.join(", ")),
+    }
 }
 
 #[cfg(test)]
@@ -281,6 +353,22 @@ mod tests {
         // existed in the binary but not in the help text.
         assert!(text.contains("--timing"));
         assert!(text.contains("--annotate"));
+    }
+
+    #[test]
+    fn unsupported_flag_follows_the_used_by_lists() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let e12 = args(&["e12", "4", "-j", "2", "-q", "--backend", "native"]);
+        assert_eq!(unsupported_flag("e12", &e12), Some("--backend"));
+        assert_eq!(unsupported_flag("e1", &e12), None);
+        assert_eq!(unsupported_flag("all", &e12), None);
+        assert_eq!(unsupported_flag("frobnicate", &e12), None);
+        // A typo in a `used_by` list would reject the flag everywhere.
+        for f in GLOBAL_FLAGS {
+            for cmd in f.used_by.unwrap_or(&[]) {
+                assert!(SUBCOMMANDS.iter().any(|c| c.name == *cmd), "{cmd}");
+            }
+        }
     }
 
     #[test]

@@ -49,15 +49,10 @@ pub struct CloningReport {
 }
 
 /// Run the cloned test `runs` times with the given clone count under the
-/// given tool stack (`None` = the bare `sticky:0.9` baseline). Only the
-/// spec's scheduler and noise components apply here; the cloning driver
-/// seeds the noise maker with the raw run seed, matching its historical
-/// behavior.
-pub fn run_cloning(clones: u32, runs: u64, tool: Option<&ToolSpec>) -> CloningReport {
-    run_cloning_on(clones, runs, tool, &JobPool::serial())
-}
-
-/// [`run_cloning`], sharding the seeded runs across a job pool.
+/// given tool stack (`None` = the bare `sticky:0.9` baseline), sharding the
+/// seeded runs across a job pool. Only the spec's scheduler and noise
+/// components apply here; the noise maker is seeded with the raw run seed,
+/// matching its historical behavior.
 pub fn run_cloning_on(
     clones: u32,
     runs: u64,
@@ -95,14 +90,14 @@ mod tests {
     #[test]
     fn sequential_test_passes() {
         // One clone = the original sequential test: always green.
-        let report = run_cloning(1, 20, None);
+        let report = run_cloning_on(1, 20, None, &JobPool::serial());
         assert_eq!(report.fail.rate(), 0.0);
     }
 
     #[test]
     fn cloning_exposes_contention_and_noise_helps_more() {
-        let two = run_cloning(2, 60, None);
-        let eight = run_cloning(8, 60, None);
+        let two = run_cloning_on(2, 60, None, &JobPool::serial());
+        let eight = run_cloning_on(8, 60, None, &JobPool::serial());
         assert!(
             eight.fail.rate() > two.fail.rate(),
             "more clones should fail more: 8clones={} 2clones={}",
@@ -110,7 +105,7 @@ mod tests {
             two.fail.rate()
         );
         let spec = ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").unwrap();
-        let noisy = run_cloning(2, 60, Some(&spec));
+        let noisy = run_cloning_on(2, 60, Some(&spec), &JobPool::serial());
         assert!(
             noisy.fail.rate() > two.fail.rate(),
             "noise on top of cloning should help: {} vs {}",

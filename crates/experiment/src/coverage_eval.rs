@@ -43,15 +43,12 @@ impl CoverageCurve {
 /// Run E4 on one program: execute `runs` seeded runs, tracking all four
 /// models simultaneously; compute per-model growth curves and the advisor's
 /// stopping point (window = 3, min runs = 2).
-pub fn run_coverage_eval(program: &SuiteProgram, runs: u64, base_seed: u64) -> Vec<CoverageCurve> {
-    run_coverage_eval_on(program, runs, base_seed, &JobPool::serial())
-}
-
-/// [`run_coverage_eval`] with the runs sharded across a job pool. The
-/// per-run coverage sets are computed in parallel; the *cumulative* fold —
-/// which is inherently ordered, because the growth curve and the advisor
-/// depend on what was already seen — happens afterwards in run order, so
-/// the curves are identical for any worker count.
+///
+/// The runs are sharded across a job pool. The per-run coverage sets are
+/// computed in parallel; the *cumulative* fold — which is inherently
+/// ordered, because the growth curve and the advisor depend on what was
+/// already seen — happens afterwards in run order, so the curves are
+/// identical for any worker count.
 pub fn run_coverage_eval_on(
     program: &SuiteProgram,
     runs: u64,
@@ -156,7 +153,7 @@ mod tests {
     #[test]
     fn coverage_curves_show_the_papers_shape() {
         let p = mtt_suite::small::lost_update(2, 2);
-        let curves = run_coverage_eval(&p, 15, 0);
+        let curves = run_coverage_eval_on(&p, 15, 0, &JobPool::serial());
         assert_eq!(curves.len(), 4);
         let by = |m: &str| curves.iter().find(|c| c.model == m).unwrap();
 

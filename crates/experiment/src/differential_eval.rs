@@ -199,11 +199,6 @@ fn intervals_overlap(a: &FindStats, b: &FindStats) -> bool {
     alo <= bhi && blo <= ahi
 }
 
-/// Run E13 serially.
-pub fn run_differential(runs: u64) -> Vec<DifferentialCell> {
-    run_differential_on(runs, &JobPool::serial())
-}
-
 /// Run E13, sharding one job per (program × tool) cell across `pool`.
 /// Model legs are seeded pure functions, so they merge back identical (and
 /// in grid order) at any worker count; native legs are real concurrency
@@ -403,7 +398,7 @@ mod tests {
 
     #[test]
     fn grid_covers_programs_times_roster_with_sane_statistics() {
-        let cells = run_differential(3);
+        let cells = run_differential_on(3, &JobPool::serial());
         assert_eq!(
             cells.len(),
             differential_programs().len() * DIFFERENTIAL_ROSTER_SPECS.len()
@@ -428,7 +423,7 @@ mod tests {
     fn benign_twin_is_clean_under_both_backends() {
         // The generated benign twin is race-free: no oracle hit and no
         // torn read under either engine, at any noise level.
-        let cells = run_differential(3);
+        let cells = run_differential_on(3, &JobPool::serial());
         let benign: Vec<_> = cells
             .iter()
             .filter(|c| c.program.ends_with("_ok"))

@@ -135,11 +135,6 @@ pub struct GenScoreRow {
     pub robust_total: u64,
 }
 
-/// Run E10 serially.
-pub fn run_gen_eval(opts: &GenEvalOptions) -> Vec<FamilyOutcomes> {
-    run_gen_eval_on(opts, &JobPool::serial())
-}
-
 /// Run E10, sharding one job per family across `pool`. `mtt_gen::family`
 /// is a pure function of `(seed, index)` and every execution inside a
 /// job is seeded, so rows come back identical (and in index order) at
@@ -497,7 +492,7 @@ mod tests {
 
     #[test]
     fn gen_eval_covers_every_family_and_tool() {
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         assert_eq!(rows.len(), 4);
         // Round-robin pattern order.
         assert_eq!(
@@ -522,7 +517,7 @@ mod tests {
         // The generator's proptests guarantee buggy members statically
         // exhibit their class and benign twins are diagnostic-free, so
         // the signature static rows must show zero FP and zero FN here.
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         for r in score_tools(&rows) {
             if r.kind == "static" {
                 assert_eq!(r.score.fp, 0, "{} fp", r.tool);
@@ -537,7 +532,7 @@ mod tests {
 
     #[test]
     fn dynamic_tools_score_within_their_class_scope() {
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         let by_tool = |name: &str| {
             score_tools(&rows)
                 .into_iter()

@@ -45,15 +45,10 @@ pub struct MultioutRow {
 }
 
 /// Run the multiout program `runs` times under each configuration and
-/// collect the outcome-signature distributions.
-pub fn run_multiout_eval(runs: u64, base_seed: u64) -> Vec<MultioutRow> {
-    run_multiout_eval_on(runs, base_seed, &JobPool::serial())
-}
-
-/// [`run_multiout_eval`], sharding the whole (configuration × seed) matrix
-/// across a job pool. Distributions are count maps, so folding the
-/// per-run signatures in canonical order reproduces the serial result
-/// exactly at any worker count.
+/// collect the outcome-signature distributions, sharding the whole
+/// (configuration × seed) matrix across a job pool. Distributions are count
+/// maps, so folding the per-run signatures in canonical order reproduces
+/// the serial result exactly at any worker count.
 pub fn run_multiout_eval_on(runs: u64, base_seed: u64, pool: &JobPool) -> Vec<MultioutRow> {
     run_multiout_eval_with(runs, base_seed, standard_configs(), pool)
 }
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn multiout_distributions_rank_as_expected() {
-        let results = run_multiout_eval(60, 11);
+        let results = run_multiout_eval_on(60, 11, &JobPool::serial());
         let by = |n: &str| {
             results
                 .iter()

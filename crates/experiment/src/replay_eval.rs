@@ -63,11 +63,6 @@ pub struct ReplayRow {
     pub log_bytes: u64,
 }
 
-/// Run E3 over `attempts` recorded executions per cell.
-pub fn run_replay_eval(attempts: u64, drifts: &[u32]) -> Vec<ReplayRow> {
-    run_replay_eval_on(attempts, drifts, &JobPool::serial())
-}
-
 /// One sharded (drift, attempt) record/playback experiment.
 struct AttemptResult {
     strict: bool,
@@ -76,10 +71,10 @@ struct AttemptResult {
     log_bytes: u64,
 }
 
-/// [`run_replay_eval`], sharding the (drift × attempt) matrix across a
-/// job pool. Each attempt records with its own seed and plays back
-/// deterministically, so the aggregated rows are identical for any worker
-/// count.
+/// Run E3 over `attempts` recorded executions per cell, sharding the (drift
+/// × attempt) matrix across a job pool. Each attempt records with its own
+/// seed and plays back deterministically, so the aggregated rows are
+/// identical for any worker count.
 pub fn run_replay_eval_on(attempts: u64, drifts: &[u32], pool: &JobPool) -> Vec<ReplayRow> {
     let original = drifted_program(0);
     let targets: Vec<Program> = drifts.iter().map(|&d| drifted_program(d)).collect();
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn replay_eval_shape_claims() {
-        let rows = run_replay_eval(12, &[0, 4]);
+        let rows = run_replay_eval_on(12, &[0, 4], &JobPool::serial());
         assert_eq!(rows.len(), 6);
         let get = |mode: &str, drift: u32| {
             rows.iter()

@@ -118,11 +118,6 @@ pub fn run_fingerprint(program: &Program, cfg: &ToolConfig, seed: u64, max_steps
     fp.to_hex()
 }
 
-/// Run E12 serially.
-pub fn run_saturation(runs: u64) -> Vec<SaturationCell> {
-    run_saturation_on(runs, &JobPool::serial())
-}
-
 /// Run E12, sharding one job per (program × tool) cell across `pool`.
 /// Every run inside a cell is seeded from the run index alone, so cells
 /// come back identical (and in grid order) at any worker count.
@@ -231,7 +226,7 @@ mod tests {
 
     #[test]
     fn grid_covers_programs_times_roster_and_curves_are_sane() {
-        let cells = run_saturation(8);
+        let cells = run_saturation_on(8, &JobPool::serial());
         assert_eq!(
             cells.len(),
             saturation_programs().len() * SATURATION_ROSTER_SPECS.len()
@@ -249,7 +244,7 @@ mod tests {
 
     #[test]
     fn fifo_is_fully_saturated_and_noise_expands_the_space() {
-        let cells = run_saturation(10);
+        let cells = run_saturation_on(10, &JobPool::serial());
         let cell = |tool: &str, program: &str| {
             cells
                 .iter()

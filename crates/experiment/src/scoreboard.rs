@@ -184,11 +184,6 @@ pub fn dynamic_warned(
     false
 }
 
-/// Run E11 serially.
-pub fn run_scoreboard(runs: u64) -> Vec<SampleOutcomes> {
-    run_scoreboard_on(runs, &JobPool::serial())
-}
-
 /// Run E11, sharding one job per MiniProg sample across `pool`. Every run
 /// inside a job is seeded from the run index alone, so rows come back
 /// identical (and in catalog order) at any worker count.
@@ -484,7 +479,7 @@ mod tests {
 
     #[test]
     fn scoreboard_covers_catalog_and_roster() {
-        let rows = run_scoreboard(8);
+        let rows = run_scoreboard_on(8, &JobPool::serial());
         assert_eq!(rows.len(), samples::catalog().len());
         for r in &rows {
             assert_eq!(r.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
@@ -498,7 +493,7 @@ mod tests {
 
     #[test]
     fn static_and_dynamic_tools_score_their_signature_bugs() {
-        let rows = run_scoreboard(12);
+        let rows = run_scoreboard_on(12, &JobPool::serial());
         let by_tool = |name: &str| {
             score_tools(&rows)
                 .into_iter()

@@ -97,8 +97,22 @@ fn help_covers_the_whole_cli_surface() {
             c.name
         );
     }
+    let lines: Vec<&str> = stdout.lines().collect();
     for f in mtt_experiment::cli_spec::GLOBAL_FLAGS {
-        assert!(stdout.contains(f.flags), "help missing flag `{}`", f.flags);
+        // The flag's line, then the line naming the commands that use it.
+        let at = lines
+            .iter()
+            .position(|l| l.trim_start().starts_with(f.flags))
+            .unwrap_or_else(|| panic!("help missing flag `{}`", f.flags));
+        let users = f
+            .used_by
+            .map_or("every command".to_string(), |c| c.join(", "));
+        assert_eq!(
+            lines[at + 1].trim(),
+            format!("used by {users}"),
+            "{}",
+            f.flags
+        );
     }
     assert!(stdout.contains("--timing"), "profile --timing documented");
 }
@@ -374,6 +388,26 @@ fn lint_deny_gates_with_exit_3() {
 }
 
 #[test]
+fn lint_reports_a_non_ascii_character_as_a_parse_error() {
+    // Regression: a multibyte character outside a comment used to panic
+    // the lexer (exit 101) instead of failing the parse (exit 1).
+    let path = std::env::temp_dir().join(format!("mtt-lint-utf8-{}.mp", std::process::id()));
+    std::fs::write(
+        &path,
+        "shared x = 0;\nthread t {\n  x = 1; // café\n  x = é;\n}\n",
+    )
+    .unwrap();
+    let (_, stderr, code) = mtt_code(&["lint", &path.to_string_lossy()]);
+    assert_eq!(code, 1, "stderr: {stderr}");
+    assert!(stderr.contains("parse error"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 4: unexpected character `é`"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn e10_rejects_malformed_seed_and_families_with_exit_2() {
     // The usage-error convention on the generator flags: a value that does
     // not parse as a number is exit 2 with a clean message, never a panic
@@ -515,4 +549,80 @@ fn path_flags_reject_flag_shaped_arguments() {
     assert_eq!(code, 2, "stderr: {stderr}");
     assert!(stderr.contains("--metrics needs a file path"), "{stderr}");
     assert!(!std::path::Path::new("--journal").exists());
+
+    let (_, stderr, code) = mtt_code(&["e1", "2", "--tools-file", "--quiet"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(
+        stderr.contains("--tools-file needs a file path"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn unused_arguments_and_flags_are_usage_errors() {
+    // Each input used to be partly ignored: a second target, a global flag
+    // the command does not use, a misspelled or unoffered format flag, an
+    // extra positional. Now each exits 2 and names what it did not use.
+    let dir = std::env::temp_dir().join(format!("mtt-cli-unused-{}", std::process::id()));
+    let journal = dir.join("journal");
+    let run_log = dir.join("run.ndjson");
+    let (journal_s, run_log_s) = (journal.to_string_lossy(), run_log.to_string_lossy());
+    let (_, stderr, code) = mtt_code(&[
+        "e1-detail",
+        "lost_update",
+        "2",
+        "--quiet",
+        "--journal",
+        &journal_s,
+        "--metrics",
+        &run_log_s,
+    ]);
+    assert_eq!(code, 0, "valid journal and run log first: {stderr}");
+    let metrics = dir.join("e11-metrics.ndjson");
+    let e8_journal = dir.join("e8-journal");
+    let (metrics_s, e8_journal_s) = (metrics.to_string_lossy(), e8_journal.to_string_lossy());
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["journal-check", &journal_s, "/nonexistent"],
+            "/nonexistent",
+        ),
+        (
+            &["metrics-check", &run_log_s, "/nonexistent"],
+            "/nonexistent",
+        ),
+        (&["e12", "4", "--backend", "native"], "--backend"),
+        (&["e12", "4", "--tools", "fifo"], "--tools"),
+        (&["e11", "4", "--metrics", &metrics_s], "--metrics"),
+        (&["e11", "4", "--jsno"], "--jsno"),
+        (&["e5", "4", "--csv"], "--csv"),
+        (&["e2", "2", "--budget-ms", "1"], "--budget-ms"),
+        (&["e8", "--journal", &e8_journal_s], "--journal"),
+        (&["profile", "e3", "2", "--csvv"], "--csvv"),
+        (&["run", "lost_update", "1", "extra"], "extra"),
+        (&["status", &journal_s, "extra"], "extra"),
+    ];
+    for (args, offender) in cases {
+        let cmd = args.join(" ");
+        let (_, stderr, code) = mtt_code(args);
+        assert_eq!(
+            code, 2,
+            "`mtt {cmd}` must be a usage error; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(offender),
+            "`mtt {cmd}` must name `{offender}`: {stderr}"
+        );
+    }
+    // A rejected --metrics or --journal writes nothing.
+    assert!(
+        !metrics.exists(),
+        "rejected --metrics created {}",
+        metrics.display()
+    );
+    assert!(
+        !e8_journal.exists(),
+        "rejected --journal created {}",
+        e8_journal.display()
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

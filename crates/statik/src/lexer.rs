@@ -124,27 +124,24 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             i = j + 1;
             continue;
         }
-        // Two-char punctuation first.
-        if i + 1 < bytes.len() {
-            let two = &src[i..i + 2];
-            if let Some(p) = PUNCTS2.iter().find(|p| **p == two) {
-                out.push(Token {
-                    tok: Tok::Punct(p),
-                    line,
-                });
-                i += 2;
-                continue;
-            }
-        }
-        let one = &src[i..i + 1];
-        if let Some(p) = PUNCTS1.iter().find(|p| **p == one) {
+        // Punctuation, two-char first. Compared on bytes: `i` may start a
+        // multibyte character, which slicing `src` there would split.
+        if let Some(p) = PUNCTS2
+            .iter()
+            .chain(PUNCTS1)
+            .find(|p| bytes[i..].starts_with(p.as_bytes()))
+        {
             out.push(Token {
                 tok: Tok::Punct(p),
                 line,
             });
-            i += 1;
+            i += p.len();
             continue;
         }
+        let c = src[i..]
+            .chars()
+            .next()
+            .expect("i is a char boundary below len");
         return Err(LexError {
             line,
             msg: format!("unexpected character `{c}`"),
@@ -231,5 +228,18 @@ mod tests {
         let e = lex("a\nb\n@").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.msg.contains('@'));
+    }
+
+    #[test]
+    fn non_ascii_character_is_an_error_not_a_panic() {
+        // Two-, three- and four-byte characters, alone and before `=`.
+        for c in ['é', '€', '𝄞'] {
+            for src in [format!("x = 1;\n{c}"), format!("{c}="), format!("a {c}")] {
+                let e = lex(&src).unwrap_err();
+                assert_eq!(e.msg, format!("unexpected character `{c}`"), "{src:?}");
+            }
+        }
+        // In comments and string literals they are fine.
+        assert!(lex("// café\nassert x : \"naïve €\";").is_ok());
     }
 }
