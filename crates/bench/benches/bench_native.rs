@@ -3,24 +3,94 @@
 //! (global sequence numbers through one atomic, `RaceCell` shadow writes)
 //! add on top of raw thread spawn/join? The ratio is the price E13 pays
 //! per differential cell, and the budget `mtt e13` wall-clock scales with.
+//!
+//! The `handoff_sweep` group measures the model engine's handoff as the
+//! thread count grows: a context switch should cost the same at 3 threads
+//! as at 129.
 
-use criterion::{black_box, Criterion};
+use criterion::{black_box, Criterion, Throughput};
 use mtt_bench::quick_criterion;
-use mtt_core::runtime::{Execution, RuntimeBackend};
+use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, ThreadId};
 use mtt_core::suite;
 use mtt_core::tools::ToolConfig;
+use std::time::Instant;
 
 const MAX_STEPS: u64 = 60_000;
 
-/// One seeded run of `lost_update` on the given backend — the E13 kernel
-/// with the campaign-standard step budget and a short native watchdog.
-fn one_run(cfg: &ToolConfig, seed: u64) -> mtt_core::runtime::Outcome {
-    let p = suite::small::lost_update(2, 2);
-    let mut exec = cfg.configure(Execution::new(&p.program), seed, MAX_STEPS);
+/// One seeded run of `p` on the tool's backend, with the campaign-standard
+/// step budget and a short native watchdog.
+fn run_program(cfg: &ToolConfig, p: &Program, seed: u64) -> mtt_core::runtime::Outcome {
+    let mut exec = cfg.configure(Execution::new(p), seed, MAX_STEPS);
     if cfg.backend.is_native() {
         exec = exec.wall_budget(std::time::Duration::from_secs(5));
     }
     exec.run()
+}
+
+/// One seeded run of `lost_update` on the given backend — the E13 kernel.
+fn one_run(cfg: &ToolConfig, seed: u64) -> mtt_core::runtime::Outcome {
+    run_program(cfg, &suite::small::lost_update(2, 2).program, seed)
+}
+
+/// The sweep's program: `workers` threads each take one lock four times to
+/// read and write one counter, and main joins them.
+fn locked_counter(workers: u32) -> Program {
+    let mut b = ProgramBuilder::new("locked_counter");
+    let x = b.var("x", 0);
+    let l = b.lock("l");
+    b.entry(move |ctx| {
+        let kids: Vec<ThreadId> = (0..workers)
+            .map(|i| {
+                ctx.spawn(format!("w{i}"), move |ctx| {
+                    for _ in 0..4 {
+                        ctx.lock(l);
+                        let v = ctx.read(x);
+                        ctx.write(x, v + 1);
+                        ctx.unlock(l);
+                    }
+                })
+            })
+            .collect();
+        for k in kids {
+            ctx.join(k);
+        }
+    });
+    b.build()
+}
+
+/// Time per run and per context switch of [`locked_counter`] under
+/// `sticky:0.9` at 3, 9, 33 and 129 threads (main included). A calibration
+/// pass over fixed seeds prints both figures and sets the group's
+/// throughput to the mean context switches per run, so Criterion's
+/// `thrpt` line reads as switches per second.
+fn handoff_sweep(c: &mut Criterion) {
+    let cfg = ToolConfig::from_spec_str("sticky:0.9").expect("valid spec");
+    let mut g = c.benchmark_group("handoff_sweep");
+    for workers in [2, 8, 32, 128] {
+        let p = locked_counter(workers);
+        let threads = workers + 1;
+        let runs = 32;
+        let start = Instant::now();
+        let switches: u64 = (1..=runs)
+            .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
+            .sum();
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        println!(
+            "handoff_sweep threads={threads}: {:.1} us/run, {:.2} us/switch, {:.1} switches/run",
+            us / runs as f64,
+            us / switches.max(1) as f64,
+            switches as f64 / runs as f64,
+        );
+        g.throughput(Throughput::Elements(switches / runs));
+        g.bench_function(format!("threads_{threads}"), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                black_box(run_program(&cfg, &p, seed))
+            })
+        });
+    }
+    g.finish();
 }
 
 fn roster() -> (ToolConfig, ToolConfig) {
@@ -116,6 +186,7 @@ fn write_smoke_json() {
 fn main() {
     let mut c = quick_criterion();
     bench(&mut c);
+    handoff_sweep(&mut c);
     c.final_summary();
     write_smoke_json();
 }

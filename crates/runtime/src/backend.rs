@@ -4,7 +4,8 @@
 //! The model backend (the default) serializes all program activity through
 //! a token-passing controller: executions are deterministic functions of the
 //! scheduler's decisions, which is what replay, systematic exploration and
-//! byte-stable experiment reports are built on.
+//! byte-stable experiment reports are built on. Each scheduling point wakes
+//! only the thread the scheduler picked.
 //!
 //! The native backend runs the *same* program closures on real
 //! `std::thread`s over real atomics. Nothing serializes program steps, so
@@ -29,6 +30,11 @@
 //! tail (a scheduling point, or noise applied with real thread primitives),
 //! and run setup and teardown (token handoff, or the watchdog). Both
 //! produce the same [`crate::Outcome`] shape.
+//!
+//! Both engines also share one parking mechanism: every thread waits on a
+//! slot of its own, and whoever may let it run wakes exactly that slot —
+//! the model's scheduler its pick, a native transition the waiters it
+//! readied. Both run their threads on OS threads reused across runs.
 
 /// Which execution engine an [`crate::Execution`] uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

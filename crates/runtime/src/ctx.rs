@@ -48,6 +48,10 @@ fn misuse(msg: String) -> ! {
 
 /// Handle through which a model thread performs all shared-memory and
 /// synchronization operations.
+///
+/// A model thread may run on an OS thread that earlier runs used (under
+/// either backend), so program code must not keep thread-local state
+/// between runs: keep it in the program's variables or in captured values.
 pub struct ThreadCtx {
     run: Arc<Run>,
     me: ThreadId,

@@ -12,8 +12,9 @@
 //!
 //! * **values** — the model store with its weak-visibility cache, versus
 //!   atomics and `RaceCell`s accessed *outside* the bookkeeping lock;
-//! * **parking** a thread (`Run::park`) — until it holds the execution
-//!   token, versus until its own status stops being `Blocked`/`Sleeping`;
+//! * **parking** a thread on its own slot (`Run::park`) — until it holds
+//!   the execution token, versus until its own status stops being
+//!   `Blocked`/`Sleeping`;
 //! * **sleeping** — virtual ticks fast-forwarded by the scheduler, versus a
 //!   real timed park (`ctx.sleep(1)` = 100µs);
 //! * the **step tail** (`Run::step`) — a model scheduling point, versus
@@ -23,12 +24,14 @@
 //!
 //! ## How control flows in the model engine
 //!
-//! Each model thread is an OS thread parked on the run's condition
-//! variable. Exactly one model thread holds the *execution token*
+//! Each model thread runs on an OS thread and parks on its own slot.
+//! Exactly one model thread holds the *execution token*
 //! (`ModelState::current`); it runs program code until its next `ThreadCtx`
 //! operation, which (under the mutex) mutates the model, emits events,
 //! consults the noise maker, asks the scheduler to pick the next token
-//! holder, wakes everyone, and parks until the token comes back.
+//! holder, wakes that thread alone (nobody when the same thread continues),
+//! and parks until the token comes back. A step therefore costs the same
+//! whether two threads or two hundred are parked.
 //!
 //! Because the mutex serializes all of this and only the token holder
 //! executes program code, an execution is a deterministic function of
@@ -42,6 +45,18 @@
 //! parked thread is woken and unwinds with a private `AbortToken` panic
 //! payload (whose printing is suppressed by a process-wide hook), and the
 //! harness thread collects the [`Outcome`].
+//!
+//! ## OS threads are reused
+//!
+//! Model threads run on *workers*: OS threads kept on a process-wide idle
+//! list between runs. [`launch`] hands a body to an idle worker and spawns
+//! one only when none is idle. A worker goes back on the idle list before
+//! its run can see that it has left, and teardown waits for every thread of
+//! the run to leave rather than joining OS threads. So back-to-back runs
+//! reuse the same workers, and the process never holds more OS threads than
+//! the peak number of model threads alive at once. A worker may drop the
+//! last reference to a run after [`Execution::run`] has returned, which is
+//! why the run drops its scheduler, noise maker and sinks itself.
 
 use crate::ctx::ThreadCtx;
 use crate::native::{NativeMem, DEFAULT_NATIVE_BUDGET};
@@ -58,8 +73,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Panic payload used to unwind program threads when an execution aborts.
 pub(crate) struct AbortToken;
@@ -156,10 +170,11 @@ pub(crate) struct Book {
     /// Native engine: with no scheduler to count scheduling points, every
     /// event counts against `max_steps`, before it is dispatched.
     steps_per_event: bool,
-    /// OS threads spawned and not yet returned from [`thread_main`]; the
-    /// native teardown waits for this to drain.
+    /// Threads launched that have not left the run yet; teardown waits for
+    /// this to drain.
     pub live: u32,
-    pub os_handles: Vec<JoinHandle<()>>,
+    /// The worker each thread runs on, indexed by thread: its parking slot.
+    workers: Vec<Arc<Worker>>,
     last_event: Option<Event>,
     seq: u64,
     labels: Vec<String>,
@@ -315,6 +330,9 @@ impl Book {
     /// must already reflect the operation's effect (Ready / Blocked /
     /// Sleeping / Finished).
     fn schedule_next(&mut self, prev: Option<ThreadId>, forced_yield: bool) {
+        // Only the native engine wakes readied threads; the model wakes its
+        // pick.
+        self.model.readied.clear();
         if !self.count_step() {
             return;
         }
@@ -387,10 +405,8 @@ pub(crate) enum Engine {
 /// The shared handle of one execution, held by every thread's context.
 pub(crate) struct Run {
     pub book: Mutex<Book>,
-    /// Model: every thread parks here for the token. Native: blocked and
-    /// sleeping threads park here.
-    pub cv: Condvar,
-    /// Wakes the native watchdog: blocking, finishing and aborting signal it.
+    /// Wakes the harness thread: the model harness waits here for the run's
+    /// threads to leave, the native watchdog also for blocks and finishes.
     pub dog: Condvar,
     pub engine: Engine,
 }
@@ -470,9 +486,10 @@ impl Run {
         }
     }
 
-    /// Park `me` until it may run: the model waits for the execution token,
-    /// the native engine until `me`'s status is neither `Blocked` nor
-    /// `Sleeping`. Unwinds on abort; returns with `me` `Running`.
+    /// Park `me` on its own slot until it may run: the model waits for the
+    /// execution token, the native engine until `me`'s status is neither
+    /// `Blocked` nor `Sleeping`. Unwinds on abort; returns with `me`
+    /// `Running`.
     pub fn park(&self, g: &mut Guard<'_>, me: ThreadId) {
         match &self.engine {
             Engine::Model => loop {
@@ -482,22 +499,35 @@ impl Run {
                 {
                     return;
                 }
-                self.cv.wait(g);
+                self.wait(g, me, None);
             },
             Engine::Native(n) => n.park(self, g, me),
         }
     }
 
+    /// Wait on `me`'s own slot until someone wakes it or `timeout` passes.
+    /// Callers re-check their condition: a wake may be stale.
+    pub fn wait(&self, g: &mut Guard<'_>, me: ThreadId, timeout: Option<Duration>) {
+        let worker = Arc::clone(&g.workers[me.index()]);
+        match timeout {
+            Some(t) => {
+                let _ = worker.slot.wait_for(g, t);
+            }
+            None => worker.slot.wait(g),
+        }
+    }
+
     /// Let others run once `me` has blocked, slept or finished: the model
-    /// schedules the next token holder; the native engine wakes the threads
-    /// this op readied, and the watchdog, which re-checks for deadlock.
+    /// schedules the next token holder and wakes it; the native engine
+    /// wakes the threads this op readied, and the watchdog, which re-checks
+    /// for deadlock.
     pub fn hand_off(&self, g: &mut Guard<'_>, me: ThreadId) {
         match &self.engine {
             Engine::Model => {
                 if !g.completed {
                     g.schedule_next(Some(me), false);
                 }
-                self.cv.notify_all();
+                self.wake_pick(g, Some(me));
             }
             Engine::Native(_) => {
                 self.wake_readied(g);
@@ -537,14 +567,16 @@ impl Run {
                     t.status = Status::Ready;
                 }
                 g.schedule_next(Some(me), nd == NoiseDecision::Yield);
-                self.cv.notify_all();
+                self.wake_pick(&g, Some(me));
                 self.park(&mut g, me);
             }
             Engine::Native(_) => {
-                self.wake_readied(&mut g);
-                self.park(&mut g, me);
+                // Decide before parking: a sleep releases the lock, after
+                // which `last_event` may be another thread's.
                 let yield_now = nd == NoiseDecision::Yield
                     || matches!(&g.last_event, Some(ev) if ev.op == Op::Yield);
+                self.wake_readied(&mut g);
+                self.park(&mut g, me);
                 drop(g);
                 if yield_now {
                     std::thread::yield_now();
@@ -557,36 +589,128 @@ impl Run {
     /// parked thread and the harness.
     pub fn abort(&self, g: &mut Book, kind: OutcomeKind) {
         g.do_abort(kind);
-        self.wake_all();
+        self.wake_all(g);
     }
 
-    /// Wake every parked thread and the watchdog.
-    pub fn wake_all(&self) {
-        self.cv.notify_all();
+    /// Wake every parked thread and the harness.
+    pub fn wake_all(&self, g: &Book) {
+        for w in &g.workers {
+            w.slot.notify_one();
+        }
         self.dog.notify_all();
     }
 
-    /// Native engine: wake parked threads if a transition readied one.
+    /// Model engine, after a scheduling point: wake the scheduler's pick,
+    /// unless it is `me`, which is awake already. An abort wakes everyone
+    /// to unwind; on completion the threads leave without waking anyone.
+    fn wake_pick(&self, g: &Book, me: Option<ThreadId>) {
+        if g.abort.is_some() {
+            self.wake_all(g);
+        } else if let Some(pick) = g.model.current.filter(|&p| Some(p) != me) {
+            g.workers[pick.index()].slot.notify_one();
+        }
+    }
+
+    /// Native engine: wake exactly the threads a transition readied.
     fn wake_readied(&self, g: &mut Book) {
-        if std::mem::take(&mut g.model.woke) {
-            self.cv.notify_all();
+        for t in g.model.readied.drain(..) {
+            g.workers[t.index()].slot.notify_one();
         }
     }
 }
 
-/// Register a new thread named `name` and start its OS thread.
+/// Register a new thread named `name` and start it on a worker.
 pub(crate) fn launch(run: &Arc<Run>, g: &mut Book, name: String, body: Body) -> ThreadId {
     let me = ThreadId(g.model.threads.len() as u32);
     g.model.threads.push(ThreadState::new(name));
     g.stats.threads += 1;
     g.live += 1;
     let run = Arc::clone(run);
-    let handle = std::thread::Builder::new()
-        .name(format!("mtt-{}", me.0))
-        .spawn(move || thread_main(run, me, body))
-        .expect("failed to spawn model thread");
-    g.os_handles.push(handle);
+    g.workers.push(Worker::hire(Job { run, me, body }));
     me
+}
+
+/// Thread `me` of `run`, with its body: what a worker runs.
+struct Job {
+    run: Arc<Run>,
+    me: ThreadId,
+    body: Body,
+}
+
+/// An OS thread that runs model threads one after another, for any run in
+/// the process, and waits on [`IDLE`] in between. Workers are never joined:
+/// they live as long as the process, and one whose OS thread dies still
+/// leaves its run (see [`Leave`]).
+struct Worker {
+    /// The thread handed over by [`launch`], taken when the worker starts it.
+    job: Mutex<Option<Job>>,
+    /// Wakes the idle worker once `job` is set.
+    hired: Condvar,
+    /// The parking slot of the thread it runs: that thread waits here, with
+    /// its run's book locked, until it may run.
+    slot: Condvar,
+}
+
+/// Idle workers, shared by every run in the process.
+static IDLE: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
+
+impl Worker {
+    /// Hand `job` to an idle worker, or to a new one when none is idle.
+    fn hire(job: Job) -> Arc<Worker> {
+        let idle = IDLE.lock().pop();
+        let w = idle.unwrap_or_else(Worker::spawn);
+        *w.job.lock() = Some(job);
+        w.hired.notify_one();
+        w
+    }
+
+    /// Start an OS thread that runs every job handed to it.
+    fn spawn() -> Arc<Worker> {
+        let w = Arc::new(Worker {
+            job: Mutex::new(None),
+            hired: Condvar::new(),
+            slot: Condvar::new(),
+        });
+        let worker = Arc::clone(&w);
+        std::thread::Builder::new()
+            .name("mtt-worker".to_string())
+            .spawn(move || loop {
+                let job = {
+                    let mut j = worker.job.lock();
+                    loop {
+                        match j.take() {
+                            Some(job) => break job,
+                            None => worker.hired.wait(&mut j),
+                        }
+                    }
+                };
+                thread_main(&worker, job);
+            })
+            .expect("failed to spawn model thread");
+        w
+    }
+}
+
+/// Signals that a thread left its run, also on an unexpected unwind: its
+/// worker goes back on the idle list first (unless the OS thread is dying),
+/// then the run's `live` count drops and, once the harness has something
+/// to do, the harness wakes.
+struct Leave<'a> {
+    worker: &'a Arc<Worker>,
+    run: &'a Run,
+}
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            IDLE.lock().push(Arc::clone(self.worker));
+        }
+        let mut g = self.run.book.lock();
+        g.live -= 1;
+        if g.live == 0 || g.abort.is_some() {
+            self.run.dog.notify_all();
+        }
+    }
 }
 
 /// The message of a program thread's panic payload.
@@ -602,8 +726,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Body run by each program thread's OS thread, under either engine.
-fn thread_main(run: Arc<Run>, me: ThreadId, body: Body) {
+/// Run one program thread on `worker`, under either engine.
+fn thread_main(worker: &Arc<Worker>, Job { run, me, body }: Job) {
+    let _leave = Leave { worker, run: &run };
     // Wait until allowed to run, then announce ThreadStart.
     let started = panic::catch_unwind(AssertUnwindSafe(|| {
         let mut g = run.book();
@@ -637,8 +762,6 @@ fn thread_main(run: Arc<Run>, me: ThreadId, body: Body) {
             Err(_) => {} // cooperative teardown
         }
     }
-    run.book.lock().live -= 1;
-    run.dog.notify_all();
 }
 
 /// Builder-style handle for running one execution of a [`Program`].
@@ -781,7 +904,7 @@ impl<'p> Execution<'p> {
             tick: if native { 100 } else { 1 },
             steps_per_event: native,
             live: 0,
-            os_handles: Vec::new(),
+            workers: Vec::new(),
             last_event: None,
             seq: 0,
             labels: Vec::new(),
@@ -799,13 +922,12 @@ impl<'p> Execution<'p> {
         };
         let run = Arc::new(Run {
             book: Mutex::new(book),
-            cv: Condvar::new(),
             dog: Condvar::new(),
             engine,
         });
 
-        // Launch the main thread, then wait for the run to end.
-        let handles = {
+        // Launch the main thread, then wait for the run's threads to leave.
+        {
             let mut g = run.book.lock();
             let entry = self.program.entry();
             launch(
@@ -817,30 +939,30 @@ impl<'p> Execution<'p> {
             match &run.engine {
                 Engine::Model => {
                     g.schedule_next(None, false);
-                    run.cv.notify_all();
-                    while !(g.completed || g.abort.is_some()) {
-                        run.cv.wait(&mut g);
+                    run.wake_pick(&g, None);
+                    // The run ends by completion or abort; either way every
+                    // thread then leaves.
+                    while g.live > 0 {
+                        run.dog.wait(&mut g);
                     }
-                    // In case of abort, make sure every parked thread re-checks.
-                    run.cv.notify_all();
-                    std::mem::take(&mut g.os_handles)
                 }
                 Engine::Native(mem) => {
                     drop(g);
                     let budget = self.opts.wall_budget.unwrap_or(DEFAULT_NATIVE_BUDGET);
-                    mem.supervise(&run, budget)
+                    mem.supervise(&run, budget);
                 }
             }
-        };
-        for h in handles {
-            let _ = h.join();
         }
 
-        // Assemble the outcome.
+        // Assemble the outcome. The tools go first: a worker may drop the
+        // last reference to the run after this returns.
         let mut g = run.book();
         for s in &mut g.sinks {
             s.finish();
         }
+        g.sinks.clear();
+        g.scheduler = Box::new(FifoScheduler);
+        g.noise = Box::new(NoNoise);
         let kind = g.abort.take().unwrap_or(OutcomeKind::Completed);
         let mut assert_failures = std::mem::take(&mut g.assert_failures);
         for (var, &(thread, loc)) in &g.torn {

@@ -14,10 +14,11 @@
 //!   reported as a synthetic assertion failure labelled
 //!   `race:torn-read:<var>`, so `Outcome::ok()` and every downstream oracle
 //!   treat a physically manifested race like a failed executable assertion.
-//! * **Parking** ([`NativeMem::park`]): a blocked thread waits on the run's
-//!   condition variable until its *own* status stops being `Blocked` — the
-//!   shared transitions set waiters `Ready` — its timed-wait or sleep
-//!   deadline passes, or the run aborts. It never re-checks on a timer.
+//! * **Parking** ([`NativeMem::park`]): a blocked thread waits on its own
+//!   slot until its *own* status stops being `Blocked` — the shared
+//!   transitions set waiters `Ready` and list them, and the step tail wakes
+//!   exactly those — its timed-wait or sleep deadline passes, or the run
+//!   aborts. It never re-checks on a timer.
 //! * **Time is wall-clock.** `Event::time` is microseconds since the run
 //!   started; `ctx.sleep(ticks)` and noise sleeps park for `ticks × 100µs`;
 //!   a noise `Yield` is `thread::yield_now`.
@@ -41,14 +42,13 @@ use mtt_instrument::{ThreadId, VarId};
 use mtt_race::RaceCell;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Wall budget when the caller did not set one. Native runs can hang, so
 /// there is always *some* watchdog deadline.
 pub(crate) const DEFAULT_NATIVE_BUDGET: Duration = Duration::from_secs(10);
 /// How long teardown waits for live threads after completion or abort
-/// before detaching the stragglers.
+/// before leaving the stragglers behind.
 const TEARDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// Physical storage for one shared variable.
@@ -136,9 +136,9 @@ impl NativeMem {
                     if g.model.wake_if_due(me, now) {
                         continue;
                     }
-                    let _ = run.cv.wait_for(g, Duration::from_micros(at - now));
+                    run.wait(g, me, Some(Duration::from_micros(at - now)));
                 }
-                Status::Blocked(_) => run.cv.wait(g),
+                Status::Blocked(_) => run.wait(g, me, None),
                 _ => break,
             }
             g.model.time = self.now();
@@ -148,11 +148,11 @@ impl NativeMem {
 
     /// The watchdog, run on the harness thread: end the run at the wall
     /// budget or as soon as the shared deadlock rule holds, then give live
-    /// threads a grace period to unwind and copy the final values into
-    /// `model.vars`. Returns the OS threads to join — none when stragglers
-    /// stuck in uninstrumented compute loops had to be detached (their next
-    /// instrumented operation unwinds).
-    pub(crate) fn supervise(&self, run: &Run, budget: Duration) -> Vec<JoinHandle<()>> {
+    /// threads a grace period to leave and copy the final values into
+    /// `model.vars`. Stragglers stuck in uninstrumented compute loops are
+    /// left behind: their next instrumented operation unwinds, and their
+    /// workers then rejoin the idle list.
+    pub(crate) fn supervise(&self, run: &Run, budget: Duration) {
         let deadline = self.start + budget;
         let mut g = run.book.lock();
         while !(g.completed || g.abort.is_some()) {
@@ -167,7 +167,7 @@ impl NativeMem {
             }
         }
         // Whichever thread ended the run, every parked thread must unwind.
-        run.wake_all();
+        run.wake_all(&g);
         let grace = Instant::now() + TEARDOWN_GRACE;
         while g.live > 0 {
             let left = grace.saturating_duration_since(Instant::now());
@@ -182,10 +182,5 @@ impl NativeMem {
                 NativeVar::Plain(c) => c.load_synced(),
             };
         }
-        let handles = std::mem::take(&mut g.os_handles);
-        if g.live > 0 {
-            return Vec::new(); // detach the stragglers
-        }
-        handles
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! Thread statuses are the single source of truth for both engines: every
 //! transition that can unblock a waiter (lock release, notify, semaphore
-//! release, barrier completion, thread exit) sets that waiter `Ready` here,
-//! and [`ModelState::deadlocked`] is the one deadlock rule the model's
+//! release, barrier completion, thread exit) sets that waiter `Ready` here
+//! and lists it in [`ModelState::readied`], and [`ModelState::deadlocked`] is the one deadlock rule the model's
 //! scheduler and the native watchdog both apply.
 
 use crate::outcome::{DeadlockInfo, WaitEdge};
@@ -114,9 +114,10 @@ pub(crate) struct ModelState {
     /// Virtual time (model engine) or microseconds since the run started
     /// (native engine).
     pub time: u64,
-    /// Set whenever a transition readies a blocked thread; the native
-    /// engine takes it to know when parked threads must be woken.
-    pub woke: bool,
+    /// Threads a transition readied since the engine last looked: the
+    /// native engine wakes exactly these; the model engine, which wakes only
+    /// its scheduler's pick, clears the list at every scheduling point.
+    pub readied: Vec<ThreadId>,
 }
 
 impl ModelState {
@@ -138,7 +139,7 @@ impl ModelState {
             finish_order: Vec::new(),
             current: None,
             time: 0,
-            woke: false,
+            readied: Vec::new(),
         }
     }
 
@@ -205,10 +206,10 @@ impl ModelState {
 
     /// Ready every thread blocked for `reason`.
     fn ready_all(&mut self, reason: BlockReason) {
-        for t in &mut self.threads {
+        for (i, t) in self.threads.iter_mut().enumerate() {
             if t.status == Status::Blocked(reason) {
                 t.status = Status::Ready;
-                self.woke = true;
+                self.readied.push(ThreadId(i as u32));
             }
         }
     }
@@ -222,7 +223,7 @@ impl ModelState {
             let ts = &mut self.threads[t.index()];
             ts.status = Status::Ready;
             ts.timed_out = false;
-            self.woke = true;
+            self.readied.push(t);
         }
     }
 
@@ -244,7 +245,7 @@ impl ModelState {
         for t in self.barrier_arrived[b].drain(..) {
             if t != me {
                 self.threads[t.index()].status = Status::Ready;
-                self.woke = true;
+                self.readied.push(t);
             }
         }
         true
@@ -442,6 +443,7 @@ mod tests {
         m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Lock(l));
         assert!(m.release_lock(ThreadId(0), l));
         assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
+        assert_eq!(m.readied, vec![ThreadId(1)]);
         assert!(m.thread(ThreadId(0)).held.is_empty());
         // misuse: releasing again fails.
         assert!(!m.release_lock(ThreadId(0), l));
@@ -534,7 +536,7 @@ mod tests {
         assert!(!m.thread(ThreadId(2)).timed_out);
         assert!(matches!(m.thread(ThreadId(1)).status, Status::Blocked(_)));
         assert_eq!(m.cond_queues[0], vec![ThreadId(1)]);
-        assert!(m.woke);
+        assert_eq!(m.readied, vec![ThreadId(2)]);
     }
 
     #[test]
@@ -547,10 +549,11 @@ mod tests {
             assert_eq!(m.thread(ThreadId(t)).status, Status::Ready);
             assert!(!m.thread(ThreadId(t)).timed_out);
         }
+        assert_eq!(m.readied, vec![ThreadId(0), ThreadId(1)]);
         // Notifying an empty queue is a lost notification: nothing wakes.
-        m.woke = false;
+        m.readied.clear();
         m.notify(CondId(0), false);
-        assert!(!m.woke);
+        assert!(m.readied.is_empty());
     }
 
     #[test]
@@ -571,6 +574,7 @@ mod tests {
             m.thread(ThreadId(2)).status,
             Status::Blocked(BlockReason::Lock(l))
         );
+        assert_eq!(m.readied, vec![ThreadId(0), ThreadId(1)]);
     }
 
     #[test]
@@ -590,6 +594,7 @@ mod tests {
         assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
         assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
         assert_eq!(m.thread(ThreadId(2)).status, Status::Running);
+        assert_eq!(m.readied, vec![ThreadId(0), ThreadId(1)]);
         // The barrier is cyclic: the next round starts empty.
         assert!(m.barrier_arrived[0].is_empty());
     }
@@ -606,6 +611,7 @@ mod tests {
         assert_eq!(m.finish_order, vec![ThreadId(1)]);
         assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
         assert_eq!(m.thread(ThreadId(2)).status, join(0));
+        assert_eq!(m.readied, vec![ThreadId(0)]);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! End-to-end semantics tests for the controlled runtime: every primitive,
 //! every outcome kind, determinism, and the instrumentation hookup.
 
-use mtt_instrument::{shared, CountingSink, OpClass, VecSink};
+use mtt_instrument::{shared, CountingSink, EventSink, OpClass, VecSink};
 use mtt_runtime::{
-    Execution, FifoScheduler, NoiseDecision, Op, Outcome, OutcomeKind, Program, ProgramBuilder,
-    RandomScheduler, RoundRobinScheduler, ThreadId,
+    Event, Execution, FifoScheduler, NoiseDecision, NoiseMaker, NoiseView, Op, Outcome,
+    OutcomeKind, Program, ProgramBuilder, RandomScheduler, RoundRobinScheduler, RuntimeBackend,
+    SchedView, Scheduler, ThreadId,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Two unsynchronized increments: the canonical lost-update race.
 fn racy_counter(increments_per_thread: u32, threads: u32) -> Program {
@@ -807,5 +810,61 @@ fn spurious_wakeups_do_not_break_guarded_waits() {
             .spurious_wakeups(0.25)
             .run();
         assert!(o.ok(), "seed {seed}: {:?}", o.kind);
+    }
+}
+
+/// A scheduler, noise maker and sink in one, which sets its flag when
+/// dropped.
+struct Flagged(Arc<AtomicBool>);
+
+impl Drop for Flagged {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Scheduler for Flagged {
+    fn pick(&mut self, view: &SchedView<'_>) -> ThreadId {
+        FifoScheduler.pick(view)
+    }
+}
+
+impl NoiseMaker for Flagged {
+    fn decide(&mut self, _ev: &Event, _view: &NoiseView) -> NoiseDecision {
+        NoiseDecision::None
+    }
+}
+
+impl EventSink for Flagged {
+    fn on_event(&mut self, _ev: &Event) {}
+}
+
+#[test]
+fn tools_are_dropped_before_run_returns() {
+    // Callers read a tool's totals when it is dropped, so the run must not
+    // leave the last reference to its tools to one of its OS threads. That
+    // thread lets go of the run a moment after the harness sees it leave,
+    // so a single run rarely catches the race; a hundred do.
+    for backend in [RuntimeBackend::Model, RuntimeBackend::Native].repeat(100) {
+        let flags: [Arc<AtomicBool>; 3] = Default::default();
+        let flag = |i: usize| Box::new(Flagged(Arc::clone(&flags[i])));
+        let p = racy_counter(2, 3);
+        let o = Execution::new(&p)
+            .backend(backend)
+            .scheduler(flag(0))
+            .noise(flag(1))
+            .sink(flag(2))
+            .run();
+        assert!(
+            matches!(o.kind, OutcomeKind::Completed),
+            "{backend}: {:?}",
+            o.kind
+        );
+        for (f, tool) in flags.iter().zip(["scheduler", "noise maker", "sink"]) {
+            assert!(
+                f.load(Ordering::SeqCst),
+                "{backend}: the {tool} outlived the run"
+            );
+        }
     }
 }
