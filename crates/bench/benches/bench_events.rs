@@ -42,6 +42,7 @@ fn sample_done(i: u64) -> CellDone {
         worker: i % 8,
         fingerprint: Some(format!("{:032x}", 0xc0ffee_u128 + u128::from(i))),
         backend: None,
+        result: None,
         metrics: Some(MetricScalars {
             events: 4200 + i,
             sched_points: 900 + i,

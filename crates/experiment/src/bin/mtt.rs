@@ -13,12 +13,12 @@
 use mtt_experiment::{
     campaign::{Campaign, CampaignRun},
     cli_spec,
-    cloning::run_cloning_on,
+    cloning::cloning_table,
     coverage_eval, detector_eval, differential_eval, explain, explore_eval, gen_eval,
-    jobpool::JobPool,
+    jobpool::{CellJournal, JobPool},
     multiout_eval, profile, replay_eval, saturation_eval, scoreboard, static_eval, tracegen,
 };
-use mtt_obs::{JournalSink, ResumeCache, StatusSummary};
+use mtt_obs::{CampaignMeta, JournalSink, ResumeCache, StatusSummary};
 use mtt_runtime::{Execution, RandomScheduler, RuntimeBackend};
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{check_run_log_line, RunLogRecord, RunLogWriter};
@@ -190,27 +190,23 @@ impl Global {
     }
 
     /// Open `--journal DIR/<label>.ndjson` if journaling was requested.
-    /// With `resume` the existing journal is tail-repaired, parsed
+    /// With `--resume` the existing journal is tail-repaired, parsed
     /// (corruption is exit 2) and turned into a [`ResumeCache`]; the sink
     /// then appends. Without it the file is truncated.
-    fn open_journal(
-        &self,
-        label: &str,
-        resume: bool,
-    ) -> Result<(Option<Arc<JournalSink>>, Option<ResumeCache>), String> {
+    fn open_journal(&self, label: &str) -> Result<Option<CellJournal>, String> {
         let Some(dir) = &self.journal else {
-            if resume {
+            if self.resume {
                 return Err(
                     "--resume needs --journal DIR (there is no journal to resume from)".to_string(),
                 );
             }
-            return Ok((None, None));
+            return Ok(None);
         };
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("--journal: cannot create directory {dir}: {e}"))?;
         let path = Path::new(dir).join(format!("{label}.ndjson"));
         let mut cache = None;
-        if resume && path.exists() {
+        if self.resume && path.exists() {
             // A crash can only ever truncate the final line; cut that
             // fragment off so appended records start on a line boundary.
             mtt_obs::truncate_partial_tail(&path)
@@ -218,27 +214,30 @@ impl Global {
             let parsed = mtt_obs::load_journal(&path)?;
             cache = Some(ResumeCache::from_records(&parsed.records));
         }
-        let sink = JournalSink::to_file(&path, resume)
+        let sink = JournalSink::to_file(&path, self.resume)
             .map_err(|e| format!("--journal: cannot open {}: {e}", path.display()))?;
-        Ok((Some(Arc::new(sink)), cache))
+        Ok(Some(CellJournal {
+            sink: Some(Arc::new(sink)),
+            resume: cache,
+            header: CampaignMeta {
+                label: label.to_string(),
+                ..CampaignMeta::default()
+            },
+        }))
     }
 
-    /// Run `job` on the pool for `label`, journaling generic `job` records
-    /// when `--journal` is given (only campaigns can `--resume`).
-    fn journaled<T>(&self, label: &str, job: impl FnOnce(&JobPool) -> T) -> Result<T, String> {
-        let (sink, _) = self.open_journal(label, false)?;
-        let mut pool = self.pool(label);
-        if let Some(s) = &sink {
-            pool = pool.with_journal(Arc::clone(s), label);
-        }
-        let out = job(&pool);
+    /// Run `job` on the pool for `label`, whose cells are recorded in
+    /// `--journal` and resumed with `--resume`.
+    fn on_pool<T>(&self, label: &str, job: impl FnOnce(&JobPool) -> T) -> Result<T, String> {
+        let journal = self.open_journal(label)?;
+        let sink = journal.as_ref().and_then(|j| j.sink.clone());
+        let out = job(&self.pool(label).recording(journal));
         journal_written(&sink)?;
         Ok(out)
     }
 
     /// Run a campaign (`e1`, `e1-detail`) under the global roster, backend,
-    /// budget and telemetry flags. A campaign journals its own cells, so
-    /// it alone can `--resume`; `--metrics` gets its run log.
+    /// budget and telemetry flags; `--metrics` gets its run log.
     fn campaign(
         &self,
         label: &str,
@@ -261,11 +260,11 @@ impl Global {
         campaign.jobs = self.jobs;
         campaign.label = label.into();
         campaign.telemetry = self.metrics.is_some();
-        let (sink, cache) = self.open_journal(label, self.resume)?;
-        campaign.journal = sink.clone();
-        campaign.resume = cache;
+        let journal = self.open_journal(label)?.unwrap_or_default();
+        campaign.journal = journal.sink;
+        campaign.resume = journal.resume;
         let run = campaign.run_full(&self.pool(label));
-        journal_written(&sink)?;
+        journal_written(&campaign.journal)?;
         if let Some(path) = &self.metrics {
             write_run_log(path, &run.run_log)?;
         }
@@ -406,7 +405,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "cloning" => {
             let runs = a.count(60)?;
-            Box::new(move |pool| cloning(runs, g.tools.as_deref(), pool))
+            Box::new(move |pool| cloning_table(runs, g.tools.as_deref(), pool))
         }
         "e2" => {
             let traces = a.count(10)?;
@@ -534,26 +533,8 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
     };
     a.finish()?;
-    print!("{}", g.journaled(&cmd, job)?);
+    print!("{}", g.on_pool(&cmd, job)?);
     Ok(())
-}
-
-/// The §2.3 cloning table: each clone count run plain and under each tool
-/// stack of the roster (by default, sleep noise on top of `sticky:0.9`).
-fn cloning(runs: u64, roster: Option<&[ToolSpec]>, pool: &JobPool) -> String {
-    let sleep = [ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid")];
-    let mut out = String::from("§2.3 cloning driver: P(cloned test fails)\n\n");
-    for clones in [1u32, 2, 4, 8] {
-        let plain = run_cloning_on(clones, runs, None, pool);
-        out += &format!("  {clones} clone(s):  plain {}", plain.fail.render());
-        for spec in roster.unwrap_or(&sleep) {
-            let r = run_cloning_on(clones, runs, Some(spec), pool);
-            let name = roster.map_or("sleep noise".into(), |_| spec.display_name());
-            out += &format!("   + {name} {}", r.fail.render());
-        }
-        out.push('\n');
-    }
-    out
 }
 
 fn list() -> ExitCode {
@@ -758,7 +739,7 @@ fn explain_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
     )?;
     a.finish()?;
     let p = program(&name)?;
-    let e = g.journaled("explain", |pool| explain::explain_on(&p, &opts, pool))??;
+    let e = g.on_pool("explain", |pool| explain::explain_on(&p, &opts, pool))??;
     print!("{}", e.render_summary());
     if timeline || (!diff && !csv) {
         println!();
@@ -835,8 +816,11 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
     let mut all_records = Vec::new();
     for key in keys {
         // A profile needs full hot-site maps, which the journal's scalar
-        // metric summary cannot round-trip, so it never resumes.
-        let (sink, _) = g.open_journal(&format!("profile-{key}"), false)?;
+        // metric summary cannot round-trip, so it never resumes: `cli_spec`
+        // rejects `--resume` for it.
+        let sink = g
+            .open_journal(&format!("profile-{key}"))?
+            .and_then(|j| j.sink);
         let opts = profile::ProfileOptions {
             runs,
             jobs: g.jobs,

@@ -2,19 +2,16 @@
 //! runs) → find-probability statistics and overhead — experiment E1's
 //! engine, reused by several other experiments.
 
-use crate::jobpool::{JobPool, PoolStats};
+use crate::jobpool::{CellCodec, CellJournal, JobPool, PoolStats};
 use crate::report::Table;
 use crate::stats::FindStats;
-use mtt_obs::{
-    content_address, CampaignMeta, CellDone, CellStart, JournalSink, MetricScalars, ResumeCache,
-};
+use mtt_obs::{CampaignMeta, CellDone, JournalSink, MetricScalars, ResumeCache};
 use mtt_runtime::Execution;
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanSet, SpanTimings, TelemetrySink};
 use mtt_trace::Trace;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,6 +149,51 @@ fn metrics_from_scalars(s: &MetricScalars) -> RunMetrics {
     }
 }
 
+/// The backend tag a journal `done` record and a run-log record carry:
+/// present only for a non-model backend.
+fn native_tag(tool: &ToolConfig) -> Option<String> {
+    tool.backend
+        .is_native()
+        .then(|| tool.backend.tag().to_string())
+}
+
+/// A campaign run travels in the `done` record's named payload fields,
+/// which is why journals of every schema version resume.
+impl CellCodec<RunRecord> for Campaign {
+    fn save(&self, rec: &RunRecord, done: &mut CellDone) {
+        done.outcome = rec.outcome_tag.clone();
+        done.failed = rec.failed;
+        done.manifested = rec.manifested.clone();
+        done.events = rec.events;
+        done.sched_points = rec.sched_points;
+        done.injections = rec.injections;
+        done.timed_out = rec.timed_out;
+        done.wall_us = rec.elapsed.as_micros() as u64;
+        done.metrics = rec.metrics.as_ref().map(scalars_of);
+        done.fingerprint = rec.fingerprint.clone();
+    }
+
+    /// A telemetry campaign re-runs a cell a metrics-less pass recorded.
+    fn load(&self, done: &CellDone) -> Option<RunRecord> {
+        if self.telemetry && done.metrics.is_none() {
+            return None;
+        }
+        Some(RunRecord {
+            failed: done.failed,
+            manifested: done.manifested.clone(),
+            events: done.events,
+            sched_points: done.sched_points,
+            injections: done.injections,
+            elapsed: Duration::from_micros(done.wall_us),
+            timed_out: done.timed_out,
+            seed: done.seed,
+            outcome_tag: done.outcome.clone(),
+            metrics: done.metrics.as_ref().map(metrics_from_scalars),
+            fingerprint: done.fingerprint.clone(),
+        })
+    }
+}
+
 impl Campaign {
     /// A campaign over the given programs with the standard tool roster.
     pub fn standard(programs: Vec<SuiteProgram>, runs: u64) -> Self {
@@ -208,42 +250,56 @@ impl Campaign {
     ///
     /// The report, run log and cell metrics are deterministic (pure
     /// functions of the seeds, assembled in canonical order); the spans and
-    /// pool stats are wall-clock and belong in segregated output only.
+    /// pool stats are wall-clock and belong in segregated output only. The
+    /// campaign's own `journal` and `resume` take the place of any journal
+    /// the pool records in.
     pub fn run_full(&self, pool: &JobPool) -> CampaignRun {
         let n_tools = self.tools.len();
         let n_runs = self.runs as usize;
         let total = self.programs.len() * n_tools * n_runs;
         let spans = SpanSet::new();
+        let journaled = self.journal.is_some() || self.resume.is_some();
         let pool = pool.clone().with_spans(spans.clone());
-
-        if let Some(sink) = &self.journal {
-            sink.campaign(CampaignMeta {
+        let pool = pool.recording(journaled.then(|| CellJournal {
+            sink: self.journal.clone(),
+            resume: self.resume.clone(),
+            header: CampaignMeta {
                 label: self.label.clone(),
-                total_cells: total as u64,
                 programs: self.programs.len() as u64,
                 tools: n_tools as u64,
                 runs: self.runs,
                 base_seed: self.base_seed,
-                runtime: mtt_runtime::RUNTIME_VERSION.to_string(),
-                jobs: self.jobs as u64,
                 telemetry: self.telemetry,
-            });
-        }
-        // Cells this process actually executed (resume-cache hits excluded);
-        // reported in the journal's `end` record.
-        let executed = AtomicU64::new(0);
+                ..CampaignMeta::default()
+            },
+        }));
+        let cell = |i: usize| {
+            let prog = &self.programs[i / (n_runs * n_tools)];
+            (
+                prog,
+                &self.tools[(i / n_runs) % n_tools],
+                (i % n_runs) as u64,
+            )
+        };
+        let key = |i| {
+            let (prog, tool, r) = cell(i);
+            CellDone {
+                program: prog.name.to_string(),
+                tool: tool.name.clone(),
+                tool_spec: tool.spec_string(),
+                seed: self.base_seed + r,
+                run: r,
+                backend: native_tag(tool),
+                ..CellDone::default()
+            }
+        };
 
         let execute = spans.enter("campaign.execute");
-        let (records, pool_stats) = pool.run_with_stats(total, |i| {
-            let r = i % n_runs;
-            let t = (i / n_runs) % n_tools;
-            let p = i / (n_runs * n_tools);
-            self.cell_run(&self.programs[p], &self.tools[t], r as u64, &executed)
+        let (records, pool_stats) = pool.cells_with(self, total, key, |i| {
+            let (prog, tool, r) = cell(i);
+            self.one_run(prog, tool, r)
         });
         drop(execute);
-        if let Some(sink) = &self.journal {
-            sink.end(&self.label, executed.load(Ordering::Relaxed));
-        }
 
         let _aggregate = spans.enter("campaign.aggregate");
         let mut cells = BTreeMap::new();
@@ -289,10 +345,7 @@ impl Campaign {
                             seed: rec.seed,
                             outcome: rec.outcome_tag.to_string(),
                             failed: rec.failed,
-                            backend: tool
-                                .backend
-                                .is_native()
-                                .then(|| tool.backend.tag().to_string()),
+                            backend: native_tag(tool),
                             fingerprint: rec.fingerprint.clone(),
                             metrics,
                             wall: rec.elapsed,
@@ -318,92 +371,6 @@ impl Campaign {
             span_events: spans.events(),
             spans: spans.timings(),
         }
-    }
-
-    /// One cell of the grid, with flight-recorder bookkeeping around the
-    /// run: resume-cache lookup first (a hit reconstructs the record
-    /// without executing), then `start`/`done` journal records bracketing
-    /// the actual execution.
-    fn cell_run(
-        &self,
-        prog: &SuiteProgram,
-        tool: &ToolConfig,
-        r: u64,
-        executed: &AtomicU64,
-    ) -> RunRecord {
-        if self.journal.is_none() && self.resume.is_none() {
-            return self.one_run(prog, tool, r);
-        }
-        let seed = self.base_seed + r;
-        let spec = tool.spec_string();
-        let addr = content_address(
-            prog.name,
-            &spec,
-            seed,
-            mtt_runtime::RUNTIME_VERSION,
-            tool.backend.tag(),
-        );
-        if let Some(cache) = &self.resume {
-            if let Some(done) = cache.get(&addr) {
-                // A cached cell is only usable if it carries everything this
-                // campaign needs: telemetry campaigns must re-run cells a
-                // metrics-less pass recorded.
-                if !self.telemetry || done.metrics.is_some() {
-                    return RunRecord {
-                        failed: done.failed,
-                        manifested: done.manifested.clone(),
-                        events: done.events,
-                        sched_points: done.sched_points,
-                        injections: done.injections,
-                        elapsed: Duration::from_micros(done.wall_us),
-                        timed_out: done.timed_out,
-                        seed: done.seed,
-                        outcome_tag: done.outcome.clone(),
-                        metrics: done.metrics.as_ref().map(metrics_from_scalars),
-                        fingerprint: done.fingerprint.clone(),
-                    };
-                }
-            }
-        }
-        if let Some(sink) = &self.journal {
-            sink.start(CellStart {
-                cell: addr.clone(),
-                program: prog.name.to_string(),
-                tool: tool.name.clone(),
-                seed,
-                run: r,
-                t_us: 0,
-            });
-        }
-        let rec = self.one_run(prog, tool, r);
-        executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = &self.journal {
-            sink.done(CellDone {
-                cell: addr,
-                program: prog.name.to_string(),
-                tool: tool.name.clone(),
-                tool_spec: spec,
-                seed,
-                run: r,
-                outcome: rec.outcome_tag.clone(),
-                failed: rec.failed,
-                manifested: rec.manifested.clone(),
-                events: rec.events,
-                sched_points: rec.sched_points,
-                injections: rec.injections,
-                timed_out: rec.timed_out,
-                wall_us: rec.elapsed.as_micros() as u64,
-                t_us: 0,
-                worker: 0,
-                metrics: rec.metrics.as_ref().map(scalars_of),
-                fingerprint: rec.fingerprint.clone(),
-                backend: tool
-                    .backend
-                    .is_native()
-                    .then(|| tool.backend.tag().to_string()),
-            });
-        }
-        rec
     }
 
     /// One seeded run: the sharding unit. Deterministic given

@@ -6,7 +6,7 @@
 //! suggested above, such as noise making"), and interprets the clones'
 //! results.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::stats::FindStats;
 use mtt_runtime::{Execution, Program, ProgramBuilder, ThreadId};
 use mtt_tools::ToolSpec;
@@ -48,39 +48,75 @@ pub struct CloningReport {
     pub fail: FindStats,
 }
 
-/// Run the cloned test `runs` times with the given clone count under the
-/// given tool stack (`None` = the bare `sticky:0.9` baseline), sharding the
-/// seeded runs across a job pool. Only the spec's scheduler and noise
-/// components apply here; the noise maker is seeded with the raw run seed,
-/// matching its historical behavior.
-pub fn run_cloning_on(
-    clones: u32,
+/// The clone counts of the §2.3 cloning table.
+pub const CLONE_COUNTS: [u32; 4] = [1, 2, 4, 8];
+
+/// The bare baseline tool stack: `sticky:0.9`, no noise.
+fn baseline() -> ToolSpec {
+    ToolSpec::parse("sticky:0.9").expect("baseline spec is valid")
+}
+
+/// Run the cloned test `runs` times for every (clone count, tool stack)
+/// pair as one cell space on `pool`, one cell per seeded run. Only a
+/// spec's scheduler and noise components apply here; the noise maker is
+/// seeded with the raw run seed, matching its historical behavior. Reports
+/// come back clone-count major, in `tools` order.
+pub fn run_cloning_grid_on(
+    clones: &[u32],
+    tools: &[ToolSpec],
     runs: u64,
-    tool: Option<&ToolSpec>,
     pool: &JobPool,
-) -> CloningReport {
-    let baseline = ToolSpec::parse("sticky:0.9").expect("baseline spec is valid");
-    let cfg = tool
-        .unwrap_or(&baseline)
-        .resolve()
-        .expect("cloning tool spec resolves");
-    let has_noise = tool.is_some_and(|t| t.noise.id != "none");
-    let program = cloned_counter_test(clones, 2);
-    let fails = pool.run(runs as usize, |r| {
-        let seed = 1000 + r as u64;
-        let mut exec = Execution::new(&program)
-            .scheduler((cfg.scheduler)(seed))
+) -> Vec<CloningReport> {
+    let cfgs: Vec<_> = tools
+        .iter()
+        .map(|s| s.resolve().expect("cloning tool spec resolves"))
+        .collect();
+    let programs: Vec<Program> = clones.iter().map(|&c| cloned_counter_test(c, 2)).collect();
+    let n = runs as usize;
+    let cell = |i: usize| {
+        let (group, run) = (i / n, (i % n) as u64);
+        (group / tools.len(), group % tools.len(), 1000 + run)
+    };
+    let key = |i: usize| {
+        let (c, t, seed) = cell(i);
+        let (program, tool) = (format!("cloned_counter/{}", clones[c]), &tools[t]);
+        cell_key(&program, &tool.display_name(), tool.canonical(), seed)
+    };
+    let fails = pool.cells(clones.len() * tools.len() * n, key, |i| {
+        let (c, t, seed) = cell(i);
+        let mut exec = Execution::new(&programs[c])
+            .scheduler((cfgs[t].scheduler)(seed))
             .max_steps(60_000);
-        if has_noise {
-            exec = exec.noise((cfg.noise)(seed));
+        if tools[t].noise.id != "none" {
+            exec = exec.noise((cfgs[t].noise)(seed));
         }
         !exec.run().ok()
     });
-    let mut report = CloningReport::default();
-    for failed in fails {
-        report.fail.record(failed);
+    let mut reports = vec![CloningReport::default(); clones.len() * tools.len()];
+    for (i, failed) in fails.into_iter().enumerate() {
+        reports[i / n].fail.record(failed);
     }
-    report
+    reports
+}
+
+/// The §2.3 cloning table: each of [`CLONE_COUNTS`] run plain and under
+/// each tool stack of `roster` (by default, sleep noise on top of
+/// `sticky:0.9`).
+pub fn cloning_table(runs: u64, roster: Option<&[ToolSpec]>, pool: &JobPool) -> String {
+    let sleep = [ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid")];
+    let stacks = roster.unwrap_or(&sleep);
+    let tools = [&[baseline()], stacks].concat();
+    let reports = run_cloning_grid_on(&CLONE_COUNTS, &tools, runs, pool);
+    let mut out = String::from("§2.3 cloning driver: P(cloned test fails)\n\n");
+    for (clones, row) in CLONE_COUNTS.iter().zip(reports.chunks(tools.len())) {
+        out += &format!("  {clones} clone(s):  plain {}", row[0].fail.render());
+        for (spec, r) in stacks.iter().zip(&row[1..]) {
+            let name = roster.map_or("sleep noise".into(), |_| spec.display_name());
+            out += &format!("   + {name} {}", r.fail.render());
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -90,22 +126,21 @@ mod tests {
     #[test]
     fn sequential_test_passes() {
         // One clone = the original sequential test: always green.
-        let report = run_cloning_on(1, 20, None, &JobPool::serial());
+        let report = &run_cloning_grid_on(&[1], &[baseline()], 20, &JobPool::serial())[0];
         assert_eq!(report.fail.rate(), 0.0);
     }
 
     #[test]
     fn cloning_exposes_contention_and_noise_helps_more() {
-        let two = run_cloning_on(2, 60, None, &JobPool::serial());
-        let eight = run_cloning_on(8, 60, None, &JobPool::serial());
+        let spec = ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").unwrap();
+        let reports = run_cloning_grid_on(&[2, 8], &[baseline(), spec], 60, &JobPool::serial());
+        let (two, noisy, eight) = (&reports[0], &reports[1], &reports[2]);
         assert!(
             eight.fail.rate() > two.fail.rate(),
             "more clones should fail more: 8clones={} 2clones={}",
             eight.fail.rate(),
             two.fail.rate()
         );
-        let spec = ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").unwrap();
-        let noisy = run_cloning_on(2, 60, Some(&spec), &JobPool::serial());
         assert!(
             noisy.fail.rate() > two.fail.rate(),
             "noise on top of cloning should help: {} vs {}",

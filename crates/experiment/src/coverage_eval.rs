@@ -3,7 +3,7 @@
 //! ("better measures should be created and their correlation to bug
 //! detection studied").
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_coverage::{
     Advice, ContentionCoverage, CoverageModel, Cumulative, OrderedPairCoverage, RunCountAdvisor,
@@ -44,7 +44,7 @@ impl CoverageCurve {
 /// models simultaneously; compute per-model growth curves and the advisor's
 /// stopping point (window = 3, min runs = 2).
 ///
-/// The runs are sharded across a job pool. The per-run coverage sets are
+/// The runs are one cell space on a job pool. The per-run coverage sets are
 /// computed in parallel; the *cumulative* fold — which is inherently
 /// ordered, because the growth curve and the advisor depend on what was
 /// already seen — happens afterwards in run order, so the curves are
@@ -74,20 +74,22 @@ pub fn run_coverage_eval_on(
     ];
     let mut buggy_runs = Vec::new();
 
-    let per_run: Vec<([BTreeSet<String>; 4], bool)> = pool.run(runs as usize, |r| {
+    let seed = |r: usize| base_seed + r as u64;
+    let key = |r: usize| cell_key(program.name, "random", "random".into(), seed(r));
+    let per_run: Vec<(Vec<BTreeSet<String>>, bool)> = pool.cells(runs as usize, key, |r| {
         let (site_sink, site_h) = shared(SiteCoverage::new());
         let (cont_sink, cont_h) = shared(ContentionCoverage::new(&table));
         let (sync_sink, sync_h) = shared(SyncCoverage::new());
         let (pair_sink, pair_h) = shared(OrderedPairCoverage::new(&table));
         let outcome = Execution::new(&program.program)
-            .scheduler(Box::new(RandomScheduler::new(base_seed + r as u64)))
+            .scheduler(Box::new(RandomScheduler::new(seed(r))))
             .sink(Box::new(site_sink))
             .sink(Box::new(cont_sink))
             .sink(Box::new(sync_sink))
             .sink(Box::new(pair_sink))
             .max_steps(60_000)
             .run();
-        let covered = [
+        let covered = vec![
             site_h.lock().unwrap().covered_tasks(),
             cont_h.lock().unwrap().covered_tasks(),
             sync_h.lock().unwrap().covered_tasks(),

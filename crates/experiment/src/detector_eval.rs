@@ -9,7 +9,7 @@
 //! route costs in storage (JSON vs compact binary) and what the online
 //! route costs in run time.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::tracegen::{self, TraceGenOptions};
 use mtt_instrument::shared;
@@ -43,18 +43,28 @@ pub struct DetectorReport {
 
 /// Run E2: for each program generate `traces_per_program` annotated traces,
 /// feed both detectors, score against the ground truth. Trace generation
-/// (the dominant cost) is sharded across a job pool. Detector scoring
-/// itself stays serial per program, so the report is identical for any
-/// worker count.
+/// (the dominant cost) runs as one cell space on a job pool, one cell per
+/// (program, trace). Detector scoring itself stays serial per program, so
+/// the report is identical for any worker count.
 pub fn run_detector_eval_on(
     programs: &[SuiteProgram],
     traces_per_program: u64,
     pool: &JobPool,
 ) -> DetectorReport {
+    let n = traces_per_program as usize;
+    let base = TraceGenOptions::default();
+    let opts = |i: usize| TraceGenOptions {
+        seed: base.seed + (i % n) as u64,
+        ..base.clone()
+    };
+    let spec = format!("sticky:{}", base.stickiness);
+    let key = |i: usize| cell_key(programs[i / n].name, "trace", spec.clone(), opts(i).seed);
+    let traces = pool.cells(programs.len() * n, key, |i| {
+        tracegen::generate(&programs[i / n], &opts(i))
+    });
     let mut report = DetectorReport::default();
-    for p in programs {
-        let traces =
-            tracegen::generate_many_on(p, &TraceGenOptions::default(), traces_per_program, pool);
+    for (k, p) in programs.iter().enumerate() {
+        let traces = &traces[k * n..(k + 1) * n];
         let table = p.program.var_table();
 
         // Union the warnings across traces per detector (a tool in practice
@@ -63,7 +73,7 @@ pub fn run_detector_eval_on(
         let mut vc_all = Vec::new();
         let mut events = 0u64;
         let t0 = Instant::now();
-        for t in &traces {
+        for t in traces {
             events += t.len() as u64;
             let mut eraser = EraserLockset::new();
             t.feed(&mut eraser);
@@ -71,7 +81,7 @@ pub fn run_detector_eval_on(
         }
         let eraser_time = t0.elapsed();
         let t1 = Instant::now();
-        for t in &traces {
+        for t in traces {
             let mut vc = VectorClockDetector::new();
             t.feed(&mut vc);
             vc_all.extend(vc.warnings);

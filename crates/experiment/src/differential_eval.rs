@@ -28,7 +28,7 @@
 //! backends (`program_seed = seed`), so a differential varies only the
 //! execution engine, never the program's own coin flips.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::{total_variation, Distribution, FindStats};
 use mtt_json::Json;
@@ -88,6 +88,14 @@ impl BackendLeg {
     }
 }
 
+mtt_json::json_struct!(BackendLeg {
+    tool_spec,
+    find,
+    outcomes,
+    budget_kills,
+    torn_reads,
+});
+
 /// One (program × tool) cell of the E13 grid: the same seed ladder run
 /// under both backends, plus the comparison statistics.
 #[derive(Clone, Debug)]
@@ -108,6 +116,16 @@ pub struct DifferentialCell {
     /// Do the 95% Wilson intervals of the two find probabilities overlap?
     pub find_intervals_overlap: bool,
 }
+
+mtt_json::json_struct!(DifferentialCell {
+    program,
+    tool,
+    runs,
+    model,
+    native,
+    tv_distance,
+    find_intervals_overlap,
+});
 
 /// The resolved model-side E13 roster.
 pub fn differential_roster() -> Vec<ToolConfig> {
@@ -199,15 +217,20 @@ fn intervals_overlap(a: &FindStats, b: &FindStats) -> bool {
     alo <= bhi && blo <= ahi
 }
 
-/// Run E13, sharding one job per (program × tool) cell across `pool`.
-/// Model legs are seeded pure functions, so they merge back identical (and
-/// in grid order) at any worker count; native legs are real concurrency
-/// and vary run to run by design.
+/// Run E13, one cell per (program × tool) on `pool`. Model legs are
+/// seeded pure functions, so they merge back identical (and in grid order)
+/// at any worker count; native legs are real concurrency and vary run to
+/// run by design — a resumed run restores them from its journal.
 pub fn run_differential_on(runs: u64, pool: &JobPool) -> Vec<DifferentialCell> {
     let programs = differential_programs();
     let tools = differential_roster();
     let n_tools = tools.len();
-    pool.run(programs.len() * n_tools, |i| {
+    let key = |i: usize| {
+        let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
+        let spec = format!("{} runs={runs}", cfg.spec_string());
+        cell_key(prog.name, &cfg.name, spec, DIFFERENTIAL_BASE_SEED)
+    };
+    pool.cells(programs.len() * n_tools, key, |i| {
         let prog = &programs[i / n_tools];
         let model_cfg = &tools[i % n_tools];
         let native_cfg = native_twin(model_cfg);

@@ -7,10 +7,11 @@
 //! against the passing run reporting the divergence window.
 //!
 //! Everything here is a pure function of (program, seeds): the seed scan
-//! shards over a [`JobPool`] but picks the first failing/passing index in
-//! canonical order, so the output is byte-identical for any `--jobs`.
+//! runs as one cell space on a [`JobPool`] but picks the first
+//! failing/passing index in canonical order, so the output is
+//! byte-identical for any `--jobs`.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::tracegen::{self, TraceGenOptions};
 use mtt_causal::{
     annotate_trace, annotated_to_string, op_label, render_timeline, thread_label, timeline_csv,
@@ -143,7 +144,12 @@ pub fn explain_on(
     let (fail_seed, pass_seed) = match (opts.seed_fail, opts.seed_pass) {
         (Some(f), Some(p)) => (f, Some(p)),
         (f, p) => {
-            let verdicts = pool.run(opts.scan as usize, |i| {
+            let spec = match &tool {
+                Some(t) => format!("{} max_steps={}", t.spec_string(), opts.max_steps),
+                None => format!("sticky:0 max_steps={}", opts.max_steps),
+            };
+            let key = |i: usize| cell_key(program.name, "scan", spec.clone(), i as u64);
+            let verdicts = pool.cells(opts.scan as usize, key, |i| {
                 manifests(program, tool.as_ref(), i as u64, opts.max_steps)
             });
             let first = |want: bool| verdicts.iter().position(|&v| v == want).map(|i| i as u64);

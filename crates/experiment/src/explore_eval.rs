@@ -1,7 +1,7 @@
 //! E6: systematic exploration vs randomized testing — executions and
 //! transitions to the first bug, per search configuration.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_explore::{ExploreOptions, Explorer};
 use mtt_runtime::{Execution, RandomScheduler};
@@ -13,7 +13,7 @@ pub struct ExploreRow {
     /// Program name.
     pub program: String,
     /// Search configuration label.
-    pub config: &'static str,
+    pub config: String,
     /// Executions until the first bug (None = not found within budget).
     pub execs_to_bug: Option<u64>,
     /// Total transitions executed.
@@ -21,6 +21,14 @@ pub struct ExploreRow {
     /// Whether the (bounded) tree was exhausted without a bug.
     pub exhausted_clean: bool,
 }
+
+mtt_json::json_struct!(ExploreRow {
+    program,
+    config,
+    execs_to_bug,
+    transitions,
+    exhausted_clean,
+});
 
 /// The systematic search configurations E6 compares (label, options).
 fn search_configs(budget: u64) -> Vec<(&'static str, ExploreOptions)> {
@@ -62,10 +70,10 @@ fn search_configs(budget: u64) -> Vec<(&'static str, ExploreOptions)> {
     ]
 }
 
-/// Run E6 on the given programs, sharding the (program × search
-/// configuration) grid — including the random baseline — across a job pool.
-/// Each grid cell is an independent deterministic search, so the rows are
-/// identical for any worker count.
+/// Run E6 on the given programs, as one cell space of (program × search
+/// configuration) — including the random baseline — on a job pool. Each
+/// cell is an independent deterministic search, so the rows are identical
+/// for any worker count.
 pub fn run_explore_eval_on(
     programs: &[SuiteProgram],
     budget: u64,
@@ -73,7 +81,12 @@ pub fn run_explore_eval_on(
 ) -> Vec<ExploreRow> {
     let systematic = search_configs(budget);
     let per_program = systematic.len() + 1; // + random baseline
-    pool.run(programs.len() * per_program, |i| {
+    let key = |i: usize| {
+        let label = systematic.get(i % per_program).map_or("random", |c| c.0);
+        let spec = format!("{label} budget={budget}");
+        cell_key(programs[i / per_program].name, label, spec, 0)
+    };
+    pool.cells(programs.len() * per_program, key, |i| {
         let p = &programs[i / per_program];
         let c = i % per_program;
         if c < systematic.len() {
@@ -84,7 +97,7 @@ pub fn run_explore_eval_on(
             let r = explorer.run();
             ExploreRow {
                 program: p.name.to_string(),
-                config: label,
+                config: label.to_string(),
                 execs_to_bug: r.executions_to_first_bug(),
                 transitions: r.transitions,
                 exhausted_clean: r.exhausted && r.bugs.is_empty(),
@@ -106,7 +119,7 @@ pub fn run_explore_eval_on(
             }
             ExploreRow {
                 program: p.name.to_string(),
-                config: "random",
+                config: "random".to_string(),
                 execs_to_bug: execs,
                 transitions,
                 exhausted_clean: false,

@@ -20,15 +20,15 @@
 //! class in its ground truth — primary plus structurally implied ones
 //! (an unguarded RMW is both a DataRace and an AtomicityViolation).
 //!
-//! Families shard one-per-job over the [`JobPool`]; `mtt_gen::family`
-//! is a pure function of `(seed, index)` and every run inside a job is
+//! Families shard one cell each over the [`JobPool`]; `mtt_gen::family`
+//! is a pure function of `(seed, index)` and every run inside a cell is
 //! seeded, so the report is byte-identical at any `--jobs` count.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::scoreboard::STATIC_TOOL_SCOPES;
 use crate::scoreboard::{dynamic_roster, dynamic_warned, sink_class, DynamicHit};
-use mtt_json::Json;
+use mtt_json::{Json, ToJson};
 use mtt_static::analyze;
 use std::collections::BTreeSet;
 
@@ -69,18 +69,33 @@ pub struct MemberOutcome {
     pub dynamic: Vec<DynamicHit>,
 }
 
+mtt_json::json_struct!(MemberOutcome {
+    name,
+    benign,
+    classes,
+    static_codes,
+    dynamic,
+});
+
 /// One scored family: its id, claimed classes, and member outcomes.
 #[derive(Clone, Debug)]
 pub struct FamilyOutcomes {
     /// Family id (`g{seed}_f{index:03}_{pattern}`).
     pub id: String,
     /// Pattern key (`race`, `dlock`, `notif`, `atom`).
-    pub pattern: &'static str,
+    pub pattern: String,
     /// The family's primary bug class.
     pub class: String,
     /// Member outcomes, buggy member then benign twin, in draw order.
     pub members: Vec<MemberOutcome>,
 }
+
+mtt_json::json_struct!(FamilyOutcomes {
+    id,
+    pattern,
+    class,
+    members
+});
 
 /// The full confusion matrix for one tool × class cell. Unlike E11's
 /// `ClassScore`, true negatives are countable here: ground truth is by
@@ -135,13 +150,17 @@ pub struct GenScoreRow {
     pub robust_total: u64,
 }
 
-/// Run E10, sharding one job per family across `pool`. `mtt_gen::family`
-/// is a pure function of `(seed, index)` and every execution inside a
-/// job is seeded, so rows come back identical (and in index order) at
-/// any worker count.
+/// Run E10, one cell per family on `pool`. `mtt_gen::family` is a pure
+/// function of `(seed, index)` and every execution inside a cell is
+/// seeded, so rows come back identical (and in index order) at any worker
+/// count.
 pub fn run_gen_eval_on(opts: &GenEvalOptions, pool: &JobPool) -> Vec<FamilyOutcomes> {
     let tools = dynamic_roster();
-    pool.run(opts.families as usize, |i| {
+    let key = |i: usize| {
+        let family = format!("g{}_f{i:03}", opts.seed);
+        cell_key(&family, "e10", format!("runs={}", opts.runs), opts.seed)
+    };
+    pool.cells(opts.families as usize, key, |i| {
         let fam = mtt_gen::family(opts.seed, i as u64);
         let members = fam
             .members
@@ -182,7 +201,7 @@ pub fn run_gen_eval_on(opts: &GenEvalOptions, pool: &JobPool) -> Vec<FamilyOutco
             .collect();
         FamilyOutcomes {
             id: fam.id.clone(),
-            pattern: fam.pattern.key(),
+            pattern: fam.pattern.key().to_string(),
             class: format!("{:?}", fam.pattern.class()),
             members,
         }
@@ -266,7 +285,7 @@ pub fn score_tools(rows: &[FamilyOutcomes]) -> Vec<GenScoreRow> {
 
 /// Population counts per pattern: families, members, buggy, benign.
 pub fn population(rows: &[FamilyOutcomes]) -> Vec<(String, u64, u64, u64, u64)> {
-    let mut keys: Vec<&str> = rows.iter().map(|f| f.pattern).collect();
+    let mut keys: Vec<&str> = rows.iter().map(|f| f.pattern.as_str()).collect();
     keys.sort_unstable();
     keys.dedup();
     let mut out = Vec::new();
@@ -405,66 +424,6 @@ pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> Json {
             ])
         })
         .collect();
-    let families = rows
-        .iter()
-        .map(|f| {
-            Json::Obj(vec![
-                ("id".into(), Json::Str(f.id.clone())),
-                ("pattern".into(), Json::Str(f.pattern.to_string())),
-                ("class".into(), Json::Str(f.class.clone())),
-                (
-                    "members".into(),
-                    Json::Arr(
-                        f.members
-                            .iter()
-                            .map(|m| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::Str(m.name.clone())),
-                                    ("benign".into(), Json::Bool(m.benign)),
-                                    (
-                                        "classes".into(),
-                                        Json::Arr(
-                                            m.classes
-                                                .iter()
-                                                .map(|c| Json::Str(c.clone()))
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "static_codes".into(),
-                                        Json::Arr(
-                                            m.static_codes
-                                                .iter()
-                                                .map(|c| Json::Str(c.clone()))
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "dynamic".into(),
-                                        Json::Arr(
-                                            m.dynamic
-                                                .iter()
-                                                .map(|h| {
-                                                    Json::Obj(vec![
-                                                        ("tool".into(), Json::Str(h.tool.clone())),
-                                                        (
-                                                            "class".into(),
-                                                            Json::Str(h.class.clone()),
-                                                        ),
-                                                        ("warned".into(), Json::Bool(h.warned)),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
     Json::Obj(vec![
         ("schema".into(), Json::Str("mtt-e10-scoreboard".into())),
         ("version".into(), Json::UInt(1)),
@@ -473,7 +432,10 @@ pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> Json {
         ("runs".into(), Json::UInt(opts.runs)),
         ("population".into(), Json::Arr(pop)),
         ("tools".into(), Json::Arr(tools)),
-        ("family_outcomes".into(), Json::Arr(families)),
+        (
+            "family_outcomes".into(),
+            Json::Arr(rows.iter().map(ToJson::to_json).collect()),
+        ),
     ])
 }
 
@@ -496,7 +458,7 @@ mod tests {
         assert_eq!(rows.len(), 4);
         // Round-robin pattern order.
         assert_eq!(
-            rows.iter().map(|f| f.pattern).collect::<Vec<_>>(),
+            rows.iter().map(|f| f.pattern.as_str()).collect::<Vec<_>>(),
             vec!["race", "dlock", "notif", "atom"]
         );
         for f in &rows {

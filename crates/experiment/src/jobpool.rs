@@ -24,25 +24,34 @@
 //! Drop guard: a worker panic or an early unwind clears the in-place line
 //! and joins the ticker thread instead of leaving a partial line and a
 //! leaked thread behind.
+//!
+//! Finally the pool is the one driver of the flight-recorder journal:
+//! [`JobPool::cells`] runs an experiment's cells, writes a content-addressed
+//! `start`/`done` record per cell into the pool's [`CellJournal`], and
+//! rebuilds the cells a previous journal already holds instead of running
+//! them, which is how every journaled command resumes.
 
-use mtt_obs::{CampaignMeta, JobDone, JournalSink};
+use mtt_json::{FromJson, ToJson};
+use mtt_obs::{content_address, CampaignMeta, CellDone, CellStart, JournalSink, ResumeCache};
+use mtt_runtime::RUNTIME_VERSION;
 use mtt_telemetry::SpanSet;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A pool of `jobs` workers over an indexed job space.
 ///
-/// `jobs == 1` executes inline on the calling thread (no spawn overhead),
-/// which is also the reference order the parallel path must reproduce.
+/// `jobs == 1` runs the same per-job loop inline on the calling thread (no
+/// spawn overhead), which is also the reference order the parallel path
+/// must reproduce.
 #[derive(Clone, Default)]
 pub struct JobPool {
     jobs: usize,
     progress: Option<String>,
     spans: Option<SpanSet>,
     timeline: bool,
-    journal: Option<(Arc<JournalSink>, String)>,
+    journal: Option<Arc<CellJournal>>,
 }
 
 impl std::fmt::Debug for JobPool {
@@ -52,8 +61,58 @@ impl std::fmt::Debug for JobPool {
             .field("progress", &self.progress)
             .field("spans", &self.spans.is_some())
             .field("timeline", &self.timeline)
-            .field("journal", &self.journal.as_ref().map(|(_, l)| l))
+            .field("journal", &self.journal.as_ref().map(|j| &j.header.label))
             .finish()
+    }
+}
+
+/// The flight-recorder journal a pool records its cells in, and the cache
+/// of a previous journal they resume from. Either half may be absent.
+#[derive(Clone, Debug, Default)]
+pub struct CellJournal {
+    /// Where the header, the `start`/`done` records and the `end` marker go.
+    pub sink: Option<Arc<JournalSink>>,
+    /// A previous journal's completed cells, by content address.
+    pub resume: Option<ResumeCache>,
+    /// The `campaign` header; [`JobPool::cells`] fills in `total_cells`,
+    /// `jobs` and `runtime`.
+    pub header: CampaignMeta,
+}
+
+/// How a cell's result goes into its `done` record, and back out of a
+/// cached one.
+pub(crate) trait CellCodec<T>: Sync {
+    /// Write `out` into `done`, whose key fields are already filled.
+    fn save(&self, out: &T, done: &mut CellDone);
+    /// The result a cached `done` holds, or `None` when it cannot stand in
+    /// for running the cell.
+    fn load(&self, done: &CellDone) -> Option<T>;
+}
+
+/// The codec of a cell whose result has a JSON form: it travels in the
+/// `done` record's `result` field.
+struct JsonCell;
+
+impl<T: ToJson + FromJson> CellCodec<T> for JsonCell {
+    fn save(&self, out: &T, done: &mut CellDone) {
+        done.result = Some(out.to_json());
+    }
+
+    fn load(&self, done: &CellDone) -> Option<T> {
+        T::from_json(done.result.as_ref()?).ok()
+    }
+}
+
+/// The key of a cell that is not a campaign run: it ran `program` under
+/// `tool` from `seed`, and `spec` names everything else its result depends
+/// on (tool spec, run count, budget), so that the content address does too.
+pub fn cell_key(program: &str, tool: &str, spec: String, seed: u64) -> CellDone {
+    CellDone {
+        program: program.to_string(),
+        tool: tool.to_string(),
+        tool_spec: spec,
+        seed,
+        ..CellDone::default()
     }
 }
 
@@ -107,13 +166,10 @@ impl JobPool {
         self
     }
 
-    /// Journal this pool's generic jobs into `sink` under `label`: one
-    /// `campaign` header (grid fields zeroed — an indexed job space has no
-    /// program × tool × seed structure), one `job` record per completed
-    /// index, and an `end` marker. Campaign-driven pools do **not** use
-    /// this — `Campaign` writes its own cell-addressed records.
-    pub fn with_journal(mut self, sink: Arc<JournalSink>, label: impl Into<String>) -> Self {
-        self.journal = Some((sink, label.into()));
+    /// Record the cells of [`JobPool::cells`] in `journal`, if any, and
+    /// resume them from its cache.
+    pub fn recording(mut self, journal: Option<CellJournal>) -> Self {
+        self.journal = journal.map(Arc::new);
         self
     }
 
@@ -136,6 +192,93 @@ impl JobPool {
         self.run_with_stats(total, f).0
     }
 
+    /// Run the cells `run(0..total)` like [`JobPool::run`], recording and
+    /// resuming them through the pool's [`CellJournal`].
+    ///
+    /// Without a journal `key` is never called. With one, the pool writes a
+    /// `campaign` header and addresses cell `i` by the content address of
+    /// `key(i)`'s program, tool spec, seed and backend. A cell whose
+    /// address the resume cache holds is rebuilt from that record instead
+    /// of run. Every other cell runs between a `start` and a `done` record,
+    /// and the `end` marker counts the cells this process ran. A result
+    /// travels in its `done` record's `result` field, in its JSON form.
+    pub fn cells<T, K, F>(&self, total: usize, key: K, run: F) -> Vec<T>
+    where
+        T: ToJson + FromJson + Send,
+        K: Fn(usize) -> CellDone + Sync,
+        F: Fn(usize) -> T + Sync,
+    {
+        self.cells_with(&JsonCell, total, key, run).0
+    }
+
+    /// [`JobPool::cells`], with the pool's accounting, for results that
+    /// `codec` writes into their `done` records and reads back: a cached
+    /// record `codec` cannot read is run again.
+    pub(crate) fn cells_with<T, C, K, F>(
+        &self,
+        codec: &C,
+        total: usize,
+        key: K,
+        run: F,
+    ) -> (Vec<T>, PoolStats)
+    where
+        T: Send,
+        C: CellCodec<T>,
+        K: Fn(usize) -> CellDone + Sync,
+        F: Fn(usize) -> T + Sync,
+    {
+        let Some(journal) = &self.journal else {
+            return self.run_with_stats(total, run);
+        };
+        if let Some(sink) = &journal.sink {
+            sink.campaign(CampaignMeta {
+                total_cells: total as u64,
+                jobs: self.jobs as u64,
+                runtime: RUNTIME_VERSION.to_string(),
+                ..journal.header.clone()
+            });
+        }
+        let executed = AtomicU64::new(0);
+        let out = self.run_with_stats(total, |i| {
+            let mut done = key(i);
+            let backend = done.backend.as_deref().unwrap_or("model");
+            done.cell = content_address(
+                &done.program,
+                &done.tool_spec,
+                done.seed,
+                RUNTIME_VERSION,
+                backend,
+            );
+            let cached = journal.resume.as_ref().and_then(|c| c.get(&done.cell));
+            if let Some(out) = cached.and_then(|d| codec.load(d)) {
+                return out;
+            }
+            if let Some(sink) = &journal.sink {
+                sink.start(CellStart {
+                    cell: done.cell.clone(),
+                    program: done.program.clone(),
+                    tool: done.tool.clone(),
+                    seed: done.seed,
+                    run: done.run,
+                    t_us: 0,
+                });
+            }
+            let started = Instant::now();
+            let out = run(i);
+            executed.fetch_add(1, Ordering::Relaxed);
+            if let Some(sink) = &journal.sink {
+                done.wall_us = started.elapsed().as_micros() as u64;
+                codec.save(&out, &mut done);
+                sink.done(done);
+            }
+            out
+        });
+        if let Some(sink) = &journal.sink {
+            sink.end(&journal.header.label, executed.load(Ordering::Relaxed));
+        }
+        out
+    }
+
     /// [`JobPool::run`], also returning how the pool spent its time:
     /// per-worker claim counts and busy durations plus the overall wall
     /// time. The results are deterministic; the stats are wall-clock and
@@ -146,15 +289,6 @@ impl JobPool {
         F: Fn(usize) -> T + Sync,
     {
         let started = Instant::now();
-        if let Some((sink, label)) = &self.journal {
-            // Generic header: grid fields zeroed, `total_cells` = job count.
-            sink.campaign(CampaignMeta {
-                label: label.clone(),
-                total_cells: total as u64,
-                jobs: self.jobs as u64,
-                ..CampaignMeta::default()
-            });
-        }
         // The meter is a Drop guard: if `f` panics, the unwind drops it
         // here, which stops and joins the ticker thread and clears any
         // partial progress line before the panic continues.
@@ -162,134 +296,74 @@ impl JobPool {
             .progress
             .as_ref()
             .map(|label| ProgressMeter::start(label.clone(), total));
-        let (mut indexed, workers, mut timeline) = if self.jobs <= 1 || total <= 1 {
-            let mut w = WorkerStats::default();
-            let mut spans: Vec<JobSpan> = Vec::new();
-            let results: Vec<(usize, T)> = (0..total)
-                .map(|i| {
-                    let t0 = Instant::now();
-                    let out = (i, f(i));
-                    let dur = t0.elapsed();
-                    w.busy += dur;
-                    w.claimed += 1;
-                    if self.timeline {
-                        spans.push(JobSpan {
-                            index: i,
-                            worker: 0,
-                            start: t0.saturating_duration_since(started),
-                            dur,
-                        });
-                    }
-                    if let Some((sink, _)) = &self.journal {
-                        sink.job(JobDone {
-                            index: i as u64,
-                            wall_us: dur.as_micros() as u64,
-                            ..JobDone::default()
-                        });
-                    }
-                    if let Some(m) = &meter {
-                        m.bump();
-                    }
-                    out
-                })
-                .collect();
-            (results, vec![w], spans)
+        let bag = AtomicUsize::new(0);
+        // One worker's share: steal the next unclaimed index from the bag
+        // until it is empty.
+        let work = |worker: usize| {
+            let (mut results, mut stats, mut spans) =
+                (Vec::new(), WorkerStats::default(), Vec::new());
+            loop {
+                let i = bag.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
+                    break (results, stats, spans);
+                }
+                let t0 = Instant::now();
+                results.push((i, f(i)));
+                let dur = t0.elapsed();
+                stats.busy += dur;
+                stats.claimed += 1;
+                if self.timeline {
+                    spans.push(JobSpan {
+                        index: i,
+                        worker,
+                        start: t0.saturating_duration_since(started),
+                        dur,
+                    });
+                }
+                if let Some(m) = &meter {
+                    m.bump();
+                }
+            }
+        };
+        let workers = self.jobs.min(total).max(1);
+        let shares = if workers == 1 {
+            vec![work(0)]
         } else {
-            self.run_stealing(total, &f, meter.as_ref(), started)
+            std::thread::scope(|scope| {
+                let work = &work;
+                let handles: Vec<_> = (0..workers)
+                    .map(|worker| scope.spawn(move || work(worker)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            })
         };
         if let Some(m) = meter {
             m.finish();
         }
+        let mut indexed = Vec::with_capacity(total);
+        let mut stats = PoolStats::default();
+        for (results, worker, spans) in shares {
+            indexed.extend(results);
+            stats.workers.push(worker);
+            stats.timeline.extend(spans);
+        }
         indexed.sort_unstable_by_key(|(i, _)| *i);
         debug_assert_eq!(indexed.len(), total, "every job produced one result");
-        timeline.sort_unstable_by_key(|s| s.index);
-        let stats = PoolStats {
-            workers,
-            wall: started.elapsed(),
-            timeline,
-        };
+        stats.timeline.sort_unstable_by_key(|s| s.index);
+        stats.wall = started.elapsed();
         if let Some(spans) = &self.spans {
             for w in &stats.workers {
                 spans.add("pool.worker", w.busy);
             }
             spans.add("pool.run", stats.wall);
         }
-        if let Some((sink, label)) = &self.journal {
-            sink.end(label, total as u64);
-        }
         (indexed.into_iter().map(|(_, v)| v).collect(), stats)
-    }
-
-    fn run_stealing<T, F>(
-        &self,
-        total: usize,
-        f: &F,
-        meter: Option<&ProgressMeter>,
-        started: Instant,
-    ) -> (Vec<(usize, T)>, Vec<WorkerStats>, Vec<JobSpan>)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let bag = AtomicUsize::new(0);
-        let workers = self.jobs.min(total);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let bag = &bag;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        let mut spans: Vec<JobSpan> = Vec::new();
-                        let mut stats = WorkerStats::default();
-                        loop {
-                            // Steal the next unclaimed index from the bag.
-                            let i = bag.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            local.push((i, f(i)));
-                            let dur = t0.elapsed();
-                            stats.busy += dur;
-                            stats.claimed += 1;
-                            if self.timeline {
-                                spans.push(JobSpan {
-                                    index: i,
-                                    worker,
-                                    start: t0.saturating_duration_since(started),
-                                    dur,
-                                });
-                            }
-                            if let Some((sink, _)) = &self.journal {
-                                sink.job(JobDone {
-                                    index: i as u64,
-                                    wall_us: dur.as_micros() as u64,
-                                    ..JobDone::default()
-                                });
-                            }
-                            if let Some(m) = meter {
-                                m.bump();
-                            }
-                        }
-                        (local, stats, spans)
-                    })
-                })
-                .collect();
-            let mut results = Vec::with_capacity(total);
-            let mut worker_stats = Vec::with_capacity(workers);
-            let mut timeline = Vec::new();
-            for h in handles {
-                match h.join() {
-                    Ok((local, stats, spans)) => {
-                        results.extend(local);
-                        worker_stats.push(stats);
-                        timeline.extend(spans);
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            (results, worker_stats, timeline)
-        })
     }
 }
 
@@ -593,36 +667,121 @@ mod tests {
         assert!(stats.timeline.is_empty());
     }
 
-    #[test]
-    fn journaled_pool_writes_header_jobs_and_end() {
-        use mtt_obs::{parse_journal, StatusSummary};
-        use std::io::{self, Write};
-
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+    /// A journal the test can read back while the sink owns its writer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
         }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
+    /// Run 9 cells (`i * i`, keyed by seed `i`) through a journaled pool of
+    /// `jobs` workers resuming from `resume`; return the results and the
+    /// journal's records.
+    fn journaled_cells(
+        jobs: usize,
+        resume: Option<ResumeCache>,
+    ) -> (Vec<u64>, Vec<mtt_obs::JournalRecord>) {
         let buf = SharedBuf::default();
         let sink = Arc::new(JournalSink::from_writer(buf.clone()));
-        let out = JobPool::new(3)
-            .with_journal(Arc::clone(&sink), "trace")
-            .run(9, |i| i);
-        assert_eq!(out.len(), 9);
+        let pool = JobPool::new(jobs).recording(Some(CellJournal {
+            sink: Some(Arc::clone(&sink)),
+            resume,
+            header: CampaignMeta {
+                label: "squares".into(),
+                ..CampaignMeta::default()
+            },
+        }));
+        let key = |i: usize| CellDone {
+            program: "square".into(),
+            tool_spec: "i*i".into(),
+            seed: i as u64,
+            run: i as u64,
+            ..CellDone::default()
+        };
+        let out = pool.cells(9, key, |i| (i * i) as u64);
         assert!(sink.error().is_none());
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let parsed = parse_journal(&text).unwrap();
-        let s = StatusSummary::from_journal(&parsed);
-        assert_eq!(s.label, "trace");
-        assert_eq!((s.total, s.done), (Some(9), 9));
-        assert!(s.complete);
+        (out, mtt_obs::parse_journal(&text).unwrap().records)
+    }
+
+    #[test]
+    fn cell_driver_writes_one_header_one_done_per_cell_and_end() {
+        use mtt_obs::{JournalRecord, StatusSummary};
+        for jobs in [1, 3] {
+            let (out, records) = journaled_cells(jobs, None);
+            assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<u64>>());
+            let count = |kind: &str| records.iter().filter(|r| r.kind() == kind).count();
+            assert_eq!(
+                (
+                    count("campaign"),
+                    count("start"),
+                    count("done"),
+                    count("end")
+                ),
+                (1, 9, 9, 1),
+                "jobs={jobs}"
+            );
+            // Each `done` carries its cell's payload under its own address.
+            let mut cells = std::collections::BTreeSet::new();
+            for r in &records {
+                if let JournalRecord::Done(d) = r {
+                    assert_eq!(d.result, Some(mtt_json::Json::UInt(d.seed * d.seed)));
+                    cells.insert(d.cell.clone());
+                }
+            }
+            assert_eq!(cells.len(), 9);
+            let s = StatusSummary::from_journal(&mtt_obs::ParsedJournal {
+                records,
+                tail_discarded: false,
+            });
+            assert_eq!((s.label.as_str(), s.total, s.done), ("squares", Some(9), 9));
+            assert!(s.complete);
+        }
+    }
+
+    #[test]
+    fn cell_driver_resumes_cached_cells_without_running_them() {
+        let (first, records) = journaled_cells(2, None);
+        // Keep only the first four cells' records, as a killed run would.
+        let mut kept = 0;
+        let partial: Vec<_> = records
+            .into_iter()
+            .filter(|r| match r {
+                mtt_obs::JournalRecord::Done(_) => {
+                    kept += 1;
+                    kept <= 4
+                }
+                _ => false,
+            })
+            .collect();
+        let (resumed, tail) = journaled_cells(2, Some(ResumeCache::from_records(&partial)));
+        assert_eq!(resumed, first);
+        let done = tail.iter().filter(|r| r.kind() == "done").count();
+        assert_eq!(done, 5, "only the uncached cells run");
+        let Some(mtt_obs::JournalRecord::End(end)) = tail.last() else {
+            panic!("journal ends with its end marker");
+        };
+        assert_eq!(end.completed, 5);
+        // A cached payload the codec cannot read is run again.
+        let garbled: Vec<_> = partial
+            .iter()
+            .map(|r| match r {
+                mtt_obs::JournalRecord::Done(d) => mtt_obs::JournalRecord::Done(CellDone {
+                    result: Some(mtt_json::Json::Str("not a number".into())),
+                    ..d.clone()
+                }),
+                other => other.clone(),
+            })
+            .collect();
+        let (rerun, tail) = journaled_cells(1, Some(ResumeCache::from_records(&garbled)));
+        assert_eq!(rerun, first);
+        assert_eq!(tail.iter().filter(|r| r.kind() == "done").count(), 9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! compared as to the distribution of their results. Analysis of outcomes
 //! will be produced as part of the prepared experiment."
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::{total_variation, Distribution};
 use mtt_runtime::Execution;
@@ -45,10 +45,11 @@ pub struct MultioutRow {
 }
 
 /// Run the multiout program `runs` times under each configuration and
-/// collect the outcome-signature distributions, sharding the whole
-/// (configuration × seed) matrix across a job pool. Distributions are count
-/// maps, so folding the per-run signatures in canonical order reproduces
-/// the serial result exactly at any worker count.
+/// collect the outcome-signature distributions, running the whole
+/// (configuration × seed) matrix as one cell space on a job pool.
+/// Distributions are count maps, so folding the per-run signatures in
+/// canonical order reproduces the serial result exactly at any worker
+/// count.
 pub fn run_multiout_eval_on(runs: u64, base_seed: u64, pool: &JobPool) -> Vec<MultioutRow> {
     run_multiout_eval_with(runs, base_seed, standard_configs(), pool)
 }
@@ -66,9 +67,14 @@ pub fn run_multiout_eval_with(
     let program = multiout::program();
     let n_runs = runs as usize;
 
-    let samples: Vec<(String, String)> = pool.run(configs.len() * n_runs, |i| {
+    let seed = |i: usize| base_seed + (i % n_runs) as u64;
+    let key = |i: usize| {
         let cfg = &configs[i / n_runs];
-        let seed = base_seed + (i % n_runs) as u64;
+        cell_key("multiout", &cfg.name, cfg.spec_string(), seed(i))
+    };
+    let samples: Vec<(String, String)> = pool.cells(configs.len() * n_runs, key, |i| {
+        let cfg = &configs[i / n_runs];
+        let seed = seed(i);
         let outcome = Execution::new(&program)
             .scheduler((cfg.scheduler)(seed))
             .noise((cfg.noise)(seed ^ 0xabcd))

@@ -8,7 +8,7 @@
 //! operations injected, standing in for recompilation/environment change).
 //! Success = the replay reproduces the original outcome fingerprint.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::FindStats;
 use mtt_replay::{record, DivergencePolicy, PlaybackNoise, PlaybackScheduler, ReplayLog};
@@ -71,18 +71,30 @@ struct AttemptResult {
     log_bytes: u64,
 }
 
-/// Run E3 over `attempts` recorded executions per cell, sharding the (drift
-/// × attempt) matrix across a job pool. Each attempt records with its own
+mtt_json::json_struct!(AttemptResult {
+    strict,
+    resync,
+    partial,
+    log_bytes
+});
+
+/// Run E3 over `attempts` recorded executions per cell, as one cell space
+/// of (drift × attempt) on a job pool. Each attempt records with its own
 /// seed and plays back deterministically, so the aggregated rows are
 /// identical for any worker count.
 pub fn run_replay_eval_on(attempts: u64, drifts: &[u32], pool: &JobPool) -> Vec<ReplayRow> {
     let original = drifted_program(0);
     let targets: Vec<Program> = drifts.iter().map(|&d| drifted_program(d)).collect();
     let n_attempts = attempts as usize;
+    let seed = |i: usize| 100 + (i % n_attempts) as u64;
+    let key = |i: usize| {
+        let drift = format!("drift={}", drifts[i / n_attempts]);
+        cell_key(original.name(), &drift, drift.clone(), seed(i))
+    };
 
-    let results = pool.run(drifts.len() * n_attempts, |i| {
+    let results = pool.cells(drifts.len() * n_attempts, key, |i| {
         let target = &targets[i / n_attempts];
-        let seed = 100 + (i % n_attempts) as u64;
+        let seed = seed(i);
         // Record on the original program.
         let (sched, noise, handle) = record(
             original.name(),

@@ -32,11 +32,11 @@
 //! the accumulator's count here — one definition of "distinct schedule",
 //! observable live.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_coverage::ScheduleCoverage;
 use mtt_instrument::shared;
-use mtt_json::Json;
+use mtt_json::{Json, ToJson};
 use mtt_runtime::{Execution, Program};
 use mtt_suite::SuiteProgram;
 use mtt_tools::ToolConfig;
@@ -82,6 +82,18 @@ pub struct SaturationCell {
     pub curve: Vec<u64>,
 }
 
+mtt_json::json_struct!(SaturationCell {
+    program,
+    tool,
+    tool_spec,
+    runs,
+    distinct,
+    singletons,
+    unseen_mass,
+    auc,
+    curve,
+});
+
 /// The resolved E12 roster.
 pub fn saturation_roster() -> Vec<ToolConfig> {
     SATURATION_ROSTER_SPECS
@@ -118,14 +130,19 @@ pub fn run_fingerprint(program: &Program, cfg: &ToolConfig, seed: u64, max_steps
     fp.to_hex()
 }
 
-/// Run E12, sharding one job per (program × tool) cell across `pool`.
-/// Every run inside a cell is seeded from the run index alone, so cells
-/// come back identical (and in grid order) at any worker count.
+/// Run E12, one cell per (program × tool) on `pool`. Every run inside a
+/// cell is seeded from the run index alone, so cells come back identical
+/// (and in grid order) at any worker count.
 pub fn run_saturation_on(runs: u64, pool: &JobPool) -> Vec<SaturationCell> {
     let programs = saturation_programs();
     let tools = saturation_roster();
     let n_tools = tools.len();
-    pool.run(programs.len() * n_tools, |i| {
+    let key = |i: usize| {
+        let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
+        let spec = format!("{} runs={runs}", cfg.spec_string());
+        cell_key(prog.name, &cfg.name, spec, SATURATION_BASE_SEED)
+    };
+    pool.cells(programs.len() * n_tools, key, |i| {
         let prog = &programs[i / n_tools];
         let cfg = &tools[i % n_tools];
         let mut cov = ScheduleCoverage::default();
@@ -192,31 +209,15 @@ pub fn render_csv(cells: &[SaturationCell]) -> String {
 
 /// The machine-readable report, rarefaction curves included.
 pub fn saturation_json(cells: &[SaturationCell]) -> Json {
-    let arr = cells
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("program".into(), Json::Str(c.program.clone())),
-                ("tool".into(), Json::Str(c.tool.clone())),
-                ("tool_spec".into(), Json::Str(c.tool_spec.clone())),
-                ("runs".into(), Json::UInt(c.runs)),
-                ("distinct".into(), Json::UInt(c.distinct)),
-                ("singletons".into(), Json::UInt(c.singletons)),
-                ("unseen_mass".into(), Json::Float(c.unseen_mass)),
-                ("auc".into(), Json::Float(c.auc)),
-                (
-                    "curve".into(),
-                    Json::Arr(c.curve.iter().map(|&d| Json::UInt(d)).collect()),
-                ),
-            ])
-        })
-        .collect();
     Json::Obj(vec![
         ("schema".into(), Json::Str("mtt-e12-saturation".into())),
         ("version".into(), Json::UInt(1)),
         ("base_seed".into(), Json::UInt(SATURATION_BASE_SEED)),
         ("max_steps".into(), Json::UInt(SATURATION_MAX_STEPS)),
-        ("cells".into(), Json::Arr(arr)),
+        (
+            "cells".into(),
+            Json::Arr(cells.iter().map(ToJson::to_json).collect()),
+        ),
     ])
 }
 

@@ -21,16 +21,16 @@
 //!   manifested under the (tool-independent) noisy probe — the dynamic
 //!   oracle backs the documentation.
 //!
-//! Everything is a pure function of fixed seeds: the per-sample jobs
+//! Everything is a pure function of fixed seeds: the per-sample cells
 //! shard over a [`JobPool`] and merge in catalog order, so the rendered
 //! tables, CSV, and JSON are byte-identical at any `--jobs` count.
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::static_eval::ClassScore;
 use mtt_deadlock::{LockOrderGraph, WaitsForMonitor};
 use mtt_instrument::shared;
-use mtt_json::Json;
+use mtt_json::{Json, ToJson};
 use mtt_noise::RandomSleep;
 use mtt_race::{EraserLockset, VectorClockDetector};
 use mtt_runtime::{Execution, RandomScheduler};
@@ -74,6 +74,12 @@ pub struct DynamicHit {
     pub warned: bool,
 }
 
+mtt_json::json_struct!(DynamicHit {
+    tool,
+    class,
+    warned
+});
+
 /// Everything E11 learned about one MiniProg sample.
 #[derive(Clone, Debug)]
 pub struct SampleOutcomes {
@@ -89,6 +95,14 @@ pub struct SampleOutcomes {
     /// Per-dynamic-tool verdicts, in roster order.
     pub dynamic: Vec<DynamicHit>,
 }
+
+mtt_json::json_struct!(SampleOutcomes {
+    program,
+    documented,
+    manifests,
+    static_codes,
+    dynamic,
+});
 
 /// One row of the per-tool scoreboard.
 #[derive(Clone, Debug)]
@@ -184,13 +198,14 @@ pub fn dynamic_warned(
     false
 }
 
-/// Run E11, sharding one job per MiniProg sample across `pool`. Every run
-/// inside a job is seeded from the run index alone, so rows come back
-/// identical (and in catalog order) at any worker count.
+/// Run E11, one cell per MiniProg sample on `pool`. Every run inside a
+/// cell is seeded from the run index alone, so rows come back identical
+/// (and in catalog order) at any worker count.
 pub fn run_scoreboard_on(runs: u64, pool: &JobPool) -> Vec<SampleOutcomes> {
     let catalog = samples::catalog();
     let tools = dynamic_roster();
-    pool.run(catalog.len(), |i| {
+    let key = |i: usize| cell_key(catalog[i].name, "scoreboard", format!("runs={runs}"), 40);
+    pool.cells(catalog.len(), key, |i| {
         let sample = &catalog[i];
         let ast = parse(sample.src).expect("sample must parse");
         let analysis = analyze(&ast);
@@ -393,43 +408,6 @@ pub fn render_csv(rows: &[SampleOutcomes]) -> String {
 
 /// The machine-readable report: samples, per-tool rows, per-class unions.
 pub fn scoreboard_json(rows: &[SampleOutcomes]) -> Json {
-    let samples = rows
-        .iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("program".into(), Json::Str(r.program.clone())),
-                (
-                    "documented".into(),
-                    Json::Arr(r.documented.iter().map(|c| Json::Str(c.clone())).collect()),
-                ),
-                ("manifests".into(), Json::Bool(r.manifests)),
-                (
-                    "static_codes".into(),
-                    Json::Arr(
-                        r.static_codes
-                            .iter()
-                            .map(|c| Json::Str(c.clone()))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "dynamic".into(),
-                    Json::Arr(
-                        r.dynamic
-                            .iter()
-                            .map(|h| {
-                                Json::Obj(vec![
-                                    ("tool".into(), Json::Str(h.tool.clone())),
-                                    ("class".into(), Json::Str(h.class.clone())),
-                                    ("warned".into(), Json::Bool(h.warned)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
     let tools = score_tools(rows)
         .into_iter()
         .map(|r| {
@@ -467,7 +445,10 @@ pub fn scoreboard_json(rows: &[SampleOutcomes]) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::Str("mtt-e11-scoreboard".into())),
         ("version".into(), Json::UInt(1)),
-        ("samples".into(), Json::Arr(samples)),
+        (
+            "samples".into(),
+            Json::Arr(rows.iter().map(ToJson::to_json).collect()),
+        ),
         ("tools".into(), Json::Arr(tools)),
         ("classes".into(), Json::Arr(classes)),
     ])

@@ -12,7 +12,7 @@
 //!   scored against each sample's documented classes and the dynamic
 //!   oracle (did any documented bug actually manifest under noise?).
 
-use crate::jobpool::JobPool;
+use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::FindStats;
 use mtt_instrument::{shared, CountingSink, InstrumentationPlan, StaticInfo};
@@ -54,6 +54,23 @@ pub struct StaticRow {
     pub has_bug: bool,
 }
 
+mtt_json::json_struct!(StaticRow {
+    program,
+    events_full,
+    events_escape,
+    events_advised,
+    points_escape,
+    points_mhp,
+    find_full,
+    find_advised,
+    static_races,
+    static_deadlocks,
+    static_classes,
+    documented_classes,
+    manifests,
+    has_bug,
+});
+
 impl StaticRow {
     /// Fraction of events the advice suppressed.
     pub fn reduction(&self) -> f64 {
@@ -84,12 +101,13 @@ fn advised_points(info: &StaticInfo) -> usize {
         .count()
 }
 
-/// Run E7 across all MiniProg samples, sharding one job per sample across a
-/// job pool (analysis plus the seeded find-rate runs are the per-sample
-/// cost). Rows come back in catalog order at any worker count.
+/// Run E7 across all MiniProg samples, one cell per sample on a job pool
+/// (analysis plus the seeded find-rate runs are the per-sample cost). Rows
+/// come back in catalog order at any worker count.
 pub fn run_static_eval_on(runs: u64, pool: &JobPool) -> Vec<StaticRow> {
     let catalog = samples::catalog();
-    pool.run(catalog.len(), |i| {
+    let key = |i: usize| cell_key(catalog[i].name, "static-advice", format!("runs={runs}"), 40);
+    pool.cells(catalog.len(), key, |i| {
         let sample = &catalog[i];
         let ast = parse(sample.src).expect("sample must parse");
         let analysis = analyze(&ast);

@@ -17,6 +17,8 @@ pub struct FindStats {
     pub runs: u64,
 }
 
+mtt_json::json_struct!(FindStats { hits, runs });
+
 impl FindStats {
     /// Record one run.
     pub fn record(&mut self, hit: bool) {
@@ -83,6 +85,8 @@ pub struct Distribution {
     /// Total observations.
     pub total: u64,
 }
+
+mtt_json::json_struct!(Distribution { counts, total });
 
 impl Distribution {
     /// Empty distribution.

@@ -127,7 +127,7 @@ fn interrupted_then_resumed_is_byte_identical_at_every_job_count() {
         // The resumed journal is strictly valid and reads as complete.
         let (stdout, stderr, code) = mtt(&["journal-check", &jdir_s]);
         assert_eq!(code, 0, "stderr: {stderr}");
-        assert!(stdout.contains("conform to journal schema v3"), "{stdout}");
+        assert!(stdout.contains("conform to journal schema v4"), "{stdout}");
     }
 
     // The default text report also matches, not just the CSV.
@@ -341,31 +341,215 @@ fn profile_rejects_resume_and_chrome_trace_with_all() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Count the journal lines of `kind` in `text`.
+fn count_kind(text: &str, kind: &str) -> usize {
+    let tag = format!("\"kind\":\"{kind}\"");
+    text.lines().filter(|l| l.contains(&tag)).count()
+}
+
+/// The line of the last `end` record of `journal`.
+fn last_end(journal: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(journal).unwrap();
+    text.lines()
+        .rfind(|l| l.contains("\"kind\":\"end\""))
+        .expect("journal ends cleanly")
+        .to_string()
+}
+
 #[test]
-fn non_campaign_commands_journal_generic_jobs_and_reject_resume() {
+fn e5_journals_done_cells_and_resumes() {
     let dir = tmp("pool");
     let jdir_s = dir.to_string_lossy().into_owned();
-    let (_, stderr, code) = mtt(&["e5", "4", "--quiet", "--journal", &jdir_s]);
+    let (first, stderr, code) = mtt(&["e5", "4", "--quiet", "--journal", &jdir_s]);
     assert_eq!(code, 0, "stderr: {stderr}");
     let journal = dir.join("e5.ndjson");
     let text = std::fs::read_to_string(&journal).unwrap();
-    assert!(
-        text.contains("\"kind\":\"job\""),
-        "generic job records: {text}"
-    );
-    assert!(text.contains("\"kind\":\"end\""), "{text}");
+    // One header, one `done` per (config, run) cell, one end marker, and
+    // no generic `job` records.
+    assert_eq!(count_kind(&text, "campaign"), 1, "{text}");
+    assert_eq!(count_kind(&text, "done"), 24, "{text}");
+    assert_eq!(count_kind(&text, "end"), 1, "{text}");
+    assert_eq!(count_kind(&text, "job"), 0, "{text}");
+    assert!(text.contains("\"result\":["), "payloads journaled: {text}");
     let (stdout, stderr, code) = mtt(&["journal-check", &jdir_s]);
     assert_eq!(code, 0, "stderr: {stderr}");
     assert!(stdout.contains("conform"), "{stdout}");
     let (stdout, _, code) = mtt(&["status", &jdir_s]);
     assert_eq!(code, 0);
+    assert!(stdout.contains("[e5] 24/24 cells"), "{stdout}");
     assert!(stdout.contains("complete"), "{stdout}");
 
-    // --resume is campaign-shaped only; e5 says so instead of ignoring it.
-    let (_, stderr, code) = mtt(&["e5", "4", "--quiet", "--journal", &jdir_s, "--resume"]);
-    assert_eq!(code, 2, "stderr: {stderr}");
-    assert!(stderr.contains("not supported by `e5`"), "stderr: {stderr}");
+    // Resuming the finished journal replays every cell from it: the kill
+    // hook never fires, the output is the same, and nothing runs.
+    let (second, stderr, code) = mtt_with(
+        &["e5", "4", "--quiet", "--journal", &jdir_s, "--resume"],
+        &[("MTT_JOURNAL_KILL_AFTER", "1")],
+    );
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(second, first, "fully cached e5 diverged");
+    assert!(last_end(&journal).contains("\"completed\":0"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn status_counts_every_cell_of_a_pool_experiment() {
+    let dir = tmp("cells");
+    let jdir_s = dir.to_string_lossy().into_owned();
+    let (_, stderr, code) = mtt(&["e2", "3", "--quiet", "--journal", &jdir_s]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    // 19 programs × 3 traces, run as one cell space under one header.
+    let text = std::fs::read_to_string(dir.join("e2.ndjson")).unwrap();
+    assert_eq!(count_kind(&text, "campaign"), 1);
+    assert_eq!(count_kind(&text, "end"), 1);
+    let (stdout, _, code) = mtt(&["status", &jdir_s]);
+    assert_eq!(code, 0);
+    assert!(stdout.contains("[e2] 57/57 cells"), "{stdout}");
+    assert!(stdout.contains("complete"), "{stdout}");
+
+    // The same run killed after 5 cells does not read as complete.
+    let killed = tmp("cells-killed");
+    let killed_s = killed.to_string_lossy().into_owned();
+    let (_, _, code) = mtt_with(
+        &["e2", "3", "--quiet", "--journal", &killed_s],
+        &[("MTT_JOURNAL_KILL_AFTER", "5")],
+    );
+    assert_eq!(code, 9);
+    let (stdout, _, code) = mtt(&["status", &killed_s]);
+    assert_eq!(code, 0);
+    assert!(stdout.contains("[e2] 5/57 cells"), "{stdout}");
+    assert!(!stdout.contains("complete"), "{stdout}");
+
+    // cloning 4: 4 clone counts × (plain + sleep noise) × 4 runs.
+    let (_, stderr, code) = mtt(&["cloning", "4", "--quiet", "--journal", &jdir_s]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let (stdout, _, _) = mtt(&["status", &dir.join("cloning.ndjson").to_string_lossy()]);
+    assert!(stdout.contains("[cloning] 32/32 cells"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&killed).ok();
+}
+
+/// Run `args` once uninterrupted, then at jobs 1/2/4/8 kill it after
+/// `kill` cells and resume it: every resumed stdout must equal the
+/// uninterrupted one. Finally a resume of a finished journal runs nothing.
+fn assert_resume_is_byte_identical(args: &[&str], kill: &str) {
+    let label = args[0];
+    let dir = tmp(&format!("resume-{label}"));
+    let run = |extra: &[&str], envs: &[(&str, &str)]| {
+        let all: Vec<&str> = args
+            .iter()
+            .chain(["--quiet"].iter())
+            .chain(extra)
+            .copied()
+            .collect();
+        mtt_with(&all, envs)
+    };
+    let (base, stderr, code) = run(&[], &[]);
+    assert_eq!(code, 0, "{args:?}: {stderr}");
+    for jobs in ["1", "2", "4", "8"] {
+        let jdir_s = dir.join(jobs).to_string_lossy().into_owned();
+        let journaled = ["--jobs", jobs, "--journal", jdir_s.as_str()];
+        let (_, stderr, code) = run(&journaled, &[("MTT_JOURNAL_KILL_AFTER", kill)]);
+        assert_eq!(
+            code, 9,
+            "{args:?} --jobs {jobs}: kill hook must fire: {stderr}"
+        );
+        let resumed = [&journaled[..], &["--resume"]].concat();
+        let (out, stderr, code) = run(&resumed, &[]);
+        assert_eq!(code, 0, "{args:?} --jobs {jobs}: {stderr}");
+        assert_eq!(out, base, "{args:?} resumed at --jobs {jobs} diverged");
+        // Fully cached now: nothing runs, so the kill hook cannot fire.
+        let (out, stderr, code) = run(&resumed, &[("MTT_JOURNAL_KILL_AFTER", "1")]);
+        assert_eq!(code, 0, "{args:?} --jobs {jobs}: {stderr}");
+        assert_eq!(out, base, "{args:?} replayed at --jobs {jobs} diverged");
+        let journal = dir.join(jobs).join(format!("{label}.ndjson"));
+        assert!(last_end(&journal).contains("\"completed\":0"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pre_v4_and_metrics_less_e1_journals_resume() {
+    let dir = tmp("legacy");
+    let log = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (base, stderr, code) = run_e1(&["--csv", "--metrics", &log("base.ndjson")], &[]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let jdir = dir.join("j");
+    let jdir_s = jdir.to_string_lossy().into_owned();
+    let journal = jdir.join("e1.ndjson");
+    let (_, stderr, code) = run_e1(&["--journal", &jdir_s], &[]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let v4 = std::fs::read_to_string(&journal).unwrap();
+    // A campaign's records are what v3 builds wrote; v1 builds also wrote
+    // no fingerprint.
+    let v3 = v4.replace("{\"v\":4,", "{\"v\":3,");
+    let v1: String = v4
+        .lines()
+        .map(|l| {
+            let l = l.replacen("{\"v\":4,", "{\"v\":1,", 1);
+            match l.find(",\"fingerprint\":\"") {
+                Some(at) => format!("{}{}\n", &l[..at], &l[at + 49..]),
+                None => format!("{l}\n"),
+            }
+        })
+        .collect();
+    for old in [v3, v1] {
+        std::fs::write(&journal, &old).unwrap();
+        let (out, stderr, code) = run_e1(
+            &["--journal", &jdir_s, "--resume", "--csv"],
+            &[("MTT_JOURNAL_KILL_AFTER", "1")],
+        );
+        assert_eq!(code, 0, "stderr: {stderr}");
+        assert_eq!(out, base, "an old journal replays byte for byte");
+        assert!(last_end(&journal).contains("\"completed\":0"));
+    }
+
+    // The journal's cells carry no metrics, so a resume under --metrics
+    // runs every one of them again and writes the full run log.
+    let (out, stderr, code) = run_e1(
+        &[
+            "--journal",
+            &jdir_s,
+            "--resume",
+            "--csv",
+            "--metrics",
+            &log("res.ndjson"),
+        ],
+        &[],
+    );
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(out, base);
+    assert_eq!(
+        std::fs::read(log("res.ndjson")).unwrap(),
+        std::fs::read(log("base.ndjson")).unwrap()
+    );
+    assert!(last_end(&journal).contains("\"completed\":76"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn e2_e5_and_cloning_resume_byte_identical_at_every_job_count() {
+    assert_resume_is_byte_identical(&["e2", "2"], "7");
+    assert_resume_is_byte_identical(&["e5", "4"], "5");
+    assert_resume_is_byte_identical(&["cloning", "2"], "9");
+}
+
+#[test]
+fn e3_e4_e6_e7_and_explain_resume_byte_identical_at_every_job_count() {
+    assert_resume_is_byte_identical(&["e3", "2"], "3");
+    assert_resume_is_byte_identical(&["e4", "lost_update", "4"], "2");
+    assert_resume_is_byte_identical(&["e6", "50"], "4");
+    assert_resume_is_byte_identical(&["e7", "2"], "4");
+    assert_resume_is_byte_identical(&["explain", "lost_update", "--diff", "--scan", "30"], "3");
+}
+
+#[test]
+fn json_reports_and_e13_model_legs_resume_byte_identical() {
+    assert_resume_is_byte_identical(&["e10", "--families", "2", "--runs", "1", "--json"], "1");
+    assert_resume_is_byte_identical(&["e11", "2", "--json"], "4");
+    assert_resume_is_byte_identical(&["e12", "3", "--json"], "5");
+    // Native legs are real concurrency; a resumed run restores them from
+    // the journal, so the model legs are what compares byte for byte.
+    assert_resume_is_byte_identical(&["e13", "2", "--model-csv"], "4");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! character), and arbitrary strings.
 
 use mtt_experiment::campaign::Campaign;
-use mtt_experiment::jobpool::JobPool;
+use mtt_experiment::jobpool::{cell_key, CellJournal, JobPool};
 use mtt_obs::{ChromeTrace, JournalSink};
 use mtt_runtime::RuntimeBackend;
 use mtt_tools::ToolSpec;
@@ -65,8 +65,12 @@ fn lines_and_whole(text: &str) -> Vec<String> {
     seeds
 }
 
+/// A legacy `job` record, as builds before journal schema v4 wrote them.
+const LEGACY_JOB: &str = r#"{"v":3,"kind":"job","index":0,"wall_us":5,"t_us":9,"worker":0}"#;
+
 /// A journal and a run log from one small telemetry campaign with a native
-/// cell (so every optional field is present), plus generic `job` records.
+/// cell (so every optional field is present), plus cells carrying a
+/// `result` payload and a legacy `job` record.
 fn campaign_artifacts() -> (String, String) {
     let path = std::env::temp_dir().join(format!("mtt-never-panic-{}.ndjson", std::process::id()));
     let sink = Arc::new(JournalSink::to_file(&path, false).expect("temp journal"));
@@ -77,8 +81,14 @@ fn campaign_artifacts() -> (String, String) {
     campaign.telemetry = true;
     campaign.journal = Some(Arc::clone(&sink));
     let run = campaign.run_full(&JobPool::serial());
-    JobPool::serial().with_journal(sink, "jobs").run(2, |i| i);
-    let journal = std::fs::read_to_string(&path).expect("journal written");
+    let pool = JobPool::serial().recording(Some(CellJournal {
+        sink: Some(sink),
+        ..CellJournal::default()
+    }));
+    pool.cells(2, |i| cell_key("p", "t", "s".into(), i as u64), |i| vec![i]);
+    let mut journal = std::fs::read_to_string(&path).expect("journal written");
+    journal.push_str(LEGACY_JOB);
+    journal.push('\n');
     std::fs::remove_file(&path).ok();
     let mut log = Vec::new();
     let mut w = mtt_telemetry::RunLogWriter::new(&mut log);

@@ -7,10 +7,10 @@
 //! whitespace), and [`ToJson`] / [`FromJson`] traits with `macro_rules!`
 //! implementors ([`json_struct!`], [`json_enum!`], [`json_newtype!`]) that
 //! stand in for `#[derive(Serialize, Deserialize)]` on the workspace's
-//! simple data types. Types with field attributes (defaults, skips)
-//! hand-write their impls.
+//! data types, including fields that are skipped when they hold their
+//! default (`#[optional]` in [`json_struct!`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -741,6 +741,18 @@ impl<K: JsonKey + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
     }
 }
 
+impl<T: ToJson> ToJson for BTreeSet<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Vec::<T>::from_json(v).map(|items| items.into_iter().collect())
+    }
+}
+
 impl<T: ToJson> ToJson for std::sync::Arc<T> {
     fn to_json(&self) -> Json {
         (**self).to_json()
@@ -782,29 +794,65 @@ impl FromJson for Json {
 // ---------------------------------------------------------------------
 
 /// Implement [`ToJson`] + [`FromJson`] for a plain struct: every field is
-/// emitted under its own name, in declaration order, and required on input.
+/// emitted under its own name, in the order listed, and required on input.
+/// A field marked `#[optional]` is left out while it equals
+/// `Default::default()` and reads as the default when absent — the form
+/// versioned schemas use to add a field without changing old records.
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($(#[$mode:ident])? $field:ident),+ $(,)? }) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
-                $crate::Json::Obj(vec![
-                    $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field))),+
-                ])
+                let mut fields = ::std::vec::Vec::new();
+                $(if !$crate::__json_field!(skip self.$field $(, $mode)?) {
+                    fields.push((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)));
+                })+
+                $crate::Json::Obj(fields)
             }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
                 ::std::result::Result::Ok($ty {
-                    $($field: $crate::FromJson::from_json(v.get(stringify!($field)).ok_or_else(
-                        || $crate::JsonError::msg(concat!(
-                            "missing field `", stringify!($field), "` in ", stringify!($ty)
-                        ))
-                    )?)?),+
+                    $($field: $crate::__json_field!(read v, $ty, $field $(, $mode)?)?),+
                 })
             }
         }
     };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_field {
+    (skip $value:expr) => {
+        false
+    };
+    (skip $value:expr, optional) => {
+        $crate::is_default(&$value)
+    };
+    (read $v:ident, $ty:ident, $field:ident) => {
+        $crate::field($v, stringify!($field), stringify!($ty))
+    };
+    (read $v:ident, $ty:ident, $field:ident, optional) => {
+        $v.get(stringify!($field)).map_or(
+            ::std::result::Result::Ok(::std::default::Default::default()),
+            $crate::FromJson::from_json,
+        )
+    };
+}
+
+/// Whether `v` equals its type's default: when [`json_struct!`] leaves an
+/// `#[optional]` field out.
+#[doc(hidden)]
+pub fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}
+
+/// Read the required field `name` of a `ty` object: [`json_struct!`]'s
+/// decoder.
+#[doc(hidden)]
+pub fn field<T: FromJson>(v: &Json, name: &str, ty: &str) -> Result<T, JsonError> {
+    let f = v.get(name);
+    T::from_json(f.ok_or_else(|| JsonError::msg(format!("missing field `{name}` in {ty}")))?)
 }
 
 /// Implement [`ToJson`] + [`FromJson`] for a tuple struct with one field
@@ -1027,6 +1075,55 @@ mod tests {
         assert_eq!(s, r#"{"x":4,"y":-2,"tag":"t"}"#);
         assert_eq!(from_str::<Point>(&s).unwrap(), p);
         assert!(from_str::<Point>(r#"{"x":4}"#).is_err());
+    }
+
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Tagged {
+        id: u32,
+        tags: BTreeSet<String>,
+        note: Option<String>,
+        extra: Vec<u32>,
+    }
+    json_struct!(Tagged {
+        id,
+        tags,
+        #[optional]
+        note,
+        #[optional]
+        extra,
+    });
+
+    #[test]
+    fn optional_fields_roundtrip_omit_defaults_and_read_absent_as_default() {
+        let full = Tagged {
+            id: 1,
+            tags: ["b".to_string(), "a".to_string()].into(),
+            note: Some("n".into()),
+            extra: vec![3],
+        };
+        let s = to_string(&full);
+        // Sets are arrays in set order; optional fields keep their place.
+        assert_eq!(s, r#"{"id":1,"tags":["a","b"],"note":"n","extra":[3]}"#);
+        assert_eq!(from_str::<Tagged>(&s).unwrap(), full);
+
+        // A field holding its default is left out, and an absent one reads
+        // back as the default.
+        let bare = Tagged {
+            id: 2,
+            ..Tagged::default()
+        };
+        let s = to_string(&bare);
+        assert_eq!(s, r#"{"id":2,"tags":[]}"#);
+        assert_eq!(from_str::<Tagged>(&s).unwrap(), bare);
+        let only_extra = from_str::<Tagged>(r#"{"id":3,"tags":[],"extra":[1,2]}"#).unwrap();
+        assert_eq!(only_extra.note, None);
+        assert_eq!(only_extra.extra, vec![1, 2]);
+
+        // Required fields stay required; a present optional field must
+        // still have the right type.
+        assert!(from_str::<Tagged>(r#"{"id":4}"#).is_err());
+        assert!(from_str::<Tagged>(r#"{"id":4,"tags":[],"note":7}"#).is_err());
+        assert!(from_str::<BTreeSet<u32>>("{}").is_err());
     }
 
     #[test]

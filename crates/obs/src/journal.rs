@@ -1,18 +1,23 @@
-//! The durable, append-only campaign journal (NDJSON, schema v2).
+//! The durable, append-only campaign journal (NDJSON, schema v4).
 //!
 //! Every line is one JSON object carrying a `"v"` schema version and a
 //! `"kind"` tag. Schema history: v2 added the optional `fingerprint`
 //! field on `done` records (the canonical Mazurkiewicz-trace hash behind
 //! the live distinct-schedule count); v3 added the optional `backend`
-//! field on `done` records (present only for non-model backends). Readers
-//! accept older records — the optional fields simply read as absent — so
-//! mixed-version journals written by old and new builds keep parsing. A campaign writes one `campaign` header, a `start`/`done`
-//! pair per grid cell, and a final `end` marker; pool-backed commands that
-//! are not campaign-shaped write generic `job` records instead. `done`
-//! records are keyed by a **content address** — a stable hash of
-//! `(program, canonical tool_spec, seed, runtime version)` — which is what
-//! makes the journal a result cache: a resumed campaign looks each cell up
-//! by address and skips the ones a previous process already completed.
+//! field on `done` records (present only for non-model backends); v4 added
+//! the optional `result` field, the payload of a cell that is not a
+//! campaign run. Readers accept older records — the optional fields simply
+//! read as absent — so mixed-version journals written by old and new builds
+//! keep parsing.
+//!
+//! Every journaled command writes one `campaign` header, a `start`/`done`
+//! pair per cell, and a final `end` marker. `done` records are keyed by a
+//! **content address** — a stable hash of `(program, canonical tool_spec,
+//! seed, runtime version)` — which is what makes the journal a result
+//! cache: a resumed command looks each cell up by address and skips the
+//! ones a previous process already completed. Builds before v4 wrote
+//! generic `job` records for commands other than campaigns; readers still
+//! accept them, but nothing writes them any more.
 //!
 //! Durability discipline: the sink flushes after every record, so the only
 //! record a crash can corrupt is the final, possibly unterminated line.
@@ -23,7 +28,7 @@
 //!
 //! Wall-clock fields (`t_us`, `wall_us`) exist for the live `mtt status` /
 //! `mtt watch` views and chrome traces only; nothing deterministic is ever
-//! derived from them — resumed campaigns reconstruct reports from the
+//! derived from them — resumed commands reconstruct reports from the
 //! deterministic payload fields alone, which is why resumed output is
 //! byte-identical to an uninterrupted run.
 
@@ -31,20 +36,20 @@ use mtt_json::{json_struct, FromJson, Json, ToJson};
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Journal schema version emitted in every record's `v` field.
-pub const JOURNAL_VERSION: u64 = 3;
+pub const JOURNAL_VERSION: u64 = 4;
 
 /// Oldest journal schema version this build still reads (older records
-/// lack the optional `fingerprint`/`backend` fields, which decode as
-/// absent).
+/// lack the optional `fingerprint`/`backend`/`result` fields, which decode
+/// as absent).
 pub const JOURNAL_MIN_VERSION: u64 = 1;
 
 /// Environment variable that makes a [`JournalSink`] abort the process
-/// (exit code 9, evoking SIGKILL) after writing N `done`/`job` records — a
+/// (exit code 9, evoking SIGKILL) after writing N `done` records — a
 /// test/CI hook for simulating a campaign killed mid-flight.
 pub const KILL_AFTER_ENV: &str = "MTT_JOURNAL_KILL_AFTER";
 
@@ -190,16 +195,20 @@ json_struct!(CellStart {
     t_us
 });
 
-/// A completed cell: the full deterministic payload a resumed campaign
-/// needs to reconstruct the run without executing it, plus segregated
-/// wall-clock fields for the status/trace views.
+/// A completed cell: the full deterministic payload a resumed command
+/// needs to reconstruct the cell without executing it, plus segregated
+/// wall-clock fields for the status/trace views. A campaign run fills the
+/// named payload fields; any other cell leaves them at their defaults and
+/// carries its payload in `result`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellDone {
     /// Content address of the cell (the cache key).
     pub cell: String,
     pub program: String,
     pub tool: String,
-    /// Canonical tool-spec string (run-log provenance).
+    /// Canonical tool-spec string (run-log provenance); for a cell that is
+    /// not a campaign run, whatever besides program and seed its result
+    /// depends on.
     pub tool_spec: String,
     pub seed: u64,
     pub run: u64,
@@ -223,89 +232,46 @@ pub struct CellDone {
     /// Telemetry scalars; present iff the campaign ran with telemetry.
     pub metrics: Option<MetricScalars>,
     /// Canonical Mazurkiewicz-trace fingerprint of the run (32 hex digits),
-    /// when the campaign computed one. Added in schema v2; absent on v1
-    /// records — the codec below is hand-written (not `json_struct!`)
-    /// precisely so a missing field decodes as `None` instead of erroring.
+    /// when the campaign computed one. Added in schema v2.
     pub fingerprint: Option<String>,
     /// Execution-backend tag (`"native"`), present only when the cell ran
     /// on a non-model backend. Added in schema v3; absent (= model) on
     /// older records and on every model cell, keeping model journals
     /// byte-identical across the version bump.
     pub backend: Option<String>,
+    /// The payload of a cell that is not a campaign run, in its type's
+    /// JSON form. Added in schema v4.
+    pub result: Option<Json>,
 }
 
-impl ToJson for CellDone {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("cell".to_string(), self.cell.to_json()),
-            ("program".to_string(), self.program.to_json()),
-            ("tool".to_string(), self.tool.to_json()),
-            ("tool_spec".to_string(), self.tool_spec.to_json()),
-            ("seed".to_string(), self.seed.to_json()),
-            ("run".to_string(), self.run.to_json()),
-            ("outcome".to_string(), self.outcome.to_json()),
-            ("failed".to_string(), self.failed.to_json()),
-            ("manifested".to_string(), self.manifested.to_json()),
-            ("events".to_string(), self.events.to_json()),
-            ("sched_points".to_string(), self.sched_points.to_json()),
-            ("injections".to_string(), self.injections.to_json()),
-            ("timed_out".to_string(), self.timed_out.to_json()),
-            ("wall_us".to_string(), self.wall_us.to_json()),
-            ("t_us".to_string(), self.t_us.to_json()),
-            ("worker".to_string(), self.worker.to_json()),
-            ("metrics".to_string(), self.metrics.to_json()),
-        ];
-        if let Some(fp) = &self.fingerprint {
-            fields.push(("fingerprint".to_string(), fp.to_json()));
-        }
-        if let Some(backend) = &self.backend {
-            fields.push(("backend".to_string(), backend.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
+json_struct!(CellDone {
+    cell,
+    program,
+    tool,
+    tool_spec,
+    seed,
+    run,
+    outcome,
+    failed,
+    manifested,
+    events,
+    sched_points,
+    injections,
+    timed_out,
+    wall_us,
+    t_us,
+    worker,
+    metrics,
+    #[optional]
+    fingerprint,
+    #[optional]
+    backend,
+    #[optional]
+    result,
+});
 
-impl FromJson for CellDone {
-    fn from_json(v: &Json) -> Result<Self, mtt_json::JsonError> {
-        let field = |name: &str| {
-            v.get(name).ok_or_else(|| {
-                mtt_json::JsonError::msg(format!("missing field `{name}` in CellDone"))
-            })
-        };
-        Ok(CellDone {
-            cell: FromJson::from_json(field("cell")?)?,
-            program: FromJson::from_json(field("program")?)?,
-            tool: FromJson::from_json(field("tool")?)?,
-            tool_spec: FromJson::from_json(field("tool_spec")?)?,
-            seed: FromJson::from_json(field("seed")?)?,
-            run: FromJson::from_json(field("run")?)?,
-            outcome: FromJson::from_json(field("outcome")?)?,
-            failed: FromJson::from_json(field("failed")?)?,
-            manifested: FromJson::from_json(field("manifested")?)?,
-            events: FromJson::from_json(field("events")?)?,
-            sched_points: FromJson::from_json(field("sched_points")?)?,
-            injections: FromJson::from_json(field("injections")?)?,
-            timed_out: FromJson::from_json(field("timed_out")?)?,
-            wall_us: FromJson::from_json(field("wall_us")?)?,
-            t_us: FromJson::from_json(field("t_us")?)?,
-            worker: FromJson::from_json(field("worker")?)?,
-            metrics: FromJson::from_json(field("metrics")?)?,
-            // Absent on v1 records: tolerate, don't error.
-            fingerprint: match v.get("fingerprint") {
-                Some(fp) => FromJson::from_json(fp)?,
-                None => None,
-            },
-            // Absent on v1/v2 records and on model cells: tolerate.
-            backend: match v.get("backend") {
-                Some(b) => FromJson::from_json(b)?,
-                None => None,
-            },
-        })
-    }
-}
-
-/// A completed generic pool job (non-campaign commands: one record per
-/// job index, no content address — those workloads are not resumable).
+/// A completed generic pool job: the record builds before schema v4 wrote
+/// for commands other than campaigns. Read, never written.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobDone {
     pub index: u64,
@@ -487,11 +453,11 @@ pub fn truncate_partial_tail(path: &Path) -> io::Result<bool> {
 // Resume cache
 // ---------------------------------------------------------------------
 
-/// The content-address → completed-cell cache a resumed campaign consults
-/// before executing each cell.
+/// The content-address → completed-cell cache a resumed command consults
+/// before executing each cell. Cloning it is cheap: clones share the map.
 #[derive(Clone, Debug, Default)]
 pub struct ResumeCache {
-    map: HashMap<String, CellDone>,
+    map: Arc<HashMap<String, CellDone>>,
 }
 
 impl ResumeCache {
@@ -505,7 +471,7 @@ impl ResumeCache {
                 map.insert(d.cell.clone(), d.clone());
             }
         }
-        ResumeCache { map }
+        ResumeCache { map: Arc::new(map) }
     }
 
     /// Look a cell up by content address.
@@ -611,7 +577,7 @@ impl JournalSink {
             .clone()
     }
 
-    fn append(&self, rec: &JournalRecord, countable: bool) {
+    fn append(&self, rec: &JournalRecord) {
         let line = rec.to_json().dump();
         let mut s = self.state.lock().expect("journal sink poisoned");
         if s.error.is_some() {
@@ -625,7 +591,7 @@ impl JournalSink {
             s.error = Some(format!("journal write failed: {e}"));
             return;
         }
-        if countable {
+        if let JournalRecord::Done(_) = rec {
             s.written += 1;
             if self.kill_after.is_some_and(|n| s.written >= n) {
                 // Test hook: simulate a campaign killed mid-flight. The
@@ -643,39 +609,29 @@ impl JournalSink {
 
     /// Write the campaign header.
     pub fn campaign(&self, meta: CampaignMeta) {
-        self.append(&JournalRecord::Campaign(meta), false);
+        self.append(&JournalRecord::Campaign(meta));
     }
 
     /// Write a cell-claimed marker (fills `t_us`).
     pub fn start(&self, mut rec: CellStart) {
         rec.t_us = self.t_us();
-        self.append(&JournalRecord::Start(rec), false);
+        self.append(&JournalRecord::Start(rec));
     }
 
     /// Write a completed cell (fills `t_us` and `worker`).
     pub fn done(&self, mut rec: CellDone) {
         rec.t_us = self.t_us();
         rec.worker = self.worker_id();
-        self.append(&JournalRecord::Done(rec), true);
-    }
-
-    /// Write a completed generic pool job (fills `t_us` and `worker`).
-    pub fn job(&self, mut rec: JobDone) {
-        rec.t_us = self.t_us();
-        rec.worker = self.worker_id();
-        self.append(&JournalRecord::Job(rec), true);
+        self.append(&JournalRecord::Done(rec));
     }
 
     /// Write the clean-completion marker.
     pub fn end(&self, label: &str, completed: u64) {
-        self.append(
-            &JournalRecord::End(CampaignEnd {
-                label: label.to_string(),
-                completed,
-                t_us: self.t_us(),
-            }),
-            false,
-        );
+        self.append(&JournalRecord::End(CampaignEnd {
+            label: label.to_string(),
+            completed,
+            t_us: self.t_us(),
+        }));
     }
 }
 
@@ -709,6 +665,7 @@ mod tests {
             metrics: None,
             fingerprint: Some(format!("{:032x}", 0xfeed_u128 + seed as u128)),
             backend: None,
+            result: None,
         }
     }
 
@@ -800,14 +757,13 @@ mod tests {
             }),
             ..done("aa", 7)
         });
-        sink.job(JobDone::default());
         sink.end("e1", 1);
         assert!(sink.error().is_none());
         let text = buf.text();
         let parsed = parse_journal(&text).unwrap();
         assert!(!parsed.tail_discarded);
         let kinds: Vec<_> = parsed.records.iter().map(|r| r.kind()).collect();
-        assert_eq!(kinds, ["campaign", "start", "done", "job", "end"]);
+        assert_eq!(kinds, ["campaign", "start", "done", "end"]);
         let JournalRecord::Done(d) = &parsed.records[2] else {
             panic!("expected done");
         };
@@ -843,7 +799,7 @@ mod tests {
         assert!(check_journal_line("{\"kind\":\"done\"}")
             .unwrap_err()
             .contains("missing required field `v`"));
-        assert!(check_journal_line("{\"v\":4,\"kind\":\"end\"}")
+        assert!(check_journal_line("{\"v\":5,\"kind\":\"end\"}")
             .unwrap_err()
             .contains("unsupported journal version"));
         assert!(check_journal_line("{\"v\":1,\"kind\":\"nope\"}")
@@ -871,6 +827,51 @@ mod tests {
         };
         let line = JournalRecord::Done(without).to_json().dump();
         assert!(!line.contains("fingerprint"), "{line}");
+    }
+
+    #[test]
+    fn result_payload_roundtrips_and_is_omitted_when_absent() {
+        let cell = CellDone {
+            result: Some(Json::Arr(vec![Json::Bool(true), Json::UInt(3)])),
+            ..done("aa", 1)
+        };
+        let line = JournalRecord::Done(cell.clone()).to_json().dump();
+        assert!(line.starts_with("{\"v\":4,"), "{line}");
+        assert!(line.ends_with(",\"result\":[true,3]}"), "{line}");
+        let JournalRecord::Done(back) = check_journal_line(&line).unwrap() else {
+            panic!("expected done");
+        };
+        assert_eq!(back, cell);
+        let line = JournalRecord::Done(done("bb", 2)).to_json().dump();
+        assert!(!line.contains("result"), "{line}");
+    }
+
+    #[test]
+    fn legacy_job_records_still_parse_and_fold() {
+        // Builds before schema v4 journaled commands other than campaigns
+        // as generic `job` records. Nothing writes them now, but a journal
+        // holding them still reads and folds into a status summary.
+        let text = "{\"v\":3,\"kind\":\"campaign\",\"label\":\"e5\",\"total_cells\":2,\
+                    \"programs\":0,\"tools\":0,\"runs\":0,\"base_seed\":0,\"runtime\":\"\",\
+                    \"jobs\":1,\"telemetry\":false}\n\
+                    {\"v\":3,\"kind\":\"job\",\"index\":0,\"wall_us\":5,\"t_us\":9,\"worker\":0}\n\
+                    {\"v\":3,\"kind\":\"job\",\"index\":1,\"wall_us\":6,\"t_us\":12,\"worker\":0}\n\
+                    {\"v\":3,\"kind\":\"end\",\"label\":\"e5\",\"completed\":2,\"t_us\":13}\n";
+        let parsed = parse_journal(text).expect("legacy journal parses");
+        let kinds: Vec<_> = parsed.records.iter().map(|r| r.kind()).collect();
+        assert_eq!(kinds, ["campaign", "job", "job", "end"]);
+        let s = crate::StatusSummary::from_journal(&parsed);
+        assert_eq!((s.label.as_str(), s.total, s.done), ("e5", Some(2), 2));
+        assert!(s.complete);
+        assert_eq!(s.workers[0].busy_us, 11);
+        // A resumed run's `done` cells supersede the jobs an older build
+        // wrote.
+        let resumed = format!(
+            "{text}{}\n",
+            JournalRecord::Done(done("aa", 1)).to_json().dump()
+        );
+        let s = crate::StatusSummary::from_journal(&parse_journal(&resumed).unwrap());
+        assert_eq!(s.done, 1);
     }
 
     #[test]

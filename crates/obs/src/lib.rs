@@ -8,15 +8,15 @@
 //!
 //! Three layers, all over one artifact:
 //!
-//! - [`journal`] — the append-only NDJSON campaign journal (schema v1):
-//!   one `campaign` header, `start`/`done` records per grid cell keyed by
-//!   a [`content_address`] of `(program, canonical tool_spec, seed,
-//!   runtime version)`, and an `end` marker. The [`JournalSink`] flushes
-//!   per record, so a crash can only truncate the final line — which
-//!   readers discard, and [`truncate_partial_tail`] repairs before a
-//!   resumed campaign appends. The [`ResumeCache`] turns the journal into
-//!   a content-addressed result cache: resumed campaigns skip completed
-//!   cells and still produce byte-identical reports.
+//! - [`journal`] — the append-only NDJSON campaign journal (schema v4):
+//!   one `campaign` header, `start`/`done` records per cell keyed by a
+//!   [`content_address`] of `(program, canonical tool_spec, seed, runtime
+//!   version)`, and an `end` marker. The [`JournalSink`] flushes per
+//!   record, so a crash can only truncate the final line — which readers
+//!   discard, and [`truncate_partial_tail`] repairs before a resumed
+//!   command appends. The [`ResumeCache`] turns the journal into a
+//!   content-addressed result cache: resumed commands skip completed cells
+//!   and still produce byte-identical reports.
 //! - [`status`] — [`StatusSummary`]: progress, failure/timeout counts,
 //!   per-worker utilization and ETA, folded permutation-invariantly from
 //!   the record set (so `mtt status` can watch a live campaign written by

@@ -31,7 +31,8 @@ pub struct StatusSummary {
     pub label: String,
     /// Grid size from the header, if one was seen.
     pub total: Option<u64>,
-    /// Distinct completed cells (by content address) plus generic jobs.
+    /// Distinct completed cells (by content address); in a journal of an
+    /// older build that holds only generic `job` records, distinct jobs.
     pub done: u64,
     /// Completed cells whose oracle judged the run failed.
     pub failed: u64,
@@ -64,11 +65,18 @@ impl StatusSummary {
         let mut total: Option<u64> = None;
         let mut elapsed_us = 0u64;
         let mut complete = false;
-        // Dedup by cell address / job index; ties resolved by the minimal
-        // (t_us, worker, wall_us) witness so any arrival order folds to
-        // the same choice.
-        let mut done_cells: BTreeMap<String, (u64, u64, u64, bool, bool)> = BTreeMap::new();
-        let mut jobs: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+        // Dedup by cell address (a legacy `job` record by its index); ties
+        // resolved by the minimal (t_us, worker, wall_us) witness so any
+        // arrival order folds to the same choice.
+        type Witness = (u64, u64, u64, bool, bool);
+        fn done(cells: &mut BTreeMap<String, Witness>, cell: String, witness: Witness) {
+            let e = cells.entry(cell).or_insert(witness);
+            if witness < *e {
+                *e = witness;
+            }
+        }
+        let mut done_cells = BTreeMap::new();
+        let mut jobs = BTreeMap::new();
         let mut started: BTreeSet<String> = BTreeSet::new();
         let mut schedules: BTreeSet<String> = BTreeSet::new();
         for rec in &parsed.records {
@@ -90,18 +98,12 @@ impl StatusSummary {
                         schedules.insert(fp.clone());
                     }
                     let witness = (d.t_us, d.worker, d.wall_us, d.failed, d.timed_out);
-                    let e = done_cells.entry(d.cell.clone()).or_insert(witness);
-                    if witness < *e {
-                        *e = witness;
-                    }
+                    done(&mut done_cells, d.cell.clone(), witness);
                 }
                 JournalRecord::Job(j) => {
                     elapsed_us = elapsed_us.max(j.t_us);
-                    let witness = (j.t_us, j.worker, j.wall_us);
-                    let e = jobs.entry(j.index).or_insert(witness);
-                    if witness < *e {
-                        *e = witness;
-                    }
+                    let witness = (j.t_us, j.worker, j.wall_us, false, false);
+                    done(&mut jobs, j.index.to_string(), witness);
                 }
                 JournalRecord::End(e) => {
                     elapsed_us = elapsed_us.max(e.t_us);
@@ -112,6 +114,12 @@ impl StatusSummary {
                     }
                 }
             }
+        }
+        // Legacy `job` records stand for cells only in a journal without
+        // `done` records: the cells a resumed run records supersede the
+        // jobs an older build wrote.
+        if done_cells.is_empty() {
+            done_cells = jobs;
         }
         let mut workers: BTreeMap<u64, WorkerUse> = BTreeMap::new();
         let mut failed = 0u64;
@@ -126,14 +134,6 @@ impl StatusSummary {
             w.cells += 1;
             w.busy_us += wall_us;
         }
-        for &(_, worker, wall_us) in jobs.values() {
-            let w = workers.entry(worker).or_insert(WorkerUse {
-                worker,
-                ..WorkerUse::default()
-            });
-            w.cells += 1;
-            w.busy_us += wall_us;
-        }
         let in_flight = started
             .iter()
             .filter(|cell| !done_cells.contains_key(*cell))
@@ -141,7 +141,7 @@ impl StatusSummary {
         StatusSummary {
             label: label.unwrap_or_default(),
             total,
-            done: done_cells.len() as u64 + jobs.len() as u64,
+            done: done_cells.len() as u64,
             failed,
             timeouts,
             in_flight,

@@ -62,6 +62,7 @@ fn journal_records(cells: u64, done: u64, workers: u64, ended: bool) -> Vec<Jour
             // A sprinkling of native cells: the optional field must fold
             // exactly like its absence does.
             backend: (i % 6 == 5).then(|| "native".to_string()),
+            result: None,
         }));
     }
     if ended {

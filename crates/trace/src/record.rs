@@ -1,7 +1,6 @@
 //! Trace data model and the live-execution collector.
 
 use mtt_instrument::{Event, EventSink, Loc, LockId, Op, ThreadId};
-use mtt_json::{FromJson, Json, JsonError, ToJson};
 use std::sync::Arc;
 
 pub use mtt_instrument::intern_static;
@@ -35,45 +34,17 @@ pub struct TraceRecord {
     pub bug_tags: Vec<String>,
 }
 
-impl ToJson for TraceRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seq".to_string(), self.seq.to_json()),
-            ("time".to_string(), self.time.to_json()),
-            ("thread".to_string(), self.thread.to_json()),
-            ("file".to_string(), self.file.to_json()),
-            ("line".to_string(), self.line.to_json()),
-            ("op".to_string(), self.op.to_json()),
-            ("locks_held".to_string(), self.locks_held.to_json()),
-        ];
-        if !self.bug_tags.is_empty() {
-            fields.push(("bug_tags".to_string(), self.bug_tags.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for TraceRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| JsonError::msg(format!("missing field `{name}` in TraceRecord")))
-        };
-        Ok(TraceRecord {
-            seq: FromJson::from_json(field("seq")?)?,
-            time: FromJson::from_json(field("time")?)?,
-            thread: FromJson::from_json(field("thread")?)?,
-            file: FromJson::from_json(field("file")?)?,
-            line: FromJson::from_json(field("line")?)?,
-            op: FromJson::from_json(field("op")?)?,
-            locks_held: FromJson::from_json(field("locks_held")?)?,
-            bug_tags: match v.get("bug_tags") {
-                Some(tags) => FromJson::from_json(tags)?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
+mtt_json::json_struct!(TraceRecord {
+    seq,
+    time,
+    thread,
+    file,
+    line,
+    op,
+    locks_held,
+    #[optional]
+    bug_tags,
+});
 
 impl TraceRecord {
     /// Build a record from a live event.
