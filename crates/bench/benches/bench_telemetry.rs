@@ -1,17 +1,15 @@
 //! Telemetry overhead: the cost of the metrics layer on one E1 slice.
 //!
-//! Three points matter. `off` is the plain campaign — telemetry disabled,
+//! Two points matter. `off` is the plain campaign — telemetry disabled,
 //! which must stay within noise of the pre-telemetry baseline (the enable
 //! check is a single branch per run). `on` attaches the `TelemetrySink` to
 //! every run and harvests per-run metrics, which is the honest price of a
-//! profile pass. The registry group pins the hot-path cost of the atomic
-//! counter/gauge/histogram primitives themselves.
+//! profile pass.
 
 use criterion::Criterion;
 use mtt_bench::quick_criterion;
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::experiment::jobpool::JobPool;
-use mtt_core::telemetry::MetricsRegistry;
 
 fn e1_slice(runs: u64, telemetry: bool) -> Campaign {
     Campaign {
@@ -36,49 +34,8 @@ fn bench_campaign_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_registry_hot_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry_registry");
-    let reg = MetricsRegistry::new();
-    let counter = reg.counter("hot");
-    g.bench_function("counter_inc_x1000", |b| {
-        b.iter(|| {
-            for _ in 0..1000 {
-                counter.inc();
-            }
-            counter.get()
-        })
-    });
-    let gauge = reg.gauge("peak");
-    g.bench_function("gauge_record_x1000", |b| {
-        b.iter(|| {
-            for v in 0..1000u64 {
-                gauge.record(v);
-            }
-            gauge.get()
-        })
-    });
-    let hist = reg.histogram("lat", &[10, 100, 1_000, 10_000]);
-    g.bench_function("histogram_observe_x1000", |b| {
-        b.iter(|| {
-            for v in 0..1000u64 {
-                hist.observe(v * 7 % 12_000);
-            }
-        })
-    });
-    g.bench_function("snapshot_and_merge", |b| {
-        b.iter(|| {
-            let mut s = reg.snapshot();
-            let t = reg.snapshot();
-            s.merge(&t);
-            s
-        })
-    });
-    g.finish();
-}
-
 fn main() {
     let mut c = quick_criterion();
     bench_campaign_overhead(&mut c);
-    bench_registry_hot_path(&mut c);
     c.final_summary();
 }

@@ -12,12 +12,12 @@
 //! The construction:
 //!
 //! 1. Replay the event stream through a dependence-aware vector-clock
-//!    machine. It mirrors [`crate::hb::HbAnnotator`]'s synchronization
-//!    edges (release→acquire, spawn→start, exit→join, notify→wake,
-//!    barrier, semaphore, atomic RMW chains) **plus** per-variable
-//!    conflict edges: every access joins the clock of the last write to
-//!    the variable, and a write additionally joins the accumulated clocks
-//!    of the reads since that write. Read–read pairs stay independent.
+//!    machine: the synchronization edges of [`SyncClocks`]' table
+//!    (release→acquire, spawn→start, exit→join, notify→wake, barrier,
+//!    semaphore, atomic RMW chains) **plus** per-variable conflict edges:
+//!    every access joins the clock of the last write to the variable, and
+//!    a write additionally joins the accumulated clocks of the reads since
+//!    that write. Read–read pairs stay independent.
 //!    Sync-only clocks would not do: two *racing* writes are concurrent
 //!    under the sync order, so swapping them would not change any clock —
 //!    but it is a different trace, and the conflict edges see that.
@@ -34,7 +34,8 @@
 //! `tests/props.rs` pin both directions of the contract.
 
 use crate::clock::VectorClock;
-use mtt_instrument::{AccessKind, Event, EventSink, Op, ThreadId};
+use crate::sync::SyncClocks;
+use mtt_instrument::{AccessKind, Event, EventSink, Op};
 use mtt_trace::Trace;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -89,29 +90,12 @@ impl Fnv {
     }
 }
 
-/// Dependence resources a clock can flow through (the sync half mirrors
-/// `HbAnnotator`'s private key set).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Res {
-    Lock(u32),
-    Cond(u32),
-    Sem(u32),
-    Barrier(u32),
-    /// Per-variable sync clock for atomic RMW chains.
-    Atomic(u32),
-    /// Spawn→start handoff (consumed at `ThreadStart`).
-    Start(u32),
-    /// Exit→join handoff.
-    Exit(u32),
-}
-
 /// [`EventSink`] computing a [`TraceFingerprint`] over a live or replayed
 /// event stream in O(events) time and O(threads + resources) space — cheap
 /// enough to ride along on every campaign run.
 #[derive(Clone, Debug, Default)]
 pub struct Fingerprinter {
-    threads: HashMap<ThreadId, VectorClock>,
-    sync: HashMap<Res, VectorClock>,
+    sync: SyncClocks,
     /// Clock of the last write per plain variable.
     last_write: HashMap<u32, VectorClock>,
     /// Joined clocks of the reads since the last write, per variable.
@@ -131,32 +115,6 @@ impl Fingerprinter {
     /// Events consumed so far.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    fn clock(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
-            let mut vc = VectorClock::new();
-            vc.set(t, 1);
-            vc
-        })
-    }
-
-    /// Acquire side of a sync edge: join the resource clock into the
-    /// thread's.
-    fn join_sync(&mut self, t: ThreadId, key: Res, consume: bool) {
-        let src = if consume {
-            self.sync.remove(&key)
-        } else {
-            self.sync.get(&key).cloned()
-        };
-        if let Some(src) = src {
-            self.clock(t).join(&src);
-        }
-    }
-
-    /// Release side: publish the thread's post-event snapshot.
-    fn publish_sync(&mut self, key: Res, snapshot: &VectorClock) {
-        self.sync.entry(key).or_default().join(snapshot);
     }
 
     /// The fingerprint of everything consumed so far.
@@ -285,51 +243,28 @@ fn hash_clock(h: &mut Fnv, clock: &VectorClock) {
 impl EventSink for Fingerprinter {
     fn on_event(&mut self, ev: &Event) {
         let me = ev.thread;
-        // Sync acquire edges — the exact `HbAnnotator` table.
-        match ev.op {
-            Op::LockAcquire { lock } => self.join_sync(me, Res::Lock(lock.0), false),
-            Op::CondWake { cond, lock } => {
-                self.join_sync(me, Res::Lock(lock.0), false);
-                self.join_sync(me, Res::Cond(cond.0), false);
-            }
-            Op::SemAcquire { sem } => self.join_sync(me, Res::Sem(sem.0), false),
-            Op::BarrierPass { barrier } => self.join_sync(me, Res::Barrier(barrier.0), false),
-            Op::VarRmw { var, .. } => self.join_sync(me, Res::Atomic(var.0), false),
-            Op::ThreadStart => self.join_sync(me, Res::Start(me.0), true),
-            Op::Join { target } => self.join_sync(me, Res::Exit(target.0), false),
-            _ => {}
-        }
+        self.sync.acquire(ev);
+        let access = ev.op.var().zip(ev.op.access_kind());
         // Conflict edges: any access sees the last write; a write also
         // sees every read since then. Read–read pairs stay independent.
-        if let (Some(var), Some(kind)) = (ev.op.var(), ev.op.access_kind()) {
-            if let Some(w) = self.last_write.get(&var.0).cloned() {
-                self.clock(me).join(&w);
+        let tc = self.sync.clock(me);
+        if let Some((var, kind)) = access {
+            if let Some(w) = self.last_write.get(&var.0) {
+                tc.join(w);
             }
             if kind == AccessKind::Write {
                 if let Some(r) = self.reads.remove(&var.0) {
-                    self.clock(me).join(&r);
+                    tc.join(&r);
                 }
             }
         }
-        self.clock(me).tick(me);
-        let snapshot = self.clock(me).clone();
-        // Sync release edges.
-        match ev.op {
-            Op::LockRelease { lock } | Op::CondWait { lock, .. } => {
-                self.publish_sync(Res::Lock(lock.0), &snapshot)
-            }
-            Op::CondNotify { cond, .. } => self.publish_sync(Res::Cond(cond.0), &snapshot),
-            Op::SemRelease { sem } => self.publish_sync(Res::Sem(sem.0), &snapshot),
-            Op::BarrierArrive { barrier } => self.publish_sync(Res::Barrier(barrier.0), &snapshot),
-            Op::VarRmw { var, .. } => self.publish_sync(Res::Atomic(var.0), &snapshot),
-            Op::Spawn { child } => self.publish_sync(Res::Start(child.0), &snapshot),
-            Op::ThreadExit => self.publish_sync(Res::Exit(me.0), &snapshot),
-            _ => {}
-        }
+        tc.tick(me);
+        self.sync.release(ev);
+        let snapshot = self.sync.clock(me);
         // Conflict bookkeeping.
-        if let (Some(var), Some(kind)) = (ev.op.var(), ev.op.access_kind()) {
+        if let Some((var, kind)) = access {
             match kind {
-                AccessKind::Read => self.reads.entry(var.0).or_default().join(&snapshot),
+                AccessKind::Read => self.reads.entry(var.0).or_default().join(snapshot),
                 AccessKind::Write => {
                     self.last_write.insert(var.0, snapshot.clone());
                 }
@@ -339,7 +274,7 @@ impl EventSink for Fingerprinter {
         let lane = self.lanes.entry(me.0).or_insert((0, FNV_OFFSET));
         let mut h = Fnv(lane.1);
         hash_label(&mut h, ev);
-        hash_clock(&mut h, &snapshot);
+        hash_clock(&mut h, snapshot);
         lane.0 += 1;
         lane.1 = h.0;
         self.events += 1;
@@ -356,7 +291,7 @@ pub fn fingerprint_trace(trace: &Trace) -> TraceFingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtt_instrument::{Loc, LockId, VarId};
+    use mtt_instrument::{Loc, LockId, ThreadId, VarId};
     use std::sync::Arc;
 
     fn ev(seq: u64, thread: u32, op: Op) -> Event {

@@ -3,11 +3,8 @@
 //! [`HbAnnotator`] replays an event stream and stamps every event with the
 //! vector clock of its thread *after* the event took effect, plus the
 //! sequence numbers of the release-side events it synchronized with. The
-//! sync edges mirror the model's synchronization order exactly as the
-//! FastTrack detector in `mtt-race` interprets it: lock release→acquire,
-//! notify→wake (through both the condition and the re-acquired lock),
-//! semaphore release→acquire, barrier arrive→pass, atomic RMW→RMW,
-//! spawn→start and exit→join.
+//! sync edges are [`SyncClocks`]' table, the one the FastTrack detector in
+//! `mtt-race` runs on too.
 //!
 //! Unlike the race detector — which ticks a thread's clock only at release
 //! edges, the minimum FastTrack needs — the annotator ticks at *every*
@@ -16,9 +13,9 @@
 //! property-tested contract of [`happens_before`]).
 
 use crate::clock::VectorClock;
+use crate::sync::SyncClocks;
 use mtt_instrument::{Event, EventSink, Op, ThreadId};
 use mtt_trace::Trace;
-use std::collections::HashMap;
 
 /// The causal annotation of one event: its vector-clock timestamp and the
 /// incoming cross-thread synchronization edges.
@@ -107,33 +104,10 @@ pub fn annotate_trace(trace: &Trace) -> CausalAnnotations {
     }
 }
 
-/// Synchronization resources a release edge can flow through.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum ResKey {
-    Lock(u32),
-    Cond(u32),
-    Sem(u32),
-    Barrier(u32),
-    /// Per-variable sync clock for atomic RMW chains.
-    Atomic(u32),
-    /// Spawn→start handoff for a child thread (consumed at `ThreadStart`).
-    Start(u32),
-    /// Exit→join handoff for a finished thread.
-    Exit(u32),
-}
-
-/// The release-side state of one resource: the joined clock of every
-/// release into it, and the sequence number of the latest one.
-struct Source {
-    clock: VectorClock,
-    last: u64,
-}
-
 /// [`EventSink`] computing [`CausalNote`]s for a live or replayed stream.
 #[derive(Default)]
 pub struct HbAnnotator {
-    threads: HashMap<ThreadId, VectorClock>,
-    sources: HashMap<ResKey, Source>,
+    sync: SyncClocks,
     /// Accumulated notes, in event order.
     pub notes: Vec<CausalNote>,
 }
@@ -143,88 +117,20 @@ impl HbAnnotator {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn clock(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
-            let mut vc = VectorClock::new();
-            vc.set(t, 1);
-            vc
-        })
-    }
-
-    /// Acquire edge: join the resource clock into the thread's, recording
-    /// the source event when the join is informative.
-    fn acquire(&mut self, t: ThreadId, key: ResKey, hb_from: &mut Vec<u64>, consume: bool) {
-        let src = if consume {
-            self.sources.remove(&key)
-        } else {
-            self.sources.get(&key).map(|s| Source {
-                clock: s.clock.clone(),
-                last: s.last,
-            })
-        };
-        if let Some(src) = src {
-            let tc = self.clock(t);
-            if !src.clock.le(tc) {
-                hb_from.push(src.last);
-            }
-            tc.join(&src.clock);
-        }
-    }
-
-    /// Release edge: push the thread's post-event snapshot into the
-    /// resource clock and remember this event as the latest source.
-    fn release(&mut self, key: ResKey, snapshot: &VectorClock, seq: u64) {
-        let src = self.sources.entry(key).or_insert(Source {
-            clock: VectorClock::new(),
-            last: seq,
-        });
-        src.clock.join(snapshot);
-        src.last = seq;
-    }
 }
 
 impl EventSink for HbAnnotator {
     fn on_event(&mut self, ev: &Event) {
         let me = ev.thread;
-        let mut hb_from = Vec::new();
-        match ev.op {
-            Op::LockAcquire { lock } => self.acquire(me, ResKey::Lock(lock.0), &mut hb_from, false),
-            Op::CondWake { cond, lock } => {
-                self.acquire(me, ResKey::Lock(lock.0), &mut hb_from, false);
-                self.acquire(me, ResKey::Cond(cond.0), &mut hb_from, false);
-            }
-            Op::SemAcquire { sem } => self.acquire(me, ResKey::Sem(sem.0), &mut hb_from, false),
-            Op::BarrierPass { barrier } => {
-                self.acquire(me, ResKey::Barrier(barrier.0), &mut hb_from, false)
-            }
-            Op::VarRmw { var, .. } => self.acquire(me, ResKey::Atomic(var.0), &mut hb_from, false),
-            Op::ThreadStart => self.acquire(me, ResKey::Start(me.0), &mut hb_from, true),
-            Op::Join { target } => self.acquire(me, ResKey::Exit(target.0), &mut hb_from, false),
-            _ => {}
-        }
-        self.clock(me).tick(me);
-        let snapshot = self.clock(me).clone();
-        match ev.op {
-            Op::LockRelease { lock } | Op::CondWait { lock, .. } => {
-                self.release(ResKey::Lock(lock.0), &snapshot, ev.seq)
-            }
-            Op::CondNotify { cond, .. } => self.release(ResKey::Cond(cond.0), &snapshot, ev.seq),
-            Op::SemRelease { sem } => self.release(ResKey::Sem(sem.0), &snapshot, ev.seq),
-            Op::BarrierArrive { barrier } => {
-                self.release(ResKey::Barrier(barrier.0), &snapshot, ev.seq)
-            }
-            Op::VarRmw { var, .. } => self.release(ResKey::Atomic(var.0), &snapshot, ev.seq),
-            Op::Spawn { child } => self.release(ResKey::Start(child.0), &snapshot, ev.seq),
-            Op::ThreadExit => self.release(ResKey::Exit(me.0), &snapshot, ev.seq),
-            _ => {}
-        }
+        let mut hb_from: Vec<u64> = self.sync.acquire(ev).into_iter().flatten().collect();
+        self.sync.clock(me).tick(me);
+        self.sync.release(ev);
         hb_from.sort_unstable();
         hb_from.dedup();
         self.notes.push(CausalNote {
             seq: ev.seq,
             thread: me.0,
-            clock: snapshot,
+            clock: self.sync.clock(me).clone(),
             hb_from,
         });
     }

@@ -18,6 +18,9 @@
 //! * [`fingerprint`] — a canonical 128-bit hash of the HB partial order
 //!   ([`TraceFingerprint`]), equal for two executions iff they are the
 //!   same Mazurkiewicz trace; the unit of schedule-coverage counting.
+//! * [`sync`] — [`SyncClocks`], the one release→acquire table and the
+//!   per-thread and per-resource clocks it advances; the annotator, the
+//!   fingerprint and `mtt-race`'s FastTrack detector all run on it.
 //!
 //! [`clock::VectorClock`] is the canonical vector-clock implementation;
 //! `mtt-race`'s FastTrack detector re-exports and reuses it. All renderings
@@ -29,6 +32,7 @@ pub mod clock;
 pub mod diff;
 pub mod fingerprint;
 pub mod hb;
+pub mod sync;
 pub mod timeline;
 
 pub use annotated::{
@@ -42,4 +46,5 @@ pub use hb::{
     annotate_trace, concurrent, first_failure_seq, happens_before, CausalAnnotations, CausalNote,
     HbAnnotator,
 };
+pub use sync::SyncClocks;
 pub use timeline::{op_label, render_timeline, thread_label, timeline_csv};

@@ -2,16 +2,18 @@
 //! epoch fast paths.
 //!
 //! The detector tracks the happens-before order induced by the model's
-//! synchronization operations (lock release→acquire, notify→wake, semaphore
-//! release→acquire, barrier, spawn→start, exit→join) and reports two
-//! accesses to the same variable as a race exactly when neither happens
-//! before the other and at least one writes. Unlike the lockset approach it
-//! never reports a false alarm for the *observed* execution; the price is
-//! that races the observed interleaving happened to order go unreported —
-//! precisely the precision/recall trade that experiment E2 measures.
+//! synchronization operations — the table of [`mtt_causal::SyncClocks`],
+//! which the causal annotator and the schedule fingerprint run on too — and
+//! reports two accesses to the same variable as a race exactly when neither
+//! happens before the other and at least one writes. Unlike the lockset
+//! approach it never reports a false alarm for the *observed* execution;
+//! the price is that races the observed interleaving happened to order go
+//! unreported — precisely the precision/recall trade that experiment E2
+//! measures.
 
 use crate::warning::{AccessInfo, RaceWarning};
-use mtt_instrument::{AccessKind, CondId, Event, EventSink, LockId, Op, SemId, ThreadId, VarId};
+use mtt_causal::SyncClocks;
+use mtt_instrument::{AccessKind, Event, EventSink, Op, ThreadId, VarId};
 use std::collections::HashMap;
 
 // The vector-clock lattice itself lives in `mtt-causal` (one
@@ -64,18 +66,7 @@ impl Default for VarMeta {
 /// Online/offline happens-before race detector.
 #[derive(Debug, Default)]
 pub struct VectorClockDetector {
-    threads: HashMap<ThreadId, VectorClock>,
-    locks: HashMap<LockId, VectorClock>,
-    /// Per-variable synchronization clocks for atomic RMW operations.
-    atomics: HashMap<VarId, VectorClock>,
-    conds: HashMap<CondId, VectorClock>,
-    sems: HashMap<SemId, VectorClock>,
-    barriers: HashMap<u32, VectorClock>,
-    /// Clock a spawned thread inherits (set at `Spawn`, consumed at
-    /// `ThreadStart`).
-    pending_start: HashMap<ThreadId, VectorClock>,
-    /// Final clock of exited threads (consumed at `Join`).
-    exited: HashMap<ThreadId, VectorClock>,
+    sync: SyncClocks,
     vars: HashMap<VarId, VarMeta>,
     /// Accumulated warnings (at most one per variable).
     pub warnings: Vec<RaceWarning>,
@@ -95,42 +86,10 @@ impl VectorClockDetector {
         self.warnings.len()
     }
 
-    fn clock(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
-            let mut vc = VectorClock::new();
-            vc.set(t, 1);
-            vc
-        })
-    }
-
     fn now(&mut self, t: ThreadId) -> Epoch {
-        let c = self.clock(t).get(t);
         Epoch {
             thread: t,
-            clock: c,
-        }
-    }
-
-    /// release edge: resource clock joins the thread's, thread ticks.
-    fn release_into(&mut self, t: ThreadId, key: ResourceKey) {
-        let tc = self.clock(t).clone();
-        let rc = self.resource(key);
-        rc.join(&tc);
-        self.clock(t).tick(t);
-    }
-
-    /// acquire edge: thread clock joins the resource's.
-    fn acquire_from(&mut self, t: ThreadId, key: ResourceKey) {
-        let rc = self.resource(key).clone();
-        self.clock(t).join(&rc);
-    }
-
-    fn resource(&mut self, key: ResourceKey) -> &mut VectorClock {
-        match key {
-            ResourceKey::Lock(l) => self.locks.entry(l).or_default(),
-            ResourceKey::Cond(c) => self.conds.entry(c).or_default(),
-            ResourceKey::Sem(s) => self.sems.entry(s).or_default(),
-            ResourceKey::Barrier(b) => self.barriers.entry(b).or_default(),
+            clock: self.sync.clock(t).get(t),
         }
     }
 
@@ -157,7 +116,7 @@ impl VectorClockDetector {
             loc: ev.loc,
             kind: AccessKind::Read,
         };
-        let my_clock = self.clock(me).clone();
+        let my_clock = self.sync.clock(me).clone();
         let meta = self.vars.entry(var).or_default();
 
         // Same-epoch read: nothing can have changed.
@@ -215,7 +174,7 @@ impl VectorClockDetector {
             loc: ev.loc,
             kind: AccessKind::Write,
         };
-        let my_clock = self.clock(me).clone();
+        let my_clock = self.sync.clock(me).clone();
         let meta = self.vars.entry(var).or_default();
 
         // Same-epoch write fast path.
@@ -259,63 +218,22 @@ impl VectorClockDetector {
     }
 }
 
-#[derive(Clone, Copy)]
-enum ResourceKey {
-    Lock(LockId),
-    Cond(CondId),
-    Sem(SemId),
-    Barrier(u32),
-}
-
 impl EventSink for VectorClockDetector {
     fn on_event(&mut self, ev: &Event) {
-        let me = ev.thread;
         match ev.op {
             Op::VarRead { var, .. } => self.on_read(ev, var),
             Op::VarWrite { var, .. } => self.on_write(ev, var),
-            // Atomic RMW: acquire-then-release on the variable's own sync
-            // clock — atomics order each other and never race.
-            Op::VarRmw { var, .. } => {
-                let vc = self.atomics.entry(var).or_default().clone();
-                self.clock(me).join(&vc);
-                let tc = self.clock(me).clone();
-                self.atomics.entry(var).or_default().join(&tc);
-                self.clock(me).tick(me);
-            }
-            Op::LockAcquire { lock } => self.acquire_from(me, ResourceKey::Lock(lock)),
-            Op::LockRelease { lock } => self.release_into(me, ResourceKey::Lock(lock)),
-            // wait = release(lock) at CondWait, acquire(lock)+acquire(cond)
-            // at CondWake; notify = release into the cond's clock.
-            Op::CondWait { lock, .. } => self.release_into(me, ResourceKey::Lock(lock)),
-            Op::CondWake { cond, lock } => {
-                self.acquire_from(me, ResourceKey::Lock(lock));
-                self.acquire_from(me, ResourceKey::Cond(cond));
-            }
-            Op::CondNotify { cond, .. } => self.release_into(me, ResourceKey::Cond(cond)),
-            Op::SemAcquire { sem } => self.acquire_from(me, ResourceKey::Sem(sem)),
-            Op::SemRelease { sem } => self.release_into(me, ResourceKey::Sem(sem)),
-            Op::BarrierArrive { barrier } => self.release_into(me, ResourceKey::Barrier(barrier.0)),
-            Op::BarrierPass { barrier } => self.acquire_from(me, ResourceKey::Barrier(barrier.0)),
-            Op::Spawn { child } => {
-                let pc = self.clock(me).clone();
-                self.pending_start.insert(child, pc);
-                self.clock(me).tick(me);
-            }
-            Op::ThreadStart => {
-                if let Some(pc) = self.pending_start.remove(&me) {
-                    self.clock(me).join(&pc);
+            // FastTrack ticks a thread only after it releases, so accesses
+            // between two releases share one epoch (the fast path); the tick
+            // after `ThreadExit` is harmless, as the thread has no later
+            // events. Atomic RMWs acquire from and release into their
+            // variable's clock: atomics order each other and never race.
+            _ => {
+                self.sync.acquire(ev);
+                if self.sync.release(ev) {
+                    self.sync.clock(ev.thread).tick(ev.thread);
                 }
             }
-            Op::ThreadExit => {
-                let fc = self.clock(me).clone();
-                self.exited.insert(me, fc);
-            }
-            Op::Join { target } => {
-                if let Some(fc) = self.exited.get(&target).cloned() {
-                    self.clock(me).join(&fc);
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -323,7 +241,7 @@ impl EventSink for VectorClockDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtt_instrument::Loc;
+    use mtt_instrument::{CondId, Loc, LockId, SemId};
     use std::sync::Arc;
 
     fn ev(seq: u64, thread: u32, op: Op) -> Event {
@@ -502,6 +420,19 @@ mod tests {
         d.on_event(&read(4, 0, 1));
         assert!(d.fast_path_hits >= 3, "hits = {}", d.fast_path_hits);
         assert_eq!(d.warning_count(), 0);
+    }
+
+    #[test]
+    fn only_a_release_starts_a_new_epoch() {
+        let mut d = VectorClockDetector::new();
+        let l = LockId(0);
+        d.on_event(&write(0, 0, 0));
+        d.on_event(&write(1, 0, 0)); // same epoch: fast path
+        d.on_event(&ev(2, 0, Op::LockAcquire { lock: l }));
+        d.on_event(&write(3, 0, 0)); // an acquire does not tick: fast path
+        d.on_event(&ev(4, 0, Op::LockRelease { lock: l }));
+        d.on_event(&write(5, 0, 0)); // the release ticked: slow path
+        assert_eq!(d.fast_path_hits, 2);
     }
 
     #[test]

@@ -5,13 +5,6 @@
 //! production scale needs those numbers collected the same way everywhere
 //! instead of ad hoc per experiment. This crate is that layer:
 //!
-//! * [`MetricsRegistry`] — named atomic counters, max-gauges and
-//!   fixed-bucket histograms. Bumping a handle is a single atomic op; a
-//!   [`Snapshot`] of the registry is `Clone` and merges with the same
-//!   permutation-invariant algebra the experiment statistics use (sums for
-//!   counters and histogram buckets, max for gauges), so per-shard
-//!   snapshots from a parallel campaign combine in any order to the serial
-//!   aggregate.
 //! * [`TelemetrySink`] — an [`EventSink`](mtt_instrument::EventSink)
 //!   adapter that derives event-level metrics (per-class counts, per-site
 //!   hot spots, lock contention, wait/notify traffic) from the
@@ -30,13 +23,11 @@
 //! across worker counts while still measuring overhead when asked.
 
 pub mod ndjson;
-pub mod registry;
 pub mod run;
 pub mod sink;
 pub mod span;
 
 pub use ndjson::{check_run_log_line, RunLogRecord, RunLogWriter, RUN_LOG_REQUIRED_FIELDS};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use run::RunMetrics;
 pub use sink::TelemetrySink;
 pub use span::{Span, SpanEvent, SpanSet, SpanTimings};

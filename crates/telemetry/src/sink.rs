@@ -8,8 +8,8 @@
 //! schedule.
 
 use crate::run::RunMetrics;
-use mtt_instrument::{Event, EventSink, LocKey, Op, ThreadId};
-use std::collections::{BTreeMap, HashMap};
+use mtt_instrument::{Event, EventSink, LocKey, Op};
+use std::collections::HashMap;
 
 /// Counts event classes, hot sites and synchronization traffic from an
 /// instrumented event stream.
@@ -18,8 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 /// `LockRequest` only when the requested lock is currently owned by another
 /// thread (an uncontended acquire goes straight to `LockAcquire`), so every
 /// `LockRequest` — and every failed `try_lock` — is one contended
-/// encounter. The sink also keeps the owner map implied by
-/// acquire/release events as a cross-check for held-lock accounting.
+/// encounter.
 ///
 /// Site counters accumulate on the interned [`LocKey`] pair — two integer
 /// hashes per event — and fold back into the string-keyed
@@ -28,7 +27,6 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     metrics: RunMetrics,
-    owners: BTreeMap<u32, ThreadId>,
     sites: HashMap<LocKey, u64>,
     contended_sites: HashMap<LocKey, u64>,
     /// Memo of the most recent file pointer → id mapping: consecutive
@@ -103,13 +101,7 @@ impl EventSink for TelemetrySink {
         m.by_class[ev.op.class().bit() as usize] += 1;
         *self.sites.entry(key).or_insert(0) += 1;
         match ev.op {
-            Op::LockAcquire { lock } => {
-                m.lock_acquires += 1;
-                self.owners.insert(lock.0, ev.thread);
-            }
-            Op::LockRelease { lock } => {
-                self.owners.remove(&lock.0);
-            }
+            Op::LockAcquire { .. } => m.lock_acquires += 1,
             Op::LockRequest { .. } | Op::LockTryFail { .. } => {
                 m.lock_contentions += 1;
                 *self.contended_sites.entry(key).or_insert(0) += 1;
@@ -129,7 +121,7 @@ impl EventSink for TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtt_instrument::{Loc, LockId, VarId};
+    use mtt_instrument::{Loc, LockId, ThreadId, VarId};
     use std::sync::Arc;
 
     fn ev(seq: u64, thread: u32, loc: Loc, op: Op) -> Event {

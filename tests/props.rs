@@ -229,6 +229,71 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// One synchronization order under the race detector and the annotator
+// ---------------------------------------------------------------------
+
+use mtt::causal::{annotate_trace, concurrent};
+use mtt::experiment::tracegen::{generate, TraceGenOptions};
+use std::collections::BTreeSet;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On a real execution, `VectorClockDetector` warns on exactly the
+    /// variables with two conflicting plain accesses — a `VarRead` or
+    /// `VarWrite` pair from different threads, at least one a write — that
+    /// `HbAnnotator`'s notes leave concurrent. The detector ticks only at
+    /// releases and the annotator at every event, so this holds only while
+    /// both read one synchronization table.
+    #[test]
+    fn race_detector_warns_where_annotated_conflicts_are_concurrent(
+        pick in any::<usize>(),
+        seed in 0u64..1_000,
+        stickiness in 0u32..=10,
+    ) {
+        let mut programs = mtt::suite::quick_set();
+        programs.extend(mtt::suite::all());
+        let program = &programs[pick % programs.len()];
+        let stickiness = f64::from(stickiness) / 10.0;
+        let opts = TraceGenOptions { seed, stickiness, max_steps: 20_000 };
+        let trace = generate(program, &opts);
+
+        let mut detector = VectorClockDetector::new();
+        trace.feed(&mut detector);
+        let warned: BTreeSet<u32> = detector.warnings.iter().map(|w| w.var.0).collect();
+
+        let notes = annotate_trace(&trace).notes;
+        let accesses: Vec<_> = trace
+            .records
+            .iter()
+            .zip(&notes)
+            .filter_map(|(r, n)| match r.op {
+                Op::VarRead { var, .. } => Some((var.0, false, n)),
+                Op::VarWrite { var, .. } => Some((var.0, true, n)),
+                _ => None,
+            })
+            .collect();
+        let mut racy = BTreeSet::new();
+        for (i, &(var, writes, a)) in accesses.iter().enumerate() {
+            if racy.contains(&var) {
+                continue;
+            }
+            let conflict = accesses[i + 1..].iter().any(|&(v, w, b)| {
+                v == var && (writes || w) && a.thread != b.thread && concurrent(a, b)
+            });
+            if conflict {
+                racy.insert(var);
+            }
+        }
+        prop_assert!(
+            warned == racy,
+            "{} seed {seed} sticky {stickiness}: detector warns on {warned:?}, annotator's concurrent conflicts on {racy:?}",
+            program.name
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Statistics invariants (the parallel campaign layer's merge algebra)
 // ---------------------------------------------------------------------
 
@@ -343,71 +408,6 @@ proptest! {
         }
         left.merge(&right);
         prop_assert_eq!(&left, &serial);
-    }
-
-    /// Telemetry snapshots merged in ANY permutation equal the snapshot of
-    /// one registry that saw every operation — counters sum, gauges take
-    /// the max, histograms add bucket-wise. This is the algebra that lets
-    /// per-worker metric shards combine deterministically at any `--jobs`.
-    #[test]
-    fn telemetry_snapshot_merge_is_permutation_invariant(
-        // (metric index, value) operations, sharded at arbitrary points.
-        ops in prop::collection::vec((0u8..4, 1u64..1_000), 0..200),
-        cuts in prop::collection::vec(any::<u16>(), 1..8),
-        perm_seed in any::<u64>(),
-    ) {
-        use mtt::telemetry::MetricsRegistry;
-
-        let apply = |reg: &MetricsRegistry, shard: &[(u8, u64)]| {
-            for &(idx, v) in shard {
-                reg.counter(&format!("c{}", idx % 2)).add(v);
-                reg.gauge(&format!("g{idx}")).record(v);
-                reg.histogram("h", &[10, 100, 500]).observe(v);
-            }
-        };
-
-        // Serial reference: one registry sees everything.
-        let serial = MetricsRegistry::new();
-        apply(&serial, &ops);
-
-        // Cut the op sequence into shards at arbitrary points, one
-        // registry per shard (as each campaign worker owns its own).
-        let mut bounds: Vec<usize> = cuts
-            .iter()
-            .map(|&c| c as usize % (ops.len() + 1))
-            .collect();
-        bounds.push(0);
-        bounds.push(ops.len());
-        bounds.sort_unstable();
-        let shards: Vec<_> = bounds
-            .windows(2)
-            .map(|w| {
-                let reg = MetricsRegistry::new();
-                apply(&reg, &ops[w[0]..w[1]]);
-                reg.snapshot()
-            })
-            .collect();
-
-        // Merge the shard snapshots in a seed-derived permutation (worker
-        // completion order is arbitrary).
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        let mut state = perm_seed | 1;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (state >> 33) as usize % (i + 1));
-        }
-        let mut merged = mtt::telemetry::Snapshot::default();
-        for i in order {
-            merged.merge(&shards[i]);
-        }
-        // Empty shards contribute no keys; registries that saw at least
-        // one op always created h, so drop the distinction by comparing
-        // only when something happened, else both sides are empty.
-        if ops.is_empty() {
-            prop_assert_eq!(merged.counters.len(), 0);
-        } else {
-            prop_assert_eq!(merged, serial.snapshot());
-        }
     }
 
     /// RunMetrics::merge is likewise order-insensitive, including the
