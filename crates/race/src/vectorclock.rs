@@ -14,7 +14,7 @@
 use crate::warning::{AccessInfo, RaceWarning};
 use mtt_causal::SyncClocks;
 use mtt_instrument::{AccessKind, Event, EventSink, Op, ThreadId, VarId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 // The vector-clock lattice itself lives in `mtt-causal` (one
 // implementation shared with the trace annotator); re-exported here so the
@@ -38,12 +38,14 @@ impl Epoch {
 
 /// Read metadata per variable: a single epoch in the common case, widened
 /// to a full clock only under concurrent read-sharing (FastTrack's adaptive
-/// representation).
+/// representation). The clock's readers are ordered by thread, so a write
+/// that races several of them reports the lowest-numbered one, the same in
+/// every process.
 #[derive(Clone, Debug)]
 enum ReadState {
     None,
     Epoch(Epoch, AccessInfo),
-    Clock(VectorClock, HashMap<ThreadId, AccessInfo>),
+    Clock(VectorClock, BTreeMap<ThreadId, AccessInfo>),
 }
 
 #[derive(Clone, Debug)]
@@ -153,7 +155,7 @@ impl VectorClockDetector {
                     let mut vc = VectorClock::new();
                     vc.set(e.thread, e.clock);
                     vc.set(me, epoch.clock);
-                    let mut infos = HashMap::new();
+                    let mut infos = BTreeMap::new();
                     infos.insert(e.thread, *info);
                     infos.insert(me, access);
                     meta.reads = ReadState::Clock(vc, infos);
@@ -360,6 +362,15 @@ mod tests {
         d.on_event(&read(1, 1, 0)); // widens to clock
         d.on_event(&write(2, 2, 0)); // unordered with both readers
         assert_eq!(d.warning_count(), 1);
+    }
+
+    #[test]
+    fn widened_read_clock_reports_the_lowest_numbered_reader() {
+        let mut d = VectorClockDetector::new();
+        d.on_event(&read(0, 2, 0));
+        d.on_event(&read(1, 1, 0)); // widens to clock
+        d.on_event(&write(2, 3, 0)); // unordered with both readers
+        assert_eq!(d.warnings[0].first.thread, ThreadId(1));
     }
 
     #[test]

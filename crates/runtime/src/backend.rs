@@ -4,8 +4,9 @@
 //! The model backend (the default) serializes all program activity through
 //! a token-passing controller: executions are deterministic functions of the
 //! scheduler's decisions, which is what replay, systematic exploration and
-//! byte-stable experiment reports are built on. Each scheduling point wakes
-//! only the thread the scheduler picked.
+//! byte-stable experiment reports are built on. Its threads are coroutines
+//! on the OS thread that runs the execution, and each scheduling point
+//! resumes only the thread the scheduler picked.
 //!
 //! The native backend runs the *same* program closures on real
 //! `std::thread`s over real atomics. Nothing serializes program steps, so
@@ -25,16 +26,18 @@
 //! the model's scheduler and the native watchdog alike. Only five things
 //! stay engine-specific: where values live (the model store with its
 //! weak-visibility cache, or atomics and `RaceCell`s accessed outside the
-//! bookkeeping lock), how a thread parks (for the token, or until its own
-//! status changes), how it sleeps (virtual or wall-clock ticks), the step
-//! tail (a scheduling point, or noise applied with real thread primitives),
-//! and run setup and teardown (token handoff, or the watchdog). Both
-//! produce the same [`crate::Outcome`] shape.
+//! bookkeeping lock), how a thread parks (suspended until it holds the
+//! token, or until its own status changes), how it sleeps (virtual or
+//! wall-clock ticks), the step tail (a scheduling point, or noise applied
+//! with real thread primitives), and run setup and teardown (token
+//! handoff, or the watchdog). Both produce the same [`crate::Outcome`]
+//! shape.
 //!
-//! Both engines also share one parking mechanism: every thread waits on a
-//! slot of its own, and whoever may let it run wakes exactly that slot —
-//! the model's scheduler its pick, a native transition the waiters it
-//! readied. Both run their threads on OS threads reused across runs.
+//! Neither engine lets a thread run that may not: the model resumes
+//! exactly the scheduler's pick, and a native transition wakes exactly the
+//! waiters it readied, each parked on a slot of its own. The model runs all
+//! threads of an execution on one OS thread; the native engine runs them
+//! on OS threads reused across runs.
 
 /// Which execution engine an [`crate::Execution`] uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

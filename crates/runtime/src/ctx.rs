@@ -22,7 +22,8 @@
 //! condition without its lock, recursive locking, joining yourself) aborts
 //! the execution with [`crate::OutcomeKind::ThreadPanic`] under **both**
 //! backends; such misuse is itself a bug class benchmark programs may
-//! exhibit.
+//! exhibit. A thread that is unwinding already skips the misused op
+//! instead (see [`misuse`]).
 
 use crate::exec::{launch, Guard, ModelMisuse, Run};
 use crate::state::{BlockReason, ModelState, Status};
@@ -42,16 +43,38 @@ fn caller_loc() -> Loc {
     }
 }
 
-fn misuse(msg: String) -> ! {
-    panic_any(ModelMisuse(msg))
+/// Report program misuse of the model: unwind with [`ModelMisuse`], which
+/// ends the run with a `ThreadPanic`. Returns only when the thread is
+/// unwinding already (an op made by a `Drop` during a panic), where a
+/// second panic would abort the process: the caller then skips its op, and
+/// the first panic ends the run. An op that gave up during the unwind (see
+/// `Run::block`) can make a later one misuse, such as an `unlock` of the
+/// lock a `lock` gave up on.
+fn misuse(msg: String) {
+    if !std::thread::panicking() {
+        panic_any(ModelMisuse(msg));
+    }
 }
 
 /// Handle through which a model thread performs all shared-memory and
 /// synchronization operations.
 ///
-/// A model thread may run on an OS thread that earlier runs used (under
-/// either backend), so program code must not keep thread-local state
-/// between runs: keep it in the program's variables or in captured values.
+/// Program code must not rely on thread identity. Under the model backend
+/// all model threads of a run are coroutines on one OS thread and share its
+/// thread-locals; under the native backend a model thread runs on an OS
+/// thread that earlier runs used. Keep state in the program's variables or
+/// in captured values, not in thread-locals.
+///
+/// An op made while its thread unwinds (by a `Drop` during a panic) is
+/// limited. Under the model backend it takes no scheduling point, so no
+/// other thread runs until the unwind ends, and an op that would block
+/// gives up at once without its effect (a `wait` wakes spuriously). Under
+/// the native backend an op blocks as usual but gives up if the run
+/// aborts. Misuse, including an `unlock` of a lock whose `lock` gave up,
+/// skips the op. The thread's panic then ends the run. So a `Drop` must not
+/// wait for other threads: under the model one that spins on a variable
+/// spins alone, and a whole step budget past `max_steps` the process
+/// aborts with a message.
 pub struct ThreadCtx {
     run: Arc<Run>,
     me: ThreadId,
@@ -75,27 +98,32 @@ impl ThreadCtx {
         self.run.step(g, self.me, nd);
     }
 
-    /// Block this thread for `reason` until it may run again.
-    fn block(&self, g: &mut Guard<'_>, reason: BlockReason) {
-        g.model.threads[self.me.index()].status = Status::Blocked(reason);
-        self.run.block(g, self.me);
+    /// Put this thread in `status` (`Blocked` or `Sleeping`) until it may
+    /// run again. Returns `false` when it gave up instead, which only a
+    /// thread that is unwinding does (see `Run::block`).
+    fn block(&self, g: &mut Guard<'_>, status: Status) -> bool {
+        self.run.block(g, self.me, status)
     }
 
     /// Block for `reason` until `free` holds, announcing the first wait with
-    /// `request` (a `*Request` op) if one is given.
+    /// `request` (a `*Request` op) if one is given. Returns `false` when the
+    /// thread gave up waiting (see [`Self::block`]).
     fn block_until(
         &self,
         g: &mut Guard<'_>,
         reason: BlockReason,
         mut request: Option<(Loc, Op)>,
         free: impl Fn(&ModelState) -> bool,
-    ) {
+    ) -> bool {
         while !free(&g.model) {
             if let Some((loc, op)) = request.take() {
                 let _ = g.emit(self.me, loc, op);
             }
-            self.block(g, reason);
+            if !self.block(g, Status::Blocked(reason)) {
+                return false;
+            }
         }
+        true
     }
 
     /// This thread's id.
@@ -162,15 +190,16 @@ impl ThreadCtx {
     pub fn lock_at(&mut self, lock: LockId, loc: Loc) {
         let mut g = self.run.book();
         if g.model.lock_owner[lock.index()] == Some(self.me) {
-            misuse(format!(
+            return misuse(format!(
                 "thread {} locked {:?} recursively (model mutexes are non-reentrant)",
                 self.me, lock
             ));
         }
         let request = Some((loc, Op::LockRequest { lock }));
-        self.block_until(&mut g, BlockReason::Lock(lock), request, |m| {
-            m.lock_owner[lock.index()].is_none()
-        });
+        let free = |m: &ModelState| m.lock_owner[lock.index()].is_none();
+        if !self.block_until(&mut g, BlockReason::Lock(lock), request, free) {
+            return;
+        }
         g.model.acquire_lock(self.me, lock);
         self.emit_step(g, loc, Op::LockAcquire { lock });
     }
@@ -187,7 +216,8 @@ impl ThreadCtx {
                 true
             }
             Some(owner) if owner == self.me => {
-                misuse(format!("thread {} try_lock on lock it holds", self.me))
+                misuse(format!("thread {} try_lock on lock it holds", self.me));
+                return false;
             }
             Some(_) => false,
         };
@@ -210,7 +240,7 @@ impl ThreadCtx {
     pub fn unlock_at(&mut self, lock: LockId, loc: Loc) {
         let mut g = self.run.book();
         if !g.model.release_lock(self.me, lock) {
-            misuse(format!(
+            return misuse(format!(
                 "thread {} released {:?} which it does not hold",
                 self.me, lock
             ));
@@ -259,6 +289,7 @@ impl ThreadCtx {
             misuse(format!(
                 "thread {me} waits on {cond:?} without holding {lock:?}"
             ));
+            return false;
         }
         let reason = match ticks {
             Some(t) => BlockReason::CondTimed(cond, lock, g.wake_time(t)),
@@ -268,12 +299,18 @@ impl ThreadCtx {
         assert!(g.model.release_lock(me, lock));
         g.model.cond_queues[cond.index()].push(me);
         g.model.threads[me.index()].timed_out = false;
-        self.block(&mut g, reason);
+        if !self.block(&mut g, Status::Blocked(reason)) {
+            // Gave up while unwinding: wake as a spurious wakeup would. Under
+            // the model nobody ran since the release, so the lock is free;
+            // natively the re-acquire below may block, and give up too.
+            g.model.cond_queues[cond.index()].retain(|&t| t != me);
+        }
         let timed_out = g.model.threads[me.index()].timed_out;
         // Re-acquire the lock (competing with everyone else).
-        self.block_until(&mut g, BlockReason::Lock(lock), None, |m| {
-            m.lock_owner[lock.index()].is_none()
-        });
+        let free = |m: &ModelState| m.lock_owner[lock.index()].is_none();
+        if !self.block_until(&mut g, BlockReason::Lock(lock), None, free) {
+            return false;
+        }
         g.model.acquire_lock(me, lock);
         self.emit_step(g, loc, Op::CondWake { cond, lock });
         !timed_out
@@ -318,9 +355,10 @@ impl ThreadCtx {
         let loc = caller_loc();
         let mut g = self.run.book();
         let request = Some((loc, Op::SemRequest { sem }));
-        self.block_until(&mut g, BlockReason::Sem(sem), request, |m| {
-            m.sem_permits[sem.index()] > 0
-        });
+        let free = |m: &ModelState| m.sem_permits[sem.index()] > 0;
+        if !self.block_until(&mut g, BlockReason::Sem(sem), request, free) {
+            return;
+        }
         g.model.sem_permits[sem.index()] -= 1;
         g.model.threads[self.me.index()].flush_cache();
         self.emit_step(g, loc, Op::SemAcquire { sem });
@@ -342,8 +380,10 @@ impl ThreadCtx {
         let loc = caller_loc();
         let mut g = self.run.book();
         let _ = g.emit(self.me, loc, Op::BarrierArrive { barrier });
-        if !g.model.barrier_arrive(self.me, barrier) {
-            self.block(&mut g, BlockReason::Barrier(barrier));
+        if !g.model.barrier_arrive(self.me, barrier)
+            && !self.block(&mut g, Status::Blocked(BlockReason::Barrier(barrier)))
+        {
+            return;
         }
         g.model.threads[self.me.index()].flush_cache();
         self.emit_step(g, loc, Op::BarrierPass { barrier });
@@ -366,6 +406,8 @@ impl ThreadCtx {
                 "thread limit ({}) exceeded — runaway spawn loop?",
                 g.opts.max_threads
             ));
+            // Unwinding: no thread was spawned, and none has this id.
+            return ThreadId(u32::MAX);
         }
         let child = launch(&self.run, &mut g, name.into(), Box::new(body));
         self.emit_step(g, loc, Op::Spawn { child });
@@ -377,16 +419,17 @@ impl ThreadCtx {
     pub fn join(&mut self, target: ThreadId) {
         let loc = caller_loc();
         if target == self.me {
-            misuse(format!("thread {} joining itself", self.me));
+            return misuse(format!("thread {} joining itself", self.me));
         }
         let mut g = self.run.book();
         if target.index() >= g.model.threads.len() {
-            misuse(format!("join on unknown thread {target}"));
+            return misuse(format!("join on unknown thread {target}"));
         }
         let request = Some((loc, Op::JoinRequest { target }));
-        self.block_until(&mut g, BlockReason::Join(target), request, |m| {
-            m.threads[target.index()].status == Status::Finished
-        });
+        let free = |m: &ModelState| m.threads[target.index()].status == Status::Finished;
+        if !self.block_until(&mut g, BlockReason::Join(target), request, free) {
+            return;
+        }
         g.model.threads[self.me.index()].flush_cache();
         self.emit_step(g, loc, Op::Join { target });
     }
@@ -420,8 +463,7 @@ impl ThreadCtx {
         let mut g = self.run.book();
         let wake = g.wake_time(ticks);
         let _ = g.emit(self.me, loc, Op::Sleep { ticks });
-        g.model.threads[self.me.index()].status = Status::Sleeping(wake);
-        self.run.block(&mut g, self.me);
+        let _ = self.block(&mut g, Status::Sleeping(wake));
     }
 
     /// Pure instrumentation marker: emits a [`Op::Point`] event carrying

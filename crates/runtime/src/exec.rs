@@ -1,6 +1,6 @@
 //! The execution engine: the one op-semantics layer's bookkeeping, the
-//! backend dispatch, the model's token-passing scheduler, the abort protocol
-//! and the [`Execution`] builder.
+//! backend dispatch, the model's token-passing scheduler and the harness
+//! that runs its threads, the abort protocol and the [`Execution`] builder.
 //!
 //! ## One op layer, two backends
 //!
@@ -12,52 +12,64 @@
 //!
 //! * **values** — the model store with its weak-visibility cache, versus
 //!   atomics and `RaceCell`s accessed *outside* the bookkeeping lock;
-//! * **parking** a thread on its own slot (`Run::park`) — until it holds
-//!   the execution token, versus until its own status stops being
-//!   `Blocked`/`Sleeping`;
+//! * **parking** a thread (`Run::park`) — suspended to the harness until it
+//!   holds the execution token, versus on its own slot until its own status
+//!   stops being `Blocked`/`Sleeping`;
 //! * **sleeping** — virtual ticks fast-forwarded by the scheduler, versus a
 //!   real timed park (`ctx.sleep(1)` = 100µs);
 //! * the **step tail** (`Run::step`) — a model scheduling point, versus
 //!   noise applied with real thread primitives;
-//! * run **setup and teardown** — handing the main thread the token and
-//!   waiting for completion, versus the native watchdog.
+//! * run **setup and teardown** — the harness resuming token holders until
+//!   the run ends, versus the native watchdog.
 //!
 //! ## How control flows in the model engine
 //!
-//! Each model thread runs on an OS thread and parks on its own slot.
-//! Exactly one model thread holds the *execution token*
-//! (`ModelState::current`); it runs program code until its next `ThreadCtx`
-//! operation, which (under the mutex) mutates the model, emits events,
-//! consults the noise maker, asks the scheduler to pick the next token
-//! holder, wakes that thread alone (nobody when the same thread continues),
-//! and parks until the token comes back. A step therefore costs the same
-//! whether two threads or two hundred are parked.
+//! Every model thread is a coroutine (`coro.rs`) on the OS thread that
+//! called [`Execution::run`], which runs the *harness* (`drive`): it
+//! resumes the thread that holds the *execution token*
+//! (`ModelState::current`). That thread runs program code until its next
+//! `ThreadCtx` operation, which (under the mutex) mutates the model, emits
+//! events, consults the noise maker and asks the scheduler to pick the next
+//! token holder. When the pick is another thread, the op releases the mutex
+//! and suspends to the harness, which resumes the pick; when it is the same
+//! thread, nothing switches. A handoff is therefore two stack switches on
+//! one OS thread, and a step costs the same whether two threads or two
+//! hundred are suspended. The harness creates a spawned thread's coroutine
+//! before it next resumes anyone, and a finished thread's stack goes back
+//! to the pool.
 //!
 //! Because the mutex serializes all of this and only the token holder
 //! executes program code, an execution is a deterministic function of
 //! (program, scheduler decisions, noise decisions) — the foundation for
 //! replay and systematic exploration.
 //!
+//! No thread switches while it holds the mutex (the next coroutine takes
+//! it on the same OS thread) or while it unwinds (see `Run::step` and
+//! `Run::block`). Off Linux x86_64 a coroutine is an OS thread of its own
+//! (see `coro.rs`); the harness and the schedules are the same.
+//!
 //! ## Abort protocol
 //!
 //! Deadlock, step-limit (or wall-budget) exhaustion, `stop_on_assert` and
 //! program panics all *abort* the execution: the cause is stored, every
-//! parked thread is woken and unwinds with a private `AbortToken` panic
-//! payload (whose printing is suppressed by a process-wide hook), and the
-//! harness thread collects the [`Outcome`].
+//! thread unwinds with a private `AbortToken` panic payload (whose printing
+//! is suppressed by a process-wide hook), and the harness collects the
+//! [`Outcome`]. The model harness resumes every unfinished thread once, in
+//! id order, to unwind it; the native watchdog wakes every parked thread.
 //!
-//! ## OS threads are reused
+//! ## The native engine's OS threads are reused
 //!
-//! Model threads run on *workers*: OS threads kept on a process-wide idle
+//! Native threads run on *workers*: OS threads kept on a process-wide idle
 //! list between runs. [`launch`] hands a body to an idle worker and spawns
 //! one only when none is idle. A worker goes back on the idle list before
 //! its run can see that it has left, and teardown waits for every thread of
 //! the run to leave rather than joining OS threads. So back-to-back runs
 //! reuse the same workers, and the process never holds more OS threads than
-//! the peak number of model threads alive at once. A worker may drop the
+//! the peak number of native threads alive at once. A worker may drop the
 //! last reference to a run after [`Execution::run`] has returned, which is
 //! why the run drops its scheduler, noise maker and sinks itself.
 
+use crate::coro::{self, Coroutine};
 use crate::ctx::ThreadCtx;
 use crate::native::{NativeMem, DEFAULT_NATIVE_BUDGET};
 use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
@@ -170,11 +182,15 @@ pub(crate) struct Book {
     /// Native engine: with no scheduler to count scheduling points, every
     /// event counts against `max_steps`, before it is dispatched.
     steps_per_event: bool,
-    /// Threads launched that have not left the run yet; teardown waits for
+    /// Native threads that have not left the run yet; teardown waits for
     /// this to drain.
     pub live: u32,
-    /// The worker each thread runs on, indexed by thread: its parking slot.
+    /// The worker each native thread runs on, indexed by thread: its
+    /// parking slot. Empty under the model.
     workers: Vec<Arc<Worker>>,
+    /// Model threads launched since the harness last looked, whose
+    /// coroutines it creates before it resumes anyone.
+    spawned: Vec<(ThreadId, Body)>,
     last_event: Option<Event>,
     seq: u64,
     labels: Vec<String>,
@@ -201,9 +217,11 @@ impl Book {
         i
     }
 
-    /// Unwind this thread if the execution is aborting.
+    /// Unwind this thread if the execution is aborting, unless it is
+    /// unwinding already: a second panic would escape the `Drop` that made
+    /// the op and abort the process.
     pub fn check_abort(&self) {
-        if self.abort.is_some() {
+        if self.abort.is_some() && !std::thread::panicking() {
             panic::panic_any(AbortToken);
         }
     }
@@ -221,9 +239,10 @@ impl Book {
         self.check_abort();
         self.stats.events += 1;
         if self.steps_per_event && !self.count_step() {
-            // Unwind before dispatching the event over budget; this thread's
-            // exit wakes the watchdog, which wakes everyone else.
-            panic::panic_any(AbortToken);
+            // Over budget, so the run is aborting: unwind before dispatching
+            // the event. This thread's exit wakes the watchdog, which wakes
+            // everyone else.
+            self.check_abort();
         }
         let ev = Event {
             seq: self.seq,
@@ -269,13 +288,28 @@ impl Book {
 
     /// Count one scheduling point; past `max_steps` the run aborts as hung
     /// and this returns `false`.
+    ///
+    /// A thread that is unwinding cannot be unwound again. One that goes on
+    /// making ops for a whole further budget is spinning in a `Drop` that
+    /// waits for a thread that cannot run (under the model, no other thread
+    /// runs until the unwind ends), so the process aborts with a message
+    /// rather than hang.
     fn count_step(&mut self) -> bool {
         self.stats.sched_points += 1;
-        if self.stats.sched_points > self.opts.max_steps {
-            self.do_abort(OutcomeKind::StepLimit);
-            return false;
+        if self.stats.sched_points <= self.opts.max_steps {
+            return true;
         }
-        true
+        if self.stats.sched_points > self.opts.max_steps.saturating_mul(2)
+            && std::thread::panicking()
+        {
+            coro::fatal(&format!(
+                "a `Drop` ran ops for {} steps past the step budget while its thread \
+                 unwound; a `Drop` must not wait for other threads",
+                self.opts.max_steps
+            ));
+        }
+        self.do_abort(OutcomeKind::StepLimit);
+        false
     }
 
     /// With the configured probability, wake one condition waiter without
@@ -405,8 +439,7 @@ pub(crate) enum Engine {
 /// The shared handle of one execution, held by every thread's context.
 pub(crate) struct Run {
     pub book: Mutex<Book>,
-    /// Wakes the harness thread: the model harness waits here for the run's
-    /// threads to leave, the native watchdog also for blocks and finishes.
+    /// Wakes the native watchdog: for blocks, finishes and threads leaving.
     pub dog: Condvar,
     pub engine: Engine,
 }
@@ -486,27 +519,32 @@ impl Run {
         }
     }
 
-    /// Park `me` on its own slot until it may run: the model waits for the
-    /// execution token, the native engine until `me`'s status is neither
-    /// `Blocked` nor `Sleeping`. Unwinds on abort; returns with `me`
-    /// `Running`.
-    pub fn park(&self, g: &mut Guard<'_>, me: ThreadId) {
+    /// Park `me` until it may run: the model waits for the execution
+    /// token, suspended back to the harness; the native engine waits on its
+    /// slot until `me`'s status is neither `Blocked` nor `Sleeping`.
+    /// Unwinds on abort and returns `true` with `me` `Running`, except that
+    /// a native thread that is unwinding already gives up on abort and
+    /// returns `false` (see [`Self::block`]).
+    pub fn park(&self, g: &mut Guard<'_>, me: ThreadId) -> bool {
         match &self.engine {
             Engine::Model => loop {
                 g.check_abort();
                 let st = g.model.threads[me.index()].status;
                 if st == Status::Finished || (g.model.current == Some(me) && st == Status::Running)
                 {
-                    return;
+                    return true;
                 }
-                self.wait(g, me, None);
+                // The next coroutine runs on this OS thread and takes the
+                // book lock itself.
+                MutexGuard::unlocked(g, coro::suspend);
             },
             Engine::Native(n) => n.park(self, g, me),
         }
     }
 
-    /// Wait on `me`'s own slot until someone wakes it or `timeout` passes.
-    /// Callers re-check their condition: a wake may be stale.
+    /// Native engine: wait on `me`'s own slot until someone wakes it or
+    /// `timeout` passes. Callers re-check their condition: a wake may be
+    /// stale.
     pub fn wait(&self, g: &mut Guard<'_>, me: ThreadId, timeout: Option<Duration>) {
         let worker = Arc::clone(&g.workers[me.index()]);
         match timeout {
@@ -518,16 +556,15 @@ impl Run {
     }
 
     /// Let others run once `me` has blocked, slept or finished: the model
-    /// schedules the next token holder and wakes it; the native engine
-    /// wakes the threads this op readied, and the watchdog, which re-checks
-    /// for deadlock.
+    /// schedules the next token holder, which the harness resumes; the
+    /// native engine wakes the threads this op readied, and the watchdog,
+    /// which re-checks for deadlock.
     pub fn hand_off(&self, g: &mut Guard<'_>, me: ThreadId) {
         match &self.engine {
             Engine::Model => {
                 if !g.completed {
                     g.schedule_next(Some(me), false);
                 }
-                self.wake_pick(g, Some(me));
             }
             Engine::Native(_) => {
                 self.wake_readied(g);
@@ -536,18 +573,36 @@ impl Run {
         }
     }
 
-    /// `me` has set its own status to `Blocked` or `Sleeping`: hand off,
-    /// then park until it may run again.
-    pub fn block(&self, g: &mut Guard<'_>, me: ThreadId) {
+    /// Put `me` in `status` (`Blocked` or `Sleeping`), hand off, then park
+    /// until it may run again. Returns `false` when `me` gives up instead,
+    /// which only a thread that is unwinding (an op made by a `Drop` during
+    /// a panic) does: a model thread gives up at once, because a coroutine
+    /// must not switch while it unwinds (see [`Self::step`]); a native
+    /// thread blocks and gives up only if the run aborts, because it cannot
+    /// be unwound a second time. Its op then has no effect.
+    pub fn block(&self, g: &mut Guard<'_>, me: ThreadId, status: Status) -> bool {
+        if matches!(self.engine, Engine::Model) && std::thread::panicking() {
+            return false;
+        }
+        g.model.threads[me.index()].status = status;
         self.hand_off(g, me);
-        self.park(g, me);
+        self.park(g, me)
     }
 
     /// The tail of every non-blocking op. Accounts the noise decision, then
     /// either runs a model scheduling point and waits for the token, or
     /// applies the decision natively: a `Yield` (like the `Yield` op itself)
     /// gives up the CPU, a `Sleep` parks until it is due.
+    ///
+    /// A model thread that is unwinding (an op made by a `Drop` during a
+    /// panic) takes no scheduling point and keeps the token: a coroutine
+    /// must not switch while it unwinds, because the panic count belongs to
+    /// the OS thread. Its ops still count against `max_steps`.
     pub fn step(&self, mut g: Guard<'_>, me: ThreadId, nd: NoiseDecision) {
+        if matches!(self.engine, Engine::Model) && std::thread::panicking() {
+            let _ = g.count_step();
+            return;
+        }
         match nd {
             NoiseDecision::None => {}
             NoiseDecision::Yield => {
@@ -567,7 +622,6 @@ impl Run {
                     t.status = Status::Ready;
                 }
                 g.schedule_next(Some(me), nd == NoiseDecision::Yield);
-                self.wake_pick(&g, Some(me));
                 self.park(&mut g, me);
             }
             Engine::Native(_) => {
@@ -576,7 +630,7 @@ impl Run {
                 let yield_now = nd == NoiseDecision::Yield
                     || matches!(&g.last_event, Some(ev) if ev.op == Op::Yield);
                 self.wake_readied(&mut g);
-                self.park(&mut g, me);
+                let _ = self.park(&mut g, me);
                 drop(g);
                 if yield_now {
                     std::thread::yield_now();
@@ -586,29 +640,19 @@ impl Run {
     }
 
     /// Abort the execution with `kind` (first cause wins) and wake every
-    /// parked thread and the harness.
+    /// native thread and the watchdog. The model harness unwinds its
+    /// threads once the token comes back to it.
     pub fn abort(&self, g: &mut Book, kind: OutcomeKind) {
         g.do_abort(kind);
         self.wake_all(g);
     }
 
-    /// Wake every parked thread and the harness.
+    /// Wake every parked native thread and the watchdog.
     pub fn wake_all(&self, g: &Book) {
         for w in &g.workers {
             w.slot.notify_one();
         }
         self.dog.notify_all();
-    }
-
-    /// Model engine, after a scheduling point: wake the scheduler's pick,
-    /// unless it is `me`, which is awake already. An abort wakes everyone
-    /// to unwind; on completion the threads leave without waking anyone.
-    fn wake_pick(&self, g: &Book, me: Option<ThreadId>) {
-        if g.abort.is_some() {
-            self.wake_all(g);
-        } else if let Some(pick) = g.model.current.filter(|&p| Some(p) != me) {
-            g.workers[pick.index()].slot.notify_one();
-        }
     }
 
     /// Native engine: wake exactly the threads a transition readied.
@@ -619,15 +663,48 @@ impl Run {
     }
 }
 
-/// Register a new thread named `name` and start it on a worker.
+/// Register a new thread named `name` and start it: as a coroutine the
+/// model harness creates, or on a worker.
 pub(crate) fn launch(run: &Arc<Run>, g: &mut Book, name: String, body: Body) -> ThreadId {
     let me = ThreadId(g.model.threads.len() as u32);
     g.model.threads.push(ThreadState::new(name));
     g.stats.threads += 1;
-    g.live += 1;
-    let run = Arc::clone(run);
-    g.workers.push(Worker::hire(Job { run, me, body }));
+    match run.engine {
+        Engine::Model => g.spawned.push((me, body)),
+        Engine::Native(_) => {
+            g.live += 1;
+            let run = Arc::clone(run);
+            g.workers.push(Worker::hire(Job { run, me, body }));
+        }
+    }
     me
+}
+
+/// The model harness: resume the token holder until the run completes or
+/// aborts, then resume every unfinished thread once, in id order, so it
+/// unwinds with [`AbortToken`].
+fn drive(run: &Arc<Run>) {
+    let mut threads: Vec<Coroutine> = Vec::new();
+    loop {
+        let next = {
+            let mut g = run.book.lock();
+            for (me, body) in g.spawned.drain(..) {
+                let run = Arc::clone(run);
+                threads.push(Coroutine::new(move || thread_main(&run, me, body)));
+            }
+            if g.abort.is_some() || g.completed {
+                break;
+            }
+            g.model
+                .current
+                .expect("a run that has neither completed nor aborted has a token holder")
+        };
+        threads[next.index()].resume();
+    }
+    for t in &mut threads {
+        let finished = t.resume();
+        debug_assert!(finished, "an aborted thread suspended again");
+    }
 }
 
 /// Thread `me` of `run`, with its body: what a worker runs.
@@ -637,10 +714,10 @@ struct Job {
     body: Body,
 }
 
-/// An OS thread that runs model threads one after another, for any run in
-/// the process, and waits on [`IDLE`] in between. Workers are never joined:
-/// they live as long as the process, and one whose OS thread dies still
-/// leaves its run (see [`Leave`]).
+/// An OS thread that runs native program threads one after another, for
+/// any run in the process, and waits on [`IDLE`] in between. Workers are
+/// never joined: they live as long as the process, and one whose OS thread
+/// dies still leaves its run (see [`Leave`]).
 struct Worker {
     /// The thread handed over by [`launch`], taken when the worker starts it.
     job: Mutex<Option<Job>>,
@@ -684,9 +761,14 @@ impl Worker {
                         }
                     }
                 };
-                thread_main(&worker, job);
+                let Job { run, me, body } = job;
+                let _leave = Leave {
+                    worker: &worker,
+                    run: &run,
+                };
+                thread_main(&run, me, body);
             })
-            .expect("failed to spawn model thread");
+            .expect("failed to spawn a native worker");
         w
     }
 }
@@ -726,9 +808,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Run one program thread on `worker`, under either engine.
-fn thread_main(worker: &Arc<Worker>, Job { run, me, body }: Job) {
-    let _leave = Leave { worker, run: &run };
+/// Run program thread `me` of `run`, under either engine, as a coroutine
+/// or on a worker.
+fn thread_main(run: &Arc<Run>, me: ThreadId, body: Body) {
     // Wait until allowed to run, then announce ThreadStart.
     let started = panic::catch_unwind(AssertUnwindSafe(|| {
         let mut g = run.book();
@@ -738,7 +820,7 @@ fn thread_main(worker: &Arc<Worker>, Job { run, me, body }: Job) {
         run.step(g, me, nd);
     }));
     if started.is_ok() {
-        let mut ctx = ThreadCtx::new(Arc::clone(&run), me);
+        let mut ctx = ThreadCtx::new(Arc::clone(run), me);
         match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
             Ok(()) => {
                 // Normal completion: announce exit, wake joiners, hand off.
@@ -905,6 +987,7 @@ impl<'p> Execution<'p> {
             steps_per_event: native,
             live: 0,
             workers: Vec::new(),
+            spawned: Vec::new(),
             last_event: None,
             seq: 0,
             labels: Vec::new(),
@@ -926,7 +1009,8 @@ impl<'p> Execution<'p> {
             engine,
         });
 
-        // Launch the main thread, then wait for the run's threads to leave.
+        // Launch the main thread, then run the harness until the run's
+        // threads are done.
         {
             let mut g = run.book.lock();
             let entry = self.program.entry();
@@ -939,12 +1023,8 @@ impl<'p> Execution<'p> {
             match &run.engine {
                 Engine::Model => {
                     g.schedule_next(None, false);
-                    run.wake_pick(&g, None);
-                    // The run ends by completion or abort; either way every
-                    // thread then leaves.
-                    while g.live > 0 {
-                        run.dog.wait(&mut g);
-                    }
+                    drop(g);
+                    drive(&run);
                 }
                 Engine::Native(mem) => {
                     drop(g);

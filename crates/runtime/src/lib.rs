@@ -11,7 +11,8 @@
 //! 3. the configured [`Scheduler`] chooses which model thread runs next.
 //!
 //! Exactly one model thread executes between scheduling points (each model
-//! thread is an OS thread, parked on a token-passing controller), so an
+//! thread is a coroutine on the OS thread that runs the execution, and a
+//! token-passing controller resumes only the scheduler's pick), so an
 //! execution is a *sequentially consistent interleaving* fully determined by
 //! the scheduler's decisions — the property that makes replay, noise
 //! injection and systematic state-space exploration possible at all.
@@ -49,6 +50,8 @@
 //! assert!(x_final == 1 || x_final == 2); // 1 ⇔ the lost-update race fired
 //! ```
 
+#![deny(unsafe_code)]
+
 /// The runtime's semantic version. Baked into every campaign cell's
 /// content address (see `mtt-obs`), so cached results recorded by one
 /// runtime version are never replayed by a build whose execution semantics
@@ -56,6 +59,8 @@
 pub const RUNTIME_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 pub mod backend;
+#[allow(unsafe_code)]
+mod coro;
 pub mod ctx;
 pub mod exec;
 mod native;

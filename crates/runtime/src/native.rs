@@ -126,9 +126,14 @@ impl NativeMem {
     /// Park `me` until its status is neither `Blocked` nor `Sleeping`: a
     /// transition by another thread readied it, or its sleep or timed wait
     /// fell due (`wake_if_due`, the transition the model's clock applies).
-    /// Unwinds on abort; returns with `me` `Running`.
-    pub(crate) fn park(&self, run: &Run, g: &mut Guard<'_>, me: ThreadId) {
+    /// Unwinds on abort; returns with `me` `Running`, and whether it waited
+    /// to the end: a thread that is unwinding already gives up on abort.
+    pub(crate) fn park(&self, run: &Run, g: &mut Guard<'_>, me: ThreadId) -> bool {
         loop {
+            if g.abort.is_some() && std::thread::panicking() {
+                g.model.threads[me.index()].status = Status::Running;
+                return false;
+            }
             g.check_abort();
             match g.model.threads[me.index()].status {
                 Status::Sleeping(at) | Status::Blocked(BlockReason::CondTimed(_, _, at)) => {
@@ -144,6 +149,7 @@ impl NativeMem {
             g.model.time = self.now();
         }
         g.model.threads[me.index()].status = Status::Running;
+        true
     }
 
     /// The watchdog, run on the harness thread: end the run at the wall
