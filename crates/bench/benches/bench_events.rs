@@ -1,6 +1,7 @@
 //! Flight-recorder cost axes: journal records appended per second (every
 //! campaign cell writes a `start` and a `done` line through one mutex, so
-//! append throughput bounds how fine-grained journaling can be), status
+//! append throughput bounds how fine-grained journaling can be), the same
+//! appends to a file (one `write(2)` per record on top), status
 //! folds per second (the `mtt status`/`watch` read path), and the
 //! per-cell overhead a journal adds to a real campaign.
 
@@ -51,6 +52,29 @@ fn sample_done(i: u64) -> CellDone {
     }
 }
 
+/// A journal sink on a file in the temp directory, deleted on drop.
+struct TempJournal {
+    sink: JournalSink,
+    path: std::path::PathBuf,
+}
+
+impl TempJournal {
+    fn new(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!(
+            "mtt-bench-events-{tag}-{}.ndjson",
+            std::process::id()
+        ));
+        let sink = JournalSink::to_file(&path, false).expect("temp journal opens");
+        TempJournal { sink, path }
+    }
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 /// A synthetic journal with `n` done records, as NDJSON text.
 fn sample_journal(n: u64) -> String {
     let sink_buf = Arc::new(std::sync::Mutex::new(Vec::<u8>::new()));
@@ -88,6 +112,16 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             sink.done(black_box(sample_done(i)));
+        })
+    });
+
+    // The same appends to a real file: adds the one `write(2)` per record.
+    g.bench_function("journal_append_file", |b| {
+        let file = TempJournal::new("criterion");
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            file.sink.done(black_box(sample_done(i)));
         })
     });
 
@@ -146,6 +180,15 @@ fn write_smoke_json() {
     });
     let events_per_sec = 1_000_000_000 / append_ns.max(1);
 
+    // The same appends to a file, one `write(2)` each.
+    let file = TempJournal::new("smoke");
+    let append_file_ns = ns_per_iter(4096, || {
+        i += 1;
+        file.sink.done(sample_done(i));
+    });
+    assert!(file.sink.error().is_none(), "temp journal write failed");
+    drop(file);
+
     // Status folds per second over a 256-record journal (the watch path).
     let text = sample_journal(256);
     let fold_ns = ns_per_iter(64, || {
@@ -154,7 +197,11 @@ fn write_smoke_json() {
     });
     let folds_per_sec = 1_000_000_000 / fold_ns.max(1);
 
-    let results = [("journal_append", append_ns), ("status_fold_256", fold_ns)];
+    let results = [
+        ("journal_append", append_ns),
+        ("journal_append_file", append_file_ns),
+        ("status_fold_256", fold_ns),
+    ];
     let entries: Vec<String> = results
         .iter()
         .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))

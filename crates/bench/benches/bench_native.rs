@@ -137,42 +137,61 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
+/// Loops per smoke figure: each figure is the median of this many loops,
+/// so one slow loop on a busy machine cannot set it. With 13 loops the
+/// median and both quartiles fall exactly on a loop.
+const SMOKE_LOOPS: usize = 13;
+
+/// Per-run nanoseconds of `f` over [`SMOKE_LOOPS`] loops of `iters` runs
+/// each, after a short warm-up: the lower quartile, median and upper
+/// quartile of the loops.
+fn loop_quartiles(iters: u32, mut f: impl FnMut()) -> [u64; 3] {
+    for _ in 0..4 {
+        f();
+    }
+    let mut per_run: Vec<u64> = (0..SMOKE_LOOPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            (start.elapsed().as_nanos() / iters as u128) as u64
+        })
+        .collect();
+    per_run.sort_unstable();
+    let at = |q: usize| per_run[(per_run.len() - 1) * q / 4];
+    [at(1), at(2), at(3)]
+}
+
 /// Smoke throughput written to `BENCH_native.json` at the repository root
 /// so CI can watch the model/native cost ratio without parsing Criterion
-/// output.
+/// output. Each figure is a median over loops, with the loops' quartiles
+/// beside it.
 fn write_smoke_json() {
-    fn ns_per_iter(iters: u32, mut f: impl FnMut()) -> u64 {
-        for _ in 0..4 {
-            f();
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() / iters as u128) as u64
-    }
-
     let (model, native) = roster();
     let mut seed = 0u64;
-    let model_ns = ns_per_iter(256, || {
+    let model_q = loop_quartiles(256, || {
         seed += 1;
         let _ = one_run(&model, seed);
     });
-    let native_ns = ns_per_iter(64, || {
+    let native_q = loop_quartiles(64, || {
         seed += 1;
         let _ = one_run(&native, seed);
     });
+    let (model_ns, native_ns) = (model_q[1], native_q[1]);
     let model_runs_per_sec = 1_000_000_000 / model_ns.max(1);
     let native_runs_per_sec = 1_000_000_000 / native_ns.max(1);
     let overhead = native_ns as f64 / model_ns.max(1) as f64;
 
-    let results = [("model_run", model_ns), ("native_run", native_ns)];
+    let results = [("model_run", model_q), ("native_run", native_q)];
     let entries: Vec<String> = results
         .iter()
-        .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))
+        .map(|(name, [q1, ns, q3])| {
+            format!(r#"{{"name":"{name}","ns_per_iter":{ns},"ns_q1":{q1},"ns_q3":{q3}}}"#)
+        })
         .collect();
     let json = format!(
-        "{{\"schema\":\"mtt-bench-native\",\"version\":1,\"model_runs_per_sec\":{model_runs_per_sec},\"native_runs_per_sec\":{native_runs_per_sec},\"native_over_model\":{overhead:.2},\"results\":[{}]}}\n",
+        "{{\"schema\":\"mtt-bench-native\",\"version\":1,\"loops\":{SMOKE_LOOPS},\"model_runs_per_sec\":{model_runs_per_sec},\"native_runs_per_sec\":{native_runs_per_sec},\"native_over_model\":{overhead:.2},\"results\":[{}]}}\n",
         entries.join(",")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");

@@ -8,9 +8,22 @@
 use mtt_instrument::ThreadId;
 
 /// A grow-on-demand vector clock.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct VectorClock {
     clocks: Vec<u32>,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            clocks: self.clocks.clone(),
+        }
+    }
+
+    /// Copies `source` into this clock's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.clocks.clone_from(&source.clocks);
+    }
 }
 
 impl VectorClock {
@@ -38,6 +51,11 @@ impl VectorClock {
         let v = self.get(t) + 1;
         self.set(t, v);
         v
+    }
+
+    /// Back to the zero clock, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.clocks.clear();
     }
 
     /// Pointwise maximum (join).

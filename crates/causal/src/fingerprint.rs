@@ -35,9 +35,9 @@
 
 use crate::clock::VectorClock;
 use crate::sync::SyncClocks;
+use crate::table::IdTable;
 use mtt_instrument::{AccessKind, Event, EventSink, Op};
 use mtt_trace::Trace;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// 128-bit FNV-1a offset basis.
@@ -90,19 +90,28 @@ impl Fnv {
     }
 }
 
+/// The conflict clocks of one variable. An empty clock joins as a no-op, so
+/// "no write yet" and "no read since the last write" need no flag.
+#[derive(Clone, Debug, Default)]
+struct VarClocks {
+    /// Clock of the last write.
+    write: VectorClock,
+    /// Joined clocks of the reads since the last write.
+    reads: VectorClock,
+}
+
 /// [`EventSink`] computing a [`TraceFingerprint`] over a live or replayed
 /// event stream in O(events) time and O(threads + resources) space — cheap
 /// enough to ride along on every campaign run.
 #[derive(Clone, Debug, Default)]
 pub struct Fingerprinter {
     sync: SyncClocks,
-    /// Clock of the last write per plain variable.
-    last_write: HashMap<u32, VectorClock>,
-    /// Joined clocks of the reads since the last write, per variable.
-    reads: HashMap<u32, VectorClock>,
-    /// Per-thread (event count, running lane hash), keyed by thread id so
-    /// the final fold is in canonical order.
-    lanes: BTreeMap<u32, (u64, u128)>,
+    /// Conflict clocks per variable, by id.
+    vars: IdTable<VarClocks>,
+    /// Per-thread (event count, running lane hash), by thread id so the
+    /// final fold is in canonical order. A thread that never emitted an
+    /// event has no lane.
+    lanes: IdTable<(u64, u128)>,
     events: u64,
 }
 
@@ -120,7 +129,7 @@ impl Fingerprinter {
     /// The fingerprint of everything consumed so far.
     pub fn fingerprint(&self) -> TraceFingerprint {
         let mut h = Fnv::new();
-        for (&t, &(count, lane)) in &self.lanes {
+        for (t, &(count, lane)) in self.lanes.iter() {
             h.write_u32(t);
             h.write(&count.to_le_bytes());
             h.write(&lane.to_le_bytes());
@@ -244,18 +253,20 @@ impl EventSink for Fingerprinter {
     fn on_event(&mut self, ev: &Event) {
         let me = ev.thread;
         self.sync.acquire(ev);
-        let access = ev.op.var().zip(ev.op.access_kind());
+        let mut access = ev.op.var().zip(ev.op.access_kind()).map(|(var, kind)| {
+            (
+                self.vars.get_or_insert_with(var.0, VarClocks::default),
+                kind,
+            )
+        });
         // Conflict edges: any access sees the last write; a write also
         // sees every read since then. Read–read pairs stay independent.
         let tc = self.sync.clock(me);
-        if let Some((var, kind)) = access {
-            if let Some(w) = self.last_write.get(&var.0) {
-                tc.join(w);
-            }
-            if kind == AccessKind::Write {
-                if let Some(r) = self.reads.remove(&var.0) {
-                    tc.join(&r);
-                }
+        if let Some((var, kind)) = &mut access {
+            tc.join(&var.write);
+            if *kind == AccessKind::Write {
+                tc.join(&var.reads);
+                var.reads.clear();
             }
         }
         tc.tick(me);
@@ -264,14 +275,12 @@ impl EventSink for Fingerprinter {
         // Conflict bookkeeping.
         if let Some((var, kind)) = access {
             match kind {
-                AccessKind::Read => self.reads.entry(var.0).or_default().join(snapshot),
-                AccessKind::Write => {
-                    self.last_write.insert(var.0, snapshot.clone());
-                }
+                AccessKind::Read => var.reads.join(snapshot),
+                AccessKind::Write => var.write.clone_from(snapshot),
             }
         }
         // Fold into the thread's lane.
-        let lane = self.lanes.entry(me.0).or_insert((0, FNV_OFFSET));
+        let lane = self.lanes.get_or_insert_with(me.0, || (0, FNV_OFFSET));
         let mut h = Fnv(lane.1);
         hash_label(&mut h, ev);
         hash_clock(&mut h, snapshot);
@@ -426,5 +435,66 @@ mod tests {
             c.trace.records.push(TraceRecord::from_event(e));
         }
         assert_eq!(fingerprint_trace(&c.into_trace()), live);
+    }
+
+    #[test]
+    fn out_of_order_threads_and_a_silent_child_keep_their_fingerprint() {
+        // Threads first emit in the order 0, 3, 1, and thread 2 is spawned
+        // but never emits: its lane must stay out of the hash. The value
+        // was computed by the map-based fingerprinter this one replaced.
+        use mtt_instrument::{CondId, SemId};
+        let (l, c, s) = (LockId(1), CondId(0), SemId(2));
+        let rmw = |old, new| Op::VarRmw {
+            var: VarId(4),
+            old,
+            new,
+        };
+        let ops = [
+            (0, Op::Spawn { child: ThreadId(3) }),
+            (0, Op::Spawn { child: ThreadId(1) }),
+            (0, Op::Spawn { child: ThreadId(2) }),
+            (3, Op::ThreadStart),
+            (3, Op::LockAcquire { lock: l }),
+            (3, write(9, 4)),
+            (1, Op::ThreadStart),
+            (1, read(9)),
+            (
+                3,
+                Op::CondNotify {
+                    cond: c,
+                    all: false,
+                },
+            ),
+            (3, Op::LockRelease { lock: l }),
+            (0, Op::LockAcquire { lock: l }),
+            (0, write(9, 5)),
+            (0, Op::LockRelease { lock: l }),
+            (1, Op::SemRelease { sem: s }),
+            (3, Op::SemAcquire { sem: s }),
+            (3, rmw(0, 1)),
+            (1, rmw(1, 2)),
+            (1, read(9)),
+            (3, Op::ThreadExit),
+            (
+                0,
+                Op::Join {
+                    target: ThreadId(3),
+                },
+            ),
+            (1, Op::ThreadExit),
+            (
+                0,
+                Op::Join {
+                    target: ThreadId(1),
+                },
+            ),
+            (0, read(4)),
+        ];
+        let events: Vec<Event> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t, op))| ev(i as u64, t, op))
+            .collect();
+        assert_eq!(fp(&events).to_hex(), "35f1f10aeda9354b2eb71e2c69d4ef08");
     }
 }

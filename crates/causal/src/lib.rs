@@ -33,6 +33,7 @@ pub mod diff;
 pub mod fingerprint;
 pub mod hb;
 pub mod sync;
+mod table;
 pub mod timeline;
 
 pub use annotated::{

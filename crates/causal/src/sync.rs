@@ -21,35 +21,42 @@
 //! | `ThreadExit` → `Join` | the thread's exit clock |
 
 use crate::clock::VectorClock;
+use crate::table::IdTable;
 use mtt_instrument::{Event, Op, ThreadId};
-use std::collections::HashMap;
 
-/// A resource a release edge flows through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Resource {
-    Lock(u32),
-    Cond(u32),
-    Sem(u32),
-    Barrier(u32),
+/// The kinds of resource a release edge flows through; each kind has a
+/// table of its own, indexed by the resource's id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Lock,
+    Cond,
+    Sem,
+    Barrier,
     /// Per-variable sync clock of atomic RMW chains.
-    Atomic(u32),
+    Atomic,
     /// Spawn→start handoff to a child thread.
-    Start(u32),
+    Start,
     /// Exit→join handoff from a finished thread.
-    Exit(u32),
+    Exit,
 }
+
+const KINDS: usize = Kind::Exit as usize + 1;
+
+/// A resource: its kind and the id of the lock, condition, semaphore,
+/// barrier, variable or thread.
+type Resource = (Kind, u32);
 
 /// The resources `ev` acquires from, in join order.
 fn acquires(ev: &Event) -> [Option<Resource>; 2] {
     let one = |r| [Some(r), None];
     match ev.op {
-        Op::LockAcquire { lock } => one(Resource::Lock(lock.0)),
-        Op::CondWake { cond, lock } => [Some(Resource::Lock(lock.0)), Some(Resource::Cond(cond.0))],
-        Op::SemAcquire { sem } => one(Resource::Sem(sem.0)),
-        Op::BarrierPass { barrier } => one(Resource::Barrier(barrier.0)),
-        Op::VarRmw { var, .. } => one(Resource::Atomic(var.0)),
-        Op::ThreadStart => one(Resource::Start(ev.thread.0)),
-        Op::Join { target } => one(Resource::Exit(target.0)),
+        Op::LockAcquire { lock } => one((Kind::Lock, lock.0)),
+        Op::CondWake { cond, lock } => [Some((Kind::Lock, lock.0)), Some((Kind::Cond, cond.0))],
+        Op::SemAcquire { sem } => one((Kind::Sem, sem.0)),
+        Op::BarrierPass { barrier } => one((Kind::Barrier, barrier.0)),
+        Op::VarRmw { var, .. } => one((Kind::Atomic, var.0)),
+        Op::ThreadStart => one((Kind::Start, ev.thread.0)),
+        Op::Join { target } => one((Kind::Exit, target.0)),
         _ => [None, None],
     }
 }
@@ -57,13 +64,13 @@ fn acquires(ev: &Event) -> [Option<Resource>; 2] {
 /// The resource `ev` releases into.
 fn releases(ev: &Event) -> Option<Resource> {
     match ev.op {
-        Op::LockRelease { lock } | Op::CondWait { lock, .. } => Some(Resource::Lock(lock.0)),
-        Op::CondNotify { cond, .. } => Some(Resource::Cond(cond.0)),
-        Op::SemRelease { sem } => Some(Resource::Sem(sem.0)),
-        Op::BarrierArrive { barrier } => Some(Resource::Barrier(barrier.0)),
-        Op::VarRmw { var, .. } => Some(Resource::Atomic(var.0)),
-        Op::Spawn { child } => Some(Resource::Start(child.0)),
-        Op::ThreadExit => Some(Resource::Exit(ev.thread.0)),
+        Op::LockRelease { lock } | Op::CondWait { lock, .. } => Some((Kind::Lock, lock.0)),
+        Op::CondNotify { cond, .. } => Some((Kind::Cond, cond.0)),
+        Op::SemRelease { sem } => Some((Kind::Sem, sem.0)),
+        Op::BarrierArrive { barrier } => Some((Kind::Barrier, barrier.0)),
+        Op::VarRmw { var, .. } => Some((Kind::Atomic, var.0)),
+        Op::Spawn { child } => Some((Kind::Start, child.0)),
+        Op::ThreadExit => Some((Kind::Exit, ev.thread.0)),
         _ => None,
     }
 }
@@ -85,8 +92,9 @@ struct Released {
 /// the thread's clock as it stands at that call.
 #[derive(Clone, Debug, Default)]
 pub struct SyncClocks {
-    threads: HashMap<ThreadId, VectorClock>,
-    resources: HashMap<Resource, Released>,
+    threads: IdTable<VectorClock>,
+    /// One table per [`Kind`].
+    resources: [IdTable<Released>; KINDS],
 }
 
 impl SyncClocks {
@@ -102,14 +110,15 @@ impl SyncClocks {
     /// a thread re-acquiring a lock it just released itself gets `None`.
     pub fn acquire(&mut self, ev: &Event) -> [Option<u64>; 2] {
         let mut from = [None; 2];
-        for (slot, key) in from.iter_mut().zip(acquires(ev)) {
-            let Some(key) = key else { break };
+        for (slot, res) in from.iter_mut().zip(acquires(ev)) {
+            let Some((kind, id)) = res else { break };
+            let table = &mut self.resources[kind as usize];
             // Only the child's start reads a spawn's clock.
-            let consumed = match key {
-                Resource::Start(_) => self.resources.remove(&key),
+            let consumed = match kind {
+                Kind::Start => table.take(id),
                 _ => None,
             };
-            let Some(src) = consumed.as_ref().or_else(|| self.resources.get(&key)) else {
+            let Some(src) = consumed.as_ref().or_else(|| table.get(id)) else {
                 continue;
             };
             let tc = thread_clock(&mut self.threads, ev.thread);
@@ -124,19 +133,19 @@ impl SyncClocks {
     /// Release side of `ev`: join its thread's clock into the resource it
     /// releases into. Returns whether `ev` releases at all.
     pub fn release(&mut self, ev: &Event) -> bool {
-        let Some(key) = releases(ev) else {
+        let Some((kind, id)) = releases(ev) else {
             return false;
         };
         let tc = thread_clock(&mut self.threads, ev.thread);
-        let r = self.resources.entry(key).or_default();
+        let r = self.resources[kind as usize].get_or_insert_with(id, Released::default);
         r.clock.join(tc);
         r.last = ev.seq;
         true
     }
 }
 
-fn thread_clock(threads: &mut HashMap<ThreadId, VectorClock>, t: ThreadId) -> &mut VectorClock {
-    threads.entry(t).or_insert_with(|| {
+fn thread_clock(threads: &mut IdTable<VectorClock>, t: ThreadId) -> &mut VectorClock {
+    threads.get_or_insert_with(t.0, || {
         let mut vc = VectorClock::new();
         vc.set(t, 1);
         vc

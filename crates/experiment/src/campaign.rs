@@ -273,20 +273,20 @@ impl Campaign {
                 ..CampaignMeta::default()
             },
         }));
+        // Each tool's canonical spec string, rendered once for every cell
+        // key and run-log record that carries it.
+        let specs: Vec<String> = self.tools.iter().map(ToolConfig::spec_string).collect();
         let cell = |i: usize| {
             let prog = &self.programs[i / (n_runs * n_tools)];
-            (
-                prog,
-                &self.tools[(i / n_runs) % n_tools],
-                (i % n_runs) as u64,
-            )
+            let t = (i / n_runs) % n_tools;
+            (prog, &self.tools[t], &specs[t], (i % n_runs) as u64)
         };
         let key = |i| {
-            let (prog, tool, r) = cell(i);
+            let (prog, tool, spec, r) = cell(i);
             CellDone {
                 program: prog.name.to_string(),
                 tool: tool.name.clone(),
-                tool_spec: tool.spec_string(),
+                tool_spec: spec.clone(),
                 seed: self.base_seed + r,
                 run: r,
                 backend: native_tag(tool),
@@ -296,7 +296,7 @@ impl Campaign {
 
         let execute = spans.enter("campaign.execute");
         let (records, pool_stats) = pool.cells_with(self, total, key, |i| {
-            let (prog, tool, r) = cell(i);
+            let (prog, tool, _, r) = cell(i);
             self.one_run(prog, tool, r)
         });
         drop(execute);
@@ -307,7 +307,7 @@ impl Campaign {
         let mut cell_metrics = BTreeMap::new();
         let mut records = records.into_iter();
         for prog in &self.programs {
-            for tool in &self.tools {
+            for (tool, spec) in self.tools.iter().zip(&specs) {
                 let mut cell = CellResult::default();
                 for b in prog.bug_tags() {
                     cell.per_bug.insert(b.to_string(), FindStats::default());
@@ -340,7 +340,7 @@ impl Campaign {
                             experiment: self.label.clone(),
                             program: prog.name.to_string(),
                             tool: tool.name.clone(),
-                            tool_spec: tool.spec_string(),
+                            tool_spec: spec.clone(),
                             run: r,
                             seed: rec.seed,
                             outcome: rec.outcome_tag.to_string(),
@@ -412,11 +412,8 @@ impl Campaign {
         let verdict = prog.judge(&outcome);
         let elapsed = started.elapsed();
         let metrics = telemetry.map(|handle| {
-            let mut m = handle
-                .lock()
-                .expect("telemetry sink poisoned")
-                .metrics()
-                .clone();
+            let sink = std::mem::take(&mut *handle.lock().expect("telemetry sink poisoned"));
+            let mut m = sink.into_metrics();
             m.absorb_stats(&outcome.stats);
             m
         });

@@ -133,12 +133,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                out.push_str(&v.to_string());
-            }
-            Json::UInt(v) => {
-                out.push_str(&v.to_string());
-            }
+            Json::Int(v) => write_i64(*v, out),
+            Json::UInt(v) => write_u64(*v, out),
             Json::Float(v) => write_float(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -196,23 +192,59 @@ fn write_float(v: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Decimal digits of `v`, with no temporary `String`.
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+fn write_i64(v: i64, out: &mut String) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(v.unsigned_abs(), out);
+}
+
+/// `s` as a JSON string literal. Runs of characters that need no escape are
+/// copied with one push each, so a plain string is copied whole.
+fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    // Every byte that needs an escape is ASCII, so `i` is a char boundary.
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            // Any other control character: `\u00XX`.
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -505,6 +537,14 @@ fn utf8_len(first: u8) -> Option<usize> {
 /// Convert a value into its [`Json`] representation.
 pub trait ToJson {
     fn to_json(&self) -> Json;
+
+    /// Append the compact rendering of `self` to `out`: exactly the text of
+    /// `self.to_json().dump()`. The default goes through the tree;
+    /// [`json_struct!`] and the integer, `bool`, string, `Option` and `Vec`
+    /// impls print directly, with no tree and no allocated keys.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write(out);
+    }
 }
 
 /// Reconstruct a value from a [`Json`] representation.
@@ -520,7 +560,9 @@ pub trait JsonKey: Sized {
 
 /// Serialize `value` to a compact JSON string.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().dump()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Serialize `value` to compact JSON bytes.
@@ -533,7 +575,7 @@ pub fn to_writer<T: ToJson + ?Sized, W: std::io::Write>(
     value: &T,
     w: &mut W,
 ) -> std::io::Result<()> {
-    value.to_json().write_to(w)
+    w.write_all(to_string(value).as_bytes())
 }
 
 /// Parse `text` and convert to `T`.
@@ -555,6 +597,7 @@ macro_rules! impl_json_uint {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::UInt(*self as u64) }
+            fn write_json(&self, out: &mut String) { write_u64(*self as u64, out) }
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
@@ -575,6 +618,7 @@ macro_rules! impl_json_int {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::Int(*self as i64) }
+            fn write_json(&self, out: &mut String) { write_i64(*self as i64, out) }
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
@@ -591,6 +635,9 @@ impl_json_int!(i8, i16, i32, i64, isize);
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -624,6 +671,9 @@ impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
     }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl FromJson for String {
@@ -647,11 +697,17 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Json {
         (*self).to_json()
+    }
+    fn write_json(&self, out: &mut String) {
+        (*self).write_json(out);
     }
 }
 
@@ -660,6 +716,12 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -676,6 +738,16 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -781,6 +853,9 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+    fn write_json(&self, out: &mut String) {
+        self.write(out);
+    }
 }
 
 impl FromJson for Json {
@@ -808,6 +883,18 @@ macro_rules! json_struct {
                     fields.push((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)));
                 })+
                 $crate::Json::Obj(fields)
+            }
+            fn write_json(&self, out: &mut ::std::string::String) {
+                out.push('{');
+                let body = out.len();
+                $(if !$crate::__json_field!(skip self.$field $(, $mode)?) {
+                    if out.len() > body {
+                        out.push(',');
+                    }
+                    out.push_str(concat!("\"", stringify!($field), "\":"));
+                    $crate::ToJson::write_json(&self.$field, out);
+                })+
+                out.push('}');
             }
         }
         impl $crate::FromJson for $ty {
@@ -1018,6 +1105,49 @@ mod tests {
         assert_eq!(Json::parse(&dumped).unwrap(), v);
     }
 
+    /// The char-by-char escaper the run-copying one replaced.
+    fn escaped_reference(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escaper_and_integer_printer_match_their_references() {
+        let mut every_ascii: String = (0u8..0x80).map(char::from).collect();
+        every_ascii.push_str("é😀\u{7ff}");
+        for s in [every_ascii.as_str(), "", "plain", "\"", "a\u{1f}b", "😀\\"] {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            assert_eq!(out, escaped_reference(s), "{s:?}");
+            assert_eq!(to_string(s), out);
+            assert_eq!(to_string(&s.to_string()), out);
+        }
+        for v in [0, 1, 9, 10, 99, 100, u64::MAX / 10, u64::MAX] {
+            assert_eq!(to_string(&v), v.to_string());
+            assert_eq!(Json::UInt(v).dump(), v.to_string());
+        }
+        for v in [0, -1, -10, 7, i64::MIN, i64::MAX] {
+            assert_eq!(to_string(&v), v.to_string());
+            assert_eq!(Json::Int(v).dump(), v.to_string());
+        }
+        assert_eq!(to_string(&-5i8), "-5");
+        assert_eq!(to_string(&u8::MAX), "255");
+    }
+
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(
@@ -1073,6 +1203,7 @@ mod tests {
         };
         let s = to_string(&p);
         assert_eq!(s, r#"{"x":4,"y":-2,"tag":"t"}"#);
+        assert_eq!(s, p.to_json().dump());
         assert_eq!(from_str::<Point>(&s).unwrap(), p);
         assert!(from_str::<Point>(r#"{"x":4}"#).is_err());
     }
@@ -1104,6 +1235,7 @@ mod tests {
         let s = to_string(&full);
         // Sets are arrays in set order; optional fields keep their place.
         assert_eq!(s, r#"{"id":1,"tags":["a","b"],"note":"n","extra":[3]}"#);
+        assert_eq!(s, full.to_json().dump());
         assert_eq!(from_str::<Tagged>(&s).unwrap(), full);
 
         // A field holding its default is left out, and an absent one reads
@@ -1114,6 +1246,7 @@ mod tests {
         };
         let s = to_string(&bare);
         assert_eq!(s, r#"{"id":2,"tags":[]}"#);
+        assert_eq!(s, bare.to_json().dump());
         assert_eq!(from_str::<Tagged>(&s).unwrap(), bare);
         let only_extra = from_str::<Tagged>(r#"{"id":3,"tags":[],"extra":[1,2]}"#).unwrap();
         assert_eq!(only_extra.note, None);

@@ -19,12 +19,14 @@
 //! generic `job` records for commands other than campaigns; readers still
 //! accept them, but nothing writes them any more.
 //!
-//! Durability discipline: the sink flushes after every record, so the only
-//! record a crash can corrupt is the final, possibly unterminated line.
-//! Readers therefore treat *a missing trailing newline* as "crash
-//! mid-write" and discard the fragment; any newline-**terminated** line
-//! that fails to parse is real corruption and is reported as an error.
-//! (`mtt journal-check` is stricter and flags both.)
+//! Durability discipline: the sink serializes each record into one line,
+//! newline included, and hands it to a single `write_all` and a flush, so
+//! a file gets one `write(2)` per record and the only record a crash can
+//! corrupt is the final, possibly unterminated line. Readers therefore
+//! treat *a missing trailing newline* as "crash mid-write" and discard the
+//! fragment; any newline-**terminated** line that fails to parse is real
+//! corruption and is reported as an error. (`mtt journal-check` is
+//! stricter and flags both.)
 //!
 //! Wall-clock fields (`t_us`, `wall_us`) exist for the live `mtt status` /
 //! `mtt watch` views and chrome traces only; nothing deterministic is ever
@@ -348,6 +350,29 @@ impl ToJson for JournalRecord {
         out.extend(fields);
         Json::Obj(out)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"v\":");
+        JOURNAL_VERSION.write_json(out);
+        out.push_str(",\"kind\":");
+        self.kind().write_json(out);
+        let payload = out.len();
+        match self {
+            JournalRecord::Campaign(r) => r.write_json(out),
+            JournalRecord::Start(r) => r.write_json(out),
+            JournalRecord::Done(r) => r.write_json(out),
+            JournalRecord::Job(r) => r.write_json(out),
+            JournalRecord::End(r) => r.write_json(out),
+        }
+        // Splice the payload's fields in after `kind`: its opening brace
+        // becomes the separator. Every payload has a required field, so
+        // its object is never empty.
+        assert!(
+            out[payload..].starts_with('{') && !out[payload..].starts_with("{}"),
+            "journal payloads are non-empty objects"
+        );
+        out.replace_range(payload..=payload, ",");
+    }
 }
 
 /// Validate one journal line against the schema and decode it. Accepts
@@ -494,6 +519,10 @@ impl ResumeCache {
 // Writing
 // ---------------------------------------------------------------------
 
+/// Bytes reserved for one serialized record: a `done` line with telemetry
+/// scalars and a fingerprint is about 600.
+const LINE_CAPACITY: usize = 1024;
+
 struct SinkState {
     w: Box<dyn Write + Send>,
     /// Worker-id assignment: first thread to complete a record becomes
@@ -578,15 +607,17 @@ impl JournalSink {
     }
 
     fn append(&self, rec: &JournalRecord) {
-        let line = rec.to_json().dump();
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        rec.write_json(&mut line);
+        line.push('\n');
         let mut s = self.state.lock().expect("journal sink poisoned");
         if s.error.is_some() {
             return;
         }
-        let r =
-            s.w.write_all(line.as_bytes())
-                .and_then(|()| s.w.write_all(b"\n"))
-                .and_then(|()| s.w.flush());
+        // The line and its newline go to one `write_all`: on the unbuffered
+        // file that is one `write(2)`, which a crash can cut short but never
+        // split around another record.
+        let r = s.w.write_all(line.as_bytes()).and_then(|()| s.w.flush());
         if let Err(e) = r {
             s.error = Some(format!("journal write failed: {e}"));
             return;
@@ -769,6 +800,43 @@ mod tests {
         };
         assert_eq!(d.metrics.as_ref().unwrap().events, 3);
         assert_eq!(d.seed, 7);
+    }
+
+    #[test]
+    fn sink_makes_exactly_one_write_per_record() {
+        // Every `write` call the sink makes, as it was made.
+        #[derive(Clone, Default)]
+        struct Calls(Arc<StdMutex<Vec<Vec<u8>>>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let calls = Calls::default();
+        let sink = JournalSink::from_writer(calls.clone());
+        sink.campaign(CampaignMeta::default());
+        sink.start(CellStart::default());
+        sink.done(CellDone {
+            metrics: Some(MetricScalars::default()),
+            result: Some(Json::Str("a\nb".into())),
+            ..done("aa", 7)
+        });
+        sink.end("e1", 1);
+        let calls = calls.0.lock().unwrap();
+        let kinds: Vec<_> = calls
+            .iter()
+            .map(|call| {
+                let line = std::str::from_utf8(call).unwrap();
+                let body = line.strip_suffix('\n').expect("a write ends its line");
+                assert!(!body.contains('\n'), "one record per write: {line}");
+                check_journal_line(body).unwrap().kind()
+            })
+            .collect();
+        assert_eq!(kinds, ["campaign", "start", "done", "end"]);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! That split is what lets the default campaign reports stay byte-identical
 //! across worker counts while still measuring overhead when asked.
 
+#![forbid(unsafe_code)]
+
 pub mod ndjson;
 pub mod run;
 pub mod sink;

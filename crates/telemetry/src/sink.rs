@@ -29,16 +29,12 @@ pub struct TelemetrySink {
     metrics: RunMetrics,
     sites: HashMap<LocKey, u64>,
     contended_sites: HashMap<LocKey, u64>,
-    /// Memo of the most recent file pointer → id mapping: consecutive
-    /// events almost always share a source file, so the interner's lock is
-    /// rarely touched at all.
-    last_file: Option<(*const u8, usize, u32)>,
+    /// Memo of the most recent file → id mapping, keyed by the file
+    /// string's address and length: consecutive events almost always share
+    /// a source file, so the interner's lock is rarely touched at all.
+    last_file: Option<(&'static str, u32)>,
     finished: bool,
 }
-
-// The raw pointer is a cache key for a `&'static str`, never dereferenced
-// as mutable state; the sink stays freely sendable like before.
-unsafe impl Send for TelemetrySink {}
 
 impl TelemetrySink {
     /// Fresh sink.
@@ -47,10 +43,8 @@ impl TelemetrySink {
     }
 
     fn loc_key(&mut self, loc: mtt_instrument::Loc) -> LocKey {
-        let ptr = loc.file.as_ptr();
-        let len = loc.file.len();
-        if let Some((p, l, id)) = self.last_file {
-            if std::ptr::eq(p, ptr) && l == len {
+        if let Some((file, id)) = self.last_file {
+            if std::ptr::eq(file, loc.file) {
                 return LocKey {
                     file: id,
                     line: loc.line,
@@ -58,7 +52,7 @@ impl TelemetrySink {
             }
         }
         let key = loc.key();
-        self.last_file = Some((ptr, len, key.file));
+        self.last_file = Some((loc.file, key.file));
         key
     }
 
