@@ -6,19 +6,8 @@
 //! is the honest lower bound worth tracking too.
 
 use criterion::Criterion;
-use mtt_bench::quick_criterion;
-use mtt_core::experiment::campaign::Campaign;
+use mtt_bench::{e1_slice, quick_criterion};
 use mtt_core::experiment::jobpool::JobPool;
-
-fn e1_slice(runs: u64) -> Campaign {
-    Campaign::standard(
-        vec![
-            mtt_core::suite::small::lost_update(2, 2),
-            mtt_core::suite::small::ab_ba(),
-        ],
-        runs,
-    )
-}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_jobs");

@@ -6,7 +6,7 @@
 //! accumulator fold.
 
 use criterion::{black_box, Criterion};
-use mtt_bench::quick_criterion;
+use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::causal::fingerprint_trace;
 use mtt_core::coverage::ScheduleCoverage;
 use mtt_core::experiment::saturation_eval::{
@@ -14,24 +14,8 @@ use mtt_core::experiment::saturation_eval::{
 };
 use mtt_core::experiment::tracegen::{self, TraceGenOptions};
 
-fn opts(seed: u64) -> TraceGenOptions {
-    TraceGenOptions {
-        seed,
-        stickiness: 0.0,
-        max_steps: 20_000,
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_coverage");
-
-    // Pure hashing: fingerprint an already-collected trace. Linear pass
-    // with a per-thread vector-clock fold; no allocation proportional to
-    // the schedule count.
-    let trace = tracegen::generate(&mtt_core::suite::small::lost_update(2, 2), &opts(7));
-    g.bench_function("fingerprint_trace_lost_update", |b| {
-        b.iter(|| black_box(fingerprint_trace(black_box(&trace))))
-    });
 
     // The E12 / campaign kernel: one seeded execution with the
     // fingerprint sink attached — execution dominates, hashing rides along.
@@ -51,22 +35,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // One full E12 cell at 8 runs: the unit `run_saturation_on` shards.
-    g.bench_function("e12_cell_8runs", |b| {
-        b.iter(|| {
-            let mut cov = ScheduleCoverage::default();
-            for r in 0..8 {
-                cov.observe(run_fingerprint(
-                    &program.program,
-                    sticky,
-                    SATURATION_BASE_SEED + r,
-                    SATURATION_MAX_STEPS,
-                ));
-            }
-            black_box((cov.distinct(), cov.good_turing_unseen_mass(), cov.auc()))
-        })
-    });
-
     // The accumulator alone, fed a synthetic Zipf-ish class stream: the
     // `mtt status` distinct-schedules fold pays this per done record.
     g.bench_function("schedule_coverage_observe_1k", |b| {
@@ -82,33 +50,33 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Smoke throughput for the observatory, written to `BENCH_cover.json` at
-/// the repository root so CI can track the cost of schedule-identity
-/// bookkeeping without parsing Criterion output. `fingerprints_per_sec`
-/// is pure-hash throughput over an existing trace; `e12_cells_per_sec`
-/// is full fingerprinted-execution cells (8 runs each) per second.
+/// Smoke throughput for the observatory, written to `BENCH_cover.json`.
+/// `fingerprints_per_sec` is pure-hash throughput over an existing trace;
+/// `e12_cells_per_sec` is full fingerprinted-execution cells (8 runs each)
+/// per second.
 fn write_smoke_json() {
-    fn ns_per_iter(iters: u32, mut f: impl FnMut()) -> u64 {
-        for _ in 0..4 {
-            f();
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() / iters as u128) as u64
-    }
+    let mut smoke = Smoke::new("cover");
 
-    let trace = tracegen::generate(&mtt_core::suite::small::lost_update(2, 2), &opts(7));
-    let hash_ns = ns_per_iter(4096, || {
-        black_box(fingerprint_trace(&trace));
+    // Pure hashing: fingerprint an already-collected trace. Linear pass
+    // with a per-thread vector-clock fold; no allocation proportional to
+    // the schedule count.
+    let trace = tracegen::generate(
+        &mtt_core::suite::small::lost_update(2, 2),
+        &TraceGenOptions {
+            seed: 7,
+            stickiness: 0.0,
+            max_steps: 20_000,
+        },
+    );
+    let hash_ns = smoke.time("fingerprint_trace", 4096, || {
+        fingerprint_trace(black_box(&trace))
     });
-    let fingerprints_per_sec = 1_000_000_000 / hash_ns.max(1);
 
+    // One full E12 cell at 8 runs: the unit `run_saturation_on` shards.
     let program = mtt_core::suite::small::lost_update(2, 2);
     let roster = saturation_roster();
     let sticky = &roster[1];
-    let cell_ns = ns_per_iter(16, || {
+    let cell_ns = smoke.time("e12_cell_8runs", 16, || {
         let mut cov = ScheduleCoverage::default();
         for r in 0..8 {
             cov.observe(run_fingerprint(
@@ -118,25 +86,12 @@ fn write_smoke_json() {
                 SATURATION_MAX_STEPS,
             ));
         }
-        black_box(cov.distinct());
+        (cov.distinct(), cov.good_turing_unseen_mass(), cov.auc())
     });
-    let e12_cells_per_sec = 1_000_000_000 / cell_ns.max(1);
 
-    let results = [("fingerprint_trace", hash_ns), ("e12_cell_8runs", cell_ns)];
-    let entries: Vec<String> = results
-        .iter()
-        .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"mtt-bench-cover\",\"version\":1,\"fingerprints_per_sec\":{fingerprints_per_sec},\"e12_cells_per_sec\":{e12_cells_per_sec},\"results\":[{}]}}\n",
-        entries.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cover.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    smoke.figure("fingerprints_per_sec", 1_000_000_000 / hash_ns.max(1));
+    smoke.figure("e12_cells_per_sec", 1_000_000_000 / cell_ns.max(1));
+    smoke.write();
 }
 
 fn main() {

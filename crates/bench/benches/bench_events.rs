@@ -6,7 +6,7 @@
 //! per-cell overhead a journal adds to a real campaign.
 
 use criterion::{black_box, Criterion};
-use mtt_bench::quick_criterion;
+use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::experiment::jobpool::JobPool;
 use mtt_core::obs::{content_address, CellDone, JournalSink, MetricScalars, StatusSummary};
@@ -59,11 +59,9 @@ struct TempJournal {
 }
 
 impl TempJournal {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "mtt-bench-events-{tag}-{}.ndjson",
-            std::process::id()
-        ));
+    fn new() -> Self {
+        let path =
+            std::env::temp_dir().join(format!("mtt-bench-events-{}.ndjson", std::process::id()));
         let sink = JournalSink::to_file(&path, false).expect("temp journal opens");
         TempJournal { sink, path }
     }
@@ -105,35 +103,6 @@ fn sample_journal(n: u64) -> String {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("flight_recorder");
 
-    // Serialization + flush through the sink mutex, the per-cell write cost.
-    g.bench_function("journal_append", |b| {
-        let sink = JournalSink::from_writer(std::io::sink());
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            sink.done(black_box(sample_done(i)));
-        })
-    });
-
-    // The same appends to a real file: adds the one `write(2)` per record.
-    g.bench_function("journal_append_file", |b| {
-        let file = TempJournal::new("criterion");
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            file.sink.done(black_box(sample_done(i)));
-        })
-    });
-
-    // The `mtt status` read path: parse NDJSON, fold permutation-invariantly.
-    g.bench_function("status_fold_256", |b| {
-        let text = sample_journal(256);
-        b.iter(|| {
-            let parsed = mtt_core::obs::parse_journal(&text).expect("valid journal");
-            black_box(StatusSummary::from_journal(&parsed))
-        })
-    });
-
     // A real (tiny) campaign with and without a journal attached.
     let programs = || vec![mtt_core::suite::by_name("lost_update").expect("suite has lost_update")];
     g.bench_function("campaign_bare", |b| {
@@ -155,67 +124,42 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Smoke throughput for the flight recorder, written to `BENCH_events.json`
-/// at the repository root so CI can diff journaling cost without parsing
-/// Criterion output. `events_per_sec` is journal records appended per
-/// wall-clock second through the sink's mutex + flush path.
+/// Smoke throughput for the flight recorder, written to `BENCH_events.json`.
+/// `events_per_sec` is journal records appended per wall-clock second
+/// through the sink's mutex + flush path; `status_folds_per_sec` is
+/// `mtt status` folds of a 256-record journal per second.
 fn write_smoke_json() {
-    fn ns_per_iter(iters: u32, mut f: impl FnMut()) -> u64 {
-        for _ in 0..4 {
-            f();
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() / iters as u128) as u64
-    }
+    let mut smoke = Smoke::new("events");
 
-    // Journal records per second (the bound on journaling granularity).
+    // Serialization + flush through the sink mutex, the per-cell write cost
+    // (the bound on journaling granularity).
     let sink = JournalSink::from_writer(std::io::sink());
     let mut i = 0u64;
-    let append_ns = ns_per_iter(4096, || {
+    let append_ns = smoke.time("journal_append", 1024, || {
         i += 1;
         sink.done(sample_done(i));
     });
-    let events_per_sec = 1_000_000_000 / append_ns.max(1);
 
-    // The same appends to a file, one `write(2)` each.
-    let file = TempJournal::new("smoke");
-    let append_file_ns = ns_per_iter(4096, || {
+    // The same appends to a real file: adds the one `write(2)` per record.
+    let file = TempJournal::new();
+    smoke.time("journal_append_file", 1024, || {
         i += 1;
         file.sink.done(sample_done(i));
     });
     assert!(file.sink.error().is_none(), "temp journal write failed");
     drop(file);
 
-    // Status folds per second over a 256-record journal (the watch path).
+    // The `mtt status`/`watch` read path: parse NDJSON, fold
+    // permutation-invariantly.
     let text = sample_journal(256);
-    let fold_ns = ns_per_iter(64, || {
+    let fold_ns = smoke.time("status_fold_256", 8, || {
         let parsed = mtt_core::obs::parse_journal(&text).expect("valid journal");
-        StatusSummary::from_journal(&parsed);
+        StatusSummary::from_journal(&parsed)
     });
-    let folds_per_sec = 1_000_000_000 / fold_ns.max(1);
 
-    let results = [
-        ("journal_append", append_ns),
-        ("journal_append_file", append_file_ns),
-        ("status_fold_256", fold_ns),
-    ];
-    let entries: Vec<String> = results
-        .iter()
-        .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"mtt-bench-events\",\"version\":1,\"events_per_sec\":{events_per_sec},\"status_folds_per_sec\":{folds_per_sec},\"results\":[{}]}}\n",
-        entries.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_events.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    smoke.figure("events_per_sec", 1_000_000_000 / append_ns.max(1));
+    smoke.figure("status_folds_per_sec", 1_000_000_000 / fold_ns.max(1));
+    smoke.write();
 }
 
 fn main() {

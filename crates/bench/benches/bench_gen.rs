@@ -4,7 +4,7 @@
 //! cells evaluated per second (one cell = one tool judging one member).
 
 use criterion::{black_box, Criterion};
-use mtt_bench::quick_criterion;
+use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::experiment::gen_eval::{run_gen_eval_on, GenEvalOptions};
 use mtt_core::experiment::jobpool::JobPool;
 use mtt_core::gen;
@@ -39,35 +39,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(member.compile()))
     });
 
-    // The full E10 kernel at a small scale: static oracle plus the dynamic
-    // roster over every member of four families.
-    g.bench_function("e10_four_families", |b| {
-        let opts = GenEvalOptions {
-            seed: 42,
-            families: 4,
-            runs: 2,
-        };
-        let pool = JobPool::serial();
-        b.iter(|| black_box(run_gen_eval_on(&opts, &pool)))
-    });
-
     g.finish();
 }
 
-/// Smoke throughput for the generator, written to `BENCH_gen.json` at the
-/// repository root so CI (and the roadmap's per-PR bench artifact) can
-/// diff generation and E10 scoring cost without parsing Criterion output.
+/// Smoke throughput for the generator, written to `BENCH_gen.json`, so CI
+/// can diff generation and E10 scoring cost.
 fn write_smoke_json() {
-    fn ns_per_iter(iters: u32, mut f: impl FnMut()) -> u64 {
-        for _ in 0..4 {
-            f();
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() / iters as u128) as u64
-    }
+    let mut smoke = Smoke::new("gen");
 
     // Programs per second: members produced per wall-clock second,
     // measured over a 16-family population (one `family()` call yields
@@ -80,12 +58,11 @@ fn write_smoke_json() {
         .iter()
         .map(|f| f.members.len() as u64)
         .sum();
-    let gen_ns = ns_per_iter(32, || {
-        gen::generate_families(&opts);
-    });
-    let programs_per_sec = members.saturating_mul(1_000_000_000) / gen_ns.max(1);
+    let gen_ns = smoke.time("family_population_16", 8, || gen::generate_families(&opts));
 
-    // E10 cells per second: one cell is one (tool, member) judgment.
+    // The full E10 kernel at a small scale: static oracle plus the dynamic
+    // roster over every member of four families. One cell is one (tool,
+    // member) judgment.
     let eval_opts = GenEvalOptions {
         seed: 42,
         families: 4,
@@ -96,29 +73,19 @@ fn write_smoke_json() {
     let eval_members: u64 = rows.iter().map(|f| f.members.len() as u64).sum();
     let tools = mtt_core::experiment::gen_eval::score_tools(&rows).len() as u64;
     let cells = eval_members * tools;
-    let eval_ns = ns_per_iter(8, || {
-        run_gen_eval_on(&eval_opts, &pool);
+    let eval_ns = smoke.time("e10_four_families", 2, || {
+        run_gen_eval_on(&eval_opts, &pool)
     });
-    let e10_cells_per_sec = cells.saturating_mul(1_000_000_000) / eval_ns.max(1);
 
-    let results = [
-        ("family_population_16", gen_ns),
-        ("e10_four_families", eval_ns),
-    ];
-    let entries: Vec<String> = results
-        .iter()
-        .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"mtt-bench-gen\",\"version\":1,\"programs_per_sec\":{programs_per_sec},\"e10_cells_per_sec\":{e10_cells_per_sec},\"results\":[{}]}}\n",
-        entries.join(",")
+    smoke.figure(
+        "programs_per_sec",
+        members.saturating_mul(1_000_000_000) / gen_ns.max(1),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gen.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    smoke.figure(
+        "e10_cells_per_sec",
+        cells.saturating_mul(1_000_000_000) / eval_ns.max(1),
+    );
+    smoke.write();
 }
 
 fn main() {

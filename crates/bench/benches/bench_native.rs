@@ -9,7 +9,7 @@
 //! as at 129.
 
 use criterion::{black_box, Criterion, Throughput};
-use mtt_bench::quick_criterion;
+use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, ThreadId};
 use mtt_core::suite;
 use mtt_core::tools::ToolConfig;
@@ -70,6 +70,8 @@ fn handoff_sweep(c: &mut Criterion) {
         let p = locked_counter(workers);
         let threads = workers + 1;
         let runs = 32;
+        // Untimed: a first run sets up the coroutine stacks later runs reuse.
+        run_program(&cfg, &p, 0);
         let start = Instant::now();
         let switches: u64 = (1..=runs)
             .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
@@ -103,26 +105,9 @@ fn roster() -> (ToolConfig, ToolConfig) {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("native_backend");
-    let (model, native) = roster();
 
-    g.bench_function("model_run", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(one_run(&model, seed))
-        })
-    });
-
-    g.bench_function("native_run", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(one_run(&native, seed))
-        })
-    });
-
-    // Raw spawn/join floor: two threads doing nothing through the engine,
-    // so the delta to `native_run` is the event + RaceCell pipeline.
+    // Raw spawn/join floor: two threads doing nothing, so the delta to the
+    // smoke `native_run` is the engine's event + RaceCell pipeline.
     g.bench_function("thread_spawn_join_floor", |b| {
         b.iter(|| {
             let hs: Vec<_> = (0..2)
@@ -137,69 +122,27 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Loops per smoke figure: each figure is the median of this many loops,
-/// so one slow loop on a busy machine cannot set it. With 13 loops the
-/// median and both quartiles fall exactly on a loop.
-const SMOKE_LOOPS: usize = 13;
-
-/// Per-run nanoseconds of `f` over [`SMOKE_LOOPS`] loops of `iters` runs
-/// each, after a short warm-up: the lower quartile, median and upper
-/// quartile of the loops.
-fn loop_quartiles(iters: u32, mut f: impl FnMut()) -> [u64; 3] {
-    for _ in 0..4 {
-        f();
-    }
-    let mut per_run: Vec<u64> = (0..SMOKE_LOOPS)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / iters as u128) as u64
-        })
-        .collect();
-    per_run.sort_unstable();
-    let at = |q: usize| per_run[(per_run.len() - 1) * q / 4];
-    [at(1), at(2), at(3)]
-}
-
-/// Smoke throughput written to `BENCH_native.json` at the repository root
-/// so CI can watch the model/native cost ratio without parsing Criterion
-/// output. Each figure is a median over loops, with the loops' quartiles
-/// beside it.
+/// Smoke throughput written to `BENCH_native.json`, so CI can watch the
+/// model/native cost ratio: one seeded `lost_update` run on each backend,
+/// the E13 kernel.
 fn write_smoke_json() {
     let (model, native) = roster();
+    let mut smoke = Smoke::new("native");
     let mut seed = 0u64;
-    let model_q = loop_quartiles(256, || {
+    let model_ns = smoke.time("model_run", 256, || {
         seed += 1;
-        let _ = one_run(&model, seed);
+        one_run(&model, seed)
     });
-    let native_q = loop_quartiles(64, || {
+    let native_ns = smoke.time("native_run", 64, || {
         seed += 1;
-        let _ = one_run(&native, seed);
+        one_run(&native, seed)
     });
-    let (model_ns, native_ns) = (model_q[1], native_q[1]);
-    let model_runs_per_sec = 1_000_000_000 / model_ns.max(1);
-    let native_runs_per_sec = 1_000_000_000 / native_ns.max(1);
     let overhead = native_ns as f64 / model_ns.max(1) as f64;
 
-    let results = [("model_run", model_q), ("native_run", native_q)];
-    let entries: Vec<String> = results
-        .iter()
-        .map(|(name, [q1, ns, q3])| {
-            format!(r#"{{"name":"{name}","ns_per_iter":{ns},"ns_q1":{q1},"ns_q3":{q3}}}"#)
-        })
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"mtt-bench-native\",\"version\":1,\"loops\":{SMOKE_LOOPS},\"model_runs_per_sec\":{model_runs_per_sec},\"native_runs_per_sec\":{native_runs_per_sec},\"native_over_model\":{overhead:.2},\"results\":[{}]}}\n",
-        entries.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    smoke.figure("model_runs_per_sec", 1_000_000_000 / model_ns.max(1));
+    smoke.figure("native_runs_per_sec", 1_000_000_000 / native_ns.max(1));
+    smoke.figure("native_over_model", (overhead * 100.0).round() / 100.0);
+    smoke.write();
 }
 
 fn main() {

@@ -2,7 +2,7 @@
 //! event-stream saving that advised instrumentation buys at run time.
 
 use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::instrument::{InstrumentationPlan, NullSink};
 use mtt_core::prelude::*;
 use mtt_core::statik::{analyze, compile, parse, samples};
@@ -24,21 +24,9 @@ fn solver_workout_src(depth: usize) -> String {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("static_pipeline");
-    let src = samples::ABBA;
 
-    g.bench_function("parse", |b| b.iter(|| parse(src).unwrap()));
-    let ast = parse(src).unwrap();
-    g.bench_function("analyze", |b| b.iter(|| analyze(&ast)));
+    let ast = parse(samples::ABBA).unwrap();
     g.bench_function("compile", |b| b.iter(|| compile(&ast)));
-
-    // The lock-order-graph and independence passes on their richest inputs:
-    // the 3-thread cycle (L006) and the lost-notify sample (L007).
-    {
-        let cycle3 = parse(samples::LOCK_CYCLE3).unwrap();
-        g.bench_function("analyze_lock_cycle3", |b| b.iter(|| analyze(&cycle3)));
-        let lost_notify = parse(samples::LOST_NOTIFY).unwrap();
-        g.bench_function("analyze_lost_notify", |b| b.iter(|| analyze(&lost_notify)));
-    }
 
     // The worklist engine itself, isolated from the rest of the pipeline.
     {
@@ -81,58 +69,23 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Smoke timings for the static pipeline, written to `BENCH_static.json`
-/// at the repository root so CI (and the roadmap's per-PR bench artifact)
-/// can diff the static-analysis cost without parsing Criterion's output.
+/// Smoke timings for the static pipeline, written to `BENCH_static.json`,
+/// so CI can diff the static-analysis cost. The lock-order-graph and
+/// independence passes run on their richest inputs: the 3-thread cycle
+/// (L006) and the lost-notify sample (L007).
 fn write_smoke_json() {
-    fn ns_per_iter(mut f: impl FnMut()) -> u64 {
-        // Warm up, then time enough iterations to dominate timer noise.
-        for _ in 0..16 {
-            f();
-        }
-        let iters = 256;
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() / iters as u128) as u64
-    }
-
-    let mut results: Vec<(String, u64)> = Vec::new();
+    let mut smoke = Smoke::new("static");
+    smoke.time("parse_abba", 256, || parse(samples::ABBA).unwrap());
     for (name, src) in [
-        ("parse_abba", samples::ABBA),
         ("analyze_abba", samples::ABBA),
         ("analyze_lock_cycle3", samples::LOCK_CYCLE3),
         ("analyze_lost_notify", samples::LOST_NOTIFY),
         ("analyze_branch_release", samples::BRANCH_RELEASE),
     ] {
         let ast = parse(src).unwrap();
-        let ns = if name.starts_with("parse") {
-            ns_per_iter(|| {
-                parse(src).unwrap();
-            })
-        } else {
-            ns_per_iter(|| {
-                analyze(&ast);
-            })
-        };
-        results.push((name.to_string(), ns));
+        smoke.time(name, 256, || analyze(&ast));
     }
-
-    let entries: Vec<String> = results
-        .iter()
-        .map(|(name, ns)| format!(r#"{{"name":"{name}","ns_per_iter":{ns}}}"#))
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"mtt-bench-static\",\"version\":1,\"results\":[{}]}}\n",
-        entries.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_static.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    smoke.write();
 }
 
 fn main() {

@@ -7,29 +7,19 @@
 //! profile pass.
 
 use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::{e1_slice, quick_criterion};
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::experiment::jobpool::JobPool;
-
-fn e1_slice(runs: u64, telemetry: bool) -> Campaign {
-    Campaign {
-        telemetry,
-        ..Campaign::standard(
-            vec![
-                mtt_core::suite::small::lost_update(2, 2),
-                mtt_core::suite::small::ab_ba(),
-            ],
-            runs,
-        )
-    }
-}
 
 fn bench_campaign_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry_overhead");
     let pool = JobPool::serial();
-    let off = e1_slice(5, false);
+    let off = e1_slice(5);
     g.bench_function("e1_100runs_telemetry_off", |b| b.iter(|| off.run_on(&pool)));
-    let on = e1_slice(5, true);
+    let on = Campaign {
+        telemetry: true,
+        ..e1_slice(5)
+    };
     g.bench_function("e1_100runs_telemetry_on", |b| b.iter(|| on.run_full(&pool)));
     g.finish();
 }

@@ -1,9 +1,13 @@
 //! Shared helpers for the mtt benchmark harness: fast Criterion
 //! settings (the benches exist to expose *relative* overheads, not
-//! publication-grade absolute timings) and the standard workload.
+//! publication-grade absolute timings), the standard workloads, and
+//! [`Smoke`], the one writer of the `BENCH_*.json` smoke files.
 
-use criterion::Criterion;
+use criterion::{black_box, Criterion};
+use mtt_core::experiment::campaign::Campaign;
 use mtt_core::prelude::*;
+use mtt_json::{Json, ToJson};
+use std::time::Instant;
 
 /// Criterion tuned for quick runs: the full harness must finish in minutes.
 pub fn quick_criterion() -> Criterion {
@@ -41,4 +45,155 @@ pub fn workload(threads: u32, work: u32) -> Program {
         }
     });
     b.build()
+}
+
+/// A slice of E1: two programs under the standard roster of ten tools,
+/// `runs` runs per cell.
+pub fn e1_slice(runs: u64) -> Campaign {
+    Campaign::standard(
+        vec![
+            mtt_core::suite::small::lost_update(2, 2),
+            mtt_core::suite::small::ab_ba(),
+        ],
+        runs,
+    )
+}
+
+/// Loops per smoke figure: each figure is the median of this many loops,
+/// so one slow loop on a busy machine cannot set it. With 13 loops the
+/// median and both quartiles fall exactly on a loop.
+const SMOKE_LOOPS: usize = 13;
+
+/// Calls of a timed closure before its first loop.
+const WARM_UP_CALLS: u32 = 4;
+
+/// The smoke figures of one `BENCH_<name>.json` at the repository root,
+/// which CI reads without parsing Criterion's output. Every file has one
+/// shape: `schema` (`mtt-bench-<name>`), `version`, `loops`, the bench's
+/// headline figures in the order they were added, and `results`, one entry
+/// per timed closure with its median and quartile nanoseconds per call.
+pub struct Smoke {
+    name: &'static str,
+    figures: Vec<(String, Json)>,
+    results: Vec<Json>,
+}
+
+impl Smoke {
+    /// An empty file named `BENCH_<name>.json`.
+    pub fn new(name: &'static str) -> Self {
+        Smoke {
+            name,
+            figures: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Time `f`: a few warm-up calls, then 13 loops (`SMOKE_LOOPS`) of `iters`
+    /// calls each. Records the loops' median nanoseconds per call under
+    /// `result`, with their quartiles, prints them, and returns the median.
+    pub fn time<R>(&mut self, result: &str, iters: u32, mut f: impl FnMut() -> R) -> u64 {
+        for _ in 0..WARM_UP_CALLS {
+            black_box(f());
+        }
+        let mut per_call: Vec<u64> = (0..SMOKE_LOOPS)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    black_box(f());
+                }
+                (start.elapsed().as_nanos() / u128::from(iters)) as u64
+            })
+            .collect();
+        per_call.sort_unstable();
+        let at = |q: usize| per_call[(SMOKE_LOOPS - 1) * q / 4];
+        let (q1, median, q3) = (at(1), at(2), at(3));
+        println!("smoke {result}: {median} ns/iter (quartiles {q1}..{q3}, {SMOKE_LOOPS} loops of {iters})");
+        self.results.push(Json::Obj(vec![
+            ("name".into(), result.to_json()),
+            ("ns_per_iter".into(), median.to_json()),
+            ("ns_q1".into(), q1.to_json()),
+            ("ns_q3".into(), q3.to_json()),
+        ]));
+        median
+    }
+
+    /// Add the headline figure `key`, after those added before it.
+    pub fn figure(&mut self, key: &str, value: impl ToJson) {
+        self.figures.push((key.to_string(), value.to_json()));
+    }
+
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            (
+                "schema".to_string(),
+                format!("mtt-bench-{}", self.name).to_json(),
+            ),
+            ("version".to_string(), 1u64.to_json()),
+            ("loops".to_string(), SMOKE_LOOPS.to_json()),
+        ];
+        fields.extend(self.figures.iter().cloned());
+        fields.push(("results".to_string(), Json::Arr(self.results.clone())));
+        Json::Obj(fields)
+    }
+
+    /// Write the file at the repository root; a failed write is a warning,
+    /// not a failed bench.
+    pub fn write(&self) {
+        let path = format!(
+            "{}/../../BENCH_{}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            self.name
+        );
+        let mut text = self.to_json().dump();
+        text.push('\n');
+        match std::fs::write(&path, text) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_file_has_the_shared_shape() {
+        let mut smoke = Smoke::new("probe");
+        let mut calls = 0u32;
+        let ns = smoke.time("count", 3, || {
+            calls += 1;
+            // Each call costs more than the one before, so no two loops tie.
+            (0..calls * 1000).fold(0, |acc, i| black_box(acc ^ i))
+        });
+        assert_eq!(calls, 4 + 13 * 3, "4 warm-up calls, then 13 loops of 3");
+        smoke.figure("counts_per_sec", 1_000_000_000 / ns.max(1));
+
+        let doc = smoke.to_json();
+        let Json::Obj(fields) = &doc else {
+            panic!("a smoke file is an object: {doc:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["schema", "version", "loops", "counts_per_sec", "results"]
+        );
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("mtt-bench-probe")
+        );
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("loops").and_then(Json::as_u64), Some(13));
+
+        let results = doc.get("results").and_then(Json::as_arr).expect("results");
+        assert_eq!(results.len(), 1);
+        let Json::Obj(entry) = &results[0] else {
+            panic!("a result is an object: {:?}", results[0]);
+        };
+        let keys: Vec<&str> = entry.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["name", "ns_per_iter", "ns_q1", "ns_q3"]);
+        let ns_at = |k| results[0].get(k).and_then(Json::as_u64).expect(k);
+        assert_eq!(ns_at("ns_per_iter"), ns);
+        assert!(ns_at("ns_q1") <= ns && ns <= ns_at("ns_q3"));
+    }
 }

@@ -348,7 +348,6 @@ impl Campaign {
                             backend: native_tag(tool),
                             fingerprint: rec.fingerprint.clone(),
                             metrics,
-                            wall: rec.elapsed,
                         });
                     }
                 }

@@ -8,8 +8,11 @@
 //!    ([`RandomYield`], [`RandomSleep`], [`Mixed`], [`HaltOneThread`],
 //!    [`CoverageDirected`]).
 //! 2. **Where to embed the calls?** — which points consult the heuristic at
-//!    all ([`placement`]: everywhere, synchronization only, variable
-//!    accesses only, or pruned by static analysis).
+//!    all: an [`mtt_instrument::InstrumentationPlan`] passed to
+//!    [`mtt_runtime::Execution::noise_plan`] ([`placement`]: everywhere,
+//!    synchronization only, variable accesses only; or
+//!    [`InstrumentationPlan::advised`](mtt_instrument::InstrumentationPlan::advised),
+//!    pruned by static analysis).
 //!
 //! All heuristics are deterministic given their seed, which keeps noisy
 //! executions replayable. Each one implements
@@ -30,7 +33,7 @@
 //! assert!(outcome.ok());
 //! ```
 
-use mtt_instrument::{Event, OpClass, ThreadId, VarId};
+use mtt_instrument::{Event, ThreadId, VarId};
 use mtt_runtime::{NoiseDecision, NoiseMaker, NoiseView};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -274,101 +277,6 @@ impl NoiseMaker for CoverageDirected {
     }
 }
 
-/// Restrict an inner heuristic to operations of certain classes (a
-/// composition-level placement control, usable even without a noise plan).
-pub struct OnClasses<N> {
-    inner: N,
-    classes: Vec<OpClass>,
-    label: String,
-}
-
-impl<N: NoiseMaker> OnClasses<N> {
-    /// Consult `inner` only for events whose class is in `classes`.
-    pub fn new(inner: N, classes: &[OpClass]) -> Self {
-        let label = format!("{}@{:?}", inner.name(), classes);
-        OnClasses {
-            inner,
-            classes: classes.to_vec(),
-            label,
-        }
-    }
-}
-
-impl<N: NoiseMaker> NoiseMaker for OnClasses<N> {
-    fn decide(&mut self, ev: &Event, view: &NoiseView) -> NoiseDecision {
-        if self.classes.contains(&ev.op.class()) {
-            self.inner.decide(ev, view)
-        } else {
-            NoiseDecision::None
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Only disturb accesses to the given variables (e.g. the shared set from a
-/// static analysis) — the "only on access to variables touched by more than
-/// one thread" optimization of §3, applied at the heuristic level.
-pub struct OnVars<N> {
-    inner: N,
-    vars: HashSet<VarId>,
-    label: String,
-}
-
-impl<N: NoiseMaker> OnVars<N> {
-    /// Consult `inner` only for accesses to `vars`.
-    pub fn new(inner: N, vars: impl IntoIterator<Item = VarId>) -> Self {
-        let label = format!("{}@vars", inner.name());
-        OnVars {
-            inner,
-            vars: vars.into_iter().collect(),
-            label,
-        }
-    }
-}
-
-impl<N: NoiseMaker> NoiseMaker for OnVars<N> {
-    fn decide(&mut self, ev: &Event, view: &NoiseView) -> NoiseDecision {
-        match ev.op.var() {
-            Some(v) if self.vars.contains(&v) => self.inner.decide(ev, view),
-            _ => NoiseDecision::None,
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-/// The standard heuristic roster used by the prepared experiments (E1):
-/// name + instance for each contender, from the no-noise baseline upward.
-pub fn standard_roster(seed: u64) -> Vec<(String, Box<dyn NoiseMaker>)> {
-    vec![
-        (
-            "none".into(),
-            Box::new(mtt_runtime::NoNoise) as Box<dyn NoiseMaker>,
-        ),
-        ("yield-0.1".into(), Box::new(RandomYield::new(seed, 0.1))),
-        ("yield-0.5".into(), Box::new(RandomYield::new(seed, 0.5))),
-        (
-            "sleep-0.1".into(),
-            Box::new(RandomSleep::new(seed, 0.1, 20)),
-        ),
-        (
-            "sleep-0.3".into(),
-            Box::new(RandomSleep::new(seed, 0.3, 20)),
-        ),
-        ("mixed-0.2".into(), Box::new(Mixed::new(seed, 0.2, 20))),
-        ("halt".into(), Box::new(HaltOneThread::new(seed, 0.05, 200))),
-        (
-            "coverage".into(),
-            Box::new(CoverageDirected::new(seed, 0.6, 0.05, 20)),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,26 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn on_classes_filters() {
-        let mut n = OnClasses::new(RandomSleep::new(1, 1.0, 3), &[OpClass::Lock]);
-        assert_eq!(n.decide(&read(0, 0), &view(2)), NoiseDecision::None);
-        assert!(matches!(
-            n.decide(&ev(0, Op::LockAcquire { lock: LockId(0) }), &view(2)),
-            NoiseDecision::Sleep(_)
-        ));
-    }
-
-    #[test]
-    fn on_vars_filters() {
-        let mut n = OnVars::new(RandomSleep::new(1, 1.0, 3), [VarId(5)]);
-        assert_eq!(n.decide(&read(0, 0), &view(2)), NoiseDecision::None);
-        assert!(matches!(
-            n.decide(&read(0, 5), &view(2)),
-            NoiseDecision::Sleep(_)
-        ));
-    }
-
-    #[test]
     fn heuristics_are_deterministic_per_seed() {
         let run = |seed| {
             let mut n = Mixed::new(seed, 0.5, 10);
@@ -523,15 +411,6 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn roster_has_baseline_and_contenders() {
-        let r = standard_roster(0);
-        assert!(r.len() >= 7);
-        assert_eq!(r[0].0, "none");
-        let names: Vec<&str> = r.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"coverage"));
     }
 
     #[test]

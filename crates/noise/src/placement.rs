@@ -9,7 +9,7 @@
 //! noise maker at points the plan selects. Experiment E7 measures what each
 //! strategy costs and what it preserves.
 
-use mtt_instrument::{InstrumentationPlan, OpClass, OpClassSet, Select, StaticInfo};
+use mtt_instrument::{InstrumentationPlan, OpClass, OpClassSet};
 
 /// Consult the heuristic at every instrumentation point (maximal noise,
 /// maximal overhead) — the conservative default.
@@ -40,33 +40,6 @@ pub fn var_access_only() -> InstrumentationPlan {
         ops: OpClassSet::of(&[OpClass::VarAccess]),
         ..Default::default()
     }
-}
-
-/// Consult only at accesses to the named variables (e.g. a hand-picked
-/// suspect set).
-pub fn only_vars<I: IntoIterator<Item = String>>(vars: I) -> InstrumentationPlan {
-    InstrumentationPlan {
-        ops: OpClassSet::of(&[OpClass::VarAccess]),
-        vars: Select::only(vars),
-        ..Default::default()
-    }
-}
-
-/// Static-analysis-advised placement: every point, minus accesses to
-/// provably thread-local variables and sites inside no-switch regions —
-/// the §3 workflow ("only on access to variables touched by more than one
-/// thread").
-pub fn advised(info: StaticInfo) -> InstrumentationPlan {
-    InstrumentationPlan::advised(info)
-}
-
-/// The placement roster used by experiment E7: label + plan.
-pub fn standard_roster() -> Vec<(&'static str, InstrumentationPlan)> {
-    vec![
-        ("everywhere", everywhere()),
-        ("sync-only", sync_only()),
-        ("var-access", var_access_only()),
-    ]
 }
 
 #[cfg(test)]
@@ -109,25 +82,5 @@ mod tests {
             value: 2
         })));
         assert!(!f.selects(&ev(Op::LockAcquire { lock: LockId(0) })));
-    }
-
-    #[test]
-    fn only_vars_restricts_names() {
-        let f = only_vars(["x".to_string()]).resolve(&table());
-        assert!(f.selects(&ev(Op::VarRead {
-            var: VarId(0),
-            value: 0
-        })));
-        assert!(!f.selects(&ev(Op::VarRead {
-            var: VarId(1),
-            value: 0
-        })));
-    }
-
-    #[test]
-    fn roster_is_nonempty_and_labelled() {
-        let r = standard_roster();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].0, "everywhere");
     }
 }

@@ -88,37 +88,18 @@ impl VectorClockDetector {
         self.warnings.len()
     }
 
-    fn now(&mut self, t: ThreadId) -> Epoch {
-        Epoch {
-            thread: t,
-            clock: self.sync.clock(t).get(t),
-        }
-    }
-
-    fn report(&mut self, var: VarId, first: AccessInfo, second: AccessInfo, why: &str) {
-        let meta = self.vars.entry(var).or_default();
-        if meta.reported {
-            return;
-        }
-        meta.reported = true;
-        self.warnings.push(RaceWarning {
-            var,
-            first,
-            second,
-            detector: "vector-clock",
-            detail: why.to_string(),
-        });
-    }
-
     fn on_read(&mut self, ev: &Event, var: VarId) {
         let me = ev.thread;
-        let epoch = self.now(me);
+        let my_clock = self.sync.clock(me);
+        let epoch = Epoch {
+            thread: me,
+            clock: my_clock.get(me),
+        };
         let access = AccessInfo {
             thread: me,
             loc: ev.loc,
             kind: AccessKind::Read,
         };
-        let my_clock = self.sync.clock(me).clone();
         let meta = self.vars.entry(var).or_default();
 
         // Same-epoch read: nothing can have changed.
@@ -131,22 +112,21 @@ impl VectorClockDetector {
 
         // write-read race?
         if let Some((w, winfo)) = meta.write {
-            if w.thread != me && !w.le(&my_clock) {
-                let second = access;
-                self.report(var, winfo, second, "read is concurrent with a prior write");
+            if w.thread != me && !w.le(my_clock) {
+                let why = "read is concurrent with a prior write";
+                report(&mut self.warnings, meta, var, winfo, access, why);
                 return;
             }
         }
 
         // Record the read.
-        let meta = self.vars.entry(var).or_default();
         match &mut meta.reads {
             ReadState::None => meta.reads = ReadState::Epoch(epoch, access),
             ReadState::Epoch(e, info) => {
                 if e.thread == me {
                     *e = epoch;
                     *info = access;
-                } else if e.le(&my_clock) {
+                } else if e.le(my_clock) {
                     // Previous read ordered before us: epoch can be replaced.
                     *e = epoch;
                     *info = access;
@@ -170,36 +150,37 @@ impl VectorClockDetector {
 
     fn on_write(&mut self, ev: &Event, var: VarId) {
         let me = ev.thread;
-        let epoch = self.now(me);
+        let my_clock = self.sync.clock(me);
+        let epoch = Epoch {
+            thread: me,
+            clock: my_clock.get(me),
+        };
         let access = AccessInfo {
             thread: me,
             loc: ev.loc,
             kind: AccessKind::Write,
         };
-        let my_clock = self.sync.clock(me).clone();
         let meta = self.vars.entry(var).or_default();
 
-        // Same-epoch write fast path.
-        if let Some((w, _)) = meta.write {
+        if let Some((w, winfo)) = meta.write {
+            // Same-epoch write fast path.
             if w == epoch {
                 self.fast_path_hits += 1;
                 return;
             }
-        }
-
-        // write-write race?
-        if let Some((w, winfo)) = meta.write {
-            if w.thread != me && !w.le(&my_clock) {
-                self.report(var, winfo, access, "two concurrent writes");
+            // write-write race?
+            if w.thread != me && !w.le(my_clock) {
+                let why = "two concurrent writes";
+                report(&mut self.warnings, meta, var, winfo, access, why);
                 return;
             }
         }
         // read-write race?
         let conflict = match &meta.reads {
             ReadState::None => None,
-            ReadState::Epoch(e, info) => (e.thread != me && !e.le(&my_clock)).then_some(*info),
+            ReadState::Epoch(e, info) => (e.thread != me && !e.le(my_clock)).then_some(*info),
             ReadState::Clock(vc, infos) => {
-                if vc.le(&my_clock) {
+                if vc.le(my_clock) {
                     None
                 } else {
                     infos
@@ -210,14 +191,37 @@ impl VectorClockDetector {
             }
         };
         if let Some(rinfo) = conflict {
-            self.report(var, rinfo, access, "write is concurrent with a prior read");
+            let why = "write is concurrent with a prior read";
+            report(&mut self.warnings, meta, var, rinfo, access, why);
             return;
         }
 
-        let meta = self.vars.entry(var).or_default();
         meta.write = Some((epoch, access));
         meta.reads = ReadState::None; // FastTrack: writes clear read state
     }
+}
+
+/// Warn about `var`, whose metadata is `meta`, unless it was warned about
+/// before: at most one warning per variable.
+fn report(
+    warnings: &mut Vec<RaceWarning>,
+    meta: &mut VarMeta,
+    var: VarId,
+    first: AccessInfo,
+    second: AccessInfo,
+    why: &str,
+) {
+    if meta.reported {
+        return;
+    }
+    meta.reported = true;
+    warnings.push(RaceWarning {
+        var,
+        first,
+        second,
+        detector: "vector-clock",
+        detail: why.to_string(),
+    });
 }
 
 impl EventSink for VectorClockDetector {

@@ -6,10 +6,9 @@
 //! counters. The default record is a pure function of the run's seed, so a
 //! log written at `--jobs 8` is byte-identical to the serial one — the
 //! writer is always fed in canonical (program, tool, run) order after the
-//! shards merge. Wall-clock duration is segregated behind
-//! [`RunLogWriter::with_wall`], mirroring how `timing_table()` keeps time
-//! out of the deterministic tables; turning it on adds a `wall_us` field
-//! and forfeits byte-determinism, never the schema.
+//! shards merge. No line carries a wall-clock duration: per-run time stays
+//! in the explicitly non-deterministic outputs (`timing_table()` and the
+//! journal's `wall_us`).
 //!
 //! All writes propagate `io::Result` — a full disk or a closed pipe is an
 //! error the campaign reports, not a panic.
@@ -17,7 +16,6 @@
 use crate::run::RunMetrics;
 use mtt_json::{Json, ToJson};
 use std::io::{self, BufWriter, Write};
-use std::time::Duration;
 
 /// Field names every run-log line must carry, in emission order — the
 /// documented schema, used by `mtt metrics-check` and the CI validator.
@@ -76,13 +74,10 @@ pub struct RunLogRecord {
     pub fingerprint: Option<String>,
     /// Deterministic per-run counters.
     pub metrics: RunMetrics,
-    /// Wall-clock duration of the run; only emitted when the writer opts
-    /// into wall fields.
-    pub wall: Duration,
 }
 
 impl RunLogRecord {
-    fn to_json_line(&self, with_wall: bool) -> Json {
+    fn to_json_line(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![
             ("experiment".into(), self.experiment.to_json()),
             ("program".into(), self.program.to_json()),
@@ -103,9 +98,6 @@ impl RunLogRecord {
             Json::Obj(metric_fields) => fields.extend(metric_fields),
             other => fields.push(("metrics".into(), other)),
         }
-        if with_wall {
-            fields.push(("wall_us".into(), (self.wall.as_micros() as u64).to_json()));
-        }
         Json::Obj(fields)
     }
 }
@@ -113,30 +105,21 @@ impl RunLogRecord {
 /// Streaming NDJSON writer over any `io::Write`.
 pub struct RunLogWriter<W: Write> {
     w: BufWriter<W>,
-    with_wall: bool,
     lines: u64,
 }
 
 impl<W: Write> RunLogWriter<W> {
-    /// Wrap `w`; wall-clock fields are off (deterministic output).
+    /// Wrap `w`.
     pub fn new(w: W) -> Self {
         RunLogWriter {
             w: BufWriter::new(w),
-            with_wall: false,
             lines: 0,
         }
     }
 
-    /// Also emit the segregated `wall_us` field on every line. The log is
-    /// then no longer byte-deterministic across machines or job counts.
-    pub fn with_wall(mut self, yes: bool) -> Self {
-        self.with_wall = yes;
-        self
-    }
-
     /// Append one record as one line.
     pub fn write_record(&mut self, rec: &RunLogRecord) -> io::Result<()> {
-        let line = rec.to_json_line(self.with_wall).dump();
+        let line = rec.to_json_line().dump();
         self.w.write_all(line.as_bytes())?;
         self.w.write_all(b"\n")?;
         self.lines += 1;
@@ -221,7 +204,6 @@ mod tests {
                 sched_points: 20,
                 ..Default::default()
             },
-            wall: Duration::from_micros(123),
         }
     }
 
@@ -239,7 +221,7 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
             check_run_log_line(line).unwrap();
-            assert!(!line.contains("wall_us"), "wall must be segregated");
+            assert!(!line.contains("wall_us"), "no wall clock in the run log");
         }
         assert!(text.contains("\"experiment\":\"e1\""));
         assert!(text.contains("\"steps_to_first_bug\":null"));
@@ -301,18 +283,6 @@ mod tests {
             .contains("unknown backend"));
         let broken = native_line.replace("\"backend\":\"native\"", "\"backend\":3");
         assert!(check_run_log_line(&broken).unwrap_err().contains("backend"));
-    }
-
-    #[test]
-    fn wall_field_is_opt_in() {
-        let mut buf = Vec::new();
-        let mut w = RunLogWriter::new(&mut buf).with_wall(true);
-        w.write_record(&record(0)).unwrap();
-        w.flush().unwrap();
-        drop(w);
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"wall_us\":123"));
-        check_run_log_line(text.lines().next().unwrap()).unwrap();
     }
 
     #[test]
