@@ -13,7 +13,6 @@ use mtt_bench::{quick_criterion, Smoke};
 use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, ThreadId};
 use mtt_core::suite;
 use mtt_core::tools::ToolConfig;
-use std::time::Instant;
 
 const MAX_STEPS: u64 = 60_000;
 
@@ -59,29 +58,39 @@ fn locked_counter(workers: u32) -> Program {
 }
 
 /// Time per run and per context switch of [`locked_counter`] under
-/// `sticky:0.9` at 3, 9, 33 and 129 threads (main included). A calibration
-/// pass over fixed seeds prints both figures and sets the group's
-/// throughput to the mean context switches per run, so Criterion's
-/// `thrpt` line reads as switches per second.
-fn handoff_sweep(c: &mut Criterion) {
+/// `sticky:0.9` at 3, 9, 33 and 129 threads (main included). Each point is
+/// a smoke result (`handoff_threads_N`, nanoseconds per run) whose loops
+/// each run seeds 1 to 32 once, so every loop makes the same switches and
+/// the printed per-switch median and quartiles are the per-run ones over
+/// the mean switches per run. That mean also sets the group's throughput,
+/// so Criterion's `thrpt` line reads as switches per second.
+fn handoff_sweep(c: &mut Criterion, smoke: &mut Smoke) {
     let cfg = ToolConfig::from_spec_str("sticky:0.9").expect("valid spec");
     let mut g = c.benchmark_group("handoff_sweep");
     for workers in [2, 8, 32, 128] {
         let p = locked_counter(workers);
         let threads = workers + 1;
         let runs = 32;
-        // Untimed: a first run sets up the coroutine stacks later runs reuse.
-        run_program(&cfg, &p, 0);
-        let start = Instant::now();
+        // Untimed: count the switches of one pass over the seeds; the pass
+        // also sets up the coroutine stacks later runs reuse.
         let switches: u64 = (1..=runs)
             .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
             .sum();
-        let us = start.elapsed().as_secs_f64() * 1e6;
+        let per_run = switches as f64 / runs as f64;
+        let mut seed = 0;
+        let [q1, median, q3] =
+            smoke.time_quartiles(&format!("handoff_threads_{threads}"), runs as u32, || {
+                seed = seed % runs + 1;
+                run_program(&cfg, &p, seed)
+            });
+        let us_per_switch = |ns: u64| ns as f64 / 1000.0 / per_run.max(1.0);
         println!(
-            "handoff_sweep threads={threads}: {:.1} us/run, {:.2} us/switch, {:.1} switches/run",
-            us / runs as f64,
-            us / switches.max(1) as f64,
-            switches as f64 / runs as f64,
+            "handoff_sweep threads={threads}: {:.1} us/run, {:.2} us/switch \
+             (quartiles {:.2}..{:.2}), {per_run:.1} switches/run",
+            median as f64 / 1000.0,
+            us_per_switch(median),
+            us_per_switch(q1),
+            us_per_switch(q3),
         );
         g.throughput(Throughput::Elements(switches / runs));
         g.bench_function(format!("threads_{threads}"), |b| {
@@ -95,12 +104,11 @@ fn handoff_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn roster() -> (ToolConfig, ToolConfig) {
-    let model = ToolConfig::from_spec_str("sticky:0.9+name=model").expect("valid spec");
-    let mut spec = model.spec.clone();
-    spec.backend = RuntimeBackend::Native;
-    let native = spec.resolve().expect("native spec resolves");
-    (model, native)
+/// `spec` on the given backend, as E13 derives the legs of a cell.
+fn tool(spec: &str, backend: RuntimeBackend) -> ToolConfig {
+    let mut spec = ToolConfig::from_spec_str(spec).expect("valid spec").spec;
+    spec.backend = backend;
+    spec.resolve().expect("spec resolves")
 }
 
 fn bench(c: &mut Criterion) {
@@ -122,12 +130,18 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Smoke throughput written to `BENCH_native.json`, so CI can watch the
-/// model/native cost ratio: one seeded `lost_update` run on each backend,
-/// the E13 kernel.
-fn write_smoke_json() {
-    let (model, native) = roster();
-    let mut smoke = Smoke::new("native");
+/// Smoke throughput written to `BENCH_native.json`, after the sweep's
+/// points, so CI can watch the model/native cost ratio: one seeded
+/// `lost_update` run on each backend, the E13 kernel. `native_sleep_run` is
+/// the same run under E13's sleep noise, whose sleeps the native clock
+/// skips while no thread can run.
+fn write_smoke_json(mut smoke: Smoke) {
+    let model = tool("sticky:0.9+name=model", RuntimeBackend::Model);
+    let native = tool("sticky:0.9+name=model", RuntimeBackend::Native);
+    let native_sleep = tool(
+        "sticky:0.9+noise=sleep:0.3:20+name=sleep-noise",
+        RuntimeBackend::Native,
+    );
     let mut seed = 0u64;
     let model_ns = smoke.time("model_run", 256, || {
         seed += 1;
@@ -136,6 +150,10 @@ fn write_smoke_json() {
     let native_ns = smoke.time("native_run", 64, || {
         seed += 1;
         one_run(&native, seed)
+    });
+    smoke.time("native_sleep_run", 64, || {
+        seed += 1;
+        one_run(&native_sleep, seed)
     });
     let overhead = native_ns as f64 / model_ns.max(1) as f64;
 
@@ -147,8 +165,9 @@ fn write_smoke_json() {
 
 fn main() {
     let mut c = quick_criterion();
+    let mut smoke = Smoke::new("native");
     bench(&mut c);
-    handoff_sweep(&mut c);
+    handoff_sweep(&mut c, &mut smoke);
     c.final_summary();
-    write_smoke_json();
+    write_smoke_json(smoke);
 }

@@ -14,7 +14,6 @@ pub fn quick_criterion() -> Criterion {
     Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(200))
-        .measurement_time(std::time::Duration::from_millis(800))
         .configure_from_args()
 }
 
@@ -91,7 +90,18 @@ impl Smoke {
     /// Time `f`: a few warm-up calls, then 13 loops (`SMOKE_LOOPS`) of `iters`
     /// calls each. Records the loops' median nanoseconds per call under
     /// `result`, with their quartiles, prints them, and returns the median.
-    pub fn time<R>(&mut self, result: &str, iters: u32, mut f: impl FnMut() -> R) -> u64 {
+    pub fn time<R>(&mut self, result: &str, iters: u32, f: impl FnMut() -> R) -> u64 {
+        self.time_quartiles(result, iters, f)[1]
+    }
+
+    /// [`Self::time`], returning the first quartile, the median and the
+    /// third quartile of the loops' nanoseconds per call.
+    pub fn time_quartiles<R>(
+        &mut self,
+        result: &str,
+        iters: u32,
+        mut f: impl FnMut() -> R,
+    ) -> [u64; 3] {
         for _ in 0..WARM_UP_CALLS {
             black_box(f());
         }
@@ -114,7 +124,7 @@ impl Smoke {
             ("ns_q1".into(), q1.to_json()),
             ("ns_q3".into(), q3.to_json()),
         ]));
-        median
+        [q1, median, q3]
     }
 
     /// Add the headline figure `key`, after those added before it.

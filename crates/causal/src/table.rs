@@ -6,10 +6,11 @@ use std::collections::BTreeMap;
 /// Ids below this bound index a vector; larger ones go to a map. The
 /// runtime numbers threads and variables densely from 0 (threads are
 /// bounded by `max_threads`, variables by the program's table), so a live
-/// run never leaves the vector. Only a trace read from a file can carry a
-/// larger id, and it cannot make a table allocate more than this many
+/// run never leaves the vector. Loading a trace rejects a larger thread id
+/// (this is its bound), so only a variable or resource id read from a file
+/// can be larger, and it cannot make a table allocate more than this many
 /// slots.
-const DENSE_IDS: u32 = 1 << 16;
+const DENSE_IDS: u32 = mtt_trace::THREAD_ID_BOUND;
 
 /// A map from `u32` ids to values, dense for the ids a run hands out.
 /// Iteration is in id order, and an id that was never inserted has no

@@ -21,17 +21,20 @@
 //! owners, condition queues, permits, barrier arrivals, thread statuses)
 //! followed by the emitted [`crate::Event`], so every tool sees the same
 //! event vocabulary from either engine. Waking is a status transition —
-//! whatever unblocks a waiter sets it `Ready` — and one deadlock rule (no
-//! runnable thread, no pending timed wake, not all threads finished) serves
-//! the model's scheduler and the native watchdog alike. Only five things
-//! stay engine-specific: where values live (the model store with its
+//! whatever unblocks a waiter sets it `Ready` — and one rule for a run in
+//! which no thread can run serves the model's scheduler and the native
+//! watchdog alike: with no pending timed wake and not all threads finished
+//! the run is deadlocked; otherwise time jumps to the earliest sleep or
+//! timed-wait deadline and the threads then due wake. So neither engine
+//! waits out time in which no thread runs. Only five things stay
+//! engine-specific: where values live (the model store with its
 //! weak-visibility cache, or atomics and `RaceCell`s accessed outside the
 //! bookkeeping lock), how a thread parks (suspended until it holds the
-//! token, or until its own status changes), how it sleeps (virtual or
-//! wall-clock ticks), the step tail (a scheduling point, or noise applied
-//! with real thread primitives), and run setup and teardown (token
-//! handoff, or the watchdog). Both produce the same [`crate::Outcome`]
-//! shape.
+//! token, or until its own status changes), how it sleeps (virtual ticks,
+//! or wall-clock ticks of 100µs on a clock that also counts the skipped
+//! time), the step tail (a scheduling point, or noise applied with real
+//! thread primitives), and run setup and teardown (token handoff, or the
+//! watchdog). Both produce the same [`crate::Outcome`] shape.
 //!
 //! Neither engine lets a thread run that may not: the model resumes
 //! exactly the scheduler's pick, and a native transition wakes exactly the
@@ -45,7 +48,8 @@ pub enum RuntimeBackend {
     /// The deterministic token-passing model engine (default).
     #[default]
     Model,
-    /// Real OS threads, real synchronization, wall-clock time.
+    /// Real OS threads, real synchronization, wall-clock time that skips
+    /// ahead while no thread can run.
     Native,
 }
 

@@ -275,7 +275,9 @@ impl ThreadCtx {
     }
 
     /// Like [`Self::wait`] but gives up after `ticks` units of virtual time
-    /// (model) or `ticks × 100µs` of wall time (native).
+    /// (model) or `ticks × 100µs` of the native clock, which is wall time
+    /// that jumps to the next deadline while no thread can run. So a timed
+    /// wait that nobody can notify times out at once under both backends.
     /// Returns `true` when notified, `false` on timeout.
     #[track_caller]
     pub fn timed_wait(&mut self, cond: CondId, lock: LockId, ticks: u32) -> bool {
@@ -452,7 +454,9 @@ impl ThreadCtx {
     }
 
     /// Sleep for `ticks` units of virtual time (model) or `ticks × 100µs`
-    /// of wall time (native).
+    /// of the native clock (native). Under both backends time jumps to the
+    /// next deadline while no thread can run, so a sleep costs real time
+    /// only while another thread is ready or running.
     #[track_caller]
     pub fn sleep(&mut self, ticks: u32) {
         self.sleep_at(ticks, caller_loc())

@@ -15,8 +15,12 @@
 //! * **parking** a thread (`Run::park`) — suspended to the harness until it
 //!   holds the execution token, versus on its own slot until its own status
 //!   stops being `Blocked`/`Sleeping`;
-//! * **sleeping** — virtual ticks fast-forwarded by the scheduler, versus a
-//!   real timed park (`ctx.sleep(1)` = 100µs);
+//! * **sleeping** — virtual ticks, versus a real timed park (`ctx.sleep(1)`
+//!   = 100µs). Both clocks jump to the next deadline when no thread can
+//!   run, by one rule (`ModelState::settle`): the model's scheduler applies
+//!   it at a scheduling point, the native watchdog whenever a thread
+//!   blocks, sleeps or finishes, so a native run waits out only the sleeps
+//!   that some running thread overlaps;
 //! * the **step tail** (`Run::step`) — a model scheduling point, versus
 //!   noise applied with real thread primitives;
 //! * run **setup and teardown** — the harness resuming token holders until
@@ -76,7 +80,7 @@ use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
 use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
 use crate::program::Program;
 use crate::scheduler::{FifoScheduler, SchedView, Scheduler, ThreadStatusView};
-use crate::state::{ModelState, Status, ThreadState};
+use crate::state::{ModelState, Settled, Status, ThreadState};
 use mtt_instrument::{
     Event, EventSink, InstrumentationPlan, Loc, Op, ResolvedFilter, ThreadId, VarId,
 };
@@ -139,7 +143,9 @@ pub struct ExecutionOptions {
     pub backend: crate::RuntimeBackend,
     /// Wall-clock budget enforced by the native engine's watchdog;
     /// exhaustion maps to [`OutcomeKind::StepLimit`], the model's "hang"
-    /// analogue. `None` means the native default (10s). The model engine
+    /// analogue. `None` means the native default (10s). It is real time,
+    /// not the native clock: the idle time the clock skips does not count,
+    /// so a run whose threads only sleep is not a hang. The model engine
     /// never blocks on wall time and ignores this.
     pub wall_budget: Option<std::time::Duration>,
 }
@@ -356,9 +362,10 @@ impl Book {
         }
     }
 
-    /// Core model scheduling step: find the runnable set (advancing virtual
-    /// time if everyone is asleep), detect termination and deadlock, and
-    /// hand the token to the scheduler's pick.
+    /// Core model scheduling step: find the runnable set (jumping virtual
+    /// time to the next deadline if everyone is asleep, by the rule both
+    /// engines share), detect termination and deadlock, and hand the token
+    /// to the scheduler's pick.
     ///
     /// `prev` is the thread whose operation triggered this point; its status
     /// must already reflect the operation's effect (Ready / Blocked /
@@ -373,25 +380,20 @@ impl Book {
         self.model.current = None;
         // Virtual time advances one tick per scheduling point, so sleepers
         // and timed waits make progress even while other threads stay busy;
-        // the loop below additionally fast-forwards when everyone is asleep.
+        // `settle` additionally jumps it when everyone is asleep.
         let now = self.model.time + 1;
         self.model.advance_time_to(now);
         self.maybe_spurious_wakeup();
-        loop {
-            self.model.collect_runnable(&mut self.scratch_runnable);
-            if !self.scratch_runnable.is_empty() {
-                break;
-            }
-            if self.model.deadlocked() {
-                let info = self.model.deadlock_info();
-                self.do_abort(OutcomeKind::Deadlock(info));
-                return;
-            }
-            match self.model.next_wake_time() {
-                Some(wake) => {
-                    self.model.advance_time_to(wake);
+        self.model.collect_runnable(&mut self.scratch_runnable);
+        if self.scratch_runnable.is_empty() {
+            match self.model.settle() {
+                Settled::Runnable => self.model.collect_runnable(&mut self.scratch_runnable),
+                Settled::Deadlocked => {
+                    let info = self.model.deadlock_info();
+                    self.do_abort(OutcomeKind::Deadlock(info));
+                    return;
                 }
-                None => {
+                Settled::Over => {
                     self.completed = true;
                     return;
                 }
@@ -448,9 +450,9 @@ pub(crate) struct Run {
 pub(crate) type Guard<'a> = MutexGuard<'a, Book>;
 
 impl Run {
-    /// Lock the bookkeeping. The native clock is wall time, stamped into
-    /// `model.time` here so events and deadlines computed under this lock
-    /// see it.
+    /// Lock the bookkeeping. The native clock (wall time plus the idle time
+    /// the watchdog skipped) is stamped into `model.time` here, so events
+    /// and deadlines computed under this lock see it.
     pub fn book(&self) -> Guard<'_> {
         let mut g = self.book.lock();
         if let Engine::Native(n) = &self.engine {
@@ -630,6 +632,11 @@ impl Run {
                 let yield_now = nd == NoiseDecision::Yield
                     || matches!(&g.last_event, Some(ev) if ev.op == Op::Yield);
                 self.wake_readied(&mut g);
+                if let NoiseDecision::Sleep(_) = nd {
+                    // `me` may have been the last thread that could run: the
+                    // watchdog then moves the clock on.
+                    self.dog.notify_one();
+                }
                 let _ = self.park(&mut g, me);
                 drop(g);
                 if yield_now {
@@ -655,8 +662,21 @@ impl Run {
         self.dog.notify_all();
     }
 
-    /// Native engine: wake exactly the threads a transition readied.
-    fn wake_readied(&self, g: &mut Book) {
+    /// Native engine: wake every thread that is still asleep or in a timed
+    /// wait after the clock jumped. Each timed its park by the clock before
+    /// the jump, so it would wake late by the time skipped; woken, it times
+    /// its park again.
+    pub fn wake_sleepers(&self, g: &Book) {
+        for (t, w) in g.model.threads.iter().zip(&g.workers) {
+            if t.status.deadline().is_some() {
+                w.slot.notify_one();
+            }
+        }
+    }
+
+    /// Native engine: wake exactly the threads a transition, or a jump of
+    /// the clock, readied.
+    pub fn wake_readied(&self, g: &mut Book) {
         for t in g.model.readied.drain(..) {
             g.workers[t.index()].slot.notify_one();
         }

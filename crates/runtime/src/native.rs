@@ -19,17 +19,28 @@
 //!   transitions set waiters `Ready` and list them, and the step tail wakes
 //!   exactly those — its timed-wait or sleep deadline passes, or the run
 //!   aborts. It never re-checks on a timer.
-//! * **Time is wall-clock.** `Event::time` is microseconds since the run
-//!   started; `ctx.sleep(ticks)` and noise sleeps park for `ticks × 100µs`;
-//!   a noise `Yield` is `thread::yield_now`.
+//! * **Time is wall-clock, minus the idle time.** `Event::time` is
+//!   microseconds since the run started, plus the microseconds skipped so
+//!   far; `ctx.sleep(ticks)`, noise sleeps and timed waits park for
+//!   `ticks × 100µs` of that clock; a noise `Yield` is `thread::yield_now`.
+//!   When no thread can run (every thread is blocked, sleeping or finished,
+//!   and one has a deadline), the watchdog moves the clock to the earliest
+//!   deadline and wakes the threads then due, by the rule the model's
+//!   virtual clock follows ([`crate::state::ModelState::settle`]); threads
+//!   still asleep wake too, to time their parks by the moved clock. No
+//!   program code runs during the jump, and a thread that is ready, or
+//!   running even in uninstrumented code, prevents it; so only the wait
+//!   goes, not a transition or an overlap of real threads.
 //! * **No scheduler.** The OS schedules; the configured [`Scheduler`] is
 //!   never consulted (`scheduler_faults`/`context_switches` stay 0), and
 //!   spurious-wakeup injection is not emulated.
 //! * **A watchdog** ([`NativeMem::supervise`]) on the harness thread ends
-//!   the run at [`ExecutionOptions::wall_budget`] (default 10s, reported as
-//!   [`OutcomeKind::StepLimit`], the model's "hang" analogue) or as soon as
-//!   the deadlock rule both engines share holds. Blocking and finishing wake
-//!   it, so it does not poll either.
+//!   the run at [`ExecutionOptions::wall_budget`] (default 10s of real time,
+//!   reported as [`OutcomeKind::StepLimit`], the model's "hang" analogue)
+//!   or as soon as the deadlock rule both engines share holds, and skips
+//!   the idle time. Blocking, sleeping and finishing wake it, so it does not
+//!   poll either. A run whose threads only sleep completes, as it does on
+//!   the model; a hang is a thread that really runs past the budget.
 //!
 //! [`Scheduler`]: crate::Scheduler
 //! [`ExecutionOptions::wall_budget`]: crate::ExecutionOptions::wall_budget
@@ -37,11 +48,11 @@
 use crate::exec::{Guard, Run};
 use crate::outcome::OutcomeKind;
 use crate::program::Program;
-use crate::state::{BlockReason, Status};
+use crate::state::{BlockReason, Settled, Status};
 use mtt_instrument::{ThreadId, VarId};
 use mtt_race::RaceCell;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Wall budget when the caller did not set one. Native runs can hang, so
@@ -69,6 +80,10 @@ pub(crate) struct NativeMem {
     /// it, which is exactly what the torn-read oracle observes.
     rmw_lock: Mutex<()>,
     start: Instant,
+    /// Microseconds the watchdog skipped while no thread could run. Written
+    /// and read only under the bookkeeping lock, which orders the accesses,
+    /// so they are `Relaxed`.
+    skipped: AtomicU64,
 }
 
 impl NativeMem {
@@ -88,12 +103,14 @@ impl NativeMem {
             vars,
             rmw_lock: Mutex::new(()),
             start,
+            skipped: AtomicU64::new(0),
         }
     }
 
-    /// Microseconds since the run started: the native `model.time`.
+    /// Microseconds since the run started, plus those skipped: the native
+    /// `model.time`.
     pub(crate) fn now(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+        self.start.elapsed().as_micros() as u64 + self.skipped.load(Ordering::Relaxed)
     }
 
     /// Racy load of `var`; also reports whether the read was torn.
@@ -152,24 +169,45 @@ impl NativeMem {
         true
     }
 
-    /// The watchdog, run on the harness thread: end the run at the wall
-    /// budget or as soon as the shared deadlock rule holds, then give live
-    /// threads a grace period to leave and copy the final values into
-    /// `model.vars`. Stragglers stuck in uninstrumented compute loops are
-    /// left behind: their next instrumented operation unwinds, and their
-    /// workers then rejoin the idle list.
+    /// The watchdog, run on the harness thread. Whenever a thread blocks,
+    /// sleeps or finishes, it applies the rule both engines share
+    /// ([`crate::state::ModelState::settle`]): it ends the run on deadlock,
+    /// and when no thread can run it moves the clock to the earliest
+    /// deadline and wakes exactly the threads then due (and those still
+    /// asleep, to time their parks by the moved clock). It ends the run at
+    /// the wall budget, which stays real time. Then it gives live threads a
+    /// grace period to leave and copies the final values into `model.vars`.
+    /// Stragglers stuck in uninstrumented compute loops are left behind:
+    /// their next instrumented operation unwinds, and their workers then
+    /// rejoin the idle list.
     pub(crate) fn supervise(&self, run: &Run, budget: Duration) {
         let deadline = self.start + budget;
         let mut g = run.book.lock();
         while !(g.completed || g.abort.is_some()) {
-            let now = Instant::now();
-            if g.model.deadlocked() {
-                let info = g.model.deadlock_info();
-                run.abort(&mut g, OutcomeKind::Deadlock(info));
-            } else if now >= deadline {
-                run.abort(&mut g, OutcomeKind::StepLimit);
-            } else {
-                let _ = run.dog.wait_for(&mut g, deadline - now);
+            let now = self.now();
+            g.model.time = now;
+            match g.model.settle() {
+                Settled::Deadlocked => {
+                    let info = g.model.deadlock_info();
+                    run.abort(&mut g, OutcomeKind::Deadlock(info));
+                }
+                Settled::Over => g.completed = true,
+                Settled::Runnable => {
+                    // A jump moved `model.time` past `now`; the offset keeps
+                    // `now()` from falling behind it.
+                    let skipped = g.model.time - now;
+                    if skipped > 0 {
+                        self.skipped.fetch_add(skipped, Ordering::Relaxed);
+                        run.wake_sleepers(&g);
+                    }
+                    run.wake_readied(&mut g);
+                    let wall = Instant::now();
+                    if wall >= deadline {
+                        run.abort(&mut g, OutcomeKind::StepLimit);
+                    } else {
+                        let _ = run.dog.wait_for(&mut g, deadline - wall);
+                    }
+                }
             }
         }
         // Whichever thread ended the run, every parked thread must unwind.

@@ -9,8 +9,10 @@
 //! Thread statuses are the single source of truth for both engines: every
 //! transition that can unblock a waiter (lock release, notify, semaphore
 //! release, barrier completion, thread exit) sets that waiter `Ready` here
-//! and lists it in [`ModelState::readied`], and [`ModelState::deadlocked`] is the one deadlock rule the model's
-//! scheduler and the native watchdog both apply.
+//! and lists it in [`ModelState::readied`], and [`ModelState::settle`] is
+//! the one rule for a run in which no thread can run (deadlocked, over, or
+//! time jumps to the next deadline) that the model's scheduler and the
+//! native watchdog both apply.
 
 use crate::outcome::{DeadlockInfo, WaitEdge};
 use crate::program::{Program, VarSpec};
@@ -48,6 +50,27 @@ pub(crate) enum Status {
     Sleeping(u64),
     /// Terminated.
     Finished,
+}
+
+impl Status {
+    /// The time at which a sleep or a timed wait falls due.
+    pub fn deadline(self) -> Option<u64> {
+        match self {
+            Status::Sleeping(at) | Status::Blocked(BlockReason::CondTimed(_, _, at)) => Some(at),
+            _ => None,
+        }
+    }
+}
+
+/// Where [`ModelState::settle`] leaves a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// Some thread can run, perhaps because time jumped to wake it.
+    Runnable,
+    /// No thread can run and none will wake on its own.
+    Deadlocked,
+    /// Every thread has finished.
+    Over,
 }
 
 /// Per-thread record.
@@ -111,12 +134,13 @@ pub(crate) struct ModelState {
     pub finish_order: Vec<ThreadId>,
     /// Holder of the execution token.
     pub current: Option<ThreadId>,
-    /// Virtual time (model engine) or microseconds since the run started
-    /// (native engine).
+    /// Virtual time (model engine) or microseconds since the run started,
+    /// plus those skipped while no thread could run (native engine).
     pub time: u64,
-    /// Threads a transition readied since the engine last looked: the
-    /// native engine wakes exactly these; the model engine, which wakes only
-    /// its scheduler's pick, clears the list at every scheduling point.
+    /// Threads a transition or a clock advance readied since the engine
+    /// last looked: the native engine wakes exactly these; the model engine,
+    /// which wakes only its scheduler's pick, clears the list at every
+    /// scheduling point.
     pub readied: Vec<ThreadId>,
 }
 
@@ -272,21 +296,23 @@ impl ModelState {
     pub fn next_wake_time(&self) -> Option<u64> {
         self.threads
             .iter()
-            .filter_map(|t| match t.status {
-                Status::Sleeping(at) => Some(at),
-                Status::Blocked(BlockReason::CondTimed(_, _, at)) => Some(at),
-                _ => None,
-            })
+            .filter_map(|t| t.status.deadline())
             .min()
     }
 
-    /// Advance virtual time to `now`, waking due sleepers and timing out due
-    /// timed waits. Returns how many threads woke.
+    /// Advance time to `now`, waking due sleepers and timing out due timed
+    /// waits, and list the threads that woke in `readied`. Returns how many
+    /// woke.
     pub fn advance_time_to(&mut self, now: u64) -> usize {
         self.time = self.time.max(now);
-        (0..self.threads.len())
-            .filter(|&i| self.wake_if_due(ThreadId(i as u32), now))
-            .count()
+        let before = self.readied.len();
+        for i in 0..self.threads.len() {
+            let t = ThreadId(i as u32);
+            if self.wake_if_due(t, now) {
+                self.readied.push(t);
+            }
+        }
+        self.readied.len() - before
     }
 
     /// Ready `t` if its sleep or timed wait is due at `now`; a timed-out
@@ -320,6 +346,33 @@ impl ModelState {
             .all(|t| matches!(t.status, Status::Blocked(_) | Status::Finished))
             && self.next_wake_time().is_none()
             && !self.all_finished()
+    }
+
+    /// The time rule both engines apply. While a thread is `Ready` or
+    /// `Running` nothing changes. When none is, the run is deadlocked
+    /// ([`Self::deadlocked`]) or over, or time jumps to
+    /// [`Self::next_wake_time`] and the threads then due wake and are listed
+    /// in `readied`. No program code runs while no thread can run, so the
+    /// jump skips only time in which nothing could happen: the model's
+    /// virtual clock and the native clock both take it.
+    pub fn settle(&mut self) -> Settled {
+        if self
+            .threads
+            .iter()
+            .any(|t| matches!(t.status, Status::Ready | Status::Running))
+        {
+            return Settled::Runnable;
+        }
+        if self.deadlocked() {
+            return Settled::Deadlocked;
+        }
+        match self.next_wake_time() {
+            Some(at) => {
+                self.advance_time_to(at);
+                Settled::Runnable
+            }
+            None => Settled::Over,
+        }
     }
 
     /// Build the deadlock diagnostic for the current all-blocked state.
@@ -632,5 +685,47 @@ mod tests {
         }
         m.thread(ThreadId(0)).status = Status::Finished;
         assert!(!m.deadlocked(), "all finished is completion, not deadlock");
+    }
+
+    #[test]
+    fn settle_jumps_the_clock_only_when_no_thread_can_run() {
+        let mut m = model_with(&[], &["l"]);
+        m.threads.push(ThreadState::new("t2".into()));
+        let (c, l) = (CondId(0), LockId(0));
+        m.cond_names.push("c".into());
+        m.cond_queues.push(vec![ThreadId(1)]);
+        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::CondTimed(c, l, 30));
+        m.thread(ThreadId(2)).status = Status::Sleeping(20);
+        for other in [Status::Ready, Status::Running] {
+            m.thread(ThreadId(0)).status = other;
+            assert_eq!(m.settle(), Settled::Runnable, "t0 {other:?}");
+            assert_eq!(m.time, 0, "a thread that can run holds the clock");
+            assert!(m.readied.is_empty());
+        }
+        // Nobody can run: the clock jumps to the earliest deadline and wakes
+        // exactly the thread due then.
+        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Lock(l));
+        assert_eq!(m.settle(), Settled::Runnable);
+        assert_eq!((m.time, m.readied.clone()), (20, vec![ThreadId(2)]));
+        assert_eq!(m.thread(ThreadId(2)).status, Status::Ready);
+        assert_eq!(
+            m.thread(ThreadId(1)).status,
+            Status::Blocked(BlockReason::CondTimed(c, l, 30))
+        );
+        // A timed wait is a deadline too: it times out.
+        m.readied.clear();
+        m.thread(ThreadId(2)).status = Status::Finished;
+        assert_eq!(m.settle(), Settled::Runnable);
+        assert_eq!((m.time, m.readied.clone()), (30, vec![ThreadId(1)]));
+        assert!(m.thread(ThreadId(1)).timed_out);
+        assert!(m.cond_queues[0].is_empty());
+        // With no deadline left the run is deadlocked, or over.
+        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Lock(l));
+        assert_eq!(m.settle(), Settled::Deadlocked);
+        for t in 0..3 {
+            m.thread(ThreadId(t)).status = Status::Finished;
+        }
+        assert_eq!(m.settle(), Settled::Over);
+        assert_eq!(m.time, 30);
     }
 }

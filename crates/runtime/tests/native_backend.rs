@@ -5,7 +5,7 @@
 //! bounded wall time), never byte-identical run output — that discipline
 //! belongs to the model backend alone.
 
-use mtt_instrument::{shared, CountingSink, VecSink};
+use mtt_instrument::{shared, CountingSink, Op, VecSink};
 use mtt_runtime::{
     Execution, NoiseDecision, OutcomeKind, Program, ProgramBuilder, RuntimeBackend, ThreadId,
     WaitEdge,
@@ -170,15 +170,23 @@ fn native_ab_ba_never_hangs() {
     }
 }
 
-/// Watchdog regression: a native thread sleeping far past the wall budget
-/// is killed, the run reports StepLimit (the hang analogue) and returns
-/// promptly — it does not wait out the sleep.
+/// Run on the calling thread, making no op, for `time` of real time.
+fn spin(time: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < time {
+        std::hint::spin_loop();
+    }
+}
+
+/// Watchdog regression: a native thread that really runs far past the wall
+/// budget (it spins in uninstrumented code for 1 s under a 200 ms budget)
+/// is killed: the run reports StepLimit (the hang analogue) and returns
+/// promptly. (A thread that only sleeps is no hang: the clock skips its
+/// sleep, see `native_idle_sleep_skips_ahead`.)
 #[test]
 fn native_watchdog_kills_hung_run() {
     let mut b = ProgramBuilder::new("native_hang");
-    b.entry(move |ctx| {
-        ctx.sleep(10_000_000); // 1000s of wall time at 100µs/tick
-    });
+    b.entry(move |_| spin(Duration::from_secs(1)));
     let p = b.build();
     let started = Instant::now();
     let o = Execution::new(&p)
@@ -188,8 +196,116 @@ fn native_watchdog_kills_hung_run() {
     assert!(o.hung(), "budget exhaustion must map to StepLimit: {o:?}");
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "watchdog must interrupt the sleep, took {:?}",
+        "watchdog must end the run, took {:?}",
         started.elapsed()
+    );
+}
+
+/// A run whose one thread only sleeps completes, as it does on the model:
+/// no other thread can run, so the watchdog moves the clock to the sleep's
+/// deadline instead of waiting out 1000 s.
+#[test]
+fn native_idle_sleep_skips_ahead() {
+    let mut b = ProgramBuilder::new("native_idle_sleep");
+    b.entry(move |ctx| ctx.sleep(10_000_000)); // 1000 s at 100 µs per tick
+    let p = b.build();
+    let started = Instant::now();
+    let o = native(&p).run();
+    assert!(o.ok(), "{o:?}");
+    assert!(
+        o.stats.virtual_time >= 1_000_000_000,
+        "the clock read {} µs at the end",
+        o.stats.virtual_time
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        started.elapsed()
+    );
+}
+
+/// The clock never jumps while a thread can run: a child that spins in
+/// uninstrumented code for 30 ms is `Running` with no op the whole time,
+/// so main's 1 s sleep runs in real time until the child exits. The
+/// child's exit therefore comes before main's first event after the sleep,
+/// and that event is at or past main's deadline.
+#[test]
+fn native_skip_waits_for_a_running_thread() {
+    let mut b = ProgramBuilder::new("native_skip_waits");
+    b.entry(move |ctx| {
+        let child = ctx.spawn("spinner", |_| spin(Duration::from_millis(30)));
+        ctx.sleep(10_000); // 1 s at 100 µs per tick
+        ctx.point("woke");
+        ctx.join(child);
+    });
+    let p = b.build();
+    let (events, handle) = shared(VecSink::new());
+    let o = native(&p).sink(Box::new(events)).run();
+    assert!(o.ok(), "{o:?}");
+    let evs = handle.lock().unwrap().events.clone();
+    let main = ThreadId::MAIN;
+    let sleep = evs
+        .iter()
+        .position(|e| e.thread == main && matches!(e.op, Op::Sleep { .. }))
+        .expect("main sleeps");
+    let deadline = evs[sleep].time + 10_000 * 100;
+    let woke = sleep
+        + 1
+        + evs[sleep + 1..]
+            .iter()
+            .position(|e| e.thread == main)
+            .expect("main wakes");
+    let exit = evs
+        .iter()
+        .position(|e| e.thread == ThreadId(1) && e.op == Op::ThreadExit)
+        .expect("the child exits");
+    assert!(
+        exit < woke,
+        "main woke (event {woke}) before the running child exited (event {exit})"
+    );
+    assert!(
+        evs[woke].time >= deadline,
+        "main woke at {} µs, before its deadline at {deadline} µs",
+        evs[woke].time
+    );
+}
+
+/// A thread still asleep when the clock jumps wakes at its deadline by the
+/// moved clock, not the time skipped later. Both children sleep while main
+/// waits to join them, so the clock jumps 1 s to `first`'s deadline; `first`
+/// then spins for 100 ms, and `second`, due 10 ms after `first`, must wake
+/// while `first` still runs.
+#[test]
+fn native_jump_retimes_the_threads_still_asleep() {
+    let mut b = ProgramBuilder::new("native_retime");
+    b.entry(move |ctx| {
+        let first = ctx.spawn("first", |ctx| {
+            ctx.sleep(10_000); // 1 s at 100 µs per tick
+            spin(Duration::from_millis(100));
+        });
+        let second = ctx.spawn("second", |ctx| {
+            ctx.sleep(10_100);
+            ctx.point("second woke");
+        });
+        ctx.join(first);
+        ctx.join(second);
+    });
+    let p = b.build();
+    let (events, handle) = shared(VecSink::new());
+    let o = native(&p).sink(Box::new(events)).run();
+    assert!(o.ok(), "{o:?}");
+    let evs = handle.lock().unwrap().events.clone();
+    let at = |thread: u32, pred: &dyn Fn(&Op) -> bool| {
+        evs.iter()
+            .position(|e| e.thread == ThreadId(thread) && pred(&e.op))
+            .expect("the event happened")
+    };
+    let woke = at(2, &|op| matches!(op, Op::Point { .. }));
+    let first_exit = at(1, &|op| *op == Op::ThreadExit);
+    assert!(
+        woke < first_exit,
+        "the second sleeper woke (event {woke}) only after the first thread ran out \
+         (event {first_exit})"
     );
 }
 
@@ -220,23 +336,33 @@ fn native_cond_wait_notify_roundtrip() {
     assert!(o.ok(), "{o:?}");
 }
 
-/// Timed wait gives up on its own when nobody notifies.
+/// Timed wait gives up on its own when nobody notifies, as soon as its
+/// thread is the only one that could run: even a 1000 s wait returns at
+/// once.
 #[test]
 fn native_timed_wait_times_out() {
-    let mut b = ProgramBuilder::new("native_timed");
-    let notified = b.var("notified", -1);
-    let l = b.lock("l");
-    let c = b.cond("c");
-    b.entry(move |ctx| {
-        ctx.lock(l);
-        let got = ctx.timed_wait(c, l, 50); // 5ms of wall time
-        ctx.unlock(l);
-        ctx.write(notified, i64::from(got));
-    });
-    let p = b.build();
-    let o = native(&p).run();
-    assert!(o.ok(), "{o:?}");
-    assert_eq!(o.var("notified"), Some(0));
+    for ticks in [50, 10_000_000] {
+        let mut b = ProgramBuilder::new("native_timed");
+        let notified = b.var("notified", -1);
+        let l = b.lock("l");
+        let c = b.cond("c");
+        b.entry(move |ctx| {
+            ctx.lock(l);
+            let got = ctx.timed_wait(c, l, ticks);
+            ctx.unlock(l);
+            ctx.write(notified, i64::from(got));
+        });
+        let p = b.build();
+        let started = Instant::now();
+        let o = native(&p).run();
+        assert!(o.ok(), "{ticks} ticks: {o:?}");
+        assert_eq!(o.var("notified"), Some(0), "{ticks} ticks");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{ticks} ticks took {:?}",
+            started.elapsed()
+        );
+    }
 }
 
 /// Semaphores and barriers coordinate real threads.
@@ -284,7 +410,10 @@ fn native_misuse_is_thread_panic() {
 }
 
 /// Noise makers run natively (yields and real sleeps); the run still
-/// completes and the injection counters tick.
+/// completes and the injection counters tick. A noise sleep is skipped
+/// like `ctx.sleep`: the step tail wakes the watchdog when it puts the
+/// last thread that could run to sleep, so ten 10 s sleeps cost no real
+/// time and the run is not killed.
 #[test]
 fn native_noise_maker_is_applied() {
     let mut b = ProgramBuilder::new("native_noise");
@@ -295,10 +424,11 @@ fn native_noise_maker_is_applied() {
         }
     });
     let p = b.build();
+    let started = Instant::now();
     let o = native(&p)
         .noise(Box::new(|ev: &mtt_instrument::Event, _: &_| {
             if ev.seq.is_multiple_of(2) {
-                NoiseDecision::Sleep(1)
+                NoiseDecision::Sleep(100_000)
             } else {
                 NoiseDecision::Yield
             }
@@ -307,6 +437,11 @@ fn native_noise_maker_is_applied() {
     assert!(o.ok(), "{o:?}");
     assert!(o.stats.noise_injections > 0);
     assert!(o.stats.forced_yields > 0);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        started.elapsed()
+    );
 }
 
 /// `ctx.random` must be interleaving- and backend-independent: the same

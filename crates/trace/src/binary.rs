@@ -33,6 +33,9 @@ pub enum BinaryTraceError {
     Corrupt(&'static str),
     /// The embedded meta JSON failed to parse.
     Meta(mtt_json::JsonError),
+    /// Record `record` (counted from 0) names a thread id that is not below
+    /// [`crate::THREAD_ID_BOUND`].
+    ThreadId { record: usize, id: u32 },
 }
 
 impl std::fmt::Display for BinaryTraceError {
@@ -41,6 +44,11 @@ impl std::fmt::Display for BinaryTraceError {
             BinaryTraceError::Io(e) => write!(f, "binary trace i/o error: {e}"),
             BinaryTraceError::Corrupt(what) => write!(f, "binary trace corrupt: {what}"),
             BinaryTraceError::Meta(e) => write!(f, "binary trace meta invalid: {e}"),
+            BinaryTraceError::ThreadId { record, id } => write!(
+                f,
+                "binary trace record {record}: thread id {id} is not below {}",
+                crate::THREAD_ID_BOUND
+            ),
         }
     }
 }
@@ -395,7 +403,7 @@ pub fn decode(data: &[u8]) -> Result<Trace, BinaryTraceError> {
     let nrec = get_varint(data, &mut pos)? as usize;
     let mut records = Vec::with_capacity(nrec.min(1 << 20));
     let (mut seq, mut time) = (0u64, 0u64);
-    for _ in 0..nrec {
+    for record in 0..nrec {
         seq = seq.wrapping_add(get_varint(data, &mut pos)?);
         time = time.wrapping_add(get_varint(data, &mut pos)?);
         let thread = get_varint(data, &mut pos)? as u32;
@@ -421,7 +429,7 @@ pub fn decode(data: &[u8]) -> Result<Trace, BinaryTraceError> {
                     .clone(),
             );
         }
-        records.push(TraceRecord {
+        let rec = TraceRecord {
             seq,
             time,
             thread,
@@ -430,7 +438,11 @@ pub fn decode(data: &[u8]) -> Result<Trace, BinaryTraceError> {
             op,
             locks_held,
             bug_tags,
-        });
+        };
+        if let Some(id) = rec.thread_out_of_bound() {
+            return Err(BinaryTraceError::ThreadId { record, id });
+        }
+        records.push(rec);
     }
     Ok(Trace { meta, records })
 }
@@ -599,6 +611,51 @@ mod tests {
             decode(&bytes),
             Err(BinaryTraceError::Corrupt("unsupported version"))
         ));
+    }
+
+    #[test]
+    fn a_thread_id_past_the_bound_fails_to_decode() {
+        let spawn = all_ops()
+            .iter()
+            .position(|op| matches!(op, Op::Spawn { .. }))
+            .expect("the sample spawns");
+        let huge = 1u32 << 31;
+        for (record, op) in [
+            (0, None),
+            (
+                spawn,
+                Some(Op::Spawn {
+                    child: ThreadId(huge),
+                }),
+            ),
+            (
+                spawn + 1,
+                Some(Op::JoinRequest {
+                    target: ThreadId(huge),
+                }),
+            ),
+            (
+                spawn + 2,
+                Some(Op::Join {
+                    target: ThreadId(huge),
+                }),
+            ),
+        ] {
+            let mut t = sample();
+            match op {
+                Some(op) => t.records[record].op = op,
+                None => t.records[record].thread = huge,
+            }
+            match decode(&encode(&t)) {
+                Err(BinaryTraceError::ThreadId { record: r, id }) => {
+                    assert_eq!((r, id), (record, huge));
+                }
+                other => panic!("expected a thread id error, got {other:?}"),
+            }
+        }
+        let mut t = sample();
+        t.records[1].thread = crate::THREAD_ID_BOUND - 1;
+        assert_eq!(decode(&encode(&t)).unwrap(), t);
     }
 
     #[test]

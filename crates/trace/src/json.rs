@@ -20,6 +20,9 @@ pub enum JsonTraceError {
     },
     /// The stream had no meta line.
     MissingMeta,
+    /// A record names a thread id that is not below
+    /// [`crate::THREAD_ID_BOUND`].
+    ThreadId { line: usize, id: u32 },
 }
 
 impl std::fmt::Display for JsonTraceError {
@@ -30,6 +33,11 @@ impl std::fmt::Display for JsonTraceError {
                 write!(f, "trace parse error on line {line}: {source}")
             }
             JsonTraceError::MissingMeta => write!(f, "trace stream is empty (no meta line)"),
+            JsonTraceError::ThreadId { line, id } => write!(
+                f,
+                "trace line {line}: thread id {id} is not below {}",
+                crate::THREAD_ID_BOUND
+            ),
         }
     }
 }
@@ -84,6 +92,9 @@ pub fn read<R: Read>(r: R) -> Result<Trace, JsonTraceError> {
                 line: i + 2,
                 source,
             })?;
+        if let Some(id) = rec.thread_out_of_bound() {
+            return Err(JsonTraceError::ThreadId { line: i + 2, id });
+        }
         records.push(rec);
     }
     Ok(Trace { meta, records })
@@ -173,6 +184,50 @@ mod tests {
             Err(JsonTraceError::Parse { line, .. }) => assert_eq!(line, 7),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_thread_id_past_the_bound_fails_to_load() {
+        use crate::THREAD_ID_BOUND;
+        use mtt_instrument::ThreadId;
+        let mut t = sample();
+        t.records[4].thread = THREAD_ID_BOUND - 1;
+        assert_eq!(from_str(&to_string(&t)).unwrap(), t);
+        let huge = 1u32 << 31;
+        for (i, op) in [
+            None,
+            Some(Op::Spawn {
+                child: ThreadId(huge),
+            }),
+            Some(Op::JoinRequest {
+                target: ThreadId(huge),
+            }),
+            Some(Op::Join {
+                target: ThreadId(huge),
+            }),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut t = sample();
+            match op {
+                Some(op) => t.records[i].op = op,
+                None => t.records[i].thread = huge,
+            }
+            match from_str(&to_string(&t)) {
+                Err(JsonTraceError::ThreadId { line, id }) => {
+                    assert_eq!((line, id), (i + 2, huge));
+                }
+                other => panic!("expected a thread id error, got {other:?}"),
+            }
+        }
+        let mut t = sample();
+        t.records[0].thread = THREAD_ID_BOUND;
+        let err = from_str(&to_string(&t)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace line 2: thread id 65536 is not below 65536"
+        );
     }
 
     #[test]

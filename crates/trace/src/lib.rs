@@ -30,4 +30,4 @@ pub mod json;
 pub mod record;
 
 pub use annotate::{annotate, BugFootprint};
-pub use record::{intern_static, Trace, TraceCollector, TraceMeta, TraceRecord};
+pub use record::{intern_static, Trace, TraceCollector, TraceMeta, TraceRecord, THREAD_ID_BOUND};

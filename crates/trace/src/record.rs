@@ -5,6 +5,14 @@ use std::sync::Arc;
 
 pub use mtt_instrument::intern_static;
 
+/// Thread ids a trace may carry are below this bound; loading a trace
+/// rejects a record that names a larger one. The runtime numbers threads
+/// densely from 0, so a recorded run stays far below it, while a vector
+/// clock is as long as the largest thread id it has seen: one id near 2^31
+/// read from a file would make every clock allocate gigabytes. `mtt-causal`'s
+/// id tables keep ids below the same bound in a vector.
+pub const THREAD_ID_BOUND: u32 = 1 << 16;
+
 /// One record of the standard trace format.
 ///
 /// Field-for-field this is the record the paper specifies: location, what
@@ -59,6 +67,20 @@ impl TraceRecord {
             locks_held: ev.locks_held.iter().map(|l| l.0).collect(),
             bug_tags: Vec::new(),
         }
+    }
+
+    /// The first thread id this record names that is not below
+    /// [`THREAD_ID_BOUND`]: its own thread, or the thread a `Spawn`,
+    /// `JoinRequest` or `Join` names.
+    pub fn thread_out_of_bound(&self) -> Option<u32> {
+        let operand = match self.op {
+            Op::Spawn { child } => Some(child.0),
+            Op::JoinRequest { target } | Op::Join { target } => Some(target.0),
+            _ => None,
+        };
+        std::iter::once(self.thread)
+            .chain(operand)
+            .find(|&t| t >= THREAD_ID_BOUND)
     }
 
     /// Reconstruct the live event (for feeding offline tools).
