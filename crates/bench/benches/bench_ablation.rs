@@ -1,8 +1,7 @@
 //! Ablations for the runtime design choices DESIGN.md calls out: the
 //! weak-visibility cache, spurious-wakeup injection, and scheduler choice.
 
-use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::Smoke;
 use mtt_core::prelude::*;
 
 /// Workload whose reads dominate: `threads` workers polling a flag and a
@@ -63,63 +62,46 @@ fn wait_heavy() -> Program {
     b.build()
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation");
+fn main() {
+    let mut smoke = Smoke::new("ablation");
 
     // Weak-visibility cache on/off on the read path.
     for (label, volatile) in [("reads_volatile", true), ("reads_cached", false)] {
         let p = read_heavy(volatile, 3, 30);
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                Execution::new(&p)
-                    .scheduler(Box::new(RandomScheduler::new(2)))
-                    .run()
-            })
+        smoke.time(label, 128, || {
+            Execution::new(&p)
+                .scheduler(Box::new(RandomScheduler::new(2)))
+                .run()
         });
     }
 
     // Spurious-wakeup injection on/off.
     let p = wait_heavy();
-    g.bench_function("waits_no_spurious", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(2)))
-                .run()
-        })
+    smoke.time("waits_no_spurious", 128, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(2)))
+            .run()
     });
-    g.bench_function("waits_spurious_0.1", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(2)))
-                .spurious_wakeups(0.1)
-                .run()
-        })
+    smoke.time("waits_spurious_0.1", 128, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(2)))
+            .spurious_wakeups(0.1)
+            .run()
     });
 
     // Scheduler choice on a fixed workload.
     let p = read_heavy(true, 4, 20);
-    g.bench_function("sched_random", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(3)))
-                .run()
-        })
+    smoke.time("sched_random", 128, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(3)))
+            .run()
     });
-    g.bench_function("sched_pct_d3", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(PctScheduler::new(3, 3, 300)))
-                .run()
-        })
+    smoke.time("sched_pct_d3", 128, || {
+        Execution::new(&p)
+            .scheduler(Box::new(PctScheduler::new(3, 3, 300)))
+            .run()
     });
-    g.bench_function("sched_fifo", |b| {
-        b.iter(|| Execution::new(&p).scheduler(Box::new(FifoScheduler)).run())
+    smoke.time("sched_fifo", 128, || {
+        Execution::new(&p).scheduler(Box::new(FifoScheduler)).run()
     });
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -5,24 +5,16 @@
 //! container the parallel points mostly measure scheduling overhead, which
 //! is the honest lower bound worth tracking too.
 
-use criterion::Criterion;
-use mtt_bench::{e1_slice, quick_criterion};
+use mtt_bench::{e1_slice, Smoke};
 use mtt_core::experiment::jobpool::JobPool;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("campaign_jobs");
+fn main() {
+    let mut smoke = Smoke::new("campaign");
     let campaign = e1_slice(10); // x 2 programs x 10 roster tools = 200 runs
     for jobs in [1usize, 2, 4, 8] {
         let pool = JobPool::new(jobs);
-        g.bench_function(format!("e1_200runs_jobs{jobs}"), |b| {
-            b.iter(|| campaign.run_on(&pool))
+        smoke.time(&format!("e1_200runs_jobs{jobs}"), 8, || {
+            campaign.run_on(&pool)
         });
     }
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

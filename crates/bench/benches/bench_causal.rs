@@ -9,8 +9,7 @@
 //! are pinned separately since `mtt explain` pays them once per
 //! invocation, not per run.
 
-use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::Smoke;
 use mtt_core::causal::{annotate_trace, render_timeline, TraceDiff};
 use mtt_core::experiment::tracegen::{self, TraceGenOptions};
 
@@ -22,56 +21,41 @@ fn opts(seed: u64) -> TraceGenOptions {
     }
 }
 
-fn bench_annotation_overhead(c: &mut Criterion) {
+fn main() {
+    let mut smoke = Smoke::new("causal");
     // The E1 slice the telemetry bench also uses: two small programs, a
     // handful of seeds each.
     let programs = [
         mtt_core::suite::small::lost_update(2, 2),
         mtt_core::suite::small::ab_ba(),
     ];
-    let mut g = c.benchmark_group("causal_annotation");
-    g.bench_function("tracegen_only_2progs_x8seeds", |b| {
-        b.iter(|| {
-            let mut events = 0usize;
-            for p in &programs {
-                for seed in 0..8 {
-                    events += tracegen::generate(p, &opts(seed)).records.len();
-                }
+    smoke.time("tracegen_only_2progs_x8seeds", 16, || {
+        let mut events = 0usize;
+        for p in &programs {
+            for seed in 0..8 {
+                events += tracegen::generate(p, &opts(seed)).records.len();
             }
-            events
-        })
+        }
+        events
     });
-    g.bench_function("tracegen_plus_annotate_2progs_x8seeds", |b| {
-        b.iter(|| {
-            let mut edges = 0usize;
-            for p in &programs {
-                for seed in 0..8 {
-                    let t = tracegen::generate(p, &opts(seed));
-                    let ann = annotate_trace(&t);
-                    edges += ann.notes.iter().map(|n| n.hb_from.len()).sum::<usize>();
-                }
+    smoke.time("tracegen_plus_annotate_2progs_x8seeds", 16, || {
+        let mut edges = 0usize;
+        for p in &programs {
+            for seed in 0..8 {
+                let t = tracegen::generate(p, &opts(seed));
+                let ann = annotate_trace(&t);
+                edges += ann.notes.iter().map(|n| n.hb_from.len()).sum::<usize>();
             }
-            edges
-        })
+        }
+        edges
     });
-    g.finish();
-}
 
-fn bench_renderings(c: &mut Criterion) {
+    // The renderings `mtt explain` pays once per invocation.
     let p = mtt_core::suite::small::lost_update(2, 2);
     let fail = tracegen::generate(&p, &opts(2));
     let pass = tracegen::generate(&p, &opts(0));
     let ann = annotate_trace(&fail);
-    let mut g = c.benchmark_group("causal_render");
-    g.bench_function("annotate_one_trace", |b| b.iter(|| annotate_trace(&fail)));
-    g.bench_function("timeline", |b| b.iter(|| render_timeline(&fail, &ann)));
-    g.bench_function("diff", |b| b.iter(|| TraceDiff::compute(&fail, &pass)));
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench_annotation_overhead(&mut c);
-    bench_renderings(&mut c);
-    c.final_summary();
+    smoke.time("annotate_one_trace", 1024, || annotate_trace(&fail));
+    smoke.time("timeline", 256, || render_timeline(&fail, &ann));
+    smoke.time("diff", 1024, || TraceDiff::compute(&fail, &pass));
 }

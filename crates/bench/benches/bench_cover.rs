@@ -5,56 +5,20 @@
 //! one sink pass), full E12 cells per second, and the `ScheduleCoverage`
 //! accumulator fold.
 
-use criterion::{black_box, Criterion};
-use mtt_bench::{quick_criterion, Smoke};
+use mtt_bench::Smoke;
 use mtt_core::causal::fingerprint_trace;
 use mtt_core::coverage::ScheduleCoverage;
 use mtt_core::experiment::saturation_eval::{
     run_fingerprint, saturation_roster, SATURATION_BASE_SEED, SATURATION_MAX_STEPS,
 };
 use mtt_core::experiment::tracegen::{self, TraceGenOptions};
+use std::hint::black_box;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("schedule_coverage");
-
-    // The E12 / campaign kernel: one seeded execution with the
-    // fingerprint sink attached — execution dominates, hashing rides along.
-    let program = mtt_core::suite::small::lost_update(2, 2);
-    let roster = saturation_roster();
-    let sticky = &roster[1]; // sticky:0.9, the bare-random rung of the ladder
-    g.bench_function("run_fingerprint_sticky", |b| {
-        let mut seed = SATURATION_BASE_SEED;
-        b.iter(|| {
-            seed += 1;
-            black_box(run_fingerprint(
-                &program.program,
-                sticky,
-                seed,
-                SATURATION_MAX_STEPS,
-            ))
-        })
-    });
-
-    // The accumulator alone, fed a synthetic Zipf-ish class stream: the
-    // `mtt status` distinct-schedules fold pays this per done record.
-    g.bench_function("schedule_coverage_observe_1k", |b| {
-        b.iter(|| {
-            let mut cov = ScheduleCoverage::default();
-            for i in 0u64..1000 {
-                cov.observe(format!("{:032x}", i * i % 97));
-            }
-            black_box(cov.good_turing_unseen_mass())
-        })
-    });
-
-    g.finish();
-}
-
-/// Smoke throughput for the observatory, written to `BENCH_cover.json`.
+/// Throughput for the observatory, written to `BENCH_cover.json`.
 /// `fingerprints_per_sec` is pure-hash throughput over an existing trace;
 /// `e12_cells_per_sec` is full fingerprinted-execution cells (8 runs each)
-/// per second.
-fn write_smoke_json() {
+/// per second. The campaign kernel and the accumulator alone follow.
+fn main() {
     let mut smoke = Smoke::new("cover");
 
     // Pure hashing: fingerprint an already-collected trace. Linear pass
@@ -75,7 +39,7 @@ fn write_smoke_json() {
     // One full E12 cell at 8 runs: the unit `run_saturation_on` shards.
     let program = mtt_core::suite::small::lost_update(2, 2);
     let roster = saturation_roster();
-    let sticky = &roster[1];
+    let sticky = &roster[1]; // sticky:0.9, the bare-random rung of the ladder
     let cell_ns = smoke.time("e12_cell_8runs", 16, || {
         let mut cov = ScheduleCoverage::default();
         for r in 0..8 {
@@ -91,12 +55,23 @@ fn write_smoke_json() {
 
     smoke.figure("fingerprints_per_sec", 1_000_000_000 / hash_ns.max(1));
     smoke.figure("e12_cells_per_sec", 1_000_000_000 / cell_ns.max(1));
-    smoke.write();
-}
 
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
-    write_smoke_json();
+    // The E12 / campaign kernel: one seeded execution with the
+    // fingerprint sink attached — execution dominates, hashing rides along.
+    let mut seed = SATURATION_BASE_SEED;
+    smoke.time("run_fingerprint_sticky", 256, || {
+        seed += 1;
+        run_fingerprint(&program.program, sticky, seed, SATURATION_MAX_STEPS)
+    });
+
+    // The accumulator alone, fed a synthetic Zipf-ish class stream: the
+    // `mtt status` distinct-schedules fold pays this per done record.
+    smoke.time("schedule_coverage_observe_1k", 16, || {
+        let mut cov = ScheduleCoverage::default();
+        for i in 0u64..1000 {
+            cov.observe(format!("{:032x}", i * i % 97));
+        }
+        cov.good_turing_unseen_mass()
+    });
+    smoke.write();
 }

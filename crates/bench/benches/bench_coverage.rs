@@ -1,61 +1,41 @@
 //! E4's overhead axis: what each coverage model costs online.
 
-use criterion::Criterion;
-use mtt_bench::{quick_criterion, workload};
+use mtt_bench::{workload, Smoke};
 use mtt_core::coverage::{ContentionCoverage, OrderedPairCoverage, SiteCoverage, SyncCoverage};
 use mtt_core::prelude::*;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("coverage_models");
+fn main() {
+    let mut smoke = Smoke::new("coverage");
     let p = workload(4, 20);
     let table = p.var_table();
 
-    g.bench_function("no_model", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .run()
-        })
+    smoke.time("no_model", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .run()
     });
-    g.bench_function("site", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(SiteCoverage::new()))
-                .run()
-        })
+    smoke.time("site", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(SiteCoverage::new()))
+            .run()
     });
-    let t2 = table.clone();
-    g.bench_function("contention", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(ContentionCoverage::new(&t2)))
-                .run()
-        })
+    smoke.time("contention", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(ContentionCoverage::new(&table)))
+            .run()
     });
-    g.bench_function("sync", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(SyncCoverage::new()))
-                .run()
-        })
+    smoke.time("sync", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(SyncCoverage::new()))
+            .run()
     });
-    let t3 = table.clone();
-    g.bench_function("ordered_pair", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(OrderedPairCoverage::new(&t3)))
-                .run()
-        })
+    smoke.time("ordered_pair", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(OrderedPairCoverage::new(&table)))
+            .run()
     });
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

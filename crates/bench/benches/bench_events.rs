@@ -5,8 +5,7 @@
 //! folds per second (the `mtt status`/`watch` read path), and the
 //! per-cell overhead a journal adds to a real campaign.
 
-use criterion::{black_box, Criterion};
-use mtt_bench::{quick_criterion, Smoke};
+use mtt_bench::Smoke;
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::experiment::jobpool::JobPool;
 use mtt_core::obs::{content_address, CellDone, JournalSink, MetricScalars, StatusSummary};
@@ -100,35 +99,11 @@ fn sample_journal(n: u64) -> String {
     String::from_utf8(buf.clone()).expect("journal is UTF-8")
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("flight_recorder");
-
-    // A real (tiny) campaign with and without a journal attached.
-    let programs = || vec![mtt_core::suite::by_name("lost_update").expect("suite has lost_update")];
-    g.bench_function("campaign_bare", |b| {
-        let pool = JobPool::serial();
-        b.iter(|| {
-            let campaign = Campaign::standard(programs(), 2);
-            black_box(campaign.run_full(&pool))
-        })
-    });
-    g.bench_function("campaign_journaled", |b| {
-        let pool = JobPool::serial();
-        b.iter(|| {
-            let mut campaign = Campaign::standard(programs(), 2);
-            campaign.journal = Some(Arc::new(JournalSink::from_writer(std::io::sink())));
-            black_box(campaign.run_full(&pool))
-        })
-    });
-
-    g.finish();
-}
-
-/// Smoke throughput for the flight recorder, written to `BENCH_events.json`.
+/// Throughput for the flight recorder, written to `BENCH_events.json`.
 /// `events_per_sec` is journal records appended per wall-clock second
 /// through the sink's mutex + flush path; `status_folds_per_sec` is
 /// `mtt status` folds of a 256-record journal per second.
-fn write_smoke_json() {
+fn main() {
     let mut smoke = Smoke::new("events");
 
     // Serialization + flush through the sink mutex, the per-cell write cost
@@ -159,12 +134,18 @@ fn write_smoke_json() {
 
     smoke.figure("events_per_sec", 1_000_000_000 / append_ns.max(1));
     smoke.figure("status_folds_per_sec", 1_000_000_000 / fold_ns.max(1));
-    smoke.write();
-}
 
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
-    write_smoke_json();
+    // A real (tiny) campaign with and without a journal attached.
+    let programs = || vec![mtt_core::suite::by_name("lost_update").expect("suite has lost_update")];
+    let pool = JobPool::serial();
+    smoke.time("campaign_bare", 16, || {
+        let campaign = Campaign::standard(programs(), 2);
+        campaign.run_full(&pool)
+    });
+    smoke.time("campaign_journaled", 16, || {
+        let mut campaign = Campaign::standard(programs(), 2);
+        campaign.journal = Some(Arc::new(JournalSink::from_writer(std::io::sink())));
+        campaign.run_full(&pool)
+    });
+    smoke.write();
 }

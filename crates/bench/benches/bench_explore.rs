@@ -1,8 +1,7 @@
 //! E6's cost axis: exploration throughput (executions/second) and the
 //! price/benefit of each reduction on a fixed schedule tree.
 
-use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::Smoke;
 use mtt_core::explore::{ExploreOptions, Explorer};
 use mtt_core::prelude::*;
 
@@ -28,13 +27,16 @@ fn racy(increments: u32) -> Program {
     b.build()
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("explore");
+fn main() {
+    let mut smoke = Smoke::new("explore");
     let p = racy(2);
 
-    let configs: Vec<(&str, ExploreOptions)> = vec![
+    // The two full searches take over half a second a call, so their loops
+    // are one call each.
+    let configs: Vec<(&str, u32, ExploreOptions)> = vec![
         (
             "dfs_exhaustive",
+            1,
             ExploreOptions {
                 branch_only_visible: false,
                 stop_on_first_bug: false,
@@ -44,6 +46,7 @@ fn bench(c: &mut Criterion) {
         ),
         (
             "dfs_por",
+            1,
             ExploreOptions {
                 branch_only_visible: true,
                 stop_on_first_bug: false,
@@ -53,6 +56,7 @@ fn bench(c: &mut Criterion) {
         ),
         (
             "dfs_por_stateful",
+            2,
             ExploreOptions {
                 branch_only_visible: true,
                 stateful: true,
@@ -63,6 +67,7 @@ fn bench(c: &mut Criterion) {
         ),
         (
             "preempt_bound_2",
+            4,
             ExploreOptions {
                 branch_only_visible: true,
                 preemption_bound: Some(2),
@@ -72,20 +77,11 @@ fn bench(c: &mut Criterion) {
             },
         ),
     ];
-    for (name, opts) in configs {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let r = Explorer::new(&p, opts.clone()).run();
-                assert!(r.exhausted);
-                r.executions
-            })
+    for (name, iters, opts) in configs {
+        smoke.time(name, iters, || {
+            let r = Explorer::new(&p, opts.clone()).run();
+            assert!(r.exhausted);
+            r.executions
         });
     }
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

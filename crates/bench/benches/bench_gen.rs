@@ -3,48 +3,14 @@
 //! bounds how large an E10 population is practical) and E10 scoreboard
 //! cells evaluated per second (one cell = one tool judging one member).
 
-use criterion::{black_box, Criterion};
-use mtt_bench::{quick_criterion, Smoke};
+use mtt_bench::Smoke;
 use mtt_core::experiment::gen_eval::{run_gen_eval_on, GenEvalOptions};
 use mtt_core::experiment::jobpool::JobPool;
 use mtt_core::gen;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gen_pipeline");
-
-    // One family end to end: pattern draw, knob draw, render, canonical
-    // parse/print round-trip, manifest-line location — for both twins.
-    g.bench_function("family", |b| {
-        let mut index = 0u64;
-        b.iter(|| {
-            index = (index + 1) % 64;
-            black_box(gen::family(42, index))
-        })
-    });
-
-    // Generation only, amortized over a realistic population.
-    g.bench_function("generate_families_8", |b| {
-        b.iter(|| {
-            black_box(gen::generate_families(&gen::GenOptions {
-                seed: 42,
-                families: 8,
-            }))
-        })
-    });
-
-    // Members straight into the runtime: the compile path E10 exercises.
-    g.bench_function("member_compile", |b| {
-        let fam = gen::family(42, 0);
-        let member = fam.buggy().next().expect("race family has a buggy member");
-        b.iter(|| black_box(member.compile()))
-    });
-
-    g.finish();
-}
-
-/// Smoke throughput for the generator, written to `BENCH_gen.json`, so CI
-/// can diff generation and E10 scoring cost.
-fn write_smoke_json() {
+/// Throughput for the generator, written to `BENCH_gen.json`, so CI can
+/// diff generation and E10 scoring cost. The generator's stages follow.
+fn main() {
     let mut smoke = Smoke::new("gen");
 
     // Programs per second: members produced per wall-clock second,
@@ -85,12 +51,26 @@ fn write_smoke_json() {
         "e10_cells_per_sec",
         cells.saturating_mul(1_000_000_000) / eval_ns.max(1),
     );
-    smoke.write();
-}
 
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
-    write_smoke_json();
+    // One family end to end: pattern draw, knob draw, render, canonical
+    // parse/print round-trip, manifest-line location — for both twins.
+    let mut index = 0u64;
+    smoke.time("family", 32, || {
+        index = (index + 1) % 64;
+        gen::family(42, index)
+    });
+
+    // Generation only, amortized over a realistic population.
+    smoke.time("generate_families_8", 4, || {
+        gen::generate_families(&gen::GenOptions {
+            seed: 42,
+            families: 8,
+        })
+    });
+
+    // Members straight into the runtime: the compile path E10 exercises.
+    let fam = gen::family(42, 0);
+    let member = fam.buggy().next().expect("race family has a buggy member");
+    smoke.time("member_compile", 256, || member.compile());
+    smoke.write();
 }

@@ -2,43 +2,29 @@
 //! sampled under each scheduler — outcome-distribution experiments run
 //! thousands of executions, so per-run cost is the budget driver.
 
-use criterion::Criterion;
-use mtt_bench::quick_criterion;
+use mtt_bench::Smoke;
 use mtt_core::prelude::*;
 use mtt_core::suite::multiout;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("multiout");
+fn main() {
+    let mut smoke = Smoke::new("multiout");
     let p = multiout::program();
 
-    g.bench_function("fifo", |b| {
-        b.iter(|| {
-            let o = Execution::new(&p).scheduler(Box::new(FifoScheduler)).run();
-            multiout::signature(&o)
-        })
+    smoke.time("fifo", 256, || {
+        let o = Execution::new(&p).scheduler(Box::new(FifoScheduler)).run();
+        multiout::signature(&o)
     });
-    g.bench_function("uniform_random", |b| {
-        b.iter(|| {
-            let o = Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(3)))
-                .run();
-            multiout::signature(&o)
-        })
+    smoke.time("uniform_random", 256, || {
+        let o = Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(3)))
+            .run();
+        multiout::signature(&o)
     });
-    g.bench_function("sticky_with_sleep_noise", |b| {
-        b.iter(|| {
-            let o = Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::sticky(3, 0.9)))
-                .noise(Box::new(RandomSleep::new(3, 0.2, 15)))
-                .run();
-            multiout::signature(&o)
-        })
+    smoke.time("sticky_with_sleep_noise", 256, || {
+        let o = Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::sticky(3, 0.9)))
+            .noise(Box::new(RandomSleep::new(3, 0.2, 15)))
+            .run();
+        multiout::signature(&o)
     });
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -4,15 +4,15 @@
 //! add on top of raw thread spawn/join? The ratio is the price E13 pays
 //! per differential cell, and the budget `mtt e13` wall-clock scales with.
 //!
-//! The `handoff_sweep` group measures the model engine's handoff as the
+//! The `handoff_sweep` points measure the model engine's handoff as the
 //! thread count grows: a context switch should cost the same at 3 threads
 //! as at 129.
 
-use criterion::{black_box, Criterion, Throughput};
-use mtt_bench::{quick_criterion, Smoke};
+use mtt_bench::Smoke;
 use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, ThreadId};
 use mtt_core::suite;
 use mtt_core::tools::ToolConfig;
+use std::hint::black_box;
 
 const MAX_STEPS: u64 = 60_000;
 
@@ -62,11 +62,9 @@ fn locked_counter(workers: u32) -> Program {
 /// a smoke result (`handoff_threads_N`, nanoseconds per run) whose loops
 /// each run seeds 1 to 32 once, so every loop makes the same switches and
 /// the printed per-switch median and quartiles are the per-run ones over
-/// the mean switches per run. That mean also sets the group's throughput,
-/// so Criterion's `thrpt` line reads as switches per second.
-fn handoff_sweep(c: &mut Criterion, smoke: &mut Smoke) {
+/// the mean switches per run.
+fn handoff_sweep(smoke: &mut Smoke) {
     let cfg = ToolConfig::from_spec_str("sticky:0.9").expect("valid spec");
-    let mut g = c.benchmark_group("handoff_sweep");
     for workers in [2, 8, 32, 128] {
         let p = locked_counter(workers);
         let threads = workers + 1;
@@ -92,16 +90,7 @@ fn handoff_sweep(c: &mut Criterion, smoke: &mut Smoke) {
             us_per_switch(q1),
             us_per_switch(q3),
         );
-        g.throughput(Throughput::Elements(switches / runs));
-        g.bench_function(format!("threads_{threads}"), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(run_program(&cfg, &p, seed))
-            })
-        });
     }
-    g.finish();
 }
 
 /// `spec` on the given backend, as E13 derives the legs of a cell.
@@ -111,31 +100,18 @@ fn tool(spec: &str, backend: RuntimeBackend) -> ToolConfig {
     spec.resolve().expect("spec resolves")
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("native_backend");
+/// Throughput written to `BENCH_native.json`, after the sweep's points, so
+/// CI can watch the model/native cost ratio: one seeded `lost_update` run
+/// on each backend, the E13 kernel. `native_sleep_run` is the same run
+/// under E13's sleep noise, whose sleeps the native clock skips while no
+/// thread can run. Last comes `thread_spawn_join_floor`: spawning and
+/// joining two fresh OS threads that do nothing. Native runs reuse pooled
+/// OS threads, so this is the cost that reuse saves, not a floor under
+/// `native_run`.
+fn main() {
+    let mut smoke = Smoke::new("native");
+    handoff_sweep(&mut smoke);
 
-    // Raw spawn/join floor: two threads doing nothing, so the delta to the
-    // smoke `native_run` is the engine's event + RaceCell pipeline.
-    g.bench_function("thread_spawn_join_floor", |b| {
-        b.iter(|| {
-            let hs: Vec<_> = (0..2)
-                .map(|i| std::thread::spawn(move || black_box(i)))
-                .collect();
-            for h in hs {
-                let _ = h.join();
-            }
-        })
-    });
-
-    g.finish();
-}
-
-/// Smoke throughput written to `BENCH_native.json`, after the sweep's
-/// points, so CI can watch the model/native cost ratio: one seeded
-/// `lost_update` run on each backend, the E13 kernel. `native_sleep_run` is
-/// the same run under E13's sleep noise, whose sleeps the native clock
-/// skips while no thread can run.
-fn write_smoke_json(mut smoke: Smoke) {
     let model = tool("sticky:0.9+name=model", RuntimeBackend::Model);
     let native = tool("sticky:0.9+name=model", RuntimeBackend::Native);
     let native_sleep = tool(
@@ -160,14 +136,13 @@ fn write_smoke_json(mut smoke: Smoke) {
     smoke.figure("model_runs_per_sec", 1_000_000_000 / model_ns.max(1));
     smoke.figure("native_runs_per_sec", 1_000_000_000 / native_ns.max(1));
     smoke.figure("native_over_model", (overhead * 100.0).round() / 100.0);
+    smoke.time("thread_spawn_join_floor", 64, || {
+        let hs: Vec<_> = (0..2)
+            .map(|i| std::thread::spawn(move || black_box(i)))
+            .collect();
+        for h in hs {
+            let _ = h.join();
+        }
+    });
     smoke.write();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    let mut smoke = Smoke::new("native");
-    bench(&mut c);
-    handoff_sweep(&mut c, &mut smoke);
-    c.final_summary();
-    write_smoke_json(smoke);
 }

@@ -5,13 +5,12 @@
 //! registry, so the benched configurations are exactly the ones a
 //! `--tools` flag can name.
 
-use criterion::Criterion;
-use mtt_bench::{quick_criterion, workload};
+use mtt_bench::{workload, Smoke};
 use mtt_core::prelude::*;
 use mtt_core::tools::ToolConfig;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("noise_overhead");
+fn main() {
+    let mut smoke = Smoke::new("noise");
     let p = workload(4, 20);
 
     let heuristics = [
@@ -22,30 +21,16 @@ fn bench(c: &mut Criterion) {
         "sticky:0.9+noise=halt+name=halt",
         "sticky:0.9+noise=coverage+name=coverage",
     ];
-    for spec in heuristics {
-        let cfg = ToolConfig::from_spec_str(spec).expect("bench specs are valid");
-        g.bench_function(&cfg.name, |b| {
-            b.iter(|| cfg.configure(Execution::new(&p), 1, u64::MAX).run())
-        });
-    }
-
     // Placement: the same heuristic consulted at fewer points.
     let placements = [
         "sticky:0.9+noise=sleep:0.2:20+place=everywhere+name=placed-everywhere",
         "sticky:0.9+noise=sleep:0.2:20+place=sync+name=placed-sync-only",
         "sticky:0.9+noise=sleep:0.2:20+place=vars+name=placed-var-access",
     ];
-    for spec in placements {
+    for spec in heuristics.into_iter().chain(placements) {
         let cfg = ToolConfig::from_spec_str(spec).expect("bench specs are valid");
-        g.bench_function(&cfg.name, |b| {
-            b.iter(|| cfg.configure(Execution::new(&p), 1, u64::MAX).run())
+        smoke.time(&cfg.name, 32, || {
+            cfg.configure(Execution::new(&p), 1, u64::MAX).run()
         });
     }
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -2,8 +2,7 @@
 //! "on-line race detection techniques compete in the performance overhead
 //! they produce".
 
-use criterion::{Criterion, Throughput};
-use mtt_bench::quick_criterion;
+use mtt_bench::Smoke;
 use mtt_core::instrument::{Event, EventSink, Loc, LockId, Op, ThreadId, VarId};
 use mtt_core::prelude::*;
 use std::sync::Arc;
@@ -56,47 +55,45 @@ fn synthetic_stream(n: usize, threads: u32, vars: u32) -> Vec<Event> {
     out
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("race_detectors");
-    let stream = synthetic_stream(20_000, 8, 32);
-    g.throughput(Throughput::Elements(stream.len() as u64));
+/// Events in each timed stream.
+const EVENTS: usize = 20_000;
 
-    g.bench_function("eraser_20k_events", |b| {
-        b.iter(|| {
-            let mut d = EraserLockset::new();
-            for ev in &stream {
-                d.on_event(ev);
-            }
-            d.finish();
-            d.warning_count()
-        })
-    });
-    g.bench_function("vector_clock_20k_events", |b| {
-        b.iter(|| {
-            let mut d = VectorClockDetector::new();
-            for ev in &stream {
-                d.on_event(ev);
-            }
-            d.finish();
-            d.warning_count()
-        })
-    });
-    // The FastTrack fast path: single-thread stream, almost all same-epoch.
-    let local = synthetic_stream(20_000, 1, 4);
-    g.bench_function("vector_clock_fastpath_20k", |b| {
-        b.iter(|| {
-            let mut d = VectorClockDetector::new();
-            for ev in &local {
-                d.on_event(ev);
-            }
-            d.fast_path_hits
-        })
-    });
-    g.finish();
+/// Time `f`, one detector pass over an `EVENTS`-event stream, and print
+/// the events it handles per second at the median.
+fn time_stream<R>(smoke: &mut Smoke, name: &str, f: impl FnMut() -> R) {
+    let ns = smoke.time(name, 16, f);
+    println!(
+        "{name}: {:.0} events/s",
+        EVENTS as f64 * 1e9 / ns.max(1) as f64
+    );
 }
 
 fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
+    let mut smoke = Smoke::new("race");
+    let stream = synthetic_stream(EVENTS, 8, 32);
+    time_stream(&mut smoke, "eraser_20k_events", || {
+        let mut d = EraserLockset::new();
+        for ev in &stream {
+            d.on_event(ev);
+        }
+        d.finish();
+        d.warning_count()
+    });
+    time_stream(&mut smoke, "vector_clock_20k_events", || {
+        let mut d = VectorClockDetector::new();
+        for ev in &stream {
+            d.on_event(ev);
+        }
+        d.finish();
+        d.warning_count()
+    });
+    // The FastTrack fast path: single-thread stream, almost all same-epoch.
+    let local = synthetic_stream(EVENTS, 1, 4);
+    time_stream(&mut smoke, "vector_clock_fastpath_20k", || {
+        let mut d = VectorClockDetector::new();
+        for ev in &local {
+            d.on_event(ev);
+        }
+        d.fast_path_hits
+    });
 }

@@ -1,31 +1,26 @@
 //! E3's overhead axis: the record-phase cost — "the latter is significant
 //! in the record phase overhead, and not so much in the replay phase".
 
-use criterion::Criterion;
-use mtt_bench::{quick_criterion, workload};
+use mtt_bench::{workload, Smoke};
 use mtt_core::prelude::*;
 use mtt_core::runtime::NoNoise;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("replay");
+fn main() {
+    let mut smoke = Smoke::new("replay");
     let p = workload(4, 20);
 
-    g.bench_function("bare", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .run()
-        })
+    smoke.time("bare", 32, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .run()
     });
-    g.bench_function("recording", |b| {
-        b.iter(|| {
-            let (sched, noise, handle) = record(p.name(), 1, RandomScheduler::new(1), NoNoise);
-            let o = Execution::new(&p)
-                .scheduler(Box::new(sched))
-                .noise(Box::new(noise))
-                .run();
-            (o.fingerprint(), handle.take_log().decisions.len())
-        })
+    smoke.time("recording", 32, || {
+        let (sched, noise, handle) = record(p.name(), 1, RandomScheduler::new(1), NoNoise);
+        let o = Execution::new(&p)
+            .scheduler(Box::new(sched))
+            .noise(Box::new(noise))
+            .run();
+        (o.fingerprint(), handle.take_log().decisions.len())
     });
     // Playback cost (the phase the paper says matters less).
     let (sched, noise, handle) = record(p.name(), 1, RandomScheduler::new(1), NoNoise);
@@ -34,17 +29,8 @@ fn bench(c: &mut Criterion) {
         .noise(Box::new(noise))
         .run();
     let log = handle.take_log();
-    g.bench_function("playback", |b| {
-        b.iter(|| {
-            let pb = PlaybackScheduler::new(log.clone(), DivergencePolicy::Strict);
-            Execution::new(&p).scheduler(Box::new(pb)).run()
-        })
+    smoke.time("playback", 32, || {
+        let pb = PlaybackScheduler::new(log.clone(), DivergencePolicy::Strict);
+        Execution::new(&p).scheduler(Box::new(pb)).run()
     });
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

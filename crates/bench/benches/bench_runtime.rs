@@ -2,54 +2,38 @@
 //! runtime, with and without sinks attached — the denominator every other
 //! overhead number is read against.
 
-use criterion::Criterion;
-use mtt_bench::{quick_criterion, workload};
+use mtt_bench::{workload, Smoke};
 use mtt_core::instrument::{CountingSink, NullSink};
 use mtt_core::prelude::*;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("runtime");
+fn main() {
+    let mut smoke = Smoke::new("runtime");
 
     let p = workload(4, 25);
-    g.bench_function("bare_execution_4x25", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .run()
-        })
+    smoke.time("bare_execution_4x25", 16, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .run()
     });
-    g.bench_function("null_sink_4x25", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(NullSink))
-                .run()
-        })
+    smoke.time("null_sink_4x25", 16, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(NullSink))
+            .run()
     });
-    g.bench_function("counting_sink_4x25", |b| {
-        b.iter(|| {
-            Execution::new(&p)
-                .scheduler(Box::new(RandomScheduler::new(1)))
-                .sink(Box::new(CountingSink::new()))
-                .run()
-        })
+    smoke.time("counting_sink_4x25", 16, || {
+        Execution::new(&p)
+            .scheduler(Box::new(RandomScheduler::new(1)))
+            .sink(Box::new(CountingSink::new()))
+            .run()
     });
     // Scaling in thread count.
-    for threads in [2u32, 8, 16] {
+    for (threads, iters) in [(2u32, 128), (8, 16), (16, 4)] {
         let p = workload(threads, 10);
-        g.bench_function(format!("threads_{threads}x10"), |b| {
-            b.iter(|| {
-                Execution::new(&p)
-                    .scheduler(Box::new(RandomScheduler::new(1)))
-                    .run()
-            })
+        smoke.time(&format!("threads_{threads}x10"), iters, || {
+            Execution::new(&p)
+                .scheduler(Box::new(RandomScheduler::new(1)))
+                .run()
         });
     }
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

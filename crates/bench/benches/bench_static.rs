@@ -1,10 +1,11 @@
 //! E7's cost axis: the static pipeline (parse → analyze → compile) and the
 //! event-stream saving that advised instrumentation buys at run time.
 
-use criterion::Criterion;
-use mtt_bench::{quick_criterion, Smoke};
+use mtt_bench::Smoke;
 use mtt_core::instrument::{InstrumentationPlan, NullSink};
 use mtt_core::prelude::*;
+use mtt_core::statik::cfg::build_cfg;
+use mtt_core::statik::dataflow::{held_locks, solve, ReachingDefs};
 use mtt_core::statik::{analyze, compile, parse, samples};
 
 /// A deep synthetic thread body for the dataflow solver: nested loops and
@@ -22,58 +23,13 @@ fn solver_workout_src(depth: usize) -> String {
     )
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("static_pipeline");
-
-    let ast = parse(samples::ABBA).unwrap();
-    g.bench_function("compile", |b| b.iter(|| compile(&ast)));
-
-    // The worklist engine itself, isolated from the rest of the pipeline.
-    {
-        use mtt_core::statik::cfg::build_cfg;
-        use mtt_core::statik::dataflow::{held_locks, solve, ReachingDefs};
-        let workout = parse(&solver_workout_src(8)).unwrap();
-        let cfg = build_cfg(&workout.threads[0]);
-        g.bench_function("dataflow_locks_must", |b| b.iter(|| held_locks(&cfg, true)));
-        g.bench_function("dataflow_reaching_defs", |b| {
-            b.iter(|| solve(&cfg, &ReachingDefs))
-        });
-        g.bench_function("analyze_with_diagnostics_workout", |b| {
-            b.iter(|| analyze(&workout))
-        });
-    }
-
-    let analysis = analyze(&ast);
-    let program = compile(&ast);
-    g.bench_function("run_full_instrumentation", |b| {
-        b.iter(|| {
-            Execution::new(&program)
-                .scheduler(Box::new(RandomScheduler::new(2)))
-                .plan(InstrumentationPlan::full())
-                .sink(Box::new(NullSink))
-                .max_steps(20_000)
-                .run()
-        })
-    });
-    let advised = InstrumentationPlan::advised(analysis.info.clone());
-    g.bench_function("run_advised_instrumentation", |b| {
-        b.iter(|| {
-            Execution::new(&program)
-                .scheduler(Box::new(RandomScheduler::new(2)))
-                .plan(advised.clone())
-                .sink(Box::new(NullSink))
-                .max_steps(20_000)
-                .run()
-        })
-    });
-    g.finish();
-}
-
-/// Smoke timings for the static pipeline, written to `BENCH_static.json`,
-/// so CI can diff the static-analysis cost. The lock-order-graph and
+/// Timings for the static pipeline, written to `BENCH_static.json`, so CI
+/// can diff the static-analysis cost. The lock-order-graph and
 /// independence passes run on their richest inputs: the 3-thread cycle
-/// (L006) and the lost-notify sample (L007).
-fn write_smoke_json() {
+/// (L006) and the lost-notify sample (L007). Compiling, the dataflow
+/// solver alone, and the event-stream saving that advised instrumentation
+/// buys at run time follow.
+fn main() {
     let mut smoke = Smoke::new("static");
     smoke.time("parse_abba", 256, || parse(samples::ABBA).unwrap());
     for (name, src) in [
@@ -85,12 +41,35 @@ fn write_smoke_json() {
         let ast = parse(src).unwrap();
         smoke.time(name, 256, || analyze(&ast));
     }
-    smoke.write();
-}
 
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
-    write_smoke_json();
+    let ast = parse(samples::ABBA).unwrap();
+    smoke.time("compile", 1024, || compile(&ast));
+
+    // The worklist engine itself, isolated from the rest of the pipeline.
+    let workout = parse(&solver_workout_src(8)).unwrap();
+    let cfg = build_cfg(&workout.threads[0]);
+    smoke.time("dataflow_locks_must", 64, || held_locks(&cfg, true));
+    smoke.time("dataflow_reaching_defs", 32, || solve(&cfg, &ReachingDefs));
+    smoke.time("analyze_with_diagnostics_workout", 4, || analyze(&workout));
+
+    let analysis = analyze(&ast);
+    let program = compile(&ast);
+    smoke.time("run_full_instrumentation", 64, || {
+        Execution::new(&program)
+            .scheduler(Box::new(RandomScheduler::new(2)))
+            .plan(InstrumentationPlan::full())
+            .sink(Box::new(NullSink))
+            .max_steps(20_000)
+            .run()
+    });
+    let advised = InstrumentationPlan::advised(analysis.info.clone());
+    smoke.time("run_advised_instrumentation", 64, || {
+        Execution::new(&program)
+            .scheduler(Box::new(RandomScheduler::new(2)))
+            .plan(advised.clone())
+            .sink(Box::new(NullSink))
+            .max_steps(20_000)
+            .run()
+    });
+    smoke.write();
 }

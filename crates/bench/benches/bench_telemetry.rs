@@ -6,26 +6,18 @@
 //! every run and harvests per-run metrics, which is the honest price of a
 //! profile pass.
 
-use criterion::Criterion;
-use mtt_bench::{e1_slice, quick_criterion};
+use mtt_bench::{e1_slice, Smoke};
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::experiment::jobpool::JobPool;
 
-fn bench_campaign_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry_overhead");
+fn main() {
+    let mut smoke = Smoke::new("telemetry");
     let pool = JobPool::serial();
     let off = e1_slice(5);
-    g.bench_function("e1_100runs_telemetry_off", |b| b.iter(|| off.run_on(&pool)));
+    smoke.time("e1_100runs_telemetry_off", 8, || off.run_on(&pool));
     let on = Campaign {
         telemetry: true,
         ..e1_slice(5)
     };
-    g.bench_function("e1_100runs_telemetry_on", |b| b.iter(|| on.run_full(&pool)));
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench_campaign_overhead(&mut c);
-    c.final_summary();
+    smoke.time("e1_100runs_telemetry_on", 8, || on.run_full(&pool));
 }

@@ -2,8 +2,7 @@
 //! for both codecs — "techniques compete in reducing and compressing the
 //! information needed".
 
-use criterion::{Criterion, Throughput};
-use mtt_bench::{quick_criterion, workload};
+use mtt_bench::{workload, Smoke};
 use mtt_core::instrument::shared;
 use mtt_core::prelude::*;
 use mtt_core::trace::{binary, json, Trace};
@@ -19,14 +18,27 @@ fn capture_trace() -> Trace {
     std::mem::take(&mut guard.trace)
 }
 
-fn bench(c: &mut Criterion) {
-    let trace = capture_trace();
-    let records = trace.len() as u64;
-    let mut g = c.benchmark_group("trace_codec");
-    g.throughput(Throughput::Elements(records));
+/// Time `f`, one pass over a trace of `records` records, and print the
+/// records it handles per second at the median.
+fn time_codec<R>(smoke: &mut Smoke, name: &str, iters: u32, records: usize, f: impl FnMut() -> R) {
+    let ns = smoke.time(name, iters, f);
+    println!(
+        "{name}: {:.0} records/s",
+        records as f64 * 1e9 / ns.max(1) as f64
+    );
+}
 
-    g.bench_function("json_encode", |b| b.iter(|| json::to_string(&trace).len()));
-    g.bench_function("binary_encode", |b| b.iter(|| binary::encode(&trace).len()));
+fn main() {
+    let mut smoke = Smoke::new("trace");
+    let trace = capture_trace();
+    let records = trace.len();
+
+    time_codec(&mut smoke, "json_encode", 8, records, || {
+        json::to_string(&trace).len()
+    });
+    time_codec(&mut smoke, "binary_encode", 32, records, || {
+        binary::encode(&trace).len()
+    });
 
     let j = json::to_string(&trace);
     let bin = binary::encode(&trace);
@@ -37,25 +49,16 @@ fn bench(c: &mut Criterion) {
         bin.len(),
         j.len() as f64 / bin.len() as f64
     );
-    g.bench_function("json_decode", |b| {
-        b.iter(|| json::from_str(&j).unwrap().len())
+    time_codec(&mut smoke, "json_decode", 2, records, || {
+        json::from_str(&j).unwrap().len()
     });
-    g.bench_function("binary_decode", |b| {
-        b.iter(|| binary::decode(&bin).unwrap().len())
+    time_codec(&mut smoke, "binary_decode", 16, records, || {
+        binary::decode(&bin).unwrap().len()
     });
     // Offline feeding throughput (trace -> detector).
-    g.bench_function("feed_vector_clock", |b| {
-        b.iter(|| {
-            let mut d = VectorClockDetector::new();
-            trace.feed(&mut d);
-            d.warning_count()
-        })
+    time_codec(&mut smoke, "feed_vector_clock", 16, records, || {
+        let mut d = VectorClockDetector::new();
+        trace.feed(&mut d);
+        d.warning_count()
     });
-    g.finish();
-}
-
-fn main() {
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,21 +1,12 @@
-//! Shared helpers for the mtt benchmark harness: fast Criterion
-//! settings (the benches exist to expose *relative* overheads, not
-//! publication-grade absolute timings), the standard workloads, and
-//! [`Smoke`], the one writer of the `BENCH_*.json` smoke files.
+//! Shared helpers for the mtt benchmark harness: the standard workloads
+//! and [`Smoke`], the one timing loop every bench target's results come
+//! from and the one writer of the `BENCH_*.json` smoke files.
 
-use criterion::{black_box, Criterion};
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::prelude::*;
 use mtt_json::{Json, ToJson};
+use std::hint::black_box;
 use std::time::Instant;
-
-/// Criterion tuned for quick runs: the full harness must finish in minutes.
-pub fn quick_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(200))
-        .configure_from_args()
-}
 
 /// The standard bench workload: `threads` workers, each doing `work`
 /// lock-protected increments and `work` racy increments.
@@ -66,11 +57,12 @@ const SMOKE_LOOPS: usize = 13;
 /// Calls of a timed closure before its first loop.
 const WARM_UP_CALLS: u32 = 4;
 
-/// The smoke figures of one `BENCH_<name>.json` at the repository root,
-/// which CI reads without parsing Criterion's output. Every file has one
-/// shape: `schema` (`mtt-bench-<name>`), `version`, `loops`, the bench's
-/// headline figures in the order they were added, and `results`, one entry
-/// per timed closure with its median and quartile nanoseconds per call.
+/// The timed results of one bench target, each printed as it is timed.
+/// Five targets also write them to `BENCH_<name>.json` at the repository
+/// root, which CI reads. Every file has one shape: `schema`
+/// (`mtt-bench-<name>`), `version`, `loops`, the bench's headline figures
+/// in the order they were added, and `results`, one entry per timed
+/// closure with its median and quartile nanoseconds per call.
 pub struct Smoke {
     name: &'static str,
     figures: Vec<(String, Json)>,
@@ -78,7 +70,7 @@ pub struct Smoke {
 }
 
 impl Smoke {
-    /// An empty file named `BENCH_<name>.json`.
+    /// No results yet; [`Self::write`] names the file `BENCH_<name>.json`.
     pub fn new(name: &'static str) -> Self {
         Smoke {
             name,

@@ -386,10 +386,9 @@ impl Campaign {
                 exec = exec.wall_budget(budget);
             }
         }
-        let mut sinks = mtt_instrument::Tee::new();
         let telemetry = if self.telemetry {
             let (half, handle) = mtt_instrument::shared(TelemetrySink::new());
-            sinks.push(Box::new(half));
+            exec = exec.sink(Box::new(half));
             Some(handle)
         } else {
             None
@@ -399,14 +398,11 @@ impl Campaign {
         // telemetry, no journal) keeps paying nothing for the event layer.
         let fingerprinter = if self.telemetry || self.journal.is_some() {
             let (half, handle) = mtt_instrument::shared(mtt_causal::Fingerprinter::default());
-            sinks.push(Box::new(half));
+            exec = exec.sink(Box::new(half));
             Some(handle)
         } else {
             None
         };
-        if !sinks.is_empty() {
-            exec = exec.sink(Box::new(sinks));
-        }
         let outcome = exec.run();
         let verdict = prog.judge(&outcome);
         let elapsed = started.elapsed();

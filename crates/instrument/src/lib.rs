@@ -23,8 +23,9 @@
 //!   static analyzer ... this can be used to decide on a subset of the
 //!   points to be instrumented").
 //! * [`EventSink`] — the callback interface every dynamic tool implements.
-//!   Sinks compose ([`Tee`]), count ([`CountingSink`]), buffer
-//!   ([`VecSink`], [`RingSink`]) and can be filtered ([`FilteredSink`]).
+//!   Sinks count ([`CountingSink`]), buffer ([`VecSink`], [`RingSink`]) and
+//!   can be filtered ([`FilteredSink`]); an execution delivers each event
+//!   to every sink attached to it, in attachment order.
 //!
 //! The crate is dependency-light on purpose: tools written against it do not
 //! need the runtime, and offline tools can replay serialized traces through
@@ -41,6 +42,6 @@ pub use event::{
 };
 pub use plan::{InstrumentationPlan, OpClassSet, ResolvedFilter, Select, VarTable};
 pub use sink::{
-    shared, CountingSink, EventSink, FilteredSink, NullSink, RingSink, Shared, Tee, VecSink,
+    shared, CountingSink, EventSink, FilteredSink, NullSink, RingSink, Shared, VecSink,
 };
 pub use statics::{SiteFacts, StaticInfo, VarFacts};

@@ -42,54 +42,6 @@ impl EventSink for NullSink {
     fn on_event(&mut self, _ev: &Event) {}
 }
 
-/// Fan-out: deliver each event to every inner sink, in order.
-#[derive(Default)]
-pub struct Tee {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl Tee {
-    /// Empty tee.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sink; builder style.
-    pub fn with(mut self, sink: Box<dyn EventSink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Add a sink.
-    pub fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True when no sink is attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for Tee {
-    fn on_event(&mut self, ev: &Event) {
-        for s in &mut self.sinks {
-            s.on_event(ev);
-        }
-    }
-
-    fn finish(&mut self) {
-        for s in &mut self.sinks {
-            s.finish();
-        }
-    }
-}
-
 /// Apply a [`ResolvedFilter`] in front of an inner sink. Used by offline
 /// tools to subject stored traces to the same plan the online tools use.
 pub struct FilteredSink<S> {
@@ -293,32 +245,6 @@ mod tests {
         assert_eq!(c.class_count(OpClass::Lock), 2);
         assert_eq!(c.class_count(OpClass::Delay), 1);
         assert!(c.is_finished());
-    }
-
-    #[test]
-    fn tee_fans_out_in_order() {
-        let mut tee = Tee::new()
-            .with(Box::new(CountingSink::new()))
-            .with(Box::new(VecSink::new()));
-        assert_eq!(tee.len(), 2);
-        tee.on_event(&mk_event(0, Op::Yield));
-        tee.finish();
-        // Indirect check via a closure sink capturing order.
-        let mut order = Vec::new();
-        let mut tee2 = Tee::new();
-        // Safety of the test: both closures capture disjoint clones.
-        let o1 = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let o2 = o1.clone();
-        tee2.push(Box::new(move |e: &Event| {
-            o1.lock().unwrap().push(("a", e.seq))
-        }));
-        tee2.push(Box::new(move |e: &Event| {
-            o2.lock().unwrap().push(("b", e.seq))
-        }));
-        tee2.on_event(&mk_event(5, Op::Yield));
-        tee2.finish();
-        order.push(0); // silence unused in non-poisoned path
-        let _ = order;
     }
 
     #[test]

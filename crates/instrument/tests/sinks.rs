@@ -1,13 +1,14 @@
 //! Sink-composition behavior through the public API only: the flight
-//! recorder's wraparound, Tee's delivery contract, and a counting sink
-//! nested under a plan filter — the compositions the experiment harness
-//! and the telemetry layer rely on.
+//! recorder's wraparound and a counting sink nested under a plan filter —
+//! the compositions the experiment harness and the telemetry layer rely
+//! on. The delivery order across several sinks is `Execution`'s contract,
+//! tested in `mtt-runtime`.
 
 use mtt_instrument::{
     CountingSink, Event, EventSink, FilteredSink, InstrumentationPlan, Loc, LockId, Op, OpClass,
-    OpClassSet, RingSink, Tee, ThreadId, VarId, VarTable,
+    OpClassSet, RingSink, ThreadId, VarId, VarTable,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn ev(seq: u64, op: Op) -> Event {
     Event {
@@ -46,63 +47,6 @@ fn ring_sink_wraps_exactly_at_capacity() {
     assert_eq!(
         r.events().map(|e| e.seq).collect::<Vec<_>>(),
         [19, 20, 21, 22]
-    );
-}
-
-/// Records every call it receives into a shared log, tagged with a name,
-/// so a test can assert cross-sink ordering.
-struct LogSink {
-    name: &'static str,
-    log: Arc<Mutex<Vec<String>>>,
-}
-
-impl EventSink for LogSink {
-    fn on_event(&mut self, ev: &Event) {
-        self.log
-            .lock()
-            .unwrap()
-            .push(format!("{}:event:{}", self.name, ev.seq));
-    }
-
-    fn finish(&mut self) {
-        self.log
-            .lock()
-            .unwrap()
-            .push(format!("{}:finish", self.name));
-    }
-}
-
-#[test]
-fn tee_delivers_each_event_to_every_sink_in_attachment_order() {
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let mut tee = Tee::new();
-    for name in ["a", "b", "c"] {
-        tee.push(Box::new(LogSink {
-            name,
-            log: Arc::clone(&log),
-        }));
-    }
-
-    tee.on_event(&ev(0, Op::Yield));
-    tee.on_event(&ev(1, Op::Yield));
-    tee.finish();
-
-    // Per-event fan-out completes (a, b, c) before the next event starts,
-    // and finish propagates to every sink in the same order.
-    let got = log.lock().unwrap().clone();
-    assert_eq!(
-        got,
-        [
-            "a:event:0",
-            "b:event:0",
-            "c:event:0", //
-            "a:event:1",
-            "b:event:1",
-            "c:event:1", //
-            "a:finish",
-            "b:finish",
-            "c:finish",
-        ]
     );
 }
 

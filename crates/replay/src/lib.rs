@@ -422,7 +422,6 @@ impl NoiseMaker for PlaybackNoise {
 mod tests {
     use super::*;
     use mtt_instrument::{Loc, Op};
-    use mtt_runtime::ThreadStatusView;
 
     fn mk_event(seq: u64, thread: u32) -> Event {
         Event {
@@ -526,14 +525,12 @@ mod tests {
         let mut s = PlaybackScheduler::new(log, DivergencePolicy::Strict);
         let handle = s.report_handle();
         let runnable = [ThreadId(0), ThreadId(1)];
-        let statuses = [ThreadStatusView::Ready; 2];
         let view = SchedView {
             runnable: &runnable,
             prev: Some(ThreadId(1)),
             forced_yield: false,
             step: 0,
             time: 0,
-            statuses: &statuses,
             last_event: None,
         };
         assert_eq!(s.pick(&view), ThreadId(1), "degrades to FIFO");
@@ -563,14 +560,12 @@ mod tests {
         let mut s = PlaybackScheduler::new(log, DivergencePolicy::Strict);
         let handle = s.report_handle();
         let runnable = [ThreadId(0), ThreadId(1)];
-        let statuses = [ThreadStatusView::Ready; 2];
         let mk_view = || SchedView {
             runnable: &runnable,
             prev: None,
             forced_yield: false,
             step: 0,
             time: 0,
-            statuses: &statuses,
             last_event: None,
         };
         assert_eq!(s.pick(&mk_view()), ThreadId(1));

@@ -79,7 +79,7 @@ use crate::native::{NativeMem, DEFAULT_NATIVE_BUDGET};
 use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
 use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
 use crate::program::Program;
-use crate::scheduler::{FifoScheduler, SchedView, Scheduler, ThreadStatusView};
+use crate::scheduler::{FifoScheduler, SchedView, Scheduler};
 use crate::state::{ModelState, Settled, Status, ThreadState};
 use mtt_instrument::{
     Event, EventSink, InstrumentationPlan, Loc, Op, ResolvedFilter, ThreadId, VarId,
@@ -206,7 +206,6 @@ pub(crate) struct Book {
     /// synthetic failures appended to the outcome are deterministic.
     pub torn: BTreeMap<u32, (ThreadId, Loc)>,
     scratch_runnable: Vec<ThreadId>,
-    scratch_statuses: Vec<ThreadStatusView>,
     /// RNG driving spurious wakeups (None when the feature is off).
     spurious_rng: Option<rand_chacha::ChaCha8Rng>,
 }
@@ -399,22 +398,12 @@ impl Book {
                 }
             }
         }
-        self.scratch_statuses.clear();
-        for t in &self.model.threads {
-            self.scratch_statuses.push(match t.status {
-                Status::Ready | Status::Running => ThreadStatusView::Ready,
-                Status::Blocked(_) => ThreadStatusView::Blocked,
-                Status::Sleeping(_) => ThreadStatusView::Sleeping,
-                Status::Finished => ThreadStatusView::Finished,
-            });
-        }
         let view = SchedView {
             runnable: &self.scratch_runnable,
             prev,
             forced_yield,
             step: self.stats.sched_points,
             time: self.model.time,
-            statuses: &self.scratch_statuses,
             last_event: self.last_event.as_ref(),
         };
         let mut pick = self.scheduler.pick(&view);
@@ -1015,7 +1004,6 @@ impl<'p> Execution<'p> {
             assert_failures: Vec::new(),
             torn: BTreeMap::new(),
             scratch_runnable: Vec::new(),
-            scratch_statuses: Vec::new(),
             spurious_rng: self.opts.spurious_wakeups.map(|_| {
                 use rand::SeedableRng;
                 rand_chacha::ChaCha8Rng::seed_from_u64(

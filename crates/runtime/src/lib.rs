@@ -78,7 +78,6 @@ pub use outcome::{AssertFailure, DeadlockInfo, ExecStats, Outcome, OutcomeKind, 
 pub use program::{Program, ProgramBuilder};
 pub use scheduler::{
     FifoScheduler, PctScheduler, RandomScheduler, RoundRobinScheduler, SchedView, Scheduler,
-    ThreadStatusView,
 };
 
 // Re-export the instrumentation vocabulary so program authors depend on one

@@ -9,19 +9,6 @@ use mtt_instrument::{Event, ThreadId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// A lightweight per-thread status snapshot exposed to schedulers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ThreadStatusView {
-    /// Can be scheduled.
-    Ready,
-    /// Blocked on a lock, condition, semaphore, barrier or join.
-    Blocked,
-    /// Asleep until some virtual time.
-    Sleeping,
-    /// Terminated.
-    Finished,
-}
-
 /// Everything a scheduler may inspect at one scheduling point.
 #[derive(Debug)]
 pub struct SchedView<'a> {
@@ -39,8 +26,6 @@ pub struct SchedView<'a> {
     pub step: u64,
     /// Current virtual time.
     pub time: u64,
-    /// Status of every thread created so far, indexed by `ThreadId`.
-    pub statuses: &'a [ThreadStatusView],
     /// The event that triggered this point (None for the initial pick).
     pub last_event: Option<&'a Event>,
 }
@@ -301,19 +286,13 @@ impl Scheduler for PctScheduler {
 mod tests {
     use super::*;
 
-    fn view<'a>(
-        runnable: &'a [ThreadId],
-        prev: Option<ThreadId>,
-        forced_yield: bool,
-        statuses: &'a [ThreadStatusView],
-    ) -> SchedView<'a> {
+    fn view(runnable: &[ThreadId], prev: Option<ThreadId>, forced_yield: bool) -> SchedView<'_> {
         SchedView {
             runnable,
             prev,
             forced_yield,
             step: 0,
             time: 0,
-            statuses,
             last_event: None,
         }
     }
@@ -321,11 +300,10 @@ mod tests {
     #[test]
     fn random_uniform_covers_all_choices() {
         let runnable = [ThreadId(0), ThreadId(1), ThreadId(2)];
-        let statuses = [ThreadStatusView::Ready; 3];
         let mut s = RandomScheduler::new(42);
         let mut seen = [false; 3];
         for _ in 0..200 {
-            let t = s.pick(&view(&runnable, Some(ThreadId(0)), false, &statuses));
+            let t = s.pick(&view(&runnable, Some(ThreadId(0)), false));
             seen[t.index()] = true;
         }
         assert_eq!(seen, [true; 3]);
@@ -334,11 +312,10 @@ mod tests {
     #[test]
     fn random_is_deterministic_per_seed() {
         let runnable = [ThreadId(0), ThreadId(1), ThreadId(2), ThreadId(3)];
-        let statuses = [ThreadStatusView::Ready; 4];
         let picks = |seed| {
             let mut s = RandomScheduler::new(seed);
             (0..50)
-                .map(|_| s.pick(&view(&runnable, Some(ThreadId(1)), false, &statuses)))
+                .map(|_| s.pick(&view(&runnable, Some(ThreadId(1)), false)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(picks(7), picks(7));
@@ -348,12 +325,9 @@ mod tests {
     #[test]
     fn sticky_scheduler_mostly_keeps_prev() {
         let runnable = [ThreadId(0), ThreadId(1)];
-        let statuses = [ThreadStatusView::Ready; 2];
         let mut s = RandomScheduler::sticky(1, 0.95);
         let kept = (0..1000)
-            .filter(|_| {
-                s.pick(&view(&runnable, Some(ThreadId(1)), false, &statuses)) == ThreadId(1)
-            })
+            .filter(|_| s.pick(&view(&runnable, Some(ThreadId(1)), false)) == ThreadId(1))
             .count();
         assert!(kept > 900, "kept prev only {kept}/1000 times");
     }
@@ -361,10 +335,9 @@ mod tests {
     #[test]
     fn sticky_respects_forced_yield() {
         let runnable = [ThreadId(0), ThreadId(1)];
-        let statuses = [ThreadStatusView::Ready; 2];
         let mut s = RandomScheduler::sticky(1, 1.0);
         for _ in 0..50 {
-            let t = s.pick(&view(&runnable, Some(ThreadId(1)), true, &statuses));
+            let t = s.pick(&view(&runnable, Some(ThreadId(1)), true));
             assert_eq!(t, ThreadId(0), "forced yield must avoid prev");
         }
     }
@@ -377,39 +350,34 @@ mod tests {
 
     #[test]
     fn fifo_keeps_prev_until_blocked() {
-        let statuses = [ThreadStatusView::Ready; 3];
         let mut s = FifoScheduler;
         let runnable = [ThreadId(0), ThreadId(1), ThreadId(2)];
         assert_eq!(
-            s.pick(&view(&runnable, Some(ThreadId(2)), false, &statuses)),
+            s.pick(&view(&runnable, Some(ThreadId(2)), false)),
             ThreadId(2)
         );
         // prev not runnable -> lowest id
         let runnable2 = [ThreadId(0), ThreadId(1)];
         assert_eq!(
-            s.pick(&view(&runnable2, Some(ThreadId(2)), false, &statuses)),
+            s.pick(&view(&runnable2, Some(ThreadId(2)), false)),
             ThreadId(0)
         );
         // forced yield -> first other
         assert_eq!(
-            s.pick(&view(&runnable2, Some(ThreadId(0)), true, &statuses)),
+            s.pick(&view(&runnable2, Some(ThreadId(0)), true)),
             ThreadId(1)
         );
         // forced yield but alone -> prev anyway
         let solo = [ThreadId(0)];
-        assert_eq!(
-            s.pick(&view(&solo, Some(ThreadId(0)), true, &statuses)),
-            ThreadId(0)
-        );
+        assert_eq!(s.pick(&view(&solo, Some(ThreadId(0)), true)), ThreadId(0));
     }
 
     #[test]
     fn round_robin_rotates() {
-        let statuses = [ThreadStatusView::Ready; 3];
         let runnable = [ThreadId(0), ThreadId(1), ThreadId(2)];
         let mut s = RoundRobinScheduler::new();
         let seq: Vec<u32> = (0..6)
-            .map(|_| s.pick(&view(&runnable, None, false, &statuses)).0)
+            .map(|_| s.pick(&view(&runnable, None, false)).0)
             .collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -417,14 +385,10 @@ mod tests {
     #[test]
     fn pct_is_deterministic_and_priority_driven() {
         let runnable = [ThreadId(0), ThreadId(1), ThreadId(2)];
-        let statuses = [ThreadStatusView::Ready; 3];
         let picks = |seed| {
             let mut s = PctScheduler::new(seed, 3, 50);
             (0..30)
-                .map(|_| {
-                    s.pick(&view(&runnable, Some(ThreadId(0)), false, &statuses))
-                        .0
-                })
+                .map(|_| s.pick(&view(&runnable, Some(ThreadId(0)), false)).0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(picks(4), picks(4), "same seed, same schedule");
@@ -444,11 +408,10 @@ mod tests {
         // depth 2 with expected_len 1 forces the change point at step ~0:
         // the previously-running thread is demoted immediately.
         let runnable = [ThreadId(0), ThreadId(1)];
-        let statuses = [ThreadStatusView::Ready; 2];
         let mut demoted_seen = false;
         for seed in 0..20 {
             let mut s = PctScheduler::new(seed, 2, 1);
-            let first = s.pick(&view(&runnable, Some(ThreadId(0)), false, &statuses));
+            let first = s.pick(&view(&runnable, Some(ThreadId(0)), false));
             // Thread 0 was demoted at the first pick; if it still won, its
             // base priority never mattered. Over seeds, thread 1 must win
             // sometimes *because* of the demotion.
@@ -467,9 +430,8 @@ mod tests {
 
     #[test]
     fn sched_view_is_runnable() {
-        let statuses = [ThreadStatusView::Ready; 3];
         let runnable = [ThreadId(0), ThreadId(2)];
-        let v = view(&runnable, None, false, &statuses);
+        let v = view(&runnable, None, false);
         assert!(v.is_runnable(ThreadId(0)));
         assert!(!v.is_runnable(ThreadId(1)));
         assert!(v.is_runnable(ThreadId(2)));

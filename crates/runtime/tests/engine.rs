@@ -8,7 +8,7 @@ use mtt_runtime::{
     SchedView, Scheduler, ThreadId,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Two unsynchronized increments: the canonical lost-update race.
 fn racy_counter(increments_per_thread: u32, threads: u32) -> Program {
@@ -605,6 +605,48 @@ fn sinks_and_plans_see_filtered_events() {
     assert_eq!(c.total, c.class_count(OpClass::VarAccess));
     assert_eq!(c.class_count(OpClass::ThreadLife), 0);
     assert!(c.is_finished());
+}
+
+/// Records every call it receives into a log shared with other sinks,
+/// tagged with its name, so a test can check the order across sinks.
+struct LogSink {
+    name: &'static str,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl EventSink for LogSink {
+    fn on_event(&mut self, ev: &Event) {
+        let line = format!("{}:event:{}", self.name, ev.seq);
+        self.log.lock().unwrap().push(line);
+    }
+
+    fn finish(&mut self) {
+        let line = format!("{}:finish", self.name);
+        self.log.lock().unwrap().push(line);
+    }
+}
+
+#[test]
+fn execution_delivers_each_event_to_every_sink_in_attachment_order() {
+    let p = racy_counter(2, 2);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut exec = Execution::new(&p).scheduler(Box::new(RandomScheduler::new(3)));
+    for name in ["a", "b", "c"] {
+        let log = Arc::clone(&log);
+        exec = exec.sink(Box::new(LogSink { name, log }));
+    }
+    let o = exec.run();
+    assert!(o.ok(), "{:?}", o.kind);
+
+    // Each event reaches a, b and c before the next event starts, and
+    // finish reaches every sink once, in the same order, after the last.
+    let got = log.lock().unwrap().clone();
+    let want: Vec<String> = (0..o.stats.events)
+        .flat_map(|seq| ["a", "b", "c"].map(|name| format!("{name}:event:{seq}")))
+        .chain(["a", "b", "c"].map(|name| format!("{name}:finish")))
+        .collect();
+    assert!(o.stats.events > 0);
+    assert_eq!(got, want);
 }
 
 #[test]

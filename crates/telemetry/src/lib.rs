@@ -9,7 +9,7 @@
 //!   adapter that derives event-level metrics (per-class counts, per-site
 //!   hot spots, lock contention, wait/notify traffic) from the
 //!   instrumentation stream, so existing tools compose with telemetry
-//!   unchanged: just `Tee` it next to the tool under evaluation.
+//!   unchanged: just attach it next to the tool under evaluation.
 //! * [`RunMetrics`] — the per-run record harvested from one `Execution`
 //!   (deterministic counters only; wall clock is segregated by design).
 //! * [`SpanSet`] / [`Span`] — RAII wall-clock timers around campaign

@@ -2,8 +2,8 @@
 //!
 //! Everything this sink measures is derived from the instrumented event
 //! stream alone, so it composes with any tool under evaluation through the
-//! existing [`EventSink`] plumbing — `Tee` it next to a detector, wrap it
-//! in a `FilteredSink`, or attach it directly to an `Execution`. It never
+//! existing [`EventSink`] plumbing — attach it to an `Execution` next to
+//! a detector, or wrap it in a `FilteredSink`. It never
 //! touches a clock: all of its numbers are deterministic functions of the
 //! schedule.
 

@@ -101,6 +101,24 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, BinaryTraceError> {
     }
 }
 
+/// A varint that must fit in a `u32`: ids and lines are 32-bit, so a wider
+/// value is corruption, not an id to truncate.
+fn get_u32(data: &[u8], pos: &mut usize) -> Result<u32, BinaryTraceError> {
+    u32::try_from(get_varint(data, pos)?)
+        .map_err(|_| BinaryTraceError::Corrupt("value exceeds u32"))
+}
+
+/// The length of a table or list whose items each take at least one byte,
+/// so a count above the bytes left is corruption. Every preallocation is
+/// sized by such a count, so none is larger than the input.
+fn get_count(data: &[u8], pos: &mut usize) -> Result<usize, BinaryTraceError> {
+    let n = get_varint(data, pos)?;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= data.len() - *pos)
+        .ok_or(BinaryTraceError::Corrupt("count exceeds input"))
+}
+
 fn get_varint_i64(data: &[u8], pos: &mut usize) -> Result<i64, BinaryTraceError> {
     let z = get_varint(data, pos)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
@@ -231,8 +249,7 @@ fn decode_op(data: &[u8], pos: &mut usize) -> Result<Op, BinaryTraceError> {
         .get(*pos)
         .ok_or(BinaryTraceError::Corrupt("truncated op tag"))?;
     *pos += 1;
-    let v32 =
-        |pos: &mut usize| -> Result<u32, BinaryTraceError> { Ok(get_varint(data, pos)? as u32) };
+    let v32 = |pos: &mut usize| get_u32(data, pos);
     Ok(match tag {
         0 => Op::VarRead {
             var: VarId(v32(pos)?),
@@ -389,38 +406,38 @@ pub fn decode(data: &[u8]) -> Result<Trace, BinaryTraceError> {
     let meta = mtt_json::from_slice(&data[pos..meta_end]).map_err(BinaryTraceError::Meta)?;
     pos = meta_end;
 
-    let nfiles = get_varint(data, &mut pos)? as usize;
+    let nfiles = get_count(data, &mut pos)?;
     let mut files = Vec::with_capacity(nfiles);
     for _ in 0..nfiles {
         files.push(get_str(data, &mut pos)?);
     }
-    let ntags = get_varint(data, &mut pos)? as usize;
+    let ntags = get_count(data, &mut pos)?;
     let mut tags = Vec::with_capacity(ntags);
     for _ in 0..ntags {
         tags.push(get_str(data, &mut pos)?);
     }
 
-    let nrec = get_varint(data, &mut pos)? as usize;
-    let mut records = Vec::with_capacity(nrec.min(1 << 20));
+    let nrec = get_count(data, &mut pos)?;
+    let mut records = Vec::with_capacity(nrec);
     let (mut seq, mut time) = (0u64, 0u64);
     for record in 0..nrec {
         seq = seq.wrapping_add(get_varint(data, &mut pos)?);
         time = time.wrapping_add(get_varint(data, &mut pos)?);
-        let thread = get_varint(data, &mut pos)? as u32;
+        let thread = get_u32(data, &mut pos)?;
         let fidx = get_varint(data, &mut pos)? as usize;
         let file = files
             .get(fidx)
             .ok_or(BinaryTraceError::Corrupt("file index out of range"))?
             .clone();
-        let line = get_varint(data, &mut pos)? as u32;
+        let line = get_u32(data, &mut pos)?;
         let op = decode_op(data, &mut pos)?;
-        let nlocks = get_varint(data, &mut pos)? as usize;
-        let mut locks_held = Vec::with_capacity(nlocks.min(64));
+        let nlocks = get_count(data, &mut pos)?;
+        let mut locks_held = Vec::with_capacity(nlocks);
         for _ in 0..nlocks {
-            locks_held.push(get_varint(data, &mut pos)? as u32);
+            locks_held.push(get_u32(data, &mut pos)?);
         }
-        let nbt = get_varint(data, &mut pos)? as usize;
-        let mut bug_tags = Vec::with_capacity(nbt.min(16));
+        let nbt = get_count(data, &mut pos)?;
+        let mut bug_tags = Vec::with_capacity(nbt);
         for _ in 0..nbt {
             let ti = get_varint(data, &mut pos)? as usize;
             bug_tags.push(
@@ -656,6 +673,87 @@ mod tests {
         let mut t = sample();
         t.records[1].thread = crate::THREAD_ID_BOUND - 1;
         assert_eq!(decode(&encode(&t)).unwrap(), t);
+    }
+
+    /// The encoding of an empty trace without the three counts that end it
+    /// (files, tags, records): magic, version and meta.
+    fn header() -> Vec<u8> {
+        let mut buf = encode(&Trace::default());
+        buf.truncate(buf.len() - 3);
+        buf
+    }
+
+    #[test]
+    fn a_count_past_the_input_fails_to_decode() {
+        // A file, tag or record count of 2^61 after zero or more empty
+        // tables: each table is sized by its count.
+        for empty_tables in 0..3 {
+            let mut bytes = header();
+            for _ in 0..empty_tables {
+                put_varint(&mut bytes, 0);
+            }
+            put_varint(&mut bytes, 1 << 61);
+            assert!(matches!(
+                decode(&bytes),
+                Err(BinaryTraceError::Corrupt("count exceeds input"))
+            ));
+        }
+    }
+
+    /// One record encoded by hand: `thread` at `line` spawns `child` while
+    /// holding `lock`, each written as a raw varint.
+    fn one_record(thread: u64, line: u64, child: u64, lock: u64) -> Vec<u8> {
+        let mut buf = header();
+        put_varint(&mut buf, 1);
+        put_str(&mut buf, "a.rs");
+        // No tags, one record: seq and time deltas, thread, file 0, line.
+        for v in [0, 1, 0, 0, thread, 0, line] {
+            put_varint(&mut buf, v);
+        }
+        buf.push(15); // Op::Spawn
+        put_varint(&mut buf, child);
+        // One held lock, no bug tags.
+        for v in [1, lock, 0] {
+            put_varint(&mut buf, v);
+        }
+        buf
+    }
+
+    #[test]
+    fn an_id_or_line_wider_than_u32_fails_to_decode() {
+        let t = decode(&one_record(3, 3, 3, 3)).unwrap();
+        let r = &t.records[0];
+        assert_eq!((r.thread, r.line, &r.locks_held), (3, 3, &vec![3]));
+        assert_eq!(r.op, Op::Spawn { child: ThreadId(3) });
+        // 2^32 + 3 is not thread, line, child or lock 3.
+        let wide = (1u64 << 32) + 3;
+        for bytes in [
+            one_record(wide, 3, 3, 3),
+            one_record(3, wide, 3, 3),
+            one_record(3, 3, wide, 3),
+            one_record(3, 3, 3, wide),
+        ] {
+            assert!(matches!(
+                decode(&bytes),
+                Err(BinaryTraceError::Corrupt("value exceeds u32"))
+            ));
+        }
+    }
+
+    #[test]
+    fn every_prefix_and_byte_change_decodes_without_panicking() {
+        let bytes = encode(&sample());
+        for n in 0..bytes.len() {
+            assert!(decode(&bytes[..n]).is_err(), "prefix of {n} bytes");
+        }
+        let mut changed = bytes.clone();
+        for i in 0..bytes.len() {
+            for b in 0..=u8::MAX {
+                changed[i] = b;
+                let _ = decode(&changed);
+            }
+            changed[i] = bytes[i];
+        }
     }
 
     #[test]
