@@ -5,22 +5,22 @@ use mtt_bench::Smoke;
 use mtt_core::explore::{ExploreOptions, Explorer};
 use mtt_core::prelude::*;
 
-fn racy(increments: u32) -> Program {
+/// Two threads each read a shared counter and write it back incremented,
+/// with an invisible scheduling point (`ctx.point`) after each access: the
+/// exhaustive search branches at those points, the visible-operation
+/// reduction does not.
+fn racy_with_local_work() -> Program {
     let mut b = ProgramBuilder::new("bench_racy");
     let x = b.var("x", 0);
     b.entry(move |ctx| {
-        let a = ctx.spawn("a", move |ctx| {
-            for _ in 0..increments {
-                let v = ctx.read(x);
-                ctx.write(x, v + 1);
-            }
-        });
-        let c = ctx.spawn("b", move |ctx| {
-            for _ in 0..increments {
-                let v = ctx.read(x);
-                ctx.write(x, v + 1);
-            }
-        });
+        let body = move |ctx: &mut ThreadCtx| {
+            let v = ctx.read(x);
+            ctx.point("local");
+            ctx.write(x, v + 1);
+            ctx.point("local");
+        };
+        let a = ctx.spawn("a", body);
+        let c = ctx.spawn("b", body);
         ctx.join(a);
         ctx.join(c);
     });
@@ -29,9 +29,9 @@ fn racy(increments: u32) -> Program {
 
 fn main() {
     let mut smoke = Smoke::new("explore");
-    let p = racy(2);
+    let p = racy_with_local_work();
 
-    // The two full searches take over half a second a call, so their loops
+    // The exhaustive search takes about half a second a call, so its loops
     // are one call each.
     let configs: Vec<(&str, u32, ExploreOptions)> = vec![
         (
@@ -77,11 +77,23 @@ fn main() {
             },
         ),
     ];
+    let mut explored = Vec::new();
     for (name, iters, opts) in configs {
+        let mut executions = 0;
         smoke.time(name, iters, || {
             let r = Explorer::new(&p, opts.clone()).run();
             assert!(r.exhausted);
+            executions = r.executions;
             r.executions
         });
+        explored.push(executions);
     }
+    // The reduction must prune: CI runs this bench, so it fails if the
+    // visible-operation reduction stops skipping the invisible points.
+    let (exhaustive, por) = (explored[0], explored[1]);
+    println!("dfs_por explores {por} of dfs_exhaustive's {exhaustive} executions");
+    assert!(
+        por < exhaustive,
+        "dfs_por explored {por} executions, dfs_exhaustive {exhaustive}"
+    );
 }

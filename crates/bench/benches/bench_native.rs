@@ -13,6 +13,7 @@ use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, Thre
 use mtt_core::suite;
 use mtt_core::tools::ToolConfig;
 use std::hint::black_box;
+use std::time::Instant;
 
 const MAX_STEPS: u64 = 60_000;
 
@@ -60,7 +61,8 @@ fn locked_counter(workers: u32) -> Program {
 /// Time per run and per context switch of [`locked_counter`] under
 /// `sticky:0.9` at 3, 9, 33 and 129 threads (main included). Each point is
 /// a smoke result (`handoff_threads_N`, nanoseconds per run) whose loops
-/// each run seeds 1 to 32 once, so every loop makes the same switches and
+/// each run seeds 1 to 32 the same whole number of times, enough for a
+/// loop to last at least 1 ms, so every loop makes the same switches and
 /// the printed per-switch median and quartiles are the per-run ones over
 /// the mean switches per run.
 fn handoff_sweep(smoke: &mut Smoke) {
@@ -70,14 +72,22 @@ fn handoff_sweep(smoke: &mut Smoke) {
         let threads = workers + 1;
         let runs = 32;
         // Untimed: count the switches of one pass over the seeds; the pass
-        // also sets up the coroutine stacks later runs reuse.
-        let switches: u64 = (1..=runs)
-            .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
-            .sum();
+        // also sets up the coroutine stacks later runs reuse. A second pass,
+        // timed, sizes the loops.
+        let pass = || -> u64 {
+            (1..=runs)
+                .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
+                .sum()
+        };
+        let switches = pass();
+        let started = Instant::now();
+        assert_eq!(pass(), switches, "each seed's schedule is deterministic");
+        let cycles = 1_000_000u128.div_ceil(started.elapsed().as_nanos().max(1)) as u32;
         let per_run = switches as f64 / runs as f64;
         let mut seed = 0;
+        let iters = runs as u32 * cycles;
         let [q1, median, q3] =
-            smoke.time_quartiles(&format!("handoff_threads_{threads}"), runs as u32, || {
+            smoke.time_quartiles(&format!("handoff_threads_{threads}"), iters, || {
                 seed = seed % runs + 1;
                 run_program(&cfg, &p, seed)
             });

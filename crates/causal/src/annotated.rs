@@ -1,7 +1,8 @@
 //! The annotated-trace NDJSON format: the standard trace format plus
 //! per-event causal annotations.
 //!
-//! Layout (one JSON object per line):
+//! Layout (one JSON object per line), declared by [`AnnotatedHeader`] and
+//! [`AnnotatedRecord`]:
 //!
 //! * **line 1 — header**: `{"schema":"mtt-annotated-trace","version":1,
 //!   "first_failure":<seq|null>,"meta":{…TraceMeta…}}`.
@@ -16,10 +17,17 @@
 //! *adding* optional fields is allowed within a version (the checker
 //! ignores unknown keys). Everything is emitted in canonical order, so the
 //! bytes are deterministic for a deterministic trace.
+//!
+//! The writer prints each line through its type, and the checker parses
+//! each line back into it; beyond the types, the checker holds the rules
+//! they cannot state: the schema tag and version, the writing thread's own
+//! clock component being at least 1, a present `hb_from` being non-empty,
+//! and `first_failure` being literally `true` on exactly the record the
+//! header names.
 
 use crate::hb::CausalAnnotations;
-use mtt_json::{Json, ToJson};
-use mtt_trace::Trace;
+use mtt_json::{json_struct, FromJson, Json, ToJson};
+use mtt_trace::{Trace, TraceMeta, TraceRecord};
 use std::io::{self, Write};
 
 /// The `schema` tag of the header line.
@@ -27,60 +35,49 @@ pub const ANNOTATED_SCHEMA: &str = "mtt-annotated-trace";
 /// Current schema version.
 pub const ANNOTATED_VERSION: u64 = 1;
 
-/// Record fields every annotated line must carry (the plain trace record
-/// fields plus `clock`).
-pub const ANNOTATED_REQUIRED_FIELDS: &[&str] = &[
-    "seq",
-    "time",
-    "thread",
-    "file",
-    "line",
-    "op",
-    "locks_held",
-    "clock",
-];
-
-fn header_json(trace: &Trace, ann: &CausalAnnotations) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), ANNOTATED_SCHEMA.to_json()),
-        ("version".into(), ANNOTATED_VERSION.to_json()),
-        (
-            "first_failure".into(),
-            match ann.first_failure {
-                Some(seq) => seq.to_json(),
-                None => Json::Null,
-            },
-        ),
-        ("meta".into(), trace.meta.to_json()),
-    ])
+/// The header line.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AnnotatedHeader {
+    /// Always [`ANNOTATED_SCHEMA`].
+    pub schema: String,
+    /// Always [`ANNOTATED_VERSION`].
+    pub version: u64,
+    /// Sequence number of the first-failure record, `null` for a passing
+    /// trace.
+    pub first_failure: Option<u64>,
+    /// The trace's header.
+    pub meta: TraceMeta,
 }
 
-fn record_json(trace: &Trace, ann: &CausalAnnotations, i: usize) -> Json {
-    let rec = &trace.records[i];
-    let mut fields = match rec.to_json() {
-        Json::Obj(fields) => fields,
-        other => vec![("record".into(), other)],
-    };
-    if let Some(note) = ann.notes.get(i) {
-        fields.push((
-            "clock".into(),
-            Json::Arr(
-                note.clock
-                    .components()
-                    .iter()
-                    .map(|c| c.to_json())
-                    .collect(),
-            ),
-        ));
-        if !note.hb_from.is_empty() {
-            fields.push(("hb_from".into(), note.hb_from.to_json()));
-        }
-    }
-    if ann.first_failure == Some(rec.seq) {
-        fields.push(("first_failure".into(), Json::Bool(true)));
-    }
-    Json::Obj(fields)
+json_struct!(AnnotatedHeader {
+    schema,
+    version,
+    first_failure,
+    meta,
+});
+
+/// One record line: a trace record and its causal note.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnnotatedRecord {
+    /// The plain trace record, printed as members of the line.
+    pub record: TraceRecord,
+    /// The executing thread's vector clock after the event.
+    pub clock: Vec<u32>,
+    /// Release-side events this event acquired from; left out when empty.
+    pub hb_from: Vec<u64>,
+    /// Whether this is the first-failure record; printed only when true.
+    pub first_failure: bool,
 }
+
+json_struct!(AnnotatedRecord {
+    #[flatten]
+    record,
+    clock,
+    #[optional]
+    hb_from,
+    #[optional]
+    first_failure,
+});
 
 /// Stream the annotated trace as NDJSON, propagating I/O errors.
 pub fn write_annotated<W: Write>(
@@ -88,11 +85,27 @@ pub fn write_annotated<W: Write>(
     ann: &CausalAnnotations,
     w: &mut W,
 ) -> io::Result<()> {
-    header_json(trace, ann).write_to(w)?;
-    w.write_all(b"\n")?;
-    for i in 0..trace.records.len() {
-        record_json(trace, ann, i).write_to(w)?;
-        w.write_all(b"\n")?;
+    let mut line = String::new();
+    let mut emit = |value: &dyn ToJson| {
+        line.clear();
+        value.write_json(&mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())
+    };
+    emit(&AnnotatedHeader {
+        schema: ANNOTATED_SCHEMA.to_string(),
+        version: ANNOTATED_VERSION,
+        first_failure: ann.first_failure,
+        meta: trace.meta.clone(),
+    })?;
+    debug_assert_eq!(trace.records.len(), ann.notes.len(), "one note per record");
+    for (rec, note) in trace.records.iter().zip(&ann.notes) {
+        emit(&AnnotatedRecord {
+            record: rec.clone(),
+            clock: note.clock.components().to_vec(),
+            hb_from: note.hb_from.clone(),
+            first_failure: ann.first_failure == Some(rec.seq),
+        })?;
     }
     Ok(())
 }
@@ -104,8 +117,8 @@ pub fn annotated_to_string(trace: &Trace, ann: &CausalAnnotations) -> String {
     String::from_utf8(out).expect("JSON is UTF-8")
 }
 
-/// Validate the header line. Returns the declared `first_failure` seq.
-pub fn check_annotated_header(line: &str) -> Result<Option<u64>, String> {
+/// Validate the header line and decode it.
+pub fn check_annotated_header(line: &str) -> Result<AnnotatedHeader, String> {
     let v = Json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
     let schema = v
         .get("schema")
@@ -125,72 +138,31 @@ pub fn check_annotated_header(line: &str) -> Result<Option<u64>, String> {
             "unsupported annotated-trace version {version} (this reader understands {ANNOTATED_VERSION})"
         ));
     }
-    let Some(Json::Obj(_)) = v.get("meta") else {
-        return Err("header is missing the `meta` object".into());
-    };
-    match v.get("first_failure") {
-        None => Err("header is missing the `first_failure` field".into()),
-        Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| "`first_failure` must be a sequence number or null".into()),
-    }
+    AnnotatedHeader::from_json(&v).map_err(|e| format!("header: {e}"))
 }
 
-/// Validate one record line. Returns the record's `seq` and whether it
-/// carries the `first_failure` marker.
-pub fn check_annotated_record(line: &str) -> Result<(u64, bool), String> {
+/// Validate one record line and decode it.
+pub fn check_annotated_record(line: &str) -> Result<AnnotatedRecord, String> {
     let v = Json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
     let Json::Obj(_) = v else {
         return Err("record line is not a JSON object".into());
     };
-    for field in ANNOTATED_REQUIRED_FIELDS {
-        let Some(val) = v.get(field) else {
-            return Err(format!("missing required field `{field}`"));
-        };
-        let ok = match *field {
-            "file" => val.as_str().is_some(),
-            "op" => matches!(val, Json::Obj(_) | Json::Str(_)),
-            "locks_held" | "clock" => val
-                .as_arr()
-                .is_some_and(|a| a.iter().all(|x| x.as_u64().is_some())),
-            _ => val.as_u64().is_some(),
-        };
-        if !ok {
-            return Err(format!("field `{field}` has the wrong type"));
-        }
+    let rec = AnnotatedRecord::from_json(&v).map_err(|e| e.to_string())?;
+    let thread = rec.record.thread;
+    if rec.clock.get(thread as usize).is_none_or(|&own| own == 0) {
+        return Err(format!(
+            "clock has no positive component for the executing thread {thread}"
+        ));
     }
-    let thread = v.get("thread").and_then(|x| x.as_u64()).unwrap_or(0) as usize;
-    let clock = v.get("clock").and_then(|x| x.as_arr()).unwrap_or(&[]);
-    match clock.get(thread).and_then(|x| x.as_u64()) {
-        Some(own) if own >= 1 => {}
-        _ => {
-            return Err(format!(
-                "clock has no positive component for the executing thread {thread}"
-            ))
-        }
+    if v.get("hb_from").is_some() && rec.hb_from.is_empty() {
+        return Err(
+            "`hb_from`, when present, must be a non-empty array of sequence numbers".into(),
+        );
     }
-    if let Some(hb) = v.get("hb_from") {
-        let ok = hb
-            .as_arr()
-            .is_some_and(|a| !a.is_empty() && a.iter().all(|x| x.as_u64().is_some()));
-        if !ok {
-            return Err(
-                "`hb_from`, when present, must be a non-empty array of sequence numbers".into(),
-            );
-        }
+    if v.get("first_failure").is_some() && !rec.first_failure {
+        return Err("`first_failure` on a record must be literally true".into());
     }
-    if let Some(ff) = v.get("first_failure") {
-        if !matches!(ff, Json::Bool(true)) {
-            return Err("`first_failure` on a record must be literally true".into());
-        }
-    }
-    let seq = v
-        .get("seq")
-        .and_then(|x| x.as_u64())
-        .expect("checked above");
-    Ok((seq, v.get("first_failure").is_some()))
+    Ok(rec)
 }
 
 /// Validate a whole annotated NDJSON document: header, every record, and
@@ -204,17 +176,18 @@ pub fn check_annotated(text: &str) -> Result<u64, String> {
     let Some((_, header)) = lines.next() else {
         return Err("empty document: expected an annotated-trace header line".into());
     };
-    let declared = check_annotated_header(header).map_err(|e| format!("line 1: {e}"))?;
+    let declared = check_annotated_header(header)
+        .map_err(|e| format!("line 1: {e}"))?
+        .first_failure;
     let mut records = 0u64;
     let mut flagged = None;
     for (i, line) in lines {
-        let (seq, is_ff) =
-            check_annotated_record(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if is_ff {
+        let rec = check_annotated_record(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if rec.first_failure {
             if flagged.is_some() {
                 return Err(format!("line {}: second `first_failure` record", i + 1));
             }
-            flagged = Some(seq);
+            flagged = Some(rec.record.seq);
         }
         records += 1;
     }
@@ -318,6 +291,22 @@ mod tests {
         // Header/record disagreement on the failure marker.
         let bad = good.replacen("\"first_failure\":4", "\"first_failure\":null", 1);
         assert!(check_annotated(&bad).unwrap_err().contains("declares"));
+        // The rules beyond the types.
+        let bad = good.replace("\"first_failure\":true", "\"first_failure\":false");
+        assert!(check_annotated(&bad)
+            .unwrap_err()
+            .contains("literally true"));
+        let bad = good.replace("\"hb_from\":[1]", "\"hb_from\":[]");
+        assert!(check_annotated(&bad).unwrap_err().contains("non-empty"));
+        // The first record's clock, zeroed.
+        let at = good.find("\"clock\":[").unwrap() + "\"clock\":[".len();
+        let end = at + good[at..].find(']').unwrap();
+        let bad = format!("{}0{}", &good[..at], &good[end..]);
+        assert!(check_annotated(&bad)
+            .unwrap_err()
+            .contains("positive component"));
+        let bad = good.replacen("\"schema\":\"mtt-annotated-trace\"", "\"schema\":\"x\"", 1);
+        assert!(check_annotated(&bad).unwrap_err().contains("header schema"));
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! barriers, atomic RMW), and surface them three ways:
 //!
 //! * [`annotated`] — a versioned NDJSON *annotated trace* extension of the
-//!   standard trace format, with a `mtt metrics-check`-style schema
-//!   validator ([`check_annotated`]).
+//!   standard trace format, declared by [`AnnotatedHeader`] and
+//!   [`AnnotatedRecord`]: the writer prints each line through them, and
+//!   the validator ([`check_annotated`]) parses each line back into them,
+//!   checking beyond the types only the schema tag and version, the
+//!   writing thread's own clock component, a present `hb_from` being
+//!   non-empty, and the first-failure marker.
 //! * [`timeline`] — a human-readable per-thread schedule timeline (aligned
 //!   columns, lock-hold bars, cross-thread HB arrows, first-failure
 //!   highlight) in text and CSV.
@@ -38,7 +42,7 @@ pub mod timeline;
 
 pub use annotated::{
     annotated_to_string, check_annotated, check_annotated_header, check_annotated_record,
-    write_annotated, ANNOTATED_REQUIRED_FIELDS, ANNOTATED_SCHEMA, ANNOTATED_VERSION,
+    write_annotated, AnnotatedHeader, AnnotatedRecord, ANNOTATED_SCHEMA, ANNOTATED_VERSION,
 };
 pub use clock::VectorClock;
 pub use diff::{TraceDiff, DIFF_LCS_CAP};

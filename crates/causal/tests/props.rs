@@ -10,9 +10,17 @@
 //!    antisymmetric, transitive, and consistent with program order.
 //! 3. **Replay stability** — recording a run and playing the log back
 //!    yields a byte-identical trace and identical causal annotations.
+//!
+//! And one law of the annotated-trace format: every line the writer prints
+//! parses back to the record that printed it.
 
-use mtt_causal::{annotate_trace, happens_before, VectorClock};
+use mtt_causal::{
+    annotate_trace, check_annotated, check_annotated_header, check_annotated_record,
+    happens_before, write_annotated, AnnotatedHeader, AnnotatedRecord, VectorClock,
+    ANNOTATED_SCHEMA, ANNOTATED_VERSION,
+};
 use mtt_instrument::shared;
+use mtt_json::{Json, ToJson};
 use mtt_replay::{record, DivergencePolicy, PlaybackScheduler};
 use mtt_runtime::{Execution, NoNoise, RandomScheduler};
 use mtt_suite::SuiteProgram;
@@ -47,8 +55,63 @@ fn run_trace(program: &SuiteProgram, seed: u64) -> Trace {
     std::mem::take(&mut guard.trace)
 }
 
+/// The keys of the JSON object `line`, each once: none is printed twice.
+fn keys_are_distinct(line: &str) -> bool {
+    let Ok(Json::Obj(members)) = Json::parse(line) else {
+        return false;
+    };
+    let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len() == members.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every line of a real execution's annotated trace parses back to the
+    /// record that printed it, prints each key once and gives exactly the
+    /// text of the record's `Json` tree. Every third record carries a bug
+    /// tag, so the flattened trace record's optional field is printed too.
+    #[test]
+    fn every_annotated_line_parses_back_to_its_record(idx in 0usize..5, seed in 0u64..500) {
+        let p = program(idx);
+        let mut trace = run_trace(&p, seed);
+        trace.meta.program = p.name.to_string();
+        for rec in trace.records.iter_mut().filter(|r| r.seq % 3 == 0) {
+            rec.bug_tags = vec![format!("bug-{}", rec.seq % 2)];
+        }
+        let ann = annotate_trace(&trace);
+        let mut out = Vec::new();
+        write_annotated(&trace, &ann, &mut out).expect("in-memory write");
+        let text = String::from_utf8(out).expect("NDJSON is UTF-8");
+        prop_assert_eq!(check_annotated(&text), Ok(trace.records.len() as u64));
+
+        let mut lines = text.lines();
+        let header = lines.next().expect("a header line");
+        let expected = AnnotatedHeader {
+            schema: ANNOTATED_SCHEMA.to_string(),
+            version: ANNOTATED_VERSION,
+            first_failure: ann.first_failure,
+            meta: trace.meta.clone(),
+        };
+        prop_assert_eq!(header, expected.to_json().dump());
+        prop_assert!(keys_are_distinct(header), "{header}");
+        prop_assert_eq!(check_annotated_header(header), Ok(expected));
+
+        prop_assert_eq!(lines.clone().count(), trace.records.len());
+        for ((line, rec), note) in lines.zip(&trace.records).zip(&ann.notes) {
+            let expected = AnnotatedRecord {
+                record: rec.clone(),
+                clock: note.clock.components().to_vec(),
+                hb_from: note.hb_from.clone(),
+                first_failure: ann.first_failure == Some(rec.seq),
+            };
+            prop_assert_eq!(line, expected.to_json().dump());
+            prop_assert!(keys_are_distinct(line), "{line}");
+            prop_assert_eq!(check_annotated_record(line), Ok(expected));
+        }
+    }
 
     #[test]
     fn clock_join_is_commutative(a in proptest::collection::vec(0u32..40, 0..6),

@@ -405,6 +405,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "cloning" => {
             let runs = a.count(60)?;
+            scheduler_and_noise_only(g, "cloning")?;
             Box::new(move |pool| cloning_table(runs, g.tools.as_deref(), pool))
         }
         "e2" => {
@@ -436,6 +437,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "e5" => {
             let runs = a.count(120)?;
+            scheduler_and_noise_only(g, "e5")?;
             let tools = g.resolved_tools()?;
             Box::new(move |pool| {
                 let results = match tools {
@@ -702,6 +704,20 @@ fn trace(mut a: Args) -> Result<ExitCode, String> {
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// `cmd` runs only each `--tools` spec's scheduler and noise maker, so a
+/// spec that sets anything else is refused rather than silently dropped.
+fn scheduler_and_noise_only(g: &Global, cmd: &str) -> Result<(), String> {
+    for spec in g.tools.iter().flatten() {
+        if let Some(clause) = spec.beyond_scheduler_and_noise() {
+            return Err(format!(
+                "--tools: `{cmd}` runs only a tool's scheduler and noise, but `{}` sets `{clause}`",
+                spec.canonical()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Write `records` as NDJSON to `path` (used by every campaign-backed

@@ -5,7 +5,7 @@
 use crate::jobpool::{CellCodec, CellJournal, JobPool, PoolStats};
 use crate::report::Table;
 use crate::stats::FindStats;
-use mtt_obs::{CampaignMeta, CellDone, JournalSink, MetricScalars, ResumeCache};
+use mtt_obs::{CampaignMeta, CellDone, JournalSink, ResumeCache};
 use mtt_runtime::Execution;
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanSet, SpanTimings, TelemetrySink};
@@ -109,46 +109,6 @@ struct RunRecord {
     fingerprint: Option<String>,
 }
 
-/// The telemetry scalars a journal `done` record carries: exactly the
-/// fields `RunMetrics::to_json` serializes, so a cache-reconstructed run
-/// log is byte-identical. The per-site maps are absent by design (their
-/// `Loc` keys cannot round-trip through a file); `mtt profile` needs them
-/// and therefore refuses `--resume`.
-fn scalars_of(m: &RunMetrics) -> MetricScalars {
-    MetricScalars {
-        events: m.events,
-        sched_points: m.sched_points,
-        context_switches: m.context_switches,
-        forced_yields: m.forced_yields,
-        noise_injections: m.noise_injections,
-        spurious_wakeups: m.spurious_wakeups,
-        lock_acquires: m.lock_acquires,
-        lock_contentions: m.lock_contentions,
-        waits: m.waits,
-        notifies: m.notifies,
-        threads: m.threads,
-        steps_to_first_bug: m.steps_to_first_bug,
-    }
-}
-
-fn metrics_from_scalars(s: &MetricScalars) -> RunMetrics {
-    RunMetrics {
-        events: s.events,
-        sched_points: s.sched_points,
-        context_switches: s.context_switches,
-        forced_yields: s.forced_yields,
-        noise_injections: s.noise_injections,
-        spurious_wakeups: s.spurious_wakeups,
-        lock_acquires: s.lock_acquires,
-        lock_contentions: s.lock_contentions,
-        waits: s.waits,
-        notifies: s.notifies,
-        threads: s.threads,
-        steps_to_first_bug: s.steps_to_first_bug,
-        ..RunMetrics::default()
-    }
-}
-
 /// The backend tag a journal `done` record and a run-log record carry:
 /// present only for a non-model backend.
 fn native_tag(tool: &ToolConfig) -> Option<String> {
@@ -169,7 +129,7 @@ impl CellCodec<RunRecord> for Campaign {
         done.injections = rec.injections;
         done.timed_out = rec.timed_out;
         done.wall_us = rec.elapsed.as_micros() as u64;
-        done.metrics = rec.metrics.as_ref().map(scalars_of);
+        done.metrics = rec.metrics.as_ref().map(|m| m.scalars);
         done.fingerprint = rec.fingerprint.clone();
     }
 
@@ -188,7 +148,10 @@ impl CellCodec<RunRecord> for Campaign {
             timed_out: done.timed_out,
             seed: done.seed,
             outcome_tag: done.outcome.clone(),
-            metrics: done.metrics.as_ref().map(metrics_from_scalars),
+            metrics: done.metrics.map(|scalars| RunMetrics {
+                scalars,
+                ..RunMetrics::default()
+            }),
             fingerprint: done.fingerprint.clone(),
         })
     }
@@ -347,7 +310,7 @@ impl Campaign {
                             failed: rec.failed,
                             backend: native_tag(tool),
                             fingerprint: rec.fingerprint.clone(),
-                            metrics,
+                            metrics: metrics.scalars,
                         });
                     }
                 }

@@ -28,6 +28,7 @@ use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::scoreboard::STATIC_TOOL_SCOPES;
 use crate::scoreboard::{dynamic_roster, dynamic_warned, sink_class, DynamicHit};
+use crate::static_eval::ClassScore;
 use mtt_json::{Json, ToJson};
 use mtt_static::analyze;
 use std::collections::BTreeSet;
@@ -97,41 +98,6 @@ mtt_json::json_struct!(FamilyOutcomes {
     members
 });
 
-/// The full confusion matrix for one tool × class cell. Unlike E11's
-/// `ClassScore`, true negatives are countable here: ground truth is by
-/// construction, so "benign twin, not flagged" is a definite TN.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellScore {
-    /// Buggy member flagged.
-    pub tp: u64,
-    /// Benign member (or buggy member of a foreign class) flagged.
-    pub fp: u64,
-    /// Buggy member missed.
-    pub fn_: u64,
-    /// Non-positive member correctly left alone.
-    pub tn: u64,
-}
-
-impl CellScore {
-    /// TP / (TP + FP); 1.0 when the tool predicted nothing.
-    pub fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fp) as f64
-        }
-    }
-
-    /// TP / (TP + FN); 1.0 when there was nothing to find.
-    pub fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fn_) as f64
-        }
-    }
-}
-
 /// One row of the E10 per-tool scoreboard.
 #[derive(Clone, Debug)]
 pub struct GenScoreRow {
@@ -142,7 +108,7 @@ pub struct GenScoreRow {
     /// The class the tool is scored on.
     pub class: String,
     /// Member-level confusion matrix.
-    pub score: CellScore,
+    pub score: ClassScore,
     /// Families of this class the tool detected robustly (all buggy
     /// members flagged, no benign twin flagged).
     pub robust_ok: u64,
@@ -214,8 +180,8 @@ fn tally(
     rows: &[FamilyOutcomes],
     class: &str,
     predicted: impl Fn(&MemberOutcome) -> bool,
-) -> (CellScore, u64, u64) {
-    let mut s = CellScore::default();
+) -> (ClassScore, u64, u64) {
+    let mut s = ClassScore::default();
     let mut robust_ok = 0;
     let mut robust_total = 0;
     for fam in rows {

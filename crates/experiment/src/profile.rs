@@ -267,7 +267,7 @@ impl ProfileReport {
             format!("profile {}: top-{} hot sites", self.key, self.top_k),
             &["site", "events", "share"],
         );
-        let total = self.totals.events.max(1);
+        let total = self.totals.scalars.events.max(1);
         for (loc, n) in self.totals.top_sites(self.top_k) {
             t.row(&[
                 loc.to_string(),
@@ -312,6 +312,7 @@ impl ProfileReport {
         );
         let n = self.runs_per_tool.max(1) as f64;
         for (tool, m) in &self.per_tool {
+            let m = &m.scalars;
             t.row(&[
                 tool.clone(),
                 format!("{:.1}", m.events as f64 / n),
@@ -521,8 +522,8 @@ mod tests {
     #[test]
     fn profile_measures_real_activity() {
         let report = run_profile("e3", &tiny()).unwrap();
-        assert!(report.totals.events > 0);
-        assert!(report.totals.lock_acquires > 0);
+        assert!(report.totals.scalars.events > 0);
+        assert!(report.totals.scalars.lock_acquires > 0);
         assert!(!report.per_tool.is_empty());
         assert_eq!(
             report.run_log.len() as u64,

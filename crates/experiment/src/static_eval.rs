@@ -180,17 +180,21 @@ pub fn run_static_eval_on(runs: u64, pool: &JobPool) -> Vec<StaticRow> {
     })
 }
 
-/// Per-bug-class score of static diagnostics against the documentation
-/// plus the dynamic oracle.
-#[derive(Clone, Debug, Default)]
+/// The confusion matrix of one tool on one bug class: E7 and E11 score
+/// programs against the documentation plus the dynamic oracle, E10 scores
+/// generated members against their constructed ground truth.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassScore {
-    /// Programs where the class was both predicted and documented.
+    /// Predicted and positive.
     pub tp: u64,
-    /// Programs where the class was predicted but not documented.
+    /// Predicted but not positive.
     pub fp: u64,
-    /// Programs where the class was documented, manifested dynamically,
-    /// and the static pipeline missed it.
+    /// Positive but missed. E7 and E11 charge a documented class only when
+    /// the bug manifested dynamically.
     pub fn_: u64,
+    /// Neither predicted nor positive. Only E10 counts these: its benign
+    /// twins are definite negatives, while E7 and E11 leave this at 0.
+    pub tn: u64,
 }
 
 impl ClassScore {
@@ -373,7 +377,7 @@ mod tests {
             scores
                 .iter()
                 .find(|(n, _)| n == c)
-                .map(|(_, s)| s.clone())
+                .map(|(_, s)| *s)
                 .unwrap_or_else(|| panic!("class {c} missing from {scores:?}"))
         };
 

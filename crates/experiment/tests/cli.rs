@@ -201,6 +201,47 @@ fn cli_output_is_identical_across_job_counts() {
     assert_eq!(serial, par, "mtt e5 stdout diverged between --jobs 1 and 4");
 }
 
+/// Each clause beyond a spec's scheduler and noise, as `--tools` writes it.
+const DROPPED_CLAUSES: [&str; 6] = [
+    "backend=native",
+    "spurious=0.05",
+    "place=sync",
+    "race=hb",
+    "deadlock=waitsfor",
+    "cov=sites",
+];
+
+/// `mtt CMD 2 --tools 'sticky:0.9+CLAUSE'` exits 2 naming the clause, and a
+/// spec of a scheduler and noise alone still runs.
+fn refuses_clauses_it_would_drop(cmd: &str) {
+    for clause in DROPPED_CLAUSES {
+        let spec = format!("sticky:0.9+noise=yield:0.3+{clause}+name=t");
+        let (stdout, stderr, code) = mtt_code(&[cmd, "2", "--quiet", "--tools", &spec]);
+        assert_eq!(code, 2, "`mtt {cmd} --tools {spec}`: {stderr}");
+        assert!(stderr.contains(clause), "`{clause}` not named: {stderr}");
+        assert!(stdout.is_empty(), "nothing runs: {stdout}");
+    }
+    let (stdout, stderr, code) = mtt_code(&[
+        cmd,
+        "2",
+        "--quiet",
+        "--tools",
+        "sticky:0.9+noise=yield:0.3+name=t",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains('t'), "{stdout}");
+}
+
+#[test]
+fn e5_refuses_tool_clauses_it_would_drop() {
+    refuses_clauses_it_would_drop("e5");
+}
+
+#[test]
+fn cloning_refuses_tool_clauses_it_would_drop() {
+    refuses_clauses_it_would_drop("cloning");
+}
+
 #[test]
 fn explain_output_is_identical_across_job_counts() {
     // The causal post-mortem at the process boundary: timeline + diff on

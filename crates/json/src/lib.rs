@@ -8,7 +8,8 @@
 //! implementors ([`json_struct!`], [`json_enum!`], [`json_newtype!`]) that
 //! stand in for `#[derive(Serialize, Deserialize)]` on the workspace's
 //! data types, including fields that are skipped when they hold their
-//! default (`#[optional]` in [`json_struct!`]).
+//! default (`#[optional]` in [`json_struct!`]) and fields whose members
+//! are printed inline (`#[flatten]`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -267,6 +268,11 @@ impl JsonError {
             msg: m.into(),
             pos: None,
         }
+    }
+
+    /// The same failure, found in the value of the field `name`.
+    fn in_field(self, name: &str) -> Self {
+        JsonError::msg(format!("field `{name}`: {self}"))
     }
 
     /// Shorthand for "expected X" conversion failures.
@@ -545,6 +551,19 @@ pub trait ToJson {
     fn write_json(&self, out: &mut String) {
         self.to_json().write(out);
     }
+}
+
+/// A type whose JSON form is an object, so another object can print its
+/// members inline: [`json_struct!`]'s `#[flatten]` fields and the journal's
+/// records, which print a payload's members after their own.
+pub trait JsonObject: ToJson {
+    /// Append the members of `self`'s object, with no braces: each member
+    /// is preceded by a comma unless `out` ends with the `{` that opens
+    /// the object (no printed value ends with `{`).
+    fn write_members(&self, out: &mut String);
+
+    /// Append the members of `self`'s object to `fields`.
+    fn push_members(&self, fields: &mut Vec<(String, Json)>);
 }
 
 /// Reconstruct a value from a [`Json`] representation.
@@ -868,32 +887,36 @@ impl FromJson for Json {
 // Derive-replacement macros
 // ---------------------------------------------------------------------
 
-/// Implement [`ToJson`] + [`FromJson`] for a plain struct: every field is
-/// emitted under its own name, in the order listed, and required on input.
-/// A field marked `#[optional]` is left out while it equals
-/// `Default::default()` and reads as the default when absent — the form
-/// versioned schemas use to add a field without changing old records.
+/// Implement [`ToJson`], [`JsonObject`] and [`FromJson`] for a plain
+/// struct: every field is emitted under its own name, in the order listed,
+/// and required on input. A field marked `#[optional]` is left out while it
+/// equals `Default::default()` and reads as the default when absent — the
+/// form versioned schemas use to add a field without changing old records.
+/// A field marked `#[flatten]` (its type a [`JsonObject`]) prints its
+/// members in place of itself and decodes them from the same object.
 #[macro_export]
 macro_rules! json_struct {
     ($ty:ident { $($(#[$mode:ident])? $field:ident),+ $(,)? }) => {
+        impl $crate::JsonObject for $ty {
+            fn write_members(&self, out: &mut ::std::string::String) {
+                $($crate::__json_field!(write out, self.$field, $field $(, $mode)?);)+
+            }
+            fn push_members(
+                &self,
+                fields: &mut ::std::vec::Vec<(::std::string::String, $crate::Json)>,
+            ) {
+                $($crate::__json_field!(push fields, self.$field, $field $(, $mode)?);)+
+            }
+        }
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 let mut fields = ::std::vec::Vec::new();
-                $(if !$crate::__json_field!(skip self.$field $(, $mode)?) {
-                    fields.push((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)));
-                })+
+                $crate::JsonObject::push_members(self, &mut fields);
                 $crate::Json::Obj(fields)
             }
             fn write_json(&self, out: &mut ::std::string::String) {
                 out.push('{');
-                let body = out.len();
-                $(if !$crate::__json_field!(skip self.$field $(, $mode)?) {
-                    if out.len() > body {
-                        out.push(',');
-                    }
-                    out.push_str(concat!("\"", stringify!($field), "\":"));
-                    $crate::ToJson::write_json(&self.$field, out);
-                })+
+                $crate::JsonObject::write_members(self, out);
                 out.push('}');
             }
         }
@@ -910,21 +933,48 @@ macro_rules! json_struct {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_field {
-    (skip $value:expr) => {
-        false
+    (write $out:ident, $value:expr, $field:ident) => {
+        $crate::write_member($out, concat!("\"", stringify!($field), "\":"), &$value)
     };
-    (skip $value:expr, optional) => {
-        $crate::is_default(&$value)
+    (write $out:ident, $value:expr, $field:ident, optional) => {
+        if !$crate::is_default(&$value) {
+            $crate::__json_field!(write $out, $value, $field)
+        }
+    };
+    (write $out:ident, $value:expr, $field:ident, flatten) => {
+        $crate::JsonObject::write_members(&$value, $out)
+    };
+    (push $fields:ident, $value:expr, $field:ident) => {
+        $fields.push((stringify!($field).to_string(), $crate::ToJson::to_json(&$value)))
+    };
+    (push $fields:ident, $value:expr, $field:ident, optional) => {
+        if !$crate::is_default(&$value) {
+            $crate::__json_field!(push $fields, $value, $field)
+        }
+    };
+    (push $fields:ident, $value:expr, $field:ident, flatten) => {
+        $crate::JsonObject::push_members(&$value, $fields)
     };
     (read $v:ident, $ty:ident, $field:ident) => {
         $crate::field($v, stringify!($field), stringify!($ty))
     };
     (read $v:ident, $ty:ident, $field:ident, optional) => {
-        $v.get(stringify!($field)).map_or(
-            ::std::result::Result::Ok(::std::default::Default::default()),
-            $crate::FromJson::from_json,
-        )
+        $crate::optional_field($v, stringify!($field))
     };
+    (read $v:ident, $ty:ident, $field:ident, flatten) => {
+        $crate::FromJson::from_json($v)
+    };
+}
+
+/// Append the member `key` (quoted, with its colon) holding `value` to the
+/// object being printed in `out`: [`json_struct!`]'s printer.
+#[doc(hidden)]
+pub fn write_member<T: ToJson + ?Sized>(out: &mut String, key: &str, value: &T) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push_str(key);
+    value.write_json(out);
 }
 
 /// Whether `v` equals its type's default: when [`json_struct!`] leaves an
@@ -935,11 +985,22 @@ pub fn is_default<T: Default + PartialEq>(v: &T) -> bool {
 }
 
 /// Read the required field `name` of a `ty` object: [`json_struct!`]'s
-/// decoder.
+/// decoder. A value that fails to convert names the field.
 #[doc(hidden)]
 pub fn field<T: FromJson>(v: &Json, name: &str, ty: &str) -> Result<T, JsonError> {
-    let f = v.get(name);
-    T::from_json(f.ok_or_else(|| JsonError::msg(format!("missing field `{name}` in {ty}")))?)
+    let f = v
+        .get(name)
+        .ok_or_else(|| JsonError::msg(format!("missing field `{name}` in {ty}")))?;
+    T::from_json(f).map_err(|e| e.in_field(name))
+}
+
+/// Read the `#[optional]` field `name`: the default when absent.
+#[doc(hidden)]
+pub fn optional_field<T: FromJson + Default>(v: &Json, name: &str) -> Result<T, JsonError> {
+    v.get(name).map_or_else(
+        || Ok(T::default()),
+        |f| T::from_json(f).map_err(|e| e.in_field(name)),
+    )
 }
 
 /// Implement [`ToJson`] + [`FromJson`] for a tuple struct with one field
@@ -1170,7 +1231,7 @@ mod tests {
         assert_eq!(Json::Float(2.25).dump(), "2.25");
     }
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, Default, PartialEq)]
     struct Point {
         x: u32,
         y: i64,
@@ -1257,6 +1318,77 @@ mod tests {
         assert!(from_str::<Tagged>(r#"{"id":4}"#).is_err());
         assert!(from_str::<Tagged>(r#"{"id":4,"tags":[],"note":7}"#).is_err());
         assert!(from_str::<BTreeSet<u32>>("{}").is_err());
+    }
+
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Line {
+        name: String,
+        point: Point,
+        tagged: Tagged,
+    }
+    json_struct!(Line {
+        name,
+        #[flatten]
+        point,
+        #[flatten]
+        tagged,
+    });
+
+    #[test]
+    fn flattened_fields_print_inline_and_decode_from_the_same_object() {
+        let line = Line {
+            name: "l".into(),
+            point: Point {
+                x: 1,
+                y: -1,
+                tag: "p".into(),
+            },
+            tagged: Tagged {
+                id: 7,
+                extra: vec![2],
+                ..Tagged::default()
+            },
+        };
+        let s = to_string(&line);
+        assert_eq!(
+            s,
+            r#"{"name":"l","x":1,"y":-1,"tag":"p","id":7,"tags":[],"extra":[2]}"#
+        );
+        assert_eq!(s, line.to_json().dump());
+        assert_eq!(from_str::<Line>(&s).unwrap(), line);
+        // A flattened struct printed first needs no comma before it.
+        let mut out = String::from("{");
+        line.point.write_members(&mut out);
+        assert_eq!(out, r#"{"x":1,"y":-1,"tag":"p""#);
+        // Its members are required like any other.
+        let err = from_str::<Line>(r#"{"name":"l","x":1,"tag":"p","id":7,"tags":[]}"#);
+        assert_eq!(err.unwrap_err().to_string(), "missing field `y` in Point");
+    }
+
+    #[test]
+    fn decode_errors_name_the_field() {
+        let err = |text: &str| from_str::<Line>(text).unwrap_err().to_string();
+        let tail = r#""x":1,"y":-1,"tag":"p","id":7"#;
+        assert_eq!(
+            err(&format!(r#"{{"name":3,{tail},"tags":[]}}"#)),
+            "field `name`: expected string, found integer"
+        );
+        assert_eq!(
+            err(&format!(r#"{{"name":"l",{tail},"tags":[],"note":[]}}"#)),
+            "field `note`: expected string, found array"
+        );
+        // A nested struct's field names each field on the way down.
+        #[derive(Debug)]
+        struct Outer {
+            #[allow(dead_code)]
+            inner: Point,
+        }
+        json_struct!(Outer { inner });
+        let nested = from_str::<Outer>(r#"{"inner":{"x":"one","y":0,"tag":""}}"#);
+        assert_eq!(
+            nested.unwrap_err().to_string(),
+            "field `inner`: field `x`: expected unsigned integer, found string"
+        );
     }
 
     #[test]

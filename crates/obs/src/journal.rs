@@ -34,7 +34,7 @@
 //! deterministic payload fields alone, which is why resumed output is
 //! byte-identical to an uninterrupted run.
 
-use mtt_json::{json_struct, FromJson, Json, ToJson};
+use mtt_json::{json_struct, FromJson, Json, JsonObject, ToJson};
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -107,12 +107,14 @@ pub fn content_address(
 // Record types
 // ---------------------------------------------------------------------
 
-/// The scalar slice of a run's telemetry — exactly the counters the NDJSON
-/// run log emits, so a resumed campaign can rebuild run-log lines
-/// byte-identically. The per-site maps are deliberately absent (they hold
-/// `&'static str` source locations that cannot round-trip through a file);
-/// commands that need them, like `mtt profile`, refuse to resume.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The twelve deterministic counters of one run, declared once: the
+/// telemetry layer's `RunMetrics` embeds them, every run-log line prints
+/// them among its own fields, and a `done` record nests them as
+/// `metrics`, so a resumed campaign rebuilds run-log lines byte-identically.
+/// The per-site maps are deliberately absent (they hold `&'static str`
+/// source locations that cannot round-trip through a file); commands that
+/// need them, like `mtt profile`, refuse to resume.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricScalars {
     pub events: u64,
     pub sched_points: u64,
@@ -142,6 +144,29 @@ json_struct!(MetricScalars {
     threads,
     steps_to_first_bug,
 });
+
+impl MetricScalars {
+    /// Fold another run's counters into these. Sums everywhere except
+    /// `steps_to_first_bug`, which merges by minimum, so a merge is
+    /// commutative and associative.
+    pub fn merge(&mut self, other: &MetricScalars) {
+        self.events += other.events;
+        self.sched_points += other.sched_points;
+        self.context_switches += other.context_switches;
+        self.forced_yields += other.forced_yields;
+        self.noise_injections += other.noise_injections;
+        self.spurious_wakeups += other.spurious_wakeups;
+        self.lock_acquires += other.lock_acquires;
+        self.lock_contentions += other.lock_contentions;
+        self.waits += other.waits;
+        self.notifies += other.notifies;
+        self.threads += other.threads;
+        self.steps_to_first_bug = match (self.steps_to_first_bug, other.steps_to_first_bug) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+    }
+}
 
 /// The `campaign` header record: grid shape and provenance, written once
 /// per process that appends to the journal (a resumed campaign appends a
@@ -330,25 +355,27 @@ impl JournalRecord {
             JournalRecord::End(_) => "end",
         }
     }
+
+    /// The payload: the record's own fields, printed after `v` and `kind`.
+    fn payload(&self) -> &dyn JsonObject {
+        match self {
+            JournalRecord::Campaign(r) => r,
+            JournalRecord::Start(r) => r,
+            JournalRecord::Done(r) => r,
+            JournalRecord::Job(r) => r,
+            JournalRecord::End(r) => r,
+        }
+    }
 }
 
 impl ToJson for JournalRecord {
     fn to_json(&self) -> Json {
-        let payload = match self {
-            JournalRecord::Campaign(r) => r.to_json(),
-            JournalRecord::Start(r) => r.to_json(),
-            JournalRecord::Done(r) => r.to_json(),
-            JournalRecord::Job(r) => r.to_json(),
-            JournalRecord::End(r) => r.to_json(),
-        };
-        let Json::Obj(fields) = payload else {
-            unreachable!("journal payloads are objects");
-        };
-        let mut out = Vec::with_capacity(fields.len() + 2);
-        out.push(("v".to_string(), JOURNAL_VERSION.to_json()));
-        out.push(("kind".to_string(), self.kind().to_json()));
-        out.extend(fields);
-        Json::Obj(out)
+        let mut fields = vec![
+            ("v".to_string(), JOURNAL_VERSION.to_json()),
+            ("kind".to_string(), self.kind().to_json()),
+        ];
+        self.payload().push_members(&mut fields);
+        Json::Obj(fields)
     }
 
     fn write_json(&self, out: &mut String) {
@@ -356,22 +383,8 @@ impl ToJson for JournalRecord {
         JOURNAL_VERSION.write_json(out);
         out.push_str(",\"kind\":");
         self.kind().write_json(out);
-        let payload = out.len();
-        match self {
-            JournalRecord::Campaign(r) => r.write_json(out),
-            JournalRecord::Start(r) => r.write_json(out),
-            JournalRecord::Done(r) => r.write_json(out),
-            JournalRecord::Job(r) => r.write_json(out),
-            JournalRecord::End(r) => r.write_json(out),
-        }
-        // Splice the payload's fields in after `kind`: its opening brace
-        // becomes the separator. Every payload has a required field, so
-        // its object is never empty.
-        assert!(
-            out[payload..].starts_with('{') && !out[payload..].starts_with("{}"),
-            "journal payloads are non-empty objects"
-        );
-        out.replace_range(payload..=payload, ",");
+        self.payload().write_members(out);
+        out.push('}');
     }
 }
 

@@ -16,7 +16,8 @@
 //!   phases and pool workers. Span timings are *explicitly* wall-clock and
 //!   never enter deterministic reports.
 //! * [`RunLogWriter`] — an NDJSON structured run log (one JSON object per
-//!   run) whose default field set is byte-deterministic at any `--jobs`.
+//!   run, declared by [`RunLogRecord`]) whose default field set is
+//!   byte-deterministic at any `--jobs`.
 //!
 //! Everything deterministic merges; everything wall-clock is quarantined.
 //! That split is what lets the default campaign reports stay byte-identical
@@ -29,7 +30,7 @@ pub mod run;
 pub mod sink;
 pub mod span;
 
-pub use ndjson::{check_run_log_line, RunLogRecord, RunLogWriter, RUN_LOG_REQUIRED_FIELDS};
+pub use ndjson::{check_run_log_line, RunLogRecord, RunLogWriter};
 pub use run::RunMetrics;
 pub use sink::TelemetrySink;
 pub use span::{Span, SpanEvent, SpanSet, SpanTimings};

@@ -1,49 +1,27 @@
 //! The NDJSON structured run log: one JSON object per run.
 //!
 //! Layout: every line is a flat object with the run's coordinates
-//! (`experiment`, `program`, `tool`, `run`, `seed`), its judged outcome
-//! (`outcome` tag + `failed` flag) and the deterministic [`RunMetrics`]
-//! counters. The default record is a pure function of the run's seed, so a
-//! log written at `--jobs 8` is byte-identical to the serial one — the
-//! writer is always fed in canonical (program, tool, run) order after the
-//! shards merge. No line carries a wall-clock duration: per-run time stays
-//! in the explicitly non-deterministic outputs (`timing_table()` and the
-//! journal's `wall_us`).
+//! (`experiment`, `program`, `tool`, `tool_spec`, `run`, `seed`), its
+//! judged outcome (`outcome` tag + `failed` flag), the optional `backend`
+//! and `fingerprint`, and the run's twelve [`MetricScalars`] counters. The
+//! schema is [`RunLogRecord`]'s declaration: the writer prints a record
+//! through it and [`check_run_log_line`] parses a line back into it. The
+//! default record is a pure function of the run's seed, so a log written at
+//! `--jobs 8` is byte-identical to the serial one — the writer is always
+//! fed in canonical (program, tool, run) order after the shards merge. No
+//! line carries a wall-clock duration: per-run time stays in the explicitly
+//! non-deterministic outputs (`timing_table()` and the journal's
+//! `wall_us`).
 //!
 //! All writes propagate `io::Result` — a full disk or a closed pipe is an
 //! error the campaign reports, not a panic.
 
-use crate::run::RunMetrics;
-use mtt_json::{Json, ToJson};
+use mtt_json::{json_struct, FromJson, Json, ToJson};
+use mtt_obs::MetricScalars;
 use std::io::{self, BufWriter, Write};
 
-/// Field names every run-log line must carry, in emission order — the
-/// documented schema, used by `mtt metrics-check` and the CI validator.
-pub const RUN_LOG_REQUIRED_FIELDS: &[&str] = &[
-    "experiment",
-    "program",
-    "tool",
-    "tool_spec",
-    "run",
-    "seed",
-    "outcome",
-    "failed",
-    "events",
-    "sched_points",
-    "context_switches",
-    "forced_yields",
-    "noise_injections",
-    "spurious_wakeups",
-    "lock_acquires",
-    "lock_contentions",
-    "waits",
-    "notifies",
-    "threads",
-    "steps_to_first_bug",
-];
-
-/// One run-log line before serialization.
-#[derive(Clone, Debug, PartialEq)]
+/// One run-log line.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunLogRecord {
     /// Experiment key (`e1`, `profile`, …).
     pub experiment: String,
@@ -72,39 +50,32 @@ pub struct RunLogRecord {
     /// order (32 hex digits), when the campaign computed one. Optional so
     /// logs written by fingerprint-less producers stay schema-valid.
     pub fingerprint: Option<String>,
-    /// Deterministic per-run counters.
-    pub metrics: RunMetrics,
+    /// The run's deterministic counters, printed as members of the line.
+    pub metrics: MetricScalars,
 }
 
-impl RunLogRecord {
-    fn to_json_line(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("experiment".into(), self.experiment.to_json()),
-            ("program".into(), self.program.to_json()),
-            ("tool".into(), self.tool.to_json()),
-            ("tool_spec".into(), self.tool_spec.to_json()),
-            ("run".into(), self.run.to_json()),
-            ("seed".into(), self.seed.to_json()),
-            ("outcome".into(), self.outcome.to_json()),
-            ("failed".into(), self.failed.to_json()),
-        ];
-        if let Some(backend) = &self.backend {
-            fields.push(("backend".into(), backend.to_json()));
-        }
-        if let Some(fp) = &self.fingerprint {
-            fields.push(("fingerprint".into(), fp.to_json()));
-        }
-        match self.metrics.to_json() {
-            Json::Obj(metric_fields) => fields.extend(metric_fields),
-            other => fields.push(("metrics".into(), other)),
-        }
-        Json::Obj(fields)
-    }
-}
+json_struct!(RunLogRecord {
+    experiment,
+    program,
+    tool,
+    tool_spec,
+    run,
+    seed,
+    outcome,
+    failed,
+    #[optional]
+    backend,
+    #[optional]
+    fingerprint,
+    #[flatten]
+    metrics,
+});
 
 /// Streaming NDJSON writer over any `io::Write`.
 pub struct RunLogWriter<W: Write> {
     w: BufWriter<W>,
+    /// The line being printed, reused across records.
+    line: String,
     lines: u64,
 }
 
@@ -113,15 +84,17 @@ impl<W: Write> RunLogWriter<W> {
     pub fn new(w: W) -> Self {
         RunLogWriter {
             w: BufWriter::new(w),
+            line: String::new(),
             lines: 0,
         }
     }
 
     /// Append one record as one line.
     pub fn write_record(&mut self, rec: &RunLogRecord) -> io::Result<()> {
-        let line = rec.to_json_line().dump();
-        self.w.write_all(line.as_bytes())?;
-        self.w.write_all(b"\n")?;
+        self.line.clear();
+        rec.write_json(&mut self.line);
+        self.line.push('\n');
+        self.w.write_all(self.line.as_bytes())?;
         self.lines += 1;
         Ok(())
     }
@@ -142,45 +115,26 @@ impl<W: Write> RunLogWriter<W> {
     }
 }
 
-/// Validate one NDJSON run-log line against the documented schema: it must
-/// parse as a JSON object and carry every [`RUN_LOG_REQUIRED_FIELDS`] key
-/// with a sane type. Returns a description of the first violation.
-pub fn check_run_log_line(line: &str) -> Result<(), String> {
+/// Validate one NDJSON run-log line and decode it: the line must parse back
+/// into a [`RunLogRecord`], and a `backend` it carries must name a known
+/// execution backend (`null` included: the writer leaves an absent
+/// `backend` or `fingerprint` out). Returns a description of the first
+/// violation.
+pub fn check_run_log_line(line: &str) -> Result<RunLogRecord, String> {
     let v = Json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
     let Json::Obj(_) = v else {
         return Err("line is not a JSON object".into());
     };
-    for field in RUN_LOG_REQUIRED_FIELDS {
-        let Some(val) = v.get(field) else {
-            return Err(format!("missing required field `{field}`"));
-        };
-        let ok = match *field {
-            "experiment" | "program" | "tool" | "tool_spec" | "outcome" => val.as_str().is_some(),
-            "failed" => matches!(val, Json::Bool(_)),
-            "steps_to_first_bug" => matches!(val, Json::Null) || val.as_u64().is_some(),
-            _ => val.as_u64().is_some(),
-        };
-        if !ok {
-            return Err(format!("field `{field}` has the wrong type"));
+    let rec = RunLogRecord::from_json(&v).map_err(|e| e.to_string())?;
+    for key in ["backend", "fingerprint"] {
+        if v.get(key) == Some(&Json::Null) {
+            return Err(format!("field `{key}`: expected string, found null"));
         }
     }
-    // `fingerprint` is optional (older producers omit it), but when present
-    // it must be a string.
-    if let Some(fp) = v.get("fingerprint") {
-        if fp.as_str().is_none() {
-            return Err("field `fingerprint` has the wrong type".into());
-        }
+    match rec.backend.as_deref() {
+        None | Some("model" | "native") => Ok(rec),
+        Some(other) => Err(format!("unknown backend `{other}`")),
     }
-    // `backend` is optional (model runs omit it), but when present it must
-    // name a known execution backend.
-    if let Some(b) = v.get("backend") {
-        match b.as_str() {
-            Some("model" | "native") => {}
-            Some(other) => return Err(format!("unknown backend `{other}`")),
-            None => return Err("field `backend` has the wrong type".into()),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -199,7 +153,7 @@ mod tests {
             failed: run.is_multiple_of(2),
             backend: None,
             fingerprint: (run > 0).then(|| format!("{:032x}", 0xabad1dea_u128 + u128::from(run))),
-            metrics: RunMetrics {
+            metrics: MetricScalars {
                 events: 10 + run,
                 sched_points: 20,
                 ..Default::default()
@@ -250,6 +204,10 @@ mod tests {
         assert!(check_run_log_line(&broken)
             .unwrap_err()
             .contains("fingerprint"));
+        let null = broken.replace("\"fingerprint\":7", "\"fingerprint\":null");
+        assert!(check_run_log_line(&null)
+            .unwrap_err()
+            .contains("fingerprint"));
     }
 
     #[test]
@@ -283,6 +241,8 @@ mod tests {
             .contains("unknown backend"));
         let broken = native_line.replace("\"backend\":\"native\"", "\"backend\":3");
         assert!(check_run_log_line(&broken).unwrap_err().contains("backend"));
+        let broken = native_line.replace("\"backend\":\"native\"", "\"backend\":null");
+        assert!(check_run_log_line(&broken).unwrap_err().contains("backend"));
     }
 
     #[test]
@@ -291,7 +251,7 @@ mod tests {
         assert!(check_run_log_line("[1,2]").is_err());
         assert!(check_run_log_line("{\"experiment\":\"e1\"}")
             .unwrap_err()
-            .contains("missing required field"));
+            .contains("missing field `program`"));
         // Right fields, wrong type.
         let mut buf = Vec::new();
         let mut w = RunLogWriter::new(&mut buf);
@@ -302,7 +262,7 @@ mod tests {
         let broken = line.trim_end().replace("\"run\":0", "\"run\":\"zero\"");
         assert!(check_run_log_line(&broken)
             .unwrap_err()
-            .contains("wrong type"));
+            .contains("field `run`: expected unsigned integer, found string"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! segregated timing tables instead.
 
 use mtt_instrument::Loc;
-use mtt_json::{Json, ToJson};
+use mtt_obs::MetricScalars;
 use mtt_runtime::ExecStats;
 use std::collections::BTreeMap;
 
@@ -17,54 +17,31 @@ use std::collections::BTreeMap;
 /// whole campaign — all fields aggregate permutation-invariantly).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    /// Events observed by the telemetry sink.
-    pub events: u64,
+    /// The run's counters: what its run-log line prints and its journal
+    /// `done` record keeps.
+    pub scalars: MetricScalars,
     /// Per-class event counts, indexed by `OpClass::bit()`.
     pub by_class: [u64; 8],
-    /// Successful mutex acquisitions.
-    pub lock_acquires: u64,
-    /// Contended lock encounters (blocking requests + failed try-locks).
-    pub lock_contentions: u64,
-    /// Condition-variable waits entered.
-    pub waits: u64,
-    /// Condition-variable notifications issued.
-    pub notifies: u64,
     /// Events per static program site (the hot-site profile).
     pub sites: BTreeMap<Loc, u64>,
     /// Contended lock encounters per site (the contention profile).
     pub contended_sites: BTreeMap<Loc, u64>,
-    /// Scheduling points (from the runtime).
-    pub sched_points: u64,
-    /// Scheduling points at which the token moved to a different thread.
-    pub context_switches: u64,
-    /// Noise decisions that forced a yield.
-    pub forced_yields: u64,
-    /// All schedule-disturbing noise decisions (yields + sleeps).
-    pub noise_injections: u64,
-    /// Spurious condition-variable wakeups injected.
-    pub spurious_wakeups: u64,
-    /// Threads created, including main.
-    pub threads: u64,
-    /// Scheduling points until the first observed failure (failed
-    /// assertion or abnormal termination); `None` when the run stayed
-    /// clean. Merges by minimum.
-    pub steps_to_first_bug: Option<u64>,
 }
 
 impl RunMetrics {
     /// Copy the runtime's counters into this record (the event-derived
     /// fields come from a [`TelemetrySink`](crate::TelemetrySink)).
     pub fn absorb_stats(&mut self, stats: &ExecStats) {
-        self.sched_points += stats.sched_points;
-        self.context_switches += stats.context_switches;
-        self.forced_yields += stats.forced_yields;
-        self.noise_injections += stats.noise_injections;
-        self.spurious_wakeups += stats.spurious_wakeups;
-        self.threads += u64::from(stats.threads);
-        self.steps_to_first_bug = match (self.steps_to_first_bug, stats.first_failure_step) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        self.scalars.merge(&MetricScalars {
+            sched_points: stats.sched_points,
+            context_switches: stats.context_switches,
+            forced_yields: stats.forced_yields,
+            noise_injections: stats.noise_injections,
+            spurious_wakeups: stats.spurious_wakeups,
+            threads: u64::from(stats.threads),
+            steps_to_first_bug: stats.first_failure_step,
+            ..MetricScalars::default()
+        });
     }
 
     /// Fold another record into this one. Sums everywhere except
@@ -72,30 +49,16 @@ impl RunMetrics {
     /// commutative and associative, so shard aggregates are
     /// permutation-invariant like the rest of the experiment statistics.
     pub fn merge(&mut self, other: &RunMetrics) {
-        self.events += other.events;
+        self.scalars.merge(&other.scalars);
         for (a, b) in self.by_class.iter_mut().zip(&other.by_class) {
             *a += b;
         }
-        self.lock_acquires += other.lock_acquires;
-        self.lock_contentions += other.lock_contentions;
-        self.waits += other.waits;
-        self.notifies += other.notifies;
         for (site, n) in &other.sites {
             *self.sites.entry(*site).or_insert(0) += n;
         }
         for (site, n) in &other.contended_sites {
             *self.contended_sites.entry(*site).or_insert(0) += n;
         }
-        self.sched_points += other.sched_points;
-        self.context_switches += other.context_switches;
-        self.forced_yields += other.forced_yields;
-        self.noise_injections += other.noise_injections;
-        self.spurious_wakeups += other.spurious_wakeups;
-        self.threads += other.threads;
-        self.steps_to_first_bug = match (self.steps_to_first_bug, other.steps_to_first_bug) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 
     /// The `k` busiest sites, by event count then site order (total order,
@@ -116,41 +79,18 @@ impl RunMetrics {
     }
 }
 
-impl ToJson for RunMetrics {
-    /// Flat object of the scalar counters (the NDJSON run-log payload).
-    /// The per-site maps are profile-report material and deliberately
-    /// excluded — a run log with a million runs must stay one compact
-    /// object per line.
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("events".into(), self.events.to_json()),
-            ("sched_points".into(), self.sched_points.to_json()),
-            ("context_switches".into(), self.context_switches.to_json()),
-            ("forced_yields".into(), self.forced_yields.to_json()),
-            ("noise_injections".into(), self.noise_injections.to_json()),
-            ("spurious_wakeups".into(), self.spurious_wakeups.to_json()),
-            ("lock_acquires".into(), self.lock_acquires.to_json()),
-            ("lock_contentions".into(), self.lock_contentions.to_json()),
-            ("waits".into(), self.waits.to_json()),
-            ("notifies".into(), self.notifies.to_json()),
-            ("threads".into(), self.threads.to_json()),
-            (
-                "steps_to_first_bug".into(),
-                self.steps_to_first_bug.to_json(),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn metrics(events: u64, first_bug: Option<u64>) -> RunMetrics {
         RunMetrics {
-            events,
-            lock_acquires: events / 2,
-            steps_to_first_bug: first_bug,
+            scalars: MetricScalars {
+                events,
+                lock_acquires: events / 2,
+                steps_to_first_bug: first_bug,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -163,9 +103,9 @@ mod tests {
         b.sites.insert(Loc::new("p", 1), 2);
         b.sites.insert(Loc::new("p", 2), 9);
         a.merge(&b);
-        assert_eq!(a.events, 16);
-        assert_eq!(a.lock_acquires, 8);
-        assert_eq!(a.steps_to_first_bug, Some(12));
+        assert_eq!(a.scalars.events, 16);
+        assert_eq!(a.scalars.lock_acquires, 8);
+        assert_eq!(a.scalars.steps_to_first_bug, Some(12));
         assert_eq!(a.sites[&Loc::new("p", 1)], 5);
         assert_eq!(a.top_sites(1), vec![(Loc::new("p", 2), 9)]);
     }
@@ -174,10 +114,10 @@ mod tests {
     fn merge_keeps_some_over_none() {
         let mut a = metrics(1, None);
         a.merge(&metrics(1, Some(7)));
-        assert_eq!(a.steps_to_first_bug, Some(7));
+        assert_eq!(a.scalars.steps_to_first_bug, Some(7));
         let mut b = metrics(1, Some(7));
         b.merge(&metrics(1, None));
-        assert_eq!(b.steps_to_first_bug, Some(7));
+        assert_eq!(b.scalars.steps_to_first_bug, Some(7));
     }
 
     #[test]
@@ -194,19 +134,24 @@ mod tests {
             ..Default::default()
         };
         m.absorb_stats(&stats);
-        assert_eq!(m.sched_points, 100);
-        assert_eq!(m.context_switches, 40);
-        assert_eq!(m.threads, 4);
-        assert_eq!(m.steps_to_first_bug, Some(60));
+        assert_eq!(m.scalars.sched_points, 100);
+        assert_eq!(m.scalars.context_switches, 40);
+        assert_eq!(m.scalars.threads, 4);
+        assert_eq!(m.scalars.steps_to_first_bug, Some(60));
     }
 
     #[test]
     fn json_is_flat_and_omits_sites() {
         let mut m = metrics(3, None);
         m.sites.insert(Loc::new("p", 1), 3);
-        let s = mtt_json::to_string(&m);
+        let record = crate::RunLogRecord {
+            metrics: m.scalars,
+            ..Default::default()
+        };
+        let s = mtt_json::to_string(&record);
         assert!(s.contains("\"events\":3"));
         assert!(s.contains("\"steps_to_first_bug\":null"));
         assert!(!s.contains("sites"));
+        assert!(!s.contains("metrics"), "the counters print flat: {s}");
     }
 }

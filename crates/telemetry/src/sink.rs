@@ -90,9 +90,9 @@ impl TelemetrySink {
 impl EventSink for TelemetrySink {
     fn on_event(&mut self, ev: &Event) {
         let key = self.loc_key(ev.loc);
-        let m = &mut self.metrics;
+        self.metrics.by_class[ev.op.class().bit() as usize] += 1;
+        let m = &mut self.metrics.scalars;
         m.events += 1;
-        m.by_class[ev.op.class().bit() as usize] += 1;
         *self.sites.entry(key).or_insert(0) += 1;
         match ev.op {
             Op::LockAcquire { .. } => m.lock_acquires += 1,
@@ -151,9 +151,9 @@ mod tests {
         ));
         sink.finish();
         let m = sink.metrics();
-        assert_eq!(m.events, 5);
-        assert_eq!(m.lock_acquires, 2);
-        assert_eq!(m.lock_contentions, 1);
+        assert_eq!(m.scalars.events, 5);
+        assert_eq!(m.scalars.lock_acquires, 2);
+        assert_eq!(m.scalars.lock_contentions, 1);
         assert_eq!(m.sites[&site_b], 3);
         assert_eq!(m.contended_sites[&site_b], 1);
         assert!(!m.contended_sites.contains_key(&site_a));
@@ -183,8 +183,8 @@ mod tests {
                 all: true,
             },
         ));
-        assert_eq!(sink.metrics().waits, 1);
-        assert_eq!(sink.metrics().notifies, 1);
+        assert_eq!(sink.metrics().scalars.waits, 1);
+        assert_eq!(sink.metrics().scalars.notifies, 1);
     }
 
     #[test]

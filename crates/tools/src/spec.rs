@@ -162,6 +162,25 @@ impl ToolSpec {
         out
     }
 
+    /// The first clause beyond the scheduler, `noise=` and `name=`, written
+    /// as in the canonical form (`place=sync`, `race=hb`, `spurious=0.05`,
+    /// `backend=native`), or `None`: what an experiment that runs only a tool's
+    /// scheduler and noise maker would drop.
+    pub fn beyond_scheduler_and_noise(&self) -> Option<String> {
+        if let Some(place) = &self.place {
+            return Some(format!("place={place}"));
+        }
+        if let Some((kind, sink)) = self.sinks.first() {
+            return Some(format!("{}={sink}", kind.key()));
+        }
+        if let Some(p) = self.spurious {
+            return Some(format!("spurious={p}"));
+        }
+        self.backend
+            .is_native()
+            .then(|| format!("backend={}", self.backend.tag()))
+    }
+
     /// Parse and fully validate one spec. Errors point at the offending
     /// column of `text`.
     pub fn parse(text: &str) -> Result<ToolSpec, SpecError> {
@@ -480,6 +499,30 @@ mod tests {
         let s = ToolSpec::parse("sticky:0.9+noise=none").unwrap();
         assert_eq!(s.canonical(), "sticky:0.9");
         assert_eq!(ToolSpec::parse("sticky:0.9").unwrap(), s);
+    }
+
+    #[test]
+    fn beyond_scheduler_and_noise_names_the_first_other_clause() {
+        let beyond = |text: &str| ToolSpec::parse(text).unwrap().beyond_scheduler_and_noise();
+        assert_eq!(beyond("sticky:0.9+noise=yield:0.3+name=a+b"), None);
+        assert_eq!(
+            beyond("fifo+place=sync+race=hb").as_deref(),
+            Some("place=sync")
+        );
+        assert_eq!(beyond("fifo+race=hb+cov=sites").as_deref(), Some("race=hb"));
+        assert_eq!(
+            beyond("fifo+deadlock=waitsfor").as_deref(),
+            Some("deadlock=waitsfor")
+        );
+        assert_eq!(
+            beyond("fifo+spurious=0.05").as_deref(),
+            Some("spurious=0.05")
+        );
+        assert_eq!(
+            beyond("fifo+backend=native").as_deref(),
+            Some("backend=native")
+        );
+        assert_eq!(beyond("fifo+backend=model"), None);
     }
 
     #[test]

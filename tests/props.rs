@@ -421,6 +421,7 @@ proptest! {
         ),
         perm_seed in any::<u64>(),
     ) {
+        use mtt::obs::MetricScalars;
         use mtt::telemetry::RunMetrics;
 
         let runs: Vec<(u64, u64, Option<u64>)> = raw_runs
@@ -429,9 +430,12 @@ proptest! {
             .collect();
 
         let mk = |&(events, contentions, first_bug): &(u64, u64, Option<u64>)| RunMetrics {
-            events,
-            lock_contentions: contentions,
-            steps_to_first_bug: first_bug,
+            scalars: MetricScalars {
+                events,
+                lock_contentions: contentions,
+                steps_to_first_bug: first_bug,
+                ..Default::default()
+            },
             ..Default::default()
         };
 
@@ -452,7 +456,7 @@ proptest! {
         }
         prop_assert_eq!(shuffled, serial.clone());
         prop_assert_eq!(
-            serial.steps_to_first_bug,
+            serial.scalars.steps_to_first_bug,
             runs.iter().filter_map(|r| r.2).min()
         );
     }
