@@ -209,6 +209,10 @@ impl EventSink for LockOrderGraph {
             _ => {}
         }
     }
+
+    fn has_findings(&self) -> bool {
+        !self.potentials().is_empty()
+    }
 }
 
 /// An actual-deadlock cycle observed by the online monitor.
@@ -289,6 +293,10 @@ impl EventSink for WaitsForMonitor {
             }
             _ => {}
         }
+    }
+
+    fn has_findings(&self) -> bool {
+        !self.occurrences.is_empty()
     }
 }
 

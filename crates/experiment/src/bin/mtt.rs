@@ -462,12 +462,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         "e7" => {
             let runs = a.count(40)?;
             Box::new(move |pool| {
-                let rows = static_eval::run_static_eval_on(runs, pool);
-                format!(
-                    "{}\n{}\n",
-                    static_eval::static_table(&rows).render(),
-                    static_eval::class_table(&rows).render()
-                )
+                static_eval::render_report(&static_eval::run_static_eval_on(runs, pool))
             })
         }
         "e10" => {
@@ -478,7 +473,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             Box::new(move |pool| {
                 let rows = gen_eval::run_gen_eval_on(&opts, pool);
                 if json {
-                    format!("{}\n", gen_eval::gen_eval_json(&opts, &rows).dump())
+                    json_line(&gen_eval::gen_eval_json(&opts, &rows))
                 } else if csv {
                     gen_eval::render_csv(&rows)
                 } else {
@@ -491,7 +486,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             Box::new(move |pool| {
                 let rows = scoreboard::run_scoreboard_on(runs, pool);
                 if json {
-                    format!("{}\n", scoreboard::scoreboard_json(&rows).dump())
+                    json_line(&scoreboard::scoreboard_json(&rows))
                 } else if csv {
                     scoreboard::render_csv(&rows)
                 } else {
@@ -504,7 +499,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             Box::new(move |pool| {
                 let cells = saturation_eval::run_saturation_on(runs, pool);
                 if json {
-                    format!("{}\n", saturation_eval::saturation_json(&cells).dump())
+                    json_line(&saturation_eval::saturation_json(&cells))
                 } else if csv {
                     saturation_eval::render_csv(&cells)
                 } else {
@@ -517,7 +512,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             Box::new(move |pool| {
                 let cells = differential_eval::run_differential_on(runs, pool);
                 if json {
-                    format!("{}\n", differential_eval::differential_json(&cells).dump())
+                    json_line(&differential_eval::differential_json(&cells))
                 } else if model_csv {
                     differential_eval::model_csv(&cells)
                 } else if csv {
@@ -537,6 +532,11 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
     a.finish()?;
     print!("{}", g.on_pool(&cmd, job)?);
     Ok(())
+}
+
+/// An experiment's `--json` document, printed as one line.
+fn json_line(doc: &impl mtt_json::ToJson) -> String {
+    format!("{}\n", mtt_json::to_string(doc))
 }
 
 fn list() -> ExitCode {

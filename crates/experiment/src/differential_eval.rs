@@ -31,10 +31,10 @@
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::{total_variation, Distribution, FindStats};
-use mtt_json::Json;
 use mtt_runtime::{Execution, Outcome, Program};
 use mtt_suite::SuiteProgram;
 use mtt_tools::ToolConfig;
+use std::collections::BTreeMap;
 
 /// The tool roster E13 differentials, as *model* tool specs (the same
 /// grammar the `--tools` flag speaks). The native twin of each is derived
@@ -348,59 +348,140 @@ pub fn model_csv(cells: &[DifferentialCell]) -> String {
     t.to_csv()
 }
 
-fn leg_json(leg: &BackendLeg) -> Json {
-    let (lo, hi) = leg.find.wilson95();
-    Json::Obj(vec![
-        ("tool_spec".into(), Json::Str(leg.tool_spec.clone())),
-        ("hits".into(), Json::UInt(leg.find.hits)),
-        ("runs".into(), Json::UInt(leg.find.runs)),
-        ("find_rate".into(), Json::Float(leg.find.rate())),
-        ("wilson_low".into(), Json::Float(lo)),
-        ("wilson_high".into(), Json::Float(hi)),
-        ("support".into(), Json::UInt(leg.outcomes.support() as u64)),
-        ("entropy".into(), Json::Float(leg.outcomes.entropy())),
-        ("budget_kills".into(), Json::UInt(leg.budget_kills)),
-        ("torn_reads".into(), Json::UInt(leg.torn_reads)),
-        (
-            "outcomes".into(),
-            Json::Obj(
-                leg.outcomes
-                    .counts
-                    .iter()
-                    .map(|(sig, &n)| (sig.clone(), Json::UInt(n)))
-                    .collect(),
-            ),
-        ),
-    ])
+/// One leg of a cell in `mtt e13 --json`.
+#[derive(Clone, Debug)]
+pub struct LegJson {
+    /// Canonical spec string the leg ran under.
+    pub tool_spec: String,
+    /// Runs in which the oracle saw a documented bug (`hits`), of `runs`.
+    pub find: FindStats,
+    /// hits / runs.
+    pub find_rate: f64,
+    /// Lower end of the 95% Wilson interval.
+    pub wilson_low: f64,
+    /// Upper end of the 95% Wilson interval.
+    pub wilson_high: f64,
+    /// Distinct outcome signatures.
+    pub support: u64,
+    /// Shannon entropy of the outcome distribution, in bits.
+    pub entropy: f64,
+    /// Runs that ended on the step or wall budget.
+    pub budget_kills: u64,
+    /// Torn reads the `RaceCell` oracle observed.
+    pub torn_reads: u64,
+    /// Runs per `kind|final_vars` outcome signature.
+    pub outcomes: BTreeMap<String, u64>,
 }
 
+mtt_json::json_struct!(LegJson {
+    tool_spec,
+    #[flatten]
+    find,
+    find_rate,
+    wilson_low,
+    wilson_high,
+    support,
+    entropy,
+    budget_kills,
+    torn_reads,
+    outcomes,
+});
+
+impl LegJson {
+    fn of(leg: &BackendLeg) -> Self {
+        let (wilson_low, wilson_high) = leg.find.wilson95();
+        LegJson {
+            tool_spec: leg.tool_spec.clone(),
+            find: leg.find,
+            find_rate: leg.find.rate(),
+            wilson_low,
+            wilson_high,
+            support: leg.outcomes.support() as u64,
+            entropy: leg.outcomes.entropy(),
+            budget_kills: leg.budget_kills,
+            torn_reads: leg.torn_reads,
+            outcomes: leg.outcomes.counts.clone(),
+        }
+    }
+}
+
+/// One cell in `mtt e13 --json`.
+#[derive(Clone, Debug)]
+pub struct CellJson {
+    /// Program under test.
+    pub program: String,
+    /// Tool display name.
+    pub tool: String,
+    /// Runs per leg.
+    pub runs: u64,
+    /// The model leg.
+    pub model: LegJson,
+    /// The native leg.
+    pub native: LegJson,
+    /// Total-variation distance between the legs' outcome distributions.
+    pub tv_distance: f64,
+    /// Do the legs' 95% Wilson intervals overlap?
+    pub find_intervals_overlap: bool,
+}
+
+mtt_json::json_struct!(CellJson {
+    program,
+    tool,
+    runs,
+    model,
+    native,
+    tv_distance,
+    find_intervals_overlap,
+});
+
+/// `mtt e13 --json`: schema `mtt-e13-differential`, version 1.
+#[derive(Clone, Debug)]
+pub struct DifferentialJson {
+    /// `mtt-e13-differential`.
+    pub schema: String,
+    /// 1.
+    pub version: u64,
+    /// [`DIFFERENTIAL_BASE_SEED`].
+    pub base_seed: u64,
+    /// [`DIFFERENTIAL_MAX_STEPS`].
+    pub max_steps: u64,
+    /// [`NATIVE_RUN_BUDGET_MS`].
+    pub native_budget_ms: u64,
+    /// Every cell, in grid order.
+    pub cells: Vec<CellJson>,
+}
+
+mtt_json::json_struct!(DifferentialJson {
+    schema,
+    version,
+    base_seed,
+    max_steps,
+    native_budget_ms,
+    cells,
+});
+
 /// The machine-readable report (`mtt e13 --json`).
-pub fn differential_json(cells: &[DifferentialCell]) -> Json {
-    let arr = cells
+pub fn differential_json(cells: &[DifferentialCell]) -> DifferentialJson {
+    let cells = cells
         .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("program".into(), Json::Str(c.program.clone())),
-                ("tool".into(), Json::Str(c.tool.clone())),
-                ("runs".into(), Json::UInt(c.runs)),
-                ("model".into(), leg_json(&c.model)),
-                ("native".into(), leg_json(&c.native)),
-                ("tv_distance".into(), Json::Float(c.tv_distance)),
-                (
-                    "find_intervals_overlap".into(),
-                    Json::Bool(c.find_intervals_overlap),
-                ),
-            ])
+        .map(|c| CellJson {
+            program: c.program.clone(),
+            tool: c.tool.clone(),
+            runs: c.runs,
+            model: LegJson::of(&c.model),
+            native: LegJson::of(&c.native),
+            tv_distance: c.tv_distance,
+            find_intervals_overlap: c.find_intervals_overlap,
         })
         .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::Str("mtt-e13-differential".into())),
-        ("version".into(), Json::UInt(1)),
-        ("base_seed".into(), Json::UInt(DIFFERENTIAL_BASE_SEED)),
-        ("max_steps".into(), Json::UInt(DIFFERENTIAL_MAX_STEPS)),
-        ("native_budget_ms".into(), Json::UInt(NATIVE_RUN_BUDGET_MS)),
-        ("cells".into(), Json::Arr(arr)),
-    ])
+    DifferentialJson {
+        schema: "mtt-e13-differential".into(),
+        version: 1,
+        base_seed: DIFFERENTIAL_BASE_SEED,
+        max_steps: DIFFERENTIAL_MAX_STEPS,
+        native_budget_ms: NATIVE_RUN_BUDGET_MS,
+        cells,
+    }
 }
 
 #[cfg(test)]
@@ -469,7 +550,7 @@ mod tests {
         let par = run_differential_on(4, &JobPool::new(4));
         assert_eq!(model_csv(&serial), model_csv(&par));
         // And the JSON schema header is stable regardless of pool shape.
-        let j = differential_json(&serial).dump();
+        let j = mtt_json::to_string(&differential_json(&serial));
         assert!(j.contains("\"schema\":\"mtt-e13-differential\""));
         assert!(j.contains("\"version\":1"));
     }

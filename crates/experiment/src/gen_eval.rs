@@ -26,11 +26,8 @@
 
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
-use crate::scoreboard::STATIC_TOOL_SCOPES;
-use crate::scoreboard::{dynamic_roster, dynamic_warned, sink_class, DynamicHit};
-use crate::static_eval::ClassScore;
-use mtt_json::{Json, ToJson};
-use mtt_static::analyze;
+use crate::scoreboard::dynamic_roster;
+use crate::scoring::{judge, score_table, ScoreRow, Tool, Truth, Verdicts};
 use std::collections::BTreeSet;
 
 /// E10 options: the generator draw plus the per-tool run budget.
@@ -64,18 +61,16 @@ pub struct MemberOutcome {
     /// Classes this member is a positive for (primary + implied; empty
     /// when benign).
     pub classes: BTreeSet<String>,
-    /// Diagnostic codes the static pipeline emitted.
-    pub static_codes: BTreeSet<String>,
-    /// Per-dynamic-tool verdicts, in roster order.
-    pub dynamic: Vec<DynamicHit>,
+    /// What the static pipeline and the roster said about it.
+    pub verdicts: Verdicts,
 }
 
 mtt_json::json_struct!(MemberOutcome {
     name,
     benign,
     classes,
-    static_codes,
-    dynamic,
+    #[flatten]
+    verdicts,
 });
 
 /// One scored family: its id, claimed classes, and member outcomes.
@@ -98,23 +93,60 @@ mtt_json::json_struct!(FamilyOutcomes {
     members
 });
 
-/// One row of the E10 per-tool scoreboard.
+/// One row of Table E10b: a pattern's share of the population.
 #[derive(Clone, Debug)]
-pub struct GenScoreRow {
-    /// Tool label (`static:R001`, `dyn-lockset`, ...).
-    pub tool: String,
-    /// `"static"` or `"dynamic"`.
-    pub kind: &'static str,
-    /// The class the tool is scored on.
-    pub class: String,
-    /// Member-level confusion matrix.
-    pub score: ClassScore,
-    /// Families of this class the tool detected robustly (all buggy
-    /// members flagged, no benign twin flagged).
-    pub robust_ok: u64,
-    /// Families of this class, total.
-    pub robust_total: u64,
+pub struct PopulationRow {
+    /// Pattern key and class, `race (DataRace)`.
+    pub pattern: String,
+    /// Families drawn.
+    pub families: u64,
+    /// Members, buggy and benign.
+    pub members: u64,
+    /// Buggy members.
+    pub buggy: u64,
+    /// Benign twins.
+    pub benign: u64,
 }
+
+mtt_json::json_struct!(PopulationRow {
+    pattern,
+    families,
+    members,
+    buggy,
+    benign,
+});
+
+/// `mtt e10 --json`: schema `mtt-e10-scoreboard`, version 1.
+#[derive(Clone, Debug)]
+pub struct GenEvalJson {
+    /// `mtt-e10-scoreboard`.
+    pub schema: String,
+    /// 1.
+    pub version: u64,
+    /// Root generator seed.
+    pub seed: u64,
+    /// Families drawn.
+    pub families: u64,
+    /// Runs per dynamic tool per member.
+    pub runs: u64,
+    /// Table E10b, without its total row.
+    pub population: Vec<PopulationRow>,
+    /// Table E10.
+    pub tools: Vec<ScoreRow>,
+    /// Every family's member outcomes.
+    pub family_outcomes: Vec<FamilyOutcomes>,
+}
+
+mtt_json::json_struct!(GenEvalJson {
+    schema,
+    version,
+    seed,
+    families,
+    runs,
+    population,
+    tools,
+    family_outcomes,
+});
 
 /// Run E10, one cell per family on `pool`. `mtt_gen::family` is a pure
 /// function of `(seed, index)` and every execution inside a cell is
@@ -131,38 +163,16 @@ pub fn run_gen_eval_on(opts: &GenEvalOptions, pool: &JobPool) -> Vec<FamilyOutco
         let members = fam
             .members
             .iter()
-            .map(|m| {
-                let ast = m.ast();
-                let analysis = analyze(&ast);
-                let program = mtt_static::compile(&ast);
-                let static_codes: BTreeSet<String> = analysis
-                    .diagnostics
+            .map(|m| MemberOutcome {
+                name: m.name.clone(),
+                benign: m.truth.benign,
+                classes: m
+                    .truth
+                    .positive_classes()
                     .iter()
-                    .map(|d| d.code.clone())
-                    .collect();
-                let dynamic = tools
-                    .iter()
-                    .filter_map(|cfg| {
-                        let class = sink_class(cfg)?;
-                        Some(DynamicHit {
-                            tool: cfg.name.clone(),
-                            class: class.to_string(),
-                            warned: dynamic_warned(&program, cfg, opts.runs, 20_000),
-                        })
-                    })
-                    .collect();
-                MemberOutcome {
-                    name: m.name.clone(),
-                    benign: m.truth.benign,
-                    classes: m
-                        .truth
-                        .positive_classes()
-                        .iter()
-                        .map(|c| format!("{c:?}"))
-                        .collect(),
-                    static_codes,
-                    dynamic,
-                }
+                    .map(|c| format!("{c:?}"))
+                    .collect(),
+                verdicts: judge(&m.ast(), &tools, opts.runs, 20_000).0,
             })
             .collect();
         FamilyOutcomes {
@@ -174,136 +184,59 @@ pub fn run_gen_eval_on(opts: &GenEvalOptions, pool: &JobPool) -> Vec<FamilyOutco
     })
 }
 
-/// Tally one tool's cell for `class` over every member, plus the robust
-/// family count over the families claiming that class.
-fn tally(
-    rows: &[FamilyOutcomes],
-    class: &str,
-    predicted: impl Fn(&MemberOutcome) -> bool,
-) -> (ClassScore, u64, u64) {
-    let mut s = ClassScore::default();
-    let mut robust_ok = 0;
-    let mut robust_total = 0;
-    for fam in rows {
-        for m in &fam.members {
-            let positive = m.classes.contains(class);
-            match (predicted(m), positive) {
-                (true, true) => s.tp += 1,
-                (true, false) => s.fp += 1,
-                (false, true) => s.fn_ += 1,
-                (false, false) => s.tn += 1,
-            }
-        }
-        // A family "claims" a class when its buggy members are positives
-        // for it (uniform across the family by construction).
-        let claims = fam
-            .members
-            .iter()
-            .any(|m| !m.benign && m.classes.contains(class));
-        if claims {
-            robust_total += 1;
-            let all_buggy_hit = fam.members.iter().filter(|m| !m.benign).all(&predicted);
-            let no_benign_hit = fam
-                .members
-                .iter()
-                .filter(|m| m.benign)
-                .all(|m| !predicted(m));
-            if all_buggy_hit && no_benign_hit {
-                robust_ok += 1;
-            }
-        }
-    }
-    (s, robust_ok, robust_total)
-}
-
 /// The per-tool scoreboard: one row per static code and per dynamic
-/// tool, each scored on the class it claims.
-pub fn score_tools(rows: &[FamilyOutcomes]) -> Vec<GenScoreRow> {
-    let mut out = Vec::new();
-    for (code, class) in STATIC_TOOL_SCOPES {
-        let (score, robust_ok, robust_total) =
-            tally(rows, class, |m| m.static_codes.contains(*code));
-        out.push(GenScoreRow {
-            tool: format!("static:{code}"),
-            kind: "static",
-            class: class.to_string(),
-            score,
-            robust_ok,
-            robust_total,
+/// tool, each scored on the class it claims over every member, plus the
+/// robust count over the families that claim that class.
+pub fn score_tools(rows: &[FamilyOutcomes]) -> Vec<ScoreRow> {
+    let members = || rows.iter().flat_map(|f| &f.members);
+    let tools = Tool::all(members().next().map(|m| &m.verdicts));
+    let score = |tool: &Tool| {
+        let positive = |m: &MemberOutcome| m.classes.contains(&tool.class);
+        let programs = members().map(|m| (&m.verdicts, Truth::of(positive(m), true)));
+        // A family claims a class when its buggy members are positives for
+        // it (uniform across the family by construction); it is robust when
+        // the tool flags exactly its buggy members.
+        let claiming = rows
+            .iter()
+            .filter(|f| f.members.iter().any(|m| !m.benign && positive(m)));
+        let robust = claiming.clone().filter(|f| {
+            f.members
+                .iter()
+                .all(|m| tool.flags(&m.verdicts) != m.benign)
         });
-    }
-    if let Some(first) = rows.first().and_then(|f| f.members.first()) {
-        for (ti, hit) in first.dynamic.iter().enumerate() {
-            let (score, robust_ok, robust_total) =
-                tally(rows, &hit.class, |m| m.dynamic[ti].warned);
-            out.push(GenScoreRow {
-                tool: hit.tool.clone(),
-                kind: "dynamic",
-                class: hit.class.clone(),
-                score,
-                robust_ok,
-                robust_total,
-            });
+        ScoreRow {
+            robust_ok: Some(robust.count() as u64),
+            robust_total: Some(claiming.count() as u64),
+            ..tool.row(programs, true)
         }
-    }
-    out
+    };
+    tools.iter().map(score).collect()
 }
 
-/// Population counts per pattern: families, members, buggy, benign.
-pub fn population(rows: &[FamilyOutcomes]) -> Vec<(String, u64, u64, u64, u64)> {
-    let mut keys: Vec<&str> = rows.iter().map(|f| f.pattern.as_str()).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let mut out = Vec::new();
-    for k in keys {
+/// Population counts per pattern, in pattern order.
+pub fn population(rows: &[FamilyOutcomes]) -> Vec<PopulationRow> {
+    let keys: BTreeSet<&str> = rows.iter().map(|f| f.pattern.as_str()).collect();
+    let row = |k: &str| {
         let fams: Vec<&FamilyOutcomes> = rows.iter().filter(|f| f.pattern == k).collect();
-        let members: u64 = fams.iter().map(|f| f.members.len() as u64).sum();
-        let buggy: u64 = fams
-            .iter()
-            .flat_map(|f| &f.members)
-            .filter(|m| !m.benign)
-            .count() as u64;
-        out.push((
-            format!("{k} ({})", fams[0].class),
-            fams.len() as u64,
-            members,
+        let members = fams.iter().flat_map(|f| &f.members);
+        let buggy = members.clone().filter(|m| !m.benign).count() as u64;
+        PopulationRow {
+            pattern: format!("{k} ({})", fams[0].class),
+            families: fams.len() as u64,
+            members: members.clone().count() as u64,
             buggy,
-            members - buggy,
-        ));
-    }
-    out
+            benign: members.filter(|m| m.benign).count() as u64,
+        }
+    };
+    keys.into_iter().map(row).collect()
 }
 
 /// Render Table E10 (per-tool confusion matrix + robust detection).
 pub fn scoreboard_table(rows: &[FamilyOutcomes]) -> Table {
-    let mut t = Table::new(
-        "E10: generated variant families — per tool, scored on its claimed class",
-        &[
-            "tool",
-            "kind",
-            "class",
-            "tp",
-            "fp",
-            "fn",
-            "tn",
-            "precision",
-            "recall",
-            "robust",
-        ],
-    );
+    let title = "E10: generated variant families — per tool, scored on its claimed class";
+    let mut t = score_table(title, true, &["robust"]);
     for r in score_tools(rows) {
-        t.row(&[
-            r.tool,
-            r.kind.to_string(),
-            r.class,
-            r.score.tp.to_string(),
-            r.score.fp.to_string(),
-            r.score.fn_.to_string(),
-            r.score.tn.to_string(),
-            format!("{:.2}", r.score.precision()),
-            format!("{:.2}", r.score.recall()),
-            format!("{}/{}", r.robust_ok, r.robust_total),
-        ]);
+        t.row(&r.cells());
     }
     t
 }
@@ -314,28 +247,23 @@ pub fn population_table(rows: &[FamilyOutcomes]) -> Table {
         "E10b: generated population",
         &["pattern", "families", "members", "buggy", "benign"],
     );
-    let mut fams = 0;
-    let mut members = 0;
-    let mut buggy = 0;
-    for (key, f, m, b, ok) in population(rows) {
-        fams += f;
-        members += m;
-        buggy += b;
+    let pop = population(rows);
+    let total = PopulationRow {
+        pattern: "total".to_string(),
+        families: pop.iter().map(|p| p.families).sum(),
+        members: pop.iter().map(|p| p.members).sum(),
+        buggy: pop.iter().map(|p| p.buggy).sum(),
+        benign: pop.iter().map(|p| p.benign).sum(),
+    };
+    for p in pop.into_iter().chain([total]) {
         t.row(&[
-            key,
-            f.to_string(),
-            m.to_string(),
-            b.to_string(),
-            ok.to_string(),
+            p.pattern,
+            p.families.to_string(),
+            p.members.to_string(),
+            p.buggy.to_string(),
+            p.benign.to_string(),
         ]);
     }
-    t.row(&[
-        "total".to_string(),
-        fams.to_string(),
-        members.to_string(),
-        buggy.to_string(),
-        (members - buggy).to_string(),
-    ]);
     t
 }
 
@@ -357,58 +285,26 @@ pub fn render_csv(rows: &[FamilyOutcomes]) -> String {
     )
 }
 
-/// The machine-readable report (schema `mtt-e10-scoreboard` v1):
-/// options, population, per-tool rows, and per-family member outcomes.
-pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> Json {
-    let pop = population(rows)
-        .into_iter()
-        .map(|(key, f, m, b, ok)| {
-            Json::Obj(vec![
-                ("pattern".into(), Json::Str(key)),
-                ("families".into(), Json::UInt(f)),
-                ("members".into(), Json::UInt(m)),
-                ("buggy".into(), Json::UInt(b)),
-                ("benign".into(), Json::UInt(ok)),
-            ])
-        })
-        .collect();
-    let tools = score_tools(rows)
-        .into_iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("tool".into(), Json::Str(r.tool)),
-                ("kind".into(), Json::Str(r.kind.to_string())),
-                ("class".into(), Json::Str(r.class)),
-                ("tp".into(), Json::UInt(r.score.tp)),
-                ("fp".into(), Json::UInt(r.score.fp)),
-                ("fn".into(), Json::UInt(r.score.fn_)),
-                ("tn".into(), Json::UInt(r.score.tn)),
-                ("precision".into(), Json::Float(r.score.precision())),
-                ("recall".into(), Json::Float(r.score.recall())),
-                ("robust_ok".into(), Json::UInt(r.robust_ok)),
-                ("robust_total".into(), Json::UInt(r.robust_total)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::Str("mtt-e10-scoreboard".into())),
-        ("version".into(), Json::UInt(1)),
-        ("seed".into(), Json::UInt(opts.seed)),
-        ("families".into(), Json::UInt(opts.families)),
-        ("runs".into(), Json::UInt(opts.runs)),
-        ("population".into(), Json::Arr(pop)),
-        ("tools".into(), Json::Arr(tools)),
-        (
-            "family_outcomes".into(),
-            Json::Arr(rows.iter().map(ToJson::to_json).collect()),
-        ),
-    ])
+/// The machine-readable report: options, population, per-tool rows, and
+/// per-family member outcomes.
+pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> GenEvalJson {
+    GenEvalJson {
+        schema: "mtt-e10-scoreboard".into(),
+        version: 1,
+        seed: opts.seed,
+        families: opts.families,
+        runs: opts.runs,
+        population: population(rows),
+        tools: score_tools(rows),
+        family_outcomes: rows.to_vec(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scoreboard::SCOREBOARD_ROSTER_SPECS;
+    use mtt_static::diag;
 
     fn tiny() -> GenEvalOptions {
         GenEvalOptions {
@@ -430,13 +326,13 @@ mod tests {
         for f in &rows {
             assert!(f.members.len() >= 4);
             for m in &f.members {
-                assert_eq!(m.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
+                assert_eq!(m.verdicts.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
             }
         }
         let tools = score_tools(&rows);
         assert_eq!(
             tools.len(),
-            STATIC_TOOL_SCOPES.len() + SCOREBOARD_ROSTER_SPECS.len()
+            diag::CODES.len() + SCOREBOARD_ROSTER_SPECS.len()
         );
     }
 
@@ -447,13 +343,14 @@ mod tests {
         // the signature static rows must show zero FP and zero FN here.
         let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         for r in score_tools(&rows) {
+            let (tool, score) = (&r.tool, r.score);
             if r.kind == "static" {
-                assert_eq!(r.score.fp, 0, "{} fp", r.tool);
+                assert_eq!(score.fp, 0, "{tool} fp");
             }
-            if r.tool == "static:R001" || r.tool == "static:L006" || r.tool == "static:A001" {
-                assert_eq!(r.score.fn_, 0, "{} fn", r.tool);
-                assert!(r.score.tp > 0, "{} tp", r.tool);
-                assert_eq!(r.robust_ok, r.robust_total, "{} robust", r.tool);
+            if tool == "static:R001" || tool == "static:L006" || tool == "static:A001" {
+                assert_eq!(score.fn_, 0, "{tool} fn");
+                assert!(score.tp > 0, "{tool} tp");
+                assert_eq!(r.robust_ok, r.robust_total, "{tool} robust");
             }
         }
     }
@@ -472,8 +369,8 @@ mod tests {
         let lockorder = by_tool("dyn-lockorder");
         assert!(lockorder.score.tp > 0, "lock-order graph finds cycles");
         // Robust totals count only families of the tool's class.
-        assert_eq!(lockset.robust_total, 1, "one race family in 4");
-        assert_eq!(lockorder.robust_total, 1, "one dlock family in 4");
+        assert_eq!(lockset.robust_total, Some(1), "one race family in 4");
+        assert_eq!(lockorder.robust_total, Some(1), "one dlock family in 4");
     }
 
     #[test]
@@ -484,8 +381,8 @@ mod tests {
         assert_eq!(render_report(&serial), render_report(&par));
         assert_eq!(render_csv(&serial), render_csv(&par));
         assert_eq!(
-            gen_eval_json(&opts, &serial).dump(),
-            gen_eval_json(&opts, &par).dump()
+            mtt_json::to_string(&gen_eval_json(&opts, &serial)),
+            mtt_json::to_string(&gen_eval_json(&opts, &par))
         );
     }
 }

@@ -12,8 +12,10 @@
 //! Each `*_eval` module is one such prepared experiment (the experiment ids
 //! E1–E11 are indexed in DESIGN.md §6 and EXPERIMENTS.md); the `mtt` binary
 //! is the push button. [`stats`] holds the shared statistical machinery
-//! (Wilson confidence intervals, outcome-distribution measures), and
-//! [`report`] renders every experiment as aligned text tables plus CSV.
+//! (Wilson confidence intervals, outcome-distribution measures),
+//! [`scoring`] the one confusion-matrix kernel E7, E10 and E11 score tools
+//! with, and [`report`] renders every experiment as aligned text tables
+//! plus CSV.
 //!
 //! [`jobpool`] is the parallel execution layer: every experiment's run
 //! matrix shards across `--jobs` workers, and because each run is a pure
@@ -36,6 +38,7 @@ pub mod replay_eval;
 pub mod report;
 pub mod saturation_eval;
 pub mod scoreboard;
+pub mod scoring;
 pub mod static_eval;
 pub mod stats;
 pub mod tracegen;

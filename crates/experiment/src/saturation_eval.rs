@@ -36,7 +36,6 @@ use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_coverage::ScheduleCoverage;
 use mtt_instrument::shared;
-use mtt_json::{Json, ToJson};
 use mtt_runtime::{Execution, Program};
 use mtt_suite::SuiteProgram;
 use mtt_tools::ToolConfig;
@@ -92,6 +91,29 @@ mtt_json::json_struct!(SaturationCell {
     unseen_mass,
     auc,
     curve,
+});
+
+/// `mtt e12 --json`: schema `mtt-e12-saturation`, version 1.
+#[derive(Clone, Debug)]
+pub struct SaturationJson {
+    /// `mtt-e12-saturation`.
+    pub schema: String,
+    /// 1.
+    pub version: u64,
+    /// [`SATURATION_BASE_SEED`].
+    pub base_seed: u64,
+    /// [`SATURATION_MAX_STEPS`].
+    pub max_steps: u64,
+    /// Every cell, rarefaction curve included, in grid order.
+    pub cells: Vec<SaturationCell>,
+}
+
+mtt_json::json_struct!(SaturationJson {
+    schema,
+    version,
+    base_seed,
+    max_steps,
+    cells,
 });
 
 /// The resolved E12 roster.
@@ -208,17 +230,14 @@ pub fn render_csv(cells: &[SaturationCell]) -> String {
 }
 
 /// The machine-readable report, rarefaction curves included.
-pub fn saturation_json(cells: &[SaturationCell]) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Str("mtt-e12-saturation".into())),
-        ("version".into(), Json::UInt(1)),
-        ("base_seed".into(), Json::UInt(SATURATION_BASE_SEED)),
-        ("max_steps".into(), Json::UInt(SATURATION_MAX_STEPS)),
-        (
-            "cells".into(),
-            Json::Arr(cells.iter().map(ToJson::to_json).collect()),
-        ),
-    ])
+pub fn saturation_json(cells: &[SaturationCell]) -> SaturationJson {
+    SaturationJson {
+        schema: "mtt-e12-saturation".into(),
+        version: 1,
+        base_seed: SATURATION_BASE_SEED,
+        max_steps: SATURATION_MAX_STEPS,
+        cells: cells.to_vec(),
+    }
 }
 
 #[cfg(test)]
@@ -278,8 +297,8 @@ mod tests {
         assert_eq!(render_report(&serial), render_report(&par));
         assert_eq!(render_csv(&serial), render_csv(&par));
         assert_eq!(
-            saturation_json(&serial).dump(),
-            saturation_json(&par).dump()
+            mtt_json::to_string(&saturation_json(&serial)),
+            mtt_json::to_string(&saturation_json(&par))
         );
     }
 

@@ -9,14 +9,15 @@
 //! [`ToolSpec`](mtt_tools::ToolSpec)) over the whole MiniProg sample
 //! catalog, and reports per-bug-class TP/FP/FN precision/recall per tool.
 //!
-//! Scoring conventions (shared with E7):
+//! Scoring conventions (shared with E7 and E10, in [`crate::scoring`]):
 //!
 //! * Each tool is accountable only for the bug classes it *claims* — the
-//!   `predicts` column of the diagnostic table for static codes, the sink
-//!   kind (`race=` → DataRace, `deadlock=` → Deadlock) for dynamic tools.
-//!   A race detector is not charged a false negative for a missed-signal
-//!   bug it was never designed to see; the per-class summary table is
-//!   where the coverage gap between the tool classes becomes visible.
+//!   `predicts` column of the diagnostic table (`mtt_static::diag::CODES`)
+//!   for static codes, the first detector's kind (`race=` → DataRace,
+//!   `deadlock=` → Deadlock) for dynamic tools. A race detector is not
+//!   charged a false negative for a missed-signal bug it was never designed
+//!   to see; the per-class summary table is where the coverage gap between
+//!   the tool classes becomes visible.
 //! * A false negative is only charged when the documented bug actually
 //!   manifested under the (tool-independent) noisy probe — the dynamic
 //!   oracle backs the documentation.
@@ -27,15 +28,11 @@
 
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
-use crate::static_eval::ClassScore;
-use mtt_deadlock::{LockOrderGraph, WaitsForMonitor};
-use mtt_instrument::shared;
-use mtt_json::{Json, ToJson};
-use mtt_noise::RandomSleep;
-use mtt_race::{EraserLockset, VectorClockDetector};
-use mtt_runtime::{Execution, RandomScheduler};
-use mtt_static::{analyze, compile, parse, samples};
-use mtt_tools::{SinkKind, ToolConfig};
+use crate::scoring::{
+    judge, noisy_probe, score_table, ClassScore, ScoreRow, Tool, Truth, Verdicts,
+};
+use mtt_static::{diag, parse, samples};
+use mtt_tools::ToolConfig;
 use std::collections::BTreeSet;
 
 /// The dynamic roster E11 evaluates, as tool specs (the same grammar the
@@ -48,38 +45,6 @@ pub const SCOREBOARD_ROSTER_SPECS: &[&str] = &[
     "sticky:0.9+noise=mixed:0.2:20+deadlock=waitsfor+name=dyn-waitsfor",
 ];
 
-/// Static diagnostic codes and the bug class each one predicts (the
-/// `predicts` column of the table in `mtt_static::diag`).
-pub const STATIC_TOOL_SCOPES: &[(&str, &str)] = &[
-    ("R001", "DataRace"),
-    ("D001", "Deadlock"),
-    ("A001", "AtomicityViolation"),
-    ("L001", "MissedSignal"),
-    ("L002", "WrongNotify"),
-    ("L003", "Deadlock"),
-    ("L004", "OrderingViolation"),
-    ("L005", "StaleRead"),
-    ("L006", "Deadlock"),
-    ("L007", "MissedSignal"),
-];
-
-/// One dynamic tool's verdict on one sample.
-#[derive(Clone, Debug)]
-pub struct DynamicHit {
-    /// Tool display name (`name=` of the spec).
-    pub tool: String,
-    /// The bug class this tool claims (from its sink kind).
-    pub class: String,
-    /// Did the detector warn on any of the seeded runs?
-    pub warned: bool,
-}
-
-mtt_json::json_struct!(DynamicHit {
-    tool,
-    class,
-    warned
-});
-
 /// Everything E11 learned about one MiniProg sample.
 #[derive(Clone, Debug)]
 pub struct SampleOutcomes {
@@ -90,112 +55,73 @@ pub struct SampleOutcomes {
     /// Did any documented bug manifest under the noisy probe (the oracle
     /// gating false negatives)?
     pub manifests: bool,
-    /// Diagnostic codes the static pipeline emitted.
-    pub static_codes: BTreeSet<String>,
-    /// Per-dynamic-tool verdicts, in roster order.
-    pub dynamic: Vec<DynamicHit>,
+    /// What the static pipeline and the roster said about it.
+    pub verdicts: Verdicts,
 }
 
 mtt_json::json_struct!(SampleOutcomes {
     program,
     documented,
     manifests,
-    static_codes,
-    dynamic,
+    #[flatten]
+    verdicts,
 });
 
-/// One row of the per-tool scoreboard.
-#[derive(Clone, Debug)]
-pub struct ScoreRow {
-    /// Tool label (`static:R001`, `dyn-lockset`, ...).
-    pub tool: String,
-    /// `"static"` or `"dynamic"`.
-    pub kind: &'static str,
-    /// The bug class the tool is scored on.
-    pub class: String,
-    /// The tally.
-    pub score: ClassScore,
+impl SampleOutcomes {
+    /// The sample's truth for `class`: its documentation, confirmed by the
+    /// noisy probe.
+    fn truth(&self, class: &str) -> Truth {
+        Truth::of(self.documented.contains(class), self.manifests)
+    }
 }
 
-/// The resolved dynamic roster.
+/// One row of E11b: a class scored on the static passes' union and on
+/// the dynamic roster's union.
+#[derive(Clone, Debug)]
+pub struct ClassUnion {
+    /// The bug class.
+    pub class: String,
+    /// Any static pass that predicts the class flagged the sample.
+    pub static_: ClassScore,
+    /// Any roster tool that claims the class warned on the sample.
+    pub dynamic: ClassScore,
+}
+
+mtt_json::json_struct!(ClassUnion {
+    class,
+    static_ = "static",
+    dynamic
+});
+
+/// `mtt e11 --json`: schema `mtt-e11-scoreboard`, version 1.
+#[derive(Clone, Debug)]
+pub struct ScoreboardJson {
+    /// `mtt-e11-scoreboard`.
+    pub schema: String,
+    /// 1.
+    pub version: u64,
+    /// Every sample's outcomes, in catalog order.
+    pub samples: Vec<SampleOutcomes>,
+    /// Table E11.
+    pub tools: Vec<ScoreRow>,
+    /// Table E11b.
+    pub classes: Vec<ClassUnion>,
+}
+
+mtt_json::json_struct!(ScoreboardJson {
+    schema,
+    version,
+    samples,
+    tools,
+    classes,
+});
+
+/// The resolved dynamic roster (E10 runs it too).
 pub fn dynamic_roster() -> Vec<ToolConfig> {
     SCOREBOARD_ROSTER_SPECS
         .iter()
         .map(|s| ToolConfig::from_spec_str(s).expect("scoreboard roster specs are valid"))
         .collect()
-}
-
-/// The bug class a dynamic tool's first detector sink claims. Public so
-/// other scoreboard experiments (E10 runs the same roster over generated
-/// families) share one definition of "what this tool is accountable for".
-pub fn sink_class(cfg: &ToolConfig) -> Option<&'static str> {
-    cfg.spec.sinks.iter().find_map(|(kind, _)| match kind {
-        SinkKind::Race => Some("DataRace"),
-        SinkKind::Deadlock => Some("Deadlock"),
-        SinkKind::Coverage => None,
-    })
-}
-
-/// Run one dynamic tool stack over `program` for `runs` seeded
-/// executions (the shared `40 + r` seed ladder) and report whether any
-/// detector sink warned. This is the per-cell kernel both E11 (sample
-/// catalog) and E10 (generated variant families) score with.
-pub fn dynamic_warned(
-    program: &mtt_runtime::Program,
-    cfg: &ToolConfig,
-    runs: u64,
-    max_steps: u64,
-) -> bool {
-    for r in 0..runs {
-        let seed = 40 + r;
-        let mut exec = Execution::new(program)
-            .scheduler((cfg.scheduler)(seed))
-            .noise((cfg.noise)(seed ^ 0x9e37_79b9))
-            .max_steps(max_steps);
-        enum Handle {
-            Lockset(std::sync::Arc<std::sync::Mutex<EraserLockset>>),
-            Hb(std::sync::Arc<std::sync::Mutex<VectorClockDetector>>),
-            LockOrder(std::sync::Arc<std::sync::Mutex<LockOrderGraph>>),
-            WaitsFor(std::sync::Arc<std::sync::Mutex<WaitsForMonitor>>),
-        }
-        let mut handles = Vec::new();
-        for (kind, c) in &cfg.spec.sinks {
-            match (kind, c.id.as_str()) {
-                (SinkKind::Race, "lockset") => {
-                    let (s, h) = shared(EraserLockset::new());
-                    exec = exec.sink(Box::new(s));
-                    handles.push(Handle::Lockset(h));
-                }
-                (SinkKind::Race, "hb") => {
-                    let (s, h) = shared(VectorClockDetector::new());
-                    exec = exec.sink(Box::new(s));
-                    handles.push(Handle::Hb(h));
-                }
-                (SinkKind::Deadlock, "lockorder") => {
-                    let (s, h) = shared(LockOrderGraph::new());
-                    exec = exec.sink(Box::new(s));
-                    handles.push(Handle::LockOrder(h));
-                }
-                (SinkKind::Deadlock, "waitsfor") => {
-                    let (s, h) = shared(WaitsForMonitor::new());
-                    exec = exec.sink(Box::new(s));
-                    handles.push(Handle::WaitsFor(h));
-                }
-                _ => {}
-            }
-        }
-        let _ = exec.run();
-        let warned = handles.iter().any(|h| match h {
-            Handle::Lockset(h) => !h.lock().unwrap().warnings.is_empty(),
-            Handle::Hb(h) => !h.lock().unwrap().warnings.is_empty(),
-            Handle::LockOrder(h) => !h.lock().unwrap().potentials().is_empty(),
-            Handle::WaitsFor(h) => !h.lock().unwrap().occurrences.is_empty(),
-        });
-        if warned {
-            return true;
-        }
-    }
-    false
 }
 
 /// Run E11, one cell per MiniProg sample on `pool`. Every run inside a
@@ -208,154 +134,65 @@ pub fn run_scoreboard_on(runs: u64, pool: &JobPool) -> Vec<SampleOutcomes> {
     pool.cells(catalog.len(), key, |i| {
         let sample = &catalog[i];
         let ast = parse(sample.src).expect("sample must parse");
-        let analysis = analyze(&ast);
-        let program = compile(&ast);
-
-        let static_codes: BTreeSet<String> = analysis
-            .diagnostics
-            .iter()
-            .map(|d| d.code.clone())
-            .collect();
-        let documented: BTreeSet<String> = sample.classes.iter().map(|c| c.to_string()).collect();
-
-        // The tool-independent manifestation oracle: the same noisy probe
-        // E7 uses to back documented classes with dynamic evidence.
-        let mut manifests = false;
-        for r in 0..runs {
-            let seed = 40 + r;
-            let o = Execution::new(&program)
-                .scheduler(Box::new(RandomScheduler::sticky(seed, 0.9)))
-                .noise(Box::new(RandomSleep::new(seed, 0.25, 15)))
-                .max_steps(30_000)
-                .run();
-            if !o.ok() {
-                manifests = true;
-                break;
-            }
-        }
-
-        // Each dynamic tool gets the same seed ladder; a tool "warns" on a
-        // sample when any of its seeded runs produces a detector warning.
-        let dynamic = tools
-            .iter()
-            .filter_map(|cfg| {
-                let class = sink_class(cfg)?;
-                let warned = dynamic_warned(&program, cfg, runs, 30_000);
-                Some(DynamicHit {
-                    tool: cfg.name.clone(),
-                    class: class.to_string(),
-                    warned,
-                })
-            })
-            .collect();
-
+        let (verdicts, program) = judge(&ast, &tools, runs, 30_000);
+        // The tool-independent manifestation oracle: the noisy probe E7's
+        // find rates come from.
+        let manifests = (0..runs).any(|r| !noisy_probe(&program, 40 + r).run().ok());
         SampleOutcomes {
             program: sample.name.to_string(),
-            documented,
+            documented: sample.classes.iter().map(|c| c.to_string()).collect(),
             manifests,
-            static_codes,
-            dynamic,
+            verdicts,
         }
     })
-}
-
-/// Tally one tool's per-class score from its per-sample predictions.
-fn tally(
-    rows: &[SampleOutcomes],
-    class: &str,
-    predicted: impl Fn(&SampleOutcomes) -> bool,
-) -> ClassScore {
-    let mut s = ClassScore::default();
-    for r in rows {
-        let documented = r.documented.contains(class);
-        match (predicted(r), documented) {
-            (true, true) => s.tp += 1,
-            (true, false) => s.fp += 1,
-            (false, true) if r.manifests => s.fn_ += 1,
-            _ => {}
-        }
-    }
-    s
 }
 
 /// The per-tool scoreboard: one row per static code and per dynamic tool,
 /// each scored on the class it claims.
 pub fn score_tools(rows: &[SampleOutcomes]) -> Vec<ScoreRow> {
-    let mut out = Vec::new();
-    for (code, class) in STATIC_TOOL_SCOPES {
-        out.push(ScoreRow {
-            tool: format!("static:{code}"),
-            kind: "static",
-            class: class.to_string(),
-            score: tally(rows, class, |r| r.static_codes.contains(*code)),
-        });
-    }
-    // Dynamic tools in roster order (taken from the first row: every row
-    // carries the same roster).
-    if let Some(first) = rows.first() {
-        for (ti, hit) in first.dynamic.iter().enumerate() {
-            out.push(ScoreRow {
-                tool: hit.tool.clone(),
-                kind: "dynamic",
-                class: hit.class.clone(),
-                score: tally(rows, &hit.class, |r| r.dynamic[ti].warned),
-            });
-        }
-    }
-    out
+    Tool::all(rows.first().map(|r| &r.verdicts))
+        .iter()
+        .map(|tool| {
+            let programs = rows.iter().map(|r| (&r.verdicts, r.truth(&tool.class)));
+            tool.row(programs, false)
+        })
+        .collect()
 }
 
 /// Per-class union scores: for each bug class, "any static pass scoped to
 /// it predicted" vs "any dynamic detector scoped to it warned" — the
 /// head-to-head the experiment exists for.
-pub fn score_classes(rows: &[SampleOutcomes]) -> Vec<(String, ClassScore, ClassScore)> {
-    let mut classes: BTreeSet<String> = rows
+pub fn score_classes(rows: &[SampleOutcomes]) -> Vec<ClassUnion> {
+    let tools = Tool::all(rows.first().map(|r| &r.verdicts));
+    let documented = rows
         .iter()
-        .flat_map(|r| r.documented.iter().cloned())
-        .collect();
-    classes.extend(STATIC_TOOL_SCOPES.iter().map(|(_, c)| c.to_string()));
-    classes
-        .into_iter()
-        .map(|class| {
-            let static_score = tally(rows, &class, |r| {
-                STATIC_TOOL_SCOPES
-                    .iter()
-                    .any(|(code, c)| *c == class && r.static_codes.contains(*code))
-            });
-            let dyn_score = tally(rows, &class, |r| {
-                r.dynamic.iter().any(|h| h.class == class && h.warned)
-            });
-            (class, static_score, dyn_score)
-        })
-        .collect()
+        .flat_map(|r| r.documented.iter().map(String::as_str));
+    let classes: BTreeSet<&str> = documented.chain(diag::CODES.iter().map(|c| c.1)).collect();
+    let union = |class: &str, kind: &str| {
+        let flags = |v| {
+            tools
+                .iter()
+                .any(|t| t.kind == kind && t.class == class && t.flags(v))
+        };
+        ClassScore::tally(
+            rows.iter().map(|r| (flags(&r.verdicts), r.truth(class))),
+            false,
+        )
+    };
+    let row = |class: &str| ClassUnion {
+        class: class.to_string(),
+        static_: union(class, "static"),
+        dynamic: union(class, "dynamic"),
+    };
+    classes.into_iter().map(row).collect()
 }
 
 /// Render Table E11 (per-tool precision/recall).
 pub fn scoreboard_table(rows: &[SampleOutcomes]) -> Table {
-    let mut t = Table::new(
-        "E11: static vs dynamic scoreboard — per tool, scored on its claimed class",
-        &[
-            "tool",
-            "kind",
-            "class",
-            "tp",
-            "fp",
-            "fn",
-            "precision",
-            "recall",
-        ],
-    );
+    let title = "E11: static vs dynamic scoreboard — per tool, scored on its claimed class";
+    let mut t = score_table(title, false, &[]);
     for r in score_tools(rows) {
-        t.row(&[
-            r.tool,
-            r.kind.to_string(),
-            r.class,
-            r.score.tp.to_string(),
-            r.score.fp.to_string(),
-            r.score.fn_.to_string(),
-            format!("{:.2}", r.score.precision()),
-            format!("{:.2}", r.score.recall()),
-        ]);
+        t.row(&r.cells());
     }
     t
 }
@@ -374,16 +211,8 @@ pub fn class_table(rows: &[SampleOutcomes]) -> Table {
             "dynamic recall",
         ],
     );
-    for (class, st, dy) in score_classes(rows) {
-        t.row(&[
-            class,
-            format!("{}/{}/{}", st.tp, st.fp, st.fn_),
-            format!("{:.2}", st.precision()),
-            format!("{:.2}", st.recall()),
-            format!("{}/{}/{}", dy.tp, dy.fp, dy.fn_),
-            format!("{:.2}", dy.precision()),
-            format!("{:.2}", dy.recall()),
-        ]);
+    for c in score_classes(rows) {
+        t.row(&[vec![c.class], c.static_.cells(true), c.dynamic.cells(true)].concat());
     }
     t
 }
@@ -407,51 +236,14 @@ pub fn render_csv(rows: &[SampleOutcomes]) -> String {
 }
 
 /// The machine-readable report: samples, per-tool rows, per-class unions.
-pub fn scoreboard_json(rows: &[SampleOutcomes]) -> Json {
-    let tools = score_tools(rows)
-        .into_iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("tool".into(), Json::Str(r.tool)),
-                ("kind".into(), Json::Str(r.kind.to_string())),
-                ("class".into(), Json::Str(r.class)),
-                ("tp".into(), Json::UInt(r.score.tp)),
-                ("fp".into(), Json::UInt(r.score.fp)),
-                ("fn".into(), Json::UInt(r.score.fn_)),
-                ("precision".into(), Json::Float(r.score.precision())),
-                ("recall".into(), Json::Float(r.score.recall())),
-            ])
-        })
-        .collect();
-    let classes = score_classes(rows)
-        .into_iter()
-        .map(|(class, st, dy)| {
-            let side = |s: &ClassScore| {
-                Json::Obj(vec![
-                    ("tp".into(), Json::UInt(s.tp)),
-                    ("fp".into(), Json::UInt(s.fp)),
-                    ("fn".into(), Json::UInt(s.fn_)),
-                    ("precision".into(), Json::Float(s.precision())),
-                    ("recall".into(), Json::Float(s.recall())),
-                ])
-            };
-            Json::Obj(vec![
-                ("class".into(), Json::Str(class)),
-                ("static".into(), side(&st)),
-                ("dynamic".into(), side(&dy)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::Str("mtt-e11-scoreboard".into())),
-        ("version".into(), Json::UInt(1)),
-        (
-            "samples".into(),
-            Json::Arr(rows.iter().map(ToJson::to_json).collect()),
-        ),
-        ("tools".into(), Json::Arr(tools)),
-        ("classes".into(), Json::Arr(classes)),
-    ])
+pub fn scoreboard_json(rows: &[SampleOutcomes]) -> ScoreboardJson {
+    ScoreboardJson {
+        schema: "mtt-e11-scoreboard".into(),
+        version: 1,
+        samples: rows.to_vec(),
+        tools: score_tools(rows),
+        classes: score_classes(rows),
+    }
 }
 
 #[cfg(test)]
@@ -463,12 +255,12 @@ mod tests {
         let rows = run_scoreboard_on(8, &JobPool::serial());
         assert_eq!(rows.len(), samples::catalog().len());
         for r in &rows {
-            assert_eq!(r.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
+            assert_eq!(r.verdicts.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
         }
         let tools = score_tools(&rows);
         assert_eq!(
             tools.len(),
-            STATIC_TOOL_SCOPES.len() + SCOREBOARD_ROSTER_SPECS.len()
+            diag::CODES.len() + SCOREBOARD_ROSTER_SPECS.len()
         );
     }
 
@@ -510,10 +302,10 @@ mod tests {
         let classes = score_classes(&rows);
         let missed = classes
             .iter()
-            .find(|(c, _, _)| c == "MissedSignal")
+            .find(|c| c.class == "MissedSignal")
             .expect("MissedSignal documented in the catalog");
-        assert!(missed.1.tp >= 1, "static side predicts MissedSignal");
-        assert_eq!(missed.2.tp, 0, "no dynamic detector claims MissedSignal");
+        assert!(missed.static_.tp >= 1, "static side predicts MissedSignal");
+        assert_eq!(missed.dynamic.tp, 0, "no dynamic detector claims it");
     }
 
     #[test]
@@ -523,8 +315,8 @@ mod tests {
         assert_eq!(render_report(&serial), render_report(&par));
         assert_eq!(render_csv(&serial), render_csv(&par));
         assert_eq!(
-            scoreboard_json(&serial).dump(),
-            scoreboard_json(&par).dump()
+            mtt_json::to_string(&scoreboard_json(&serial)),
+            mtt_json::to_string(&scoreboard_json(&par))
         );
     }
 }

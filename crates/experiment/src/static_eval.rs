@@ -14,9 +14,9 @@
 
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
+use crate::scoring::{noisy_probe, ClassScore, Truth};
 use crate::stats::FindStats;
 use mtt_instrument::{shared, CountingSink, InstrumentationPlan, StaticInfo};
-use mtt_noise::RandomSleep;
 use mtt_runtime::{Execution, RandomScheduler};
 use mtt_static::{analyze, compile, parse, samples};
 use std::collections::BTreeSet;
@@ -134,21 +134,10 @@ pub fn run_static_eval_on(runs: u64, pool: &JobPool) -> Vec<StaticRow> {
         // MiniProg samples = any failed assertion, deadlock or hang.
         let mut find_full = FindStats::default();
         let mut find_advised = FindStats::default();
-        for r in 0..runs {
-            let seed = 40 + r;
-            let full = Execution::new(&program)
-                .scheduler(Box::new(RandomScheduler::sticky(seed, 0.9)))
-                .noise(Box::new(RandomSleep::new(seed, 0.25, 15)))
-                .max_steps(30_000)
-                .run();
-            find_full.record(!full.ok());
-            let advised = Execution::new(&program)
-                .scheduler(Box::new(RandomScheduler::sticky(seed, 0.9)))
-                .noise(Box::new(RandomSleep::new(seed, 0.25, 15)))
-                .noise_plan(InstrumentationPlan::advised(analysis.info.clone()))
-                .max_steps(30_000)
-                .run();
-            find_advised.record(!advised.ok());
+        for seed in (0..runs).map(|r| 40 + r) {
+            find_full.record(!noisy_probe(&program, seed).run().ok());
+            let advised = InstrumentationPlan::advised(analysis.info.clone());
+            find_advised.record(!noisy_probe(&program, seed).noise_plan(advised).run().ok());
         }
 
         let static_classes: BTreeSet<String> = analysis
@@ -180,67 +169,24 @@ pub fn run_static_eval_on(runs: u64, pool: &JobPool) -> Vec<StaticRow> {
     })
 }
 
-/// The confusion matrix of one tool on one bug class: E7 and E11 score
-/// programs against the documentation plus the dynamic oracle, E10 scores
-/// generated members against their constructed ground truth.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassScore {
-    /// Predicted and positive.
-    pub tp: u64,
-    /// Predicted but not positive.
-    pub fp: u64,
-    /// Positive but missed. E7 and E11 charge a documented class only when
-    /// the bug manifested dynamically.
-    pub fn_: u64,
-    /// Neither predicted nor positive. Only E10 counts these: its benign
-    /// twins are definite negatives, while E7 and E11 leave this at 0.
-    pub tn: u64,
-}
-
-impl ClassScore {
-    /// tp / (tp + fp); 1.0 when nothing was predicted.
-    pub fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fp) as f64
-        }
-    }
-
-    /// tp / (tp + fn); 1.0 when nothing was dynamically confirmed.
-    pub fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fn_) as f64
-        }
-    }
-}
-
 /// Score the rows per bug class. A false negative is only charged when the
 /// dynamic oracle backs the documentation (the bug actually manifested),
 /// mirroring how a real benchmark would hold static tools to account.
 pub fn score_classes(rows: &[StaticRow]) -> Vec<(String, ClassScore)> {
-    let mut classes: BTreeSet<String> = BTreeSet::new();
+    let mut classes: BTreeSet<&String> = BTreeSet::new();
     for r in rows {
-        classes.extend(r.static_classes.iter().cloned());
-        classes.extend(r.documented_classes.iter().cloned());
+        classes.extend(&r.static_classes);
+        classes.extend(&r.documented_classes);
     }
     classes
         .into_iter()
         .map(|class| {
-            let mut s = ClassScore::default();
-            for r in rows {
-                let predicted = r.static_classes.contains(&class);
-                let documented = r.documented_classes.contains(&class);
-                match (predicted, documented) {
-                    (true, true) => s.tp += 1,
-                    (true, false) => s.fp += 1,
-                    (false, true) if r.manifests => s.fn_ += 1,
-                    _ => {}
-                }
-            }
-            (class, s)
+            let pairs = rows.iter().map(|r| {
+                let documented = r.documented_classes.contains(class);
+                let truth = Truth::of(documented, r.manifests);
+                (r.static_classes.contains(class), truth)
+            });
+            (class.clone(), ClassScore::tally(pairs, false))
         })
         .collect()
 }
@@ -286,16 +232,18 @@ pub fn class_table(rows: &[StaticRow]) -> Table {
         &["class", "tp", "fp", "fn", "precision", "recall"],
     );
     for (class, s) in score_classes(rows) {
-        t.row(&[
-            class,
-            s.tp.to_string(),
-            s.fp.to_string(),
-            s.fn_.to_string(),
-            format!("{:.2}", s.precision()),
-            format!("{:.2}", s.recall()),
-        ]);
+        t.row(&[vec![class], s.cells(false)].concat());
     }
     t
+}
+
+/// The full text report — what `mtt e7` prints and the golden pins.
+pub fn render_report(rows: &[StaticRow]) -> String {
+    format!(
+        "{}\n{}\n",
+        static_table(rows).render(),
+        class_table(rows).render()
+    )
 }
 
 #[cfg(test)]
@@ -391,9 +339,9 @@ mod tests {
         }
         for (class, s) in &scores {
             assert!(
-                s.precision() >= 0.99,
+                s.precision >= 0.99,
                 "{class}: precision dropped to {}",
-                s.precision()
+                s.precision
             );
         }
         assert!(!class_table(&rows).is_empty());

@@ -220,15 +220,13 @@ fn replay_eval_reports_are_byte_identical() {
 
 #[test]
 fn static_eval_reports_are_byte_identical() {
-    let serial = static_eval::static_table(&static_eval::run_static_eval_on(6, &JobPool::serial()));
+    // Both tables: E7's reduction table and E7b's per-class scores.
+    let serial =
+        static_eval::render_report(&static_eval::run_static_eval_on(6, &JobPool::serial()));
     for jobs in JOB_COUNTS {
         let par =
-            static_eval::static_table(&static_eval::run_static_eval_on(6, &JobPool::new(jobs)));
-        assert_eq!(
-            serial.render(),
-            par.render(),
-            "E7 table diverged at jobs={jobs}"
-        );
+            static_eval::render_report(&static_eval::run_static_eval_on(6, &JobPool::new(jobs)));
+        assert_eq!(serial, par, "E7 report diverged at jobs={jobs}");
     }
 }
 
@@ -302,7 +300,7 @@ fn gen_eval_reports_are_byte_identical() {
     let serial = gen_eval::run_gen_eval_on(&opts, &JobPool::serial());
     let serial_text = gen_eval::render_report(&serial);
     let serial_csv = gen_eval::render_csv(&serial);
-    let serial_json = gen_eval::gen_eval_json(&opts, &serial).dump();
+    let serial_json = mtt_json::to_string(&gen_eval::gen_eval_json(&opts, &serial));
     for jobs in JOB_COUNTS {
         let par = gen_eval::run_gen_eval_on(&opts, &JobPool::new(jobs));
         assert_eq!(
@@ -317,7 +315,7 @@ fn gen_eval_reports_are_byte_identical() {
         );
         assert_eq!(
             serial_json,
-            gen_eval::gen_eval_json(&opts, &par).dump(),
+            mtt_json::to_string(&gen_eval::gen_eval_json(&opts, &par)),
             "E10 JSON diverged at jobs={jobs}"
         );
     }

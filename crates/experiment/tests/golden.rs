@@ -40,6 +40,13 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+/// An experiment's `--json` document decodes as the type that printed it
+/// and prints the same bytes again.
+fn check_parses_back<T: mtt_json::FromJson + mtt_json::ToJson>(json: &str) {
+    let back: T = mtt_json::from_str(json).expect("report JSON decodes as its declared type");
+    assert_eq!(mtt_json::to_string(&back), json);
+}
+
 /// A tiny fixed-seed E1 campaign: 2 programs x 2 tools x 8 runs.
 fn tiny_campaign() -> Campaign {
     Campaign {
@@ -178,6 +185,9 @@ fn e11_scoreboard_matches_golden() {
         "e11_scoreboard.csv",
         &mtt_experiment::scoreboard::render_csv(&rows),
     );
+    let json = mtt_json::to_string(&mtt_experiment::scoreboard::scoreboard_json(&rows));
+    check_golden("e11_scoreboard.json", &format!("{json}\n"));
+    check_parses_back::<mtt_experiment::scoreboard::ScoreboardJson>(&json);
 }
 
 #[test]
@@ -196,6 +206,9 @@ fn e10_gen_scoreboard_matches_golden() {
         "e10_scoreboard.csv",
         &mtt_experiment::gen_eval::render_csv(&rows),
     );
+    let json = mtt_json::to_string(&mtt_experiment::gen_eval::gen_eval_json(&opts, &rows));
+    check_golden("e10_scoreboard.json", &format!("{json}\n"));
+    check_parses_back::<mtt_experiment::gen_eval::GenEvalJson>(&json);
 }
 
 #[test]
@@ -236,4 +249,30 @@ fn e12_saturation_matches_golden() {
         "e12_saturation.csv",
         &mtt_experiment::saturation_eval::render_csv(&cells),
     );
+    let json = mtt_json::to_string(&mtt_experiment::saturation_eval::saturation_json(&cells));
+    check_golden("e12_saturation.json", &format!("{json}\n"));
+    check_parses_back::<mtt_experiment::saturation_eval::SaturationJson>(&json);
+}
+
+#[test]
+fn e7_static_report_matches_golden() {
+    // `mtt e7 6`: the E7 reduction table and the E7b per-class scores.
+    // CI diffs `mtt e7 6 --jobs 4` against this same snapshot.
+    let rows = mtt_experiment::static_eval::run_static_eval_on(6, &JobPool::new(4));
+    check_golden(
+        "e7_static.txt",
+        &mtt_experiment::static_eval::render_report(&rows),
+    );
+}
+
+#[test]
+fn e13_json_parses_back_into_its_declared_type() {
+    // Native legs are real concurrency and cannot be goldened; the document
+    // must still decode as the type that printed it, native outcome maps
+    // included, and print the same bytes again.
+    use mtt_experiment::differential_eval::DifferentialJson;
+    use mtt_experiment::differential_eval::{differential_json, run_differential_on};
+    let doc = differential_json(&run_differential_on(3, &JobPool::new(2)));
+    assert!(doc.cells.iter().all(|c| !c.native.outcomes.is_empty()));
+    check_parses_back::<DifferentialJson>(&mtt_json::to_string(&doc));
 }

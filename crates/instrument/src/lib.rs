@@ -25,7 +25,12 @@
 //! * [`EventSink`] — the callback interface every dynamic tool implements.
 //!   Sinks count ([`CountingSink`]), buffer ([`VecSink`], [`RingSink`]) and
 //!   can be filtered ([`FilteredSink`]); an execution delivers each event
-//!   to every sink attached to it, in attachment order.
+//!   to every sink attached to it, in attachment order. A detector also
+//!   gives its verdict through the provided method
+//!   [`EventSink::has_findings`]: whether it reported a finding on the
+//!   events it saw, read after `finish`, so a harness can score any
+//!   detector without knowing its type (the default, `false`, suits sinks
+//!   that report nothing).
 //!
 //! The crate is dependency-light on purpose: tools written against it do not
 //! need the runtime, and offline tools can replay serialized traces through

@@ -181,12 +181,9 @@ pub struct InstrumentationPlan {
     pub threads: Select<ThreadId>,
     /// Which sites are instrumented.
     pub sites: Select<Loc>,
-    /// Optional static-analysis facts. When present and
-    /// [`Self::use_static_advice`] is set, accesses to provably thread-local
-    /// variables and sites marked irrelevant are dropped.
+    /// Static-analysis facts: accesses to provably thread-local variables
+    /// and sites marked irrelevant are dropped. Empty facts prune nothing.
     pub static_info: StaticInfo,
-    /// Apply `static_info` to prune instrumentation points.
-    pub use_static_advice: bool,
 }
 
 impl InstrumentationPlan {
@@ -208,7 +205,6 @@ impl InstrumentationPlan {
     pub fn advised(info: StaticInfo) -> Self {
         InstrumentationPlan {
             static_info: info,
-            use_static_advice: true,
             ..Self::default()
         }
     }
@@ -219,7 +215,7 @@ impl InstrumentationPlan {
         let mut var_selected = vec![true; vars.len()];
         for (id, name) in vars.iter() {
             let mut sel = self.vars.includes(&name.to_string());
-            if sel && self.use_static_advice && self.static_info.is_provably_local(name) {
+            if sel && self.static_info.is_provably_local(name) {
                 sel = false;
             }
             var_selected[id.index()] = sel;
@@ -229,16 +225,13 @@ impl InstrumentationPlan {
             var_selected,
             threads: self.threads.clone(),
             sites: self.sites.clone(),
-            pruned_sites: if self.use_static_advice {
-                self.static_info
-                    .sites
-                    .iter()
-                    .filter(|(_, f)| !(f.switch_relevant && f.touches_shared && f.may_run_parallel))
-                    .map(|(l, _)| *l)
-                    .collect()
-            } else {
-                BTreeSet::new()
-            },
+            pruned_sites: self
+                .static_info
+                .sites
+                .keys()
+                .filter(|l| !self.static_info.site_relevant(l))
+                .copied()
+                .collect(),
         }
     }
 }

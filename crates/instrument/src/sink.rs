@@ -17,12 +17,23 @@ use std::collections::VecDeque;
 /// runs (online tools) or while a stored trace is replayed through the sink
 /// (offline tools — see `mtt-trace`). `finish` is called exactly once after
 /// the last event, letting detectors flush end-of-execution analysis.
+/// `has_findings` is a detector's verdict, read after `finish`.
 pub trait EventSink: Send {
     /// Observe one event.
     fn on_event(&mut self, ev: &Event);
 
     /// The execution (or trace) ended.
     fn finish(&mut self) {}
+
+    /// Has the tool reported a finding (a race warning, a deadlock
+    /// potential or occurrence) on the events it has seen? Detectors answer
+    /// from the results they keep anyway; a sink that reports no findings
+    /// (a counter, a recorder, a coverage model) keeps the default, `false`.
+    /// [`FilteredSink`] and [`Shared`] do not forward it: read the verdict
+    /// from the wrapped detector.
+    fn has_findings(&self) -> bool {
+        false
+    }
 }
 
 /// Blanket implementation so closures can be used as quick sinks in tests

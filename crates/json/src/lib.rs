@@ -9,7 +9,8 @@
 //! stand in for `#[derive(Serialize, Deserialize)]` on the workspace's
 //! data types, including fields that are skipped when they hold their
 //! default (`#[optional]` in [`json_struct!`]) and fields whose members
-//! are printed inline (`#[flatten]`).
+//! are printed inline (`#[flatten]`), or that go under a declared key
+//! (`fn_ = "fn"`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -88,46 +89,7 @@ impl Json {
     /// errors instead of panicking — the variant file and pipe writers must
     /// use (a full disk is an error to report, not a crash).
     pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        match self {
-            Json::Null => w.write_all(b"null"),
-            Json::Bool(b) => w.write_all(if *b { b"true" } else { b"false" }),
-            Json::Int(v) => write!(w, "{v}"),
-            Json::UInt(v) => write!(w, "{v}"),
-            Json::Float(v) => {
-                let mut s = String::new();
-                write_float(*v, &mut s);
-                w.write_all(s.as_bytes())
-            }
-            Json::Str(s) => {
-                let mut out = String::new();
-                write_escaped(s, &mut out);
-                w.write_all(out.as_bytes())
-            }
-            Json::Arr(items) => {
-                w.write_all(b"[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        w.write_all(b",")?;
-                    }
-                    item.write_to(w)?;
-                }
-                w.write_all(b"]")
-            }
-            Json::Obj(fields) => {
-                w.write_all(b"{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        w.write_all(b",")?;
-                    }
-                    let mut key = String::new();
-                    write_escaped(k, &mut key);
-                    w.write_all(key.as_bytes())?;
-                    w.write_all(b":")?;
-                    v.write_to(w)?;
-                }
-                w.write_all(b"}")
-            }
-        }
+        to_writer(self, w)
     }
 
     fn write(&self, out: &mut String) {
@@ -893,19 +855,21 @@ impl FromJson for Json {
 /// equals `Default::default()` and reads as the default when absent — the
 /// form versioned schemas use to add a field without changing old records.
 /// A field marked `#[flatten]` (its type a [`JsonObject`]) prints its
-/// members in place of itself and decodes them from the same object.
+/// members in place of itself and decodes them from the same object. A
+/// field written `name = "key"` goes under `key`, for keys that are Rust
+/// keywords (`fn_ = "fn"`).
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ident { $($(#[$mode:ident])? $field:ident),+ $(,)? }) => {
+    ($ty:ident { $($(#[$mode:ident])? $field:ident $(= $key:literal)?),+ $(,)? }) => {
         impl $crate::JsonObject for $ty {
             fn write_members(&self, out: &mut ::std::string::String) {
-                $($crate::__json_field!(write out, self.$field, $field $(, $mode)?);)+
+                $($crate::__json_field!(write out, self.$field, [$field $(= $key)?] $(, $mode)?);)+
             }
             fn push_members(
                 &self,
-                fields: &mut ::std::vec::Vec<(::std::string::String, $crate::Json)>,
+                out: &mut ::std::vec::Vec<(::std::string::String, $crate::Json)>,
             ) {
-                $($crate::__json_field!(push fields, self.$field, $field $(, $mode)?);)+
+                $($crate::__json_field!(push out, self.$field, [$field $(= $key)?] $(, $mode)?);)+
             }
         }
         impl $crate::ToJson for $ty {
@@ -923,45 +887,59 @@ macro_rules! json_struct {
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
                 ::std::result::Result::Ok($ty {
-                    $($field: $crate::__json_field!(read v, $ty, $field $(, $mode)?)?),+
+                    $($field:
+                        $crate::__json_field!(read v, $ty, [$field $(= $key)?] $(, $mode)?)?),+
                 })
             }
         }
     };
 }
 
+/// The JSON key of a [`json_struct!`] field: its name, or the key it
+/// declares.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident = $key:literal) => {
+        $key
+    };
+}
+
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_field {
-    (write $out:ident, $value:expr, $field:ident) => {
-        $crate::write_member($out, concat!("\"", stringify!($field), "\":"), &$value)
+    (write $out:ident, $value:expr, [$($key:tt)+]) => {
+        $crate::write_member($out, concat!("\"", $crate::__json_key!($($key)+), "\":"), &$value)
     };
-    (write $out:ident, $value:expr, $field:ident, optional) => {
+    (write $out:ident, $value:expr, $key:tt, optional) => {
         if !$crate::is_default(&$value) {
-            $crate::__json_field!(write $out, $value, $field)
+            $crate::__json_field!(write $out, $value, $key)
         }
     };
-    (write $out:ident, $value:expr, $field:ident, flatten) => {
+    (write $out:ident, $value:expr, $key:tt, flatten) => {
         $crate::JsonObject::write_members(&$value, $out)
     };
-    (push $fields:ident, $value:expr, $field:ident) => {
-        $fields.push((stringify!($field).to_string(), $crate::ToJson::to_json(&$value)))
+    (push $out:ident, $value:expr, [$($key:tt)+]) => {
+        $out.push(($crate::__json_key!($($key)+).to_string(), $crate::ToJson::to_json(&$value)))
     };
-    (push $fields:ident, $value:expr, $field:ident, optional) => {
+    (push $out:ident, $value:expr, $key:tt, optional) => {
         if !$crate::is_default(&$value) {
-            $crate::__json_field!(push $fields, $value, $field)
+            $crate::__json_field!(push $out, $value, $key)
         }
     };
-    (push $fields:ident, $value:expr, $field:ident, flatten) => {
-        $crate::JsonObject::push_members(&$value, $fields)
+    (push $out:ident, $value:expr, $key:tt, flatten) => {
+        $crate::JsonObject::push_members(&$value, $out)
     };
-    (read $v:ident, $ty:ident, $field:ident) => {
-        $crate::field($v, stringify!($field), stringify!($ty))
+    (read $v:ident, $ty:ident, [$($key:tt)+]) => {
+        $crate::field($v, $crate::__json_key!($($key)+), stringify!($ty))
     };
-    (read $v:ident, $ty:ident, $field:ident, optional) => {
-        $crate::optional_field($v, stringify!($field))
+    (read $v:ident, $ty:ident, [$($key:tt)+], optional) => {
+        $crate::optional_field($v, $crate::__json_key!($($key)+))
     };
-    (read $v:ident, $ty:ident, $field:ident, flatten) => {
+    (read $v:ident, $ty:ident, $key:tt, flatten) => {
         $crate::FromJson::from_json($v)
     };
 }
@@ -1389,6 +1367,26 @@ mod tests {
             nested.unwrap_err().to_string(),
             "field `inner`: field `x`: expected unsigned integer, found string"
         );
+    }
+
+    #[test]
+    fn declared_keys_replace_field_names_both_ways() {
+        #[derive(Debug, Default)]
+        struct Keyed {
+            fn_: u64,
+            static_: Option<u64>,
+        }
+        json_struct!(Keyed { fn_ = "fn", #[optional] static_ = "static" });
+        let text = r#"{"fn":1,"static":2}"#;
+        let keyed: Keyed = from_str(text).unwrap();
+        assert_eq!((keyed.fn_, keyed.static_), (1, Some(2)));
+        assert_eq!(
+            (to_string(&keyed), keyed.to_json().dump()),
+            (text.into(), text.into())
+        );
+        assert_eq!(to_string(&Keyed::default()), r#"{"fn":0}"#);
+        let err = from_str::<Keyed>(r#"{"fn_":1}"#).unwrap_err().to_string();
+        assert_eq!(err, "missing field `fn` in Keyed");
     }
 
     #[test]

@@ -146,6 +146,10 @@ impl EventSink for EraserLockset {
         // Lock operations themselves carry no refinement work: the held-set
         // snapshot on each access event is the whole context Eraser needs.
     }
+
+    fn has_findings(&self) -> bool {
+        !self.warnings.is_empty()
+    }
 }
 
 #[cfg(test)]

@@ -242,6 +242,10 @@ impl EventSink for VectorClockDetector {
             }
         }
     }
+
+    fn has_findings(&self) -> bool {
+        !self.warnings.is_empty()
+    }
 }
 
 #[cfg(test)]

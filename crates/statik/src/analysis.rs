@@ -387,7 +387,6 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
                 &prog.name,
                 access_line(&r.var),
                 r.message.clone(),
-                "DataRace",
             )
             .note(format!("accessed by threads {:?}", r.threads))
             .note(format!(
@@ -409,7 +408,6 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
                 &prog.name,
                 line.unwrap_or(0),
                 d.message.clone(),
-                "Deadlock",
             )
             .note(format!("threads on the cycle: {:?}", d.threads)),
         );
@@ -424,7 +422,6 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
                 "{} on `{}` in thread `{}` is not atomic",
                 a.kind, a.var, a.thread
             ),
-            "AtomicityViolation",
         )
         .span(a.write_line);
         diag = match &a.lock {

@@ -21,8 +21,25 @@
 //! | L005 | spin on non-volatile flag | StaleRead |
 //! | L006 | lock-order graph cycle (gate-suppressed) | Deadlock |
 //! | L007 | notify without the waiters' lock (lost notify) | MissedSignal |
+//!
+//! [`CODES`] holds the `predicts` column: a pass names only its code.
 
 use std::fmt;
+
+/// Every diagnostic code with the bug class it predicts, in the order of
+/// the table above.
+pub const CODES: &[(&str, &str)] = &[
+    ("R001", "DataRace"),
+    ("D001", "Deadlock"),
+    ("A001", "AtomicityViolation"),
+    ("L001", "MissedSignal"),
+    ("L002", "WrongNotify"),
+    ("L003", "Deadlock"),
+    ("L004", "OrderingViolation"),
+    ("L005", "StaleRead"),
+    ("L006", "Deadlock"),
+    ("L007", "MissedSignal"),
+];
 
 /// How seriously to take a diagnostic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,7 +86,8 @@ pub struct Diagnostic {
     /// Supporting facts (involved threads, locks, paths).
     pub evidence: Vec<String>,
     /// The dynamic bug class this finding predicts, as a
-    /// `mtt_suite::BugClass` variant name (`"DataRace"`, `"Deadlock"`, ...).
+    /// `mtt_suite::BugClass` variant name (`"DataRace"`, `"Deadlock"`, ...):
+    /// its code's entry in [`CODES`].
     pub bug_class: String,
 }
 
@@ -85,14 +103,14 @@ mtt_json::json_struct!(Diagnostic {
 });
 
 impl Diagnostic {
-    /// Build a point diagnostic; extend with [`Self::span`] / evidence after.
+    /// Build a point diagnostic, predicting the bug class [`CODES`] lists
+    /// for `code`; extend with [`Self::span`] / evidence after.
     pub fn new(
         code: &str,
         severity: Severity,
         file: &str,
         line: u32,
         message: impl Into<String>,
-        bug_class: &str,
     ) -> Self {
         Diagnostic {
             code: code.to_string(),
@@ -102,7 +120,12 @@ impl Diagnostic {
             end_line: line,
             message: message.into(),
             evidence: Vec::new(),
-            bug_class: bug_class.to_string(),
+            bug_class: CODES
+                .iter()
+                .find(|(c, _)| *c == code)
+                .expect("known code")
+                .1
+                .into(),
         }
     }
 
@@ -166,16 +189,9 @@ mod tests {
 
     #[test]
     fn render_includes_code_span_and_evidence() {
-        let d = Diagnostic::new(
-            "A001",
-            Severity::Warning,
-            "p",
-            3,
-            "non-atomic",
-            "AtomicityViolation",
-        )
-        .span(7)
-        .note("lock `l` released at line 4");
+        let d = Diagnostic::new("A001", Severity::Warning, "p", 3, "non-atomic")
+            .span(7)
+            .note("lock `l` released at line 4");
         let text = d.render();
         assert!(text.contains("p:3-7: warning[A001]: non-atomic"));
         assert!(text.contains("= lock `l` released at line 4"));
@@ -183,18 +199,19 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let d = Diagnostic::new("R001", Severity::Warning, "p", 9, "racy `x`", "DataRace")
-            .note("threads t1, t2");
+        let d =
+            Diagnostic::new("R001", Severity::Warning, "p", 9, "racy `x`").note("threads t1, t2");
         let s = mtt_json::to_string(&d);
         let back: Diagnostic = mtt_json::from_str(&s).unwrap();
         assert_eq!(back, d);
         assert!(s.contains("\"code\":\"R001\""));
         assert!(s.contains("\"severity\":\"Warning\""));
+        assert!(s.contains("\"bug_class\":\"DataRace\""));
     }
 
     #[test]
     fn dedup_collapses_same_code_same_span() {
-        let mk = |line| Diagnostic::new("R001", Severity::Warning, "p", line, "m", "DataRace");
+        let mk = |line| Diagnostic::new("R001", Severity::Warning, "p", line, "m");
         let mut v = vec![mk(5), mk(3), mk(5), mk(5)];
         dedup_and_sort(&mut v);
         assert_eq!(v.len(), 2);

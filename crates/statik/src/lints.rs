@@ -79,7 +79,6 @@ fn wait_outside_loop(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                             &ctx.prog.name,
                             s.line,
                             format!("`wait({cond}, ..)` is not guarded by a predicate loop"),
-                            "MissedSignal",
                         )
                         .note(format!(
                             "thread `{}` proceeds on any wakeup; a notify delivered before \
@@ -114,7 +113,6 @@ fn notify_without_waiter(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                             &ctx.prog.name,
                             s.line,
                             format!("notify on `{cond}`, but no thread ever waits on it"),
-                            "WrongNotify",
                         )
                         .note(format!(
                             "condition variables waited on in this program: {:?}",
@@ -349,7 +347,6 @@ fn lock_leaks(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                     &ctx.prog.name,
                     line,
                     format!("lock `{lock}` acquired by thread `{}` {how}", td.name),
-                    "Deadlock",
                 )
                 .note(if always {
                     format!("`{lock}` is held on every path reaching thread exit")
@@ -413,7 +410,6 @@ fn sleep_as_synchronization(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                              `{var}` by timing alone",
                             td.name
                         ),
-                        "OrderingViolation",
                     )
                     .span(line)
                     .note(format!(
@@ -506,7 +502,6 @@ fn spin_on_nonvolatile(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                          synchronization in the loop",
                         t.name
                     ),
-                    "StaleRead",
                 )
                 .note(format!(
                     "`{var}` is written by {others:?}; without `volatile` (or a lock in \

@@ -284,7 +284,6 @@ pub fn lints(prog_name: &str, graph: &LockOrderGraph) -> Vec<Diagnostic> {
                 "locks {:?} form an acquisition-order cycle with no common gate",
                 cy.locks
             ),
-            "Deadlock",
         )
         .span(span)
         .note(format!(
@@ -356,7 +355,6 @@ pub fn lost_notify(prog: &MiniProg, threads: &[ThreadCtx]) -> Vec<Diagnostic> {
                      pair with `{cond}`",
                     td.name
                 ),
-                "MissedSignal",
             );
             for (l, t, wl) in waiters {
                 d = d.note(format!(

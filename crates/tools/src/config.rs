@@ -7,8 +7,8 @@
 //! resolved from, so every run it configures can report the canonical spec
 //! string as provenance.
 
-use crate::registry::{self, ComponentKind};
-use crate::spec::{ComponentSpec, SinkKind, ToolSpec};
+use crate::registry::{self, Build, ComponentKind, Params};
+use crate::spec::{ComponentSpec, ToolSpec};
 use mtt_instrument::{EventSink, InstrumentationPlan};
 use mtt_runtime::Execution;
 use std::sync::Arc;
@@ -141,14 +141,23 @@ impl ToolConfig {
 }
 
 impl ToolSpec {
-    /// Resolve this spec into a runnable [`ToolConfig`] via the registry.
-    /// Specs built by [`ToolSpec::parse`] are already validated and cannot
-    /// fail here; programmatically built specs are re-validated.
+    /// Resolve this spec into a runnable [`ToolConfig`]: each component is
+    /// built by its registry entry. Specs built by [`ToolSpec::parse`] are
+    /// already validated and cannot fail here; programmatically built specs
+    /// are re-validated.
     pub fn resolve(&self) -> Result<ToolConfig, String> {
-        let scheduler = resolve_scheduler(&self.scheduler)?;
-        let noise = resolve_noise(&self.noise)?;
+        let (Build::Scheduler(scheduler), p) = entry(ComponentKind::Scheduler, &self.scheduler)?
+        else {
+            unreachable!("scheduler entries build schedulers")
+        };
+        let (Build::Noise(noise), q) = entry(ComponentKind::Noise, &self.noise)? else {
+            unreachable!("noise entries build noise makers")
+        };
         let noise_plan = match &self.place {
-            Some(p) => Some(resolve_placement(p)?),
+            Some(c) => match entry(ComponentKind::Placement, c)? {
+                (Build::Placement(plan), _) => Some(plan()),
+                _ => unreachable!("placement entries build plans"),
+            },
             None => None,
         };
         if let Some(p) = self.spurious {
@@ -158,13 +167,16 @@ impl ToolSpec {
         }
         let mut sinks = Vec::new();
         for (kind, c) in &self.sinks {
-            sinks.push(resolve_sink(*kind, c)?);
+            let (Build::Sink(sink), _) = entry(ComponentKind::of_sink(*kind), c)? else {
+                unreachable!("sink entries build sinks")
+            };
+            sinks.push(sink());
         }
         Ok(ToolConfig {
             name: self.display_name(),
             spec: self.clone(),
-            scheduler,
-            noise,
+            scheduler: scheduler(p),
+            noise: noise(q),
             noise_plan,
             spurious: self.spurious,
             backend: self.backend,
@@ -173,94 +185,15 @@ impl ToolSpec {
     }
 }
 
-fn checked(
-    kind: ComponentKind,
-    c: &ComponentSpec,
-) -> Result<&'static registry::ComponentInfo, String> {
-    registry::validate_component(kind, c)?;
-    Ok(registry::lookup(kind, &c.id).expect("validated component exists"))
-}
-
-fn resolve_scheduler(c: &ComponentSpec) -> Result<SchedulerFactory, String> {
-    use mtt_runtime::{FifoScheduler, PctScheduler, RandomScheduler, RoundRobinScheduler};
-    let info = checked(ComponentKind::Scheduler, c)?;
-    Ok(match c.id.as_str() {
-        "sticky" => {
-            let stickiness = registry::param(info, c, 0);
-            Arc::new(move |s| Box::new(RandomScheduler::sticky(s, stickiness)))
-        }
-        "random" => Arc::new(|s| Box::new(RandomScheduler::new(s))),
-        "fifo" => Arc::new(|_| Box::new(FifoScheduler)),
-        "rr" => Arc::new(|_| Box::new(RoundRobinScheduler::new())),
-        "pct" => {
-            let depth = registry::param(info, c, 0) as u32;
-            let expected_len = registry::param(info, c, 1) as u64;
-            Arc::new(move |s| Box::new(PctScheduler::new(s, depth, expected_len)))
-        }
-        other => unreachable!("scheduler `{other}` is in the catalog but not resolvable"),
-    })
-}
-
-fn resolve_noise(c: &ComponentSpec) -> Result<NoiseFactory, String> {
-    use mtt_noise::{CoverageDirected, HaltOneThread, Mixed, RandomSleep, RandomYield};
-    let info = checked(ComponentKind::Noise, c)?;
-    Ok(match c.id.as_str() {
-        "none" => Arc::new(|_| Box::new(mtt_runtime::NoNoise)),
-        "yield" => {
-            let p = registry::param(info, c, 0);
-            Arc::new(move |s| Box::new(RandomYield::new(s, p)))
-        }
-        "sleep" => {
-            let p = registry::param(info, c, 0);
-            let strength = registry::param(info, c, 1) as u32;
-            Arc::new(move |s| Box::new(RandomSleep::new(s, p, strength)))
-        }
-        "mixed" => {
-            let p = registry::param(info, c, 0);
-            let strength = registry::param(info, c, 1) as u32;
-            Arc::new(move |s| Box::new(Mixed::new(s, p, strength)))
-        }
-        "halt" => {
-            let p = registry::param(info, c, 0);
-            let duration = registry::param(info, c, 1) as u32;
-            Arc::new(move |s| Box::new(HaltOneThread::new(s, p, duration)))
-        }
-        "coverage" => {
-            let p_hot = registry::param(info, c, 0);
-            let p_cold = registry::param(info, c, 1);
-            let strength = registry::param(info, c, 2) as u32;
-            Arc::new(move |s| Box::new(CoverageDirected::new(s, p_hot, p_cold, strength)))
-        }
-        other => unreachable!("noise `{other}` is in the catalog but not resolvable"),
-    })
-}
-
-fn resolve_placement(c: &ComponentSpec) -> Result<InstrumentationPlan, String> {
-    use mtt_noise::placement;
-    checked(ComponentKind::Placement, c)?;
-    Ok(match c.id.as_str() {
-        "everywhere" => placement::everywhere(),
-        "sync" => placement::sync_only(),
-        "vars" => placement::var_access_only(),
-        other => unreachable!("placement `{other}` is in the catalog but not resolvable"),
-    })
-}
-
-fn resolve_sink(kind: SinkKind, c: &ComponentSpec) -> Result<SinkFactory, String> {
-    checked(ComponentKind::of_sink(kind), c)?;
-    Ok(match (kind, c.id.as_str()) {
-        (SinkKind::Race, "lockset") => Arc::new(|| Box::new(mtt_race::EraserLockset::new())),
-        (SinkKind::Race, "hb") => Arc::new(|| Box::new(mtt_race::VectorClockDetector::new())),
-        (SinkKind::Deadlock, "lockorder") => {
-            Arc::new(|| Box::new(mtt_deadlock::LockOrderGraph::new()))
-        }
-        (SinkKind::Deadlock, "waitsfor") => {
-            Arc::new(|| Box::new(mtt_deadlock::WaitsForMonitor::new()))
-        }
-        (SinkKind::Coverage, "sites") => Arc::new(|| Box::new(mtt_coverage::SiteCoverage::new())),
-        (SinkKind::Coverage, "sync") => Arc::new(|| Box::new(mtt_coverage::SyncCoverage::new())),
-        (_, other) => unreachable!("sink `{other}` is in the catalog but not resolvable"),
-    })
+/// The registry entry `c` names for slot `kind`, validated, with its
+/// effective parameters.
+fn entry(kind: ComponentKind, c: &ComponentSpec) -> Result<(Build, Params), String> {
+    let info = registry::validate_component(kind, c)?;
+    let mut params = Params::default();
+    for (i, p) in params.iter_mut().enumerate().take(info.params.len()) {
+        *p = registry::param(info, c, i);
+    }
+    Ok((info.build, params))
 }
 
 #[cfg(test)]

@@ -3,12 +3,22 @@
 //! traits (`Scheduler`, `NoiseMaker`, `EventSink`).
 //!
 //! The catalog is the single source of truth three ways: the parser
-//! validates specs against it, [`resolve`](crate::ToolSpec::resolve) builds
-//! factories from it, and the documentation table in EXPERIMENTS.md plus
-//! `mtt tools list` are generated from it (with a drift-guard test), so a
-//! component added here cannot exist without being documented.
+//! validates specs against it, each entry builds its own component for
+//! [`resolve`](crate::ToolSpec::resolve), and the documentation table in
+//! EXPERIMENTS.md plus `mtt tools list` are generated from it (with a
+//! drift-guard test), so a component added here cannot exist without
+//! being documented.
 
+use crate::config::{NoiseFactory, SchedulerFactory, SinkFactory};
 use crate::spec::{ComponentSpec, SinkKind};
+use mtt_coverage::{SiteCoverage, SyncCoverage};
+use mtt_deadlock::{LockOrderGraph, WaitsForMonitor};
+use mtt_instrument::{EventSink, InstrumentationPlan};
+use mtt_noise::{placement, CoverageDirected, HaltOneThread, Mixed, RandomSleep, RandomYield};
+use mtt_race::{EraserLockset, VectorClockDetector};
+use mtt_runtime::{FifoScheduler, NoNoise, NoiseMaker, PctScheduler, RandomScheduler};
+use mtt_runtime::{RoundRobinScheduler, Scheduler};
+use std::sync::Arc;
 
 /// Which slot of a tool stack a component fills.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +80,23 @@ pub struct ParamSpec {
     pub kind: ParamKind,
 }
 
+/// A component's effective parameters: the spec's, with the catalog
+/// defaults filled in, in spec order. Slots past the entry's arity are 0.
+pub type Params = [f64; 3];
+
+/// How a catalog entry builds its component from its [`Params`].
+#[derive(Clone, Copy, Debug)]
+pub enum Build {
+    /// A scheduler factory.
+    Scheduler(fn(Params) -> SchedulerFactory),
+    /// A noise factory.
+    Noise(fn(Params) -> NoiseFactory),
+    /// A noise placement plan.
+    Placement(fn() -> InstrumentationPlan),
+    /// A detector or coverage sink factory.
+    Sink(fn() -> SinkFactory),
+}
+
 /// One registry entry.
 #[derive(Clone, Copy, Debug)]
 pub struct ComponentInfo {
@@ -81,6 +108,8 @@ pub struct ComponentInfo {
     pub params: &'static [ParamSpec],
     /// One-line description.
     pub summary: &'static str,
+    /// How [`resolve`](crate::ToolSpec::resolve) builds it.
+    pub build: Build,
 }
 
 /// Every component a spec can name, in (kind, catalog) order.
@@ -92,24 +121,28 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "sticky",
             params: &[ParamSpec { name: "stickiness", default: 0.9, kind: ParamKind::Probability }],
             summary: "seeded random scheduler that keeps the running thread with the given probability (the realistic-JVM baseline)",
+            build: Build::Scheduler(|p| scheduler(move |s| RandomScheduler::sticky(s, p[0]))),
         },
         ComponentInfo {
             kind: ComponentKind::Scheduler,
             id: "random",
             params: &[],
             summary: "seeded uniform random scheduler (sticky with stickiness 0)",
+            build: Build::Scheduler(|_| scheduler(RandomScheduler::new)),
         },
         ComponentInfo {
             kind: ComponentKind::Scheduler,
             id: "fifo",
             params: &[],
             summary: "deterministic run-to-block scheduler (always picks the lowest runnable thread)",
+            build: Build::Scheduler(|_| scheduler(|_| FifoScheduler)),
         },
         ComponentInfo {
             kind: ComponentKind::Scheduler,
             id: "rr",
             params: &[],
             summary: "deterministic round-robin scheduler",
+            build: Build::Scheduler(|_| scheduler(|_| RoundRobinScheduler::new())),
         },
         ComponentInfo {
             kind: ComponentKind::Scheduler,
@@ -119,6 +152,7 @@ pub fn catalog() -> &'static [ComponentInfo] {
                 ParamSpec { name: "expected_len", default: 150.0, kind: ParamKind::PositiveInt },
             ],
             summary: "PCT priority scheduler with bug depth d over ~expected_len scheduling points",
+            build: Build::Scheduler(|p| scheduler(move |s| PctScheduler::new(s, p[0] as u32, p[1] as u64))),
         },
         // Noise heuristics.
         ComponentInfo {
@@ -126,12 +160,14 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "none",
             params: &[],
             summary: "no noise",
+            build: Build::Noise(|_| noise(|_| NoNoise)),
         },
         ComponentInfo {
             kind: ComponentKind::Noise,
             id: "yield",
             params: &[ParamSpec { name: "p", default: 0.1, kind: ParamKind::Probability }],
             summary: "forced yield with probability p at each scheduling point",
+            build: Build::Noise(|p| noise(move |s| RandomYield::new(s, p[0]))),
         },
         ComponentInfo {
             kind: ComponentKind::Noise,
@@ -141,6 +177,7 @@ pub fn catalog() -> &'static [ComponentInfo] {
                 ParamSpec { name: "strength", default: 20.0, kind: ParamKind::PositiveInt },
             ],
             summary: "virtual-time sleep of up to `strength` ticks with probability p",
+            build: Build::Noise(|p| noise(move |s| RandomSleep::new(s, p[0], p[1] as u32))),
         },
         ComponentInfo {
             kind: ComponentKind::Noise,
@@ -150,6 +187,7 @@ pub fn catalog() -> &'static [ComponentInfo] {
                 ParamSpec { name: "strength", default: 20.0, kind: ParamKind::PositiveInt },
             ],
             summary: "random mix of yields and sleeps",
+            build: Build::Noise(|p| noise(move |s| Mixed::new(s, p[0], p[1] as u32))),
         },
         ComponentInfo {
             kind: ComponentKind::Noise,
@@ -159,6 +197,7 @@ pub fn catalog() -> &'static [ComponentInfo] {
                 ParamSpec { name: "duration", default: 200.0, kind: ParamKind::PositiveInt },
             ],
             summary: "occasionally halts one thread for `duration` ticks",
+            build: Build::Noise(|p| noise(move |s| HaltOneThread::new(s, p[0], p[1] as u32))),
         },
         ComponentInfo {
             kind: ComponentKind::Noise,
@@ -169,6 +208,7 @@ pub fn catalog() -> &'static [ComponentInfo] {
                 ParamSpec { name: "strength", default: 20.0, kind: ParamKind::PositiveInt },
             ],
             summary: "coverage-directed noise: strong at unseen (site, site) pairs, weak elsewhere",
+            build: Build::Noise(|p| noise(move |s| CoverageDirected::new(s, p[0], p[1], p[2] as u32))),
         },
         // Placement plans.
         ComponentInfo {
@@ -176,18 +216,21 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "everywhere",
             params: &[],
             summary: "consult the noise maker at every instrumentation point (the default)",
+            build: Build::Placement(placement::everywhere),
         },
         ComponentInfo {
             kind: ComponentKind::Placement,
             id: "sync",
             params: &[],
             summary: "noise at synchronization operations only (locks, waits, notifies)",
+            build: Build::Placement(placement::sync_only),
         },
         ComponentInfo {
             kind: ComponentKind::Placement,
             id: "vars",
             params: &[],
             summary: "noise at shared-variable accesses only",
+            build: Build::Placement(placement::var_access_only),
         },
         // Race detector sinks.
         ComponentInfo {
@@ -195,12 +238,14 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "lockset",
             params: &[],
             summary: "Eraser-style lockset data-race detector",
+            build: Build::Sink(|| sink(EraserLockset::new)),
         },
         ComponentInfo {
             kind: ComponentKind::Race,
             id: "hb",
             params: &[],
             summary: "vector-clock happens-before data-race detector",
+            build: Build::Sink(|| sink(VectorClockDetector::new)),
         },
         // Deadlock detector sinks.
         ComponentInfo {
@@ -208,12 +253,14 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "lockorder",
             params: &[],
             summary: "lock-order graph: cycles are deadlock potentials",
+            build: Build::Sink(|| sink(LockOrderGraph::new)),
         },
         ComponentInfo {
             kind: ComponentKind::Deadlock,
             id: "waitsfor",
             params: &[],
             summary: "waits-for monitor for actually-blocked cycles",
+            build: Build::Sink(|| sink(WaitsForMonitor::new)),
         },
         // Coverage model sinks.
         ComponentInfo {
@@ -221,15 +268,34 @@ pub fn catalog() -> &'static [ComponentInfo] {
             id: "sites",
             params: &[],
             summary: "source-site coverage model",
+            build: Build::Sink(|| sink(SiteCoverage::new)),
         },
         ComponentInfo {
             kind: ComponentKind::Coverage,
             id: "sync",
             params: &[],
             summary: "synchronization-operation coverage model",
+            build: Build::Sink(|| sink(SyncCoverage::new)),
         },
     ];
     CATALOG
+}
+
+/// A scheduler factory from a constructor taking the run seed.
+fn scheduler<S: Scheduler + 'static>(
+    make: impl Fn(u64) -> S + Send + Sync + 'static,
+) -> SchedulerFactory {
+    Arc::new(move |seed| Box::new(make(seed)))
+}
+
+/// A noise factory from a constructor taking the run seed.
+fn noise<N: NoiseMaker + 'static>(make: impl Fn(u64) -> N + Send + Sync + 'static) -> NoiseFactory {
+    Arc::new(move |seed| Box::new(make(seed)))
+}
+
+/// A sink factory from a constructor.
+fn sink<S: EventSink + 'static>(make: fn() -> S) -> SinkFactory {
+    Arc::new(move || Box::new(make()))
 }
 
 /// Look one component up by kind and id.
@@ -251,7 +317,10 @@ pub fn ids(kind: ComponentKind) -> Vec<&'static str> {
 /// arity, and every given parameter must be in range. Used by the spec
 /// parser (which anchors the message to a column) and by
 /// [`resolve`](crate::ToolSpec::resolve) for programmatically built specs.
-pub fn validate_component(kind: ComponentKind, spec: &ComponentSpec) -> Result<(), String> {
+pub fn validate_component(
+    kind: ComponentKind,
+    spec: &ComponentSpec,
+) -> Result<&'static ComponentInfo, String> {
     let Some(info) = lookup(kind, &spec.id) else {
         return Err(format!(
             "unknown {} component `{}` (known: {})",
@@ -288,7 +357,7 @@ pub fn validate_component(kind: ComponentKind, spec: &ComponentSpec) -> Result<(
             }
         }
     }
-    Ok(())
+    Ok(info)
 }
 
 /// The effective value of parameter `i`: the spec's when given, the
