@@ -9,9 +9,10 @@ use mtt_bench::Smoke;
 use mtt_core::causal::fingerprint_trace;
 use mtt_core::coverage::ScheduleCoverage;
 use mtt_core::experiment::saturation_eval::{
-    run_fingerprint, saturation_roster, SATURATION_BASE_SEED, SATURATION_MAX_STEPS,
+    run_fingerprint, SATURATION_BASE_SEED, SATURATION_MAX_STEPS, SATURATION_ROSTER_SPECS,
 };
 use mtt_core::experiment::tracegen::{self, TraceGenOptions};
+use mtt_core::tools::ToolConfig;
 use std::hint::black_box;
 
 /// Throughput for the observatory, written to `BENCH_cover.json`.
@@ -38,7 +39,7 @@ fn main() {
 
     // One full E12 cell at 8 runs: the unit `run_saturation_on` shards.
     let program = mtt_core::suite::small::lost_update(2, 2);
-    let roster = saturation_roster();
+    let roster = ToolConfig::roster(SATURATION_ROSTER_SPECS);
     let sticky = &roster[1]; // sticky:0.9, the bare-random rung of the ladder
     let cell_ns = smoke.time("e12_cell_8runs", 16, || {
         let mut cov = ScheduleCoverage::default();

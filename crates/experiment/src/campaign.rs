@@ -487,8 +487,8 @@ impl CampaignReport {
     ///
     /// Deliberately contains no wall-clock column: every cell is a pure
     /// function of (program, tool, seeds), so this table is byte-identical
-    /// whatever `--jobs` produced it. Timings live in
-    /// [`CampaignReport::timing_table`].
+    /// whatever `--jobs` produced it. Wall time is printed by
+    /// `mtt profile --timing` and kept in the journal's `wall_us`.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "E1: bug-find probability per noise heuristic (95% Wilson CI)",
@@ -509,26 +509,6 @@ impl CampaignReport {
                 format!("{:.0}", cell.avg_events),
                 format!("{:.1}", cell.avg_injections),
                 cell.timed_out.to_string(),
-            ]);
-        }
-        t
-    }
-
-    /// Render the wall-clock companion table. Unlike [`table`], this is
-    /// *not* deterministic across machines or job counts — it reports the
-    /// sum of per-run durations per cell.
-    ///
-    /// [`table`]: CampaignReport::table
-    pub fn timing_table(&self) -> Table {
-        let mut t = Table::new(
-            "E1 timing (not deterministic): summed per-run wall clock",
-            &["program", "tool", "wall ms"],
-        );
-        for ((prog, tool), cell) in &self.cells {
-            t.row(&[
-                prog.clone(),
-                tool.clone(),
-                cell.wall.as_millis().to_string(),
             ]);
         }
         t

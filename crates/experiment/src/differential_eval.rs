@@ -127,14 +127,6 @@ mtt_json::json_struct!(DifferentialCell {
     find_intervals_overlap,
 });
 
-/// The resolved model-side E13 roster.
-pub fn differential_roster() -> Vec<ToolConfig> {
-    DIFFERENTIAL_ROSTER_SPECS
-        .iter()
-        .map(|s| ToolConfig::from_spec_str(s).expect("differential roster specs are valid"))
-        .collect()
-}
-
 /// The native twin of a model roster entry: the same provenance spec with
 /// only the backend flipped, re-resolved — so the twin's canonical spec
 /// string carries `+backend=native` and everything else is shared.
@@ -223,7 +215,7 @@ fn intervals_overlap(a: &FindStats, b: &FindStats) -> bool {
 /// run by design — a resumed run restores them from its journal.
 pub fn run_differential_on(runs: u64, pool: &JobPool) -> Vec<DifferentialCell> {
     let programs = differential_programs();
-    let tools = differential_roster();
+    let tools = ToolConfig::roster(DIFFERENTIAL_ROSTER_SPECS);
     let n_tools = tools.len();
     let key = |i: usize| {
         let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
@@ -490,7 +482,7 @@ mod tests {
 
     #[test]
     fn native_twin_flips_only_the_backend() {
-        for cfg in differential_roster() {
+        for cfg in ToolConfig::roster(DIFFERENTIAL_ROSTER_SPECS) {
             let twin = native_twin(&cfg);
             assert!(twin.backend.is_native());
             assert!(!cfg.backend.is_native());

@@ -26,8 +26,9 @@
 
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
-use crate::scoreboard::dynamic_roster;
+use crate::scoreboard::SCOREBOARD_ROSTER_SPECS;
 use crate::scoring::{judge, score_table, ScoreRow, Tool, Truth, Verdicts};
+use mtt_tools::ToolConfig;
 use std::collections::BTreeSet;
 
 /// E10 options: the generator draw plus the per-tool run budget.
@@ -153,7 +154,7 @@ mtt_json::json_struct!(GenEvalJson {
 /// seeded, so rows come back identical (and in index order) at any worker
 /// count.
 pub fn run_gen_eval_on(opts: &GenEvalOptions, pool: &JobPool) -> Vec<FamilyOutcomes> {
-    let tools = dynamic_roster();
+    let tools = ToolConfig::roster(SCOREBOARD_ROSTER_SPECS);
     let key = |i: usize| {
         let family = format!("g{}_f{i:03}", opts.seed);
         cell_key(&family, "e10", format!("runs={}", opts.runs), opts.seed)
@@ -303,7 +304,6 @@ pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> GenEvalJ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoreboard::SCOREBOARD_ROSTER_SPECS;
     use mtt_static::diag;
 
     fn tiny() -> GenEvalOptions {

@@ -402,8 +402,8 @@ pub struct JobSpan {
 /// Wall-clock accounting of one [`JobPool::run_with_stats`] call.
 ///
 /// Everything here is timing — it never feeds the deterministic reports;
-/// render it only in segregated timing output (like
-/// `CampaignReport::timing_table()`).
+/// render it only in segregated timing output (like `mtt profile
+/// --timing`).
 #[derive(Clone, Debug, Default)]
 pub struct PoolStats {
     /// One entry per worker, in spawn order.

@@ -13,8 +13,8 @@
 //! E1–E11 are indexed in DESIGN.md §6 and EXPERIMENTS.md); the `mtt` binary
 //! is the push button. [`stats`] holds the shared statistical machinery
 //! (Wilson confidence intervals, outcome-distribution measures),
-//! [`scoring`] the one confusion-matrix kernel E7, E10 and E11 score tools
-//! with, and [`report`] renders every experiment as aligned text tables
+//! [`scoring`] the one confusion-matrix kernel E2, E7, E10 and E11 score
+//! tools with, and [`report`] renders every experiment as aligned text tables
 //! plus CSV.
 //!
 //! [`jobpool`] is the parallel execution layer: every experiment's run
@@ -37,6 +37,8 @@ pub mod profile;
 pub mod replay_eval;
 pub mod report;
 pub mod saturation_eval;
+#[cfg(test)]
+mod score;
 pub mod scoreboard;
 pub mod scoring;
 pub mod static_eval;

@@ -23,14 +23,6 @@ pub const MULTIOUT_ROSTER_SPECS: &[&str] = &[
     "sticky:0.9+noise=mixed:0.25:15+name=sticky+mixed",
 ];
 
-/// The standard E5 roster, resolved from [`MULTIOUT_ROSTER_SPECS`].
-pub fn standard_configs() -> Vec<ToolConfig> {
-    MULTIOUT_ROSTER_SPECS
-        .iter()
-        .map(|s| ToolConfig::from_spec_str(s).expect("multiout roster specs are valid"))
-        .collect()
-}
-
 /// One configuration's measured distributions: over the full §4.4
 /// signature (results + finish order) and over the result values alone.
 /// The full signature has enormous support (finish orders of nine threads),
@@ -51,7 +43,8 @@ pub struct MultioutRow {
 /// canonical order reproduces the serial result exactly at any worker
 /// count.
 pub fn run_multiout_eval_on(runs: u64, base_seed: u64, pool: &JobPool) -> Vec<MultioutRow> {
-    run_multiout_eval_with(runs, base_seed, standard_configs(), pool)
+    let tools = ToolConfig::roster(MULTIOUT_ROSTER_SPECS);
+    run_multiout_eval_with(runs, base_seed, tools, pool)
 }
 
 /// [`run_multiout_eval_on`] over an explicit tool roster (the `--tools` /

@@ -112,15 +112,6 @@ pub const PROFILE_ROSTER_SPECS: &[&str] = &[
     "pct:3:150+name=pct-d3",
 ];
 
-/// The compact representative tool roster profiled for every key, resolved
-/// from [`PROFILE_ROSTER_SPECS`].
-pub fn profile_roster() -> Vec<ToolConfig> {
-    PROFILE_ROSTER_SPECS
-        .iter()
-        .map(|s| ToolConfig::from_spec_str(s).expect("profile roster specs are valid"))
-        .collect()
-}
-
 /// Everything one `mtt profile <key>` invocation measured.
 pub struct ProfileReport {
     /// The experiment key profiled.
@@ -172,7 +163,7 @@ pub fn run_profile(key: &str, opts: &ProfileOptions) -> Result<ProfileReport, St
             .iter()
             .map(|s| s.resolve())
             .collect::<Result<Vec<_>, _>>()?,
-        None => profile_roster(),
+        None => ToolConfig::roster(PROFILE_ROSTER_SPECS),
     };
     let tool_names: Vec<String> = tools.iter().map(|t| t.name.clone()).collect();
     let program_names: Vec<String> = programs.iter().map(|p| p.name.to_string()).collect();

@@ -116,14 +116,6 @@ mtt_json::json_struct!(SaturationJson {
     cells,
 });
 
-/// The resolved E12 roster.
-pub fn saturation_roster() -> Vec<ToolConfig> {
-    SATURATION_ROSTER_SPECS
-        .iter()
-        .map(|s| ToolConfig::from_spec_str(s).expect("saturation roster specs are valid"))
-        .collect()
-}
-
 /// The fixed program set E12 measures: one data-race idiom, one lock-order
 /// idiom, one check-then-act idiom — small enough that the full grid is a
 /// push-button experiment, varied enough that the diversity ladder shows.
@@ -157,7 +149,7 @@ pub fn run_fingerprint(program: &Program, cfg: &ToolConfig, seed: u64, max_steps
 /// (and in grid order) at any worker count.
 pub fn run_saturation_on(runs: u64, pool: &JobPool) -> Vec<SaturationCell> {
     let programs = saturation_programs();
-    let tools = saturation_roster();
+    let tools = ToolConfig::roster(SATURATION_ROSTER_SPECS);
     let n_tools = tools.len();
     let key = |i: usize| {
         let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
@@ -328,7 +320,7 @@ mod tests {
 
         let runs = 6u64;
         let programs = vec![mtt_suite::small::lost_update(2, 2)];
-        let tools = saturation_roster();
+        let tools = ToolConfig::roster(SATURATION_ROSTER_SPECS);
 
         // Path 1: the E12 accumulator, unioned across the roster.
         let mut expected: BTreeSet<String> = BTreeSet::new();

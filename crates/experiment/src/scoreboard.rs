@@ -116,20 +116,12 @@ mtt_json::json_struct!(ScoreboardJson {
     classes,
 });
 
-/// The resolved dynamic roster (E10 runs it too).
-pub fn dynamic_roster() -> Vec<ToolConfig> {
-    SCOREBOARD_ROSTER_SPECS
-        .iter()
-        .map(|s| ToolConfig::from_spec_str(s).expect("scoreboard roster specs are valid"))
-        .collect()
-}
-
 /// Run E11, one cell per MiniProg sample on `pool`. Every run inside a
 /// cell is seeded from the run index alone, so rows come back identical
 /// (and in catalog order) at any worker count.
 pub fn run_scoreboard_on(runs: u64, pool: &JobPool) -> Vec<SampleOutcomes> {
     let catalog = samples::catalog();
-    let tools = dynamic_roster();
+    let tools = ToolConfig::roster(SCOREBOARD_ROSTER_SPECS);
     let key = |i: usize| cell_key(catalog[i].name, "scoreboard", format!("runs={runs}"), 40);
     pool.cells(catalog.len(), key, |i| {
         let sample = &catalog[i];

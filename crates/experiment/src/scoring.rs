@@ -1,12 +1,14 @@
-//! The scoring kernel of E7, E10 and E11: the "probability of finding
+//! The scoring kernel of E2, E7, E10 and E11: the "probability of finding
 //! each bug, false-alarm rate" §4 of the paper asks the prepared
 //! experiment to report, computed in one place.
 //!
 //! * [`ClassScore::tally`] fills one tool's confusion matrix on one bug
-//!   class from `(predicted, truth)` pairs. E7 and E11 read a sample's
-//!   [`Truth`] from its documentation confirmed by the [`noisy_probe`], so
-//!   a miss is charged only when the bug manifested; E10 reads its
-//!   constructed ground truth and alone counts true negatives.
+//!   class from `(predicted, truth)` pairs. E2 pairs each variable a race
+//!   detector warned on or the program documents as racy with its
+//!   documentation. E7 and E11 read a sample's [`Truth`] from its
+//!   documentation confirmed by the [`noisy_probe`], so a miss is charged
+//!   only when the bug manifested; E10 reads its constructed ground truth
+//!   and alone counts true negatives.
 //! * [`judge`] is the per-program kernel of E10 and E11: the static
 //!   pipeline's codes and each roster tool's verdict, each tool run through
 //!   [`ToolConfig::configure`] and read through

@@ -13,7 +13,7 @@
 
 use mtt_experiment::campaign::{Campaign, ToolConfig};
 use mtt_experiment::jobpool::JobPool;
-use mtt_experiment::multiout_eval;
+use mtt_experiment::{detector_eval, multiout_eval};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -263,6 +263,20 @@ fn e7_static_report_matches_golden() {
         "e7_static.txt",
         &mtt_experiment::static_eval::render_report(&rows),
     );
+}
+
+#[test]
+fn e2_detector_report_matches_golden() {
+    // `mtt e2 4`: both race detectors scored on four annotated traces of
+    // every quick-set program. CI diffs `mtt e2 4 --jobs 4` against this
+    // same snapshot.
+    let programs = mtt_suite::quick_set();
+    let report = detector_eval::run_detector_eval_on(&programs, 4, &JobPool::new(4));
+    check_golden(
+        "e2_detectors.txt",
+        &format!("{}\n", report.table().render()),
+    );
+    check_golden("e2_detectors.csv", &report.table().to_csv());
 }
 
 #[test]

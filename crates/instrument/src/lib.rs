@@ -30,7 +30,7 @@
 //!   [`EventSink::has_findings`]: whether it reported a finding on the
 //!   events it saw, read after `finish`, so a harness can score any
 //!   detector without knowing its type (the default, `false`, suits sinks
-//!   that report nothing).
+//!   that report nothing; [`FilteredSink`] and [`Shared`] forward it).
 //!
 //! The crate is dependency-light on purpose: tools written against it do not
 //! need the runtime, and offline tools can replay serialized traces through

@@ -29,8 +29,7 @@ pub trait EventSink: Send {
     /// potential or occurrence) on the events it has seen? Detectors answer
     /// from the results they keep anyway; a sink that reports no findings
     /// (a counter, a recorder, a coverage model) keeps the default, `false`.
-    /// [`FilteredSink`] and [`Shared`] do not forward it: read the verdict
-    /// from the wrapped detector.
+    /// [`FilteredSink`] and [`Shared`] forward it to the sink they wrap.
     fn has_findings(&self) -> bool {
         false
     }
@@ -86,6 +85,10 @@ impl<S: EventSink> EventSink for FilteredSink<S> {
 
     fn finish(&mut self) {
         self.inner.finish();
+    }
+
+    fn has_findings(&self) -> bool {
+        self.inner.has_findings()
     }
 }
 
@@ -218,6 +221,10 @@ impl<S: EventSink> EventSink for Shared<S> {
 
     fn finish(&mut self) {
         self.0.lock().expect("sink poisoned").finish();
+    }
+
+    fn has_findings(&self) -> bool {
+        self.0.lock().expect("sink poisoned").has_findings()
     }
 }
 

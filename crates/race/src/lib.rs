@@ -21,9 +21,9 @@
 //! [`mtt_trace::Trace`]) with the same code — the paper's on-line/off-line
 //! duality.
 //!
-//! [`score()`](score::score) grades a detector's warnings against the ground truth carried
-//! by annotated traces, yielding the detection/false-alarm table of
-//! experiment E2.
+//! Experiment E2 (`mtt_experiment::detector_eval`) grades both detectors'
+//! warnings against the ground truth carried by annotated traces, through
+//! the scoring kernel every other tool is scored by.
 //!
 //! A third oracle, [`RaceCell`], serves the *native-threads* runtime
 //! backend: it detects physically torn reads of a redundantly-stored value,
@@ -32,12 +32,10 @@
 
 pub mod lockset;
 pub mod racecell;
-pub mod score;
 pub mod vectorclock;
 pub mod warning;
 
 pub use lockset::EraserLockset;
 pub use racecell::{RaceCell, Racey};
-pub use score::{score, DetectorScore};
 pub use vectorclock::{VectorClock, VectorClockDetector};
 pub use warning::{AccessInfo, RaceWarning};

@@ -10,7 +10,7 @@
 //! `--jobs 8` is byte-identical to the serial one — the writer is always
 //! fed in canonical (program, tool, run) order after the shards merge. No
 //! line carries a wall-clock duration: per-run time stays in the explicitly
-//! non-deterministic outputs (`timing_table()` and the journal's
+//! non-deterministic outputs (`mtt profile --timing` and the journal's
 //! `wall_us`).
 //!
 //! All writes propagate `io::Result` — a full disk or a closed pipe is an

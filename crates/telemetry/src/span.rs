@@ -3,8 +3,8 @@
 //! A [`Span`] measures the wall-clock time between `enter` and drop and
 //! adds it to the named entry of its [`SpanSet`]. Span timings are
 //! **wall-clock by definition** and therefore never appear in the
-//! deterministic default reports — they feed the segregated timing tables
-//! the way `CampaignReport::timing_table()` does.
+//! deterministic default reports — they feed segregated timing output such
+//! as `mtt profile --timing`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

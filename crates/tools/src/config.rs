@@ -104,9 +104,15 @@ impl ToolConfig {
     /// [`STANDARD_ROSTER_SPECS`], so the hardcoded and `--tools-file`
     /// paths are the same path.
     pub fn standard_roster() -> Vec<ToolConfig> {
-        STANDARD_ROSTER_SPECS
+        Self::roster(STANDARD_ROSTER_SPECS)
+    }
+
+    /// Resolve a built-in roster, one tool per spec, in order. The specs
+    /// are the program's own constants, so an invalid one is a bug.
+    pub fn roster(specs: &[&str]) -> Vec<ToolConfig> {
+        specs
             .iter()
-            .map(|s| Self::from_spec_str(s).expect("standard roster specs are valid"))
+            .map(|s| Self::from_spec_str(s).unwrap_or_else(|e| panic!("roster spec `{s}`: {e}")))
             .collect()
     }
 

@@ -5,15 +5,14 @@
 //! Generates annotated traces from the bank-transfer benchmark program,
 //! stores them in both trace formats, reloads, runs Eraser and the
 //! vector-clock detector offline, and scores both against the documented
-//! ground truth.
+//! ground truth as experiment E2 does.
 //!
 //! ```sh
 //! cargo run --example race_detective
 //! ```
 
+use mtt::experiment::detector_eval;
 use mtt::experiment::tracegen::{self, TraceGenOptions};
-use mtt::prelude::*;
-use mtt::race::score;
 use mtt::trace::{binary, json};
 
 fn main() {
@@ -58,42 +57,29 @@ fn main() {
     // 3. Offline detection: feed the stored traces to both detectors.
     // ------------------------------------------------------------------
     let table = entry.program.var_table();
-    let mut eraser_warnings = Vec::new();
-    let mut vc_warnings = Vec::new();
-    for t in &traces {
-        let mut eraser = EraserLockset::new();
-        t.feed(&mut eraser);
-        eraser_warnings.extend(eraser.warnings);
-        let mut vc = VectorClockDetector::new();
-        t.feed(&mut vc);
-        vc_warnings.extend(vc.warnings);
-    }
-    println!("\neraser warnings:");
-    for w in &eraser_warnings {
-        println!("  {}", w.render(table.name(w.var)));
-    }
-    println!("vector-clock warnings:");
-    for w in &vc_warnings {
-        println!("  {}", w.render(table.name(w.var)));
+    let mut scores = Vec::new();
+    println!();
+    for (name, detect) in detector_eval::DETECTORS {
+        let warnings: Vec<_> = traces.iter().flat_map(detect).collect();
+        println!("{name} warnings:");
+        for w in &warnings {
+            println!("  {}", w.render(table.name(w.var)));
+        }
+        let score = detector_eval::score_warnings(&warnings, &entry.racy_vars, &table);
+        scores.push((name, score));
     }
 
     // ------------------------------------------------------------------
     // 4. Score against the ground truth.
     // ------------------------------------------------------------------
-    let truth = entry.racy_vars.clone();
-    let es = score(&eraser_warnings, truth.iter().copied(), &table);
-    let vs = score(&vc_warnings, truth.iter().copied(), &table);
-    println!("\nscores (ground truth: {truth:?}):");
-    println!(
-        "  eraser:       precision {:.2}  recall {:.2}  false alarms {}",
-        es.precision(),
-        es.recall(),
-        es.false_positives
-    );
-    println!(
-        "  vector-clock: precision {:.2}  recall {:.2}  false alarms {}",
-        vs.precision(),
-        vs.recall(),
-        vs.false_positives
-    );
+    println!("\nscores (ground truth: {:?}):", entry.racy_vars);
+    for (name, s) in scores {
+        println!(
+            "  {:<14}precision {:.2}  recall {:.2}  false alarms {}",
+            format!("{name}:"),
+            s.precision,
+            s.recall,
+            s.fp
+        );
+    }
 }
