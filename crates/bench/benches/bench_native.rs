@@ -4,9 +4,9 @@
 //! add on top of raw thread spawn/join? The ratio is the price E13 pays
 //! per differential cell, and the budget `mtt e13` wall-clock scales with.
 //!
-//! The `handoff_sweep` points measure the model engine's handoff as the
-//! thread count grows: a context switch should cost the same at 3 threads
-//! as at 129.
+//! The `handoff_sweep` points measure the model engine's scheduling step
+//! as the thread count grows: a step should cost about the same at 3
+//! threads as at 129, and `step_cost_129_over_3` says how far it is off.
 
 use mtt_bench::Smoke;
 use mtt_core::runtime::{Execution, Program, ProgramBuilder, RuntimeBackend, ThreadId};
@@ -58,32 +58,46 @@ fn locked_counter(workers: u32) -> Program {
     b.build()
 }
 
-/// Time per run and per context switch of [`locked_counter`] under
-/// `sticky:0.9` at 3, 9, 33 and 129 threads (main included). Each point is
-/// a smoke result (`handoff_threads_N`, nanoseconds per run) whose loops
-/// each run seeds 1 to 32 the same whole number of times, enough for a
-/// loop to last at least 1 ms, so every loop makes the same switches and
-/// the printed per-switch median and quartiles are the per-run ones over
-/// the mean switches per run.
+/// Time per run, per scheduling point and per context switch of
+/// [`locked_counter`] under `sticky:0.9` at 3, 9, 33 and 129 threads (main
+/// included). Each point is a smoke result (`handoff_threads_N`,
+/// nanoseconds per run) whose loops each run seeds 1 to 32 the same whole
+/// number of times, enough for a loop to last at least 1 ms, so every loop
+/// makes the same steps and switches, and the printed per-step and
+/// per-switch medians and quartiles are the per-run ones over the mean
+/// steps and switches per run. Switches grow faster than threads under
+/// lock barging, so only the per-step cost says whether a step stays
+/// flat. The figure `step_cost_129_over_3` is the per-step median at 129
+/// threads over the one at 3.
 fn handoff_sweep(smoke: &mut Smoke) {
     let cfg = ToolConfig::from_spec_str("sticky:0.9").expect("valid spec");
+    let mut step_ns = Vec::new();
     for workers in [2, 8, 32, 128] {
         let p = locked_counter(workers);
         let threads = workers + 1;
         let runs = 32;
-        // Untimed: count the switches of one pass over the seeds; the pass
-        // also sets up the coroutine stacks later runs reuse. A second pass,
-        // timed, sizes the loops.
-        let pass = || -> u64 {
-            (1..=runs)
-                .map(|seed| run_program(&cfg, &p, seed).stats.context_switches)
-                .sum()
+        // Untimed: count the steps and switches of one pass over the seeds;
+        // the pass also sets up the coroutine stacks later runs reuse. A
+        // second pass, timed, sizes the loops.
+        let pass = || -> (u64, u64) {
+            (1..=runs).fold((0, 0), |(steps, switches), seed| {
+                let stats = run_program(&cfg, &p, seed).stats;
+                (
+                    steps + stats.sched_points,
+                    switches + stats.context_switches,
+                )
+            })
         };
-        let switches = pass();
+        let (steps, switches) = pass();
         let started = Instant::now();
-        assert_eq!(pass(), switches, "each seed's schedule is deterministic");
+        assert_eq!(
+            pass(),
+            (steps, switches),
+            "each seed's schedule is deterministic"
+        );
         let cycles = 1_000_000u128.div_ceil(started.elapsed().as_nanos().max(1)) as u32;
-        let per_run = switches as f64 / runs as f64;
+        let steps_per_run = steps as f64 / runs as f64;
+        let switches_per_run = switches as f64 / runs as f64;
         let mut seed = 0;
         let iters = runs as u32 * cycles;
         let [q1, median, q3] =
@@ -91,16 +105,24 @@ fn handoff_sweep(smoke: &mut Smoke) {
                 seed = seed % runs + 1;
                 run_program(&cfg, &p, seed)
             });
-        let us_per_switch = |ns: u64| ns as f64 / 1000.0 / per_run.max(1.0);
+        let us_per = |ns: u64, per_run: f64| ns as f64 / 1000.0 / per_run.max(1.0);
         println!(
-            "handoff_sweep threads={threads}: {:.1} us/run, {:.2} us/switch \
-             (quartiles {:.2}..{:.2}), {per_run:.1} switches/run",
+            "handoff_sweep threads={threads}: {:.1} us/run, {:.3} us/step \
+             (quartiles {:.3}..{:.3}), {:.2} us/switch (quartiles {:.2}..{:.2}), \
+             {steps_per_run:.0} steps/run, {switches_per_run:.1} switches/run",
             median as f64 / 1000.0,
-            us_per_switch(median),
-            us_per_switch(q1),
-            us_per_switch(q3),
+            us_per(median, steps_per_run),
+            us_per(q1, steps_per_run),
+            us_per(q3, steps_per_run),
+            us_per(median, switches_per_run),
+            us_per(q1, switches_per_run),
+            us_per(q3, switches_per_run),
         );
+        step_ns.push(median as f64 / steps_per_run.max(1.0));
     }
+    let ratio = step_ns[step_ns.len() - 1] / step_ns[0];
+    println!("handoff_sweep step cost at 129 threads over 3: {ratio:.2}");
+    smoke.figure("step_cost_129_over_3", (ratio * 100.0).round() / 100.0);
 }
 
 /// `spec` on the given backend, as E13 derives the legs of a cell.

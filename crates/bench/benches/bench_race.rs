@@ -55,6 +55,36 @@ fn synthetic_stream(n: usize, threads: u32, vars: u32) -> Vec<Event> {
     out
 }
 
+/// One thread's stream in long epochs, for the FastTrack same-epoch fast
+/// path: the thread takes a lock at the start of every 64 events and
+/// releases it at the end (a release starts a new epoch), and in between
+/// writes and reads 4 variables in turn. After the first write and the
+/// first read of a variable in an epoch, every access to it takes the
+/// fast path.
+fn same_epoch_stream(n: usize) -> Vec<Event> {
+    let held: Arc<[LockId]> = Arc::from(vec![LockId(0)]);
+    (0..n)
+        .map(|i| {
+            let var = VarId((i % 4) as u32);
+            let value = i as i64;
+            let op = match i % 64 {
+                0 => Op::LockAcquire { lock: LockId(0) },
+                63 => Op::LockRelease { lock: LockId(0) },
+                j if j / 4 % 2 == 0 => Op::VarWrite { var, value },
+                _ => Op::VarRead { var, value },
+            };
+            Event {
+                seq: i as u64,
+                time: i as u64,
+                thread: ThreadId(0),
+                loc: Loc::new("bench", (i % 97) as u32 + 1),
+                op,
+                locks_held: held.clone(),
+            }
+        })
+        .collect()
+}
+
 /// Events in each timed stream.
 const EVENTS: usize = 20_000;
 
@@ -87,8 +117,23 @@ fn main() {
         d.finish();
         d.warning_count()
     });
-    // The FastTrack fast path: single-thread stream, almost all same-epoch.
-    let local = synthetic_stream(EVENTS, 1, 4);
+    // The FastTrack fast path: one thread, long epochs. The bench fails if
+    // the stream stops taking the fast path on at least half its accesses.
+    let local = same_epoch_stream(EVENTS);
+    let accesses = local.iter().filter(|ev| ev.op.var().is_some()).count() as u64;
+    let mut d = VectorClockDetector::new();
+    for ev in &local {
+        d.on_event(ev);
+    }
+    assert!(
+        2 * d.fast_path_hits >= accesses,
+        "the fast-path stream took the fast path on {} of {accesses} accesses",
+        d.fast_path_hits
+    );
+    println!(
+        "vector_clock_fastpath_20k: {} of {accesses} accesses take the fast path",
+        d.fast_path_hits
+    );
     time_stream(&mut smoke, "vector_clock_fastpath_20k", || {
         let mut d = VectorClockDetector::new();
         for ev in &local {

@@ -410,6 +410,9 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "e2" => {
             let traces = a.count(10)?;
+            if traces == 0 {
+                return Err("e2: the trace count must be at least 1".into());
+            }
             Box::new(move |pool| {
                 let programs = mtt_suite::quick_set();
                 let report = detector_eval::run_detector_eval_on(&programs, traces, pool);

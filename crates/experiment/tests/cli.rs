@@ -181,6 +181,16 @@ fn malformed_numeric_argument_fails_cleanly() {
 }
 
 #[test]
+fn e2_with_no_traces_is_a_usage_error() {
+    // With zero traces no detector runs, and every row would read as a
+    // detector that missed every documented race.
+    let (stdout, stderr, code) = mtt_code(&["e2", "0"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("at least 1"), "stderr: {stderr}");
+    assert!(stdout.is_empty(), "no table: {stdout}");
+}
+
+#[test]
 fn jobs_flag_rejects_missing_and_malformed_values() {
     let (_, stderr, ok) = mtt(&["e5", "4", "--jobs"]);
     assert!(!ok, "`--jobs` with no value must exit non-zero");

@@ -428,7 +428,7 @@ impl ThreadCtx {
             return misuse(format!("join on unknown thread {target}"));
         }
         let request = Some((loc, Op::JoinRequest { target }));
-        let free = |m: &ModelState| m.threads[target.index()].status == Status::Finished;
+        let free = |m: &ModelState| m.threads[target.index()].status() == Status::Finished;
         if !self.block_until(&mut g, BlockReason::Join(target), request, free) {
             return;
         }

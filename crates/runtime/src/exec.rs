@@ -37,10 +37,23 @@
 //! token holder. When the pick is another thread, the op releases the mutex
 //! and suspends to the harness, which resumes the pick; when it is the same
 //! thread, nothing switches. A handoff is therefore two stack switches on
-//! one OS thread, and a step costs the same whether two threads or two
-//! hundred are suspended. The harness creates a spawned thread's coroutine
-//! before it next resumes anyone, and a finished thread's stack goes back
-//! to the pool.
+//! one OS thread. The harness creates a spawned thread's coroutine before
+//! it next resumes anyone, and a finished thread's stack goes back to the
+//! pool.
+//!
+//! A scheduling point does not scan the threads either. Every status change
+//! goes through one setter, `ModelState::set_status`, which keeps the
+//! *runnable list* (the `Ready` and `Running` threads, ascending, exactly
+//! what a scan would give) and a *deadline bound* (at most the earliest
+//! sleep or timed-wait deadline). The scheduler sees the list as it is and
+//! the noise maker its length; the clock scans for due sleepers only once
+//! it reaches the bound. A wake that removes a deadline may leave the bound
+//! stale-low, which costs one extra scan; a stale-high bound, which would
+//! miss a wake, cannot arise. Debug builds check both against a scan at
+//! every scheduling point, and a step allocates nothing in steady state.
+//! What still looks at every thread is a lock release, semaphore release
+//! or thread exit, which readies its waiters; `bench_native`'s
+//! `handoff_sweep` prints how a step's cost grows from 3 threads to 129.
 //!
 //! Because the mutex serializes all of this and only the token holder
 //! executes program code, an execution is a deterministic function of
@@ -80,7 +93,7 @@ use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
 use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
 use crate::program::Program;
 use crate::scheduler::{FifoScheduler, SchedView, Scheduler};
-use crate::state::{ModelState, Settled, Status, ThreadState};
+use crate::state::{ModelState, Settled, Status};
 use mtt_instrument::{
     Event, EventSink, InstrumentationPlan, Loc, Op, ResolvedFilter, ThreadId, VarId,
 };
@@ -205,7 +218,6 @@ pub(crate) struct Book {
     /// First torn read per variable id (native engine), ordered so the
     /// synthetic failures appended to the outcome are deterministic.
     pub torn: BTreeMap<u32, (ThreadId, Loc)>,
-    scratch_runnable: Vec<ThreadId>,
     /// RNG driving spurious wakeups (None when the feature is off).
     spurious_rng: Option<rand_chacha::ChaCha8Rng>,
 }
@@ -265,9 +277,8 @@ impl Book {
             }
         }
         let decision = if self.noise_filter.selects(&ev) {
-            self.model.collect_runnable(&mut self.scratch_runnable);
             let view = NoiseView {
-                runnable: self.scratch_runnable.len(),
+                runnable: self.model.runnable().len(),
                 step: self.stats.sched_points,
                 time: self.model.time,
             };
@@ -322,7 +333,6 @@ impl Book {
     /// and returns from `wait` as if notified; correct code re-checks its
     /// predicate, buggy code proceeds on a false assumption.
     fn maybe_spurious_wakeup(&mut self) {
-        use crate::state::BlockReason;
         use rand::Rng;
         let Some(rng) = self.spurious_rng.as_mut() else {
             return;
@@ -331,40 +341,23 @@ impl Book {
         if p <= 0.0 || !rng.gen_bool(p) {
             return;
         }
-        // Collect cond waiters deterministically (id order).
-        let waiters: Vec<usize> = self
-            .model
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                matches!(
-                    t.status,
-                    Status::Blocked(BlockReason::Cond(_, _))
-                        | Status::Blocked(BlockReason::CondTimed(_, _, _))
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if waiters.is_empty() {
+        // The victim is the k-th condition waiter in id order.
+        let waiters = self.model.cond_waiters().count();
+        if waiters == 0 {
             return;
         }
-        let victim = waiters[rng.gen_range(0..waiters.len())];
-        let tid = ThreadId(victim as u32);
-        if let Status::Blocked(BlockReason::Cond(c, _) | BlockReason::CondTimed(c, _, _)) =
-            self.model.threads[victim].status
-        {
-            self.model.cond_queues[c.index()].retain(|q| *q != tid);
-            self.model.threads[victim].timed_out = false;
-            self.model.threads[victim].status = Status::Ready;
-            self.stats.spurious_wakeups += 1;
-        }
+        let k = rng.gen_range(0..waiters);
+        let victim = self.model.cond_waiters().nth(k).expect("k < waiters");
+        self.model.wake_spuriously(victim);
+        self.stats.spurious_wakeups += 1;
     }
 
-    /// Core model scheduling step: find the runnable set (jumping virtual
+    /// Core model scheduling step: take the runnable list (jumping virtual
     /// time to the next deadline if everyone is asleep, by the rule both
     /// engines share), detect termination and deadlock, and hand the token
-    /// to the scheduler's pick.
+    /// to the scheduler's pick. The list and the deadline bound are kept by
+    /// `ModelState::set_status`, so none of this scans every thread unless
+    /// a deadline may be due, a spurious wakeup fires or no thread can run.
     ///
     /// `prev` is the thread whose operation triggered this point; its status
     /// must already reflect the operation's effect (Ready / Blocked /
@@ -383,10 +376,10 @@ impl Book {
         let now = self.model.time + 1;
         self.model.advance_time_to(now);
         self.maybe_spurious_wakeup();
-        self.model.collect_runnable(&mut self.scratch_runnable);
-        if self.scratch_runnable.is_empty() {
+        self.model.debug_check_kept();
+        if self.model.runnable().is_empty() {
             match self.model.settle() {
-                Settled::Runnable => self.model.collect_runnable(&mut self.scratch_runnable),
+                Settled::Runnable => {}
                 Settled::Deadlocked => {
                     let info = self.model.deadlock_info();
                     self.do_abort(OutcomeKind::Deadlock(info));
@@ -398,8 +391,9 @@ impl Book {
                 }
             }
         }
+        let runnable = self.model.runnable();
         let view = SchedView {
-            runnable: &self.scratch_runnable,
+            runnable,
             prev,
             forced_yield,
             step: self.stats.sched_points,
@@ -407,14 +401,14 @@ impl Book {
             last_event: self.last_event.as_ref(),
         };
         let mut pick = self.scheduler.pick(&view);
-        if self.scratch_runnable.binary_search(&pick).is_err() {
+        if runnable.binary_search(&pick).is_err() {
             self.stats.scheduler_faults += 1;
-            pick = self.scratch_runnable[0];
+            pick = runnable[0];
         }
         if prev.is_some() && prev != Some(pick) {
             self.stats.context_switches += 1;
         }
-        self.model.threads[pick.index()].status = Status::Running;
+        self.model.set_status(pick, Status::Running);
         self.model.current = Some(pick);
     }
 }
@@ -520,7 +514,7 @@ impl Run {
         match &self.engine {
             Engine::Model => loop {
                 g.check_abort();
-                let st = g.model.threads[me.index()].status;
+                let st = g.model.threads[me.index()].status();
                 if st == Status::Finished || (g.model.current == Some(me) && st == Status::Running)
                 {
                     return true;
@@ -575,7 +569,7 @@ impl Run {
         if matches!(self.engine, Engine::Model) && std::thread::panicking() {
             return false;
         }
-        g.model.threads[me.index()].status = status;
+        g.model.set_status(me, status);
         self.hand_off(g, me);
         self.park(g, me)
     }
@@ -602,15 +596,14 @@ impl Run {
             }
             NoiseDecision::Sleep(ticks) => {
                 let wake = g.wake_time(ticks);
-                g.model.threads[me.index()].status = Status::Sleeping(wake);
+                g.model.set_status(me, Status::Sleeping(wake));
                 g.stats.noise_injections += 1;
             }
         }
         match &self.engine {
             Engine::Model => {
-                let t = &mut g.model.threads[me.index()];
-                if t.status == Status::Running {
-                    t.status = Status::Ready;
+                if g.model.threads[me.index()].status() == Status::Running {
+                    g.model.set_status(me, Status::Ready);
                 }
                 g.schedule_next(Some(me), nd == NoiseDecision::Yield);
                 self.park(&mut g, me);
@@ -657,7 +650,7 @@ impl Run {
     /// its park again.
     pub fn wake_sleepers(&self, g: &Book) {
         for (t, w) in g.model.threads.iter().zip(&g.workers) {
-            if t.status.deadline().is_some() {
+            if t.status().deadline().is_some() {
                 w.slot.notify_one();
             }
         }
@@ -675,8 +668,7 @@ impl Run {
 /// Register a new thread named `name` and start it: as a coroutine the
 /// model harness creates, or on a worker.
 pub(crate) fn launch(run: &Arc<Run>, g: &mut Book, name: String, body: Body) -> ThreadId {
-    let me = ThreadId(g.model.threads.len() as u32);
-    g.model.threads.push(ThreadState::new(name));
+    let me = g.model.add_thread(name);
     g.stats.threads += 1;
     match run.engine {
         Engine::Model => g.spawned.push((me, body)),
@@ -1003,7 +995,6 @@ impl<'p> Execution<'p> {
             label_idx: HashMap::new(),
             assert_failures: Vec::new(),
             torn: BTreeMap::new(),
-            scratch_runnable: Vec::new(),
             spurious_rng: self.opts.spurious_wakeups.map(|_| {
                 use rand::SeedableRng;
                 rand_chacha::ChaCha8Rng::seed_from_u64(

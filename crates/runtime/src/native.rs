@@ -148,11 +148,11 @@ impl NativeMem {
     pub(crate) fn park(&self, run: &Run, g: &mut Guard<'_>, me: ThreadId) -> bool {
         loop {
             if g.abort.is_some() && std::thread::panicking() {
-                g.model.threads[me.index()].status = Status::Running;
+                g.model.set_status(me, Status::Running);
                 return false;
             }
             g.check_abort();
-            match g.model.threads[me.index()].status {
+            match g.model.threads[me.index()].status() {
                 Status::Sleeping(at) | Status::Blocked(BlockReason::CondTimed(_, _, at)) => {
                     let now = g.model.time;
                     if g.model.wake_if_due(me, now) {
@@ -165,7 +165,7 @@ impl NativeMem {
             }
             g.model.time = self.now();
         }
-        g.model.threads[me.index()].status = Status::Running;
+        g.model.set_status(me, Status::Running);
         true
     }
 

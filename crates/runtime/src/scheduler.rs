@@ -116,17 +116,20 @@ impl Scheduler for RandomScheduler {
                 }
             }
         }
-        // When a yield was forced, prefer the other threads.
-        let pool: Vec<ThreadId> = if view.forced_yield && view.runnable.len() > 1 {
-            view.runnable
-                .iter()
-                .copied()
-                .filter(|t| Some(*t) != view.prev)
-                .collect()
-        } else {
-            view.runnable.to_vec()
+        // When a yield was forced, prefer the other threads: draw among
+        // the runnable list without `prev`, indexing around its slot.
+        let n = view.runnable.len();
+        let skipped = match view.prev {
+            Some(prev) if view.forced_yield => view.runnable.binary_search(&prev).ok(),
+            _ => None,
         };
-        pool[self.rng.gen_range(0..pool.len())]
+        match skipped {
+            Some(at) => {
+                let i = self.rng.gen_range(0..n - 1);
+                view.runnable[if i < at { i } else { i + 1 }]
+            }
+            None => view.runnable[self.rng.gen_range(0..n)],
+        }
     }
 
     fn name(&self) -> &str {
@@ -339,6 +342,56 @@ mod tests {
         for _ in 0..50 {
             let t = s.pick(&view(&runnable, Some(ThreadId(1)), true));
             assert_eq!(t, ThreadId(0), "forced yield must avoid prev");
+        }
+    }
+
+    /// The reference pick: copy the threads to draw from into a pool, then
+    /// draw. `RandomScheduler::pick` indexes the view instead, and must
+    /// agree with this pick for pick and draw for draw.
+    fn pick_from_a_pool(s: &mut RandomScheduler, view: &SchedView<'_>) -> ThreadId {
+        if view.runnable.len() == 1 {
+            return view.runnable[0];
+        }
+        if !view.forced_yield && s.stickiness > 0.0 {
+            if let Some(prev) = view.prev {
+                if view.is_runnable(prev) && s.rng.gen_bool(s.stickiness) {
+                    return prev;
+                }
+            }
+        }
+        let pool: Vec<ThreadId> = if view.forced_yield && view.runnable.len() > 1 {
+            view.runnable
+                .iter()
+                .copied()
+                .filter(|t| Some(*t) != view.prev)
+                .collect()
+        } else {
+            view.runnable.to_vec()
+        };
+        pool[s.rng.gen_range(0..pool.len())]
+    }
+
+    #[test]
+    fn random_pick_agrees_with_the_pool_copying_pick() {
+        use rand::RngCore;
+        let mut views = ChaCha8Rng::seed_from_u64(99);
+        for (seed, stickiness) in [(1, 0.0), (2, 0.5), (3, 0.9)] {
+            let mut new = RandomScheduler::sticky(seed, stickiness);
+            let mut old = RandomScheduler::sticky(seed, stickiness);
+            for _ in 0..2000 {
+                // A random sorted subset of 8 threads, never empty, and a
+                // previous thread that may or may not be in it.
+                let mask = views.gen_range(1..256u32);
+                let runnable: Vec<ThreadId> = (0..8)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(ThreadId)
+                    .collect();
+                let prev = (views.gen_range(0..9u32) < 8).then(|| ThreadId(views.gen_range(0..8)));
+                let v = view(&runnable, prev, views.gen_bool(0.5));
+                assert_eq!(new.pick(&v), pick_from_a_pool(&mut old, &v), "{v:?}");
+                let next = |s: &RandomScheduler| s.rng.clone().next_u64();
+                assert_eq!(next(&new), next(&old), "the RNGs drifted at {v:?}");
+            }
         }
     }
 

@@ -13,6 +13,29 @@
 //! the one rule for a run in which no thread can run (deadlocked, over, or
 //! time jumps to the next deadline) that the model's scheduler and the
 //! native watchdog both apply.
+//!
+//! ## One setter, two kept summaries
+//!
+//! A status changes only through [`ModelState::set_status`] (the field is
+//! private to this module), which keeps two summaries of the statuses up to
+//! date, so that a scheduling point does not scan every thread:
+//!
+//! * the **runnable list** ([`ModelState::runnable`]): the threads that are
+//!   `Ready` or `Running`, ascending, which is exactly the list a fresh scan
+//!   gives. The model's scheduler sees it as it is, the noise maker sees its
+//!   length, and [`ModelState::settle`] asks only whether it is empty.
+//! * the **deadline bound**: at most the earliest sleep or timed-wait
+//!   deadline. A status with a deadline lowers it, and
+//!   [`ModelState::advance_time_to`] scans the threads only once the clock
+//!   reaches it, setting it to the earliest deadline left. A wake that
+//!   removes a deadline (a notify of a timed waiter) leaves it *stale-low*,
+//!   which costs one extra scan and never misses a wake. A *stale-high*
+//!   bound would miss one, and never arises: a deadline appears only
+//!   through the setter, which lowers the bound to it.
+//!
+//! Debug builds check both, and the finish count, against a fresh scan at
+//! every model scheduling point and whenever a run settles
+//! ([`ModelState::debug_check_kept`]).
 
 use crate::outcome::{DeadlockInfo, WaitEdge};
 use crate::program::{Program, VarSpec};
@@ -60,6 +83,11 @@ impl Status {
             _ => None,
         }
     }
+
+    /// `Ready` or `Running`: a member of the runnable list.
+    pub fn can_run(self) -> bool {
+        matches!(self, Status::Ready | Status::Running)
+    }
 }
 
 /// Where [`ModelState::settle`] leaves a run.
@@ -73,16 +101,23 @@ pub(crate) enum Settled {
     Over,
 }
 
+/// How many earlier snapshots of its held locks a thread keeps for reuse.
+const KEPT_SNAPSHOTS: usize = 8;
+
 /// Per-thread record.
 #[derive(Debug)]
 pub(crate) struct ThreadState {
     pub name: String,
-    pub status: Status,
+    /// Changed only by [`ModelState::set_status`].
+    status: Status,
     /// Locks held, in acquisition order.
     pub held: Vec<LockId>,
     /// Immutable snapshot of `held`, shared into events (pointer clone per
     /// event instead of a vector clone — the hot path optimization).
     pub held_snapshot: Arc<[LockId]>,
+    /// The last few snapshots this thread built, oldest first: taking and
+    /// releasing the same locks again reuses one instead of allocating.
+    snapshots: Vec<Arc<[LockId]>>,
     /// Weak-visibility cache for non-volatile variables: value this thread
     /// last observed/wrote, possibly stale w.r.t. the shared store. Cleared
     /// at every synchronization operation.
@@ -92,19 +127,36 @@ pub(crate) struct ThreadState {
 }
 
 impl ThreadState {
-    pub fn new(name: String) -> Self {
+    fn new(name: String) -> Self {
+        let none: Arc<[LockId]> = Arc::from(Vec::new());
         ThreadState {
             name,
             status: Status::Ready,
             held: Vec::new(),
-            held_snapshot: Arc::from(Vec::new()),
+            snapshots: vec![Arc::clone(&none)],
+            held_snapshot: none,
             cache: HashMap::new(),
             timed_out: false,
         }
     }
 
+    pub fn status(&self) -> Status {
+        self.status
+    }
+
     fn refresh_snapshot(&mut self) {
-        self.held_snapshot = Arc::from(self.held.clone());
+        let held = &self.held[..];
+        self.held_snapshot = match self.snapshots.iter().find(|s| s[..] == *held) {
+            Some(known) => Arc::clone(known),
+            None => {
+                if self.snapshots.len() == KEPT_SNAPSHOTS {
+                    self.snapshots.remove(0);
+                }
+                let built: Arc<[LockId]> = Arc::from(held);
+                self.snapshots.push(Arc::clone(&built));
+                built
+            }
+        };
     }
 
     /// Drop the weak-visibility cache: the thread just performed a
@@ -142,6 +194,11 @@ pub(crate) struct ModelState {
     /// which wakes only its scheduler's pick, clears the list at every
     /// scheduling point.
     pub readied: Vec<ThreadId>,
+    /// The threads that can run, ascending (kept by [`Self::set_status`]).
+    runnable: Vec<ThreadId>,
+    /// At most the earliest deadline of any thread, `u64::MAX` when none is
+    /// known (kept by [`Self::set_status`] and [`Self::advance_time_to`]).
+    deadline_bound: u64,
 }
 
 impl ModelState {
@@ -164,11 +221,79 @@ impl ModelState {
             current: None,
             time: 0,
             readied: Vec::new(),
+            runnable: Vec::new(),
+            deadline_bound: u64::MAX,
         }
     }
 
     pub fn thread(&mut self, t: ThreadId) -> &mut ThreadState {
         &mut self.threads[t.index()]
+    }
+
+    /// Register a new thread, `Ready`, and return its id.
+    pub fn add_thread(&mut self, name: String) -> ThreadId {
+        let t = ThreadId(self.threads.len() as u32);
+        self.threads.push(ThreadState::new(name));
+        // The largest id yet, so the list stays sorted.
+        self.runnable.push(t);
+        t
+    }
+
+    /// Put `t` in `status`. Every status change goes through here, which
+    /// keeps the runnable list and the deadline bound.
+    pub fn set_status(&mut self, t: ThreadId, status: Status) {
+        let ts = &mut self.threads[t.index()];
+        let could_run = ts.status.can_run();
+        ts.status = status;
+        if could_run != status.can_run() {
+            let at = self.runnable.partition_point(|&r| r < t);
+            if could_run {
+                self.runnable.remove(at);
+            } else {
+                self.runnable.insert(at, t);
+            }
+        }
+        if let Some(at) = status.deadline() {
+            self.deadline_bound = self.deadline_bound.min(at);
+        }
+    }
+
+    /// Threads currently able to run (`Ready` or `Running`), ascending.
+    pub fn runnable(&self) -> &[ThreadId] {
+        &self.runnable
+    }
+
+    /// Check the kept runnable list, the deadline bound and the finish
+    /// order against a fresh scan of the statuses, without allocating.
+    /// Does nothing in release builds.
+    pub fn debug_check_kept(&self) {
+        let scan = || {
+            (0..self.threads.len() as u32)
+                .map(ThreadId)
+                .filter(|t| self.threads[t.index()].status.can_run())
+        };
+        debug_assert!(
+            self.runnable.iter().copied().eq(scan()),
+            "kept runnable list {:?}, scan {:?}",
+            self.runnable,
+            scan().collect::<Vec<_>>()
+        );
+        debug_assert!(
+            self.next_wake_time()
+                .is_none_or(|at| self.deadline_bound <= at),
+            "deadline bound {} is past the earliest deadline {:?}",
+            self.deadline_bound,
+            self.next_wake_time()
+        );
+        debug_assert_eq!(
+            self.finish_order.len(),
+            self.threads
+                .iter()
+                .filter(|t| t.status == Status::Finished)
+                .count(),
+            "finish order {:?}",
+            self.finish_order
+        );
     }
 
     /// Read `var` as seen by `reader`, honouring the weak-visibility model.
@@ -230,10 +355,11 @@ impl ModelState {
 
     /// Ready every thread blocked for `reason`.
     fn ready_all(&mut self, reason: BlockReason) {
-        for (i, t) in self.threads.iter_mut().enumerate() {
-            if t.status == Status::Blocked(reason) {
-                t.status = Status::Ready;
-                self.readied.push(ThreadId(i as u32));
+        for i in 0..self.threads.len() {
+            if self.threads[i].status == Status::Blocked(reason) {
+                let t = ThreadId(i as u32);
+                self.set_status(t, Status::Ready);
+                self.readied.push(t);
             }
         }
     }
@@ -241,14 +367,15 @@ impl ModelState {
     /// Wake the longest waiter on `cond` (every waiter when `all`); a woken
     /// timed waiter counts as notified.
     pub fn notify(&mut self, cond: CondId, all: bool) {
-        let queue = &mut self.cond_queues[cond.index()];
+        // Taken out and put back, so the queue keeps its capacity.
+        let mut queue = std::mem::take(&mut self.cond_queues[cond.index()]);
         let n = if all { queue.len() } else { queue.len().min(1) };
         for t in queue.drain(..n) {
-            let ts = &mut self.threads[t.index()];
-            ts.status = Status::Ready;
-            ts.timed_out = false;
+            self.threads[t.index()].timed_out = false;
+            self.set_status(t, Status::Ready);
             self.readied.push(t);
         }
+        self.cond_queues[cond.index()] = queue;
     }
 
     /// Return one permit to `sem` and ready every thread waiting for one
@@ -266,29 +393,43 @@ impl ModelState {
         if self.barrier_arrived[b].len() as u32 != self.barrier_parties[b] {
             return false;
         }
-        for t in self.barrier_arrived[b].drain(..) {
+        let mut arrived = std::mem::take(&mut self.barrier_arrived[b]);
+        for t in arrived.drain(..) {
             if t != me {
-                self.threads[t.index()].status = Status::Ready;
+                self.set_status(t, Status::Ready);
                 self.readied.push(t);
             }
         }
+        self.barrier_arrived[b] = arrived;
         true
     }
 
     /// `me` terminated: record it and ready its joiners.
     pub fn finish(&mut self, me: ThreadId) {
-        self.threads[me.index()].status = Status::Finished;
+        self.set_status(me, Status::Finished);
         self.finish_order.push(me);
         self.ready_all(BlockReason::Join(me));
     }
 
-    /// Threads currently able to run (Ready or Running), ascending.
-    pub fn collect_runnable(&self, out: &mut Vec<ThreadId>) {
-        out.clear();
-        for (i, t) in self.threads.iter().enumerate() {
-            if matches!(t.status, Status::Ready | Status::Running) {
-                out.push(ThreadId(i as u32));
-            }
+    /// Threads waiting on a condition variable, timed or not, ascending.
+    pub fn cond_waiters(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        (0..self.threads.len() as u32).map(ThreadId).filter(|t| {
+            matches!(
+                self.threads[t.index()].status,
+                Status::Blocked(BlockReason::Cond(..) | BlockReason::CondTimed(..))
+            )
+        })
+    }
+
+    /// Wake condition waiter `t` without a notify: it leaves the queue and
+    /// returns from its wait as if notified.
+    pub fn wake_spuriously(&mut self, t: ThreadId) {
+        if let Status::Blocked(BlockReason::Cond(c, _) | BlockReason::CondTimed(c, _, _)) =
+            self.threads[t.index()].status
+        {
+            self.cond_queues[c.index()].retain(|q| *q != t);
+            self.threads[t.index()].timed_out = false;
+            self.set_status(t, Status::Ready);
         }
     }
 
@@ -302,16 +443,25 @@ impl ModelState {
 
     /// Advance time to `now`, waking due sleepers and timing out due timed
     /// waits, and list the threads that woke in `readied`. Returns how many
-    /// woke.
+    /// woke. Before `now` reaches the deadline bound nothing can be due, so
+    /// only then does it scan the threads, and it leaves the bound at the
+    /// earliest deadline still pending.
     pub fn advance_time_to(&mut self, now: u64) -> usize {
         self.time = self.time.max(now);
+        if now < self.deadline_bound {
+            return 0;
+        }
         let before = self.readied.len();
+        let mut bound = u64::MAX;
         for i in 0..self.threads.len() {
             let t = ThreadId(i as u32);
             if self.wake_if_due(t, now) {
                 self.readied.push(t);
+            } else if let Some(at) = self.threads[i].status.deadline() {
+                bound = bound.min(at);
             }
         }
+        self.deadline_bound = bound;
         self.readied.len() - before
     }
 
@@ -327,13 +477,13 @@ impl ModelState {
             }
             _ => return false,
         }
-        ts.status = Status::Ready;
+        self.set_status(t, Status::Ready);
         true
     }
 
     /// True when every thread has finished.
     pub fn all_finished(&self) -> bool {
-        self.threads.iter().all(|t| t.status == Status::Finished)
+        self.finish_order.len() == self.threads.len()
     }
 
     /// The deadlock rule both engines apply: no thread can run, none will
@@ -341,11 +491,7 @@ impl ModelState {
     /// finished. Only a running thread can ready a blocked one, so once this
     /// holds it holds forever.
     pub fn deadlocked(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| matches!(t.status, Status::Blocked(_) | Status::Finished))
-            && self.next_wake_time().is_none()
-            && !self.all_finished()
+        self.runnable.is_empty() && self.next_wake_time().is_none() && !self.all_finished()
     }
 
     /// The time rule both engines apply. While a thread is `Ready` or
@@ -356,11 +502,8 @@ impl ModelState {
     /// jump skips only time in which nothing could happen: the model's
     /// virtual clock and the native clock both take it.
     pub fn settle(&mut self) -> Settled {
-        if self
-            .threads
-            .iter()
-            .any(|t| matches!(t.status, Status::Ready | Status::Running))
-        {
+        self.debug_check_kept();
+        if !self.runnable.is_empty() {
             return Settled::Runnable;
         }
         if self.deadlocked() {
@@ -458,8 +601,8 @@ mod tests {
         b.entry(|_| {});
         let p = b.build();
         let mut m = ModelState::for_program(&p);
-        m.threads.push(ThreadState::new("t0".into()));
-        m.threads.push(ThreadState::new("t1".into()));
+        m.add_thread("t0".into());
+        m.add_thread("t1".into());
         m
     }
 
@@ -493,7 +636,7 @@ mod tests {
         assert_eq!(m.lock_owner[0], Some(ThreadId(0)));
         assert_eq!(&*m.thread(ThreadId(0)).held_snapshot, &[l]);
         // t1 blocks on l.
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Lock(l));
+        m.set_status(ThreadId(1), Status::Blocked(BlockReason::Lock(l)));
         assert!(m.release_lock(ThreadId(0), l));
         assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
         assert_eq!(m.readied, vec![ThreadId(1)]);
@@ -505,15 +648,12 @@ mod tests {
     #[test]
     fn runnable_collection_and_all_finished() {
         let mut m = model_with(&[], &[]);
-        let mut out = Vec::new();
-        m.collect_runnable(&mut out);
-        assert_eq!(out, vec![ThreadId(0), ThreadId(1)]);
-        m.thread(ThreadId(0)).status = Status::Finished;
-        m.thread(ThreadId(1)).status = Status::Sleeping(10);
-        m.collect_runnable(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(m.runnable(), vec![ThreadId(0), ThreadId(1)]);
+        m.finish(ThreadId(0));
+        m.set_status(ThreadId(1), Status::Sleeping(10));
+        assert!(m.runnable().is_empty());
         assert!(!m.all_finished());
-        m.thread(ThreadId(1)).status = Status::Finished;
+        m.finish(ThreadId(1));
         assert!(m.all_finished());
     }
 
@@ -525,9 +665,11 @@ mod tests {
         // Manually extend the model with one condition.
         m.cond_names.push("c".into());
         m.cond_queues.push(vec![ThreadId(1)]);
-        m.thread(ThreadId(0)).status = Status::Sleeping(5);
-        m.thread(ThreadId(1)).status =
-            Status::Blocked(BlockReason::CondTimed(CondId(0), LockId(0), 8));
+        m.set_status(ThreadId(0), Status::Sleeping(5));
+        m.set_status(
+            ThreadId(1),
+            Status::Blocked(BlockReason::CondTimed(CondId(0), LockId(0), 8)),
+        );
         assert_eq!(m.next_wake_time(), Some(5));
         assert_eq!(m.advance_time_to(5), 1);
         assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
@@ -543,8 +685,8 @@ mod tests {
         let mut m = model_with(&[], &["a", "b"]);
         m.acquire_lock(ThreadId(0), LockId(0));
         m.acquire_lock(ThreadId(1), LockId(1));
-        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Lock(LockId(1)));
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Lock(LockId(0)));
+        m.set_status(ThreadId(0), Status::Blocked(BlockReason::Lock(LockId(1))));
+        m.set_status(ThreadId(1), Status::Blocked(BlockReason::Lock(LockId(0))));
         let info = m.deadlock_info();
         assert!(info.is_cyclic());
         assert_eq!(info.waiting.len(), 2);
@@ -558,8 +700,14 @@ mod tests {
         let mut m = model_with(&[], &["l"]);
         m.cond_names.push("c".into());
         m.cond_queues.push(vec![ThreadId(0), ThreadId(1)]);
-        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Cond(CondId(0), LockId(0)));
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Cond(CondId(0), LockId(0)));
+        m.set_status(
+            ThreadId(0),
+            Status::Blocked(BlockReason::Cond(CondId(0), LockId(0))),
+        );
+        m.set_status(
+            ThreadId(1),
+            Status::Blocked(BlockReason::Cond(CondId(0), LockId(0))),
+        );
         let info = m.deadlock_info();
         assert!(!info.is_cyclic());
         assert_eq!(info.waiting.len(), 2);
@@ -573,16 +721,18 @@ mod tests {
         m.cond_queues
             .push(waiters.iter().map(|&t| ThreadId(t)).collect());
         for &t in waiters {
-            let ts = m.thread(ThreadId(t));
-            ts.status = Status::Blocked(BlockReason::Cond(CondId(0), LockId(0)));
-            ts.timed_out = true;
+            m.set_status(
+                ThreadId(t),
+                Status::Blocked(BlockReason::Cond(CondId(0), LockId(0))),
+            );
+            m.thread(ThreadId(t)).timed_out = true;
         }
     }
 
     #[test]
     fn notify_wakes_only_the_fifo_head_and_clears_timed_out() {
         let mut m = model_with(&[], &["l"]);
-        m.threads.push(ThreadState::new("t2".into()));
+        m.add_thread("t2".into());
         cond_waiters(&mut m, &[2, 1]);
         m.notify(CondId(0), false);
         assert_eq!(m.thread(ThreadId(2)).status, Status::Ready);
@@ -612,13 +762,13 @@ mod tests {
     #[test]
     fn sem_release_readies_every_sem_waiter() {
         let mut m = model_with(&[], &["l"]);
-        m.threads.push(ThreadState::new("t2".into()));
+        m.add_thread("t2".into());
         m.sem_names.push("s".into());
         m.sem_permits.push(0);
         let (s, l) = (SemId(0), LockId(0));
-        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Sem(s));
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Sem(s));
-        m.thread(ThreadId(2)).status = Status::Blocked(BlockReason::Lock(l));
+        m.set_status(ThreadId(0), Status::Blocked(BlockReason::Sem(s)));
+        m.set_status(ThreadId(1), Status::Blocked(BlockReason::Sem(s)));
+        m.set_status(ThreadId(2), Status::Blocked(BlockReason::Lock(l)));
         m.sem_release(s);
         assert_eq!(m.sem_permits[0], 1);
         assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
@@ -633,16 +783,16 @@ mod tests {
     #[test]
     fn last_barrier_arriver_readies_the_others() {
         let mut m = model_with(&[], &[]);
-        m.threads.push(ThreadState::new("t2".into()));
+        m.add_thread("t2".into());
         m.barrier_names.push("b".into());
         m.barrier_parties.push(3);
         m.barrier_arrived.push(Vec::new());
         let b = BarrierId(0);
         for t in 0..2 {
             assert!(!m.barrier_arrive(ThreadId(t), b));
-            m.thread(ThreadId(t)).status = Status::Blocked(BlockReason::Barrier(b));
+            m.set_status(ThreadId(t), Status::Blocked(BlockReason::Barrier(b)));
         }
-        m.thread(ThreadId(2)).status = Status::Running;
+        m.set_status(ThreadId(2), Status::Running);
         assert!(m.barrier_arrive(ThreadId(2), b));
         assert_eq!(m.thread(ThreadId(0)).status, Status::Ready);
         assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
@@ -655,10 +805,10 @@ mod tests {
     #[test]
     fn thread_exit_readies_its_joiners() {
         let mut m = model_with(&[], &[]);
-        m.threads.push(ThreadState::new("t2".into()));
+        m.add_thread("t2".into());
         let join = |t| Status::Blocked(BlockReason::Join(ThreadId(t)));
-        m.thread(ThreadId(0)).status = join(1);
-        m.thread(ThreadId(2)).status = join(0);
+        m.set_status(ThreadId(0), join(1));
+        m.set_status(ThreadId(2), join(0));
         m.finish(ThreadId(1));
         assert_eq!(m.thread(ThreadId(1)).status, Status::Finished);
         assert_eq!(m.finish_order, vec![ThreadId(1)]);
@@ -680,31 +830,37 @@ mod tests {
             (Status::Blocked(BlockReason::Lock(l)), true),
             (Status::Finished, true),
         ] {
-            m.thread(ThreadId(1)).status = other;
+            match other {
+                Status::Finished => m.finish(ThreadId(1)),
+                _ => m.set_status(ThreadId(1), other),
+            }
             assert_eq!(m.deadlocked(), deadlocked, "t0 waits, t1 {other:?}");
         }
-        m.thread(ThreadId(0)).status = Status::Finished;
+        m.finish(ThreadId(0));
         assert!(!m.deadlocked(), "all finished is completion, not deadlock");
     }
 
     #[test]
     fn settle_jumps_the_clock_only_when_no_thread_can_run() {
         let mut m = model_with(&[], &["l"]);
-        m.threads.push(ThreadState::new("t2".into()));
+        m.add_thread("t2".into());
         let (c, l) = (CondId(0), LockId(0));
         m.cond_names.push("c".into());
         m.cond_queues.push(vec![ThreadId(1)]);
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::CondTimed(c, l, 30));
-        m.thread(ThreadId(2)).status = Status::Sleeping(20);
+        m.set_status(
+            ThreadId(1),
+            Status::Blocked(BlockReason::CondTimed(c, l, 30)),
+        );
+        m.set_status(ThreadId(2), Status::Sleeping(20));
         for other in [Status::Ready, Status::Running] {
-            m.thread(ThreadId(0)).status = other;
+            m.set_status(ThreadId(0), other);
             assert_eq!(m.settle(), Settled::Runnable, "t0 {other:?}");
             assert_eq!(m.time, 0, "a thread that can run holds the clock");
             assert!(m.readied.is_empty());
         }
         // Nobody can run: the clock jumps to the earliest deadline and wakes
         // exactly the thread due then.
-        m.thread(ThreadId(0)).status = Status::Blocked(BlockReason::Lock(l));
+        m.set_status(ThreadId(0), Status::Blocked(BlockReason::Lock(l)));
         assert_eq!(m.settle(), Settled::Runnable);
         assert_eq!((m.time, m.readied.clone()), (20, vec![ThreadId(2)]));
         assert_eq!(m.thread(ThreadId(2)).status, Status::Ready);
@@ -714,18 +870,63 @@ mod tests {
         );
         // A timed wait is a deadline too: it times out.
         m.readied.clear();
-        m.thread(ThreadId(2)).status = Status::Finished;
+        m.finish(ThreadId(2));
         assert_eq!(m.settle(), Settled::Runnable);
         assert_eq!((m.time, m.readied.clone()), (30, vec![ThreadId(1)]));
         assert!(m.thread(ThreadId(1)).timed_out);
         assert!(m.cond_queues[0].is_empty());
         // With no deadline left the run is deadlocked, or over.
-        m.thread(ThreadId(1)).status = Status::Blocked(BlockReason::Lock(l));
+        m.set_status(ThreadId(1), Status::Blocked(BlockReason::Lock(l)));
         assert_eq!(m.settle(), Settled::Deadlocked);
-        for t in 0..3 {
-            m.thread(ThreadId(t)).status = Status::Finished;
+        for t in 0..2 {
+            m.finish(ThreadId(t));
         }
         assert_eq!(m.settle(), Settled::Over);
         assert_eq!(m.time, 30);
+    }
+
+    #[test]
+    fn a_stale_deadline_bound_costs_one_scan_and_misses_no_wake() {
+        let mut m = model_with(&[], &["l"]);
+        let (c, l) = (CondId(0), LockId(0));
+        m.cond_names.push("c".into());
+        m.cond_queues.push(vec![ThreadId(0)]);
+        m.set_status(
+            ThreadId(0),
+            Status::Blocked(BlockReason::CondTimed(c, l, 8)),
+        );
+        assert_eq!(m.deadline_bound, 8);
+        // The notify removes the only deadline and leaves the bound low.
+        m.notify(c, false);
+        assert_eq!((m.next_wake_time(), m.deadline_bound), (None, 8));
+        m.set_status(ThreadId(1), Status::Sleeping(20));
+        assert_eq!(m.deadline_bound, 8, "a later deadline leaves it low");
+        // The clock reaches the stale bound: the advance scans, wakes
+        // nobody and tightens the bound to the one deadline left.
+        assert_eq!(m.advance_time_to(10), 0);
+        assert_eq!(m.deadline_bound, 20);
+        assert_eq!(m.advance_time_to(19), 0);
+        assert_eq!(m.advance_time_to(20), 1);
+        assert_eq!(m.thread(ThreadId(1)).status, Status::Ready);
+        assert_eq!(m.readied, vec![ThreadId(0), ThreadId(1)]);
+        assert_eq!(m.deadline_bound, u64::MAX);
+        m.debug_check_kept();
+    }
+
+    #[test]
+    fn a_thread_reuses_the_snapshot_of_a_lock_set_it_held_before() {
+        let mut m = model_with(&[], &["a", "b"]);
+        let (t, a, b) = (ThreadId(0), LockId(0), LockId(1));
+        let none = Arc::clone(&m.thread(t).held_snapshot);
+        m.acquire_lock(t, a);
+        let just_a = Arc::clone(&m.thread(t).held_snapshot);
+        m.acquire_lock(t, b);
+        assert_eq!(&*m.thread(t).held_snapshot, &[a, b]);
+        assert!(m.release_lock(t, b));
+        assert!(Arc::ptr_eq(&m.thread(t).held_snapshot, &just_a));
+        assert!(m.release_lock(t, a));
+        assert!(Arc::ptr_eq(&m.thread(t).held_snapshot, &none));
+        m.acquire_lock(t, a);
+        assert!(Arc::ptr_eq(&m.thread(t).held_snapshot, &just_a));
     }
 }
