@@ -13,6 +13,10 @@
 //!   single thread are suppressed (a thread cannot deadlock with itself),
 //!   and cycles protected by a common *gate lock* held around every
 //!   acquisition are suppressed (the gate serializes the cycle).
+//! * [`cycles`] and [`narrow_gate`] — the cycle rule and the gate
+//!   intersection themselves. `mtt-static`'s lock-order graph calls them
+//!   too, so the static and the dynamic analysis differ only in how they
+//!   build their graphs and what evidence they keep.
 //! * [`WaitsForMonitor`] — an online watchdog over `LockRequest`/
 //!   `LockAcquire`/`LockRelease` events that reports the waits-for cycle at
 //!   the moment an actual deadlock closes. (The model runtime also detects
@@ -24,6 +28,60 @@
 
 use mtt_instrument::{Event, EventSink, Loc, LockId, Op, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// The longest cycle [`cycles`] reports. A deadlock on a cycle of `n`
+/// locks needs `n` threads, each holding one lock while requesting the
+/// next; the bound keeps pathological graphs cheap.
+pub const MAX_CYCLE_LEN: usize = 6;
+
+/// The GoodLock cycle rule, shared by this crate's dynamic graph and the
+/// static lock-order graph of `mtt-static`: every elementary cycle of at
+/// most [`MAX_CYCLE_LEN`] nodes in the digraph `edges`, each once, rotated
+/// to start at its smallest node, in ascending order. Self-loops are not
+/// cycles, and neither the order nor repeats of `edges` matter.
+pub fn cycles<N: Ord + Copy>(edges: impl IntoIterator<Item = (N, N)>) -> Vec<Vec<N>> {
+    let mut succ: BTreeMap<N, BTreeSet<N>> = BTreeMap::new();
+    for (a, b) in edges {
+        succ.entry(a).or_default().insert(b);
+    }
+    let mut found = Vec::new();
+    for &start in succ.keys() {
+        extend(&succ, &mut vec![start], &mut found);
+    }
+    found
+}
+
+/// Depth-first step of [`cycles`]: close `path` if its last node leads
+/// back to its first, and extend it only by nodes larger than the first,
+/// so each cycle is found once, from its smallest node. Successors are
+/// visited in ascending order, so cycles come out in ascending order.
+fn extend<N: Ord + Copy>(
+    succ: &BTreeMap<N, BTreeSet<N>>,
+    path: &mut Vec<N>,
+    found: &mut Vec<Vec<N>>,
+) {
+    let (start, cur) = (path[0], path[path.len() - 1]);
+    for &n in succ.get(&cur).into_iter().flatten() {
+        if n == start && path.len() >= 2 {
+            found.push(path.clone());
+        } else if n > start && path.len() < MAX_CYCLE_LEN && !path.contains(&n) {
+            path.push(n);
+            extend(succ, path, found);
+            path.pop();
+        }
+    }
+}
+
+/// Narrow `gate`, the locks held around every instance seen so far (of
+/// an edge, or of each edge of a cycle), by one more instance that holds
+/// `held`: the first instance sets it, and each later one keeps only what
+/// it also holds. A non-empty result is a gate lock that serializes them.
+pub fn narrow_gate<L: Ord>(gate: &mut Option<BTreeSet<L>>, held: BTreeSet<L>) {
+    match gate {
+        None => *gate = Some(held),
+        Some(acc) => acc.retain(|l| held.contains(l)),
+    }
+}
 
 /// One deadlock-potential warning: a cycle in the lock-order graph.
 #[derive(Clone, Debug)]
@@ -42,8 +100,9 @@ pub struct DeadlockPotential {
 struct EdgeInfo {
     /// Threads that performed this nested acquisition.
     threads: BTreeSet<ThreadId>,
-    /// Locks held (besides `from`) at *every* instance of the edge — gate
-    /// candidates. `None` until the first instance.
+    /// The gate of the edge: locks the thread acquired before `from` and
+    /// still held, at *every* instance of the edge. `None` until the first
+    /// instance.
     gates: Option<BTreeSet<LockId>>,
     /// Sample location of the inner acquisition.
     loc: Option<Loc>,
@@ -52,21 +111,17 @@ struct EdgeInfo {
 /// GoodLock-style lock-order-graph analyzer.
 #[derive(Debug, Default)]
 pub struct LockOrderGraph {
-    /// Currently held locks per thread (reconstructed from events so the
-    /// analyzer also works on traces that lack `locks_held` context).
+    /// Currently held locks per thread, in acquisition order (reconstructed
+    /// from events so the analyzer also works on traces that lack
+    /// `locks_held` context).
     held: HashMap<ThreadId, Vec<LockId>>,
     edges: BTreeMap<(LockId, LockId), EdgeInfo>,
-    /// Maximum cycle length searched (guards pathological graphs).
-    pub max_cycle_len: usize,
 }
 
 impl LockOrderGraph {
     /// Fresh analyzer.
     pub fn new() -> Self {
-        LockOrderGraph {
-            max_cycle_len: 6,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Number of distinct lock-order edges observed.
@@ -79,90 +134,39 @@ impl LockOrderGraph {
         self.edges.contains_key(&(from, to))
     }
 
-    /// Enumerate deadlock potentials: simple cycles in the lock-order graph
-    /// that (a) involve at least two distinct threads and (b) have no
-    /// common gate lock across all edges.
+    /// Enumerate deadlock potentials: the graph's [`cycles`] that (a)
+    /// involve at least two distinct threads and (b) have no common gate
+    /// lock across all edges.
     pub fn potentials(&self) -> Vec<DeadlockPotential> {
-        let locks: BTreeSet<LockId> = self.edges.keys().flat_map(|(a, b)| [*a, *b]).collect();
-        let succ: BTreeMap<LockId, Vec<LockId>> = {
-            let mut m: BTreeMap<LockId, Vec<LockId>> = BTreeMap::new();
-            for (a, b) in self.edges.keys() {
-                m.entry(*a).or_default().push(*b);
-            }
-            m
-        };
-
-        let mut found: Vec<Vec<LockId>> = Vec::new();
-        // DFS from each lock; only keep cycles whose minimum element is the
-        // start (canonical form — dedups rotations).
-        for &start in &locks {
-            let mut path = vec![start];
-            self.dfs_cycles(start, start, &succ, &mut path, &mut found);
-        }
-
-        found
+        cycles(self.edges.keys().copied())
             .into_iter()
-            .filter_map(|cycle| self.qualify(&cycle))
+            .filter_map(|cycle| self.qualify(cycle))
             .collect()
     }
 
-    fn dfs_cycles(
-        &self,
-        start: LockId,
-        cur: LockId,
-        succ: &BTreeMap<LockId, Vec<LockId>>,
-        path: &mut Vec<LockId>,
-        found: &mut Vec<Vec<LockId>>,
-    ) {
-        if path.len() > self.max_cycle_len {
-            return;
-        }
-        if let Some(nexts) = succ.get(&cur) {
-            for &n in nexts {
-                if n == start && path.len() >= 2 {
-                    found.push(path.clone());
-                } else if n > start && !path.contains(&n) {
-                    // `n > start` keeps the smallest lock first: canonical.
-                    path.push(n);
-                    self.dfs_cycles(start, n, succ, path, found);
-                    path.pop();
-                }
-            }
-        }
-    }
-
     /// Apply the single-thread and gate-lock suppressions; build the report.
-    fn qualify(&self, cycle: &[LockId]) -> Option<DeadlockPotential> {
+    fn qualify(&self, cycle: Vec<LockId>) -> Option<DeadlockPotential> {
         let n = cycle.len();
         let mut threads: BTreeSet<ThreadId> = BTreeSet::new();
-        let mut common_gates: Option<BTreeSet<LockId>> = None;
+        let mut gate = None;
         let mut edge_locs = Vec::with_capacity(n);
-
         for i in 0..n {
-            let e = self.edges.get(&(cycle[i], cycle[(i + 1) % n]))?;
+            let e = &self.edges[&(cycle[i], cycle[(i + 1) % n])];
             threads.extend(e.threads.iter().copied());
             edge_locs.push(e.loc.unwrap_or(Loc::SYNTHETIC));
-            let gates = e.gates.clone().unwrap_or_default();
-            common_gates = Some(match common_gates {
-                None => gates,
-                Some(mut acc) => {
-                    acc.retain(|l| gates.contains(l));
-                    acc
-                }
-            });
+            narrow_gate(&mut gate, e.gates.clone().unwrap_or_default());
         }
-
         // Single-thread suppression: if only one thread ever takes these
         // edges (and every edge is that thread's), no inter-thread deadlock.
         if threads.len() < 2 {
             return None;
         }
         // Gate-lock suppression.
-        if common_gates.as_ref().is_some_and(|g| !g.is_empty()) {
+        if gate.is_some_and(|g| !g.is_empty()) {
             return None;
         }
         Some(DeadlockPotential {
-            cycle: cycle.to_vec(),
+            cycle,
             threads: threads.into_iter().collect(),
             edge_locs,
         })
@@ -174,21 +178,13 @@ impl EventSink for LockOrderGraph {
         match ev.op {
             Op::LockAcquire { lock } => {
                 let held = self.held.entry(ev.thread).or_default();
-                let holding = held.clone();
-                held.push(lock);
-                for (i, &h) in holding.iter().enumerate() {
-                    let gate_set: BTreeSet<LockId> = holding[..i].iter().copied().collect();
+                for (i, &h) in held.iter().enumerate() {
                     let e = self.edges.entry((h, lock)).or_default();
                     e.threads.insert(ev.thread);
                     e.loc.get_or_insert(ev.loc);
-                    e.gates = Some(match e.gates.take() {
-                        None => gate_set,
-                        Some(mut acc) => {
-                            acc.retain(|l| gate_set.contains(l));
-                            acc
-                        }
-                    });
+                    narrow_gate(&mut e.gates, held[..i].iter().copied().collect());
                 }
+                held.push(lock);
             }
             Op::LockRelease { lock } => {
                 if let Some(held) = self.held.get_mut(&ev.thread) {

@@ -95,13 +95,39 @@ impl Args {
     }
 
     /// The next positional as a number, or `default` when there is none.
-    /// A malformed value is an error, never a silent fallback.
-    fn count(&mut self, default: u64) -> Result<u64, String> {
+    /// A malformed value is an error, never a silent fallback. Any number
+    /// is a seed, zero included.
+    fn seed(&mut self, default: u64) -> Result<u64, String> {
         match self.positional() {
             None => Ok(default),
             Some(s) => s
                 .parse()
                 .map_err(|_| format!("argument `{s}` is not a number")),
+        }
+    }
+
+    /// The next positional as the count `what`, parsed as a
+    /// [`seed`](Args::seed) is and held to [`at_least_one`](Args::at_least_one).
+    fn count(&mut self, what: &str, default: u64) -> Result<u64, String> {
+        let n = self.seed(default)?;
+        self.at_least_one(what, n)
+    }
+
+    /// The option `names` as a count: a [`number`](Args::number) held to
+    /// [`at_least_one`](Args::at_least_one).
+    fn count_option(&mut self, names: &[&str]) -> Result<Option<u64>, String> {
+        let n = self.number(names)?;
+        n.map(|n| self.at_least_one(names[0], n)).transpose()
+    }
+
+    /// The one rule for counts: zero runs, traces or families would run
+    /// nothing and print an empty or all-zero report, so a count must be
+    /// at least 1.
+    fn at_least_one(&self, what: &str, n: u64) -> Result<u64, String> {
+        if n == 0 {
+            Err(format!("{}: {what} must be at least 1", self.cmd))
+        } else {
+            Ok(n)
         }
     }
 
@@ -371,7 +397,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
     let (csv, json, model_csv) = (format("--csv"), format("--json"), format("--model-csv"));
     let job: Box<dyn FnOnce(&JobPool) -> String + '_> = match cmd.as_str() {
         "e1" => {
-            let runs = a.count(60)?;
+            let runs = a.count("the run count", 60)?;
             a.finish()?;
             let run = g.campaign(&cmd, mtt_suite::quick_set(), runs)?;
             if csv {
@@ -387,7 +413,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "e1-detail" => {
             let name = a.positional().unwrap_or_else(|| "web_sessions".into());
-            let runs = a.count(60)?;
+            let runs = a.count("the run count", 60)?;
             a.finish()?;
             let run = g.campaign(&cmd, vec![program(&name)?], runs)?;
             println!("{}", run.report.per_bug_table(&name).render());
@@ -397,22 +423,19 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             // E8 measures online vs offline *wall-clock* overhead: concurrent
             // runs would contend with each other and poison the measurement,
             // so it runs serially and ignores --jobs on purpose.
-            let seed = a.count(7)?;
+            let seed = a.seed(7)?;
             a.finish()?;
             let rows = detector_eval::run_tradeoff_eval(&mtt_suite::quick_set(), seed);
             println!("{}", detector_eval::tradeoff_table(&rows).render());
             return Ok(());
         }
         "cloning" => {
-            let runs = a.count(60)?;
+            let runs = a.count("the run count", 60)?;
             scheduler_and_noise_only(g, "cloning")?;
             Box::new(move |pool| cloning_table(runs, g.tools.as_deref(), pool))
         }
         "e2" => {
-            let traces = a.count(10)?;
-            if traces == 0 {
-                return Err("e2: the trace count must be at least 1".into());
-            }
+            let traces = a.count("the trace count", 10)?;
             Box::new(move |pool| {
                 let programs = mtt_suite::quick_set();
                 let report = detector_eval::run_detector_eval_on(&programs, traces, pool);
@@ -420,7 +443,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e3" => {
-            let attempts = a.count(20)?;
+            let attempts = a.count("the attempt count", 20)?;
             Box::new(move |pool| {
                 let rows = replay_eval::run_replay_eval_on(attempts, &[0, 1, 4, 16], pool);
                 format!("{}\n", replay_eval::replay_table(&rows).render())
@@ -428,7 +451,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         }
         "e4" => {
             let name = a.positional().unwrap_or_else(|| "web_sessions".into());
-            let runs = a.count(20)?;
+            let runs = a.count("the run count", 20)?;
             let p = program(&name)?;
             Box::new(move |pool| {
                 let curves = coverage_eval::run_coverage_eval_on(&p, runs, 0, pool);
@@ -439,7 +462,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e5" => {
-            let runs = a.count(120)?;
+            let runs = a.count("the run count", 120)?;
             scheduler_and_noise_only(g, "e5")?;
             let tools = g.resolved_tools()?;
             Box::new(move |pool| {
@@ -451,7 +474,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e6" => {
-            let budget = a.count(3000)?;
+            let budget = a.count("the execution budget", 3000)?;
             Box::new(move |pool| {
                 let programs = vec![
                     mtt_suite::small::lost_update(2, 1),
@@ -463,7 +486,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e7" => {
-            let runs = a.count(40)?;
+            let runs = a.count("the run count", 40)?;
             Box::new(move |pool| {
                 static_eval::render_report(&static_eval::run_static_eval_on(runs, pool))
             })
@@ -471,8 +494,8 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         "e10" => {
             let mut opts = gen_eval::GenEvalOptions::default();
             opts.seed = a.number(&["--seed"])?.unwrap_or(opts.seed);
-            opts.families = a.number(&["--families"])?.unwrap_or(opts.families);
-            opts.runs = a.number(&["--runs"])?.unwrap_or(opts.runs);
+            opts.families = a.count_option(&["--families"])?.unwrap_or(opts.families);
+            opts.runs = a.count_option(&["--runs"])?.unwrap_or(opts.runs);
             Box::new(move |pool| {
                 let rows = gen_eval::run_gen_eval_on(&opts, pool);
                 if json {
@@ -485,7 +508,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e11" => {
-            let runs = a.count(20)?;
+            let runs = a.count("the run count", 20)?;
             Box::new(move |pool| {
                 let rows = scoreboard::run_scoreboard_on(runs, pool);
                 if json {
@@ -498,7 +521,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e12" => {
-            let runs = a.count(40)?;
+            let runs = a.count("the run count", 40)?;
             Box::new(move |pool| {
                 let cells = saturation_eval::run_saturation_on(runs, pool);
                 if json {
@@ -511,7 +534,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             })
         }
         "e13" => {
-            let runs = a.count(12)?;
+            let runs = a.count("the run count", 12)?;
             Box::new(move |pool| {
                 let cells = differential_eval::run_differential_on(runs, pool);
                 if json {
@@ -664,7 +687,7 @@ fn lint(mut a: Args) -> Result<ExitCode, String> {
 
 fn run_one(mut a: Args) -> Result<ExitCode, String> {
     let name = a.positional().ok_or("usage: mtt run <program> [seed]")?;
-    let seed = a.count(0)?;
+    let seed = a.seed(0)?;
     a.finish()?;
     let p = program(&name)?;
     let o = Execution::new(&p.program)
@@ -683,7 +706,7 @@ fn run_one(mut a: Args) -> Result<ExitCode, String> {
 
 fn trace(mut a: Args) -> Result<ExitCode, String> {
     let name = a.positional();
-    let count = a.count(1)?;
+    let count = a.count("the trace count", 1)?;
     let (Some(name), Some(dir)) = (name, a.positional()) else {
         return Err("usage: mtt trace <program> <count> <dir>".into());
     };
@@ -742,7 +765,7 @@ fn explain_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
         seed_pass: a.number(&["--seed-pass"])?,
         ..Default::default()
     };
-    opts.scan = a.number(&["--scan"])?.unwrap_or(opts.scan);
+    opts.scan = a.count_option(&["--scan"])?.unwrap_or(opts.scan);
     if let Some(v) = a.value(&["--tool"], "a spec")? {
         let spec =
             ToolSpec::parse(&v).map_err(|e| format!("--tool: invalid spec\n{}", e.render()))?;
@@ -822,7 +845,7 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
             profile::PROFILE_KEYS.join("|")
         )
     })?;
-    let runs = a.count(20)?;
+    let runs = a.count("the run count", 20)?;
     a.finish()?;
     let keys: Vec<&str> = if key == "all" {
         profile::PROFILE_KEYS.to_vec()
@@ -931,7 +954,7 @@ fn status_cmd(mut a: Args) -> Result<ExitCode, String> {
 
 fn watch_cmd(mut a: Args) -> Result<ExitCode, String> {
     let interval_ms = a.number(&["--interval-ms"])?.unwrap_or(1000);
-    let max_polls = a.number(&["--max-polls"])?.unwrap_or(u64::MAX);
+    let max_polls = a.count_option(&["--max-polls"])?.unwrap_or(u64::MAX);
     let target = a
         .positional()
         .ok_or("usage: mtt watch <dir|file.ndjson> [--interval-ms N] [--max-polls N]")?;
@@ -993,7 +1016,7 @@ fn tools_cmd(mut a: Args) -> Result<ExitCode, String> {
             let json = a.flag(&["--json"]);
             a.finish()?;
             if json {
-                println!("{}", mtt_tools::catalog_json().dump());
+                println!("{}", mtt_json::to_string(&mtt_tools::catalog_json()));
                 return Ok(ExitCode::SUCCESS);
             }
             println!(
@@ -1162,7 +1185,7 @@ fn metrics_check(mut a: Args) -> Result<ExitCode, String> {
 fn gen_cmd(mut a: Args) -> Result<ExitCode, String> {
     let mut opts = mtt_gen::GenOptions::default();
     opts.seed = a.number(&["--seed"])?.unwrap_or(opts.seed);
-    opts.families = a.number(&["--families"])?.unwrap_or(opts.families);
+    opts.families = a.count_option(&["--families"])?.unwrap_or(opts.families);
     let verb = a.positional().unwrap_or_else(|| "list".into());
     let id = if verb == "list" { None } else { a.positional() };
     a.finish()?;

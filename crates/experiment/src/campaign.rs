@@ -9,7 +9,6 @@ use mtt_obs::{CampaignMeta, CellDone, JournalSink, ResumeCache};
 use mtt_runtime::Execution;
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanSet, SpanTimings, TelemetrySink};
-use mtt_trace::Trace;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -397,19 +396,6 @@ impl Campaign {
         }
     }
 
-    /// Re-execute one (program, tool, seed) run with a trace collector
-    /// attached and return the fully annotated trace. Because the runtime
-    /// is deterministic in (program, scheduler, noise, seed), the trace
-    /// reproduces exactly the run the campaign grid counted.
-    pub fn annotated_trace(&self, prog: &SuiteProgram, tool: &ToolConfig, seed: u64) -> Trace {
-        let noise_name = (tool.noise)(seed ^ 0x9e37_79b9).name().to_string();
-        let mut meta = crate::tracegen::trace_meta(prog, &tool.name, &noise_name, seed);
-        meta.tool_spec = tool.spec_string();
-        crate::tracegen::run_with_meta(prog, meta, |exec| {
-            tool.configure(exec, seed, self.max_steps)
-        })
-    }
-
     /// Persist a causally annotated NDJSON trace for every bug-finding cell
     /// of `report` into `dir` (created if missing): each cell that found a
     /// bug gets `<program>--<tool>.ndjson` regenerated from its first
@@ -431,7 +417,7 @@ impl Campaign {
             ) else {
                 continue;
             };
-            let trace = self.annotated_trace(prog, tool, seed);
+            let trace = crate::tracegen::generate_with(prog, tool, seed, self.max_steps);
             let ann = mtt_causal::annotate_trace(&trace);
             let path = dir.join(format!(
                 "{}--{}.ndjson",
@@ -658,12 +644,20 @@ mod tests {
         let fail = cell.first_fail_seed.expect("30 runs should hit the bug");
         // Regenerating the first failing run must reproduce the failure the
         // grid counted: the trace's oracle verdict says the bug manifested.
-        let trace = campaign.annotated_trace(&campaign.programs[0], &campaign.tools[0], fail);
+        let regenerate = |seed| {
+            crate::tracegen::generate_with(
+                &campaign.programs[0],
+                &campaign.tools[0],
+                seed,
+                campaign.max_steps,
+            )
+        };
+        let trace = regenerate(fail);
         assert_eq!(trace.meta.manifested_bugs, vec!["lost-update"]);
         assert_eq!(trace.meta.seed, fail);
         assert_eq!(trace.meta.scheduler, "none");
         if let Some(pass) = cell.first_pass_seed {
-            let t = campaign.annotated_trace(&campaign.programs[0], &campaign.tools[0], pass);
+            let t = regenerate(pass);
             assert!(t.meta.manifested_bugs.is_empty(), "pass seed reproduced");
         }
         // Persisting writes one schema-valid file per bug-finding cell.

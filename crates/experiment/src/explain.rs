@@ -165,17 +165,16 @@ pub fn explain_on(
             (fail, p.or_else(|| first(false)))
         }
     };
-    let gen = |seed| {
-        let gen_opts = TraceGenOptions {
-            seed,
-            stickiness: 0.0,
-            max_steps: opts.max_steps,
-        };
-        match &opts.tool {
-            Some(spec) => tracegen::generate_from_spec(program, spec, &gen_opts)
-                .expect("tool spec resolved above"),
-            None => tracegen::generate(program, &gen_opts),
-        }
+    let gen = |seed| match &tool {
+        Some(t) => tracegen::generate_with(program, t, seed, opts.max_steps),
+        None => tracegen::generate(
+            program,
+            &TraceGenOptions {
+                seed,
+                stickiness: 0.0,
+                max_steps: opts.max_steps,
+            },
+        ),
     };
     let fail_trace = gen(fail_seed);
     let fail_ann = annotate_trace(&fail_trace);

@@ -131,8 +131,8 @@ impl ClassScore {
 
 /// The noisy probe behind E7's find rates and E11's manifestation oracle:
 /// sticky 0.9 scheduling under `RandomSleep(seed, 0.25, 15)` on the raw run
-/// seed, for at most 30,000 steps. It is not a roster tool: a tool spec's
-/// noise is seeded with `seed ^ 0x9e37_79b9`, which would move E7's and
+/// seed, for at most 30,000 steps. It is not a roster tool: a tool's noise
+/// gets a salted seed (`ToolConfig::noise_for`), which would move E7's and
 /// E11's numbers.
 pub fn noisy_probe(program: &Program, seed: u64) -> Execution<'_> {
     Execution::new(program)

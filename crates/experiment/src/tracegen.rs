@@ -6,7 +6,7 @@ use crate::jobpool::JobPool;
 use mtt_instrument::shared;
 use mtt_runtime::{Execution, RandomScheduler};
 use mtt_suite::SuiteProgram;
-use mtt_tools::ToolSpec;
+use mtt_tools::ToolConfig;
 use mtt_trace::{annotate, Trace, TraceCollector, TraceMeta};
 
 /// Options for one generated trace.
@@ -49,29 +49,27 @@ pub fn generate(program: &SuiteProgram, opts: &TraceGenOptions) -> Trace {
     })
 }
 
-/// Like [`generate`] but under an arbitrary tool stack (used by experiments
-/// that want noisy traces). The spec's scheduler, noise, placement, and
-/// spurious components all apply, exactly as in a campaign run; the trace
-/// header records the canonical spec string.
-pub fn generate_from_spec(
+/// Like [`generate`] but under a whole tool, at run seed `seed` with at
+/// most `max_steps` steps: the run [`ToolConfig::configure`] sets up for
+/// a campaign, so the trace is the run a campaign cell counted (the
+/// runtime is deterministic in program, scheduler, noise and seed). The
+/// header records the tool's name, its noise maker and its canonical spec.
+pub fn generate_with(
     program: &SuiteProgram,
-    spec: &ToolSpec,
-    opts: &TraceGenOptions,
-) -> Result<Trace, String> {
-    let tool = spec.resolve()?;
-    let noise_name = (tool.noise)(opts.seed ^ 0x9e37_79b9).name().to_string();
-    let mut meta = trace_meta(program, &tool.name, &noise_name, opts.seed);
+    tool: &ToolConfig,
+    seed: u64,
+    max_steps: u64,
+) -> Trace {
+    let noise = tool.noise_for(seed).name().to_string();
+    let mut meta = trace_meta(program, &tool.name, &noise, seed);
     meta.tool_spec = tool.spec_string();
-    Ok(run_with_meta(program, meta, |exec| {
-        tool.configure(exec, opts.seed, opts.max_steps)
-    }))
+    run_with_meta(program, meta, |exec| tool.configure(exec, seed, max_steps))
 }
 
 /// The trace header for an execution of `program`: provenance plus every
 /// name table known before the run (thread names are filled from the
-/// outcome afterwards). Shared by the trace generator and the campaign's
-/// annotated-trace persistence.
-pub fn trace_meta(program: &SuiteProgram, scheduler: &str, noise: &str, seed: u64) -> TraceMeta {
+/// outcome afterwards).
+fn trace_meta(program: &SuiteProgram, scheduler: &str, noise: &str, seed: u64) -> TraceMeta {
     TraceMeta {
         program: program.name.to_string(),
         scheduler: scheduler.into(),
@@ -104,7 +102,7 @@ pub fn trace_meta(program: &SuiteProgram, scheduler: &str, noise: &str, seed: u6
 /// Run `program` once with a trace collector attached — `configure` sets
 /// the scheduler/noise/budget — and return the collected trace with bug
 /// annotations and the oracle's manifested-bug ground truth filled in.
-pub fn run_with_meta<'p, F>(program: &'p SuiteProgram, meta: TraceMeta, configure: F) -> Trace
+fn run_with_meta<'p, F>(program: &'p SuiteProgram, meta: TraceMeta, configure: F) -> Trace
 where
     F: FnOnce(Execution<'p>) -> Execution<'p>,
 {

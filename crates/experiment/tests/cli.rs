@@ -191,6 +191,60 @@ fn e2_with_no_traces_is_a_usage_error() {
 }
 
 #[test]
+fn a_zero_count_is_a_usage_error_naming_the_argument() {
+    // Zero runs, traces or families would run nothing and print an empty
+    // or all-zero report; every count is held to one rule, at least 1.
+    let dir = std::env::temp_dir().join(format!("mtt-zero-count-{}", std::process::id()));
+    let dir = dir.to_str().expect("temp path is UTF-8");
+    let cases: &[(&[&str], &str)] = &[
+        (&["e1", "0"], "e1: the run count"),
+        (
+            &["e1-detail", "lost_update", "0"],
+            "e1-detail: the run count",
+        ),
+        (&["cloning", "0"], "cloning: the run count"),
+        (&["e2", "0"], "e2: the trace count"),
+        (&["e3", "0"], "e3: the attempt count"),
+        (&["e4", "web_sessions", "0"], "e4: the run count"),
+        (&["e5", "0"], "e5: the run count"),
+        (&["e6", "0"], "e6: the execution budget"),
+        (&["e7", "0"], "e7: the run count"),
+        (&["e10", "--runs", "0"], "e10: --runs"),
+        (&["e10", "--families", "0"], "e10: --families"),
+        (&["e11", "0"], "e11: the run count"),
+        (&["e12", "0"], "e12: the run count"),
+        (&["e13", "0"], "e13: the run count"),
+        (
+            &["trace", "lost_update", "0", dir],
+            "trace: the trace count",
+        ),
+        (&["profile", "e3", "0"], "profile: the run count"),
+        (&["gen", "list", "--families", "0"], "gen: --families"),
+        (&["explain", "ab_ba", "--scan", "0"], "explain: --scan"),
+        (&["watch", dir, "--max-polls", "0"], "watch: --max-polls"),
+    ];
+    for (args, what) in cases {
+        let (stdout, stderr, code) = mtt_code(args);
+        assert_eq!(code, 2, "{args:?}: stderr {stderr}");
+        assert!(
+            stderr.contains(&format!("{what} must be at least 1")),
+            "{args:?}: stderr {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: no report: {stdout}");
+    }
+    assert!(!std::path::Path::new(dir).exists(), "nothing was written");
+    // Seeds are not counts: zero is a seed like any other.
+    for args in [
+        &["run", "lost_update", "0"][..],
+        &["e8", "0"],
+        &["gen", "list", "--seed", "0", "--families", "1"],
+    ] {
+        let (_, stderr, code) = mtt_code(args);
+        assert_eq!(code, 0, "{args:?}: stderr {stderr}");
+    }
+}
+
+#[test]
 fn jobs_flag_rejects_missing_and_malformed_values() {
     let (_, stderr, ok) = mtt(&["e5", "4", "--jobs"]);
     assert!(!ok, "`--jobs` with no value must exit non-zero");

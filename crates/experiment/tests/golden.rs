@@ -164,10 +164,32 @@ fn tools_catalog_json_matches_golden() {
         .output()
         .expect("spawn mtt tools list --json");
     assert!(out.status.success(), "mtt tools list --json failed");
-    check_golden(
-        "tools_catalog.json",
-        &String::from_utf8(out.stdout).expect("catalog JSON is UTF-8"),
-    );
+    let json = String::from_utf8(out.stdout).expect("catalog JSON is UTF-8");
+    check_golden("tools_catalog.json", &json);
+    check_parses_back::<mtt_tools::registry::CatalogJson>(json.trim_end());
+}
+
+#[test]
+fn lint_samples_match_golden() {
+    // `mtt lint` on every catalog sample, as text and as `--json`, with
+    // its exit code: the only snapshot that pins the wording of the
+    // static diagnostics themselves (D001, L003, L006, ...).
+    let mut out = String::new();
+    for sample in mtt_static::samples::catalog() {
+        for args in [
+            vec!["lint", sample.name],
+            vec!["lint", sample.name, "--json"],
+        ] {
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_mtt"))
+                .args(&args)
+                .output()
+                .expect("spawn mtt lint");
+            let code = run.status.code().expect("mtt lint exits normally");
+            out.push_str(&format!("$ mtt {} (exit {code})\n", args.join(" ")));
+            out.push_str(&String::from_utf8(run.stdout).expect("lint output is UTF-8"));
+        }
+    }
+    check_golden("lint_samples.txt", &out);
 }
 
 #[test]

@@ -84,13 +84,6 @@ pub struct StaticInfo {
     pub vars: BTreeMap<String, VarFacts>,
     /// Per-site facts.
     pub sites: BTreeMap<Loc, SiteFacts>,
-    /// Statically detected potential races: (variable name, human-readable
-    /// explanation). Consumed directly as warnings, and by experiments that
-    /// compare static and dynamic detector output.
-    pub race_warnings: Vec<(String, String)>,
-    /// Statically detected potential deadlocks (lock-order cycles), as the
-    /// lock-name cycle plus an explanation.
-    pub deadlock_warnings: Vec<(Vec<String>, String)>,
     /// Source-line pairs proven to commute by an independence analysis,
     /// canonically ordered `(min, max)` and sorted. Consumed by sleep-set
     /// partial-order reduction; an absent pair always means "dependent",
@@ -101,8 +94,6 @@ pub struct StaticInfo {
 mtt_json::json_struct!(StaticInfo {
     vars,
     sites,
-    race_warnings,
-    deadlock_warnings,
     independent_line_pairs,
 });
 
@@ -174,10 +165,6 @@ impl StaticInfo {
             e.reaching_threads = e.reaching_threads.max(of.reaching_threads);
             e.may_run_parallel |= of.may_run_parallel;
         }
-        self.race_warnings
-            .extend(other.race_warnings.iter().cloned());
-        self.deadlock_warnings
-            .extend(other.deadlock_warnings.iter().cloned());
         if self.independent_line_pairs.is_empty() {
             self.independent_line_pairs = other.independent_line_pairs.clone();
         } else if !other.independent_line_pairs.is_empty() {

@@ -1,14 +1,14 @@
 //! The static analyses: shared variables, static locksets, lock order,
 //! no-switch sites — and their export as instrumentation advice.
 
-use crate::ast::MiniProg;
+use crate::ast::{MiniProg, ThreadDecl};
 use crate::atomicity::{self, AtomicityViolation};
 use crate::cfg::{build_cfg, Cfg, NodeKind};
 use crate::dataflow::{held_locks, LockSet};
 use crate::diag::{self, Diagnostic};
 use crate::independence::StaticIndependence;
 use crate::lints;
-use crate::lockorder;
+use crate::lockorder::{self, LockCycle};
 use crate::mhp::{self, MhpFacts};
 use mtt_instrument::{intern_static, Loc, SiteFacts, StaticInfo, VarFacts};
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,26 +22,6 @@ pub struct StaticRace {
     pub threads: Vec<String>,
     /// Explanation.
     pub message: String,
-}
-
-/// A statically detected potential deadlock (lock-order cycle).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StaticDeadlock {
-    /// The lock cycle.
-    pub cycle: Vec<String>,
-    /// Threads contributing edges.
-    pub threads: Vec<String>,
-    /// Explanation.
-    pub message: String,
-}
-
-/// A lock that may be left held at thread exit on some path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnreleasedLock {
-    /// Thread name.
-    pub thread: String,
-    /// Lock name.
-    pub lock: String,
 }
 
 /// Per-thread analysis context: the CFG and its lockset fixpoints, shared
@@ -61,6 +41,21 @@ pub struct ThreadCtx {
     pub locals: BTreeSet<String>,
 }
 
+impl ThreadCtx {
+    /// Build the CFG of `decl` and solve its lockset fixpoints.
+    pub fn new(decl: &ThreadDecl) -> ThreadCtx {
+        let cfg = build_cfg(decl);
+        ThreadCtx {
+            name: decl.name.clone(),
+            count: decl.count,
+            must: held_locks(&cfg, true),
+            may: held_locks(&cfg, false),
+            locals: decl.local_names(),
+            cfg,
+        }
+    }
+}
+
 /// Everything the static pass produces.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisResult {
@@ -71,10 +66,9 @@ pub struct AnalysisResult {
     pub guarded_by: BTreeMap<String, BTreeSet<String>>,
     /// Potential races.
     pub races: Vec<StaticRace>,
-    /// Potential deadlocks.
-    pub deadlocks: Vec<StaticDeadlock>,
-    /// Locks possibly held at thread exit.
-    pub unreleased: Vec<UnreleasedLock>,
+    /// Potential deadlocks: the lock-order cycles that survive
+    /// suppression (see [`lockorder::LockOrderGraph::deadlock_cycles`]).
+    pub deadlocks: Vec<LockCycle>,
     /// Source lines where no observable thread switch can matter
     /// (thread-local computation only) — the paper's "list of program
     /// statements from which there can be no thread switch".
@@ -98,23 +92,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     let mut result = AnalysisResult::default();
     let file = intern_static(&prog.name);
 
-    let threads: Vec<ThreadCtx> = prog
-        .threads
-        .iter()
-        .map(|t| {
-            let cfg = build_cfg(t);
-            let must = held_locks(&cfg, true);
-            let may = held_locks(&cfg, false);
-            ThreadCtx {
-                name: t.name.clone(),
-                count: t.count,
-                cfg,
-                must,
-                may,
-                locals: t.local_names(),
-            }
-        })
-        .collect();
+    let threads: Vec<ThreadCtx> = prog.threads.iter().map(ThreadCtx::new).collect();
 
     // ------------------------------------------------------------------
     // Shared-variable (escape) analysis: a global escapes to "shared" when
@@ -240,42 +218,11 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
 
     // ------------------------------------------------------------------
     // Lock-order graph: sites, annotated edges, canonical cycles with
-    // gate suppression (see `lockorder`). The surviving cycles become the
+    // gate suppression (see `lockorder`). The surviving cycles are the
     // D001 analysis warnings; `lockorder::lints` renders them as L006.
     // ------------------------------------------------------------------
     let lock_graph = lockorder::LockOrderGraph::build(&threads);
-    for cy in lock_graph.deadlock_cycles() {
-        let cycle = cy.locks.clone();
-        result.deadlocks.push(StaticDeadlock {
-            message: format!("locks {cycle:?} can be acquired in conflicting orders"),
-            cycle,
-            threads: cy.threads.clone(),
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Unreleased locks at exit.
-    // ------------------------------------------------------------------
-    for td in &threads {
-        for l in &td.may[td.cfg.exit] {
-            // Skip the path-insensitivity false positive: a release split
-            // across correlated branches (see `lints::released_on_every_path`).
-            if !td.must[td.cfg.exit].contains(l) {
-                let decl = prog.threads.iter().find(|t| t.name == td.name);
-                if let Some(decl) = decl {
-                    if lints::released_on_every_path(decl, l, &td.locals, &result.shared_vars)
-                        == Some(true)
-                    {
-                        continue;
-                    }
-                }
-            }
-            result.unreleased.push(UnreleasedLock {
-                thread: td.name.clone(),
-                lock: l.clone(),
-            });
-        }
-    }
+    result.deadlocks = lock_graph.deadlock_cycles();
 
     // ------------------------------------------------------------------
     // Site facts: which lines matter for instrumentation.
@@ -353,18 +300,6 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
             },
         );
     }
-    for r in &result.races {
-        result
-            .info
-            .race_warnings
-            .push((r.var.clone(), r.message.clone()));
-    }
-    for d in &result.deadlocks {
-        result
-            .info
-            .deadlock_warnings
-            .push((d.cycle.clone(), d.message.clone()));
-    }
 
     // ------------------------------------------------------------------
     // Unified diagnostics: every pass reports through one stream.
@@ -397,7 +332,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     }
     for d in &result.deadlocks {
         let line = d
-            .cycle
+            .locks
             .iter()
             .filter_map(|l| lock_graph.acquire_line(l))
             .min();
@@ -407,7 +342,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
                 diag::Severity::Warning,
                 &prog.name,
                 line.unwrap_or(0),
-                d.message.clone(),
+                format!("locks {:?} can be acquired in conflicting orders", d.locks),
             )
             .note(format!("threads on the cycle: {:?}", d.threads)),
         );
@@ -545,8 +480,13 @@ mod tests {
             "program p { lock a; lock b; thread t1 { lock (a) { lock (b) { skip; } } } thread t2 { lock (b) { lock (a) { skip; } } } }",
         );
         assert_eq!(r.deadlocks.len(), 1, "{:?}", r.deadlocks);
-        assert_eq!(r.deadlocks[0].cycle.len(), 2);
-        assert_eq!(r.info.deadlock_warnings.len(), 1);
+        assert_eq!(r.deadlocks[0].locks.len(), 2);
+        let d001: Vec<_> = r.diagnostics.iter().filter(|d| d.code == "D001").collect();
+        assert_eq!(d001.len(), 1, "{:?}", r.diagnostics);
+        assert_eq!(
+            d001[0].message,
+            r#"locks ["a", "b"] can be acquired in conflicting orders"#
+        );
     }
 
     #[test]
@@ -586,8 +526,9 @@ mod tests {
     #[test]
     fn unreleased_lock_flagged() {
         let r = analyze_src("program p { lock l; thread t { acquire l; } }");
-        assert_eq!(r.unreleased.len(), 1);
-        assert_eq!(r.unreleased[0].lock, "l");
+        let l003: Vec<_> = r.diagnostics.iter().filter(|d| d.code == "L003").collect();
+        assert_eq!(l003.len(), 1, "{:?}", r.diagnostics);
+        assert!(l003[0].message.contains("lock `l`"), "{}", l003[0].message);
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! edge carries its contributing sites, the thread declarations that
 //! realize it, the *effective* instance count (a `thread t * N` replica can
 //! deadlock with itself), and the **gate set** — locks must-held at every
-//! contributing acquisition beyond the edge's own endpoints.
+//! contributing acquisition of `l2`, minus `l1` and `l2`. (The dynamic
+//! graph of `mtt-deadlock` gates an edge `a → b` by the locks the thread
+//! acquired before `a` and still holds; each side keeps its own rule.)
 //!
-//! Cycle enumeration is canonical (cycles start at their smallest lock
-//! name, so the output is independent of declaration order) and a cycle is
-//! reported only when
+//! Cycle enumeration and gate intersection are `mtt_deadlock`'s
+//! [`cycles`](mtt_deadlock::cycles) and
+//! [`narrow_gate`](mtt_deadlock::narrow_gate), shared with the dynamic
+//! analysis: cycles start at their smallest lock name, so the output is
+//! independent of declaration order. A cycle is reported only when
 //!
 //! 1. at least two thread instances participate (two declarations, or one
 //!    replicated declaration), and
@@ -21,9 +25,8 @@
 //!
 //! Two consumers sit on top:
 //!
-//! * `analysis::analyze` turns the surviving cycles into the D001
-//!   deadlock warnings (and `StaticInfo::deadlock_warnings`), exactly as
-//!   before this module existed;
+//! * `analysis::analyze` keeps the surviving cycles as
+//!   `AnalysisResult::deadlocks` and renders them as the D001 warnings;
 //! * [`lints`] renders the same cycles as **L006** diagnostics anchored at
 //!   the contributing acquisition sites, with per-edge evidence.
 //!
@@ -37,6 +40,7 @@ use crate::ast::MiniProg;
 use crate::cfg::NodeKind;
 use crate::dataflow::LockSet;
 use crate::diag::{Diagnostic, Severity};
+use mtt_deadlock::narrow_gate;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One acquisition site: a node of the lock-order graph.
@@ -141,13 +145,7 @@ impl LockOrderGraph {
                         let mut gate: LockSet = td.must[n].clone();
                         gate.remove(l1);
                         gate.remove(l2);
-                        e.gates = Some(match e.gates.take() {
-                            None => gate,
-                            Some(mut acc) => {
-                                acc.retain(|g| gate.contains(g));
-                                acc
-                            }
-                        });
+                        narrow_gate(&mut e.gates, gate);
                     }
                 }
             }
@@ -155,92 +153,38 @@ impl LockOrderGraph {
         g
     }
 
-    /// Enumerate every elementary cycle, canonically: each cycle is
-    /// reported once, rotated to start at its smallest lock name. The
+    /// Enumerate every elementary cycle through `mtt_deadlock::cycles`,
+    /// the GoodLock rule the dynamic graph uses too: each cycle once,
+    /// rotated to start at its smallest lock name, in ascending order. The
     /// result is independent of thread-declaration order (edges live in a
-    /// name-keyed map and enumeration walks sorted lock names).
+    /// name-keyed map).
     pub fn cycles(&self) -> Vec<LockCycle> {
-        let lock_names: BTreeSet<&str> = self
-            .edges
-            .keys()
-            .flat_map(|(a, b)| [a.as_str(), b.as_str()])
-            .collect();
-        let succ: BTreeMap<&str, Vec<&str>> = {
-            let mut m: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-            for (a, b) in self.edges.keys() {
-                m.entry(a.as_str()).or_default().push(b.as_str());
-            }
-            m
-        };
-        fn dfs<'a>(
-            start: &'a str,
-            cur: &'a str,
-            succ: &BTreeMap<&'a str, Vec<&'a str>>,
-            path: &mut Vec<&'a str>,
-            found: &mut Vec<Vec<String>>,
-        ) {
-            if path.len() > 6 {
-                return;
-            }
-            if let Some(nexts) = succ.get(cur) {
-                for &n in nexts {
-                    if n == start && path.len() >= 2 {
-                        found.push(path.iter().map(|s| s.to_string()).collect());
-                    } else if n > start && !path.contains(&n) {
-                        path.push(n);
-                        dfs(start, n, succ, path, found);
-                        path.pop();
-                    }
+        let names = self.edges.keys().map(|(a, b)| (a.as_str(), b.as_str()));
+        mtt_deadlock::cycles(names)
+            .into_iter()
+            .map(|cycle| {
+                let locks: Vec<String> = cycle.iter().map(|l| l.to_string()).collect();
+                let mut threads: BTreeSet<String> = BTreeSet::new();
+                let mut effective = 0u32;
+                let mut gate = None;
+                let mut sites: BTreeSet<usize> = BTreeSet::new();
+                for (i, from) in locks.iter().enumerate() {
+                    let to = &locks[(i + 1) % locks.len()];
+                    let e = &self.edges[&(from.clone(), to.clone())];
+                    threads.extend(e.threads.iter().cloned());
+                    effective = effective.max(e.effective_threads);
+                    sites.extend(e.sites.iter().copied());
+                    narrow_gate(&mut gate, e.gates.clone().unwrap_or_default());
                 }
-            }
-        }
-        let mut raw = Vec::new();
-        for l in &lock_names {
-            let mut path = vec![*l];
-            dfs(l, l, &succ, &mut path, &mut raw);
-        }
-        let mut out = Vec::new();
-        for locks in raw {
-            let n = locks.len();
-            let mut threads: BTreeSet<String> = BTreeSet::new();
-            let mut effective = 0u32;
-            let mut gate: Option<LockSet> = None;
-            let mut sites: BTreeSet<usize> = BTreeSet::new();
-            let mut ok = true;
-            for i in 0..n {
-                let key = (locks[i].clone(), locks[(i + 1) % n].clone());
-                match self.edges.get(&key) {
-                    Some(e) => {
-                        threads.extend(e.threads.iter().cloned());
-                        effective = effective.max(e.effective_threads);
-                        sites.extend(e.sites.iter().copied());
-                        let g = e.gates.clone().unwrap_or_default();
-                        gate = Some(match gate {
-                            None => g,
-                            Some(mut acc) => {
-                                acc.retain(|x| g.contains(x));
-                                acc
-                            }
-                        });
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                LockCycle {
+                    locks,
+                    threads: threads.into_iter().collect(),
+                    effective_threads: effective,
+                    gate: gate.unwrap_or_default(),
+                    sites: sites.into_iter().collect(),
                 }
-            }
-            if !ok {
-                continue;
-            }
-            out.push(LockCycle {
-                locks,
-                threads: threads.into_iter().collect(),
-                effective_threads: effective,
-                gate: gate.unwrap_or_default(),
-                sites: sites.into_iter().collect(),
-            });
-        }
-        out
+            })
+            .collect()
     }
 
     /// The cycles that survive suppression: multi-threaded and un-gated —
@@ -385,23 +329,7 @@ mod tests {
 
     fn graph_of(src: &str) -> LockOrderGraph {
         let prog = parse(src).unwrap();
-        let threads: Vec<ThreadCtx> = prog
-            .threads
-            .iter()
-            .map(|t| {
-                let cfg = crate::cfg::build_cfg(t);
-                let must = crate::dataflow::held_locks(&cfg, true);
-                let may = crate::dataflow::held_locks(&cfg, false);
-                ThreadCtx {
-                    name: t.name.clone(),
-                    count: t.count,
-                    cfg,
-                    must,
-                    may,
-                    locals: t.local_names(),
-                }
-            })
-            .collect();
+        let threads: Vec<ThreadCtx> = prog.threads.iter().map(ThreadCtx::new).collect();
         LockOrderGraph::build(&threads)
     }
 

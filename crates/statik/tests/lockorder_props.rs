@@ -8,9 +8,7 @@
 //!   independent when both lines write the same shared variable from
 //!   may-happen-in-parallel threads without a common must-held lock.
 
-use mtt_static::{
-    analyze, build_cfg, held_locks, parse, print, LockOrderGraph, MiniProg, NodeKind, ThreadCtx,
-};
+use mtt_static::{analyze, parse, print, LockOrderGraph, MiniProg, NodeKind, ThreadCtx};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -19,22 +17,7 @@ use proputil::arb_prog;
 
 /// The per-thread dataflow contexts `analyze` feeds the graph builder.
 fn ctxs(prog: &MiniProg) -> Vec<ThreadCtx> {
-    prog.threads
-        .iter()
-        .map(|t| {
-            let cfg = build_cfg(t);
-            let must = held_locks(&cfg, true);
-            let may = held_locks(&cfg, false);
-            ThreadCtx {
-                name: t.name.clone(),
-                count: t.count,
-                cfg,
-                must,
-                may,
-                locals: t.local_names(),
-            }
-        })
-        .collect()
+    prog.threads.iter().map(ThreadCtx::new).collect()
 }
 
 /// The order-independent view of a cycle (site indices shift when threads

@@ -116,6 +116,12 @@ impl ToolConfig {
             .collect()
     }
 
+    /// The noise maker of the run at seed `seed`. Its factory gets the
+    /// seed salted, so the noise maker's draws are not the scheduler's.
+    pub fn noise_for(&self, seed: u64) -> Box<dyn mtt_runtime::NoiseMaker> {
+        (self.noise)(seed ^ 0x9e37_79b9)
+    }
+
     /// Apply this tool's scheduler, noise, placement plan, spurious
     /// wakeups, and detector sinks to an execution for run seed `seed`.
     /// This is *the* place a tool configuration turns into execution
@@ -125,7 +131,7 @@ impl ToolConfig {
     pub fn configure<'p>(&self, exec: Execution<'p>, seed: u64, max_steps: u64) -> Execution<'p> {
         let mut exec = exec
             .scheduler((self.scheduler)(seed))
-            .noise((self.noise)(seed ^ 0x9e37_79b9))
+            .noise(self.noise_for(seed))
             .max_steps(max_steps)
             .backend(self.backend);
         if self.backend.is_native() {

@@ -396,52 +396,94 @@ pub fn catalog_markdown() -> String {
     out
 }
 
+/// `mtt tools list --json`: schema `mtt-tools-catalog`, version 1. The
+/// catalog's owned mirror, since its `&'static str` fields cannot be
+/// decoded back.
+#[derive(Clone, Debug)]
+pub struct CatalogJson {
+    /// `mtt-tools-catalog`.
+    pub schema: String,
+    /// 1.
+    pub version: u64,
+    /// Every component, in catalog order.
+    pub components: Vec<ComponentJson>,
+    /// [`STANDARD_ROSTER_SPECS`](crate::STANDARD_ROSTER_SPECS), in order.
+    pub standard_roster: Vec<String>,
+}
+
+mtt_json::json_struct!(CatalogJson {
+    schema,
+    version,
+    components,
+    standard_roster,
+});
+
+/// One [`ComponentInfo`] of [`CatalogJson`].
+#[derive(Clone, Debug)]
+pub struct ComponentJson {
+    /// [`ComponentKind::label`].
+    pub kind: String,
+    /// Spec id.
+    pub id: String,
+    /// Positional parameters, in spec order.
+    pub params: Vec<ParamJson>,
+    /// One-line description.
+    pub summary: String,
+}
+
+mtt_json::json_struct!(ComponentJson {
+    kind,
+    id,
+    params,
+    summary,
+});
+
+/// One [`ParamSpec`] of [`ComponentJson`].
+#[derive(Clone, Debug)]
+pub struct ParamJson {
+    /// Parameter name.
+    pub name: String,
+    /// Value used when the spec omits the parameter.
+    pub default: f64,
+    /// `probability` or `positive-int`.
+    pub kind: String,
+}
+
+mtt_json::json_struct!(ParamJson {
+    name,
+    default,
+    kind,
+});
+
 /// The catalog (plus the standard roster's canonical specs) as JSON —
 /// the `mtt tools list --json` payload, golden-snapshotted.
-pub fn catalog_json() -> mtt_json::Json {
-    use mtt_json::{Json, ToJson};
-    let components: Vec<Json> = catalog()
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("kind".into(), c.kind.label().to_json()),
-                ("id".into(), c.id.to_json()),
-                (
-                    "params".into(),
-                    Json::Arr(
-                        c.params
-                            .iter()
-                            .map(|p| {
-                                Json::Obj(vec![
-                                    ("name".into(), p.name.to_json()),
-                                    ("default".into(), p.default.to_json()),
-                                    (
-                                        "kind".into(),
-                                        match p.kind {
-                                            ParamKind::Probability => "probability",
-                                            ParamKind::PositiveInt => "positive-int",
-                                        }
-                                        .to_json(),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("summary".into(), c.summary.to_json()),
-            ])
-        })
-        .collect();
-    let roster: Vec<Json> = crate::config::STANDARD_ROSTER_SPECS
-        .iter()
-        .map(|s| s.to_json())
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), "mtt-tools-catalog".to_json()),
-        ("version".into(), 1u64.to_json()),
-        ("components".into(), Json::Arr(components)),
-        ("standard_roster".into(), Json::Arr(roster)),
-    ])
+pub fn catalog_json() -> CatalogJson {
+    let param = |p: &ParamSpec| ParamJson {
+        name: p.name.into(),
+        default: p.default,
+        kind: match p.kind {
+            ParamKind::Probability => "probability",
+            ParamKind::PositiveInt => "positive-int",
+        }
+        .into(),
+    };
+    CatalogJson {
+        schema: "mtt-tools-catalog".into(),
+        version: 1,
+        components: catalog()
+            .iter()
+            .map(|c| ComponentJson {
+                kind: c.kind.label().into(),
+                id: c.id.into(),
+                params: c.params.iter().map(param).collect(),
+                summary: c.summary.into(),
+            })
+            .collect(),
+        standard_roster: crate::config::STANDARD_ROSTER_SPECS
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -480,14 +522,7 @@ mod tests {
     #[test]
     fn catalog_json_is_self_describing() {
         let j = catalog_json();
-        assert_eq!(
-            j.get("schema").and_then(|s| s.as_str()),
-            Some("mtt-tools-catalog")
-        );
-        let comps = j.get("components").unwrap();
-        let mtt_json::Json::Arr(items) = comps else {
-            panic!("components must be an array")
-        };
-        assert_eq!(items.len(), catalog().len());
+        assert_eq!(j.schema, "mtt-tools-catalog");
+        assert_eq!(j.components.len(), catalog().len());
     }
 }

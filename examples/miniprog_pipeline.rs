@@ -29,7 +29,10 @@ fn main() {
         println!("  RACE: {}", r.message);
     }
     for d in &analysis.deadlocks {
-        println!("  DEADLOCK POTENTIAL: {}", d.message);
+        println!(
+            "  DEADLOCK POTENTIAL: locks {:?} can be acquired in conflicting orders",
+            d.locks
+        );
     }
     println!("no-switch lines: {:?}", analysis.no_switch_lines);
 
