@@ -4,7 +4,7 @@
 
 use mtt_core::experiment::campaign::Campaign;
 use mtt_core::prelude::*;
-use mtt_json::{Json, ToJson};
+use mtt_json::{json_struct, ToJson};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -65,16 +65,33 @@ const WARM_UP_CALLS: u32 = 4;
 /// closure with its median and quartile nanoseconds per call.
 pub struct Smoke {
     name: &'static str,
-    figures: Vec<(String, Json)>,
-    results: Vec<Json>,
+    /// The headline figures, printed: a `,"key":value` member each.
+    figures: String,
+    results: Vec<SmokeResult>,
 }
+
+/// One timed closure's entry in a smoke file's `results`.
+#[derive(Debug)]
+struct SmokeResult {
+    name: String,
+    ns_per_iter: u64,
+    ns_q1: u64,
+    ns_q3: u64,
+}
+
+json_struct!(SmokeResult {
+    name,
+    ns_per_iter,
+    ns_q1,
+    ns_q3
+});
 
 impl Smoke {
     /// No results yet; [`Self::write`] names the file `BENCH_<name>.json`.
     pub fn new(name: &'static str) -> Self {
         Smoke {
             name,
-            figures: Vec::new(),
+            figures: String::new(),
             results: Vec::new(),
         }
     }
@@ -110,32 +127,21 @@ impl Smoke {
         let at = |q: usize| per_call[(SMOKE_LOOPS - 1) * q / 4];
         let (q1, median, q3) = (at(1), at(2), at(3));
         println!("smoke {result}: {median} ns/iter (quartiles {q1}..{q3}, {SMOKE_LOOPS} loops of {iters})");
-        self.results.push(Json::Obj(vec![
-            ("name".into(), result.to_json()),
-            ("ns_per_iter".into(), median.to_json()),
-            ("ns_q1".into(), q1.to_json()),
-            ("ns_q3".into(), q3.to_json()),
-        ]));
+        self.results.push(SmokeResult {
+            name: result.to_string(),
+            ns_per_iter: median,
+            ns_q1: q1,
+            ns_q3: q3,
+        });
         [q1, median, q3]
     }
 
     /// Add the headline figure `key`, after those added before it.
     pub fn figure(&mut self, key: &str, value: impl ToJson) {
-        self.figures.push((key.to_string(), value.to_json()));
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (
-                "schema".to_string(),
-                format!("mtt-bench-{}", self.name).to_json(),
-            ),
-            ("version".to_string(), 1u64.to_json()),
-            ("loops".to_string(), SMOKE_LOOPS.to_json()),
-        ];
-        fields.extend(self.figures.iter().cloned());
-        fields.push(("results".to_string(), Json::Arr(self.results.clone())));
-        Json::Obj(fields)
+        self.figures.push(',');
+        key.write_json(&mut self.figures);
+        self.figures.push(':');
+        value.write_json(&mut self.figures);
     }
 
     /// Write the file at the repository root; a failed write is a warning,
@@ -146,7 +152,7 @@ impl Smoke {
             env!("CARGO_MANIFEST_DIR"),
             self.name
         );
-        let mut text = self.to_json().dump();
+        let mut text = mtt_json::to_string(self);
         text.push('\n');
         match std::fs::write(&path, text) {
             Ok(()) => println!("wrote {path}"),
@@ -155,9 +161,24 @@ impl Smoke {
     }
 }
 
+/// The smoke file: `schema`, `version`, `loops`, the figures, `results`.
+impl ToJson for Smoke {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"schema\":");
+        format!("mtt-bench-{}", self.name).write_json(out);
+        out.push_str(",\"version\":1,\"loops\":");
+        SMOKE_LOOPS.write_json(out);
+        out.push_str(&self.figures);
+        out.push_str(",\"results\":");
+        self.results.write_json(out);
+        out.push('}');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtt_json::Json;
 
     #[test]
     fn smoke_file_has_the_shared_shape() {
@@ -171,7 +192,7 @@ mod tests {
         assert_eq!(calls, 4 + 13 * 3, "4 warm-up calls, then 13 loops of 3");
         smoke.figure("counts_per_sec", 1_000_000_000 / ns.max(1));
 
-        let doc = smoke.to_json();
+        let doc = Json::parse(&mtt_json::to_string(&smoke)).expect("a smoke file parses");
         let Json::Obj(fields) = &doc else {
             panic!("a smoke file is an object: {doc:?}");
         };

@@ -20,7 +20,7 @@ use mtt_causal::{
     ANNOTATED_SCHEMA, ANNOTATED_VERSION,
 };
 use mtt_instrument::shared;
-use mtt_json::{Json, ToJson};
+use mtt_json::Json;
 use mtt_replay::{record, DivergencePolicy, PlaybackScheduler};
 use mtt_runtime::{Execution, NoNoise, RandomScheduler};
 use mtt_suite::SuiteProgram;
@@ -70,8 +70,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every line of a real execution's annotated trace parses back to the
-    /// record that printed it, prints each key once and gives exactly the
-    /// text of the record's `Json` tree. Every third record carries a bug
+    /// record that printed it, prints each key once and is exactly the
+    /// text the expected record prints. Every third record carries a bug
     /// tag, so the flattened trace record's optional field is printed too.
     #[test]
     fn every_annotated_line_parses_back_to_its_record(idx in 0usize..5, seed in 0u64..500) {
@@ -95,7 +95,7 @@ proptest! {
             first_failure: ann.first_failure,
             meta: trace.meta.clone(),
         };
-        prop_assert_eq!(header, expected.to_json().dump());
+        prop_assert_eq!(header, mtt_json::to_string(&expected));
         prop_assert!(keys_are_distinct(header), "{header}");
         prop_assert_eq!(check_annotated_header(header), Ok(expected));
 
@@ -107,7 +107,7 @@ proptest! {
                 hb_from: note.hb_from.clone(),
                 first_failure: ann.first_failure == Some(rec.seq),
             };
-            prop_assert_eq!(line, expected.to_json().dump());
+            prop_assert_eq!(line, mtt_json::to_string(&expected));
             prop_assert!(keys_are_distinct(line), "{line}");
             prop_assert_eq!(check_annotated_record(line), Ok(expected));
         }

@@ -206,6 +206,12 @@ impl EventSink for LockOrderGraph {
         }
     }
 
+    /// A run's held locks end with it: a graph fed several runs must not
+    /// draw the next run's edges from locks a deadlocked run still held.
+    fn finish(&mut self) {
+        self.held.clear();
+    }
+
     fn has_findings(&self) -> bool {
         !self.potentials().is_empty()
     }
@@ -344,6 +350,24 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(LockId(0), LockId(1)));
         assert!(g.has_edge(LockId(1), LockId(0)));
+    }
+
+    #[test]
+    fn locks_held_when_a_run_ends_draw_no_edges_in_the_next() {
+        let mut g = LockOrderGraph::new();
+        // A run that ends (deadlocked) with thread 1 still holding `a`.
+        g.on_event(&acq(0, 1, 0));
+        g.on_event(&req(1, 1, 1));
+        g.finish();
+        // The next run: thread 1 takes `a`, then `b`.
+        g.on_event(&acq(0, 1, 0));
+        g.on_event(&acq(1, 1, 1));
+        g.on_event(&rel(2, 1, 1));
+        g.on_event(&rel(3, 1, 0));
+        g.finish();
+        assert!(!g.has_edge(LockId(0), LockId(0)), "no a→a edge");
+        assert!(g.has_edge(LockId(0), LockId(1)));
+        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

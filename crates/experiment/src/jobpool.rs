@@ -31,7 +31,7 @@
 //! rebuilds the cells a previous journal already holds instead of running
 //! them, which is how every journaled command resumes.
 
-use mtt_json::{FromJson, ToJson};
+use mtt_json::{FromJson, Json, ToJson};
 use mtt_obs::{content_address, CampaignMeta, CellDone, CellStart, JournalSink, ResumeCache};
 use mtt_runtime::RUNTIME_VERSION;
 use mtt_telemetry::SpanSet;
@@ -90,12 +90,13 @@ pub(crate) trait CellCodec<T>: Sync {
 }
 
 /// The codec of a cell whose result has a JSON form: it travels in the
-/// `done` record's `result` field.
+/// `done` record's `result` field, as the tree its printed text parses to
+/// (a result whose text does not parse back is not cached).
 struct JsonCell;
 
 impl<T: ToJson + FromJson> CellCodec<T> for JsonCell {
     fn save(&self, out: &T, done: &mut CellDone) {
-        done.result = Some(out.to_json());
+        done.result = Json::parse(&mtt_json::to_string(out)).ok();
     }
 
     fn load(&self, done: &CellDone) -> Option<T> {

@@ -22,7 +22,6 @@
 use crate::campaign::{Campaign, ToolConfig};
 use crate::jobpool::{JobPool, PoolStats};
 use crate::report::Table;
-use mtt_json::ToJson;
 use mtt_obs::{ChromeTrace, JournalSink};
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanTimings};
@@ -391,7 +390,7 @@ impl ProfileReport {
         t.process_name(1, &format!("mtt profile-{}", self.key));
         t.thread_name(1, 0, "phases");
         for ev in &self.span_events {
-            t.complete(1, 0, "phase", &ev.name, us(ev.start), us(ev.dur), vec![]);
+            t.complete(1, 0, "phase", &ev.name, us(ev.start), us(ev.dur), None);
         }
         let n_runs = self.runs.max(1) as usize;
         let n_tools = self.tool_names.len().max(1);
@@ -416,7 +415,7 @@ impl ProfileReport {
                 &name,
                 us(span.start),
                 us(span.dur),
-                vec![("seed".into(), (self.base_seed + r as u64).to_json())],
+                Some(self.base_seed + r as u64),
             );
         }
         t

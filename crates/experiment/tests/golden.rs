@@ -156,6 +156,19 @@ fn explain_unguarded_wait_matches_golden() {
 }
 
 #[test]
+fn trace_lost_update_matches_golden() {
+    // The standard trace format (`mtt_trace::json`): the file `mtt trace
+    // lost_update 1 DIR` writes, header and records. CI diffs that command's
+    // output against this same snapshot.
+    let program = mtt_suite::by_name("lost_update").expect("lost_update is a suite program");
+    let trace = mtt_experiment::tracegen::generate(&program, &Default::default());
+    let text = mtt_trace::json::to_string(&trace);
+    check_golden("trace_lost_update.jsonl", &text);
+    let back = mtt_trace::json::read(text.as_bytes()).expect("the golden trace reads back");
+    assert_eq!(mtt_trace::json::to_string(&back), text);
+}
+
+#[test]
 fn tools_catalog_json_matches_golden() {
     // The registry's JSON catalog is part of the CLI surface: pin it so a
     // component or roster change shows up as a reviewable golden diff.

@@ -104,9 +104,8 @@ fn chrome_trace() -> String {
     let mut t = ChromeTrace::new();
     t.process_name(1, "mtt");
     t.thread_name(1, 0, "phases");
-    t.complete(1, 0, "phase", "campaign.execute", 0, 120, Vec::new());
-    let args = vec![("seed".to_string(), mtt_json::Json::UInt(7))];
-    t.complete(1, 1, "cell", "lost_update/none#0", 5, 40, args);
+    t.complete(1, 0, "phase", "campaign.execute", 0, 120, None);
+    t.complete(1, 1, "cell", "lost_update/none#0", 5, 40, Some(7));
     t.dump()
 }
 

@@ -163,8 +163,8 @@ impl LocKey {
 
 impl ToJson for Loc {
     /// Serialized as `"file:line"` so locations are legal JSON map keys.
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_key())
+    fn write_json(&self, out: &mut String) {
+        self.to_key().write_json(out);
     }
 }
 

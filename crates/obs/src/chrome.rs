@@ -9,13 +9,57 @@
 //! Everything here is wall-clock by definition; the builder lives behind
 //! `mtt profile --chrome-trace FILE` and never feeds deterministic output.
 
-use mtt_json::{Json, ToJson};
+use mtt_json::{json_struct, Json, ToJson};
 
 /// Builder for one trace file.
 #[derive(Clone, Debug, Default)]
 pub struct ChromeTrace {
-    events: Vec<Json>,
+    events: Vec<TraceEvent>,
 }
+
+/// One trace event. A metadata event (`"ph":"M"`) names a process or a
+/// thread in `args`; a complete event (`"ph":"X"`) has a category, a start
+/// and a duration, and `args` when it carries a seed.
+#[derive(Clone, Debug, Default)]
+struct TraceEvent {
+    name: String,
+    cat: Option<String>,
+    ph: String,
+    ts: Option<u64>,
+    dur: Option<u64>,
+    pid: u64,
+    tid: u64,
+    args: EventArgs,
+}
+
+json_struct!(TraceEvent {
+    name,
+    #[optional]
+    cat,
+    ph,
+    #[optional]
+    ts,
+    #[optional]
+    dur,
+    pid,
+    tid,
+    #[optional]
+    args,
+});
+
+/// An event's `args`: the name a metadata event gives, or a cell's seed.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct EventArgs {
+    name: Option<String>,
+    seed: Option<u64>,
+}
+
+json_struct!(EventArgs {
+    #[optional]
+    name,
+    #[optional]
+    seed,
+});
 
 impl ChromeTrace {
     /// An empty trace.
@@ -34,20 +78,21 @@ impl ChromeTrace {
     }
 
     fn metadata(&mut self, kind: &str, pid: u64, tid: u64, name: &str) {
-        self.events.push(Json::Obj(vec![
-            ("name".into(), kind.to_json()),
-            ("ph".into(), "M".to_json()),
-            ("pid".into(), pid.to_json()),
-            ("tid".into(), tid.to_json()),
-            (
-                "args".into(),
-                Json::Obj(vec![("name".into(), name.to_json())]),
-            ),
-        ]));
+        self.events.push(TraceEvent {
+            name: kind.into(),
+            ph: "M".into(),
+            pid,
+            tid,
+            args: EventArgs {
+                name: Some(name.into()),
+                seed: None,
+            },
+            ..TraceEvent::default()
+        });
     }
 
     /// Add one complete (`"ph":"X"`) event spanning `[ts_us, ts_us+dur_us]`
-    /// microseconds on the `(pid, tid)` track.
+    /// microseconds on the `(pid, tid)` track; a cell passes its `seed`.
     #[allow(clippy::too_many_arguments)]
     pub fn complete(
         &mut self,
@@ -57,21 +102,18 @@ impl ChromeTrace {
         name: &str,
         ts_us: u64,
         dur_us: u64,
-        args: Vec<(String, Json)>,
+        seed: Option<u64>,
     ) {
-        let mut fields = vec![
-            ("name".into(), name.to_json()),
-            ("cat".into(), cat.to_json()),
-            ("ph".into(), "X".to_json()),
-            ("ts".into(), ts_us.to_json()),
-            ("dur".into(), dur_us.to_json()),
-            ("pid".into(), pid.to_json()),
-            ("tid".into(), tid.to_json()),
-        ];
-        if !args.is_empty() {
-            fields.push(("args".into(), Json::Obj(args)));
-        }
-        self.events.push(Json::Obj(fields));
+        self.events.push(TraceEvent {
+            name: name.into(),
+            cat: Some(cat.into()),
+            ph: "X".into(),
+            ts: Some(ts_us),
+            dur: Some(dur_us),
+            pid,
+            tid,
+            args: EventArgs { name: None, seed },
+        });
     }
 
     /// Number of events added so far (metadata included).
@@ -84,17 +126,18 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
-    /// The trace document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("traceEvents".into(), Json::Arr(self.events.clone())),
-            ("displayTimeUnit".into(), "ms".to_json()),
-        ])
-    }
-
     /// The trace document as a compact JSON string.
     pub fn dump(&self) -> String {
-        self.to_json().dump()
+        mtt_json::to_string(self)
+    }
+}
+
+/// The trace document: `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
+impl ToJson for ChromeTrace {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"traceEvents\":");
+        self.events.write_json(out);
+        out.push_str(",\"displayTimeUnit\":\"ms\"}");
     }
 }
 
@@ -160,16 +203,8 @@ mod tests {
         t.process_name(1, "mtt profile-e3");
         t.thread_name(1, 0, "phases");
         t.thread_name(1, 1, "worker 0");
-        t.complete(1, 0, "phase", "campaign.execute", 0, 1000, vec![]);
-        t.complete(
-            1,
-            1,
-            "cell",
-            "lost_update/none#0",
-            10,
-            90,
-            vec![("seed".into(), 7u64.to_json())],
-        );
+        t.complete(1, 0, "phase", "campaign.execute", 0, 1000, None);
+        t.complete(1, 1, "cell", "lost_update/none#0", 10, 90, Some(7));
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
         let text = t.dump();

@@ -369,15 +369,6 @@ impl JournalRecord {
 }
 
 impl ToJson for JournalRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("v".to_string(), JOURNAL_VERSION.to_json()),
-            ("kind".to_string(), self.kind().to_json()),
-        ];
-        self.payload().push_members(&mut fields);
-        Json::Obj(fields)
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"v\":");
         JOURNAL_VERSION.write_json(out);
@@ -896,7 +887,7 @@ mod tests {
     #[test]
     fn done_record_roundtrips_fingerprint_and_omits_it_when_absent() {
         let with = done("aa", 1);
-        let line = JournalRecord::Done(with.clone()).to_json().dump();
+        let line = mtt_json::to_string(&JournalRecord::Done(with.clone()));
         assert!(line.contains("\"fingerprint\""), "{line}");
         let JournalRecord::Done(back) = check_journal_line(&line).unwrap() else {
             panic!("expected done");
@@ -906,7 +897,7 @@ mod tests {
             fingerprint: None,
             ..done("bb", 2)
         };
-        let line = JournalRecord::Done(without).to_json().dump();
+        let line = mtt_json::to_string(&JournalRecord::Done(without));
         assert!(!line.contains("fingerprint"), "{line}");
     }
 
@@ -916,14 +907,14 @@ mod tests {
             result: Some(Json::Arr(vec![Json::Bool(true), Json::UInt(3)])),
             ..done("aa", 1)
         };
-        let line = JournalRecord::Done(cell.clone()).to_json().dump();
+        let line = mtt_json::to_string(&JournalRecord::Done(cell.clone()));
         assert!(line.starts_with("{\"v\":4,"), "{line}");
         assert!(line.ends_with(",\"result\":[true,3]}"), "{line}");
         let JournalRecord::Done(back) = check_journal_line(&line).unwrap() else {
             panic!("expected done");
         };
         assert_eq!(back, cell);
-        let line = JournalRecord::Done(done("bb", 2)).to_json().dump();
+        let line = mtt_json::to_string(&JournalRecord::Done(done("bb", 2)));
         assert!(!line.contains("result"), "{line}");
     }
 
@@ -949,7 +940,7 @@ mod tests {
         // wrote.
         let resumed = format!(
             "{text}{}\n",
-            JournalRecord::Done(done("aa", 1)).to_json().dump()
+            mtt_json::to_string(&JournalRecord::Done(done("aa", 1)))
         );
         let s = crate::StatusSummary::from_journal(&parse_journal(&resumed).unwrap());
         assert_eq!(s.done, 1);
@@ -965,7 +956,7 @@ mod tests {
                    \"failed\":false,\"manifested\":[],\"events\":5,\"sched_points\":2,\
                    \"injections\":0,\"timed_out\":false,\"wall_us\":9,\"t_us\":1,\
                    \"worker\":0,\"metrics\":null}";
-        let v2 = JournalRecord::Done(done("bb", 2)).to_json().dump();
+        let v2 = mtt_json::to_string(&JournalRecord::Done(done("bb", 2)));
         let text = format!("{v1}\n{v2}\n");
         let parsed = parse_journal(&text).expect("mixed-version journal parses");
         assert_eq!(parsed.records.len(), 2);
@@ -992,8 +983,8 @@ mod tests {
             backend: Some("native".into()),
             ..done(&native_addr, 7)
         };
-        let model_line = JournalRecord::Done(model_cell.clone()).to_json().dump();
-        let native_line = JournalRecord::Done(native_cell.clone()).to_json().dump();
+        let model_line = mtt_json::to_string(&JournalRecord::Done(model_cell.clone()));
+        let native_line = mtt_json::to_string(&JournalRecord::Done(native_cell.clone()));
         assert!(!model_line.contains("backend"), "{model_line}");
         assert!(
             native_line.contains("\"backend\":\"native\""),

@@ -2,7 +2,6 @@
 //! run of a model program.
 
 use mtt_instrument::{Loc, ThreadId, VarTable};
-use mtt_json::{Json, ToJson};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
@@ -157,38 +156,6 @@ pub struct ExecStats {
     /// Wall-clock duration of the run. Not serialized: wall time is not a
     /// property of the schedule and would break fingerprint stability.
     pub wall: Duration,
-}
-
-impl ToJson for ExecStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("events".to_string(), self.events.to_json()),
-            ("sched_points".to_string(), self.sched_points.to_json()),
-            (
-                "context_switches".to_string(),
-                self.context_switches.to_json(),
-            ),
-            ("threads".to_string(), self.threads.to_json()),
-            ("virtual_time".to_string(), self.virtual_time.to_json()),
-            (
-                "scheduler_faults".to_string(),
-                self.scheduler_faults.to_json(),
-            ),
-            (
-                "noise_injections".to_string(),
-                self.noise_injections.to_json(),
-            ),
-            ("forced_yields".to_string(), self.forced_yields.to_json()),
-            (
-                "spurious_wakeups".to_string(),
-                self.spurious_wakeups.to_json(),
-            ),
-            (
-                "first_failure_step".to_string(),
-                self.first_failure_step.to_json(),
-            ),
-        ])
-    }
 }
 
 /// The result of one execution.

@@ -521,9 +521,9 @@ impl ModelState {
     /// Build the deadlock diagnostic for the current all-blocked state.
     pub fn deadlock_info(&self) -> DeadlockInfo {
         let mut waiting = Vec::new();
-        // thread -> thread edges where the waited-for resource has a unique
-        // owner (locks, joins); used for cycle detection.
-        let mut edge: HashMap<ThreadId, ThreadId> = HashMap::new();
+        // Each thread's successor when the resource it waits for has a
+        // unique owner (locks, joins); used for cycle detection.
+        let mut next: Vec<Option<ThreadId>> = vec![None; self.threads.len()];
         for (i, t) in self.threads.iter().enumerate() {
             let tid = ThreadId(i as u32);
             let reason = match t.status {
@@ -533,9 +533,7 @@ impl ModelState {
             let w = match reason {
                 BlockReason::Lock(l) => {
                     let owner = self.lock_owner[l.index()];
-                    if let Some(o) = owner {
-                        edge.insert(tid, o);
-                    }
+                    next[i] = owner;
                     WaitEdge::Lock {
                         lock: self.lock_names[l.index()].clone(),
                         owner,
@@ -552,7 +550,7 @@ impl ModelState {
                 },
                 BlockReason::Join(target) => {
                     if self.threads[target.index()].status != Status::Finished {
-                        edge.insert(tid, target);
+                        next[i] = Some(target);
                     }
                     WaitEdge::Join { target }
                 }
@@ -560,21 +558,21 @@ impl ModelState {
             waiting.push((tid, w));
         }
         // Find a cycle in the single-successor graph by walking from each
-        // node with a visited map (graph is tiny; O(n²) worst case is fine).
+        // thread in ascending id order (the graph is tiny; O(n²) worst case
+        // is fine), and start it at its smallest thread, as
+        // `mtt_deadlock::cycles` starts a lock cycle at its smallest lock:
+        // one deadlocked state always reports the same cycle.
         let mut cycle = Vec::new();
-        'outer: for start in edge.keys().copied() {
-            let mut path = vec![start];
-            let mut cur = start;
-            while let Some(&next) = edge.get(&cur) {
-                if let Some(pos) = path.iter().position(|p| *p == next) {
-                    cycle = path[pos..].to_vec();
+        'outer: for start in 0..next.len() {
+            let mut path = vec![ThreadId(start as u32)];
+            while let Some(succ) = next[path[path.len() - 1].index()] {
+                if let Some(pos) = path.iter().position(|p| *p == succ) {
+                    cycle = path.split_off(pos);
+                    let smallest = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap_or(0);
+                    cycle.rotate_left(smallest);
                     break 'outer;
                 }
-                path.push(next);
-                cur = next;
-                if path.len() > self.threads.len() {
-                    break;
-                }
+                path.push(succ);
             }
         }
         DeadlockInfo { waiting, cycle }
@@ -690,9 +688,7 @@ mod tests {
         let info = m.deadlock_info();
         assert!(info.is_cyclic());
         assert_eq!(info.waiting.len(), 2);
-        let mut cyc = info.cycle.clone();
-        cyc.sort();
-        assert_eq!(cyc, vec![ThreadId(0), ThreadId(1)]);
+        assert_eq!(info.cycle, vec![ThreadId(0), ThreadId(1)]);
     }
 
     #[test]

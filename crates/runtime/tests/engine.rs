@@ -165,17 +165,20 @@ fn ab_ba_program() -> Program {
 
 #[test]
 fn ab_ba_deadlock_is_detected_under_interleaving() {
-    // Round-robin forces the deadly interleaving deterministically.
+    // Round-robin forces the deadly interleaving deterministically, and
+    // the cycle starts at its smallest thread on every run.
     let p = ab_ba_program();
-    let o = Execution::new(&p)
-        .scheduler(Box::new(RoundRobinScheduler::new()))
-        .run();
-    match &o.kind {
-        OutcomeKind::Deadlock(info) => {
-            assert!(info.is_cyclic(), "AB-BA must be a cyclic deadlock");
-            assert_eq!(info.cycle.len(), 2);
+    for _ in 0..50 {
+        let o = Execution::new(&p)
+            .scheduler(Box::new(RoundRobinScheduler::new()))
+            .run();
+        match &o.kind {
+            OutcomeKind::Deadlock(info) => {
+                assert!(info.is_cyclic(), "AB-BA must be a cyclic deadlock");
+                assert_eq!(info.cycle, [ThreadId(1), ThreadId(2)]);
+            }
+            k => panic!("expected deadlock, got {k:?}"),
         }
-        k => panic!("expected deadlock, got {k:?}"),
     }
 }
 

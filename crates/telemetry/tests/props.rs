@@ -1,9 +1,8 @@
 //! Property tests for the run log: every line the writer prints parses back
-//! to the record that printed it, prints each key once in the documented
-//! order, and gives exactly the text of the record's `Json` tree; a line
-//! whose `backend` is not a known tag is refused.
+//! to the record that printed it and prints each key once in the
+//! documented order; a line whose `backend` is not a known tag is refused.
 
-use mtt_json::{Json, ToJson};
+use mtt_json::Json;
 use mtt_obs::MetricScalars;
 use mtt_telemetry::{check_run_log_line, RunLogRecord, RunLogWriter};
 use proptest::prelude::*;
@@ -130,7 +129,7 @@ proptest! {
         let text = String::from_utf8(w.into_inner().expect("in-memory flush")).unwrap();
         prop_assert_eq!(text.lines().count(), recs.len());
         for (line, rec) in text.lines().zip(&recs) {
-            prop_assert_eq!(line, rec.to_json().dump());
+            prop_assert_eq!(&mtt_json::from_str::<RunLogRecord>(line).expect("a line decodes"), rec);
             let Ok(Json::Obj(members)) = Json::parse(line) else {
                 panic!("the writer printed a line that is not an object: {line}");
             };

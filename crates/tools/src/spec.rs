@@ -233,8 +233,8 @@ impl fmt::Display for ToolSpec {
 /// Specs serialize as their canonical string — compact in NDJSON and
 /// trivially diffable.
 impl ToJson for ToolSpec {
-    fn to_json(&self) -> Json {
-        Json::Str(self.canonical())
+    fn write_json(&self, out: &mut String) {
+        self.canonical().write_json(out);
     }
 }
 
@@ -592,7 +592,7 @@ mod tests {
     #[test]
     fn json_roundtrip_via_canonical_string() {
         let s = ToolSpec::parse("pct:3:150+noise=mixed:0.2:20+spurious=0.05").unwrap();
-        let j = s.to_json().dump();
+        let j = mtt_json::to_string(&s);
         assert_eq!(j, "\"pct:3:150+noise=mixed:0.2:20+spurious=0.05\"");
         let back: ToolSpec = FromJson::from_json(&Json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, s);

@@ -9,7 +9,6 @@
 //!    seeded execution produces identical outcomes — a tool configuration
 //!    is a pure function of (spec, seed).
 
-use mtt_json::ToJson;
 use mtt_runtime::Execution;
 use mtt_tools::registry::ParamKind;
 use mtt_tools::{
@@ -129,7 +128,19 @@ proptest! {
             let outcome = tool
                 .configure(Execution::new(&suite.program), seed, 20_000)
                 .run();
-            (outcome.fingerprint(), outcome.stats.to_json().dump())
+            let s = &outcome.stats;
+            let counters = [
+                s.events,
+                s.sched_points,
+                s.context_switches,
+                u64::from(s.threads),
+                s.virtual_time,
+                s.scheduler_faults,
+                s.noise_injections,
+                s.forced_yields,
+                s.spurious_wakeups,
+            ];
+            (outcome.fingerprint(), (counters, s.first_failure_step))
         };
         let (fp_a, stats_a) = run();
         let (fp_b, stats_b) = run();
