@@ -133,6 +133,11 @@ fn readme_documents_every_subcommand() {
         readme.contains("--timing"),
         "README must document profile's --timing flag"
     );
+    let schema = format!("schema v{}", mtt_obs::JOURNAL_VERSION);
+    assert!(
+        readme.contains(&schema),
+        "README's journal-check row must name the current journal `{schema}`"
+    );
 }
 
 #[test]

@@ -205,6 +205,156 @@ fn lint_samples_match_golden() {
     check_golden("lint_samples.txt", &out);
 }
 
+/// Every fact the static pass derives for `prog`, one line per fact, read
+/// from public fields only, so a refactor that reshapes a struct cannot
+/// move the snapshot.
+fn static_facts(prog: &mtt_static::MiniProg) -> String {
+    use std::fmt::Write;
+    let r = mtt_static::analyze(prog);
+    let mut s = format!("== {}\n", prog.name);
+    let _ = writeln!(s, "shared {:?}", r.shared_vars);
+    for (var, locks) in &r.guarded_by {
+        let _ = writeln!(s, "guarded_by {var} {locks:?}");
+    }
+    for race in &r.races {
+        let _ = writeln!(
+            s,
+            "race {} threads {:?}: {}",
+            race.var, race.threads, race.message
+        );
+    }
+    let threads: Vec<mtt_static::ThreadCtx> = prog
+        .threads
+        .iter()
+        .map(mtt_static::ThreadCtx::new)
+        .collect();
+    let graph = mtt_static::LockOrderGraph::build(&threads);
+    for c in graph.cycles() {
+        let lines: Vec<u32> = c.sites.iter().map(|&i| graph.sites[i].line).collect();
+        let _ = writeln!(
+            s,
+            "cycle {:?} threads {:?} effective {} gate {:?} lines {lines:?} deadlock {}",
+            c.locks,
+            c.threads,
+            c.effective_threads,
+            c.gate,
+            r.deadlocks.contains(&c)
+        );
+    }
+    let _ = writeln!(s, "no_switch {:?}", r.no_switch_lines);
+    for (i, site) in r.mhp.sites.iter().enumerate() {
+        let partners: Vec<usize> = (0..r.mhp.sites.len())
+            .filter(|&j| j != i && r.mhp.conflicts(i, j) && r.mhp.mhp(i, j))
+            .collect();
+        let _ = writeln!(
+            s,
+            "mhp {i}: thread {} node {} line {} {} {} must {:?} parallel with {partners:?}",
+            site.thread,
+            site.node,
+            site.line,
+            if site.write { "write" } else { "read" },
+            site.var,
+            site.must
+        );
+    }
+    let _ = writeln!(s, "contended {:?}", r.mhp.contended_vars());
+    for a in &r.atomicity {
+        let _ = writeln!(
+            s,
+            "atomicity {} thread {} lines {}-{} lock {:?} {}",
+            a.var, a.thread, a.read_line, a.write_line, a.lock, a.kind
+        );
+    }
+    for d in &r.diagnostics {
+        let _ = writeln!(
+            s,
+            "diagnostic {} {}-{} {}",
+            d.code, d.line, d.end_line, d.message
+        );
+    }
+    // `StaticInfo`: the variable facts as their JSON, the site facts and
+    // the independent pairs as line ranges (the full JSON is ten times the
+    // size and no easier to review).
+    let _ = writeln!(s, "info.vars {}", mtt_json::to_string(&r.info.vars));
+    let site_lines = |keep: &dyn Fn(&mtt_instrument::SiteFacts) -> bool| {
+        line_ranges(
+            r.info
+                .sites
+                .iter()
+                .filter(|(_, f)| keep(f))
+                .map(|(l, _)| l.line),
+        )
+    };
+    let _ = writeln!(s, "info.sites{}", site_lines(&|_| true));
+    let _ = writeln!(s, "  touches_shared{}", site_lines(&|f| f.touches_shared));
+    let _ = writeln!(s, "  switch_relevant{}", site_lines(&|f| f.switch_relevant));
+    let _ = writeln!(
+        s,
+        "  !may_run_parallel{}",
+        site_lines(&|f| !f.may_run_parallel)
+    );
+    let counts: std::collections::BTreeSet<u32> =
+        r.info.sites.values().map(|f| f.reaching_threads).collect();
+    for n in counts {
+        let _ = writeln!(
+            s,
+            "  reaching_threads {n}:{}",
+            site_lines(&|f| f.reaching_threads == n)
+        );
+    }
+    assert_eq!(r.info.independent_line_pairs, r.independence.pairs_vec());
+    let mut partners: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+    for (a, b) in r.independence.pairs_vec() {
+        partners.entry(a).or_default().push(b);
+    }
+    for (a, bs) in partners {
+        let _ = writeln!(s, "independent {a}:{}", line_ranges(bs));
+    }
+    s
+}
+
+/// `[1, 2, 3, 5]` as ` 1-3 5`.
+fn line_ranges(lines: impl IntoIterator<Item = u32>) -> String {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for l in lines {
+        match runs.last_mut() {
+            Some((_, end)) if *end + 1 == l => *end = l,
+            _ => runs.push((l, l)),
+        }
+    }
+    let runs: Vec<String> = runs
+        .iter()
+        .map(|&(a, b)| {
+            if a == b {
+                format!(" {a}")
+            } else {
+                format!(" {a}-{b}")
+            }
+        })
+        .collect();
+    runs.concat()
+}
+
+#[test]
+fn static_facts_match_golden() {
+    // The static pass's per-program facts, beyond the diagnostics
+    // `lint_samples.txt` pins: shared variables, locksets, lock cycles,
+    // MHP sites, atomicity regions, independence pairs and the exported
+    // `StaticInfo`, for every catalog sample and every member of the first
+    // 16 generated families at the default seed.
+    let mut programs: Vec<mtt_static::MiniProg> = mtt_static::samples::catalog()
+        .iter()
+        .map(|s| mtt_static::parse(s.src).expect("catalog sample parses"))
+        .collect();
+    let seed = mtt_gen::GenOptions::default().seed;
+    for index in 0..16 {
+        let family = mtt_gen::family(seed, index);
+        programs.extend(family.members.iter().map(|m| m.ast()));
+    }
+    let out: String = programs.iter().map(static_facts).collect();
+    check_golden("static_facts.txt", &out);
+}
+
 #[test]
 fn e11_scoreboard_matches_golden() {
     // The E11 report at the CLI's default run count is pinned byte for

@@ -8,7 +8,7 @@
 //! property tests pin both facts for every seed they visit.
 
 use crate::{Mutation, Pattern};
-use mtt_static::ast::{Expr, MiniProg, Stmt, StmtKind};
+use mtt_static::ast::{walk, MiniProg, StmtKind};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -325,35 +325,6 @@ fn split_atomic_src(name: &str, k: &Knobs, benign: bool) -> String {
 // Manifest-line location
 // ---------------------------------------------------------------------
 
-/// Walk every statement with its enclosing `lock`-block depth.
-fn walk<'a>(stmts: &'a [Stmt], depth: usize, f: &mut impl FnMut(&'a Stmt, usize)) {
-    for s in stmts {
-        f(s, depth);
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk(then_branch, depth, f);
-                walk(else_branch, depth, f);
-            }
-            StmtKind::While { body, .. } => walk(body, depth, f),
-            StmtKind::LockBlock { body, .. } => walk(body, depth + 1, f),
-            _ => {}
-        }
-    }
-}
-
-fn mentions(e: &Expr, name: &str) -> bool {
-    match e {
-        Expr::Int(_) => false,
-        Expr::Var(v) => v == name,
-        Expr::Unary { expr, .. } => mentions(expr, name),
-        Expr::Binary { lhs, rhs, .. } => mentions(lhs, name) || mentions(rhs, name),
-    }
-}
-
 /// Locate the bug-site lines of a buggy member in its canonical source:
 /// the structural signature of each pattern, read back out of the
 /// re-parsed AST so the recorded lines always match [`crate::GenProgram::src`].
@@ -362,23 +333,27 @@ pub fn manifest_lines(prog: &MiniProg, pattern: Pattern, k: &Knobs) -> Vec<u32> 
     let hot2 = format!("{hot}2");
     let mut lines = Vec::new();
     for t in &prog.threads {
-        walk(&t.body, 0, &mut |s, depth| match (pattern, &s.kind) {
+        walk(&t.body, &mut |s, locks, _| match (pattern, &s.kind) {
             // Unguarded writes to the hot counter(s).
             (Pattern::Race, StmtKind::Assign { target, .. })
-                if depth == 0 && (*target == hot || *target == hot2) =>
+                if locks.is_empty() && (*target == hot || *target == hot2) =>
             {
                 lines.push(s.line)
             }
             // The inner acquisition of each nested pair.
-            (Pattern::LockCycle, StmtKind::LockBlock { .. }) if depth == 1 => lines.push(s.line),
+            (Pattern::LockCycle, StmtKind::LockBlock { .. }) if locks.len() == 1 => {
+                lines.push(s.line)
+            }
             // The unlocked signal.
-            (Pattern::LostNotify, StmtKind::Notify { .. }) if depth == 0 => lines.push(s.line),
+            (Pattern::LostNotify, StmtKind::Notify { .. }) if locks.is_empty() => {
+                lines.push(s.line)
+            }
             // The two halves of the split critical section: outer lock
             // blocks whose body assigns to or reads the hot counter.
-            (Pattern::SplitAtomic, StmtKind::LockBlock { body, .. }) if depth == 0 => {
+            (Pattern::SplitAtomic, StmtKind::LockBlock { body, .. }) if locks.is_empty() => {
                 let touches = body.iter().any(|inner| {
                     matches!(&inner.kind, StmtKind::Assign { target, value }
-                        if *target == hot || mentions(value, hot))
+                        if *target == hot || value.reads().iter().any(|r| r == hot))
                 });
                 if touches {
                     lines.push(s.line);

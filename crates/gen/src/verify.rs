@@ -5,33 +5,9 @@
 //! checker over every member of every family they visit.
 
 use crate::{GenProgram, Mutation, Pattern};
-use mtt_static::ast::{MiniProg, Stmt, StmtKind};
+use mtt_static::ast::{walk, MiniProg, StmtKind};
 use mtt_static::{parse, print};
 use std::collections::BTreeSet;
-
-/// Walk statements with the stack of enclosing `lock`-block names.
-fn walk<'a>(stmts: &'a [Stmt], stack: &mut Vec<&'a str>, f: &mut impl FnMut(&'a Stmt, &[&'a str])) {
-    for s in stmts {
-        f(s, stack);
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk(then_branch, stack, f);
-                walk(else_branch, stack, f);
-            }
-            StmtKind::While { body, .. } => walk(body, stack, f),
-            StmtKind::LockBlock { lock, body } => {
-                stack.push(lock.as_str());
-                walk(body, stack, f);
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-}
 
 fn err(member: &GenProgram, msg: String) -> String {
     format!("{}: {msg}", member.name)
@@ -65,7 +41,7 @@ fn hot_vars(member: &GenProgram) -> Vec<String> {
 fn all_lines(prog: &MiniProg) -> BTreeSet<u32> {
     let mut lines = BTreeSet::new();
     for t in &prog.threads {
-        walk(&t.body, &mut Vec::new(), &mut |s, _| {
+        walk(&t.body, &mut |s, _, _| {
             lines.insert(s.line);
         });
     }
@@ -76,7 +52,7 @@ fn all_lines(prog: &MiniProg) -> BTreeSet<u32> {
 fn nesting_edges(prog: &MiniProg) -> BTreeSet<(String, String)> {
     let mut edges = BTreeSet::new();
     for t in &prog.threads {
-        walk(&t.body, &mut Vec::new(), &mut |s, stack| {
+        walk(&t.body, &mut |s, stack, _| {
             if let StmtKind::LockBlock { lock, .. } = &s.kind {
                 for held in stack {
                     edges.insert((held.to_string(), lock.clone()));
@@ -155,7 +131,7 @@ pub fn check_member(member: &GenProgram) -> Result<(), String> {
     let mut split_blocks = 0usize; // lock blocks whose body assigns a hot var or reads one into a temp
     let mut nz_locals = 0usize;
     for t in &prog.threads {
-        walk(&t.body, &mut Vec::new(), &mut |s, stack| match &s.kind {
+        walk(&t.body, &mut |s, stack, _| match &s.kind {
             StmtKind::Assign { target, .. } if hots.contains(target) => {
                 if stack.is_empty() {
                     unguarded_hot_writes += 1;

@@ -112,11 +112,15 @@ impl Json {
 
 fn write_float(v: f64, out: &mut String) {
     if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
+        if v != v.trunc() {
+            out.push_str(&format!("{v}"));
+        } else if v.abs() < 1e15 {
             // serde_json prints integral floats with a trailing ".0".
             out.push_str(&format!("{v:.1}"));
         } else {
-            out.push_str(&format!("{v}"));
+            // `{v}` would print bare digits, which parse back as an
+            // integer, or not at all past `u64::MAX`.
+            out.push_str(&format!("{v:e}"));
         }
     } else {
         // JSON has no NaN/inf; serde_json errors, we degrade to null.
@@ -1153,6 +1157,29 @@ mod tests {
     fn integral_floats_keep_point() {
         assert_eq!(Json::Float(1.0).dump(), "1.0");
         assert_eq!(Json::Float(2.25).dump(), "2.25");
+    }
+
+    #[test]
+    fn large_integral_floats_parse_back_as_floats() {
+        let two_53 = 9_007_199_254_740_992.0;
+        for v in [
+            1e15,
+            two_53,
+            18_446_744_073_709_551_616.0,
+            1e20,
+            -1e20,
+            1e300,
+            f64::MAX,
+        ] {
+            let text = to_string(&v);
+            assert_eq!(
+                Json::parse(&text),
+                Ok(Json::Float(v)),
+                "{v} printed as {text}"
+            );
+        }
+        assert_eq!(to_string(&1e20), "1e20");
+        assert_eq!(to_string(&(1e15 - 1.0)), "999999999999999.0");
     }
 
     #[derive(Clone, Debug, Default, PartialEq)]

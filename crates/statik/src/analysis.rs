@@ -4,7 +4,7 @@
 use crate::ast::{MiniProg, ThreadDecl};
 use crate::atomicity::{self, AtomicityViolation};
 use crate::cfg::{build_cfg, Cfg, NodeKind};
-use crate::dataflow::{held_locks, LockSet};
+use crate::dataflow::{held_locks, solve, Defs, LockSet, ReachingDefs};
 use crate::diag::{self, Diagnostic};
 use crate::independence::StaticIndependence;
 use crate::lints;
@@ -24,8 +24,8 @@ pub struct StaticRace {
     pub message: String,
 }
 
-/// Per-thread analysis context: the CFG and its lockset fixpoints, shared
-/// by every pass downstream of the dataflow engine.
+/// Per-thread analysis context: the CFG, each node's global accesses and
+/// the dataflow fixpoints, derived once and shared by every pass.
 pub struct ThreadCtx {
     /// Declaration name.
     pub name: String,
@@ -39,20 +39,60 @@ pub struct ThreadCtx {
     pub may: Vec<LockSet>,
     /// Names declared `local` in the body.
     pub locals: BTreeSet<String>,
+    /// Per node: the globals it reads, in order, then the one it writes.
+    /// These are the node's names minus this thread's locals; the parser
+    /// rejects undeclared names, so every other name is a global.
+    pub(crate) accesses: Vec<Vec<Access>>,
+    /// Reaching definitions on entry to each node (`None` where no path
+    /// reaches it).
+    pub(crate) defs: Vec<Option<Defs>>,
+}
+
+/// One access of a CFG node to a global.
+pub(crate) struct Access {
+    pub(crate) var: String,
+    pub(crate) write: bool,
 }
 
 impl ThreadCtx {
-    /// Build the CFG of `decl` and solve its lockset fixpoints.
+    /// Build the CFG of `decl`, its nodes' global accesses, and solve its
+    /// lockset and reaching-definition fixpoints.
     pub fn new(decl: &ThreadDecl) -> ThreadCtx {
         let cfg = build_cfg(decl);
+        let locals = decl.local_names();
+        let accesses = cfg
+            .nodes
+            .iter()
+            .map(|node| {
+                let (reads, write) = node.kind.reads_and_write();
+                let reads = reads.iter().map(|v| (v, false));
+                reads
+                    .chain(write.map(|v| (v, true)))
+                    .filter(|(v, _)| !locals.contains(*v))
+                    .map(|(v, write)| Access {
+                        var: v.clone(),
+                        write,
+                    })
+                    .collect()
+            })
+            .collect();
         ThreadCtx {
             name: decl.name.clone(),
             count: decl.count,
             must: held_locks(&cfg, true),
             may: held_locks(&cfg, false),
-            locals: decl.local_names(),
+            defs: solve(&cfg, &ReachingDefs).before,
+            locals,
+            accesses,
             cfg,
         }
+    }
+
+    /// Every global access of the thread as `(node, access)`, in node
+    /// order.
+    pub(crate) fn global_accesses(&self) -> impl Iterator<Item = (usize, &Access)> {
+        let per_node = self.accesses.iter().enumerate();
+        per_node.flat_map(|(n, accesses)| accesses.iter().map(move |a| (n, a)))
     }
 }
 
@@ -93,80 +133,50 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     let file = intern_static(&prog.name);
 
     let threads: Vec<ThreadCtx> = prog.threads.iter().map(ThreadCtx::new).collect();
+    let counts: Vec<u32> = threads.iter().map(|t| t.count).collect();
 
     // ------------------------------------------------------------------
     // Shared-variable (escape) analysis: a global escapes to "shared" when
-    // accessed by two distinct thread declarations, or by one declaration
-    // replicated more than once. Precise for MiniProg (no pointers).
-    // ------------------------------------------------------------------
-    let mut accessors: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut replicated_access: BTreeSet<String> = BTreeSet::new();
-    let mut written: BTreeSet<String> = BTreeSet::new();
-    // (var, thread, node) access instances for the lockset analysis.
-    let mut accesses: Vec<(String, usize, usize)> = Vec::new(); // (var, thread idx, node)
-
-    for (ti, td) in threads.iter().enumerate() {
-        for n in td.cfg.ids() {
-            let (reads, write): (Vec<String>, Option<String>) = match &td.cfg.nodes[n].kind {
-                NodeKind::Compute { reads, write } => (reads.clone(), write.clone()),
-                NodeKind::Branch { reads } | NodeKind::Assert { reads } => (reads.clone(), None),
-                _ => continue,
-            };
-            for r in reads {
-                if !td.locals.contains(&r) && prog.is_global(&r) {
-                    accessors
-                        .entry(r.clone())
-                        .or_default()
-                        .insert(td.name.clone());
-                    if td.count > 1 {
-                        replicated_access.insert(r.clone());
-                    }
-                    accesses.push((r, ti, n));
-                }
-            }
-            if let Some(w) = write {
-                if !td.locals.contains(&w) && prog.is_global(&w) {
-                    accessors
-                        .entry(w.clone())
-                        .or_default()
-                        .insert(td.name.clone());
-                    if td.count > 1 {
-                        replicated_access.insert(w.clone());
-                    }
-                    written.insert(w.clone());
-                    accesses.push((w, ti, n));
-                }
-            }
-        }
-    }
-    for (var, who) in &accessors {
-        if who.len() >= 2 || replicated_access.contains(var) {
-            result.shared_vars.insert(var.clone());
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Static lockset: intersection of must-held sets over all accesses.
+    // two of its accesses can come from overlapping thread instances
+    // (`mhp::overlap`). Precise for MiniProg (no pointers). Static
+    // lockset: intersection of must-held sets over all accesses.
     // ------------------------------------------------------------------
     let all_locks: LockSet = prog.locks.iter().cloned().collect();
+    // Per variable: the declarations that access it, and those that write it.
+    let mut accessors: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut writers: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     let mut guards: BTreeMap<String, LockSet> = BTreeMap::new();
-    for (var, ti, node) in &accesses {
-        let held = &threads[*ti].must[*node];
-        let e = guards
-            .entry(var.clone())
-            .or_insert_with(|| all_locks.clone());
-        *e = e.intersection(held).cloned().collect();
+    for (ti, td) in threads.iter().enumerate() {
+        for (n, a) in td.global_accesses() {
+            accessors.entry(&a.var).or_default().insert(ti);
+            if a.write {
+                writers.entry(&a.var).or_default().insert(ti);
+            }
+            let e = guards
+                .entry(a.var.clone())
+                .or_insert_with(|| all_locks.clone());
+            *e = e.intersection(&td.must[n]).cloned().collect();
+        }
+    }
+    for (var, decls) in &accessors {
+        if decls
+            .iter()
+            .any(|&a| decls.iter().any(|&b| mhp::overlap(&counts, a, b)))
+        {
+            result.shared_vars.insert(var.to_string());
+        }
     }
     let is_volatile = |v: &str| prog.globals.iter().any(|g| g.name == v && g.volatile);
     for var in &result.shared_vars {
         let guarded = guards.get(var).cloned().unwrap_or_default();
         // Volatile accesses are synchronization actions, not races (the
         // Java volatile-flag idiom must not be flagged).
-        if guarded.is_empty() && written.contains(var) && !is_volatile(var) {
-            let threads_list: Vec<String> = accessors
-                .get(var)
-                .map(|s| s.iter().cloned().collect())
-                .unwrap_or_default();
+        if guarded.is_empty() && writers.contains_key(var.as_str()) && !is_volatile(var) {
+            let names: BTreeSet<&str> = accessors[var.as_str()]
+                .iter()
+                .map(|&t| threads[t].name.as_str())
+                .collect();
+            let threads_list: Vec<String> = names.into_iter().map(String::from).collect();
             result.races.push(StaticRace {
                 var: var.clone(),
                 threads: threads_list,
@@ -181,32 +191,16 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     // ------------------------------------------------------------------
     // May-happen-in-parallel: thread overlap structure × lock disjointness.
     // ------------------------------------------------------------------
-    let shared_ref = &result.shared_vars;
-    result.mhp = mhp::compute(prog, &threads, &|v| shared_ref.contains(v));
+    result.mhp = mhp::compute(&threads, &result.shared_vars);
     let contended = result.mhp.contended_vars();
 
     // ------------------------------------------------------------------
     // Atomicity: non-atomic compound regions via Lipton movers.
     // ------------------------------------------------------------------
-    let write_decls: BTreeMap<&str, Vec<usize>> = {
-        let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (var, ti, node) in &accesses {
-            if matches!(
-                &threads[*ti].cfg.nodes[*node].kind,
-                NodeKind::Compute { write: Some(w), .. } if w == var
-            ) {
-                let e = m.entry(var.as_str()).or_default();
-                if !e.contains(ti) {
-                    e.push(*ti);
-                }
-            }
-        }
-        m
-    };
     let competing_writer = |v: &str, ti: usize| -> bool {
-        write_decls
+        writers
             .get(v)
-            .is_some_and(|decls| decls.iter().any(|&d| d != ti || threads[d].count > 1))
+            .is_some_and(|decls| decls.iter().any(|&d| mhp::overlap(&counts, d, ti)))
     };
     result.atomicity = atomicity::find_violations(
         &threads,
@@ -236,26 +230,21 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
             if node.line == 0 {
                 continue;
             }
-            let (relevant, sync) = match &node.kind {
-                NodeKind::Compute { reads, write } => (
-                    reads
-                        .iter()
-                        .chain(write.iter())
-                        .any(|v| result.shared_vars.contains(v)),
-                    false,
-                ),
-                NodeKind::Branch { reads } | NodeKind::Assert { reads } => {
-                    (reads.iter().any(|v| result.shared_vars.contains(v)), false)
-                }
+            let sync = matches!(
+                node.kind,
                 NodeKind::Acquire(_)
-                | NodeKind::Release(_)
-                | NodeKind::Wait { .. }
-                | NodeKind::Notify { .. } => (true, true),
-                NodeKind::Yield | NodeKind::Sleep => (false, false),
-                NodeKind::Entry | NodeKind::Exit | NodeKind::Join | NodeKind::Skip => {
-                    (false, false)
-                }
-            };
+                    | NodeKind::Release(_)
+                    | NodeKind::Wait { .. }
+                    | NodeKind::Notify { .. }
+            );
+            // Raw names, locals included: a local that shadows a shared
+            // global still marks its line relevant.
+            let (reads, write) = node.kind.reads_and_write();
+            let relevant = sync
+                || reads
+                    .iter()
+                    .chain(write)
+                    .any(|v| result.shared_vars.contains(v));
             *line_relevant.entry(node.line).or_insert(false) |= relevant;
             *line_sync.entry(node.line).or_insert(false) |= sync;
             *line_threads.entry(node.line).or_insert(0) += td.count;
@@ -291,7 +280,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
             g.name.clone(),
             VarFacts {
                 shared,
-                written: written.contains(&g.name),
+                written: writers.contains_key(g.name.as_str()),
                 guarded_by: result
                     .guarded_by
                     .get(&g.name)
@@ -306,13 +295,12 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     // ------------------------------------------------------------------
     let mut diags: Vec<Diagnostic> = Vec::new();
     let access_line = |var: &str| -> u32 {
-        accesses
-            .iter()
-            .filter(|(v, _, _)| v == var)
-            .map(|(_, ti, n)| threads[*ti].cfg.nodes[*n].line)
-            .filter(|l| *l > 0)
-            .min()
-            .unwrap_or(0)
+        let lines = threads.iter().flat_map(|td| {
+            td.global_accesses()
+                .filter(|(_, a)| a.var == var)
+                .map(|(n, _)| td.cfg.nodes[n].line)
+        });
+        lines.filter(|l| *l > 0).min().unwrap_or(0)
     };
     for r in &result.races {
         diags.push(
@@ -393,7 +381,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     // ------------------------------------------------------------------
     // Static independence: which line pairs commute (sleep-set DPOR fuel).
     // ------------------------------------------------------------------
-    result.independence = StaticIndependence::compute(prog, &threads, &result.shared_vars);
+    result.independence = StaticIndependence::compute(&threads, &result.shared_vars);
     result.info.independent_line_pairs = result.independence.pairs_vec();
 
     result

@@ -58,27 +58,46 @@ impl ThreadDecl {
     /// shadows a same-named global for the whole thread).
     pub fn local_names(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        collect_locals(&self.body, &mut out);
+        walk(&self.body, &mut |s, _, _| {
+            if let StmtKind::Local { name, .. } = &s.kind {
+                out.insert(name.clone());
+            }
+        });
         out
     }
 }
 
-fn collect_locals(block: &[Stmt], out: &mut BTreeSet<String>) {
+/// Call `f` on every statement of `block` in source order, descending into
+/// `if`, `while` and `lock` bodies. `f` also gets the names of the `lock`
+/// blocks around the statement, outermost first, and whether a `while`
+/// body encloses it.
+pub fn walk<'a>(block: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt, &[&'a str], bool)) {
+    walk_in(block, &mut Vec::new(), false, f);
+}
+
+fn walk_in<'a>(
+    block: &'a [Stmt],
+    locks: &mut Vec<&'a str>,
+    in_loop: bool,
+    f: &mut dyn FnMut(&'a Stmt, &[&'a str], bool),
+) {
     for s in block {
+        f(s, locks, in_loop);
         match &s.kind {
-            StmtKind::Local { name, .. } => {
-                out.insert(name.clone());
-            }
             StmtKind::If {
                 then_branch,
                 else_branch,
                 ..
             } => {
-                collect_locals(then_branch, out);
-                collect_locals(else_branch, out);
+                walk_in(then_branch, locks, in_loop, f);
+                walk_in(else_branch, locks, in_loop, f);
             }
-            StmtKind::While { body, .. } => collect_locals(body, out),
-            StmtKind::LockBlock { body, .. } => collect_locals(body, out),
+            StmtKind::While { body, .. } => walk_in(body, locks, true, f),
+            StmtKind::LockBlock { lock, body } => {
+                locks.push(lock);
+                walk_in(body, locks, in_loop, f);
+                locks.pop();
+            }
             _ => {}
         }
     }

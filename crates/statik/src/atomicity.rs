@@ -25,7 +25,7 @@
 
 use crate::analysis::ThreadCtx;
 use crate::cfg::{Cfg, NodeKind};
-use crate::dataflow::{solve, LockSet, ReachingDefs};
+use crate::dataflow::LockSet;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Lipton commutativity class of one CFG node.
@@ -42,32 +42,21 @@ pub enum Mover {
 }
 
 /// Classify one node. `racy` answers whether a variable has parallel
-/// conflicting accesses (from the MHP pass).
+/// conflicting accesses (from the MHP pass); it is asked about the node's
+/// raw names, locals included.
 pub fn mover(kind: &NodeKind, racy: &dyn Fn(&str) -> bool) -> Mover {
     match kind {
         NodeKind::Acquire(_) => Mover::Right,
         NodeKind::Release(_) => Mover::Left,
         NodeKind::Wait { .. } | NodeKind::Notify { .. } => Mover::Non,
-        NodeKind::Compute { reads, write } => {
-            if reads.iter().chain(write.iter()).any(|v| racy(v)) {
+        _ => {
+            let (reads, write) = kind.reads_and_write();
+            if reads.iter().chain(write).any(|v| racy(v)) {
                 Mover::Non
             } else {
                 Mover::Both
             }
         }
-        NodeKind::Branch { reads } | NodeKind::Assert { reads } => {
-            if reads.iter().any(|v| racy(v)) {
-                Mover::Non
-            } else {
-                Mover::Both
-            }
-        }
-        NodeKind::Entry
-        | NodeKind::Exit
-        | NodeKind::Join
-        | NodeKind::Skip
-        | NodeKind::Yield
-        | NodeKind::Sleep => Mover::Both,
     }
 }
 
@@ -123,7 +112,6 @@ pub fn find_violations(
 
     for (ti, td) in threads.iter().enumerate() {
         let cfg = &td.cfg;
-        let reach_defs = solve(cfg, &ReachingDefs);
         let reach_fwd: Vec<Vec<bool>> = cfg.ids().map(|n| reachable_after(cfg, n)).collect();
 
         for v in shared {
@@ -155,11 +143,7 @@ pub fn find_violations(
             let mut tainted: BTreeSet<(String, usize)> = BTreeSet::new();
             let mut load_of: BTreeMap<usize, usize> = BTreeMap::new(); // def node -> load node
             for n in cfg.ids() {
-                if let NodeKind::Compute {
-                    reads,
-                    write: Some(t),
-                } = &cfg.nodes[n].kind
-                {
+                if let (reads, Some(t)) = cfg.nodes[n].kind.reads_and_write() {
                     if td.locals.contains(t) && reads.contains(v) {
                         tainted.insert((t.clone(), n));
                         load_of.insert(n, n);
@@ -170,15 +154,11 @@ pub fn find_violations(
             loop {
                 let mut grew = false;
                 for n in cfg.ids() {
-                    if let NodeKind::Compute {
-                        reads,
-                        write: Some(m),
-                    } = &cfg.nodes[n].kind
-                    {
+                    if let (reads, Some(m)) = cfg.nodes[n].kind.reads_and_write() {
                         if !td.locals.contains(m) || tainted.contains(&(m.clone(), n)) {
                             continue;
                         }
-                        let Some(defs) = &reach_defs.before[n] else {
+                        let Some(defs) = &td.defs[n] else {
                             continue;
                         };
                         let from_load = reads.iter().find_map(|r| {
@@ -199,7 +179,7 @@ pub fn find_violations(
                 }
             }
             let tainted_origin = |reads: &[String], n: usize| -> Option<usize> {
-                let defs = reach_defs.before[n].as_ref()?;
+                let defs = td.defs[n].as_ref()?;
                 reads.iter().find_map(|r| {
                     defs.iter()
                         .find(|(name, d)| name == r && tainted.contains(&(r.clone(), *d)))
@@ -220,52 +200,41 @@ pub fn find_violations(
             };
 
             for w in cfg.ids() {
-                match &cfg.nodes[w].kind {
+                let (reads, write) = cfg.nodes[w].kind.reads_and_write();
+                if write == Some(v) {
                     // Dependent write: `v = f(t)` where `t` carries a prior
                     // read of `v`.
-                    NodeKind::Compute {
-                        reads,
-                        write: Some(tgt),
-                    } if tgt == v => {
-                        if reads.contains(v) && guard.is_empty() {
-                            // Single-statement `v = v + 1`: a read and a
-                            // write with a window between their events.
-                            report(w, w, "unprotected read-modify-write");
-                        }
-                        if let Some(d) = tainted_origin(reads, w) {
-                            let kind = if guard.is_empty() {
-                                "unprotected read-modify-write"
-                            } else {
-                                "split-lock read-modify-write"
-                            };
-                            report(d, w, kind);
-                        }
+                    if reads.contains(v) && guard.is_empty() {
+                        // Single-statement `v = v + 1`: a read and a write
+                        // with a window between their events.
+                        report(w, w, "unprotected read-modify-write");
                     }
+                    if let Some(d) = tainted_origin(reads, w) {
+                        let kind = if guard.is_empty() {
+                            "unprotected read-modify-write"
+                        } else {
+                            "split-lock read-modify-write"
+                        };
+                        report(d, w, kind);
+                    }
+                } else if matches!(cfg.nodes[w].kind, NodeKind::Branch { .. }) {
                     // Check: a branch on `v` (directly or via a tainted
                     // local) governing a later write of `v`.
-                    NodeKind::Branch { reads } => {
-                        let origin = if reads.contains(v) {
-                            Some(w)
-                        } else {
-                            tainted_origin(reads, w)
-                        };
-                        if let Some(d) = origin {
-                            for w2 in cfg.ids() {
-                                if w2 == w || !reach_fwd[w][w2] {
-                                    continue;
-                                }
-                                if let NodeKind::Compute {
-                                    write: Some(tgt), ..
-                                } = &cfg.nodes[w2].kind
-                                {
-                                    if tgt == v {
-                                        report(d, w2, "check-then-act");
-                                    }
-                                }
+                    let origin = if reads.contains(v) {
+                        Some(w)
+                    } else {
+                        tainted_origin(reads, w)
+                    };
+                    if let Some(d) = origin {
+                        for w2 in cfg.ids() {
+                            if w2 != w
+                                && reach_fwd[w][w2]
+                                && cfg.nodes[w2].kind.reads_and_write().1 == Some(v)
+                            {
+                                report(d, w2, "check-then-act");
                             }
                         }
                     }
-                    _ => {}
                 }
             }
         }

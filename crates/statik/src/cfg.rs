@@ -60,6 +60,19 @@ pub enum NodeKind {
     Skip,
 }
 
+impl NodeKind {
+    /// The names the node reads, in order, and the one it writes — raw,
+    /// locals included. Empty for every node but compute, branch and
+    /// assert.
+    pub fn reads_and_write(&self) -> (&[String], Option<&String>) {
+        match self {
+            NodeKind::Compute { reads, write } => (reads, write.as_ref()),
+            NodeKind::Branch { reads } | NodeKind::Assert { reads } => (reads, None),
+            _ => (&[], None),
+        }
+    }
+}
+
 /// One CFG node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Node {

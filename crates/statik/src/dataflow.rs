@@ -1,11 +1,12 @@
 //! A reusable forward worklist/fixpoint engine for CFG dataflow analyses.
 //!
 //! Every static pass in this crate that walks a [`Cfg`] to a fixpoint —
-//! must/may locksets, reaching definitions for the atomicity pass — is an
-//! instance of the same scheme: a per-node *fact*, a *transfer* function
-//! describing what one node does to the fact, and a *join* describing how
-//! facts merge where control-flow paths meet. [`solve`] runs the scheme to
-//! fixpoint with a deduplicating worklist.
+//! must/may locksets and reaching definitions, each solved once per thread
+//! in `ThreadCtx::new` — is an instance of the same scheme: a per-node
+//! *fact*, a *transfer* function describing what one node does to the
+//! fact, and a *join* describing how facts merge where control-flow paths
+//! meet. [`solve`] runs the scheme to fixpoint with a deduplicating
+//! worklist.
 //!
 //! The engine is forward-only (MiniProg needs nothing else) and treats
 //! unreachable nodes as "no fact" (`None` in [`Solution::before`]), which
@@ -159,7 +160,7 @@ pub fn held_locks(cfg: &Cfg, must: bool) -> Vec<LockSet> {
 }
 
 // ---------------------------------------------------------------------
-// Reaching definitions over thread locals (used by the atomicity pass)
+// Reaching definitions (the atomicity and independence passes)
 // ---------------------------------------------------------------------
 
 /// A definition: (variable name, defining node id).

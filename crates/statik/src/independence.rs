@@ -8,7 +8,8 @@
 //! pair lets the explorer skip a commuted interleaving it has already
 //! covered.
 //!
-//! Two ops commute when any of the three static arguments applies:
+//! Two ops commute when any of the three static arguments applies (for
+//! accesses, exactly when `AccessSite::may_race` says no):
 //!
 //! 1. **non-MHP** — both belong to the same single-instance thread
 //!    declaration, so they can never be two different threads' next
@@ -31,21 +32,15 @@
 //! unsound one.
 
 use crate::analysis::ThreadCtx;
-use crate::ast::MiniProg;
 use crate::cfg::NodeKind;
-use crate::dataflow::{solve, LockSet, ReachingDefs};
+use crate::mhp::{overlap, AccessSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One abstract operation contributing to a line's footprint.
 #[derive(Clone, Debug)]
 enum Op {
     /// A shared-global access (direct, or tainted via reaching defs).
-    Access {
-        var: String,
-        write: bool,
-        must: LockSet,
-        thread: usize,
-    },
+    Access(AccessSite),
     /// A lock acquire or release.
     Lock { name: String, thread: usize },
 }
@@ -87,21 +82,14 @@ impl StaticIndependence {
         self.pairs.iter().copied().collect()
     }
 
-    /// Compute the relation for `prog`.
-    pub fn compute(
-        prog: &MiniProg,
-        threads: &[ThreadCtx],
-        shared: &BTreeSet<String>,
-    ) -> StaticIndependence {
+    /// Compute the relation over the threads' accesses to `shared` globals.
+    pub fn compute(threads: &[ThreadCtx], shared: &BTreeSet<String>) -> StaticIndependence {
         let counts: Vec<u32> = threads.iter().map(|t| t.count).collect();
         // Per line: ops, or opaque (wait/notify present).
         let mut line_ops: BTreeMap<u32, Vec<Op>> = BTreeMap::new();
         let mut opaque: BTreeSet<u32> = BTreeSet::new();
 
         for (ti, td) in threads.iter().enumerate() {
-            let rd = solve(&td.cfg, &ReachingDefs);
-            let is_shared =
-                |v: &String| !td.locals.contains(v) && prog.is_global(v) && shared.contains(v);
             // Close a node's reads over local definition chains: the set of
             // shared globals whose value may flow into the node.
             let resolve = |node: usize| -> BTreeSet<String> {
@@ -112,23 +100,17 @@ impl StaticIndependence {
                     if !visited.insert(n) {
                         continue;
                     }
-                    let reads: &[String] = match &td.cfg.nodes[n].kind {
-                        NodeKind::Compute { reads, .. } => reads,
-                        NodeKind::Branch { reads } | NodeKind::Assert { reads } => reads,
-                        _ => &[],
-                    };
-                    for r in reads {
-                        if is_shared(r) {
-                            out.insert(r.clone());
-                        } else if td.locals.contains(r) {
-                            if let Some(defs) = rd.before[n].as_ref() {
-                                for (name, dnode) in defs {
-                                    if name == r {
-                                        stack.push(*dnode);
-                                    }
-                                }
-                            }
+                    for a in &td.accesses[n] {
+                        if !a.write && shared.contains(&a.var) {
+                            out.insert(a.var.clone());
                         }
+                    }
+                    let (reads, _) = td.cfg.nodes[n].kind.reads_and_write();
+                    let Some(defs) = td.defs[n].as_ref() else {
+                        continue;
+                    };
+                    for r in reads.iter().filter(|r| td.locals.contains(*r)) {
+                        stack.extend(defs.iter().filter(|(name, _)| name == r).map(|(_, d)| *d));
                     }
                 }
                 out
@@ -141,85 +123,39 @@ impl StaticIndependence {
                 // Cover the line even when every op is filtered out (e.g. a
                 // write to a provably-local variable): an empty footprint
                 // commutes with everything, and only covered lines get pairs.
-                line_ops.entry(node.line).or_default();
-                let mut push = |line: u32, op: Op| {
-                    line_ops.entry(line).or_default().push(op);
+                let ops = line_ops.entry(node.line).or_default();
+                let site = |var: String, write: bool| {
+                    Op::Access(AccessSite {
+                        thread: ti,
+                        node: n,
+                        var,
+                        write,
+                        line: node.line,
+                        must: td.must[n].clone(),
+                    })
                 };
+                ops.extend(resolve(n).into_iter().map(|var| site(var, false)));
+                for a in &td.accesses[n] {
+                    if a.write && shared.contains(&a.var) {
+                        ops.push(site(a.var.clone(), true));
+                    }
+                }
                 match &node.kind {
-                    NodeKind::Compute { write, .. } => {
-                        for var in resolve(n) {
-                            push(
-                                node.line,
-                                Op::Access {
-                                    var,
-                                    write: false,
-                                    must: td.must[n].clone(),
-                                    thread: ti,
-                                },
-                            );
-                        }
-                        if let Some(w) = write {
-                            if is_shared(w) {
-                                push(
-                                    node.line,
-                                    Op::Access {
-                                        var: w.clone(),
-                                        write: true,
-                                        must: td.must[n].clone(),
-                                        thread: ti,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    NodeKind::Branch { .. } | NodeKind::Assert { .. } => {
-                        for var in resolve(n) {
-                            push(
-                                node.line,
-                                Op::Access {
-                                    var,
-                                    write: false,
-                                    must: td.must[n].clone(),
-                                    thread: ti,
-                                },
-                            );
-                        }
-                    }
-                    NodeKind::Acquire(l) | NodeKind::Release(l) => {
-                        push(
-                            node.line,
-                            Op::Lock {
-                                name: l.clone(),
-                                thread: ti,
-                            },
-                        );
-                    }
+                    NodeKind::Acquire(l) | NodeKind::Release(l) => ops.push(Op::Lock {
+                        name: l.clone(),
+                        thread: ti,
+                    }),
                     NodeKind::Wait { .. } | NodeKind::Notify { .. } => {
                         opaque.insert(node.line);
                     }
-                    NodeKind::Yield | NodeKind::Sleep | NodeKind::Skip => {}
-                    NodeKind::Entry | NodeKind::Exit | NodeKind::Join => {}
+                    _ => {}
                 }
             }
         }
 
-        let non_mhp = |t1: usize, t2: usize| t1 == t2 && counts[t1] == 1;
         let commute = |a: &Op, b: &Op| -> bool {
             match (a, b) {
-                (
-                    Op::Access {
-                        var: va,
-                        write: wa,
-                        must: ma,
-                        thread: ta,
-                    },
-                    Op::Access {
-                        var: vb,
-                        write: wb,
-                        must: mb,
-                        thread: tb,
-                    },
-                ) => non_mhp(*ta, *tb) || va != vb || (!wa && !wb) || !ma.is_disjoint(mb),
+                (Op::Access(a), Op::Access(b)) => !a.may_race(b, &counts),
                 (
                     Op::Lock {
                         name: la,
@@ -229,8 +165,8 @@ impl StaticIndependence {
                         name: lb,
                         thread: tb,
                     },
-                ) => non_mhp(*ta, *tb) || la != lb,
-                (Op::Access { .. }, Op::Lock { .. }) | (Op::Lock { .. }, Op::Access { .. }) => true,
+                ) => !overlap(&counts, *ta, *tb) || la != lb,
+                (Op::Access(_), Op::Lock { .. }) | (Op::Lock { .. }, Op::Access(_)) => true,
             }
         };
 

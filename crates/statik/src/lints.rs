@@ -18,7 +18,7 @@
 //!   stale cached value can spin forever.
 
 use crate::analysis::ThreadCtx;
-use crate::ast::{Expr, MiniProg, Stmt, StmtKind, ThreadDecl};
+use crate::ast::{walk, Expr, MiniProg, Stmt, StmtKind, ThreadDecl};
 use crate::cfg::NodeKind;
 use crate::diag::{Diagnostic, Severity};
 use std::collections::BTreeSet;
@@ -47,29 +47,10 @@ pub fn run(ctx: &LintCtx<'_>) -> Vec<Diagnostic> {
     out
 }
 
-fn walk<'a>(block: &'a [Stmt], in_loop: bool, f: &mut dyn FnMut(&'a Stmt, bool)) {
-    for s in block {
-        f(s, in_loop);
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk(then_branch, in_loop, f);
-                walk(else_branch, in_loop, f);
-            }
-            StmtKind::While { body, .. } => walk(body, true, f),
-            StmtKind::LockBlock { body, .. } => walk(body, in_loop, f),
-            _ => {}
-        }
-    }
-}
-
 /// L001: a `wait` whose enclosing statement chain contains no loop.
 fn wait_outside_loop(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
     for t in &ctx.prog.threads {
-        walk(&t.body, false, &mut |s, in_loop| {
+        walk(&t.body, &mut |s, _, in_loop| {
             if let StmtKind::Wait { cond, .. } = &s.kind {
                 if !in_loop {
                     out.push(
@@ -96,14 +77,14 @@ fn wait_outside_loop(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
 fn notify_without_waiter(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
     let mut waited: BTreeSet<&str> = BTreeSet::new();
     for t in &ctx.prog.threads {
-        walk(&t.body, false, &mut |s, _| {
+        walk(&t.body, &mut |s, _, _| {
             if let StmtKind::Wait { cond, .. } = &s.kind {
                 waited.insert(cond.as_str());
             }
         });
     }
     for t in &ctx.prog.threads {
-        walk(&t.body, false, &mut |s, _| {
+        walk(&t.body, &mut |s, _, _| {
             if let StmtKind::Notify { cond, .. } = &s.kind {
                 if !waited.contains(cond.as_str()) {
                     out.push(
@@ -141,7 +122,7 @@ const MAX_PATHS: usize = 64;
 /// Variables written anywhere in `block` (assignment targets and local
 /// declarations), used to invalidate branch correlations across a loop.
 fn writes_of(block: &[Stmt], out: &mut BTreeSet<String>) {
-    walk(block, false, &mut |s, _| match &s.kind {
+    walk(block, &mut |s, _, _| match &s.kind {
         StmtKind::Assign { target, .. } => {
             out.insert(target.clone());
         }
@@ -370,8 +351,10 @@ fn sleep_as_synchronization(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
             if !matches!(cfg.nodes[n].kind, NodeKind::Sleep) {
                 continue;
             }
-            // BFS forward from the sleep looking for an unguarded shared
-            // access.
+            // Search depth-first forward from the sleep for an unguarded
+            // shared access. The span is the first one this order meets,
+            // which no reachable set determines, so the search stays here
+            // rather than reading the atomicity pass's reachability.
             let mut seen = vec![false; cfg.nodes.len()];
             let mut work = cfg.succ[n].clone();
             let mut hit: Option<(u32, String)> = None;
@@ -380,20 +363,11 @@ fn sleep_as_synchronization(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                     continue;
                 }
                 seen[m] = true;
-                let touched: Vec<&String> = match &cfg.nodes[m].kind {
-                    NodeKind::Compute { reads, write } => {
-                        reads.iter().chain(write.iter()).collect()
-                    }
-                    NodeKind::Branch { reads } | NodeKind::Assert { reads } => {
-                        reads.iter().collect()
-                    }
-                    _ => Vec::new(),
-                };
-                if let Some(v) = touched
+                if let Some(a) = td.accesses[m]
                     .iter()
-                    .find(|v| !td.locals.contains(**v) && ctx.unguarded.contains(**v))
+                    .find(|a| ctx.unguarded.contains(&a.var))
                 {
-                    hit = Some((cfg.nodes[m].line, (*v).clone()));
+                    hit = Some((cfg.nodes[m].line, a.var.clone()));
                     break;
                 }
                 work.extend(cfg.succ[m].iter().copied());
@@ -426,28 +400,15 @@ fn sleep_as_synchronization(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// non-volatile shared variable, with no visibility-refreshing operation
 /// in condition or body.
 fn spin_on_nonvolatile(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
-    // Vars written anywhere, per thread declaration.
+    // The thread declarations that write global `v`.
     let writers = |v: &str| -> Vec<&str> {
-        ctx.prog
-            .threads
-            .iter()
-            .filter(|t| {
-                let mut writes = false;
-                walk(&t.body, false, &mut |s, _| {
-                    if let StmtKind::Assign { target, .. } = &s.kind {
-                        if target == v && !t.local_names().contains(v) {
-                            writes = true;
-                        }
-                    }
-                });
-                writes
-            })
-            .map(|t| t.name.as_str())
-            .collect()
+        let writes = |td: &&ThreadCtx| td.global_accesses().any(|(_, a)| a.write && a.var == v);
+        let writers = ctx.threads.iter().filter(writes);
+        writers.map(|td| td.name.as_str()).collect()
     };
-    for t in &ctx.prog.threads {
-        let locals = t.local_names();
-        walk(&t.body, false, &mut |s, _| {
+    for (t, td) in ctx.prog.threads.iter().zip(ctx.threads) {
+        let locals = &td.locals;
+        walk(&t.body, &mut |s, _, _| {
             let StmtKind::While { cond, body } = &s.kind else {
                 return;
             };
@@ -471,7 +432,7 @@ fn spin_on_nonvolatile(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
             }
             // Any sync operation in the body refreshes this thread's view.
             let mut refreshes = false;
-            walk(body, true, &mut |b, _| {
+            walk(body, &mut |b, _, _| {
                 if matches!(
                     b.kind,
                     StmtKind::LockBlock { .. }

@@ -15,12 +15,22 @@
 //! lock escapes (it *is* touched by several threads) but its access sites
 //! can never interleave, so the instrumentor may drop them and the
 //! explorer need not branch there.
+//!
+//! `overlap` and `AccessSite::may_race` state these two rules once for
+//! the crate: escape analysis and the atomicity pass's competing writers
+//! ask `overlap`, and the independence oracle asks both.
 
 use crate::analysis::ThreadCtx;
-use crate::ast::MiniProg;
-use crate::cfg::NodeKind;
 use crate::dataflow::LockSet;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Can an instance of thread declaration `a` run alongside an instance of
+/// `b`? Different declarations always overlap; one declaration overlaps
+/// itself only when replicated. `counts` holds each declaration's replica
+/// count.
+pub(crate) fn overlap(counts: &[u32], a: usize, b: usize) -> bool {
+    a != b || counts[a] > 1
+}
 
 /// One static access to a shared global.
 #[derive(Clone, Debug)]
@@ -39,6 +49,24 @@ pub struct AccessSite {
     pub must: LockSet,
 }
 
+impl AccessSite {
+    /// Overlapping thread instances and no common must-held lock.
+    fn parallel(&self, other: &AccessSite, counts: &[u32]) -> bool {
+        overlap(counts, self.thread, other.thread) && self.must.is_disjoint(&other.must)
+    }
+
+    /// The same variable, at least one write.
+    fn conflicts(&self, other: &AccessSite) -> bool {
+        self.var == other.var && (self.write || other.write)
+    }
+
+    /// The may-race test: two conflicting accesses that may execute in
+    /// parallel.
+    pub(crate) fn may_race(&self, other: &AccessSite, counts: &[u32]) -> bool {
+        self.conflicts(other) && self.parallel(other, counts)
+    }
+}
+
 /// The computed MHP relation over shared-access sites.
 #[derive(Clone, Debug, Default)]
 pub struct MhpFacts {
@@ -55,16 +83,13 @@ impl MhpFacts {
     /// May sites `a` and `b` execute in parallel? Symmetric by
     /// construction: thread-overlap and lockset-disjointness both are.
     pub fn mhp(&self, a: usize, b: usize) -> bool {
-        let (sa, sb) = (&self.sites[a], &self.sites[b]);
-        let overlap = sa.thread != sb.thread || self.counts[sa.thread] > 1;
-        overlap && sa.must.is_disjoint(&sb.must)
+        self.sites[a].parallel(&self.sites[b], &self.counts)
     }
 
     /// Do sites `a` and `b` touch the same variable with at least one
     /// write?
     pub fn conflicts(&self, a: usize, b: usize) -> bool {
-        let (sa, sb) = (&self.sites[a], &self.sites[b]);
-        sa.var == sb.var && (sa.write || sb.write)
+        self.sites[a].conflicts(&self.sites[b])
     }
 
     /// Is some access on `line` part of a parallel conflict? `None` when
@@ -77,68 +102,45 @@ impl MhpFacts {
     /// "really racy in some interleaving" set the atomicity pass starts
     /// from.
     pub fn contended_vars(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for i in 0..self.sites.len() {
-            for j in i + 1..self.sites.len() {
-                if self.conflicts(i, j) && self.mhp(i, j) {
-                    if !out.contains(&self.sites[i].var) {
-                        out.push(self.sites[i].var.clone());
-                    }
-                    break;
-                }
+        let mut out: BTreeSet<&String> = BTreeSet::new();
+        for (i, site) in self.sites.iter().enumerate() {
+            if self.sites[i + 1..]
+                .iter()
+                .any(|other| site.may_race(other, &self.counts))
+            {
+                out.insert(&site.var);
             }
         }
-        out.sort();
-        out
+        out.into_iter().cloned().collect()
     }
 }
 
-/// Compute the MHP relation over every shared-global access in `prog`.
-pub fn compute(prog: &MiniProg, threads: &[ThreadCtx], shared: &dyn Fn(&str) -> bool) -> MhpFacts {
+/// Compute the MHP relation over every access to a `shared` global.
+pub fn compute(threads: &[ThreadCtx], shared: &BTreeSet<String>) -> MhpFacts {
     let mut facts = MhpFacts {
         counts: threads.iter().map(|t| t.count).collect(),
         ..Default::default()
     };
     for (ti, td) in threads.iter().enumerate() {
-        for n in td.cfg.ids() {
-            let node = &td.cfg.nodes[n];
-            let (reads, write): (Vec<&String>, Option<&String>) = match &node.kind {
-                NodeKind::Compute { reads, write } => (reads.iter().collect(), write.as_ref()),
-                NodeKind::Branch { reads } | NodeKind::Assert { reads } => {
-                    (reads.iter().collect(), None)
-                }
-                _ => continue,
-            };
-            let mut push = |var: &String, is_write: bool| {
-                if !td.locals.contains(var) && prog.is_global(var) && shared(var) {
-                    facts.sites.push(AccessSite {
-                        thread: ti,
-                        node: n,
-                        var: var.clone(),
-                        write: is_write,
-                        line: node.line,
-                        must: td.must[n].clone(),
-                    });
-                }
-            };
-            for r in reads {
-                push(r, false);
-            }
-            if let Some(w) = write {
-                push(w, true);
+        for (n, a) in td.global_accesses() {
+            if shared.contains(&a.var) {
+                facts.sites.push(AccessSite {
+                    thread: ti,
+                    node: n,
+                    var: a.var.clone(),
+                    write: a.write,
+                    line: td.cfg.nodes[n].line,
+                    must: td.must[n].clone(),
+                });
             }
         }
     }
-    // A site is parallel-relevant if it conflicts with some site it may
-    // overlap with; a line inherits the OR over its sites.
-    for i in 0..facts.sites.len() {
-        let parallel =
-            (0..facts.sites.len()).any(|j| j != i && facts.conflicts(i, j) && facts.mhp(i, j));
-        let e = facts
-            .line_parallel
-            .entry(facts.sites[i].line)
-            .or_insert(false);
-        *e |= parallel;
+    // A site is parallel-relevant if it races with some other site; a line
+    // inherits the OR over its sites.
+    for (i, site) in facts.sites.iter().enumerate() {
+        let mut others = facts.sites.iter().enumerate().filter(|&(j, _)| j != i);
+        let parallel = others.any(|(_, other)| site.may_race(other, &facts.counts));
+        *facts.line_parallel.entry(site.line).or_insert(false) |= parallel;
     }
     facts
 }

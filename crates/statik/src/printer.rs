@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn all_samples_roundtrip() {
-        for (name, src, _) in samples::all() {
+        for samples::Sample { name, src, .. } in samples::catalog() {
             let ast = parse(src).unwrap();
             let printed = print(&ast);
             let reparsed =

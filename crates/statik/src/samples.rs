@@ -526,15 +526,6 @@ pub fn by_name(name: &str) -> Option<Sample> {
     catalog().into_iter().find(|s| s.name == name)
 }
 
-/// All samples as `(name, source, bug_tags)` triples (the pre-catalog
-/// shape, kept for callers that only need the sources).
-pub fn all() -> Vec<(&'static str, &'static str, Vec<&'static str>)> {
-    catalog()
-        .into_iter()
-        .map(|s| (s.name, s.src, s.bug_tags))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,9 +534,9 @@ mod tests {
 
     #[test]
     fn all_samples_parse() {
-        for (name, src, _) in all() {
-            let p = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(p.name, name);
+        for s in catalog() {
+            let p = parse(s.src).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+            assert_eq!(p.name, s.name);
             assert!(p.thread_instances() >= 1);
         }
     }
@@ -572,11 +563,12 @@ mod tests {
     }
 
     #[test]
-    fn catalog_and_all_agree() {
+    fn catalog_lists_every_sample_by_name() {
         let cat = catalog();
-        assert_eq!(cat.len(), all().len());
         assert_eq!(cat.len(), 15, "the full 15-program catalog");
-        assert!(by_name("mp_spin_flag").is_some());
+        for s in &cat {
+            assert_eq!(by_name(s.name).map(|found| found.src), Some(s.src));
+        }
         assert!(by_name("no_such_program").is_none());
     }
 
