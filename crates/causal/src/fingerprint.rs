@@ -90,6 +90,57 @@ impl Fnv {
     }
 }
 
+/// FNV-1a-128 over one fixed name, as a function of the state it starts
+/// from, in O(1) per call.
+///
+/// The FNV prime is ≡ 0x3B (mod 256), so the low byte of the state evolves
+/// on its own: hashing the name from state `h` gives `(h - l)·P^n + T[l]`
+/// (mod 2^128), where `l = h mod 256`, `n` is the name's length and `T[l]`
+/// is the byte-wise hash of the name from state `l`.
+#[derive(Debug)]
+struct NameHash {
+    /// `P^n`.
+    pow: u128,
+    /// `T[l]` for every low byte `l`.
+    table: [u128; 256],
+}
+
+impl NameHash {
+    fn new(name: &[u8]) -> Self {
+        let pow = name.iter().fold(1u128, |p, _| p.wrapping_mul(FNV_PRIME));
+        let table = std::array::from_fn(|l| {
+            let mut h = Fnv(l as u128);
+            h.write(name);
+            h.0
+        });
+        NameHash { pow, table }
+    }
+
+    /// The state after hashing the name from `h`.
+    fn apply(&self, h: u128) -> u128 {
+        let low = h & 0xff;
+        (h - low)
+            .wrapping_mul(self.pow)
+            .wrapping_add(self.table[low as usize])
+    }
+
+    /// The table of `file`, built once per distinct name per process and
+    /// leaked, as [`mtt_instrument::intern_static`] leaks its strings: a
+    /// process hashes a small, bounded set of file names.
+    fn of(file: &'static str) -> &'static NameHash {
+        use std::collections::HashMap;
+        use std::sync::{Mutex, OnceLock};
+        static TABLES: OnceLock<Mutex<HashMap<&'static str, &'static NameHash>>> = OnceLock::new();
+        let mut tables = TABLES
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("name-hash tables poisoned");
+        tables
+            .entry(file)
+            .or_insert_with(|| Box::leak(Box::new(NameHash::new(file.as_bytes()))))
+    }
+}
+
 /// The conflict clocks of one variable. An empty clock joins as a no-op, so
 /// "no write yet" and "no read since the last write" need no flag.
 #[derive(Clone, Debug, Default)]
@@ -113,6 +164,10 @@ pub struct Fingerprinter {
     /// event has no lane.
     lanes: IdTable<(u64, u128)>,
     events: u64,
+    /// The most recent file name and its hash table: consecutive events
+    /// almost always share a file, so the process-wide tables are rarely
+    /// looked up at all.
+    last_file: Option<(&'static str, &'static NameHash)>,
 }
 
 impl Fingerprinter {
@@ -124,6 +179,18 @@ impl Fingerprinter {
     /// Events consumed so far.
     pub fn events(&self) -> u64 {
         self.events
+    }
+
+    /// The hash table of `file`'s name.
+    fn name_hash(&mut self, file: &'static str) -> &'static NameHash {
+        match self.last_file {
+            Some((last, table)) if std::ptr::eq(last, file) => table,
+            _ => {
+                let table = NameHash::of(file);
+                self.last_file = Some((file, table));
+                table
+            }
+        }
     }
 
     /// The fingerprint of everything consumed so far.
@@ -138,11 +205,12 @@ impl Fingerprinter {
     }
 }
 
-/// Feed the structural label of an event: location, op kind, resource ids.
-/// Deliberately excluded: `seq`, `time`, data values (they differ between
-/// equivalent linearizations or across replay modes).
-fn hash_label(h: &mut Fnv, ev: &Event) {
-    h.write(ev.loc.file.as_bytes());
+/// Feed the structural label of an event: location (its file name through
+/// `file`, the name's table), op kind, resource ids. Deliberately excluded:
+/// `seq`, `time`, data values (they differ between equivalent
+/// linearizations or across replay modes).
+fn hash_label(h: &mut Fnv, file: &NameHash, ev: &Event) {
+    h.0 = file.apply(h.0);
     h.write_u32(ev.loc.line);
     match ev.op {
         Op::VarRead { var, .. } => {
@@ -252,6 +320,7 @@ fn hash_clock(h: &mut Fnv, clock: &VectorClock) {
 impl EventSink for Fingerprinter {
     fn on_event(&mut self, ev: &Event) {
         let me = ev.thread;
+        let file = self.name_hash(ev.loc.file);
         self.sync.acquire(ev);
         let mut access = ev.op.var().zip(ev.op.access_kind()).map(|(var, kind)| {
             (
@@ -282,7 +351,7 @@ impl EventSink for Fingerprinter {
         // Fold into the thread's lane.
         let lane = self.lanes.get_or_insert_with(me.0, || (0, FNV_OFFSET));
         let mut h = Fnv(lane.1);
-        hash_label(&mut h, ev);
+        hash_label(&mut h, file, ev);
         hash_clock(&mut h, snapshot);
         lane.0 += 1;
         lane.1 = h.0;
@@ -335,6 +404,39 @@ mod tests {
             var: VarId(var),
             value: 0,
         }
+    }
+
+    /// The byte-wise FNV-1a-128 of `name` from state `h`.
+    fn bytewise(h: u128, name: &[u8]) -> u128 {
+        let mut f = Fnv(h);
+        f.write(name);
+        f.0
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn name_table_equals_bytewise_fnv(
+            high in proptest::prelude::any::<u64>(),
+            low in proptest::prelude::any::<u64>(),
+            name in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+        ) {
+            let h = (u128::from(high) << 64) | u128::from(low);
+            let table = NameHash::new(&name);
+            proptest::prop_assert_eq!(table.apply(h), bytewise(h, &name));
+            proptest::prop_assert_eq!(table.apply(FNV_OFFSET), bytewise(FNV_OFFSET, &name));
+        }
+    }
+
+    #[test]
+    fn name_table_covers_empty_and_long_names() {
+        let long: Vec<u8> = (0..5_000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for name in [&b""[..], b"p", b"crates/suite/src/small.rs", &long] {
+            let table = NameHash::new(name);
+            for h in [0, 1, 0xff, 0x100, FNV_OFFSET, u128::MAX, u128::MAX - 0x80] {
+                assert_eq!(table.apply(h), bytewise(h, name), "{} bytes", name.len());
+            }
+        }
+        assert!(std::ptr::eq(NameHash::of("p"), NameHash::of("p")));
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //!   per-thread and per-resource clocks it advances; the annotator, the
 //!   fingerprint and `mtt-race`'s FastTrack detector all run on it.
 //!
+//! [`IdTable`] holds per-thread, per-variable and per-resource state by id
+//! (dense below 2^16); the fingerprint, [`SyncClocks`] and `mtt-race`'s
+//! detectors key on it.
+//!
 //! [`clock::VectorClock`] is the canonical vector-clock implementation;
 //! `mtt-race`'s FastTrack detector re-exports and reuses it. All renderings
 //! are pure functions of their input traces, so every default output is
@@ -52,4 +56,5 @@ pub use hb::{
     HbAnnotator,
 };
 pub use sync::SyncClocks;
+pub use table::IdTable;
 pub use timeline::{op_label, render_timeline, thread_label, timeline_csv};

@@ -1,5 +1,5 @@
-//! [`IdTable`]: per-id state of the happens-before machines, indexed by the
-//! runtime's dense ids instead of hashed.
+//! [`IdTable`]: per-id state of the happens-before machines and the race
+//! detectors, indexed by the runtime's dense ids instead of hashed.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +16,7 @@ const DENSE_IDS: u32 = mtt_trace::THREAD_ID_BOUND;
 /// Iteration is in id order, and an id that was never inserted has no
 /// entry.
 #[derive(Clone, Debug)]
-pub(crate) struct IdTable<T> {
+pub struct IdTable<T> {
     dense: Vec<Option<T>>,
     sparse: BTreeMap<u32, T>,
 }
@@ -32,7 +32,7 @@ impl<T> Default for IdTable<T> {
 
 impl<T> IdTable<T> {
     /// The value of `id`, if one was inserted.
-    pub(crate) fn get(&self, id: u32) -> Option<&T> {
+    pub fn get(&self, id: u32) -> Option<&T> {
         if id < DENSE_IDS {
             self.dense.get(id as usize)?.as_ref()
         } else {
@@ -41,7 +41,7 @@ impl<T> IdTable<T> {
     }
 
     /// The value of `id`, inserting `init()` first if there is none.
-    pub(crate) fn get_or_insert_with(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
+    pub fn get_or_insert_with(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
         if id >= DENSE_IDS {
             return self.sparse.entry(id).or_insert_with(init);
         }
@@ -53,7 +53,7 @@ impl<T> IdTable<T> {
     }
 
     /// Remove and return the value of `id`.
-    pub(crate) fn take(&mut self, id: u32) -> Option<T> {
+    pub fn take(&mut self, id: u32) -> Option<T> {
         if id < DENSE_IDS {
             self.dense.get_mut(id as usize)?.take()
         } else {
@@ -62,7 +62,7 @@ impl<T> IdTable<T> {
     }
 
     /// Every entry, in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         let dense = self
             .dense
             .iter()

@@ -5,6 +5,8 @@
 use crate::jobpool::{CellCodec, CellJournal, JobPool, PoolStats};
 use crate::report::Table;
 use crate::stats::FindStats;
+use mtt_causal::Fingerprinter;
+use mtt_instrument::{Event, EventSink};
 use mtt_obs::{CampaignMeta, CellDone, JournalSink, ResumeCache};
 use mtt_runtime::Execution;
 use mtt_suite::SuiteProgram;
@@ -52,7 +54,7 @@ pub struct Campaign {
     pub tools: Vec<ToolConfig>,
     /// Runs per cell.
     pub runs: u64,
-    /// Base seed (run `r` uses seed `base_seed + r`).
+    /// Base seed (run `r` uses seed `base_seed + r`, wrapping).
     pub base_seed: u64,
     /// Per-run step budget.
     pub max_steps: u64,
@@ -87,9 +89,9 @@ pub struct Campaign {
 }
 
 /// The result of one (program, tool, seed) run — the unit the job pool
-/// shards. Everything a cell aggregates is derived from these records in
-/// canonical index order, which is why parallel and serial reports agree
-/// byte for byte.
+/// shards. The worker that ran it folds it into its share of the run's
+/// cell ([`CellFold`]) and drops it; only its run-log line, if any, is
+/// kept.
 struct RunRecord {
     failed: bool,
     manifested: Vec<String>,
@@ -106,6 +108,30 @@ struct RunRecord {
     /// computed whenever the campaign has somewhere to report it (telemetry
     /// or a journal), `None` on the bare fast path.
     fingerprint: Option<String>,
+}
+
+/// What a campaign records of one run's events: its telemetry, when the
+/// campaign collects it, and its schedule fingerprint.
+#[derive(Default)]
+struct Recorder {
+    telemetry: Option<TelemetrySink>,
+    fingerprint: Fingerprinter,
+}
+
+impl EventSink for Recorder {
+    fn on_event(&mut self, ev: &Event) {
+        if let Some(t) = &mut self.telemetry {
+            t.on_event(ev);
+        }
+        self.fingerprint.on_event(ev);
+    }
+
+    fn finish(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.finish();
+        }
+        self.fingerprint.finish();
+    }
 }
 
 /// The backend tag a journal `done` record and a run-log record carry:
@@ -156,6 +182,112 @@ impl CellCodec<RunRecord> for Campaign {
     }
 }
 
+/// What one worker has folded of one cell's runs. Every field merges with
+/// an operation that gives the same result under any split of the runs
+/// into shares and any merge order: sums, [`FindStats::merge`],
+/// [`RunMetrics::merge`], and the minimum on run indices.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct CellFold {
+    any_bug: FindStats,
+    per_bug: BTreeMap<String, FindStats>,
+    events: u64,
+    points: u64,
+    injections: u64,
+    wall: Duration,
+    timed_out: u64,
+    /// `(run, seed)` of the failing run with the smallest run index (the
+    /// index, not the seed: seeds wrap around `u64::MAX`).
+    first_fail: Option<(u64, u64)>,
+    /// `(run, seed)` of the passing run with the smallest run index.
+    first_pass: Option<(u64, u64)>,
+    /// The runs' telemetry, merged.
+    metrics: RunMetrics,
+}
+
+/// The smaller of two optional `(run, seed)` pairs, by run index.
+fn first_run(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> Option<(u64, u64)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+impl CellFold {
+    /// An empty fold of a cell whose program documents the bugs `tags`.
+    fn new(tags: Vec<&str>) -> Self {
+        CellFold {
+            per_bug: tags
+                .into_iter()
+                .map(|t| (t.to_string(), FindStats::default()))
+                .collect(),
+            ..CellFold::default()
+        }
+    }
+
+    /// Fold in run `r` of the cell.
+    fn add(&mut self, r: u64, rec: &RunRecord) {
+        self.any_bug.record(rec.failed);
+        let first = if rec.failed {
+            &mut self.first_fail
+        } else {
+            &mut self.first_pass
+        };
+        *first = first_run(*first, Some((r, rec.seed)));
+        for (tag, stats) in self.per_bug.iter_mut() {
+            stats.record(rec.manifested.iter().any(|m| m == tag));
+        }
+        self.events += rec.events;
+        self.points += rec.sched_points;
+        self.injections += rec.injections;
+        self.wall += rec.elapsed;
+        self.timed_out += u64::from(rec.timed_out);
+        if let Some(m) = &rec.metrics {
+            self.metrics.merge(m);
+        }
+    }
+
+    /// Fold in another share of the same cell.
+    fn merge(&mut self, other: &CellFold) {
+        self.any_bug.merge(&other.any_bug);
+        for (tag, stats) in self.per_bug.iter_mut() {
+            stats.merge(&other.per_bug[tag]);
+        }
+        self.events += other.events;
+        self.points += other.points;
+        self.injections += other.injections;
+        self.wall += other.wall;
+        self.timed_out += other.timed_out;
+        self.first_fail = first_run(self.first_fail, other.first_fail);
+        self.first_pass = first_run(self.first_pass, other.first_pass);
+        self.metrics.merge(&other.metrics);
+    }
+
+    /// The cell's result over its `runs` runs, and its merged telemetry.
+    fn finish(self, runs: u64) -> (CellResult, RunMetrics) {
+        let n = runs.max(1) as f64;
+        let cell = CellResult {
+            any_bug: self.any_bug,
+            per_bug: self.per_bug,
+            avg_events: self.events as f64 / n,
+            avg_points: self.points as f64 / n,
+            avg_injections: self.injections as f64 / n,
+            wall: self.wall,
+            timed_out: self.timed_out,
+            first_fail_seed: self.first_fail.map(|(_, seed)| seed),
+            first_pass_seed: self.first_pass.map(|(_, seed)| seed),
+        };
+        (cell, self.metrics)
+    }
+}
+
+/// One pool worker's share of a campaign: a [`CellFold`] per cell, in
+/// (program, tool) order, and the run-log lines of the runs it folded, each
+/// with its run's index in the grid.
+struct CampaignShare {
+    cells: Vec<CellFold>,
+    run_log: Vec<(usize, RunLogRecord)>,
+}
+
 impl Campaign {
     /// A campaign over the given programs with the standard tool roster.
     pub fn standard(programs: Vec<SuiteProgram>, runs: u64) -> Self {
@@ -199,8 +331,8 @@ impl Campaign {
 
     /// Execute the whole grid on an explicit pool. The rendered report is
     /// byte-identical for every pool size: run `r` of a cell always uses
-    /// seed `base_seed + r`, and shard results merge in canonical
-    /// (program, tool, run) order.
+    /// seed `base_seed + r`, and a cell's statistics merge the same way
+    /// whichever worker folded which run.
     pub fn run_on(&self, pool: &JobPool) -> CampaignReport {
         self.run_full(pool).report
     }
@@ -210,11 +342,16 @@ impl Campaign {
     /// on), the merged per-cell [`RunMetrics`], wall-clock span timings of
     /// the campaign phases, and the pool's per-worker accounting.
     ///
+    /// Each worker folds the runs it executes into its own share of every
+    /// cell ([`CellFold`]) and keeps only their run-log lines; the shares
+    /// merge once at the end, and the run-log lines are put in (program,
+    /// tool, run) order. So apart from the run log, memory does not grow
+    /// with the run count.
+    ///
     /// The report, run log and cell metrics are deterministic (pure
-    /// functions of the seeds, assembled in canonical order); the spans and
-    /// pool stats are wall-clock and belong in segregated output only. The
-    /// campaign's own `journal` and `resume` take the place of any journal
-    /// the pool records in.
+    /// functions of the seeds); the spans and pool stats are wall-clock and
+    /// belong in segregated output only. The campaign's own `journal` and
+    /// `resume` take the place of any journal the pool records in.
     pub fn run_full(&self, pool: &JobPool) -> CampaignRun {
         let n_tools = self.tools.len();
         let n_runs = self.runs as usize;
@@ -249,79 +386,84 @@ impl Campaign {
                 program: prog.name.to_string(),
                 tool: tool.name.clone(),
                 tool_spec: spec.clone(),
-                seed: self.base_seed + r,
+                seed: self.base_seed.wrapping_add(r),
                 run: r,
                 backend: native_tag(tool),
                 ..CellDone::default()
             }
         };
 
+        // A worker's share: one fold per cell, its bug tags filled in once,
+        // and the run-log lines it produced, each with its run's index.
+        let share = || CampaignShare {
+            cells: self
+                .programs
+                .iter()
+                .flat_map(|prog| {
+                    self.tools
+                        .iter()
+                        .map(move |_| CellFold::new(prog.bug_tags()))
+                })
+                .collect(),
+            run_log: Vec::new(),
+        };
         let execute = spans.enter("campaign.execute");
-        let (records, pool_stats) = pool.cells_with(self, total, key, |i| {
-            let (prog, tool, _, r) = cell(i);
-            self.one_run(prog, tool, r)
-        });
+        let (shares, pool_stats) = pool.cells_with(
+            self,
+            total,
+            key,
+            |i| {
+                let (prog, tool, _, r) = cell(i);
+                self.one_run(prog, tool, r)
+            },
+            share,
+            |share, i, mut rec| {
+                let r = (i % n_runs) as u64;
+                share.cells[i / n_runs].add(r, &rec);
+                if let Some(metrics) = rec.metrics.take() {
+                    let (prog, tool, spec, _) = cell(i);
+                    let line = RunLogRecord {
+                        experiment: self.label.clone(),
+                        program: prog.name.to_string(),
+                        tool: tool.name.clone(),
+                        tool_spec: spec.clone(),
+                        run: r,
+                        seed: rec.seed,
+                        outcome: rec.outcome_tag,
+                        failed: rec.failed,
+                        backend: native_tag(tool),
+                        fingerprint: rec.fingerprint,
+                        metrics: metrics.scalars,
+                    };
+                    share.run_log.push((i, line));
+                }
+            },
+        );
         drop(execute);
 
         let _aggregate = spans.enter("campaign.aggregate");
-        let mut cells = BTreeMap::new();
-        let mut run_log = Vec::new();
-        let mut cell_metrics = BTreeMap::new();
-        let mut records = records.into_iter();
-        for prog in &self.programs {
-            for (tool, spec) in self.tools.iter().zip(&specs) {
-                let mut cell = CellResult::default();
-                for b in prog.bug_tags() {
-                    cell.per_bug.insert(b.to_string(), FindStats::default());
-                }
-                let mut events = 0u64;
-                let mut points = 0u64;
-                let mut injections = 0u64;
-                let mut merged = RunMetrics::default();
-                for r in 0..self.runs {
-                    let rec = records.next().expect("one record per run");
-                    cell.any_bug.record(rec.failed);
-                    if rec.failed {
-                        cell.first_fail_seed.get_or_insert(rec.seed);
-                    } else {
-                        cell.first_pass_seed.get_or_insert(rec.seed);
-                    }
-                    for (tag, stats) in cell.per_bug.iter_mut() {
-                        stats.record(rec.manifested.iter().any(|m| m == tag));
-                    }
-                    events += rec.events;
-                    points += rec.sched_points;
-                    injections += rec.injections;
-                    cell.wall += rec.elapsed;
-                    if rec.timed_out {
-                        cell.timed_out += 1;
-                    }
-                    if let Some(metrics) = rec.metrics {
-                        merged.merge(&metrics);
-                        run_log.push(RunLogRecord {
-                            experiment: self.label.clone(),
-                            program: prog.name.to_string(),
-                            tool: tool.name.clone(),
-                            tool_spec: spec.clone(),
-                            run: r,
-                            seed: rec.seed,
-                            outcome: rec.outcome_tag.to_string(),
-                            failed: rec.failed,
-                            backend: native_tag(tool),
-                            fingerprint: rec.fingerprint.clone(),
-                            metrics: metrics.scalars,
-                        });
-                    }
-                }
-                let n = self.runs.max(1) as f64;
-                cell.avg_events = events as f64 / n;
-                cell.avg_points = points as f64 / n;
-                cell.avg_injections = injections as f64 / n;
-                if self.telemetry {
-                    cell_metrics.insert((prog.name.to_string(), tool.name.clone()), merged);
-                }
-                cells.insert((prog.name.to_string(), tool.name.clone()), cell);
+        let mut shares = shares.into_iter();
+        let mut merged = shares.next().expect("the pool returns at least one share");
+        for share in shares {
+            for (cell, other) in merged.cells.iter_mut().zip(&share.cells) {
+                cell.merge(other);
             }
+            merged.run_log.extend(share.run_log);
+        }
+        merged.run_log.sort_unstable_by_key(|&(i, _)| i);
+        let run_log = merged.run_log.into_iter().map(|(_, line)| line).collect();
+        let mut cells = BTreeMap::new();
+        let mut cell_metrics = BTreeMap::new();
+        for (c, fold) in merged.cells.into_iter().enumerate() {
+            let key = (
+                self.programs[c / n_tools].name.to_string(),
+                self.tools[c % n_tools].name.clone(),
+            );
+            let (cell, metrics) = fold.finish(self.runs);
+            if self.telemetry {
+                cell_metrics.insert(key.clone(), metrics);
+            }
+            cells.insert(key, cell);
         }
         drop(_aggregate);
         CampaignRun {
@@ -337,7 +479,7 @@ impl Campaign {
     /// One seeded run: the sharding unit. Deterministic given
     /// (program, tool, r) — the executing thread contributes nothing.
     fn one_run(&self, prog: &SuiteProgram, tool: &ToolConfig, r: u64) -> RunRecord {
-        let seed = self.base_seed + r;
+        let seed = self.base_seed.wrapping_add(r);
         let started = Instant::now();
         let mut exec = tool.configure(Execution::new(&prog.program), seed, self.max_steps);
         if tool.backend.is_native() {
@@ -348,18 +490,16 @@ impl Campaign {
                 exec = exec.wall_budget(budget);
             }
         }
-        let telemetry = if self.telemetry {
-            let (half, handle) = mtt_instrument::shared(TelemetrySink::new());
-            exec = exec.sink(Box::new(half));
-            Some(handle)
-        } else {
-            None
-        };
-        // Fingerprint whenever the run has a consumer for it — the NDJSON
-        // run log or the flight-recorder journal. The bare fast path (no
-        // telemetry, no journal) keeps paying nothing for the event layer.
-        let fingerprinter = if self.telemetry || self.journal.is_some() {
-            let (half, handle) = mtt_instrument::shared(mtt_causal::Fingerprinter::default());
+        // Telemetry and the schedule fingerprint ride on one sink behind one
+        // lock. Fingerprint whenever the run has a consumer for it — the
+        // NDJSON run log or the flight-recorder journal. The bare fast path
+        // (no telemetry, no journal) keeps paying nothing for the event
+        // layer.
+        let recorder = if self.telemetry || self.journal.is_some() {
+            let (half, handle) = mtt_instrument::shared(Recorder {
+                telemetry: self.telemetry.then(TelemetrySink::new),
+                fingerprint: Fingerprinter::new(),
+            });
             exec = exec.sink(Box::new(half));
             Some(handle)
         } else {
@@ -368,18 +508,14 @@ impl Campaign {
         let outcome = exec.run();
         let verdict = prog.judge(&outcome);
         let elapsed = started.elapsed();
-        let metrics = telemetry.map(|handle| {
-            let sink = std::mem::take(&mut *handle.lock().expect("telemetry sink poisoned"));
-            let mut m = sink.into_metrics();
-            m.absorb_stats(&outcome.stats);
-            m
-        });
-        let fingerprint = fingerprinter.map(|handle| {
-            handle
-                .lock()
-                .expect("fingerprint sink poisoned")
-                .fingerprint()
-                .to_hex()
+        let (metrics, fingerprint) = recorder.map_or((None, None), |handle| {
+            let rec = std::mem::take(&mut *handle.lock().expect("recorder sink poisoned"));
+            let metrics = rec.telemetry.map(|sink| {
+                let mut m = sink.into_metrics();
+                m.absorb_stats(&outcome.stats);
+                m
+            });
+            (metrics, Some(rec.fingerprint.fingerprint().to_hex()))
         });
         RunRecord {
             failed: verdict.failed(),
@@ -748,6 +884,79 @@ mod tests {
             })
             .collect();
         assert_eq!(ended, vec![0], "full cache hit executes nothing");
+    }
+
+    proptest::proptest! {
+        /// However a cell's runs are split into shares and in whatever
+        /// order the shares merge, the merged fold equals the serial one,
+        /// first failing and passing seeds included, also when the seeds
+        /// wrap around `u64::MAX`.
+        #[test]
+        fn shares_merge_to_the_serial_fold(
+            base_seed in (u64::MAX - 24)..=u64::MAX,
+            runs in proptest::collection::vec((0u8..8, 0u64..500, 0u64..2_000, 0u64..100), 1..40),
+            split in proptest::collection::vec(0usize..4, 40),
+            merge_keys in proptest::collection::vec(0u64..1_000, 4),
+        ) {
+            use proptest::prelude::*;
+            const TAGS: [&str; 3] = ["deadlock", "lost-update", "missed-signal"];
+            // The shares merge in the order of their random keys.
+            let mut order = [0usize, 1, 2, 3];
+            order.sort_by_key(|&s| merge_keys[s]);
+            let records: Vec<RunRecord> = runs
+                .iter()
+                .enumerate()
+                .map(|(r, &(bits, events, micros, first_bug))| RunRecord {
+                    failed: bits & 0b11 != 0,
+                    manifested: TAGS
+                        .iter()
+                        .enumerate()
+                        .filter(|&(t, _)| bits & (1 << t) != 0)
+                        .map(|(_, tag)| tag.to_string())
+                        .collect(),
+                    events,
+                    sched_points: events / 2,
+                    injections: events % 7,
+                    elapsed: Duration::from_micros(micros),
+                    timed_out: bits & 0b100 != 0,
+                    seed: base_seed.wrapping_add(r as u64),
+                    outcome_tag: "completed".into(),
+                    metrics: (bits & 0b10 != 0).then(|| {
+                        let mut m = RunMetrics::default();
+                        m.scalars.events = events;
+                        m.scalars.steps_to_first_bug = (first_bug < 90).then_some(first_bug);
+                        m.by_class[(events % 8) as usize] = 1;
+                        m.sites.insert(mtt_instrument::Loc::new("prop", (events % 5) as u32).key(), 1);
+                        m
+                    }),
+                    fingerprint: None,
+                })
+                .collect();
+            let mut serial = CellFold::new(TAGS.to_vec());
+            for (r, rec) in records.iter().enumerate() {
+                serial.add(r as u64, rec);
+            }
+            let mut shares = vec![CellFold::new(TAGS.to_vec()); 4];
+            for (r, rec) in records.iter().enumerate() {
+                shares[split[r]].add(r as u64, rec);
+            }
+            let mut merged = shares[order[0]].clone();
+            for &s in &order[1..] {
+                merged.merge(&shares[s]);
+            }
+            prop_assert_eq!(&merged, &serial);
+            let (cell, metrics) = merged.finish(records.len() as u64);
+            let first = |failed: bool| {
+                records
+                    .iter()
+                    .position(|rec| rec.failed == failed)
+                    .map(|r| base_seed.wrapping_add(r as u64))
+            };
+            prop_assert_eq!(cell.first_fail_seed, first(true));
+            prop_assert_eq!(cell.first_pass_seed, first(false));
+            prop_assert_eq!(cell.any_bug.runs, records.len() as u64);
+            prop_assert_eq!(metrics, serial.finish(records.len() as u64).1);
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! execute the run, defines the execution. That makes the matrix
 //! embarrassingly parallel, and it makes a strong guarantee cheap to keep:
 //! a report produced with `N` workers is **byte-identical** to the serial
-//! one, because results are reassembled in index order no matter which
-//! worker finished which run first.
+//! one, whichever worker finished which run first.
 //!
 //! [`JobPool`] is that layer: scoped `std::thread` workers (no external
 //! dependencies) draining a shared bag of job indices. An idle worker
@@ -16,6 +15,13 @@
 //! would — the work-stealing degenerate case where the bag is the one
 //! victim everybody steals from, which is exactly right for homogeneous
 //! run matrices.
+//!
+//! Its one primitive is [`JobPool::fold`]: each worker folds the indices it
+//! claims into a share of its own, with no lock between workers, and the
+//! pool hands back the shares. [`JobPool::run`] and [`JobPool::cells`] keep
+//! each result with its index and place it there at the end; a campaign
+//! folds its runs into per-cell statistics that merge the same under any
+//! split, so its memory does not grow with the run count.
 //!
 //! The pool also owns campaign observability: an optional progress meter
 //! that keeps a `runs/sec` + ETA line updated in place on stderr, and —
@@ -152,7 +158,8 @@ impl JobPool {
     }
 
     /// Record wall-clock span timings into `spans`: one `pool.worker` span
-    /// per worker (its busy time) and one `pool.run` span per `run` call.
+    /// per worker (its busy time) and one `pool.run` span per call that
+    /// drains the bag ([`JobPool::fold`] and its users).
     pub fn with_spans(mut self, spans: SpanSet) -> Self {
         self.spans = Some(spans);
         self
@@ -209,27 +216,36 @@ impl JobPool {
         K: Fn(usize) -> CellDone + Sync,
         F: Fn(usize) -> T + Sync,
     {
-        self.cells_with(&JsonCell, total, key, run).0
+        let (shares, _) = self.cells_with(&JsonCell, total, key, run, Vec::new, |share, i, out| {
+            share.push((i, out));
+        });
+        in_index_order(total, shares)
     }
 
-    /// [`JobPool::cells`], with the pool's accounting, for results that
-    /// `codec` writes into their `done` records and reads back: a cached
-    /// record `codec` cannot read is run again.
-    pub(crate) fn cells_with<T, C, K, F>(
+    /// [`JobPool::cells`] as a fold: each cell's result, rebuilt from the
+    /// journal or run, goes into `step` with its index, on the worker that
+    /// claimed it, and the pool returns the workers' shares ([`JobPool::fold`])
+    /// with its accounting. `codec` writes a result into its `done` record
+    /// and reads it back; a cached record `codec` cannot read is run again.
+    pub(crate) fn cells_with<T, S, C, K, F, I, G>(
         &self,
         codec: &C,
         total: usize,
         key: K,
         run: F,
-    ) -> (Vec<T>, PoolStats)
+        init: I,
+        step: G,
+    ) -> (Vec<S>, PoolStats)
     where
-        T: Send,
+        S: Send,
         C: CellCodec<T>,
         K: Fn(usize) -> CellDone + Sync,
         F: Fn(usize) -> T + Sync,
+        I: Fn() -> S + Sync,
+        G: Fn(&mut S, usize, T) + Sync,
     {
         let Some(journal) = &self.journal else {
-            return self.run_with_stats(total, run);
+            return self.fold(total, init, |share, i| step(share, i, run(i)));
         };
         if let Some(sink) = &journal.sink {
             sink.campaign(CampaignMeta {
@@ -240,7 +256,7 @@ impl JobPool {
             });
         }
         let executed = AtomicU64::new(0);
-        let out = self.run_with_stats(total, |i| {
+        let cell = |i: usize| {
             let mut done = key(i);
             let backend = done.backend.as_deref().unwrap_or("model");
             done.cell = content_address(
@@ -273,7 +289,8 @@ impl JobPool {
                 sink.done(done);
             }
             out
-        });
+        };
+        let out = self.fold(total, init, |share, i| step(share, i, cell(i)));
         if let Some(sink) = &journal.sink {
             sink.end(&journal.header.label, executed.load(Ordering::Relaxed));
         }
@@ -289,8 +306,28 @@ impl JobPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        let (shares, stats) = self.fold(total, Vec::new, |share, i| share.push((i, f(i))));
+        (in_index_order(total, shares), stats)
+    }
+
+    /// Run `step(share, i)` for every `i` in `0..total` across the pool:
+    /// each worker folds the indices it claims, in the order it claims
+    /// them, into a share of its own that `init` creates. Returns one share
+    /// per worker, in spawn order, with the pool's accounting.
+    ///
+    /// Which worker claims which index is not deterministic. A caller whose
+    /// output must not depend on the worker count either keeps each
+    /// result's index ([`JobPool::run`] does) or folds with an operation
+    /// whose result is the same under any split of the indices and any
+    /// merge order (a campaign's cell statistics do).
+    pub fn fold<S, I, F>(&self, total: usize, init: I, step: F) -> (Vec<S>, PoolStats)
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) + Sync,
+    {
         let started = Instant::now();
-        // The meter is a Drop guard: if `f` panics, the unwind drops it
+        // The meter is a Drop guard: if `step` panics, the unwind drops it
         // here, which stops and joins the ticker thread and clears any
         // partial progress line before the panic continues.
         let meter = self
@@ -298,18 +335,17 @@ impl JobPool {
             .as_ref()
             .map(|label| ProgressMeter::start(label.clone(), total));
         let bag = AtomicUsize::new(0);
-        // One worker's share: steal the next unclaimed index from the bag
-        // until it is empty.
+        // One worker: steal the next unclaimed index from the bag until it
+        // is empty, folding each into the worker's share.
         let work = |worker: usize| {
-            let (mut results, mut stats, mut spans) =
-                (Vec::new(), WorkerStats::default(), Vec::new());
+            let (mut share, mut stats, mut spans) = (init(), WorkerStats::default(), Vec::new());
             loop {
                 let i = bag.fetch_add(1, Ordering::Relaxed);
                 if i >= total {
-                    break (results, stats, spans);
+                    break (share, stats, spans);
                 }
                 let t0 = Instant::now();
-                results.push((i, f(i)));
+                step(&mut share, i);
                 let dur = t0.elapsed();
                 stats.busy += dur;
                 stats.claimed += 1;
@@ -327,7 +363,7 @@ impl JobPool {
             }
         };
         let workers = self.jobs.min(total).max(1);
-        let shares = if workers == 1 {
+        let finished = if workers == 1 {
             vec![work(0)]
         } else {
             std::thread::scope(|scope| {
@@ -347,15 +383,14 @@ impl JobPool {
         if let Some(m) = meter {
             m.finish();
         }
-        let mut indexed = Vec::with_capacity(total);
+        let mut shares = Vec::with_capacity(workers);
         let mut stats = PoolStats::default();
-        for (results, worker, spans) in shares {
-            indexed.extend(results);
+        for (share, worker, spans) in finished {
+            shares.push(share);
             stats.workers.push(worker);
             stats.timeline.extend(spans);
         }
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        debug_assert_eq!(indexed.len(), total, "every job produced one result");
+        debug_assert_eq!(stats.total_claimed(), total as u64, "every job ran once");
         stats.timeline.sort_unstable_by_key(|s| s.index);
         stats.wall = started.elapsed();
         if let Some(spans) = &self.spans {
@@ -364,8 +399,22 @@ impl JobPool {
             }
             spans.add("pool.run", stats.wall);
         }
-        (indexed.into_iter().map(|(_, v)| v).collect(), stats)
+        (shares, stats)
     }
+}
+
+/// Place every share's `(index, result)` pairs at their index of one
+/// vector: the results of `0..total` in index order.
+fn in_index_order<T>(total: usize, shares: Vec<Vec<(usize, T)>>) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
+    slots.resize_with(total, || None);
+    for (i, out) in shares.into_iter().flatten() {
+        slots[i] = Some(out);
+    }
+    slots
+        .into_iter()
+        .map(|out| out.expect("every job produced one result"))
+        .collect()
 }
 
 fn available_parallelism() -> usize {
@@ -400,7 +449,8 @@ pub struct JobSpan {
     pub dur: Duration,
 }
 
-/// Wall-clock accounting of one [`JobPool::run_with_stats`] call.
+/// Wall-clock accounting of one [`JobPool::fold`] call (and of
+/// [`JobPool::run_with_stats`], which folds).
 ///
 /// Everything here is timing — it never feeds the deterministic reports;
 /// render it only in segregated timing output (like `mtt profile
@@ -409,7 +459,7 @@ pub struct JobSpan {
 pub struct PoolStats {
     /// One entry per worker, in spawn order.
     pub workers: Vec<WorkerStats>,
-    /// Wall time of the whole `run` call.
+    /// Wall time of the whole call.
     pub wall: Duration,
     /// Per-job spans sorted by index; empty unless the pool was built
     /// [`JobPool::with_timeline`].
@@ -595,6 +645,40 @@ mod tests {
             seen.lock().unwrap()[i] += 1;
         });
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn every_index_reaches_exactly_one_share() {
+        for jobs in [1, 2, 4, 8] {
+            let (shares, stats) = JobPool::new(jobs).fold(100, Vec::new, |share, i| share.push(i));
+            assert_eq!(shares.len(), jobs, "one share per worker");
+            assert_eq!(stats.workers.len(), jobs);
+            for (share, worker) in shares.iter().zip(&stats.workers) {
+                assert!(share.windows(2).all(|w| w[0] < w[1]), "claim order");
+                assert_eq!(share.len() as u64, worker.claimed);
+            }
+            let mut seen: Vec<usize> = shares.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..100).collect::<Vec<_>>(), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn results_keep_index_order_when_later_indices_finish_first() {
+        // The lower the index, the longer its job: with several workers the
+        // high indices finish first.
+        let slow = |i: usize| {
+            std::thread::sleep(Duration::from_micros(200 * (12 - i as u64)));
+            i * 3
+        };
+        let want: Vec<usize> = (0..12).map(|i| i * 3).collect();
+        for jobs in [1, 2, 4, 8] {
+            assert_eq!(JobPool::new(jobs).run(12, slow), want, "run, jobs={jobs}");
+            let key = |i: usize| cell_key("slow", "t", String::new(), i as u64);
+            let cells: Vec<u64> = JobPool::new(jobs).cells(12, key, |i| slow(i) as u64);
+            let want: Vec<u64> = want.iter().map(|&v| v as u64).collect();
+            assert_eq!(cells, want, "cells, jobs={jobs}");
+        }
     }
 
     #[test]

@@ -161,6 +161,37 @@ impl LocKey {
     }
 }
 
+/// A map keyed by [`LocKey`], hashed by [`LocKeyHasher`].
+pub type LocKeyMap<V> =
+    std::collections::HashMap<LocKey, V, std::hash::BuildHasherDefault<LocKeyHasher>>;
+
+/// A multiply-rotate hasher (rustc's Fx hash) for [`LocKey`]s: one rotate,
+/// xor and multiply per integer, where the default SipHash runs a dozen
+/// rounds. It does not resist chosen keys, which a program's own sites
+/// never are.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocKeyHasher(u64);
+
+impl std::hash::Hasher for LocKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 impl ToJson for Loc {
     /// Serialized as `"file:line"` so locations are legal JSON map keys.
     fn write_json(&self, out: &mut String) {

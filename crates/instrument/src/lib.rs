@@ -43,7 +43,7 @@ pub mod statics;
 
 pub use event::{
     file_name, intern_file_id, intern_static, AccessKind, BarrierId, CondId, Event, Loc, LocKey,
-    LockId, Op, OpClass, SemId, ThreadId, VarId,
+    LocKeyHasher, LocKeyMap, LockId, Op, OpClass, SemId, ThreadId, VarId,
 };
 pub use plan::{InstrumentationPlan, OpClassSet, ResolvedFilter, Select, VarTable};
 pub use sink::{

@@ -18,8 +18,8 @@
 //! tools deduplicate their output.
 
 use crate::warning::{AccessInfo, RaceWarning};
+use mtt_causal::IdTable;
 use mtt_instrument::{AccessKind, Event, EventSink, LockId, ThreadId, VarId};
-use std::collections::HashMap;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum State {
@@ -53,7 +53,8 @@ impl Default for VarState {
 /// Online/offline Eraser-style lockset race detector.
 #[derive(Debug, Default)]
 pub struct EraserLockset {
-    vars: HashMap<VarId, VarState>,
+    /// State per variable, by id.
+    vars: IdTable<VarState>,
     /// Accumulated warnings.
     pub warnings: Vec<RaceWarning>,
 }
@@ -72,11 +73,11 @@ impl EraserLockset {
     /// The candidate lockset currently associated with `var` (for tests and
     /// diagnostics). `None` when the variable is still thread-exclusive.
     pub fn candidates(&self, var: VarId) -> Option<&[LockId]> {
-        self.vars.get(&var)?.candidates.as_deref()
+        self.vars.get(var.0)?.candidates.as_deref()
     }
 
     fn on_access(&mut self, ev: &Event, var: VarId, kind: AccessKind) {
-        let vs = self.vars.entry(var).or_default();
+        let vs = self.vars.get_or_insert_with(var.0, VarState::default);
         let me = ev.thread;
         let access = AccessInfo {
             thread: me,
@@ -100,13 +101,13 @@ impl EraserLockset {
         let is_shared_now = matches!(new_state, State::Shared | State::SharedModified);
 
         if is_shared_now {
-            let held: Vec<LockId> = ev.locks_held.to_vec();
+            let held = &ev.locks_held;
             match &mut vs.candidates {
                 None => {
                     // First shared access: initialize C(v) to the locks held
                     // now (Eraser initializes to "all locks" and intersects
                     // immediately — equivalent).
-                    vs.candidates = Some(held);
+                    vs.candidates = Some(held.to_vec());
                 }
                 Some(c) => {
                     c.retain(|l| held.contains(l));

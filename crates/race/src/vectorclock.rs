@@ -12,9 +12,9 @@
 //! measures.
 
 use crate::warning::{AccessInfo, RaceWarning};
-use mtt_causal::SyncClocks;
+use mtt_causal::{IdTable, SyncClocks};
 use mtt_instrument::{AccessKind, Event, EventSink, Op, ThreadId, VarId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 // The vector-clock lattice itself lives in `mtt-causal` (one
 // implementation shared with the trace annotator); re-exported here so the
@@ -69,7 +69,8 @@ impl Default for VarMeta {
 #[derive(Debug, Default)]
 pub struct VectorClockDetector {
     sync: SyncClocks,
-    vars: HashMap<VarId, VarMeta>,
+    /// Metadata per variable, by id.
+    vars: IdTable<VarMeta>,
     /// Accumulated warnings (at most one per variable).
     pub warnings: Vec<RaceWarning>,
     /// Number of accesses handled by the O(1) same-epoch fast path (a
@@ -100,7 +101,7 @@ impl VectorClockDetector {
             loc: ev.loc,
             kind: AccessKind::Read,
         };
-        let meta = self.vars.entry(var).or_default();
+        let meta = self.vars.get_or_insert_with(var.0, VarMeta::default);
 
         // Same-epoch read: nothing can have changed.
         if let ReadState::Epoch(e, _) = meta.reads {
@@ -160,7 +161,7 @@ impl VectorClockDetector {
             loc: ev.loc,
             kind: AccessKind::Write,
         };
-        let meta = self.vars.entry(var).or_default();
+        let meta = self.vars.get_or_insert_with(var.0, VarMeta::default);
 
         if let Some((w, winfo)) = meta.write {
             // Same-epoch write fast path.

@@ -115,7 +115,8 @@ pub struct AnalysisResult {
     pub no_switch_lines: BTreeSet<u32>,
     /// The may-happen-in-parallel relation over shared-access sites.
     pub mhp: MhpFacts,
-    /// Non-atomic compound regions (Lipton mover analysis).
+    /// Non-atomic compound regions: a lock gap between a read and the
+    /// write that depends on it (see [`atomicity`]).
     pub atomicity: Vec<AtomicityViolation>,
     /// Every finding, unified: races, deadlocks, atomicity regions and
     /// lints as [`Diagnostic`]s, deduplicated and in source order.
@@ -195,7 +196,7 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
     let contended = result.mhp.contended_vars();
 
     // ------------------------------------------------------------------
-    // Atomicity: non-atomic compound regions via Lipton movers.
+    // Atomicity: non-atomic compound regions, through the must-locksets.
     // ------------------------------------------------------------------
     let competing_writer = |v: &str, ti: usize| -> bool {
         writers
@@ -237,14 +238,10 @@ pub fn analyze(prog: &MiniProg) -> AnalysisResult {
                     | NodeKind::Wait { .. }
                     | NodeKind::Notify { .. }
             );
-            // Raw names, locals included: a local that shadows a shared
-            // global still marks its line relevant.
-            let (reads, write) = node.kind.reads_and_write();
             let relevant = sync
-                || reads
+                || td.accesses[n]
                     .iter()
-                    .chain(write)
-                    .any(|v| result.shared_vars.contains(v));
+                    .any(|a| result.shared_vars.contains(&a.var));
             *line_relevant.entry(node.line).or_insert(false) |= relevant;
             *line_sync.entry(node.line).or_insert(false) |= sync;
             *line_threads.entry(node.line).or_insert(0) += td.count;

@@ -1,64 +1,31 @@
-//! Lipton mover-based atomicity inference.
-//!
-//! Lipton's reduction theory classifies actions by how they commute with
-//! concurrent actions of other threads: lock acquires are **right-movers**
-//! (can be deferred past another thread's actions), releases are
-//! **left-movers**, accesses that never conflict in parallel are
-//! **both-movers**, and everything else is a **non-mover**. A code region
-//! is atomic (serializable) when its mover string matches `R* N? L*` —
-//! right-movers, at most one non-mover, then left-movers.
+//! Atomicity inference (A001): compound regions another thread can
+//! interleave.
 //!
 //! The pass looks for *compound regions* that a programmer plainly meant
 //! to be atomic — a read of shared `v` whose result flows (through local
 //! temporaries or a branch) into a later write of `v` — and reports the
-//! region when it is **not** reducible:
+//! region when another thread instance can run between the read and the
+//! dependent write:
 //!
-//! * **unguarded** regions over a variable with parallel conflicting
-//!   accesses: any point inside can interleave (check-then-act,
-//!   unprotected read-modify-write);
-//! * **guarded** regions that release and re-acquire the protecting lock
-//!   midway: the release (left-mover) followed by the re-acquire
-//!   (right-mover) is an `L…R` substring, which no `R* N? L*` shuffle
-//!   contains — the classic "two small critical sections pretending to be
-//!   one" bug, invisible to lockset race detectors because every single
-//!   access *is* consistently locked.
+//! * **unguarded** regions (no lock is must-held at every access of `v`)
+//!   over a variable with parallel conflicting accesses: any point inside
+//!   can interleave (check-then-act, unprotected read-modify-write);
+//! * **guarded** regions with a *lock gap*: a node on a path from the read
+//!   to the write where the must-lockset holds none of `v`'s protecting
+//!   locks, while another thread instance writes `v`. That is the classic
+//!   "two small critical sections pretending to be one" bug, invisible to
+//!   lockset race detectors because every single access *is* consistently
+//!   locked. (In Lipton's reduction terms the gap is a release followed by
+//!   a re-acquire, so the region is not reducible; the pass finds it
+//!   through the must-locksets alone.)
+//!
+//! The reads and writes of `v` are the thread's global accesses, as
+//! [`ThreadCtx`] lists them: a local that shadows `v` is not `v`.
 
 use crate::analysis::ThreadCtx;
 use crate::cfg::{Cfg, NodeKind};
 use crate::dataflow::LockSet;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Lipton commutativity class of one CFG node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mover {
-    /// Commutes rightward past other threads (lock acquire).
-    Right,
-    /// Commutes leftward (lock release).
-    Left,
-    /// Commutes both ways (local computation, serialized accesses).
-    Both,
-    /// Commutes neither way (racy access, wait/notify).
-    Non,
-}
-
-/// Classify one node. `racy` answers whether a variable has parallel
-/// conflicting accesses (from the MHP pass); it is asked about the node's
-/// raw names, locals included.
-pub fn mover(kind: &NodeKind, racy: &dyn Fn(&str) -> bool) -> Mover {
-    match kind {
-        NodeKind::Acquire(_) => Mover::Right,
-        NodeKind::Release(_) => Mover::Left,
-        NodeKind::Wait { .. } | NodeKind::Notify { .. } => Mover::Non,
-        _ => {
-            let (reads, write) = kind.reads_and_write();
-            if reads.iter().chain(write).any(|v| racy(v)) {
-                Mover::Non
-            } else {
-                Mover::Both
-            }
-        }
-    }
-}
 
 /// One non-atomic compound region.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -139,12 +106,19 @@ pub fn find_violations(
                     .any(|g| g != d && g != w && reach_fwd[d][g] && reach_fwd[g][w] && is_gap(g))
             };
 
+            // Does node `n` read (write) the global `v`? A local that
+            // shadows `v` is not `v`.
+            let touches = |n: usize, write: bool| {
+                td.accesses[n]
+                    .iter()
+                    .any(|a| a.var == *v && a.write == write)
+            };
             // Loads of `v` into a local, seeding the taint closure.
             let mut tainted: BTreeSet<(String, usize)> = BTreeSet::new();
             let mut load_of: BTreeMap<usize, usize> = BTreeMap::new(); // def node -> load node
             for n in cfg.ids() {
-                if let (reads, Some(t)) = cfg.nodes[n].kind.reads_and_write() {
-                    if td.locals.contains(t) && reads.contains(v) {
+                if let (_, Some(t)) = cfg.nodes[n].kind.reads_and_write() {
+                    if td.locals.contains(t) && touches(n, false) {
                         tainted.insert((t.clone(), n));
                         load_of.insert(n, n);
                     }
@@ -200,11 +174,11 @@ pub fn find_violations(
             };
 
             for w in cfg.ids() {
-                let (reads, write) = cfg.nodes[w].kind.reads_and_write();
-                if write == Some(v) {
+                let (reads, _) = cfg.nodes[w].kind.reads_and_write();
+                if touches(w, true) {
                     // Dependent write: `v = f(t)` where `t` carries a prior
                     // read of `v`.
-                    if reads.contains(v) && guard.is_empty() {
+                    if touches(w, false) && guard.is_empty() {
                         // Single-statement `v = v + 1`: a read and a write
                         // with a window between their events.
                         report(w, w, "unprotected read-modify-write");
@@ -220,17 +194,14 @@ pub fn find_violations(
                 } else if matches!(cfg.nodes[w].kind, NodeKind::Branch { .. }) {
                     // Check: a branch on `v` (directly or via a tainted
                     // local) governing a later write of `v`.
-                    let origin = if reads.contains(v) {
+                    let origin = if touches(w, false) {
                         Some(w)
                     } else {
                         tainted_origin(reads, w)
                     };
                     if let Some(d) = origin {
                         for w2 in cfg.ids() {
-                            if w2 != w
-                                && reach_fwd[w][w2]
-                                && cfg.nodes[w2].kind.reads_and_write().1 == Some(v)
-                            {
+                            if w2 != w && reach_fwd[w][w2] && touches(w2, true) {
                                 report(d, w2, "check-then-act");
                             }
                         }
@@ -311,48 +282,25 @@ mod tests {
     }
 
     #[test]
+    fn a_local_that_shadows_a_global_is_not_the_global() {
+        // Thread a updates only its local `x`: no region on the global.
+        let src = "program shadow {\n  var x = 0;\n  thread a { local x = 1; x = x + 1; }\n  \
+                   thread b { x = 2; }\n  thread c { x = 3; }\n}";
+        let r = analyze(&parse(src).unwrap());
+        assert!(r.atomicity.is_empty(), "{:?}", r.atomicity);
+        let codes: Vec<(&str, u32)> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.code.as_str(), d.line))
+            .collect();
+        assert_eq!(codes, [("R001", 4)]);
+        assert!(r.no_switch_lines.contains(&3), "{:?}", r.no_switch_lines);
+    }
+
+    #[test]
     fn single_thread_region_has_no_violation() {
         // No competing instance: nothing can interleave with the region.
         let v = violations("program p { var x; thread t { x = x + 1; } }");
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn mover_classification() {
-        use crate::cfg::NodeKind as K;
-        let racy = |v: &str| v == "r";
-        assert_eq!(mover(&K::Acquire("l".into()), &racy), Mover::Right);
-        assert_eq!(mover(&K::Release("l".into()), &racy), Mover::Left);
-        assert_eq!(
-            mover(
-                &K::Compute {
-                    reads: vec!["r".into()],
-                    write: None
-                },
-                &racy
-            ),
-            Mover::Non
-        );
-        assert_eq!(
-            mover(
-                &K::Compute {
-                    reads: vec!["a".into()],
-                    write: Some("b".into())
-                },
-                &racy
-            ),
-            Mover::Both
-        );
-        assert_eq!(
-            mover(
-                &K::Wait {
-                    cond: "c".into(),
-                    lock: "l".into()
-                },
-                &racy
-            ),
-            Mover::Non
-        );
-        assert_eq!(mover(&K::Yield, &racy), Mover::Both);
     }
 }

@@ -13,7 +13,7 @@
 //! |------|------|----------|
 //! | R001 | must-lockset | DataRace |
 //! | D001 | lock-order cycle | Deadlock |
-//! | A001 | Lipton atomicity | AtomicityViolation |
+//! | A001 | lock gap between a read and its dependent write (must-locksets) | AtomicityViolation |
 //! | L001 | wait outside predicate loop | MissedSignal |
 //! | L002 | notify with no waiting site | WrongNotify |
 //! | L003 | lock not released on some path | Deadlock |

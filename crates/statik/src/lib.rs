@@ -56,7 +56,7 @@ pub mod samples;
 
 pub use analysis::{analyze, AnalysisResult, ThreadCtx};
 pub use ast::{BinOp, Expr, GlobalDecl, MiniProg, Stmt, StmtKind, ThreadDecl, UnOp};
-pub use atomicity::{mover, AtomicityViolation, Mover};
+pub use atomicity::AtomicityViolation;
 pub use cfg::{build_cfg, Cfg, NodeKind};
 pub use dataflow::{held_locks, solve, Dataflow, LockSet, Solution};
 pub use diag::{Diagnostic, Severity};

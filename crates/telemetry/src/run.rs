@@ -8,10 +8,9 @@
 //! wall clock is deliberately absent; it lives in span timings and the
 //! segregated timing tables instead.
 
-use mtt_instrument::Loc;
+use mtt_instrument::{Loc, LocKeyMap};
 use mtt_obs::MetricScalars;
 use mtt_runtime::ExecStats;
-use std::collections::BTreeMap;
 
 /// Deterministic telemetry of one run (or, after merging, of a cell or a
 /// whole campaign — all fields aggregate permutation-invariantly).
@@ -22,10 +21,12 @@ pub struct RunMetrics {
     pub scalars: MetricScalars,
     /// Per-class event counts, indexed by `OpClass::bit()`.
     pub by_class: [u64; 8],
-    /// Events per static program site (the hot-site profile).
-    pub sites: BTreeMap<Loc, u64>,
+    /// Events per static program site (the hot-site profile), on the
+    /// interned site keys: names are resolved only when a ranking is
+    /// printed ([`RunMetrics::top_sites`]).
+    pub sites: LocKeyMap<u64>,
     /// Contended lock encounters per site (the contention profile).
-    pub contended_sites: BTreeMap<Loc, u64>,
+    pub contended_sites: LocKeyMap<u64>,
 }
 
 impl RunMetrics {
@@ -61,22 +62,36 @@ impl RunMetrics {
         }
     }
 
+    /// Events at `loc`.
+    pub fn events_at(&self, loc: Loc) -> u64 {
+        self.sites.get(&loc.key()).copied().unwrap_or(0)
+    }
+
+    /// Contended lock encounters at `loc`.
+    pub fn contentions_at(&self, loc: Loc) -> u64 {
+        self.contended_sites.get(&loc.key()).copied().unwrap_or(0)
+    }
+
     /// The `k` busiest sites, by event count then site order (total order,
     /// so the ranking is deterministic).
     pub fn top_sites(&self, k: usize) -> Vec<(Loc, u64)> {
-        let mut v: Vec<(Loc, u64)> = self.sites.iter().map(|(l, n)| (*l, *n)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+        top(&self.sites, k)
     }
 
     /// The `k` most contended sites, ranked like [`RunMetrics::top_sites`].
     pub fn top_contended_sites(&self, k: usize) -> Vec<(Loc, u64)> {
-        let mut v: Vec<(Loc, u64)> = self.contended_sites.iter().map(|(l, n)| (*l, *n)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+        top(&self.contended_sites, k)
     }
+}
+
+/// The `k` largest counts of `sites` by count, then by the resolved
+/// location's name and line: an order no process's interning order
+/// affects.
+fn top(sites: &LocKeyMap<u64>, k: usize) -> Vec<(Loc, u64)> {
+    let mut v: Vec<(Loc, u64)> = sites.iter().map(|(key, n)| (key.loc(), *n)).collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v.truncate(k);
+    v
 }
 
 #[cfg(test)]
@@ -98,15 +113,16 @@ mod tests {
     #[test]
     fn merge_sums_and_takes_min_first_bug() {
         let mut a = metrics(10, Some(40));
-        a.sites.insert(Loc::new("p", 1), 3);
+        a.sites.insert(Loc::new("p", 1).key(), 3);
         let mut b = metrics(6, Some(12));
-        b.sites.insert(Loc::new("p", 1), 2);
-        b.sites.insert(Loc::new("p", 2), 9);
+        b.sites.insert(Loc::new("p", 1).key(), 2);
+        b.sites.insert(Loc::new("p", 2).key(), 9);
         a.merge(&b);
         assert_eq!(a.scalars.events, 16);
         assert_eq!(a.scalars.lock_acquires, 8);
         assert_eq!(a.scalars.steps_to_first_bug, Some(12));
-        assert_eq!(a.sites[&Loc::new("p", 1)], 5);
+        assert_eq!(a.events_at(Loc::new("p", 1)), 5);
+        assert_eq!(a.events_at(Loc::new("p", 3)), 0);
         assert_eq!(a.top_sites(1), vec![(Loc::new("p", 2), 9)]);
     }
 
@@ -143,7 +159,7 @@ mod tests {
     #[test]
     fn json_is_flat_and_omits_sites() {
         let mut m = metrics(3, None);
-        m.sites.insert(Loc::new("p", 1), 3);
+        m.sites.insert(Loc::new("p", 1).key(), 3);
         let record = crate::RunLogRecord {
             metrics: m.scalars,
             ..Default::default()

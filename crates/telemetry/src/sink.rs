@@ -9,7 +9,6 @@
 
 use crate::run::RunMetrics;
 use mtt_instrument::{Event, EventSink, LocKey, Op};
-use std::collections::HashMap;
 
 /// Counts event classes, hot sites and synchronization traffic from an
 /// instrumented event stream.
@@ -20,15 +19,13 @@ use std::collections::HashMap;
 /// `LockRequest` — and every failed `try_lock` — is one contended
 /// encounter.
 ///
-/// Site counters accumulate on the interned [`LocKey`] pair — two integer
-/// hashes per event — and fold back into the string-keyed
-/// [`RunMetrics::sites`] maps once, at [`EventSink::finish`] (or harvest),
-/// so the event hot path neither allocates nor compares path strings.
+/// Site counters count straight into [`RunMetrics::sites`], keyed on the
+/// interned [`LocKey`] pair with an integer hash, so the event hot path
+/// neither allocates nor compares path strings, and a site's name is
+/// resolved only when a ranking is printed.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     metrics: RunMetrics,
-    sites: HashMap<LocKey, u64>,
-    contended_sites: HashMap<LocKey, u64>,
     /// Memo of the most recent file → id mapping, keyed by the file
     /// string's address and length: consecutive events almost always share
     /// a source file, so the interner's lock is rarely touched at all.
@@ -56,28 +53,14 @@ impl TelemetrySink {
         key
     }
 
-    /// Fold the interned-key accumulators into the string-keyed metric
-    /// maps. Idempotent; runs automatically at `finish`.
-    fn fold_sites(&mut self) {
-        for (k, n) in self.sites.drain() {
-            *self.metrics.sites.entry(k.loc()).or_insert(0) += n;
-        }
-        for (k, n) in self.contended_sites.drain() {
-            *self.metrics.contended_sites.entry(k.loc()).or_insert(0) += n;
-        }
-    }
-
     /// The metrics accumulated so far (event-derived fields only; combine
-    /// with [`RunMetrics::absorb_stats`] for the runtime counters). Site
-    /// maps are complete once [`EventSink::finish`] has run.
+    /// with [`RunMetrics::absorb_stats`] for the runtime counters).
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
     }
 
-    /// Consume the sink, yielding its metrics (site maps folded whether or
-    /// not `finish` ran).
-    pub fn into_metrics(mut self) -> RunMetrics {
-        self.fold_sites();
+    /// Consume the sink, yielding its metrics.
+    pub fn into_metrics(self) -> RunMetrics {
         self.metrics
     }
 
@@ -90,15 +73,16 @@ impl TelemetrySink {
 impl EventSink for TelemetrySink {
     fn on_event(&mut self, ev: &Event) {
         let key = self.loc_key(ev.loc);
-        self.metrics.by_class[ev.op.class().bit() as usize] += 1;
-        let m = &mut self.metrics.scalars;
+        let metrics = &mut self.metrics;
+        metrics.by_class[ev.op.class().bit() as usize] += 1;
+        *metrics.sites.entry(key).or_insert(0) += 1;
+        let m = &mut metrics.scalars;
         m.events += 1;
-        *self.sites.entry(key).or_insert(0) += 1;
         match ev.op {
             Op::LockAcquire { .. } => m.lock_acquires += 1,
             Op::LockRequest { .. } | Op::LockTryFail { .. } => {
                 m.lock_contentions += 1;
-                *self.contended_sites.entry(key).or_insert(0) += 1;
+                *metrics.contended_sites.entry(key).or_insert(0) += 1;
             }
             Op::CondWait { .. } => m.waits += 1,
             Op::CondNotify { .. } => m.notifies += 1,
@@ -107,7 +91,6 @@ impl EventSink for TelemetrySink {
     }
 
     fn finish(&mut self) {
-        self.fold_sites();
         self.finished = true;
     }
 }
@@ -154,9 +137,9 @@ mod tests {
         assert_eq!(m.scalars.events, 5);
         assert_eq!(m.scalars.lock_acquires, 2);
         assert_eq!(m.scalars.lock_contentions, 1);
-        assert_eq!(m.sites[&site_b], 3);
-        assert_eq!(m.contended_sites[&site_b], 1);
-        assert!(!m.contended_sites.contains_key(&site_a));
+        assert_eq!(m.events_at(site_b), 3);
+        assert_eq!(m.contentions_at(site_b), 1);
+        assert_eq!(m.contentions_at(site_a), 0);
         assert!(sink.is_finished());
     }
 
@@ -201,7 +184,7 @@ mod tests {
             },
         ));
         let m = sink.into_metrics();
-        assert_eq!(m.sites[&loc], 1);
+        assert_eq!(m.events_at(loc), 1);
     }
 
     #[test]
@@ -224,7 +207,7 @@ mod tests {
             ));
         }
         sink.finish();
-        assert_eq!(sink.metrics().sites[&a], 3);
-        assert_eq!(sink.metrics().sites[&b], 3);
+        assert_eq!(sink.metrics().events_at(a), 3);
+        assert_eq!(sink.metrics().events_at(b), 3);
     }
 }
