@@ -36,7 +36,7 @@
 use crate::clock::VectorClock;
 use crate::sync::SyncClocks;
 use crate::table::IdTable;
-use mtt_instrument::{AccessKind, Event, EventSink, Op};
+use mtt_instrument::{AccessKind, Event, EventSink, FileMemo, Op};
 use mtt_trace::Trace;
 use std::fmt;
 
@@ -164,10 +164,9 @@ pub struct Fingerprinter {
     /// event has no lane.
     lanes: IdTable<(u64, u128)>,
     events: u64,
-    /// The most recent file name and its hash table: consecutive events
-    /// almost always share a file, so the process-wide tables are rarely
-    /// looked up at all.
-    last_file: Option<(&'static str, &'static NameHash)>,
+    /// The two most recent file names' hash tables, so the process-wide
+    /// tables are rarely looked up at all.
+    files: FileMemo<&'static NameHash>,
 }
 
 impl Fingerprinter {
@@ -183,14 +182,7 @@ impl Fingerprinter {
 
     /// The hash table of `file`'s name.
     fn name_hash(&mut self, file: &'static str) -> &'static NameHash {
-        match self.last_file {
-            Some((last, table)) if std::ptr::eq(last, file) => table,
-            _ => {
-                let table = NameHash::of(file);
-                self.last_file = Some((file, table));
-                table
-            }
-        }
+        self.files.get(file, NameHash::of)
     }
 
     /// The fingerprint of everything consumed so far.

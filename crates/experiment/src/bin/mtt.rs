@@ -24,6 +24,7 @@ use mtt_suite::SuiteProgram;
 use mtt_telemetry::{check_run_log_line, RunLogRecord, RunLogWriter};
 use mtt_tools::{ToolConfig, ToolSpec};
 use std::env;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -285,16 +286,63 @@ impl Global {
         campaign.run_budget = self.budget;
         campaign.jobs = self.jobs;
         campaign.label = label.into();
-        campaign.telemetry = self.metrics.is_some();
         let journal = self.open_journal(label)?.unwrap_or_default();
         campaign.journal = journal.sink;
         campaign.resume = journal.resume;
-        let run = campaign.run_full(&self.pool(label));
+        let mut log = self.open_run_log()?;
+        campaign.telemetry = log.is_some();
+        let run = campaign.run_streaming(&self.pool(label), |line| {
+            if let Some(log) = &mut log {
+                log.write(&line);
+            }
+        });
         journal_written(&campaign.journal)?;
-        if let Some(path) = &self.metrics {
-            write_run_log(path, &run.run_log)?;
-        }
+        log.map_or(Ok(()), RunLog::finish)?;
         Ok(run)
+    }
+
+    /// Create the `--metrics` file, if one was asked for, before anything
+    /// runs: a path that cannot be created is a usage error up front.
+    fn open_run_log(&self) -> Result<Option<RunLog>, String> {
+        self.metrics.as_deref().map(RunLog::create).transpose()
+    }
+}
+
+/// The `--metrics` run log: created before the campaign runs and fed each
+/// line as the campaign passes it on. The first write error is kept and
+/// reported by [`RunLog::finish`] once the campaign ends, so a campaign
+/// that fails after the file was created may leave a partial log.
+struct RunLog {
+    path: String,
+    writer: RunLogWriter<std::fs::File>,
+    error: Option<std::io::Error>,
+}
+
+impl RunLog {
+    fn create(path: &str) -> Result<RunLog, String> {
+        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+        Ok(RunLog {
+            path: path.to_string(),
+            writer: RunLogWriter::new(file),
+            error: None,
+        })
+    }
+
+    /// Append one line; after a failed write, drop the rest.
+    fn write(&mut self, rec: &RunLogRecord) {
+        if self.error.is_none() {
+            self.error = self.writer.write_record(rec).err();
+        }
+    }
+
+    /// Flush the log and report the first write error, if any.
+    fn finish(mut self) -> Result<(), String> {
+        if let Some(e) = self.error {
+            return Err(format!("write {}: {e}", self.path));
+        }
+        self.writer
+            .flush()
+            .map_err(|e| format!("flush {}: {e}", self.path))
     }
 }
 
@@ -746,19 +794,6 @@ fn scheduler_and_noise_only(g: &Global, cmd: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Write `records` as NDJSON to `path` (used by every campaign-backed
-/// command honoring `--metrics`).
-fn write_run_log(path: &str, records: &[RunLogRecord]) -> Result<(), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = RunLogWriter::new(file);
-    for rec in records {
-        w.write_record(rec)
-            .map_err(|e| format!("write {path}: {e}"))?;
-    }
-    w.flush().map_err(|e| format!("flush {path}: {e}"))?;
-    Ok(())
-}
-
 fn explain_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
     let mut opts = explain::ExplainOptions {
         seed_fail: a.number(&["--seed-fail"])?,
@@ -850,12 +885,14 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
     let keys: Vec<&str> = if key == "all" {
         profile::PROFILE_KEYS.to_vec()
     } else {
+        // An unknown key fails before the run log or a journal is opened.
+        profile::programs_for(&key)?;
         vec![key.as_str()]
     };
     if chrome_path.is_some() && keys.len() > 1 {
         return Err("--chrome-trace needs a single profile key, not `all`".into());
     }
-    let mut all_records = Vec::new();
+    let mut log = g.open_run_log()?;
     for key in keys {
         // A profile needs full hot-site maps, which the journal's scalar
         // metric summary cannot round-trip, so it never resumes: `cli_spec`
@@ -873,7 +910,11 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
             chrome: chrome_path.is_some(),
             journal: sink.clone(),
         };
-        let report = profile::run_profile(key, &opts)?;
+        let report = profile::run_profile(key, &opts, |line| {
+            if let Some(log) = &mut log {
+                log.write(&line);
+            }
+        })?;
         journal_written(&sink)?;
         if csv {
             print!("{}", report.to_csv());
@@ -895,11 +936,8 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
                 trace.len()
             );
         }
-        all_records.extend(report.run_log);
     }
-    if let Some(path) = &g.metrics {
-        write_run_log(path, &all_records)?;
-    }
+    log.map_or(Ok(()), RunLog::finish)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1154,19 +1192,25 @@ fn metrics_check(mut a: Args) -> Result<ExitCode, String> {
         .positional()
         .ok_or("usage: mtt metrics-check <file.ndjson>")?;
     a.finish()?;
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mtt: read {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+    let unreadable = |e: std::io::Error| {
+        eprintln!("mtt: read {path}: {e}");
+        Ok(ExitCode::FAILURE)
     };
+    let file = match std::fs::File::open(&path) {
+        Ok(f) => f,
+        Err(e) => return unreadable(e),
+    };
+    // Line by line, so a large log is never loaded whole.
     let mut checked = 0u64;
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let line = match line {
+            Ok(line) => line,
+            Err(e) => return unreadable(e),
+        };
         if line.trim().is_empty() {
             continue;
         }
-        if let Err(msg) = check_run_log_line(line) {
+        if let Err(msg) = check_run_log_line(&line) {
             eprintln!("{path}:{}: {msg}", i + 1);
             return Ok(ExitCode::FAILURE);
         }

@@ -11,9 +11,9 @@ use mtt_obs::{CampaignMeta, CellDone, JournalSink, ResumeCache};
 use mtt_runtime::Execution;
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanSet, SpanTimings, TelemetrySink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // The tool configuration the grid evaluates now lives in `mtt-tools`, built
@@ -90,8 +90,8 @@ pub struct Campaign {
 
 /// The result of one (program, tool, seed) run — the unit the job pool
 /// shards. The worker that ran it folds it into its share of the run's
-/// cell ([`CellFold`]) and drops it; only its run-log line, if any, is
-/// kept.
+/// cell ([`CellFold`]) and drops it; its run-log line, if any, goes to the
+/// campaign's [`InOrder`] window.
 struct RunRecord {
     failed: bool,
     manifested: Vec<String>,
@@ -158,7 +158,10 @@ impl CellCodec<RunRecord> for Campaign {
         done.fingerprint = rec.fingerprint.clone();
     }
 
-    /// A telemetry campaign re-runs a cell a metrics-less pass recorded.
+    /// A telemetry campaign re-runs a cell a metrics-less pass recorded,
+    /// and a campaign without telemetry drops a cell's recorded metrics,
+    /// so a run has metrics, and a run-log line, exactly when the campaign
+    /// records telemetry.
     fn load(&self, done: &CellDone) -> Option<RunRecord> {
         if self.telemetry && done.metrics.is_none() {
             return None;
@@ -173,10 +176,13 @@ impl CellCodec<RunRecord> for Campaign {
             timed_out: done.timed_out,
             seed: done.seed,
             outcome_tag: done.outcome.clone(),
-            metrics: done.metrics.map(|scalars| RunMetrics {
-                scalars,
-                ..RunMetrics::default()
-            }),
+            metrics: done
+                .metrics
+                .filter(|_| self.telemetry)
+                .map(|scalars| RunMetrics {
+                    scalars,
+                    ..RunMetrics::default()
+                }),
             fingerprint: done.fingerprint.clone(),
         })
     }
@@ -281,11 +287,60 @@ impl CellFold {
 }
 
 /// One pool worker's share of a campaign: a [`CellFold`] per cell, in
-/// (program, tool) order, and the run-log lines of the runs it folded, each
-/// with its run's index in the grid.
+/// (program, tool) order, and the outcome tags its run-log lines share.
 struct CampaignShare {
     cells: Vec<CellFold>,
-    run_log: Vec<(usize, RunLogRecord)>,
+    outcomes: Vec<Arc<str>>,
+}
+
+impl CampaignShare {
+    /// The shared copy of the outcome tag `tag`, made the first time this
+    /// worker meets the tag.
+    fn outcome(&mut self, tag: &str) -> Arc<str> {
+        if let Some(shared) = self.outcomes.iter().find(|t| ***t == *tag) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = tag.into();
+        self.outcomes.push(Arc::clone(&shared));
+        shared
+    }
+}
+
+/// Passes run-log lines on in run-index order as the runs finish: a line
+/// waits here only while an earlier run is still executing, so the window
+/// holds a few lines, not the campaign's.
+struct InOrder<T, F> {
+    /// Index of the next line to pass on.
+    next: usize,
+    /// Lines of later runs that finished first, at offset `i - next`.
+    waiting: VecDeque<Option<T>>,
+    emit: F,
+}
+
+impl<T, F: FnMut(T)> InOrder<T, F> {
+    fn new(emit: F) -> Self {
+        InOrder {
+            next: 0,
+            waiting: VecDeque::new(),
+            emit,
+        }
+    }
+
+    /// Take the line of run `i`, then pass on every line now due.
+    fn push(&mut self, i: usize, line: T) {
+        let slot = i
+            .checked_sub(self.next)
+            .expect("each run hands over one line");
+        if slot >= self.waiting.len() {
+            self.waiting.resize_with(slot + 1, || None);
+        }
+        self.waiting[slot] = Some(line);
+        while let Some(line) = self.waiting.front_mut().and_then(Option::take) {
+            self.waiting.pop_front();
+            self.next += 1;
+            (self.emit)(line);
+        }
+    }
 }
 
 impl Campaign {
@@ -342,20 +397,41 @@ impl Campaign {
     /// on), the merged per-cell [`RunMetrics`], wall-clock span timings of
     /// the campaign phases, and the pool's per-worker accounting.
     ///
+    /// The run log is [`Campaign::run_streaming`]'s lines, collected into
+    /// a vector reserved to the run count.
+    pub fn run_full(&self, pool: &JobPool) -> CampaignRun {
+        let lines = if self.telemetry { self.total_runs() } else { 0 };
+        let mut run_log = Vec::with_capacity(lines);
+        let mut run = self.run_streaming(pool, |line| run_log.push(line));
+        run.run_log = run_log;
+        run
+    }
+
+    /// Execute the grid like [`Campaign::run_full`], but hand each run-log
+    /// line to `line` instead of keeping it: the returned `run_log` is
+    /// empty.
+    ///
     /// Each worker folds the runs it executes into its own share of every
-    /// cell ([`CellFold`]) and keeps only their run-log lines; the shares
-    /// merge once at the end, and the run-log lines are put in (program,
-    /// tool, run) order. So apart from the run log, memory does not grow
-    /// with the run count.
+    /// cell ([`CellFold`]), and the shares merge once at the end. A run's
+    /// line goes to a small window behind one lock, which passes it on in
+    /// (program, tool, run) order as soon as every earlier run has
+    /// finished; `line` runs under that lock. So memory does not grow with
+    /// the run count, the run log included. The lines' strings other than
+    /// the fingerprint are built once per campaign, cell or outcome tag and
+    /// shared.
     ///
     /// The report, run log and cell metrics are deterministic (pure
     /// functions of the seeds); the spans and pool stats are wall-clock and
     /// belong in segregated output only. The campaign's own `journal` and
     /// `resume` take the place of any journal the pool records in.
-    pub fn run_full(&self, pool: &JobPool) -> CampaignRun {
+    pub fn run_streaming(
+        &self,
+        pool: &JobPool,
+        line: impl FnMut(RunLogRecord) + Send,
+    ) -> CampaignRun {
         let n_tools = self.tools.len();
         let n_runs = self.runs as usize;
-        let total = self.programs.len() * n_tools * n_runs;
+        let total = self.total_runs();
         let spans = SpanSet::new();
         let journaled = self.journal.is_some() || self.resume.is_some();
         let pool = pool.clone().with_spans(spans.clone());
@@ -372,29 +448,34 @@ impl Campaign {
                 ..CampaignMeta::default()
             },
         }));
-        // Each tool's canonical spec string, rendered once for every cell
-        // key and run-log record that carries it.
-        let specs: Vec<String> = self.tools.iter().map(ToolConfig::spec_string).collect();
-        let cell = |i: usize| {
-            let prog = &self.programs[i / (n_runs * n_tools)];
-            let t = (i / n_runs) % n_tools;
-            (prog, &self.tools[t], &specs[t], (i % n_runs) as u64)
-        };
+        // The strings of the run-log lines, built once per campaign and
+        // per program and tool: every line of a cell shares them. Each
+        // tool's canonical spec also goes into every cell key.
+        let experiment: Arc<str> = self.label.as_str().into();
+        let program_names: Vec<Arc<str>> = self.programs.iter().map(|p| p.name.into()).collect();
+        let tool_names: Vec<Arc<str>> = self.tools.iter().map(|t| t.name.as_str().into()).collect();
+        let specs: Vec<Arc<str>> = self.tools.iter().map(|t| t.spec_string().into()).collect();
+        let backends: Vec<Option<Arc<str>>> = self
+            .tools
+            .iter()
+            .map(|t| native_tag(t).map(Into::into))
+            .collect();
+        // Grid index `i` → (program, tool, run) indices.
+        let coords = |i: usize| (i / (n_runs * n_tools), (i / n_runs) % n_tools, i % n_runs);
         let key = |i| {
-            let (prog, tool, spec, r) = cell(i);
+            let (p, t, r) = coords(i);
             CellDone {
-                program: prog.name.to_string(),
-                tool: tool.name.clone(),
-                tool_spec: spec.clone(),
-                seed: self.base_seed.wrapping_add(r),
-                run: r,
-                backend: native_tag(tool),
+                program: self.programs[p].name.to_string(),
+                tool: self.tools[t].name.clone(),
+                tool_spec: specs[t].to_string(),
+                seed: self.base_seed.wrapping_add(r as u64),
+                run: r as u64,
+                backend: native_tag(&self.tools[t]),
                 ..CellDone::default()
             }
         };
 
-        // A worker's share: one fold per cell, its bug tags filled in once,
-        // and the run-log lines it produced, each with its run's index.
+        // A worker's share: one fold per cell, its bug tags filled in once.
         let share = || CampaignShare {
             cells: self
                 .programs
@@ -405,41 +486,51 @@ impl Campaign {
                         .map(move |_| CellFold::new(prog.bug_tags()))
                 })
                 .collect(),
-            run_log: Vec::new(),
+            outcomes: Vec::new(),
         };
+        let window = Mutex::new(InOrder::new(line));
         let execute = spans.enter("campaign.execute");
         let (shares, pool_stats) = pool.cells_with(
             self,
             total,
             key,
             |i| {
-                let (prog, tool, _, r) = cell(i);
-                self.one_run(prog, tool, r)
+                let (p, t, r) = coords(i);
+                self.one_run(&self.programs[p], &self.tools[t], r as u64)
             },
             share,
             |share, i, mut rec| {
-                let r = (i % n_runs) as u64;
-                share.cells[i / n_runs].add(r, &rec);
+                let (p, t, r) = coords(i);
+                share.cells[i / n_runs].add(r as u64, &rec);
                 if let Some(metrics) = rec.metrics.take() {
-                    let (prog, tool, spec, _) = cell(i);
                     let line = RunLogRecord {
-                        experiment: self.label.clone(),
-                        program: prog.name.to_string(),
-                        tool: tool.name.clone(),
-                        tool_spec: spec.clone(),
-                        run: r,
+                        experiment: Arc::clone(&experiment),
+                        program: Arc::clone(&program_names[p]),
+                        tool: Arc::clone(&tool_names[t]),
+                        tool_spec: Arc::clone(&specs[t]),
+                        run: r as u64,
                         seed: rec.seed,
-                        outcome: rec.outcome_tag,
+                        outcome: share.outcome(&rec.outcome_tag),
                         failed: rec.failed,
-                        backend: native_tag(tool),
+                        backend: backends[t].clone(),
                         fingerprint: rec.fingerprint,
                         metrics: metrics.scalars,
                     };
-                    share.run_log.push((i, line));
+                    window
+                        .lock()
+                        .expect("a worker panicked passing on a run-log line")
+                        .push(i, line);
                 }
             },
         );
         drop(execute);
+        let window = window
+            .into_inner()
+            .expect("a worker panicked passing on a run-log line");
+        assert!(
+            window.waiting.is_empty(),
+            "every run-log line was passed on"
+        );
 
         let _aggregate = spans.enter("campaign.aggregate");
         let mut shares = shares.into_iter();
@@ -448,10 +539,7 @@ impl Campaign {
             for (cell, other) in merged.cells.iter_mut().zip(&share.cells) {
                 cell.merge(other);
             }
-            merged.run_log.extend(share.run_log);
         }
-        merged.run_log.sort_unstable_by_key(|&(i, _)| i);
-        let run_log = merged.run_log.into_iter().map(|(_, line)| line).collect();
         let mut cells = BTreeMap::new();
         let mut cell_metrics = BTreeMap::new();
         for (c, fold) in merged.cells.into_iter().enumerate() {
@@ -468,12 +556,17 @@ impl Campaign {
         drop(_aggregate);
         CampaignRun {
             report: CampaignReport { cells },
-            run_log,
+            run_log: Vec::new(),
             cell_metrics,
             pool_stats,
             span_events: spans.events(),
             spans: spans.timings(),
         }
+    }
+
+    /// Runs in the grid: programs × tools × runs per cell.
+    fn total_runs(&self) -> usize {
+        self.programs.len() * self.tools.len() * self.runs as usize
     }
 
     /// One seeded run: the sharding unit. Deterministic given
@@ -584,8 +677,9 @@ pub struct CampaignRun {
     /// The find-probability report (deterministic).
     pub report: CampaignReport,
     /// One record per run in canonical (program, tool, run) order; empty
-    /// unless the campaign ran with `telemetry` on. Deterministic except
-    /// for each record's segregated `wall` field.
+    /// unless [`Campaign::run_full`] ran with `telemetry` on
+    /// ([`Campaign::run_streaming`] passes the records on instead).
+    /// Deterministic.
     pub run_log: Vec<RunLogRecord>,
     /// Per-cell telemetry, merged across the cell's runs; empty unless the
     /// campaign ran with `telemetry` on. Deterministic.
@@ -805,23 +899,188 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn resumed_campaign_replays_from_the_journal_byte_for_byte() {
-        use std::io::Write;
-        use std::sync::Mutex;
+    /// A journal the test can read back while the sink owns its writer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The run log `campaign` streams on a pool of `jobs` workers, as
+    /// `mtt --metrics` writes it.
+    fn streamed_log(campaign: &Campaign, jobs: usize) -> Vec<u8> {
+        let mut w = mtt_telemetry::RunLogWriter::new(Vec::new());
+        let run = campaign.run_streaming(&JobPool::new(jobs), |line| {
+            w.write_record(&line).unwrap();
+        });
+        assert!(run.run_log.is_empty(), "streamed lines are not kept");
+        w.into_inner().unwrap()
+    }
+
+    /// A telemetry campaign over two programs and two tools, `runs` runs
+    /// per cell.
+    fn telemetry_campaign(runs: u64, tools: Vec<ToolConfig>) -> Campaign {
+        Campaign {
+            programs: vec![
+                mtt_suite::small::lost_update(2, 2),
+                mtt_suite::small::ab_ba(),
+            ],
+            tools,
+            runs,
+            base_seed: 21,
+            max_steps: 20_000,
+            telemetry: true,
+            label: "stream-test".into(),
+            ..Campaign::standard(vec![], 0)
+        }
+    }
+
+    #[test]
+    fn window_passes_each_line_on_once_every_earlier_one_has_arrived() {
+        let orders: [[usize; 6]; 4] = [
+            [0, 1, 2, 3, 4, 5],
+            [5, 4, 3, 2, 1, 0],
+            [1, 0, 3, 2, 5, 4],
+            [2, 5, 0, 4, 1, 3],
+        ];
+        for order in orders {
+            let mut out = Vec::new();
+            let mut window = InOrder::new(|line| out.push(line));
+            let mut arrived = [false; 6];
+            for i in order {
+                window.push(i, i * 10);
+                arrived[i] = true;
+                let due = arrived.iter().take_while(|&&a| a).count();
+                let held = arrived.iter().filter(|&&a| a).count() - due;
+                assert_eq!(window.next, due, "{order:?}: passed on as soon as due");
+                assert_eq!(window.waiting.iter().flatten().count(), held, "{order:?}");
             }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
+            assert!(window.waiting.is_empty());
+            drop(window);
+            assert_eq!(out, [0, 10, 20, 30, 40, 50], "{order:?}");
+        }
+    }
+
+    #[test]
+    fn run_log_lines_arrive_in_index_order_when_later_runs_finish_first() {
+        // Run 0 of every cell starts late: its scheduler factory sleeps on
+        // the campaign's base seed, so with several workers later runs of
+        // the cell finish first.
+        let slow_first = |tool: ToolConfig| {
+            let inner = Arc::clone(&tool.scheduler);
+            ToolConfig {
+                scheduler: Arc::new(move |seed| {
+                    if seed == 21 {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    inner(seed)
+                }),
+                ..tool
+            }
+        };
+        let tools = vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)];
+        let campaign = telemetry_campaign(8, tools.into_iter().map(slow_first).collect());
+        let mut want = Vec::new();
+        for program in ["lost_update", "ab_ba"] {
+            for tool in ["none", "spurious-0.05"] {
+                want.extend((0..8).map(|r| (program, tool, r)));
             }
         }
+        let serial = campaign.run_full(&JobPool::serial()).run_log;
+        for jobs in [1, 2, 4, 8] {
+            let mut arrived = Vec::new();
+            campaign.run_streaming(&JobPool::new(jobs), |line| arrived.push(line));
+            let order: Vec<(&str, &str, u64)> = arrived
+                .iter()
+                .map(|l| (&*l.program, &*l.tool, l.run))
+                .collect();
+            assert_eq!(order, want, "jobs={jobs}");
+            assert_eq!(arrived, serial, "jobs={jobs}");
+        }
+    }
 
+    #[test]
+    fn resumed_telemetry_campaign_streams_the_bytes_of_an_uninterrupted_one() {
+        let mk = || {
+            telemetry_campaign(
+                6,
+                vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)],
+            )
+        };
+        let uninterrupted = streamed_log(&mk(), 1);
+        assert_eq!(uninterrupted.iter().filter(|&&b| b == b'\n').count(), 24);
+        // A journaled pass at two workers; a killed one would have left the
+        // first `kept` of its `done` records.
+        let buf = SharedBuf::default();
+        let mut first = mk();
+        first.journal = Some(Arc::new(JournalSink::from_writer(buf.clone())));
+        assert_eq!(streamed_log(&first, 2), uninterrupted);
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let records = mtt_obs::parse_journal(&text)
+            .expect("journal parses")
+            .records;
+        for (jobs, kept) in [(1, 3), (2, 11), (4, 17), (8, 23)] {
+            let done: Vec<_> = records
+                .iter()
+                .filter(|r| r.kind() == "done")
+                .take(kept)
+                .cloned()
+                .collect();
+            let mut resumed = mk();
+            resumed.resume = Some(ResumeCache::from_records(&done));
+            assert_eq!(
+                streamed_log(&resumed, jobs),
+                uninterrupted,
+                "{kept} cells cached, jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn campaign_without_telemetry_resumes_a_telemetry_journal_with_gaps() {
+        // The journal holds runs 0..3 of each cell with their metrics; the
+        // resumed campaign has 6 runs per cell and no telemetry, so cached
+        // and executed runs interleave in every cell.
+        let buf = SharedBuf::default();
+        let mut first = telemetry_campaign(
+            3,
+            vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)],
+        );
+        first.journal = Some(Arc::new(JournalSink::from_writer(buf.clone())));
+        first.run_full(&JobPool::serial());
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let records = mtt_obs::parse_journal(&text)
+            .expect("journal parses")
+            .records;
+        let bare = || Campaign {
+            runs: 6,
+            telemetry: false,
+            ..telemetry_campaign(
+                0,
+                vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)],
+            )
+        };
+        let want = bare().run_full(&JobPool::serial()).report.table().to_csv();
+        for jobs in [1, 2] {
+            let mut resumed = bare();
+            resumed.resume = Some(ResumeCache::from_records(&records));
+            let run = resumed.run_full(&JobPool::new(jobs));
+            assert!(run.run_log.is_empty(), "jobs={jobs}: no run-log lines");
+            assert!(run.cell_metrics.is_empty(), "jobs={jobs}: no cell metrics");
+            assert_eq!(run.report.table().to_csv(), want, "jobs={jobs}");
+            assert_eq!(streamed_log(&resumed, jobs), b"", "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn resumed_campaign_replays_from_the_journal_byte_for_byte() {
         let mk = || Campaign {
             programs: vec![
                 mtt_suite::small::lost_update(2, 2),

@@ -78,8 +78,9 @@ impl Default for ProfileOptions {
 
 /// The program slice an experiment key profiles: the programs that
 /// experiment exercises (approximated for experiments whose engine is not
-/// campaign-shaped, where the slice covers the same suite subset).
-pub fn programs_for(key: &str) -> Option<Vec<SuiteProgram>> {
+/// campaign-shaped, where the slice covers the same suite subset). An
+/// unknown key is an error that names the known ones.
+pub fn programs_for(key: &str) -> Result<Vec<SuiteProgram>, String> {
     let subset = |names: &[&str]| -> Vec<SuiteProgram> {
         mtt_suite::quick_set()
             .into_iter()
@@ -89,14 +90,17 @@ pub fn programs_for(key: &str) -> Option<Vec<SuiteProgram>> {
     match key {
         // Campaign-, detector-, static- and tradeoff-shaped experiments all
         // sweep the quick set.
-        "e1" | "e2" | "e7" | "e8" => Some(mtt_suite::quick_set()),
+        "e1" | "e2" | "e7" | "e8" => Ok(mtt_suite::quick_set()),
         // Replay and exploration work on the small lock/interleaving trio.
-        "e3" | "e6" => Some(subset(&["lost_update", "ab_ba", "check_then_act"])),
+        "e3" | "e6" => Ok(subset(&["lost_update", "ab_ba", "check_then_act"])),
         // Coverage growth targets one medium program.
-        "e4" => Some(subset(&["bounded_queue"])),
+        "e4" => Ok(subset(&["bounded_queue"])),
         // Multiout focuses on outcome diversity under signals and waits.
-        "e5" => Some(subset(&["missed_signal", "wrong_notify", "unguarded_wait"])),
-        _ => None,
+        "e5" => Ok(subset(&["missed_signal", "wrong_notify", "unguarded_wait"])),
+        _ => Err(format!(
+            "unknown profile key `{key}` (expected one of {} or `all`)",
+            PROFILE_KEYS.join(", ")
+        )),
     }
 }
 
@@ -133,8 +137,6 @@ pub struct ProfileReport {
     pub pool_stats: PoolStats,
     /// Phase span timings of the telemetry pass (segregated).
     pub spans: SpanTimings,
-    /// The canonical-order run log of the telemetry pass.
-    pub run_log: Vec<RunLogRecord>,
     /// Annotated-trace files written when
     /// [`ProfileOptions::annotate_dir`] was set (canonical cell order).
     pub annotated: Vec<String>,
@@ -149,14 +151,15 @@ pub struct ProfileReport {
     pub base_seed: u64,
 }
 
-/// Run the profiler for one experiment key.
-pub fn run_profile(key: &str, opts: &ProfileOptions) -> Result<ProfileReport, String> {
-    let programs = programs_for(key).ok_or_else(|| {
-        format!(
-            "unknown profile key `{key}` (expected one of {} or `all`)",
-            PROFILE_KEYS.join(", ")
-        )
-    })?;
+/// Run the profiler for one experiment key, handing each run-log line of
+/// the telemetry pass to `run_log` in canonical (program, tool, run) order
+/// as the runs finish ([`Campaign::run_streaming`]).
+pub fn run_profile(
+    key: &str,
+    opts: &ProfileOptions,
+    run_log: impl FnMut(RunLogRecord) + Send,
+) -> Result<ProfileReport, String> {
+    let programs = programs_for(key)?;
     let tools = match &opts.tools {
         Some(specs) => specs
             .iter()
@@ -190,7 +193,7 @@ pub fn run_profile(key: &str, opts: &ProfileOptions) -> Result<ProfileReport, St
         }
         p
     };
-    let telemetry_pass = campaign.run_full(&pool);
+    let telemetry_pass = campaign.run_streaming(&pool, run_log);
 
     let annotated = match &opts.annotate_dir {
         Some(dir) => {
@@ -241,7 +244,6 @@ pub fn run_profile(key: &str, opts: &ProfileOptions) -> Result<ProfileReport, St
         wall_without: wall_per_tool(&baseline_pass.report),
         pool_stats: telemetry_pass.pool_stats,
         spans: telemetry_pass.spans,
-        run_log: telemetry_pass.run_log,
         annotated,
         span_events: telemetry_pass.span_events,
         program_names,
@@ -435,10 +437,17 @@ mod tests {
         }
     }
 
+    /// Profile `key` under `opts`, keeping the telemetry pass's run log.
+    fn profile_logged(key: &str, opts: &ProfileOptions) -> (ProfileReport, Vec<RunLogRecord>) {
+        let mut log = Vec::new();
+        let report = run_profile(key, opts, |line| log.push(line)).unwrap();
+        (report, log)
+    }
+
     #[test]
     fn profile_rejects_unknown_keys() {
-        assert!(run_profile("e99", &tiny()).is_err());
-        assert!(run_profile("", &tiny()).is_err());
+        assert!(run_profile("e99", &tiny(), drop).is_err());
+        assert!(run_profile("", &tiny(), drop).is_err());
     }
 
     #[test]
@@ -451,16 +460,12 @@ mod tests {
 
     #[test]
     fn profile_e3_is_deterministic_across_jobs() {
-        let serial = run_profile("e3", &tiny()).unwrap();
-        let par = run_profile("e3", &ProfileOptions { jobs: 4, ..tiny() }).unwrap();
+        let (serial, serial_log) = profile_logged("e3", &tiny());
+        let (par, par_log) = profile_logged("e3", &ProfileOptions { jobs: 4, ..tiny() });
         assert_eq!(serial.render(), par.render());
         assert_eq!(serial.to_csv(), par.to_csv());
-        assert_eq!(serial.run_log.len(), par.run_log.len());
-        // The run logs agree except for the segregated wall field.
-        for (a, b) in serial.run_log.iter().zip(&par.run_log) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!((a.seed, a.run, &a.outcome), (b.seed, b.run, &b.outcome));
-        }
+        assert!(!serial_log.is_empty());
+        assert_eq!(serial_log, par_log);
     }
 
     #[test]
@@ -472,6 +477,7 @@ mod tests {
                 annotate_dir: Some(dir.display().to_string()),
                 ..tiny()
             },
+            drop,
         )
         .unwrap();
         assert!(!report.annotated.is_empty(), "e3 cells should find bugs");
@@ -491,6 +497,7 @@ mod tests {
                 chrome: true,
                 ..tiny()
             },
+            drop,
         )
         .unwrap();
         let trace = report.chrome_trace();
@@ -504,19 +511,19 @@ mod tests {
         assert!(text.contains("lost_update/none#0"), "{text}");
         assert!(text.contains("\"seed\""));
         // Without `chrome`, only phases appear (no worker tracks).
-        let bare = run_profile("e3", &tiny()).unwrap();
+        let bare = run_profile("e3", &tiny(), drop).unwrap();
         assert!(bare.pool_stats.timeline.is_empty());
         assert!(mtt_obs::check_chrome_trace(&bare.chrome_trace().dump()).unwrap() > 0);
     }
 
     #[test]
     fn profile_measures_real_activity() {
-        let report = run_profile("e3", &tiny()).unwrap();
+        let (report, run_log) = profile_logged("e3", &tiny());
         assert!(report.totals.scalars.events > 0);
         assert!(report.totals.scalars.lock_acquires > 0);
         assert!(!report.per_tool.is_empty());
         assert_eq!(
-            report.run_log.len() as u64,
+            run_log.len() as u64,
             report.runs_per_tool * report.per_tool.len() as u64
         );
         // The segregated timing render exists and mentions the overhead table.

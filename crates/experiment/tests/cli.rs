@@ -157,6 +157,56 @@ fn unwritable_metrics_path_is_a_usage_error() {
 }
 
 #[test]
+fn an_uncreatable_metrics_path_fails_before_any_run() {
+    // The run log is created before the campaign runs: a path that cannot
+    // be created exits 2 at once, with nothing on stdout and no cell run.
+    let dir = std::env::temp_dir().join(format!("mtt-cli-metrics-{}", std::process::id()));
+    let journal = dir.join("journal");
+    let journal_s = journal.to_string_lossy();
+    let bad = "/nonexistent-dir/m.ndjson";
+    let cases: [&[&str]; 3] = [
+        &["e1", "2", "--metrics", bad],
+        &[
+            "e1-detail",
+            "lost_update",
+            "2",
+            "--quiet",
+            "--journal",
+            &journal_s,
+            "--metrics",
+            bad,
+        ],
+        &["profile", "e3", "2", "--quiet", "--metrics", bad],
+    ];
+    for args in cases {
+        let cmd = args.join(" ");
+        let (stdout, stderr, code) = mtt_code(args);
+        assert_eq!(code, 2, "`mtt {cmd}`: {stderr}");
+        assert_eq!(stdout, "", "`mtt {cmd}` printed a report");
+        assert!(
+            stderr.contains(bad),
+            "`mtt {cmd}` must name {bad}: {stderr}"
+        );
+    }
+    let text = std::fs::read_to_string(journal.join("e1-detail.ndjson")).unwrap_or_default();
+    assert!(!text.contains("\"kind\":\"done\""), "a cell ran:\n{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_run_log_write_error_exits_2_once_the_campaign_ends() {
+    // Every write to /dev/full fails: the first failure is kept while the
+    // campaign runs and reported when it ends, instead of a report.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let (stdout, stderr, code) = mtt_code(&["e1", "2", "--quiet", "--metrics", "/dev/full"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert_eq!(stdout, "");
+    assert!(stderr.contains("write /dev/full"), "stderr: {stderr}");
+}
+
+#[test]
 fn no_arguments_fails_with_usage() {
     let (_, stderr, ok) = mtt(&[]);
     assert!(!ok, "bare `mtt` must exit non-zero");

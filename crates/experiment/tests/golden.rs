@@ -86,6 +86,7 @@ fn profile_e3_report_matches_golden() {
             jobs: 2,
             ..Default::default()
         },
+        drop,
     )
     .expect("e3 is a known profile key");
     check_golden("profile_e3.txt", &report.render());
@@ -94,20 +95,18 @@ fn profile_e3_report_matches_golden() {
 
 #[test]
 fn profile_run_log_matches_golden() {
-    let report = mtt_experiment::run_profile(
+    let mut buf = Vec::new();
+    let mut w = mtt_telemetry::RunLogWriter::new(&mut buf);
+    mtt_experiment::run_profile(
         "e3",
         &mtt_experiment::ProfileOptions {
             runs: 6,
             jobs: 2,
             ..Default::default()
         },
+        |r| w.write_record(&r).expect("in-memory write"),
     )
     .expect("e3 is a known profile key");
-    let mut buf = Vec::new();
-    let mut w = mtt_telemetry::RunLogWriter::new(&mut buf);
-    for r in &report.run_log {
-        w.write_record(r).expect("in-memory write");
-    }
     w.flush().expect("in-memory flush");
     drop(w);
     check_golden(

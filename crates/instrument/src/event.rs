@@ -302,6 +302,44 @@ pub fn intern_file_id(file: &'static str) -> u32 {
     id
 }
 
+/// A two-entry memo of a per-file value, keyed by the file string's address
+/// and length, in front of a process-wide table such as
+/// [`intern_file_id`]'s. A run's events almost all come from the program's
+/// file and from [`Loc::SYNTHETIC`] (thread start and exit), alternating,
+/// so a per-run consumer that keeps both rarely takes the table's lock.
+#[derive(Clone, Copy, Debug)]
+pub struct FileMemo<V> {
+    /// The most recently used file first.
+    entries: [Option<(&'static str, V)>; 2],
+}
+
+impl<V> Default for FileMemo<V> {
+    fn default() -> Self {
+        FileMemo {
+            entries: [None, None],
+        }
+    }
+}
+
+impl<V: Copy> FileMemo<V> {
+    /// The value of `file`: remembered, or made by `make` and remembered in
+    /// place of the less recently used entry.
+    pub fn get(&mut self, file: &'static str, make: impl FnOnce(&'static str) -> V) -> V {
+        match self.entries {
+            [Some((f, v)), _] if std::ptr::eq(f, file) => v,
+            [first, Some((f, v))] if std::ptr::eq(f, file) => {
+                self.entries = [Some((f, v)), first];
+                v
+            }
+            [first, _] => {
+                let v = make(file);
+                self.entries = [Some((file, v)), first];
+                v
+            }
+        }
+    }
+}
+
 /// Resolve a file id handed out by [`intern_file_id`] back to its name.
 ///
 /// # Panics
@@ -595,6 +633,26 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn file_memo_keeps_two_alternating_files() {
+        let (a, b, c) = ("memo-a", "memo-b", "memo-c");
+        let mut memo = FileMemo::default();
+        let mut made = Vec::new();
+        let mut get = |memo: &mut FileMemo<usize>, file: &'static str| {
+            memo.get(file, |f| {
+                made.push(f);
+                f.len() + made.len()
+            })
+        };
+        let first: Vec<usize> = [a, b, a, b, a].iter().map(|&f| get(&mut memo, f)).collect();
+        assert_eq!(first, [7, 8, 7, 8, 7]);
+        // A third file evicts the less recently used of the two.
+        assert_eq!(get(&mut memo, c), 9);
+        assert_eq!(get(&mut memo, a), 7);
+        assert_eq!(get(&mut memo, b), 10);
+        assert_eq!(made, [a, b, c, b]);
+    }
 
     #[test]
     fn op_class_partition_is_total() {

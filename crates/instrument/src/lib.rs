@@ -42,8 +42,8 @@ pub mod sink;
 pub mod statics;
 
 pub use event::{
-    file_name, intern_file_id, intern_static, AccessKind, BarrierId, CondId, Event, Loc, LocKey,
-    LocKeyHasher, LocKeyMap, LockId, Op, OpClass, SemId, ThreadId, VarId,
+    file_name, intern_file_id, intern_static, AccessKind, BarrierId, CondId, Event, FileMemo, Loc,
+    LocKey, LocKeyHasher, LocKeyMap, LockId, Op, OpClass, SemId, ThreadId, VarId,
 };
 pub use plan::{InstrumentationPlan, OpClassSet, ResolvedFilter, Select, VarTable};
 pub use sink::{

@@ -800,6 +800,14 @@ impl<T: FromJson> FromJson for std::sync::Arc<[T]> {
     }
 }
 
+impl FromJson for std::sync::Arc<str> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.as_str()
+            .map(Into::into)
+            .ok_or_else(|| JsonError::expected("string", v))
+    }
+}
+
 impl ToJson for Json {
     fn write_json(&self, out: &mut String) {
         match self {
@@ -1092,6 +1100,22 @@ mod tests {
         let dumped = v.dump();
         assert_eq!(dumped, r#""a\"b\\c\nd\u0001""#);
         assert_eq!(Json::parse(&dumped).unwrap(), v);
+    }
+
+    #[test]
+    fn shared_strings_round_trip_with_escapes() {
+        use std::sync::Arc;
+        for s in ["", "plain", "a\"b\\c\nd\u{1}\t", "é😀\u{7ff}"] {
+            let shared: Arc<str> = s.into();
+            let text = to_string(&shared);
+            assert_eq!(text, to_string(s), "{s:?}");
+            let back: Arc<str> = from_str(&text).unwrap();
+            assert_eq!(back, shared);
+            let none: Option<Arc<str>> = from_str("null").unwrap();
+            assert_eq!(none, None);
+        }
+        let err = from_str::<Arc<str>>("7").unwrap_err().to_string();
+        assert!(err.contains("expected string"), "{err}");
     }
 
     /// The char-by-char escaper the run-copying one replaced.

@@ -7,11 +7,16 @@
 //! schema is [`RunLogRecord`]'s declaration: the writer prints a record
 //! through it and [`check_run_log_line`] parses a line back into it. The
 //! default record is a pure function of the run's seed, so a log written at
-//! `--jobs 8` is byte-identical to the serial one — the writer is always
-//! fed in canonical (program, tool, run) order after the shards merge. No
-//! line carries a wall-clock duration: per-run time stays in the explicitly
-//! non-deterministic outputs (`mtt profile --timing` and the journal's
-//! `wall_us`).
+//! `--jobs 8` is byte-identical to the serial one — a campaign passes each
+//! line on in canonical (program, tool, run) order as soon as every earlier
+//! run has finished, and the writer prints lines in the order it gets them.
+//! No line carries a wall-clock duration: per-run time stays in the
+//! explicitly non-deterministic outputs (`mtt profile --timing` and the
+//! journal's `wall_us`).
+//!
+//! A record's strings other than its fingerprint are `Arc<str>`: a campaign
+//! builds each once (per campaign, cell or outcome tag) and every line of
+//! a cell shares them.
 //!
 //! All writes propagate `io::Result` — a full disk or a closed pipe is an
 //! error the campaign reports, not a panic.
@@ -19,33 +24,34 @@
 use mtt_json::{json_struct, FromJson, Json, ToJson};
 use mtt_obs::MetricScalars;
 use std::io::{self, BufWriter, Write};
+use std::sync::Arc;
 
 /// One run-log line.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunLogRecord {
     /// Experiment key (`e1`, `profile`, …).
-    pub experiment: String,
+    pub experiment: Arc<str>,
     /// Program under test.
-    pub program: String,
+    pub program: Arc<str>,
     /// Tool configuration name.
-    pub tool: String,
+    pub tool: Arc<str>,
     /// Canonical tool-spec string the run can be re-created from
     /// (`mtt tools validate` accepts it; see `mtt-tools`).
-    pub tool_spec: String,
+    pub tool_spec: Arc<str>,
     /// Run index within the (program, tool) cell.
     pub run: u64,
     /// The seed that defined the execution.
     pub seed: u64,
     /// Outcome tag (`completed`, `deadlock`, `step-limit`, `panic`,
     /// `assert-stop`).
-    pub outcome: String,
+    pub outcome: Arc<str>,
     /// Did the program's oracle judge the run as having manifested a bug?
     pub failed: bool,
     /// Execution-backend tag (`"native"`), present only when the run
     /// executed on a non-model backend. Optional so every log written by a
     /// model campaign — which is all of them before the native backend
     /// existed — stays byte-identical.
-    pub backend: Option<String>,
+    pub backend: Option<Arc<str>>,
     /// Canonical Mazurkiewicz-trace fingerprint of the run's HB partial
     /// order (32 hex digits), when the campaign computed one. Optional so
     /// logs written by fingerprint-less producers stay schema-valid.
@@ -243,6 +249,31 @@ mod tests {
         assert!(check_run_log_line(&broken).unwrap_err().contains("backend"));
         let broken = native_line.replace("\"backend\":\"native\"", "\"backend\":null");
         assert!(check_run_log_line(&broken).unwrap_err().contains("backend"));
+    }
+
+    #[test]
+    fn shared_strings_with_escapes_round_trip() {
+        let rec = RunLogRecord {
+            experiment: "e1 \"quoted\"".into(),
+            program: "tab\there".into(),
+            tool: "back\\slash".into(),
+            tool_spec: "sticky:0.9+name=n\u{1}é😀".into(),
+            outcome: "line\nbreak".into(),
+            backend: Some("native".into()),
+            ..record(3)
+        };
+        let line = mtt_json::to_string(&rec);
+        assert!(line.contains(r#""program":"tab\there""#), "{line}");
+        assert!(line.contains(r#""tool_spec":"sticky:0.9+name=n\u0001é😀""#));
+        assert_eq!(check_run_log_line(&line).unwrap(), rec);
+        // An absent field is left out, never printed as `null`.
+        let fingerprint = format!("\"{}\"", rec.fingerprint.as_deref().unwrap());
+        for (key, value) in [("backend", "\"native\""), ("fingerprint", &fingerprint)] {
+            let null = line.replace(&format!("\"{key}\":{value}"), &format!("\"{key}\":null"));
+            assert_ne!(null, line);
+            let err = check_run_log_line(&null).unwrap_err();
+            assert!(err.contains(key) && err.contains("null"), "{err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! schedule.
 
 use crate::run::RunMetrics;
-use mtt_instrument::{Event, EventSink, LocKey, Op};
+use mtt_instrument::{Event, EventSink, FileMemo, LocKey, Op};
 
 /// Counts event classes, hot sites and synchronization traffic from an
 /// instrumented event stream.
@@ -26,10 +26,9 @@ use mtt_instrument::{Event, EventSink, LocKey, Op};
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     metrics: RunMetrics,
-    /// Memo of the most recent file → id mapping, keyed by the file
-    /// string's address and length: consecutive events almost always share
-    /// a source file, so the interner's lock is rarely touched at all.
-    last_file: Option<(&'static str, u32)>,
+    /// The two most recent files' interned ids, so the interner's lock is
+    /// rarely touched at all.
+    files: FileMemo<u32>,
     finished: bool,
 }
 
@@ -40,17 +39,10 @@ impl TelemetrySink {
     }
 
     fn loc_key(&mut self, loc: mtt_instrument::Loc) -> LocKey {
-        if let Some((file, id)) = self.last_file {
-            if std::ptr::eq(file, loc.file) {
-                return LocKey {
-                    file: id,
-                    line: loc.line,
-                };
-            }
+        LocKey {
+            file: self.files.get(loc.file, mtt_instrument::intern_file_id),
+            line: loc.line,
         }
-        let key = loc.key();
-        self.last_file = Some((loc.file, key.file));
-        key
     }
 
     /// The metrics accumulated so far (event-derived fields only; combine
@@ -189,13 +181,14 @@ mod tests {
 
     #[test]
     fn interleaved_files_accumulate_on_distinct_keys() {
-        // Defeat the last-file memo on purpose: alternating files must
-        // still land on their own sites.
+        // Defeat the two-entry file memo on purpose: three files in turn
+        // must still land on their own sites.
         let a = Loc::new("file-a", 1);
         let b = Loc::new("file-b", 1);
+        let c = Loc::new("file-c", 1);
         let mut sink = TelemetrySink::new();
-        for i in 0..6u64 {
-            let loc = if i % 2 == 0 { a } else { b };
+        for i in 0..9u64 {
+            let loc = [a, b, c][i as usize % 3];
             sink.on_event(&ev(
                 i,
                 0,
@@ -209,5 +202,6 @@ mod tests {
         sink.finish();
         assert_eq!(sink.metrics().events_at(a), 3);
         assert_eq!(sink.metrics().events_at(b), 3);
+        assert_eq!(sink.metrics().events_at(c), 3);
     }
 }

@@ -47,18 +47,18 @@ fn coin(rng: &mut TestRng) -> bool {
 fn record(rng: &mut TestRng) -> RunLogRecord {
     let backend = match rng.next_u64() % 4 {
         0 => None,
-        1 => Some("model".to_string()),
-        2 => Some("native".to_string()),
-        _ => Some(text(rng)),
+        1 => Some("model".into()),
+        2 => Some("native".into()),
+        _ => Some(text(rng).into()),
     };
     RunLogRecord {
-        experiment: text(rng),
-        program: text(rng),
-        tool: text(rng),
-        tool_spec: text(rng),
+        experiment: text(rng).into(),
+        program: text(rng).into(),
+        tool: text(rng).into(),
+        tool_spec: text(rng).into(),
         run: count(rng),
         seed: count(rng),
-        outcome: text(rng),
+        outcome: text(rng).into(),
         failed: coin(rng),
         backend,
         fingerprint: coin(rng).then(|| text(rng)),
