@@ -8,9 +8,8 @@
 use mtt_bench::Smoke;
 use mtt_core::causal::fingerprint_trace;
 use mtt_core::coverage::ScheduleCoverage;
-use mtt_core::experiment::saturation_eval::{
-    run_fingerprint, SATURATION_BASE_SEED, SATURATION_MAX_STEPS, SATURATION_ROSTER_SPECS,
-};
+use mtt_core::experiment::campaign::{STANDARD_BASE_SEED, STANDARD_MAX_STEPS};
+use mtt_core::experiment::saturation_eval::{run_fingerprint, SATURATION_ROSTER_SPECS};
 use mtt_core::experiment::tracegen::{self, TraceGenOptions};
 use mtt_core::tools::ToolConfig;
 use std::hint::black_box;
@@ -47,8 +46,8 @@ fn main() {
             cov.observe(run_fingerprint(
                 &program.program,
                 sticky,
-                SATURATION_BASE_SEED + r,
-                SATURATION_MAX_STEPS,
+                STANDARD_BASE_SEED + r,
+                STANDARD_MAX_STEPS,
             ));
         }
         (cov.distinct(), cov.good_turing_unseen_mass(), cov.auc())
@@ -59,10 +58,10 @@ fn main() {
 
     // The E12 / campaign kernel: one seeded execution with the
     // fingerprint sink attached — execution dominates, hashing rides along.
-    let mut seed = SATURATION_BASE_SEED;
+    let mut seed = STANDARD_BASE_SEED;
     smoke.time("run_fingerprint_sticky", 256, || {
         seed += 1;
-        run_fingerprint(&program.program, sticky, seed, SATURATION_MAX_STEPS)
+        run_fingerprint(&program.program, sticky, seed, STANDARD_MAX_STEPS)
     });
 
     // The accumulator alone, fed a synthetic Zipf-ish class stream: the

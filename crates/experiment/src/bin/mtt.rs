@@ -197,16 +197,6 @@ fn parse_global(a: &mut Args) -> Result<Global, String> {
 }
 
 impl Global {
-    /// A pool for the experiment `label`, honoring `--jobs`/`--quiet`.
-    fn pool(&self, label: &str) -> JobPool {
-        let pool = JobPool::new(self.jobs);
-        if self.quiet {
-            pool
-        } else {
-            pool.with_progress(label)
-        }
-    }
-
     /// The `--tools`/`--tools-file` roster resolved to runnable configs,
     /// or `None` when neither flag was given.
     fn resolved_tools(&self) -> Result<Option<Vec<ToolConfig>>, String> {
@@ -216,11 +206,8 @@ impl Global {
             .transpose()
     }
 
-    /// Open `--journal DIR/<label>.ndjson` if journaling was requested.
-    /// With `--resume` the existing journal is tail-repaired, parsed
-    /// (corruption is exit 2) and turned into a [`ResumeCache`]; the sink
-    /// then appends. Without it the file is truncated.
-    fn open_journal(&self, label: &str) -> Result<Option<CellJournal>, String> {
+    /// Create the `--journal` directory, if one was given, and return it.
+    fn journal_dir(&self) -> Result<Option<&str>, String> {
         let Some(dir) = &self.journal else {
             if self.resume {
                 return Err(
@@ -231,6 +218,17 @@ impl Global {
         };
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("--journal: cannot create directory {dir}: {e}"))?;
+        Ok(Some(dir))
+    }
+
+    /// Open `--journal DIR/<label>.ndjson` if journaling was requested.
+    /// With `--resume` the existing journal is tail-repaired, parsed
+    /// (corruption is exit 2) and turned into a [`ResumeCache`]; the sink
+    /// then appends. Without it the file is truncated.
+    fn open_journal(&self, label: &str) -> Result<Option<CellJournal>, String> {
+        let Some(dir) = self.journal_dir()? else {
+            return Ok(None);
+        };
         let path = Path::new(dir).join(format!("{label}.ndjson"));
         let mut cache = None;
         if self.resume && path.exists() {
@@ -253,12 +251,17 @@ impl Global {
         }))
     }
 
-    /// Run `job` on the pool for `label`, whose cells are recorded in
-    /// `--journal` and resumed with `--resume`.
+    /// Run `job` on the pool for the experiment `label`: `--jobs` workers,
+    /// a progress line unless `--quiet`, and its cells (a campaign's runs
+    /// included) recorded in `--journal` and resumed with `--resume`.
     fn on_pool<T>(&self, label: &str, job: impl FnOnce(&JobPool) -> T) -> Result<T, String> {
         let journal = self.open_journal(label)?;
         let sink = journal.as_ref().and_then(|j| j.sink.clone());
-        let out = job(&self.pool(label).recording(journal));
+        let mut pool = JobPool::new(self.jobs).recording(journal);
+        if !self.quiet {
+            pool = pool.with_progress(label);
+        }
+        let out = job(&pool);
         journal_written(&sink)?;
         Ok(out)
     }
@@ -284,26 +287,27 @@ impl Global {
             }
         }
         campaign.run_budget = self.budget;
-        campaign.jobs = self.jobs;
         campaign.label = label.into();
-        let journal = self.open_journal(label)?.unwrap_or_default();
-        campaign.journal = journal.sink;
-        campaign.resume = journal.resume;
         let mut log = self.open_run_log()?;
         campaign.telemetry = log.is_some();
-        let run = campaign.run_streaming(&self.pool(label), |line| {
-            if let Some(log) = &mut log {
-                log.write(&line);
-            }
-        });
-        journal_written(&campaign.journal)?;
+        let run = self.on_pool(label, |pool| {
+            campaign.run_streaming(pool, |line| {
+                if let Some(log) = &mut log {
+                    log.write(&line);
+                }
+            })
+        })?;
         log.map_or(Ok(()), RunLog::finish)?;
         Ok(run)
     }
 
     /// Create the `--metrics` file, if one was asked for, before anything
-    /// runs: a path that cannot be created is a usage error up front.
+    /// runs: a path that cannot be created is a usage error up front. The
+    /// `--journal` directory is created first, since the run log may go in
+    /// it, and a journal is opened (and truncated) only after, so a bad
+    /// path leaves an existing journal as it was.
     fn open_run_log(&self) -> Result<Option<RunLog>, String> {
+        self.journal_dir()?;
         self.metrics.as_deref().map(RunLog::create).transpose()
     }
 }
@@ -480,7 +484,8 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
         "cloning" => {
             let runs = a.count("the run count", 60)?;
             scheduler_and_noise_only(g, "cloning")?;
-            Box::new(move |pool| cloning_table(runs, g.tools.as_deref(), pool))
+            let tools = g.resolved_tools()?;
+            Box::new(move |pool| cloning_table(runs, tools.as_deref(), pool))
         }
         "e2" => {
             let traces = a.count("the trace count", 10)?;
@@ -514,10 +519,7 @@ fn experiment(mut a: Args, g: &Global) -> Result<(), String> {
             scheduler_and_noise_only(g, "e5")?;
             let tools = g.resolved_tools()?;
             Box::new(move |pool| {
-                let results = match tools {
-                    Some(tools) => multiout_eval::run_multiout_eval_with(runs, 0, tools, pool),
-                    None => multiout_eval::run_multiout_eval_on(runs, 0, pool),
-                };
+                let results = multiout_eval::run_multiout_eval_on(runs, 0, tools, pool);
                 format!("{}\n", multiout_eval::multiout_table(&results).render())
             })
         }
@@ -892,30 +894,27 @@ fn profile_cmd(mut a: Args, g: &Global) -> Result<ExitCode, String> {
     if chrome_path.is_some() && keys.len() > 1 {
         return Err("--chrome-trace needs a single profile key, not `all`".into());
     }
+    let opts = profile::ProfileOptions {
+        runs,
+        annotate_dir,
+        tools: g.resolved_tools()?,
+    };
     let mut log = g.open_run_log()?;
     for key in keys {
         // A profile needs full hot-site maps, which the journal's scalar
         // metric summary cannot round-trip, so it never resumes: `cli_spec`
         // rejects `--resume` for it.
-        let sink = g
-            .open_journal(&format!("profile-{key}"))?
-            .and_then(|j| j.sink);
-        let opts = profile::ProfileOptions {
-            runs,
-            jobs: g.jobs,
-            top_k: 10,
-            progress: !g.quiet,
-            annotate_dir: annotate_dir.clone(),
-            tools: g.tools.clone(),
-            chrome: chrome_path.is_some(),
-            journal: sink.clone(),
-        };
-        let report = profile::run_profile(key, &opts, |line| {
-            if let Some(log) = &mut log {
-                log.write(&line);
-            }
-        })?;
-        journal_written(&sink)?;
+        let report = g.on_pool(&format!("profile-{key}"), |pool| {
+            let pool = match chrome_path {
+                Some(_) => pool.clone().with_timeline(),
+                None => pool.clone(),
+            };
+            profile::run_profile(key, &opts, &pool, |line| {
+                if let Some(log) = &mut log {
+                    log.write(&line);
+                }
+            })
+        })??;
         if csv {
             print!("{}", report.to_csv());
         } else {

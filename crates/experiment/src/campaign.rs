@@ -1,6 +1,10 @@
 //! The generic campaign runner: (program × tool configuration × N seeded
 //! runs) → find-probability statistics and overhead — experiment E1's
 //! engine, reused by several other experiments.
+//!
+//! A campaign runs on a [`JobPool`], which sets its workers, progress line,
+//! timeline and journal: the campaign records its runs in the journal of
+//! the pool it runs on, under its own header.
 
 use crate::jobpool::{CellCodec, CellJournal, JobPool, PoolStats};
 use crate::report::Table;
@@ -79,12 +83,15 @@ pub struct Campaign {
     /// a `start`/`done` record per executed cell (content-addressed), and
     /// an `end` marker. Cells served from [`Campaign::resume`] are *not*
     /// re-journaled — the resumed file already holds their `done` records.
+    /// Where set, it takes precedence over the journal of the pool the
+    /// campaign runs on.
     pub journal: Option<Arc<JournalSink>>,
     /// Optional resume cache (a previous journal's `done` records indexed
     /// by content address). Cells found here are reconstructed without
     /// executing; because every aggregate is a pure function of the
     /// deterministic payload, a resumed report is byte-identical to an
-    /// uninterrupted one.
+    /// uninterrupted one. Where set, it takes precedence over the cache
+    /// of the pool's journal.
     pub resume: Option<ResumeCache>,
 }
 
@@ -343,15 +350,27 @@ impl<T, F: FnMut(T)> InOrder<T, F> {
     }
 }
 
+/// The standard per-run step budget: every experiment gives a run this
+/// many steps, so a run's outcome and fingerprint do not depend on which
+/// experiment ran it.
+pub const STANDARD_MAX_STEPS: u64 = 60_000;
+
+/// The standard base seed: run `r` of a standard campaign's cell uses seed
+/// `STANDARD_BASE_SEED + r`, and the experiments that share its runs use
+/// the same ladder.
+pub const STANDARD_BASE_SEED: u64 = 0x5eed;
+
 impl Campaign {
-    /// A campaign over the given programs with the standard tool roster.
+    /// A campaign over the given programs with the standard tool roster,
+    /// step budget ([`STANDARD_MAX_STEPS`]) and base seed
+    /// ([`STANDARD_BASE_SEED`]).
     pub fn standard(programs: Vec<SuiteProgram>, runs: u64) -> Self {
         Campaign {
             programs,
             tools: ToolConfig::standard_roster(),
             runs,
-            base_seed: 0x5eed,
-            max_steps: 60_000,
+            base_seed: STANDARD_BASE_SEED,
+            max_steps: STANDARD_MAX_STEPS,
             jobs: 1,
             run_budget: None,
             progress: false,
@@ -420,10 +439,16 @@ impl Campaign {
     /// the fingerprint are built once per campaign, cell or outcome tag and
     /// shared.
     ///
+    /// The campaign records its runs in the journal of `pool`, under its
+    /// own `campaign` header (label, grid shape, base seed, telemetry), and
+    /// resumes them from that journal's cache. Its own `journal` and
+    /// `resume`, where set, take precedence over the pool's. A run is
+    /// fingerprinted whenever the journal has a sink, so every `done`
+    /// record carries its fingerprint.
+    ///
     /// The report, run log and cell metrics are deterministic (pure
     /// functions of the seeds); the spans and pool stats are wall-clock and
-    /// belong in segregated output only. The campaign's own `journal` and
-    /// `resume` take the place of any journal the pool records in.
+    /// belong in segregated output only.
     pub fn run_streaming(
         &self,
         pool: &JobPool,
@@ -433,11 +458,10 @@ impl Campaign {
         let n_runs = self.runs as usize;
         let total = self.total_runs();
         let spans = SpanSet::new();
-        let journaled = self.journal.is_some() || self.resume.is_some();
-        let pool = pool.clone().with_spans(spans.clone());
-        let pool = pool.recording(journaled.then(|| CellJournal {
-            sink: self.journal.clone(),
-            resume: self.resume.clone(),
+        let pooled = pool.journal().cloned().unwrap_or_default();
+        let journal = CellJournal {
+            sink: self.journal.clone().or(pooled.sink),
+            resume: self.resume.clone().or(pooled.resume),
             header: CampaignMeta {
                 label: self.label.clone(),
                 programs: self.programs.len() as u64,
@@ -447,7 +471,10 @@ impl Campaign {
                 telemetry: self.telemetry,
                 ..CampaignMeta::default()
             },
-        }));
+        };
+        let record = self.telemetry || journal.sink.is_some();
+        let journaled = journal.sink.is_some() || journal.resume.is_some();
+        let pool = pool.clone().recording(journaled.then_some(journal));
         // The strings of the run-log lines, built once per campaign and
         // per program and tool: every line of a cell shares them. Each
         // tool's canonical spec also goes into every cell key.
@@ -496,7 +523,7 @@ impl Campaign {
             key,
             |i| {
                 let (p, t, r) = coords(i);
-                self.one_run(&self.programs[p], &self.tools[t], r as u64)
+                self.one_run(&self.programs[p], &self.tools[t], r as u64, record)
             },
             share,
             |share, i, mut rec| {
@@ -571,7 +598,9 @@ impl Campaign {
 
     /// One seeded run: the sharding unit. Deterministic given
     /// (program, tool, r) — the executing thread contributes nothing.
-    fn one_run(&self, prog: &SuiteProgram, tool: &ToolConfig, r: u64) -> RunRecord {
+    /// `record` says whether the run has a consumer for its telemetry or
+    /// fingerprint: the NDJSON run log or the flight-recorder journal.
+    fn one_run(&self, prog: &SuiteProgram, tool: &ToolConfig, r: u64, record: bool) -> RunRecord {
         let seed = self.base_seed.wrapping_add(r);
         let started = Instant::now();
         let mut exec = tool.configure(Execution::new(&prog.program), seed, self.max_steps);
@@ -584,11 +613,9 @@ impl Campaign {
             }
         }
         // Telemetry and the schedule fingerprint ride on one sink behind one
-        // lock. Fingerprint whenever the run has a consumer for it — the
-        // NDJSON run log or the flight-recorder journal. The bare fast path
-        // (no telemetry, no journal) keeps paying nothing for the event
-        // layer.
-        let recorder = if self.telemetry || self.journal.is_some() {
+        // lock. The bare fast path (no telemetry, no journal) keeps paying
+        // nothing for the event layer.
+        let recorder = if record {
             let (half, handle) = mtt_instrument::shared(Recorder {
                 telemetry: self.telemetry.then(TelemetrySink::new),
                 fingerprint: Fingerprinter::new(),
@@ -1143,6 +1170,86 @@ mod tests {
             })
             .collect();
         assert_eq!(ended, vec![0], "full cache hit executes nothing");
+    }
+
+    #[test]
+    fn campaign_records_in_the_journal_of_its_pool_and_resumes_from_it() {
+        use mtt_obs::JournalRecord;
+        let campaign = Campaign {
+            programs: vec![
+                mtt_suite::small::lost_update(2, 2),
+                mtt_suite::small::ab_ba(),
+            ],
+            tools: vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)],
+            runs: 3,
+            base_seed: 21,
+            max_steps: 20_000,
+            label: "pool-journal".into(),
+            ..Campaign::standard(vec![], 0)
+        };
+        // Run the campaign on a pool of `jobs` workers whose journal goes
+        // to a fresh buffer and resumes from `resume`; return the report
+        // and the journal's records.
+        let on_pool = |jobs: usize, resume: Option<ResumeCache>| {
+            let buf = SharedBuf::default();
+            let pool = JobPool::new(jobs).recording(Some(CellJournal {
+                sink: Some(Arc::new(JournalSink::from_writer(buf.clone()))),
+                resume,
+                header: CampaignMeta {
+                    label: "pool-journal".into(),
+                    ..CampaignMeta::default()
+                },
+            }));
+            let csv = campaign.run_on(&pool).table().to_csv();
+            let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+            let records = mtt_obs::parse_journal(&text)
+                .expect("journal parses")
+                .records;
+            (csv, records)
+        };
+        let count = |records: &[JournalRecord], kind: &str| {
+            records.iter().filter(|r| r.kind() == kind).count()
+        };
+        let end = |records: &[JournalRecord]| match records.last() {
+            Some(JournalRecord::End(end)) => end.completed,
+            other => panic!("the journal ends with its end marker, not {other:?}"),
+        };
+        let want = campaign.run_on(&JobPool::serial()).table().to_csv();
+        for jobs in [1, 2, 4] {
+            let (csv, records) = on_pool(jobs, None);
+            assert_eq!(csv, want, "jobs={jobs}");
+            let Some(JournalRecord::Campaign(header)) = records.first() else {
+                panic!("jobs={jobs}: the journal starts with the campaign's header");
+            };
+            assert_eq!(
+                (header.label.as_str(), header.programs, header.tools),
+                ("pool-journal", 2, 2),
+                "jobs={jobs}"
+            );
+            assert_eq!(
+                (header.runs, header.base_seed, header.total_cells),
+                (3, 21, 12),
+                "jobs={jobs}"
+            );
+            assert_eq!(count(&records, "campaign"), 1, "jobs={jobs}");
+            assert_eq!(count(&records, "start"), 12, "jobs={jobs}");
+            assert_eq!(count(&records, "done"), 12, "jobs={jobs}");
+            for r in &records {
+                if let JournalRecord::Done(done) = r {
+                    let fingerprint = done.fingerprint.as_deref().unwrap_or_default();
+                    assert_eq!(fingerprint.len(), 32, "jobs={jobs}: {done:?}");
+                }
+            }
+            assert_eq!(end(&records), 12, "jobs={jobs}");
+
+            // Resumed from that journal, the campaign runs nothing and
+            // reports the same.
+            let (resumed, tail) = on_pool(jobs, Some(ResumeCache::from_records(&records)));
+            assert_eq!(resumed, want, "jobs={jobs}");
+            assert_eq!(count(&tail, "start"), 0, "jobs={jobs}");
+            assert_eq!(count(&tail, "done"), 0, "jobs={jobs}");
+            assert_eq!(end(&tail), 0, "jobs={jobs}");
+        }
     }
 
     proptest::proptest! {

@@ -6,10 +6,11 @@
 //! suggested above, such as noise making"), and interprets the clones'
 //! results.
 
+use crate::campaign::STANDARD_MAX_STEPS;
 use crate::jobpool::{cell_key, JobPool};
 use crate::stats::FindStats;
 use mtt_runtime::{Execution, Program, ProgramBuilder, ThreadId};
-use mtt_tools::ToolSpec;
+use mtt_tools::ToolConfig;
 
 /// A cloneable test over the shared counter fixture: each clone increments
 /// a shared counter `per_clone` times through a read-modify-write that is
@@ -52,8 +53,8 @@ pub struct CloningReport {
 pub const CLONE_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 /// The bare baseline tool stack: `sticky:0.9`, no noise.
-fn baseline() -> ToolSpec {
-    ToolSpec::parse("sticky:0.9").expect("baseline spec is valid")
+fn baseline() -> ToolConfig {
+    ToolConfig::from_spec_str("sticky:0.9").expect("baseline spec is valid")
 }
 
 /// Run the cloned test `runs` times for every (clone count, tool stack)
@@ -63,14 +64,10 @@ fn baseline() -> ToolSpec {
 /// come back clone-count major, in `tools` order.
 pub fn run_cloning_grid_on(
     clones: &[u32],
-    tools: &[ToolSpec],
+    tools: &[ToolConfig],
     runs: u64,
     pool: &JobPool,
 ) -> Vec<CloningReport> {
-    let cfgs: Vec<_> = tools
-        .iter()
-        .map(|s| s.resolve().expect("cloning tool spec resolves"))
-        .collect();
     let programs: Vec<Program> = clones.iter().map(|&c| cloned_counter_test(c, 2)).collect();
     let n = runs as usize;
     let cell = |i: usize| {
@@ -80,15 +77,16 @@ pub fn run_cloning_grid_on(
     let key = |i: usize| {
         let (c, t, seed) = cell(i);
         let (program, tool) = (format!("cloned_counter/{}", clones[c]), &tools[t]);
-        cell_key(&program, &tool.display_name(), tool.canonical(), seed)
+        cell_key(&program, &tool.name, tool.spec_string(), seed)
     };
     let fails = pool.cells(clones.len() * tools.len() * n, key, |i| {
         let (c, t, seed) = cell(i);
+        let tool = &tools[t];
         let mut exec = Execution::new(&programs[c])
-            .scheduler((cfgs[t].scheduler)(seed))
-            .max_steps(60_000);
-        if tools[t].noise.id != "none" {
-            exec = exec.noise((cfgs[t].noise)(seed));
+            .scheduler((tool.scheduler)(seed))
+            .max_steps(STANDARD_MAX_STEPS);
+        if tool.spec.noise.id != "none" {
+            exec = exec.noise((tool.noise)(seed));
         }
         !exec.run().ok()
     });
@@ -102,16 +100,18 @@ pub fn run_cloning_grid_on(
 /// The §2.3 cloning table: each of [`CLONE_COUNTS`] run plain and under
 /// each tool stack of `roster` (by default, sleep noise on top of
 /// `sticky:0.9`).
-pub fn cloning_table(runs: u64, roster: Option<&[ToolSpec]>, pool: &JobPool) -> String {
-    let sleep = [ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid")];
+pub fn cloning_table(runs: u64, roster: Option<&[ToolConfig]>, pool: &JobPool) -> String {
+    let sleep =
+        [ToolConfig::from_spec_str("sticky:0.9+noise=sleep:0.3:15")
+            .expect("default spec is valid")];
     let stacks = roster.unwrap_or(&sleep);
     let tools = [&[baseline()], stacks].concat();
     let reports = run_cloning_grid_on(&CLONE_COUNTS, &tools, runs, pool);
     let mut out = String::from("§2.3 cloning driver: P(cloned test fails)\n\n");
     for (clones, row) in CLONE_COUNTS.iter().zip(reports.chunks(tools.len())) {
         out += &format!("  {clones} clone(s):  plain {}", row[0].fail.render());
-        for (spec, r) in stacks.iter().zip(&row[1..]) {
-            let name = roster.map_or("sleep noise".into(), |_| spec.display_name());
+        for (tool, r) in stacks.iter().zip(&row[1..]) {
+            let name = roster.map_or("sleep noise", |_| &tool.name);
             out += &format!("   + {name} {}", r.fail.render());
         }
         out.push('\n');
@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn cloning_exposes_contention_and_noise_helps_more() {
-        let spec = ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").unwrap();
-        let reports = run_cloning_grid_on(&[2, 8], &[baseline(), spec], 60, &JobPool::serial());
+        let noisy = ToolConfig::from_spec_str("sticky:0.9+noise=sleep:0.3:15").unwrap();
+        let reports = run_cloning_grid_on(&[2, 8], &[baseline(), noisy], 60, &JobPool::serial());
         let (two, noisy, eight) = (&reports[0], &reports[1], &reports[2]);
         assert!(
             eight.fail.rate() > two.fail.rate(),

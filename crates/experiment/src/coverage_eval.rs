@@ -3,6 +3,7 @@
 //! ("better measures should be created and their correlation to bug
 //! detection studied").
 
+use crate::campaign::STANDARD_MAX_STEPS;
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_coverage::{
@@ -87,7 +88,7 @@ pub fn run_coverage_eval_on(
             .sink(Box::new(cont_sink))
             .sink(Box::new(sync_sink))
             .sink(Box::new(pair_sink))
-            .max_steps(60_000)
+            .max_steps(STANDARD_MAX_STEPS)
             .run();
         let covered = vec![
             site_h.lock().unwrap().covered_tasks(),

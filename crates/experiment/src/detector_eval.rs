@@ -9,6 +9,7 @@
 //! racy-variable lists. E8 measures what the offline route costs in storage
 //! (JSON vs compact binary) and what the online route costs in run time.
 
+use crate::campaign::STANDARD_MAX_STEPS;
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::scoring::{ClassScore, Truth};
@@ -171,7 +172,7 @@ pub fn run_tradeoff_eval(programs: &[SuiteProgram], seed: u64) -> Vec<TradeoffRo
         let t0 = Instant::now();
         let _ = Execution::new(&p.program)
             .scheduler(Box::new(RandomScheduler::new(seed)))
-            .max_steps(60_000)
+            .max_steps(STANDARD_MAX_STEPS)
             .run();
         let bare = t0.elapsed();
         // Online detection run.
@@ -180,7 +181,7 @@ pub fn run_tradeoff_eval(programs: &[SuiteProgram], seed: u64) -> Vec<TradeoffRo
         let _ = Execution::new(&p.program)
             .scheduler(Box::new(RandomScheduler::new(seed)))
             .sink(Box::new(sink))
-            .max_steps(60_000)
+            .max_steps(STANDARD_MAX_STEPS)
             .run();
         let online = t1.elapsed();
         // Offline storage cost.

@@ -28,6 +28,7 @@
 //! backends (`program_seed = seed`), so a differential varies only the
 //! execution engine, never the program's own coin flips.
 
+use crate::campaign::{STANDARD_BASE_SEED, STANDARD_MAX_STEPS};
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use crate::stats::{total_variation, Distribution, FindStats};
@@ -45,12 +46,6 @@ pub const DIFFERENTIAL_ROSTER_SPECS: &[&str] = &[
     "sticky:0.9+noise=sleep:0.3:20+name=sleep-noise",
     "sticky:0.9+noise=mixed:0.2:20+name=mixed-noise",
 ];
-
-/// Per-run step budget — the campaign standard, shared with E1/E12.
-pub const DIFFERENTIAL_MAX_STEPS: u64 = 60_000;
-
-/// Seed of run `r` — the campaign-standard ladder.
-pub const DIFFERENTIAL_BASE_SEED: u64 = 0x5eed;
 
 /// Hard wall-clock budget per *native* run. A native run can genuinely
 /// hang, so the watchdog converts budget exhaustion into a `StepLimit`
@@ -147,7 +142,7 @@ pub fn differential_programs() -> Vec<SuiteProgram> {
         mtt_suite::small::ab_ba(),
         mtt_suite::small::check_then_act(),
     ];
-    let fam = mtt_gen::family(DIFFERENTIAL_BASE_SEED, 0);
+    let fam = mtt_gen::family(STANDARD_BASE_SEED, 0);
     if let Some(buggy) = fam.buggy().next() {
         programs.push(mtt_gen::to_suite_program(buggy));
     }
@@ -220,7 +215,7 @@ pub fn run_differential_on(runs: u64, pool: &JobPool) -> Vec<DifferentialCell> {
     let key = |i: usize| {
         let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
         let spec = format!("{} runs={runs}", cfg.spec_string());
-        cell_key(prog.name, &cfg.name, spec, DIFFERENTIAL_BASE_SEED)
+        cell_key(prog.name, &cfg.name, spec, STANDARD_BASE_SEED)
     };
     pool.cells(programs.len() * n_tools, key, |i| {
         let prog = &programs[i / n_tools];
@@ -229,10 +224,10 @@ pub fn run_differential_on(runs: u64, pool: &JobPool) -> Vec<DifferentialCell> {
         let mut model = BackendLeg::new(model_cfg.spec_string());
         let mut native = BackendLeg::new(native_cfg.spec_string());
         for r in 0..runs {
-            let seed = DIFFERENTIAL_BASE_SEED + r;
-            let mo = run_differential_leg(&prog.program, model_cfg, seed, DIFFERENTIAL_MAX_STEPS);
+            let seed = STANDARD_BASE_SEED + r;
+            let mo = run_differential_leg(&prog.program, model_cfg, seed, STANDARD_MAX_STEPS);
             record_run(&mut model, prog, &mo);
-            let no = run_differential_leg(&prog.program, &native_cfg, seed, DIFFERENTIAL_MAX_STEPS);
+            let no = run_differential_leg(&prog.program, &native_cfg, seed, STANDARD_MAX_STEPS);
             record_run(&mut native, prog, &no);
         }
         let tv_distance = total_variation(&model.outcomes, &native.outcomes);
@@ -433,9 +428,9 @@ pub struct DifferentialJson {
     pub schema: String,
     /// 1.
     pub version: u64,
-    /// [`DIFFERENTIAL_BASE_SEED`].
+    /// [`STANDARD_BASE_SEED`].
     pub base_seed: u64,
-    /// [`DIFFERENTIAL_MAX_STEPS`].
+    /// [`STANDARD_MAX_STEPS`].
     pub max_steps: u64,
     /// [`NATIVE_RUN_BUDGET_MS`].
     pub native_budget_ms: u64,
@@ -469,8 +464,8 @@ pub fn differential_json(cells: &[DifferentialCell]) -> DifferentialJson {
     DifferentialJson {
         schema: "mtt-e13-differential".into(),
         version: 1,
-        base_seed: DIFFERENTIAL_BASE_SEED,
-        max_steps: DIFFERENTIAL_MAX_STEPS,
+        base_seed: STANDARD_BASE_SEED,
+        max_steps: STANDARD_MAX_STEPS,
         native_budget_ms: NATIVE_RUN_BUDGET_MS,
         cells,
     }

@@ -11,6 +11,7 @@
 //! failing/passing index in canonical order, so the output is
 //! byte-identical for any `--jobs`.
 
+use crate::campaign::STANDARD_MAX_STEPS;
 use crate::jobpool::{cell_key, JobPool};
 use crate::tracegen::{self, TraceGenOptions};
 use mtt_causal::{
@@ -44,7 +45,7 @@ impl Default for ExplainOptions {
             seed_fail: None,
             seed_pass: None,
             scan: 200,
-            max_steps: 60_000,
+            max_steps: STANDARD_MAX_STEPS,
             tool: None,
         }
     }

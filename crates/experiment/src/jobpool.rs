@@ -35,12 +35,14 @@
 //! [`JobPool::cells`] runs an experiment's cells, writes a content-addressed
 //! `start`/`done` record per cell into the pool's [`CellJournal`], and
 //! rebuilds the cells a previous journal already holds instead of running
-//! them, which is how every journaled command resumes.
+//! them, which is how every journaled command resumes. A campaign records
+//! its runs in the journal of the pool it runs on, under its own header.
+//! So a pool is the one place where an experiment's workers, progress
+//! line, timeline and journal are set.
 
 use mtt_json::{FromJson, Json, ToJson};
 use mtt_obs::{content_address, CampaignMeta, CellDone, CellStart, JournalSink, ResumeCache};
 use mtt_runtime::RUNTIME_VERSION;
-use mtt_telemetry::SpanSet;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,7 +57,6 @@ use std::time::{Duration, Instant};
 pub struct JobPool {
     jobs: usize,
     progress: Option<String>,
-    spans: Option<SpanSet>,
     timeline: bool,
     journal: Option<Arc<CellJournal>>,
 }
@@ -65,7 +66,6 @@ impl std::fmt::Debug for JobPool {
         f.debug_struct("JobPool")
             .field("jobs", &self.jobs)
             .field("progress", &self.progress)
-            .field("spans", &self.spans.is_some())
             .field("timeline", &self.timeline)
             .field("journal", &self.journal.as_ref().map(|j| &j.header.label))
             .finish()
@@ -81,7 +81,8 @@ pub struct CellJournal {
     /// A previous journal's completed cells, by content address.
     pub resume: Option<ResumeCache>,
     /// The `campaign` header; [`JobPool::cells`] fills in `total_cells`,
-    /// `jobs` and `runtime`.
+    /// `jobs` and `runtime`. A campaign run on the pool writes its own
+    /// header instead.
     pub header: CampaignMeta,
 }
 
@@ -157,14 +158,6 @@ impl JobPool {
         self
     }
 
-    /// Record wall-clock span timings into `spans`: one `pool.worker` span
-    /// per worker (its busy time) and one `pool.run` span per call that
-    /// drains the bag ([`JobPool::fold`] and its users).
-    pub fn with_spans(mut self, spans: SpanSet) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
     /// Record one [`JobSpan`] per job into [`PoolStats::timeline`] — the
     /// per-cell track of the chrome-trace export. Off by default: the
     /// timeline is wall-clock data nobody should pay for (or accidentally
@@ -174,11 +167,16 @@ impl JobPool {
         self
     }
 
-    /// Record the cells of [`JobPool::cells`] in `journal`, if any, and
-    /// resume them from its cache.
+    /// Record the cells of [`JobPool::cells`], and a campaign's runs, in
+    /// `journal`, if any, and resume them from its cache.
     pub fn recording(mut self, journal: Option<CellJournal>) -> Self {
         self.journal = journal.map(Arc::new);
         self
+    }
+
+    /// The journal this pool records in, if any.
+    pub(crate) fn journal(&self) -> Option<&CellJournal> {
+        self.journal.as_deref()
     }
 
     /// Number of workers this pool runs.
@@ -393,12 +391,6 @@ impl JobPool {
         debug_assert_eq!(stats.total_claimed(), total as u64, "every job ran once");
         stats.timeline.sort_unstable_by_key(|s| s.index);
         stats.wall = started.elapsed();
-        if let Some(spans) = &self.spans {
-            for w in &stats.workers {
-                spans.add("pool.worker", w.busy);
-            }
-            spans.add("pool.run", stats.wall);
-        }
         (shares, stats)
     }
 }
@@ -724,15 +716,6 @@ mod tests {
         let (_, stats) = JobPool::serial().run_with_stats(5, |i| i);
         assert_eq!(stats.workers.len(), 1);
         assert_eq!(stats.workers[0].claimed, 5);
-    }
-
-    #[test]
-    fn spans_record_pool_timing() {
-        let spans = SpanSet::new();
-        JobPool::new(2).with_spans(spans.clone()).run(8, |i| i);
-        let t = spans.timings();
-        assert_eq!(t.count("pool.run"), 1);
-        assert!(t.count("pool.worker") >= 1);
     }
 
     #[test]

@@ -36,27 +36,22 @@ pub struct MultioutRow {
     pub values: Distribution,
 }
 
-/// Run the multiout program `runs` times under each configuration and
-/// collect the outcome-signature distributions, running the whole
-/// (configuration × seed) matrix as one cell space on a job pool.
-/// Distributions are count maps, so folding the per-run signatures in
-/// canonical order reproduces the serial result exactly at any worker
-/// count.
-pub fn run_multiout_eval_on(runs: u64, base_seed: u64, pool: &JobPool) -> Vec<MultioutRow> {
-    let tools = ToolConfig::roster(MULTIOUT_ROSTER_SPECS);
-    run_multiout_eval_with(runs, base_seed, tools, pool)
-}
-
-/// [`run_multiout_eval_on`] over an explicit tool roster (the `--tools` /
-/// `--tools-file` path). Only each tool's scheduler and noise components
-/// matter to the distribution comparison; the E5 driver seeds the noise
+/// Run the multiout program `runs` times under each configuration of
+/// `tools` (by default the [`MULTIOUT_ROSTER_SPECS`] roster; `--tools` /
+/// `--tools-file` replace it) and collect the outcome-signature
+/// distributions, running the whole (configuration × seed) matrix as one
+/// cell space on a job pool. Distributions are count maps, so folding the
+/// per-run signatures in canonical order reproduces the serial result
+/// exactly at any worker count. Only each tool's scheduler and noise
+/// components matter to the distribution comparison; E5 seeds the noise
 /// maker with `seed ^ 0xabcd`, matching its historical behavior.
-pub fn run_multiout_eval_with(
+pub fn run_multiout_eval_on(
     runs: u64,
     base_seed: u64,
-    configs: Vec<ToolConfig>,
+    tools: Option<Vec<ToolConfig>>,
     pool: &JobPool,
 ) -> Vec<MultioutRow> {
+    let configs = tools.unwrap_or_else(|| ToolConfig::roster(MULTIOUT_ROSTER_SPECS));
     let program = multiout::program();
     let n_runs = runs as usize;
 
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn multiout_distributions_rank_as_expected() {
-        let results = run_multiout_eval_on(60, 11, &JobPool::serial());
+        let results = run_multiout_eval_on(60, 11, None, &JobPool::serial());
         let by = |n: &str| {
             results
                 .iter()

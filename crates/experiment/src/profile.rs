@@ -19,59 +19,42 @@
 //! segregated into [`ProfileReport::render_timing`], mirroring the
 //! report/timing split of the campaign engine.
 
-use crate::campaign::{Campaign, ToolConfig};
+use crate::campaign::{Campaign, ToolConfig, STANDARD_BASE_SEED};
 use crate::jobpool::{JobPool, PoolStats};
 use crate::report::Table;
-use mtt_obs::{ChromeTrace, JournalSink};
+use mtt_obs::ChromeTrace;
 use mtt_suite::SuiteProgram;
 use mtt_telemetry::{RunLogRecord, RunMetrics, SpanEvent, SpanTimings};
-use mtt_tools::ToolSpec;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The experiment keys `mtt profile` accepts (besides `all`).
 pub const PROFILE_KEYS: &[&str] = &["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"];
 
-/// Profiling knobs.
-#[derive(Clone, Debug)]
+/// Rows in the hot-site and contention tables.
+pub const PROFILE_TOP_K: usize = 10;
+
+/// Profiling knobs. Workers, the progress line, the chrome-trace timeline
+/// and the journal are the pool's ([`run_profile`]).
+#[derive(Clone)]
 pub struct ProfileOptions {
     /// Runs per (program, tool) cell.
     pub runs: u64,
-    /// Worker threads (0 = available parallelism).
-    pub jobs: usize,
-    /// Rows in the hot-site / contention tables.
-    pub top_k: usize,
-    /// Show the stderr progress line.
-    pub progress: bool,
     /// Persist a causally annotated NDJSON trace for every bug-finding
     /// cell into this directory (regenerated from the cell's first failing
     /// seed).
     pub annotate_dir: Option<String>,
     /// Tool stacks to profile instead of the default
     /// [`PROFILE_ROSTER_SPECS`] roster (`--tools` / `--tools-file`).
-    pub tools: Option<Vec<ToolSpec>>,
-    /// Collect the per-cell pool timeline of the telemetry pass so
-    /// [`ProfileReport::chrome_trace`] has worker tracks
-    /// (`--chrome-trace FILE`).
-    pub chrome: bool,
-    /// Journal the telemetry pass into this sink (`--journal DIR`). The
-    /// baseline pass is deliberately not journaled: it re-runs the same
-    /// content addresses and would only write duplicate cells.
-    pub journal: Option<Arc<JournalSink>>,
+    pub tools: Option<Vec<ToolConfig>>,
 }
 
 impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {
             runs: 20,
-            jobs: 1,
-            top_k: 10,
-            progress: false,
             annotate_dir: None,
             tools: None,
-            chrome: false,
-            journal: None,
         }
     }
 }
@@ -121,8 +104,6 @@ pub struct ProfileReport {
     pub key: String,
     /// Runs per cell.
     pub runs: u64,
-    /// Rows in the site tables.
-    pub top_k: usize,
     /// Runs per tool (programs × runs), the denominator of per-run columns.
     pub runs_per_tool: u64,
     /// All metrics merged across every cell.
@@ -147,53 +128,37 @@ pub struct ProfileReport {
     pub program_names: Vec<String>,
     /// Tool names in grid order.
     pub tool_names: Vec<String>,
-    /// Base seed of the profiled campaign (run `r` uses `base_seed + r`).
-    pub base_seed: u64,
 }
 
-/// Run the profiler for one experiment key, handing each run-log line of
-/// the telemetry pass to `run_log` in canonical (program, tool, run) order
-/// as the runs finish ([`Campaign::run_streaming`]).
+/// Run the profiler for one experiment key on `pool`, handing each run-log
+/// line of the telemetry pass to `run_log` in canonical (program, tool,
+/// run) order as the runs finish ([`Campaign::run_streaming`]).
+///
+/// The telemetry pass records in the pool's journal, if it has one. The
+/// baseline pass is not journaled: it re-runs the same content addresses
+/// and would only write duplicate cells. [`ProfileReport::chrome_trace`]
+/// has worker tracks when the pool records its timeline
+/// ([`JobPool::with_timeline`]).
 pub fn run_profile(
     key: &str,
     opts: &ProfileOptions,
+    pool: &JobPool,
     run_log: impl FnMut(RunLogRecord) + Send,
 ) -> Result<ProfileReport, String> {
     let programs = programs_for(key)?;
-    let tools = match &opts.tools {
-        Some(specs) => specs
-            .iter()
-            .map(|s| s.resolve())
-            .collect::<Result<Vec<_>, _>>()?,
-        None => ToolConfig::roster(PROFILE_ROSTER_SPECS),
-    };
+    let tools = opts
+        .tools
+        .clone()
+        .unwrap_or_else(|| ToolConfig::roster(PROFILE_ROSTER_SPECS));
     let tool_names: Vec<String> = tools.iter().map(|t| t.name.clone()).collect();
     let program_names: Vec<String> = programs.iter().map(|p| p.name.to_string()).collect();
     let mut campaign = Campaign {
-        programs,
         tools,
-        runs: opts.runs,
-        base_seed: 0x5eed,
-        max_steps: 60_000,
-        jobs: opts.jobs,
-        run_budget: None,
-        progress: opts.progress,
         telemetry: true,
         label: format!("profile-{key}"),
-        journal: opts.journal.clone(),
-        resume: None,
+        ..Campaign::standard(programs, opts.runs)
     };
-    let pool = {
-        let mut p = JobPool::new(opts.jobs);
-        if opts.progress {
-            p = p.with_progress(campaign.label.clone());
-        }
-        if opts.chrome {
-            p = p.with_timeline();
-        }
-        p
-    };
-    let telemetry_pass = campaign.run_streaming(&pool, run_log);
+    let telemetry_pass = campaign.run_streaming(pool, run_log);
 
     let annotated = match &opts.annotate_dir {
         Some(dir) => {
@@ -203,12 +168,9 @@ pub fn run_profile(
     };
 
     // Baseline pass: identical seeds, no sink — the NullSink condition the
-    // overhead column compares against. Not journaled (same content
-    // addresses as the telemetry pass; duplicates would only confuse the
-    // status view).
+    // overhead column compares against.
     campaign.telemetry = false;
-    campaign.journal = None;
-    let baseline_pass = campaign.run_full(&pool);
+    let baseline_pass = campaign.run_full(&pool.clone().recording(None));
 
     let mut per_tool: BTreeMap<String, RunMetrics> = BTreeMap::new();
     let mut totals = RunMetrics::default();
@@ -233,7 +195,6 @@ pub fn run_profile(
     Ok(ProfileReport {
         key: key.to_string(),
         runs: opts.runs,
-        top_k: opts.top_k,
         runs_per_tool: n_programs * opts.runs,
         totals,
         per_tool: tool_names
@@ -248,7 +209,6 @@ pub fn run_profile(
         span_events: telemetry_pass.span_events,
         program_names,
         tool_names,
-        base_seed: 0x5eed,
     })
 }
 
@@ -256,11 +216,11 @@ impl ProfileReport {
     /// Top-K hot sites across every run (deterministic).
     pub fn site_table(&self) -> Table {
         let mut t = Table::new(
-            format!("profile {}: top-{} hot sites", self.key, self.top_k),
+            format!("profile {}: top-{PROFILE_TOP_K} hot sites", self.key),
             &["site", "events", "share"],
         );
         let total = self.totals.scalars.events.max(1);
-        for (loc, n) in self.totals.top_sites(self.top_k) {
+        for (loc, n) in self.totals.top_sites(PROFILE_TOP_K) {
             t.row(&[
                 loc.to_string(),
                 n.to_string(),
@@ -273,10 +233,10 @@ impl ProfileReport {
     /// Top-K contended sites across every run (deterministic).
     pub fn contention_table(&self) -> Table {
         let mut t = Table::new(
-            format!("profile {}: top-{} contended sites", self.key, self.top_k),
+            format!("profile {}: top-{PROFILE_TOP_K} contended sites", self.key),
             &["site", "contended encounters"],
         );
-        for (loc, n) in self.totals.top_contended_sites(self.top_k) {
+        for (loc, n) in self.totals.top_contended_sites(PROFILE_TOP_K) {
             t.row(&[loc.to_string(), n.to_string()]);
         }
         t
@@ -384,8 +344,8 @@ impl ProfileReport {
     /// The `chrome://tracing` timeline of the telemetry pass: tid 0 holds
     /// the campaign phases, tid `1 + w` holds worker `w`'s cells, each cell
     /// named `program/tool#run` and carrying its seed. Wall-clock by
-    /// definition; requires [`ProfileOptions::chrome`] for the worker
-    /// tracks (without it only phases appear).
+    /// definition; the worker tracks need a pool that records its timeline
+    /// ([`JobPool::with_timeline`]); without one only phases appear.
     pub fn chrome_trace(&self) -> ChromeTrace {
         let us = |d: Duration| d.as_micros() as u64;
         let mut t = ChromeTrace::new();
@@ -417,7 +377,7 @@ impl ProfileReport {
                 &name,
                 us(span.start),
                 us(span.dur),
-                Some(self.base_seed + r as u64),
+                Some(STANDARD_BASE_SEED + r as u64),
             );
         }
         t
@@ -431,23 +391,26 @@ mod tests {
     fn tiny() -> ProfileOptions {
         ProfileOptions {
             runs: 4,
-            jobs: 1,
-            top_k: 5,
             ..ProfileOptions::default()
         }
     }
 
-    /// Profile `key` under `opts`, keeping the telemetry pass's run log.
-    fn profile_logged(key: &str, opts: &ProfileOptions) -> (ProfileReport, Vec<RunLogRecord>) {
+    /// Profile `key` under `opts` on `pool`, keeping the telemetry pass's
+    /// run log.
+    fn profile_logged(
+        key: &str,
+        opts: &ProfileOptions,
+        pool: &JobPool,
+    ) -> (ProfileReport, Vec<RunLogRecord>) {
         let mut log = Vec::new();
-        let report = run_profile(key, opts, |line| log.push(line)).unwrap();
+        let report = run_profile(key, opts, pool, |line| log.push(line)).unwrap();
         (report, log)
     }
 
     #[test]
     fn profile_rejects_unknown_keys() {
-        assert!(run_profile("e99", &tiny(), drop).is_err());
-        assert!(run_profile("", &tiny(), drop).is_err());
+        assert!(run_profile("e99", &tiny(), &JobPool::serial(), drop).is_err());
+        assert!(run_profile("", &tiny(), &JobPool::serial(), drop).is_err());
     }
 
     #[test]
@@ -460,8 +423,8 @@ mod tests {
 
     #[test]
     fn profile_e3_is_deterministic_across_jobs() {
-        let (serial, serial_log) = profile_logged("e3", &tiny());
-        let (par, par_log) = profile_logged("e3", &ProfileOptions { jobs: 4, ..tiny() });
+        let (serial, serial_log) = profile_logged("e3", &tiny(), &JobPool::serial());
+        let (par, par_log) = profile_logged("e3", &tiny(), &JobPool::new(4));
         assert_eq!(serial.render(), par.render());
         assert_eq!(serial.to_csv(), par.to_csv());
         assert!(!serial_log.is_empty());
@@ -477,6 +440,7 @@ mod tests {
                 annotate_dir: Some(dir.display().to_string()),
                 ..tiny()
             },
+            &JobPool::serial(),
             drop,
         )
         .unwrap();
@@ -490,16 +454,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_covers_every_cell_and_validates() {
-        let report = run_profile(
-            "e3",
-            &ProfileOptions {
-                jobs: 2,
-                chrome: true,
-                ..tiny()
-            },
-            drop,
-        )
-        .unwrap();
+        let report = run_profile("e3", &tiny(), &JobPool::new(2).with_timeline(), drop).unwrap();
         let trace = report.chrome_trace();
         let text = trace.dump();
         let complete = mtt_obs::check_chrome_trace(&text).expect("trace is structurally valid");
@@ -510,15 +465,15 @@ mod tests {
         assert!(complete >= cells, "{complete} < {cells}");
         assert!(text.contains("lost_update/none#0"), "{text}");
         assert!(text.contains("\"seed\""));
-        // Without `chrome`, only phases appear (no worker tracks).
-        let bare = run_profile("e3", &tiny(), drop).unwrap();
+        // Without the pool's timeline, only phases appear (no worker tracks).
+        let bare = run_profile("e3", &tiny(), &JobPool::serial(), drop).unwrap();
         assert!(bare.pool_stats.timeline.is_empty());
         assert!(mtt_obs::check_chrome_trace(&bare.chrome_trace().dump()).unwrap() > 0);
     }
 
     #[test]
     fn profile_measures_real_activity() {
-        let (report, run_log) = profile_logged("e3", &tiny());
+        let (report, run_log) = profile_logged("e3", &tiny(), &JobPool::serial());
         assert!(report.totals.scalars.events > 0);
         assert!(report.totals.scalars.lock_acquires > 0);
         assert!(!report.per_tool.is_empty());

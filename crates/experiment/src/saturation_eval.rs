@@ -22,9 +22,9 @@
 //! the scoreboard quantifies by how much — per run, not just in the
 //! aggregate.
 //!
-//! Everything is a pure function of fixed seeds (the shared
-//! `0x5eed + r` ladder the campaigns use, with the campaign-standard
-//! 60 000-step budget): cells shard over a [`JobPool`] one job per cell
+//! Everything is a pure function of fixed seeds (the campaigns' shared
+//! [`STANDARD_BASE_SEED`]` + r` ladder, with their [`STANDARD_MAX_STEPS`]
+//! budget): cells shard over a [`JobPool`] one job per cell
 //! and merge in roster order, so the rendered table, CSV, and JSON are
 //! byte-identical at any `--jobs` count. Because the ladder, budget, and
 //! execution kernel match `Campaign` exactly, the distinct-class count
@@ -32,6 +32,7 @@
 //! the accumulator's count here — one definition of "distinct schedule",
 //! observable live.
 
+use crate::campaign::{STANDARD_BASE_SEED, STANDARD_MAX_STEPS};
 use crate::jobpool::{cell_key, JobPool};
 use crate::report::Table;
 use mtt_coverage::ScheduleCoverage;
@@ -49,13 +50,6 @@ pub const SATURATION_ROSTER_SPECS: &[&str] = &[
     "sticky:0.9+noise=sleep:0.3:20+name=sleep-noise",
     "sticky:0.9+noise=mixed:0.2:20+name=mixed-noise",
 ];
-
-/// Per-run step budget — the campaign standard, so fingerprints here match
-/// a journaled `mtt e1` run of the same cell.
-pub const SATURATION_MAX_STEPS: u64 = 60_000;
-
-/// Seed of run `r` — the campaign-standard ladder.
-pub const SATURATION_BASE_SEED: u64 = 0x5eed;
 
 /// One (program × tool) cell of the saturation grid.
 #[derive(Clone, Debug)]
@@ -100,9 +94,9 @@ pub struct SaturationJson {
     pub schema: String,
     /// 1.
     pub version: u64,
-    /// [`SATURATION_BASE_SEED`].
+    /// [`STANDARD_BASE_SEED`].
     pub base_seed: u64,
-    /// [`SATURATION_MAX_STEPS`].
+    /// [`STANDARD_MAX_STEPS`].
     pub max_steps: u64,
     /// Every cell, rarefaction curve included, in grid order.
     pub cells: Vec<SaturationCell>,
@@ -154,19 +148,19 @@ pub fn run_saturation_on(runs: u64, pool: &JobPool) -> Vec<SaturationCell> {
     let key = |i: usize| {
         let (prog, cfg) = (&programs[i / n_tools], &tools[i % n_tools]);
         let spec = format!("{} runs={runs}", cfg.spec_string());
-        cell_key(prog.name, &cfg.name, spec, SATURATION_BASE_SEED)
+        cell_key(prog.name, &cfg.name, spec, STANDARD_BASE_SEED)
     };
     pool.cells(programs.len() * n_tools, key, |i| {
         let prog = &programs[i / n_tools];
         let cfg = &tools[i % n_tools];
         let mut cov = ScheduleCoverage::default();
         for r in 0..runs {
-            let seed = SATURATION_BASE_SEED + r;
+            let seed = STANDARD_BASE_SEED + r;
             cov.observe(run_fingerprint(
                 &prog.program,
                 cfg,
                 seed,
-                SATURATION_MAX_STEPS,
+                STANDARD_MAX_STEPS,
             ));
         }
         SaturationCell {
@@ -226,8 +220,8 @@ pub fn saturation_json(cells: &[SaturationCell]) -> SaturationJson {
     SaturationJson {
         schema: "mtt-e12-saturation".into(),
         version: 1,
-        base_seed: SATURATION_BASE_SEED,
-        max_steps: SATURATION_MAX_STEPS,
+        base_seed: STANDARD_BASE_SEED,
+        max_steps: STANDARD_MAX_STEPS,
         cells: cells.to_vec(),
     }
 }
@@ -329,8 +323,8 @@ mod tests {
                 expected.insert(run_fingerprint(
                     &programs[0].program,
                     cfg,
-                    SATURATION_BASE_SEED + r,
-                    SATURATION_MAX_STEPS,
+                    STANDARD_BASE_SEED + r,
+                    STANDARD_MAX_STEPS,
                 ));
             }
         }

@@ -2,6 +2,7 @@
 //! desirable traces in the above format", with bug annotation and
 //! manifested-bug ground truth filled in from the suite oracles.
 
+use crate::campaign::STANDARD_MAX_STEPS;
 use crate::jobpool::JobPool;
 use mtt_instrument::shared;
 use mtt_runtime::{Execution, RandomScheduler};
@@ -25,7 +26,7 @@ impl Default for TraceGenOptions {
         TraceGenOptions {
             seed: 1,
             stickiness: 0.0,
-            max_steps: 60_000,
+            max_steps: STANDARD_MAX_STEPS,
         }
     }
 }

@@ -194,6 +194,67 @@ fn an_uncreatable_metrics_path_fails_before_any_run() {
 }
 
 #[test]
+fn a_usage_error_in_metrics_leaves_an_existing_journal_as_it_was() {
+    // The journal is opened (and truncated) only once the run log exists,
+    // so a `--metrics` path that cannot be created changes no journal.
+    let dir = std::env::temp_dir().join(format!("mtt-cli-keep-journal-{}", std::process::id()));
+    let dir_s = dir.to_string_lossy();
+    let bad = "/nonexistent-dir/m.ndjson";
+    let cases: [(&[&str], &str); 2] = [
+        (&["e1-detail", "lost_update", "2"], "e1-detail.ndjson"),
+        (&["profile", "e3", "2"], "profile-e3.ndjson"),
+    ];
+    for (cmd, journal) in cases {
+        let journaled = [cmd, &["--quiet", "--journal", &dir_s]].concat();
+        let (_, stderr, code) = mtt_code(&journaled);
+        assert_eq!(code, 0, "`mtt {}`: {stderr}", journaled.join(" "));
+        let before = std::fs::read(dir.join(journal)).expect("the journal was written");
+        assert!(!before.is_empty());
+        let failing = [&journaled[..], &["--metrics", bad]].concat();
+        let (_, stderr, code) = mtt_code(&failing);
+        assert_eq!(code, 2, "`mtt {}`: {stderr}", failing.join(" "));
+        assert!(stderr.contains(bad), "{stderr}");
+        let after = std::fs::read(dir.join(journal)).expect("the journal is still there");
+        assert!(
+            after == before,
+            "`mtt {}` changed {journal}",
+            failing.join(" ")
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_run_log_may_go_in_a_new_journal_directory() {
+    // `--journal` creates its directory before `--metrics` creates the run
+    // log, so the log may go inside it, for a campaign and a profile alike.
+    for (cmd, journal) in [
+        (&["e1-detail", "lost_update", "2"][..], "e1-detail.ndjson"),
+        (&["profile", "e3", "2"], "profile-e3.ndjson"),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "mtt-cli-log-in-journal-{}-{}",
+            cmd[0],
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let (dir_s, log) = (dir.to_string_lossy(), dir.join("m.ndjson"));
+        let log_s = log.to_string_lossy();
+        let args = [cmd, &["--quiet", "--journal", &dir_s, "--metrics", &log_s]].concat();
+        let (_, stderr, code) = mtt_code(&args);
+        assert_eq!(code, 0, "`mtt {}`: {stderr}", args.join(" "));
+        let journal = dir.join(journal);
+        let (_, stderr, ok) = mtt(&["journal-check", &journal.to_string_lossy()]);
+        assert!(ok, "{stderr}");
+        let (stdout, stderr, ok) = mtt(&["status", &journal.to_string_lossy()]);
+        assert!(ok && stdout.contains("complete"), "{stdout}{stderr}");
+        let (_, stderr, ok) = mtt(&["metrics-check", &log_s]);
+        assert!(ok, "{stderr}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn a_run_log_write_error_exits_2_once_the_campaign_ends() {
     // Every write to /dev/full fails: the first failure is kept while the
     // campaign runs and reported when it ends, instead of a report.

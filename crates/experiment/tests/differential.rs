@@ -155,12 +155,14 @@ fn multiout_eval_reports_are_byte_identical() {
     let serial = multiout_eval::multiout_table(&multiout_eval::run_multiout_eval_on(
         12,
         7,
+        None,
         &JobPool::serial(),
     ));
     for jobs in JOB_COUNTS {
         let par = multiout_eval::multiout_table(&multiout_eval::run_multiout_eval_on(
             12,
             7,
+            None,
             &JobPool::new(jobs),
         ));
         assert_eq!(

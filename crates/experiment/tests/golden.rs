@@ -83,9 +83,9 @@ fn profile_e3_report_matches_golden() {
         "e3",
         &mtt_experiment::ProfileOptions {
             runs: 6,
-            jobs: 2,
             ..Default::default()
         },
+        &JobPool::new(2),
         drop,
     )
     .expect("e3 is a known profile key");
@@ -101,9 +101,9 @@ fn profile_run_log_matches_golden() {
         "e3",
         &mtt_experiment::ProfileOptions {
             runs: 6,
-            jobs: 2,
             ..Default::default()
         },
+        &JobPool::new(2),
         |r| w.write_record(&r).expect("in-memory write"),
     )
     .expect("e3 is a known profile key");
@@ -410,7 +410,7 @@ fn gen_describe_matches_golden() {
 
 #[test]
 fn e5_multiout_table_matches_golden() {
-    let rows = multiout_eval::run_multiout_eval_on(24, 11, &JobPool::new(4));
+    let rows = multiout_eval::run_multiout_eval_on(24, 11, None, &JobPool::new(4));
     check_golden(
         "e5_multiout_table.txt",
         &multiout_eval::multiout_table(&rows).render(),

@@ -13,8 +13,8 @@
 //! * [`RunMetrics`] — the per-run record harvested from one `Execution`
 //!   (deterministic counters only; wall clock is segregated by design).
 //! * [`SpanSet`] / [`Span`] — RAII wall-clock timers around campaign
-//!   phases and pool workers. Span timings are *explicitly* wall-clock and
-//!   never enter deterministic reports.
+//!   phases. Span timings are *explicitly* wall-clock and never enter
+//!   deterministic reports.
 //! * [`RunLogWriter`] — an NDJSON structured run log (one JSON object per
 //!   run, declared by [`RunLogRecord`]) whose default field set is
 //!   byte-deterministic at any `--jobs`.

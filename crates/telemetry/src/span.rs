@@ -1,4 +1,4 @@
-//! RAII span timers for campaign phases and pool workers.
+//! RAII span timers for campaign phases.
 //!
 //! A [`Span`] measures the wall-clock time between `enter` and drop and
 //! adds it to the named entry of its [`SpanSet`]. Span timings are
@@ -18,9 +18,7 @@ struct Entry {
 
 /// One completed interval on the set's shared clock — the raw material of
 /// a chrome-trace timeline (aggregates alone cannot place a phase in
-/// time). Recorded by [`SpanSet::enter`] spans on drop; the bulk
-/// [`SpanSet::add`] path stays aggregate-only so per-job worker loops do
-/// not flood the event list.
+/// time). Recorded by [`SpanSet::enter`] spans on drop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span name.
@@ -44,7 +42,7 @@ struct Shared {
 }
 
 /// A shared set of named span accumulators. Clones share state (and the
-/// epoch), so a set can be handed to every worker of a pool.
+/// epoch), so a span entered through any clone lands in the one set.
 #[derive(Clone)]
 pub struct SpanSet {
     shared: Arc<Shared>,
@@ -75,16 +73,6 @@ impl SpanSet {
             name: name.into(),
             started: Instant::now(),
         }
-    }
-
-    /// Add one finished interval to `name` directly (for callers that
-    /// already measured, e.g. a worker loop with its own clock).
-    /// Aggregate-only: no [`SpanEvent`] is recorded.
-    pub fn add(&self, name: &str, elapsed: Duration) {
-        let mut inner = self.shared.inner.lock().expect("span set poisoned");
-        let e = inner.entries.entry(name.to_string()).or_default();
-        e.count += 1;
-        e.total += elapsed;
     }
 
     fn record_span(&self, name: &str, started: Instant, elapsed: Duration) {
@@ -207,16 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn add_records_directly() {
-        let set = SpanSet::new();
-        set.add("w", Duration::from_millis(5));
-        set.add("w", Duration::from_millis(7));
-        let t = set.timings();
-        assert_eq!(t.count("w"), 2);
-        assert_eq!(t.total("w"), Duration::from_millis(12));
-    }
-
-    #[test]
     fn clones_share_state() {
         let set = SpanSet::new();
         let other = set.clone();
@@ -225,18 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn entered_spans_record_events_but_add_does_not() {
+    fn entered_spans_record_events_in_start_order() {
         let set = SpanSet::new();
         drop(set.enter("a"));
         drop(set.enter("b"));
-        set.add("w", Duration::from_millis(3));
         let events = set.events();
         assert_eq!(events.len(), 2);
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert!(names.contains(&"a") && names.contains(&"b"));
         // Events are sorted by start offset; offsets never precede the epoch.
         assert!(events.windows(2).all(|w| w[0].start <= w[1].start));
-        // `add` feeds aggregates only.
-        assert_eq!(set.timings().count("w"), 1);
     }
 }
